@@ -73,6 +73,14 @@ impl Report {
         }
     }
 
+    /// [`mature`](Self::mature) in place, for a caller that owns the
+    /// report and is done with the younger entries: no second copy of a
+    /// history that may run to millions of entries.
+    pub fn retain_mature(&mut self, cutoff: SimTime) {
+        let n = self.entries.partition_point(|e| e.time <= cutoff);
+        self.entries.truncate(n);
+    }
+
     /// Removes entries whose fingerprint is in `fps` (round compaction).
     pub fn compact(&mut self, fps: &BTreeSet<Fingerprint>) {
         self.entries.retain(|e| !fps.contains(&e.fingerprint));
@@ -404,6 +412,8 @@ pub struct SegmentMonitorSet {
     /// compared on every hit so a modified packet (same id, different
     /// content) can never reuse a stale fingerprint.
     fp_cache: HashMap<(PacketId, u32), ([u8; 40], Fingerprint)>,
+    /// Whether `fp_cache` is consulted and filled at all.
+    memo: bool,
     /// Route-traversal memo: whether the routed (src, dst) path contains
     /// segment `seg`. Pure function of the oracle, which is fixed at
     /// construction.
@@ -489,10 +499,23 @@ impl SegmentMonitorSet {
             slot_of,
             segment_slots,
             fp_cache: HashMap::new(),
+            memo: true,
             traverse_cache: HashMap::new(),
             scratch: IngestScratch::default(),
             metrics: MonitorMetrics::default(),
         }
+    }
+
+    /// Turns the (packet, segment) fingerprint memo off, for a set that is
+    /// fed the observations of **one router only** (a live node, as
+    /// opposed to the simulator's network-wide set). A router is one
+    /// recorder of a segment, so it fingerprints each packet once per
+    /// segment and the memo can never hit: it would cost an insert per
+    /// observation and, once full (65 536 entries), ≈ 8 MB per router.
+    /// Reports are identical either way.
+    pub fn without_fingerprint_memo(mut self) -> Self {
+        self.memo = false;
+        self
     }
 
     /// The monitored segments.
@@ -510,7 +533,10 @@ impl SegmentMonitorSet {
     /// Rebuilds the monitor set for a new segment assignment and path
     /// oracle — the §2.4.3 response's "monitoring follows the new routes"
     /// step. The metrics handles carry over so a live deployment keeps
-    /// aggregating into the same registry cells; accumulated records,
+    /// aggregating into the same registry cells, and so does the choice
+    /// made with
+    /// [`without_fingerprint_memo`](Self::without_fingerprint_memo);
+    /// accumulated records,
     /// fingerprint memos and route memos belong to the old routing epoch
     /// and are dropped wholesale.
     pub fn retarget(
@@ -523,6 +549,7 @@ impl SegmentMonitorSet {
     ) -> Self {
         let mut next = Self::new(segments, oracle, keystore, mode, sampling_rate);
         next.metrics = self.metrics.clone();
+        next.memo = self.memo;
         next
     }
 
@@ -616,7 +643,11 @@ impl SegmentMonitorSet {
                 ) {
                     continue;
                 }
-                let fp = match self.fp_cache.get(&(packet.id, r.seg)) {
+                let memoed = self
+                    .memo
+                    .then(|| self.fp_cache.get(&(packet.id, r.seg)))
+                    .flatten();
+                let fp = match memoed {
                     Some((cached_inv, fp)) if *cached_inv == inv => Some(*fp),
                     _ => None,
                 };
@@ -658,6 +689,9 @@ impl SegmentMonitorSet {
                 }
                 for (&i, &fp) in miss.iter().zip(&fps) {
                     pending[i].fp = Some(fp);
+                    if !self.memo {
+                        continue;
+                    }
                     if self.fp_cache.len() >= FP_CACHE_MAX {
                         self.fp_cache.clear();
                     }
@@ -719,13 +753,17 @@ impl SegmentMonitorSet {
             ) {
                 continue;
             }
-            let (fp, memo_hit) = Self::memo_fingerprint(
-                &mut self.fp_cache,
-                &self.keys[r.seg as usize],
-                packet.id,
-                r.seg,
-                &inv,
-            );
+            let (fp, memo_hit) = if self.memo {
+                Self::memo_fingerprint(
+                    &mut self.fp_cache,
+                    &self.keys[r.seg as usize],
+                    packet.id,
+                    r.seg,
+                    &inv,
+                )
+            } else {
+                (self.keys[r.seg as usize].fingerprint(&inv), false)
+            };
             if memo_hit {
                 self.metrics.fp_cache_hits.inc();
             } else {
@@ -1019,8 +1057,16 @@ mod tests {
             MonitorMode::AllMembers,
             None,
         );
-        let mut batch =
-            SegmentMonitorSet::new(segs.clone(), oracle, &ks, MonitorMode::AllMembers, None);
+        let mut batch = SegmentMonitorSet::new(
+            segs.clone(),
+            oracle.clone(),
+            &ks,
+            MonitorMode::AllMembers,
+            None,
+        );
+        let mut memoless =
+            SegmentMonitorSet::new(segs.clone(), oracle, &ks, MonitorMode::AllMembers, None)
+                .without_fingerprint_memo();
         net.add_cbr_flow(
             ids[0],
             ids[3],
@@ -1035,12 +1081,24 @@ mod tests {
             events.push(*ev);
         });
         // Replay the same tape in uneven chunks through the batched path.
-        for chunk in events.chunks(7) {
+        // The memo is an optimisation only: without it both ingest paths
+        // record the same.
+        for (n, chunk) in events.chunks(7).enumerate() {
             batch.observe_batch(chunk);
+            if n % 2 == 0 {
+                memoless.observe_batch(chunk);
+            } else {
+                chunk.iter().for_each(|ev| memoless.observe(ev));
+            }
         }
         for &r in &ids {
             for i in 0..segs.len() {
                 assert_eq!(one.report(r, i), batch.report(r, i), "router {r} seg {i}");
+                assert_eq!(
+                    one.report(r, i),
+                    memoless.report(r, i),
+                    "router {r} seg {i}"
+                );
             }
         }
     }

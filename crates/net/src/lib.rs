@@ -56,12 +56,17 @@
 //! assert!(outcome.suspicions.iter().all(|s| s.segment.contains(ids[3])));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`, so that exactly one module can opt out: `poller`
+// declares the `ppoll(2)` call `std` lacks. CI fails if the keyword, or a
+// second opt-out, appears anywhere else under `crates/`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
 pub mod linkstate;
 pub mod mailbox;
+#[allow(unsafe_code)]
+mod poller;
 pub mod reliable;
 pub mod runtime;
 pub mod timer;

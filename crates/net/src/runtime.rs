@@ -5,7 +5,11 @@
 //! router event loops and multiplexes them over non-blocking transport
 //! receives, one shared [`TimerWheel`] per shard, and a lock-free
 //! cross-shard [`mailbox`](crate::mailbox) for the optional in-process
-//! frame fastpath. Round boundaries, evaluation deadlines and the
+//! frame fastpath. A worker blocks until one of its sockets is readable
+//! or its next timer is due and then polls only the endpoints that have
+//! something to say, so an idle router costs nothing; endpoints that
+//! cannot be waited on (in-memory transports, the mailbox) are swept on
+//! every pass instead. Round boundaries, evaluation deadlines and the
 //! retransmission pump are *batched per shard* — one timer fires and every
 //! router in the shard does its round work — so a Rocketfuel-scale
 //! deployment (hundreds of routers) costs hundreds of event loops but only
@@ -38,6 +42,7 @@
 use crate::codec::{decode_frame, encode_frame, sign_alert, verify_alert, Frame, WireMessage};
 use crate::linkstate::{sign_link_state, verify_link_state, LinkStateUpdate, TopoUpdate};
 use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
+use crate::poller;
 use crate::reliable::{ReliableConfig, ReliableLayer};
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
@@ -421,6 +426,10 @@ struct NetMetrics {
     probation_admitted: Counter,
     probation_cleared: Counter,
     routers_isolated: Counter,
+    shard_passes: Counter,
+    shard_waits: Counter,
+    recv_polls: Counter,
+    recv_polls_empty: Counter,
     frame_bytes: Histogram,
     round_eval_ns: Histogram,
     reroute_latency_ns: Histogram,
@@ -456,6 +465,10 @@ impl NetMetrics {
             probation_admitted: reg.counter("net.probation_admitted"),
             probation_cleared: reg.counter("net.probation_cleared"),
             routers_isolated: reg.counter("net.routers_isolated"),
+            shard_passes: reg.counter("net.shard_passes"),
+            shard_waits: reg.counter("net.shard_waits"),
+            recv_polls: reg.counter("net.recv_polls"),
+            recv_polls_empty: reg.counter("net.recv_polls_empty"),
             frame_bytes: reg.histogram("net.frame_bytes"),
             round_eval_ns: reg.histogram("net.round_eval_ns"),
             reroute_latency_ns: reg.histogram("net.reroute_latency_ns"),
@@ -542,6 +555,100 @@ impl LiveDeployment {
         cfg: &LiveConfig,
         transports: Vec<T>,
     ) -> LiveOutcome {
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let Prepared {
+            shard_nodes,
+            mut mailboxes,
+            segments,
+        } = Self::prepare(topo, spec, cfg, transports, &metrics);
+        let n_shards = shard_nodes.len();
+
+        let epoch = Instant::now() + Duration::from_millis(30);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (event_tx, event_rx) = mpsc::channel::<LiveEvent>();
+
+        let mut handles = Vec::with_capacity(n_shards);
+        for (s, nodes) in shard_nodes.into_iter().enumerate() {
+            let shard = Shard::new(
+                s as u32,
+                nodes,
+                *cfg,
+                epoch,
+                mailboxes[s].take(),
+                metrics.clone(),
+            );
+            let flag = Arc::clone(&shutdown);
+            let tx = event_tx.clone();
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("shard-{s}"))
+                    .spawn(move || shard.run(&flag, &tx))
+                    .expect("spawn shard thread"),
+            );
+        }
+        drop(event_tx);
+
+        // Snapshot the registry just after each round's evaluation
+        // deadline so callers can diff neighbouring snapshots into
+        // per-round costs, then let every round finish: final evaluation
+        // fires at rounds·τ + budget after the epoch; leave slack for
+        // the last alerts to cross the wire.
+        let mut round_metrics = Vec::with_capacity(cfg.rounds as usize);
+        for r in 0..cfg.rounds {
+            let at =
+                epoch + cfg.tau * (r as u32 + 1) + cfg.exchange_budget + Duration::from_millis(50);
+            let now = Instant::now();
+            if at > now {
+                std::thread::sleep(at - now);
+            }
+            round_metrics.push(registry.snapshot());
+        }
+        let deadline = epoch
+            + cfg.tau * (cfg.rounds as u32)
+            + cfg.exchange_budget
+            + Duration::from_millis(300);
+        let now = Instant::now();
+        if deadline > now {
+            std::thread::sleep(deadline - now);
+        }
+        shutdown.store(true, Ordering::Relaxed);
+
+        let mut buffers = Vec::with_capacity(n_shards);
+        for h in handles {
+            buffers.push(h.join().expect("shard thread panicked"));
+        }
+        let trace = TraceJournal::from_buffers(buffers);
+        let events: Vec<LiveEvent> = event_rx.iter().collect();
+        let suspicions = events
+            .iter()
+            .filter_map(|e| match e {
+                LiveEvent::SuspicionRaised { suspicion, .. } => Some(suspicion.clone()),
+                _ => None,
+            })
+            .collect();
+        let metrics = registry.snapshot();
+        LiveOutcome {
+            suspicions,
+            events,
+            stats: LiveStats::from_snapshot(&metrics),
+            metrics,
+            round_metrics,
+            trace,
+            segments: segments.to_vec(),
+        }
+    }
+
+    /// Everything a run sets up before its clock starts: keys, the shared
+    /// initial routes and monitored segments, and one node per router,
+    /// dealt round-robin onto the shards.
+    fn prepare<T: Transport>(
+        topo: &Topology,
+        spec: &LiveSpec,
+        cfg: &LiveConfig,
+        transports: Vec<T>,
+        metrics: &NetMetrics,
+    ) -> Prepared<T> {
         let ids: Vec<RouterId> = topo.routers().collect();
         let mut by_router: HashMap<RouterId, T> =
             transports.into_iter().map(|t| (t.local(), t)).collect();
@@ -550,9 +657,6 @@ impl LiveDeployment {
             ids.len(),
             "need exactly one transport per router"
         );
-
-        let registry = MetricsRegistry::new();
-        let metrics = NetMetrics::registered(&registry);
 
         let mut keys = KeyStore::with_seed(cfg.key_seed);
         for &id in &ids {
@@ -617,7 +721,7 @@ impl LiveDeployment {
             .enumerate()
             .map(|(i, &id)| (id, i % n_shards))
             .collect();
-        let (mail_router, mut mail_rx): (Option<MailboxRouter>, Vec<Option<ShardMailbox>>) =
+        let (mail_router, mail_rx): (Option<MailboxRouter>, Vec<Option<ShardMailbox>>) =
             if cfg.mailbox_fastpath {
                 let (mut r, boxes) = mailboxes(shard_of.clone(), n_shards);
                 r.attach_counters(metrics.mailbox_frames.clone());
@@ -648,74 +752,22 @@ impl LiveDeployment {
             );
             shard_nodes[i % n_shards].push(node);
         }
-
-        let epoch = Instant::now() + Duration::from_millis(30);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (event_tx, event_rx) = mpsc::channel::<LiveEvent>();
-
-        let mut handles = Vec::with_capacity(n_shards);
-        for (s, nodes) in shard_nodes.into_iter().enumerate() {
-            let shard = Shard::new(s as u32, nodes, *cfg, epoch, mail_rx[s].take());
-            let flag = Arc::clone(&shutdown);
-            let tx = event_tx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("shard-{s}"))
-                    .spawn(move || shard.run(&flag, &tx))
-                    .expect("spawn shard thread"),
-            );
-        }
-        drop(event_tx);
-
-        // Snapshot the registry just after each round's evaluation
-        // deadline so callers can diff neighbouring snapshots into
-        // per-round costs, then let every round finish: final evaluation
-        // fires at rounds·τ + budget after the epoch; leave slack for
-        // the last alerts to cross the wire.
-        let mut round_metrics = Vec::with_capacity(cfg.rounds as usize);
-        for r in 0..cfg.rounds {
-            let at =
-                epoch + cfg.tau * (r as u32 + 1) + cfg.exchange_budget + Duration::from_millis(50);
-            let now = Instant::now();
-            if at > now {
-                std::thread::sleep(at - now);
-            }
-            round_metrics.push(registry.snapshot());
-        }
-        let deadline = epoch
-            + cfg.tau * (cfg.rounds as u32)
-            + cfg.exchange_budget
-            + Duration::from_millis(300);
-        let now = Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
-        }
-        shutdown.store(true, Ordering::Relaxed);
-
-        let mut buffers = Vec::with_capacity(n_shards);
-        for h in handles {
-            buffers.push(h.join().expect("shard thread panicked"));
-        }
-        let trace = TraceJournal::from_buffers(buffers);
-        let events: Vec<LiveEvent> = event_rx.iter().collect();
-        let suspicions = events
-            .iter()
-            .filter_map(|e| match e {
-                LiveEvent::SuspicionRaised { suspicion, .. } => Some(suspicion.clone()),
-                _ => None,
-            })
-            .collect();
-        let metrics = registry.snapshot();
-        LiveOutcome {
-            suspicions,
-            events,
-            stats: LiveStats::from_snapshot(&metrics),
-            metrics,
-            round_metrics,
-            trace,
-            segments: segments.to_vec(),
+        Prepared {
+            shard_nodes,
+            mailboxes: mail_rx,
+            segments,
         }
     }
+}
+
+/// What [`LiveDeployment::prepare`] hands to `run`.
+struct Prepared<T: Transport> {
+    /// The nodes of each shard, in shard order.
+    shard_nodes: Vec<Vec<Node<T>>>,
+    /// Each shard's receiving mailbox, when the fastpath is on.
+    mailboxes: Vec<Option<ShardMailbox>>,
+    /// The segments under monitoring.
+    segments: Arc<Vec<PathSegment>>,
 }
 
 /// Timer payloads of a shard's wheel. Round work and the retransmission
@@ -745,18 +797,36 @@ enum ShardTimer {
     },
 }
 
-/// Per-node receive sweep bound: how many frames one node may drain per
-/// loop iteration before yielding to its shard-mates.
+/// Per-node receive bound: how many frames one node may drain per pass
+/// before yielding to its shard-mates.
 const RECV_SWEEP: usize = 64;
+
+/// Longest a worker waits before looking at the shutdown flag again.
+const MAX_WAIT_NS: u64 = 2_000_000;
+
+/// Longest an idle worker waits while something it serves cannot wake it:
+/// an endpoint that is not in the poll set, or a mailbox.
+const SWEEP_WAIT_NS: u64 = 500_000;
 
 /// One worker thread's shard of router event loops.
 struct Shard<T: Transport> {
     nodes: Vec<Node<T>>,
     index_of: HashMap<RouterId, usize>,
+    /// Per node: its endpoint is in this worker's poll set, so a pass
+    /// visits it only when it is due. Whether an endpoint can be waited
+    /// on is its own business — it registers on first poll or it does
+    /// not — and the others are swept on every pass.
+    pollable: Vec<bool>,
+    /// Per node: has (or may have) a frame queued — the poller said so, or
+    /// a node of this shard just sent to it.
+    due: Vec<bool>,
+    /// Scratch for the poller's answer.
+    ready: Vec<RouterId>,
     wheel: TimerWheel<ShardTimer>,
     mailbox: Option<ShardMailbox>,
     cfg: LiveConfig,
     epoch: Instant,
+    metrics: NetMetrics,
     /// This worker's trace ring: written only by this thread, handed
     /// back when it joins.
     trace: TraceBuffer,
@@ -769,18 +839,23 @@ impl<T: Transport> Shard<T> {
         cfg: LiveConfig,
         epoch: Instant,
         mailbox: Option<ShardMailbox>,
+        metrics: NetMetrics,
     ) -> Self {
         for node in &mut nodes {
             node.epoch = epoch;
         }
         let index_of = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
         Self {
+            pollable: vec![false; nodes.len()],
+            due: vec![false; nodes.len()],
+            ready: Vec::new(),
             nodes,
             index_of,
             wheel: TimerWheel::new(),
             mailbox,
             cfg,
             epoch,
+            metrics,
             trace: TraceBuffer::new(shard, cfg.trace_capacity),
         }
     }
@@ -794,14 +869,13 @@ impl<T: Transport> Shard<T> {
     fn run(mut self, shutdown: &AtomicBool, events: &mpsc::Sender<LiveEvent>) -> TraceBuffer {
         let tau = self.cfg.tau.as_nanos() as u64;
         let budget = self.cfg.exchange_budget.as_nanos() as u64;
-        for (ni, node) in self.nodes.iter().enumerate() {
-            for fi in 0..node.flows.len() {
+        for (ni, node) in self.nodes.iter_mut().enumerate() {
+            for (fi, flow) in node.flows.iter_mut().enumerate() {
                 // Stagger flow starts so sources don't burst in sync —
                 // within a node and across the shard.
-                self.wheel.schedule(
-                    2_000_000 + (fi as u64) * 500_000 + (ni as u64) * 137_000,
-                    ShardTimer::FlowTick { node: ni, flow: fi },
-                );
+                flow.next_due = 2_000_000 + (fi as u64) * 500_000 + (ni as u64) * 137_000;
+                self.wheel
+                    .schedule(flow.next_due, ShardTimer::FlowTick { node: ni, flow: fi });
             }
             for (si, ev) in node.churn.iter().enumerate() {
                 self.wheel.schedule(
@@ -817,113 +891,20 @@ impl<T: Transport> Shard<T> {
         }
         let pump_step = (self.cfg.reliable.rto.as_nanos() as u64 / 2).max(1_000_000);
         self.wheel.schedule(pump_step, ShardTimer::Pump);
-        let single = self.nodes.len() == 1;
         self.trace
             .record(self.now_ns(), TraceKind::RoundStart, NO_ROUTER, 0, 0);
 
+        // This worker's sockets find the poller through the thread, so
+        // they register through whatever wraps them.
+        let poller = poller::install();
+        let mut handled = 0;
         loop {
-            let now = self.now_ns();
-            for t in self.wheel.pop_due(now) {
-                self.trace
-                    .record(now, TraceKind::TimerFired, NO_ROUTER, NO_ROUND, 0);
-                match t {
-                    ShardTimer::FlowTick { node, flow } => {
-                        if let Some(next) = self.nodes[node].flow_tick(flow, &mut self.trace) {
-                            self.wheel
-                                .schedule(next, ShardTimer::FlowTick { node, flow });
-                        }
-                    }
-                    ShardTimer::RoundEnd(r) => {
-                        for n in &mut self.nodes {
-                            n.round_end(r, &mut self.trace);
-                        }
-                        // The summary sends above still belong to round
-                        // r's slice; the next round opens after them.
-                        self.trace
-                            .record(self.now_ns(), TraceKind::RoundEnd, NO_ROUTER, r, 0);
-                        if r + 1 < self.cfg.rounds {
-                            self.trace.record(
-                                self.now_ns(),
-                                TraceKind::RoundStart,
-                                NO_ROUTER,
-                                r + 1,
-                                0,
-                            );
-                        }
-                    }
-                    ShardTimer::RoundEval(r) => {
-                        for n in &mut self.nodes {
-                            n.round_eval(r, events, &mut self.trace);
-                        }
-                    }
-                    ShardTimer::Pump => {
-                        for n in &mut self.nodes {
-                            n.pump(events, &mut self.trace);
-                        }
-                        self.wheel
-                            .schedule(self.now_ns() + pump_step, ShardTimer::Pump);
-                    }
-                    ShardTimer::Churn { node, step } => {
-                        self.nodes[node].churn_step(step, events, &mut self.trace);
-                    }
-                }
-            }
+            self.fire_timers(pump_step, events);
             if shutdown.load(Ordering::Relaxed) {
                 break;
             }
-
-            let mut handled = 0usize;
-            if let Some(envelopes) = self.mailbox.as_mut().map(|mb| mb.drain(512)) {
-                for env in envelopes {
-                    if let Some(&ni) = self.index_of.get(&env.dst) {
-                        self.nodes[ni].handle_frame(&env.bytes, events, &mut self.trace);
-                        handled += 1;
-                    }
-                }
-            }
-            for ni in 0..self.nodes.len() {
-                if !self.nodes[ni].open {
-                    continue;
-                }
-                for _ in 0..RECV_SWEEP {
-                    match self.nodes[ni].transport.try_recv() {
-                        Ok(Some(bytes)) => {
-                            self.nodes[ni].handle_frame(&bytes, events, &mut self.trace);
-                            handled += 1;
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            self.nodes[ni].open = false;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            if handled == 0 {
-                let wait = self
-                    .wheel
-                    .next_deadline()
-                    .map(|d| d.saturating_sub(self.now_ns()))
-                    .unwrap_or(2_000_000)
-                    .clamp(1, 2_000_000);
-                if single {
-                    // A one-router shard can afford the old blocking
-                    // receive: lowest latency, no polling.
-                    match self.nodes[0]
-                        .transport
-                        .recv_timeout(Duration::from_nanos(wait))
-                    {
-                        Ok(Some(bytes)) => {
-                            self.nodes[0].handle_frame(&bytes, events, &mut self.trace)
-                        }
-                        Ok(None) => {}
-                        Err(_) => self.nodes[0].open = false,
-                    }
-                } else {
-                    std::thread::sleep(Duration::from_nanos(wait.min(500_000)));
-                }
-            }
+            self.wait(&poller, handled);
+            handled = self.pass(&poller, events);
             if self.nodes.iter().all(|n| !n.open) {
                 break; // every transport closed under us
             }
@@ -933,6 +914,161 @@ impl<T: Transport> Shard<T> {
             node.finish();
         }
         self.trace
+    }
+
+    /// Runs every timer that is due.
+    fn fire_timers(&mut self, pump_step: u64, events: &mpsc::Sender<LiveEvent>) {
+        let now = self.now_ns();
+        let due = self.wheel.pop_due(now);
+        if due.is_empty() {
+            return;
+        }
+        for t in due {
+            self.trace
+                .record(now, TraceKind::TimerFired, NO_ROUTER, NO_ROUND, 0);
+            match t {
+                ShardTimer::FlowTick { node, flow } => {
+                    if let Some(next) = self.nodes[node].flow_tick(flow, &mut self.trace) {
+                        self.wheel
+                            .schedule(next, ShardTimer::FlowTick { node, flow });
+                    }
+                }
+                ShardTimer::RoundEnd(r) => {
+                    for n in &mut self.nodes {
+                        n.round_end(r, &mut self.trace);
+                    }
+                    // The summary sends above still belong to round
+                    // r's slice; the next round opens after them.
+                    self.trace
+                        .record(self.now_ns(), TraceKind::RoundEnd, NO_ROUTER, r, 0);
+                    if r + 1 < self.cfg.rounds {
+                        self.trace.record(
+                            self.now_ns(),
+                            TraceKind::RoundStart,
+                            NO_ROUTER,
+                            r + 1,
+                            0,
+                        );
+                    }
+                }
+                ShardTimer::RoundEval(r) => {
+                    for n in &mut self.nodes {
+                        n.round_eval(r, events, &mut self.trace);
+                    }
+                }
+                ShardTimer::Pump => {
+                    for n in &mut self.nodes {
+                        n.pump(events, &mut self.trace);
+                    }
+                    self.wheel
+                        .schedule(self.now_ns() + pump_step, ShardTimer::Pump);
+                }
+                ShardTimer::Churn { node, step } => {
+                    self.nodes[node].churn_step(step, events, &mut self.trace);
+                }
+            }
+        }
+        for ni in 0..self.nodes.len() {
+            self.mark_sent_due(ni);
+        }
+    }
+
+    /// Blocks until a socket of this shard is readable or the next timer
+    /// is due, and marks the readable nodes due. `handled` is what the
+    /// previous pass got done.
+    fn wait(&mut self, poller: &poller::Installed, handled: usize) {
+        let until_timer = self
+            .wheel
+            .next_deadline()
+            .map_or(MAX_WAIT_NS, |d| d.saturating_sub(self.now_ns()))
+            .min(MAX_WAIT_NS);
+        // Nothing announces a frame for a swept endpoint or the mailbox:
+        // while the last pass found work there may be more, and an idle
+        // wait stays short.
+        let swept = self.mailbox.is_some()
+            || self
+                .nodes
+                .iter()
+                .zip(&self.pollable)
+                .any(|(n, &pollable)| n.open && !pollable);
+        let wait = match (swept, handled) {
+            (false, _) => until_timer,
+            (true, 0) => until_timer.min(SWEEP_WAIT_NS),
+            (true, _) => 0,
+        };
+        if wait > 0 {
+            self.metrics.shard_waits.inc();
+        }
+        self.ready.clear();
+        poller.wait(Duration::from_nanos(wait), &mut self.ready);
+        // Only this shard's endpoints are ever polled on this thread.
+        for id in &self.ready {
+            self.due[self.index_of[id]] = true;
+        }
+    }
+
+    /// One receive pass, in node order: drains the mailbox, every swept
+    /// endpoint and every pollable endpoint that is due. A frame one node
+    /// forwards to a later node of the shard is received within the same
+    /// pass. Returns the number of frames handled.
+    fn pass(&mut self, poller: &poller::Installed, events: &mpsc::Sender<LiveEvent>) -> usize {
+        self.metrics.shard_passes.inc();
+        let mut handled = 0usize;
+        if let Some(envelopes) = self.mailbox.as_mut().map(|mb| mb.drain(512)) {
+            for env in envelopes {
+                if let Some(&ni) = self.index_of.get(&env.dst) {
+                    self.nodes[ni].handle_frame(&env.bytes, events, &mut self.trace);
+                    self.mark_sent_due(ni);
+                    handled += 1;
+                }
+            }
+        }
+        let (mut polls, mut empty) = (0u64, 0u64);
+        for ni in 0..self.nodes.len() {
+            let due = std::mem::take(&mut self.due[ni]);
+            // A crashed node is still drained (its frames fall on the
+            // floor): a readable socket nobody reads would end every wait
+            // at once.
+            if !self.nodes[ni].open || (self.pollable[ni] && !due) {
+                continue;
+            }
+            for _ in 0..RECV_SWEEP {
+                polls += 1;
+                match self.nodes[ni].transport.try_recv() {
+                    Ok(Some(bytes)) => {
+                        self.nodes[ni].handle_frame(&bytes, events, &mut self.trace);
+                        handled += 1;
+                    }
+                    Ok(None) => {
+                        empty += 1;
+                        break;
+                    }
+                    Err(_) => {
+                        empty += 1;
+                        self.nodes[ni].open = false;
+                        poller.deregister(self.nodes[ni].id);
+                        break;
+                    }
+                }
+            }
+            if !self.pollable[ni] {
+                self.pollable[ni] = poller.is_registered(self.nodes[ni].id);
+            }
+            self.mark_sent_due(ni);
+        }
+        self.metrics.recv_polls.add(polls);
+        self.metrics.recv_polls_empty.add(empty);
+        handled
+    }
+
+    /// Marks due every node of this shard that node `ni` has sent to since
+    /// it was last asked.
+    fn mark_sent_due(&mut self, ni: usize) {
+        for dst in self.nodes[ni].sent_to.drain(..) {
+            if let Some(&di) = self.index_of.get(&dst) {
+                self.due[di] = true;
+            }
+        }
     }
 }
 
@@ -949,6 +1085,10 @@ struct LocalFlow {
     spec: FlowSpec,
     global_idx: u32,
     sent: u64,
+    /// The deadline the pending tick was scheduled for. The next one is
+    /// one interval after it, not after whenever the tick got to run, so
+    /// wake-up latency does not stretch the period.
+    next_due: u64,
 }
 
 struct Node<T: Transport> {
@@ -958,6 +1098,10 @@ struct Node<T: Transport> {
     transport: T,
     /// False once the transport errored out; the shard skips dead nodes.
     open: bool,
+    /// Destinations of frames handed to the transport since the shard last
+    /// collected them: a shard-mate among them is polled within the pass
+    /// in progress instead of after the next wait.
+    sent_to: Vec<RouterId>,
     /// False while crashed, departed or not yet joined: the node neither
     /// processes frames nor does round work, but its churn script still
     /// fires (a restart needs it).
@@ -1048,8 +1192,10 @@ impl<T: Transport> Node<T> {
         mailbox: Option<MailboxRouter>,
         metrics: NetMetrics,
     ) -> Self {
+        // This set only ever sees this router's own taps.
         let monitors =
-            SegmentMonitorSet::new(segments.to_vec(), oracle, keys, MonitorMode::EndsOnly, None);
+            SegmentMonitorSet::new(segments.to_vec(), oracle, keys, MonitorMode::EndsOnly, None)
+                .without_fingerprint_memo();
         let ends = Self::end_roles(segments, id);
         let flows = spec
             .flows
@@ -1060,6 +1206,7 @@ impl<T: Transport> Node<T> {
                 spec: *f,
                 global_idx: i as u32,
                 sent: 0,
+                next_due: 0, // the shard sets it with the first tick
             })
             .collect();
         let dropper = spec.droppers.iter().find(|d| d.router == id);
@@ -1074,6 +1221,7 @@ impl<T: Transport> Node<T> {
             epoch: Instant::now(), // provisional; the shard sets the shared epoch
             transport,
             open: true,
+            sent_to: Vec::new(),
             alive: !spec.initially_down.contains(&id),
             incarnation: 0,
             keys: Arc::clone(keys),
@@ -1225,14 +1373,22 @@ impl<T: Transport> Node<T> {
         if now >= self.cfg.rounds * tau {
             return None;
         }
+        // On time, the period is exact; after a stall, one packet goes out
+        // at once and the schedule restarts from there rather than
+        // bursting through the backlog.
+        let next = {
+            let f = &mut self.flows[i];
+            f.next_due = (f.next_due + f.spec.interval.as_nanos() as u64).max(now);
+            f.next_due
+        };
         if !self.alive {
             // Keep ticking so the flow resumes after a restart.
-            return Some(now + self.flows[i].spec.interval.as_nanos() as u64);
+            return Some(next);
         }
-        let (spec, interval_ns) = {
+        let spec = {
             let f = &mut self.flows[i];
             f.sent += 1;
-            (f.spec, f.spec.interval.as_nanos() as u64)
+            f.spec
         };
         self.pkt_counter += 1;
         let id = PacketId(((u64::from(u32::from(self.id)) + 1) << 40) | self.pkt_counter);
@@ -1263,7 +1419,7 @@ impl<T: Transport> Node<T> {
             let epoch = self.route_epoch;
             self.send_frame(next_hop, WireMessage::Data { packet, epoch }, false);
         }
-        Some(now + interval_ns)
+        Some(next)
     }
 
     /// The forwarding decision for a packet of the (source, destination)
@@ -1315,7 +1471,7 @@ impl<T: Transport> Node<T> {
         self.flush_observations();
         let cutoff = self.cutoff(r);
         for end in self.ends.clone() {
-            let report = self.monitors.report(self.id, end.seg);
+            let mut report = self.monitors.report(self.id, end.seg);
             let segment = self.segments[end.seg].clone();
             let (msg, kind) = match self.cfg.summary {
                 SummaryMode::Full => (
@@ -1328,15 +1484,18 @@ impl<T: Transport> Node<T> {
                 ),
                 SummaryMode::Reconcile { capacity } => {
                     let capacity = capacity.max(1);
+                    // Full first, then cut the copy down to its mature
+                    // prefix: the history is cumulative, and a second copy
+                    // of it would show in the process's peak memory.
+                    let full = ContentDigest::of(&report.to_content(), capacity);
+                    report.retain_mature(cutoff);
+                    let mature = ContentDigest::of(&report.to_content(), capacity);
                     (
                         WireMessage::SummaryDigest {
                             round: r,
                             segment,
-                            mature: ContentDigest::of(
-                                &report.mature(cutoff).to_content(),
-                                capacity,
-                            ),
-                            full: ContentDigest::of(&report.to_content(), capacity),
+                            mature,
+                            full,
                         },
                         TraceKind::DigestSent,
                     )
@@ -1374,9 +1533,12 @@ impl<T: Transport> Node<T> {
     ) -> Option<(Vec<Fingerprint>, Vec<Fingerprint>)> {
         self.flush_observations();
         let cutoff = self.cutoff(round);
-        let mine = self.monitors.report(self.id, seg_idx);
-        let my_full = mine.to_content();
-        let my_mature = mine.mature(cutoff).to_content();
+        let (my_full, my_mature) = {
+            let mut mine = self.monitors.report(self.id, seg_idx);
+            let full = mine.to_content();
+            mine.retain_mature(cutoff); // as in `round_end`
+            (full, mine.to_content())
+        };
         let (m_add, m_rem) = diff_via_digest(mature_d, &my_mature, &mut self.digest_rng)?;
         let (f_add, f_rem) = diff_via_digest(full_d, &my_full, &mut self.digest_rng)?;
         let peer_mature = apply_diff(&my_mature, &m_add, &m_rem, mature_d.flow());
@@ -1598,6 +1760,7 @@ impl<T: Transport> Node<T> {
                     .is_some_and(|m| m.deliver(dst, bytes.clone()));
                 if !via_mailbox {
                     let _ = self.transport.send(dst, &bytes);
+                    self.sent_to.push(dst);
                 }
                 if reliable {
                     self.reliable.track(seq, dst, bytes, self.now_ns());
@@ -2198,10 +2361,11 @@ impl<T: Transport> Node<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LoopbackHub;
+    use crate::transport::{LoopbackHub, NetError, UdpNet};
     use fatih_core::spec::SpecCheck;
     use fatih_topology::builtin;
     use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicU64;
 
     /// A fast end-to-end run over in-memory transports: a 5-router line
     /// with a 30% dropper at the middle hop must be caught, with zero
@@ -2434,6 +2598,154 @@ mod tests {
             outcome.stats.wire_bytes_sent,
             outcome.stats.data_bytes_sent
         );
+    }
+
+    /// Forwards every `Transport` method to the endpoint it wraps, as a
+    /// user's wrapper would, and counts the receive polls on the way.
+    struct Counting<T> {
+        inner: T,
+        polls: Arc<AtomicU64>,
+    }
+
+    impl<T: Transport> Transport for Counting<T> {
+        fn local(&self) -> RouterId {
+            self.inner.local()
+        }
+        fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError> {
+            self.inner.send(dst, frame)
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            self.inner.try_recv()
+        }
+        fn max_datagram(&self) -> usize {
+            self.inner.max_datagram()
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+        fn bytes_recv(&self) -> u64 {
+            self.inner.bytes_recv()
+        }
+    }
+
+    /// Sixteen routers on one worker, a trickle of traffic: receive polls
+    /// must be of the order of the frames received, not of routers × loop
+    /// iterations (775 polls for 412 frames; sweeping made 21 228).
+    /// The sockets sit behind a wrapper that knows nothing of the poller,
+    /// so this also shows that registration needs no help from wrappers.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_udp_endpoints_are_not_polled() {
+        let topo = builtin::line(16);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(
+                ids[0],
+                ids[15],
+                800,
+                Duration::from_millis(20),
+            )],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            tau: Duration::from_millis(200),
+            exchange_budget: Duration::from_millis(100),
+            rounds: 2,
+            shards: 1,
+            response: false,
+            ..LiveConfig::default()
+        };
+        let polls = Arc::new(AtomicU64::new(0));
+        let transports: Vec<_> = UdpNet::bind_group(&ids)
+            .expect("bind loopback sockets")
+            .into_iter()
+            .map(|inner| Counting {
+                inner,
+                polls: Arc::clone(&polls),
+            })
+            .collect();
+        let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
+        assert!(outcome.suspicions.is_empty(), "{:?}", outcome.suspicions);
+        assert!(outcome.stats.data_delivered > 0);
+
+        let polls = polls.load(Ordering::Relaxed);
+        let frames = outcome.stats.frames_received;
+        assert!(
+            polls <= 3 * frames + 64,
+            "{polls} receive polls for {frames} frames"
+        );
+        assert_eq!(polls, outcome.metrics.counter("net.recv_polls"));
+        assert_eq!(
+            polls - outcome.metrics.counter("net.recv_polls_empty"),
+            frames
+        );
+    }
+
+    /// Drives one shard by hand, pass by pass, over real sockets: a packet
+    /// injected at the head of a 6-line reaches its tail within *one*
+    /// pass, because every hop marks the next router due before the pass
+    /// gets to it; an idle pass polls nobody; and a crashed router's
+    /// socket is still drained, so it cannot keep the poller awake.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_forwarded_frame_is_received_within_the_same_pass() {
+        let topo = builtin::line(6);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(ids[0], ids[5], 800, Duration::from_secs(1))],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            shards: 1,
+            response: false,
+            ..LiveConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
+        let mut prepared = LiveDeployment::prepare(&topo, &spec, &cfg, transports, &metrics);
+        let nodes = prepared.shard_nodes.remove(0);
+        let mut shard = Shard::new(0, nodes, cfg, Instant::now(), None, metrics);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let counter = |name: &str| registry.snapshot().counter(name);
+
+        // Nothing is in flight: the first pass sweeps every endpoint once,
+        // which is when each joins the poll set.
+        assert_eq!(shard.pass(&poller, &events), 0);
+        assert_eq!(counter("net.recv_polls"), 6);
+        assert!(shard.pollable.iter().all(|&p| p));
+
+        // What a flow tick does: router 0 injects one packet.
+        assert!(shard.nodes[0].flow_tick(0, &mut shard.trace).is_some());
+        shard.mark_sent_due(0);
+        assert_eq!(shard.due, [false, true, false, false, false, false]);
+        assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
+        assert_eq!(counter("net.data_delivered"), 1);
+        assert_eq!(counter("net.shard_passes"), 2);
+        // One frame and one empty poll at each of routers 1..=5.
+        assert_eq!(counter("net.recv_polls"), 6 + 10);
+
+        // Idle: the wait runs out with nothing readable, the pass visits
+        // nobody.
+        shard.wait(&poller, 5);
+        assert_eq!(shard.pass(&poller, &events), 0);
+        assert_eq!(counter("net.recv_polls"), 6 + 10);
+        assert_eq!(counter("net.shard_waits"), 1);
+
+        // Router 3 crashes: the next packet dies there, but its frame is
+        // taken off the socket all the same and the shard goes quiet.
+        shard.nodes[3].alive = false;
+        assert!(shard.nodes[0].flow_tick(0, &mut shard.trace).is_some());
+        shard.mark_sent_due(0);
+        assert_eq!(shard.pass(&poller, &events), 3);
+        assert_eq!(counter("net.data_delivered"), 1);
+        shard.wait(&poller, 3);
+        assert!(shard.due.iter().all(|&d| !d), "{:?}", shard.due);
     }
 
     /// The §2.4.3 response loop end to end: a ring carries one flow whose

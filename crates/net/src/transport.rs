@@ -15,9 +15,11 @@
 //!   dropper, turning an environmental fault into a false accusation.
 
 use crate::codec::{peek_type, MsgType, MAX_FRAME};
+use crate::poller;
 use fatih_topology::RouterId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::UdpSocket;
 use std::sync::mpsc;
@@ -68,7 +70,7 @@ pub trait Transport: Send {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError>;
 
     /// Receives the next frame without blocking: `Ok(None)` when nothing
-    /// is queued. The sharded runtime sweeps many endpoints per worker
+    /// is queued. The sharded runtime serves many endpoints per worker
     /// thread, so a blocking receive on one router would starve its
     /// shard-mates. The default falls back to a minimal-timeout receive.
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
@@ -189,18 +191,28 @@ impl Transport for LoopbackNet {
 // ---------------------------------------------------------------------
 
 /// One router's endpoint on a group of real UDP loopback sockets.
+///
+/// The socket is non-blocking from the moment it is bound. Polled on a
+/// shard worker, the endpoint registers itself with that thread's
+/// readiness poller, through any wrapper, so the worker stops polling it
+/// while it is idle.
 #[derive(Debug)]
 pub struct UdpNet {
     local: RouterId,
     socket: UdpSocket,
     peers: Arc<HashMap<RouterId, std::net::SocketAddr>>,
-    /// Cached read timeout, to skip redundant setsockopt calls.
-    current_timeout: Option<Duration>,
-    /// Cached non-blocking flag; `try_recv` and `recv_timeout` flip the
-    /// socket mode lazily rather than per call.
-    nonblocking: bool,
+    /// The last thread poller this endpoint registered with (0: none).
+    poller_seen: u64,
     sent_bytes: u64,
     recv_bytes: u64,
+}
+
+thread_local! {
+    /// Where datagrams land before an exact-size copy leaves the call: one
+    /// per receiving thread, not per endpoint (65 kB × 128 routers would
+    /// show in the process's peak memory) and not per call (an empty poll
+    /// is then one `recv` and nothing else).
+    static RECV_BUF: RefCell<Vec<u8>> = RefCell::new(vec![0u8; MAX_FRAME]);
 }
 
 impl UdpNet {
@@ -211,6 +223,7 @@ impl UdpNet {
         let mut addrs = HashMap::new();
         for &id in ids {
             let socket = UdpSocket::bind("127.0.0.1:0")?;
+            socket.set_nonblocking(true)?;
             addrs.insert(id, socket.local_addr()?);
             sockets.push((id, socket));
         }
@@ -221,32 +234,11 @@ impl UdpNet {
                 local: id,
                 socket,
                 peers: Arc::clone(&addrs),
-                current_timeout: None,
-                nonblocking: false,
+                poller_seen: 0,
                 sent_bytes: 0,
                 recv_bytes: 0,
             })
             .collect())
-    }
-}
-
-impl UdpNet {
-    fn recv_inner(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        let mut buf = vec![0u8; MAX_FRAME];
-        match self.socket.recv_from(&mut buf) {
-            Ok((n, _)) => {
-                buf.truncate(n);
-                self.recv_bytes += n as u64;
-                Ok(Some(buf))
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(NetError::Io(e.to_string())),
-        }
     }
 }
 
@@ -268,32 +260,35 @@ impl Transport for UdpNet {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        if self.nonblocking {
-            self.socket
-                .set_nonblocking(false)
-                .map_err(|e| NetError::Io(e.to_string()))?;
-            self.nonblocking = false;
-            self.current_timeout = None;
+        let deadline = Instant::now() + timeout;
+        let mut left = timeout;
+        loop {
+            // May wake without a datagram to read (or, where sockets
+            // cannot be waited on, after a short sleep): hence the loop.
+            poller::wait_readable(&self.socket, left);
+            if let Some(frame) = self.try_recv()? {
+                return Ok(Some(frame));
+            }
+            left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(None);
+            }
         }
-        // set_read_timeout(Some(0)) is an error; clamp to 1µs.
-        let timeout = timeout.max(Duration::from_micros(1));
-        if self.current_timeout != Some(timeout) {
-            self.socket
-                .set_read_timeout(Some(timeout))
-                .map_err(|e| NetError::Io(e.to_string()))?;
-            self.current_timeout = Some(timeout);
-        }
-        self.recv_inner()
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        if !self.nonblocking {
-            self.socket
-                .set_nonblocking(true)
-                .map_err(|e| NetError::Io(e.to_string()))?;
-            self.nonblocking = true;
-        }
-        self.recv_inner()
+        poller::register(&self.socket, self.local, &mut self.poller_seen);
+        RECV_BUF.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            match self.socket.recv(&mut buf) {
+                Ok(n) => {
+                    self.recv_bytes += n as u64;
+                    Ok(Some(buf[..n].to_vec()))
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
+                Err(e) => Err(NetError::Io(e.to_string())),
+            }
+        })
     }
 
     fn bytes_sent(&self) -> u64 {

@@ -90,6 +90,21 @@ fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
         );
     }
 
+    // Every receive poll that did not come back empty handed the runtime
+    // exactly one frame (no router is ever down in this run), and a
+    // worker cannot have waited more often than it made a pass.
+    let polls = outcome.metrics.counter("net.recv_polls");
+    let empty = outcome.metrics.counter("net.recv_polls_empty");
+    assert!(empty > 0 && empty < polls, "{empty} of {polls} polls empty");
+    assert_eq!(
+        polls - empty,
+        outcome.metrics.counter("net.frames_received"),
+        "non-empty receive polls disagree with frames received"
+    );
+    assert!(
+        outcome.metrics.counter("net.shard_waits") <= outcome.metrics.counter("net.shard_passes")
+    );
+
     // JSONL export is lossless: parsing it back yields the same events
     // and the same per-kind recorded totals.
     let jsonl = outcome.trace.to_jsonl();
