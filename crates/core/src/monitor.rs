@@ -12,7 +12,7 @@
 //! secret trajectory-sampling pattern, §5.2.1).
 
 use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
-use fatih_obs::{Counter, MetricsRegistry};
+use fatih_obs::{Counter, Gauge, MetricsRegistry};
 use fatih_sim::{Packet, PacketId, SimTime, TapEvent};
 use fatih_topology::{Path, PathSegment, RouterId, Routes};
 use fatih_validation::sampling::SamplingPattern;
@@ -55,30 +55,31 @@ impl Report {
         self.entries.is_empty()
     }
 
-    /// Entries observed at or before `cutoff`.
+    /// Entries observed in `(after, until]`; `None` leaves that side of
+    /// the window open.
     ///
     /// Entries are appended in observation-time order (the simulator
     /// delivers events in time order and a live node's clock is
     /// monotonic; [`decode`](Self::decode) rejects reports that violate
-    /// it), so the cutoff is a binary search and a slice copy rather than
-    /// a full clone-and-filter.
-    pub fn mature(&self, cutoff: SimTime) -> Report {
+    /// it), so each bound is a binary search and the window a slice copy
+    /// rather than a full clone-and-filter.
+    pub fn window(&self, after: Option<SimTime>, until: Option<SimTime>) -> Report {
         debug_assert!(
             self.entries.windows(2).all(|w| w[0].time <= w[1].time),
             "report entries out of observation-time order"
         );
-        let n = self.entries.partition_point(|e| e.time <= cutoff);
+        let lo = after.map_or(0, |t| self.entries.partition_point(|e| e.time <= t));
+        let hi = until.map_or(self.entries.len(), |t| {
+            self.entries.partition_point(|e| e.time <= t)
+        });
         Report {
-            entries: self.entries[..n].to_vec(),
+            entries: self.entries[lo..hi.max(lo)].to_vec(),
         }
     }
 
-    /// [`mature`](Self::mature) in place, for a caller that owns the
-    /// report and is done with the younger entries: no second copy of a
-    /// history that may run to millions of entries.
-    pub fn retain_mature(&mut self, cutoff: SimTime) {
-        let n = self.entries.partition_point(|e| e.time <= cutoff);
-        self.entries.truncate(n);
+    /// Entries observed at or before `cutoff`.
+    pub fn mature(&self, cutoff: SimTime) -> Report {
+        self.window(None, Some(cutoff))
     }
 
     /// Removes entries whose fingerprint is in `fps` (round compaction).
@@ -369,6 +370,18 @@ pub struct MonitorMetrics {
     pub fp_cache_misses: Counter,
     /// Calls to [`SegmentMonitorSet::observe_batch`].
     pub batches: Counter,
+    /// Recorded observations since dropped: by
+    /// [`SegmentMonitorSet::prune`], or with the whole record on
+    /// [`SegmentMonitorSet::retarget`]. For a set that is never compacted
+    /// `records − entries_pruned` is what it holds.
+    pub entries_pruned: Counter,
+    /// The most entries any one set held right after a
+    /// [`SegmentMonitorSet::prune`] — for live nodes, which own one set
+    /// each, the most any one router held.
+    pub entries_held_max: Gauge,
+    /// Entries still held by the sets whose owners called
+    /// [`SegmentMonitorSet::publish_held`] when they were done.
+    pub entries_held_at_finish: Counter,
 }
 
 impl MonitorMetrics {
@@ -379,6 +392,9 @@ impl MonitorMetrics {
             fp_cache_hits: reg.counter("monitor.fp_cache_hits"),
             fp_cache_misses: reg.counter("monitor.fp_cache_misses"),
             batches: reg.counter("monitor.batches"),
+            entries_pruned: reg.counter("monitor.entries_pruned"),
+            entries_held_max: reg.gauge("monitor.entries_held_max"),
+            entries_held_at_finish: reg.counter("monitor.entries_held_at_finish"),
         }
     }
 }
@@ -538,7 +554,7 @@ impl SegmentMonitorSet {
     /// [`without_fingerprint_memo`](Self::without_fingerprint_memo);
     /// accumulated records,
     /// fingerprint memos and route memos belong to the old routing epoch
-    /// and are dropped wholesale.
+    /// and are dropped wholesale (the records count as pruned).
     pub fn retarget(
         &self,
         segments: Vec<PathSegment>,
@@ -549,6 +565,7 @@ impl SegmentMonitorSet {
     ) -> Self {
         let mut next = Self::new(segments, oracle, keystore, mode, sampling_rate);
         next.metrics = self.metrics.clone();
+        next.metrics.entries_pruned.add(self.held() as u64);
         next.memo = self.memo;
         next
     }
@@ -822,13 +839,47 @@ impl SegmentMonitorSet {
         (fp, false)
     }
 
-    /// The cumulative report of `router` for segment index `i` (empty if
-    /// it saw nothing since the last compaction).
+    /// Everything `router` still holds for segment index `i`: what it
+    /// recorded since the last compaction or [`prune`](Self::prune)
+    /// (empty if it saw nothing).
     pub fn report(&self, router: RouterId, i: usize) -> Report {
+        self.report_after(router, i, None)
+    }
+
+    /// [`report`](Self::report) restricted to the entries observed after
+    /// `after`: the windowed read of a sliding-window record, copying the
+    /// window only.
+    pub fn report_after(&self, router: RouterId, i: usize, after: Option<SimTime>) -> Report {
         self.slot_of
             .get(&(router, i))
-            .map(|&s| self.slots[s].clone())
+            .map(|&s| self.slots[s].window(after, None))
             .unwrap_or_default()
+    }
+
+    /// Entries held across all records.
+    pub fn held(&self) -> usize {
+        self.slots.iter().map(Report::len).sum()
+    }
+
+    /// Drops every entry observed at or before `horizon` from every
+    /// record. Readers of a sliding-window record trim to their window
+    /// themselves ([`report_after`](Self::report_after)), so this only
+    /// bounds memory; when it runs never changes a verdict.
+    pub fn prune(&mut self, horizon: SimTime) {
+        let mut pruned = 0;
+        for slot in &mut self.slots {
+            let n = slot.entries.partition_point(|e| e.time <= horizon);
+            slot.entries.drain(..n);
+            pruned += n;
+        }
+        self.metrics.entries_pruned.add(pruned as u64);
+        self.metrics.entries_held_max.set_max(self.held() as f64);
+    }
+
+    /// Adds [`held`](Self::held) to `monitor.entries_held_at_finish`; the
+    /// owner calls it once, when it is done with the set.
+    pub fn publish_held(&self) {
+        self.metrics.entries_held_at_finish.add(self.held() as u64);
     }
 
     /// Whether any record exists (for tests).

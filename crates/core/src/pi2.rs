@@ -176,6 +176,7 @@ impl Pi2Detector {
                 let verdict = tv_pair(
                     pair[0].as_ref(),
                     pair[1].as_ref(),
+                    None,
                     cutoff,
                     fabrication_floor,
                 );

@@ -175,7 +175,13 @@ impl Pik2Detector {
                 (None, _) => suspect(a), // b's message never arrived at a
                 (_, None) => suspect(b),
                 (Some(from_b), Some(from_a)) => {
-                    let verdict = tv_pair(Some(&from_a), Some(&from_b), cutoff, fabrication_floor);
+                    let verdict = tv_pair(
+                        Some(&from_a),
+                        Some(&from_b),
+                        None,
+                        cutoff,
+                        fabrication_floor,
+                    );
                     judged_fabricated.extend(verdict.fabricated.iter().copied());
                     if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
                         // Both ends detect and announce (the broadcast of
@@ -383,7 +389,13 @@ impl Pik2Detector {
             let mut judged_fabricated: BTreeSet<Fingerprint> = BTreeSet::new();
             match (from_a, from_b) {
                 (Some(ra), Some(rb)) => {
-                    let verdict = tv_pair(Some(ra), Some(rb), exch.cutoff, exch.fabrication_floor);
+                    let verdict = tv_pair(
+                        Some(ra),
+                        Some(rb),
+                        None,
+                        exch.cutoff,
+                        exch.fabrication_floor,
+                    );
                     judged_fabricated.extend(verdict.fabricated.iter().copied());
                     if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
                         suspect(a);

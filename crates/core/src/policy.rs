@@ -7,7 +7,7 @@
 //! flight at a round boundary are deferred instead of miscounted (see
 //! [`crate::monitor::Report::mature`]).
 
-use crate::monitor::Report;
+use crate::monitor::{Report, ReportEntry};
 use fatih_crypto::Fingerprint;
 use fatih_sim::SimTime;
 use fatih_validation::tv_order;
@@ -81,17 +81,29 @@ impl PairVerdict {
     }
 }
 
-/// Evaluates `TV(π, info(up), info(down))` for one pair of cumulative
-/// reports, judging only packets mature at `cutoff`. `None` models ⊥ — a
-/// missing or unauthenticated report, which only a protocol-faulty router
-/// causes, so ⊥ always fails.
+/// Evaluates `TV(π, info(up), info(down))` for one pair of reports,
+/// judging the packets either end observed in `(judged_from, cutoff]`
+/// against everything the other end's report holds. `None` for a report
+/// models ⊥ — a missing or unauthenticated report, which only a
+/// protocol-faulty router causes, so ⊥ always fails.
 ///
-/// Soundness of the window: an upstream observation at `t ≤ cutoff`
+/// Soundness of the upper bound: an upstream observation at `t ≤ cutoff`
 /// reaches the downstream recorder within the transit bound that the
 /// caller builds into `cutoff`, so a mature upstream packet absent
 /// downstream really was dropped; and a mature downstream packet was
 /// observed upstream strictly earlier, so its absence upstream really is
 /// fabrication.
+///
+/// `judged_from` is the lower bound of a *sliding-window* record (the live
+/// runtime's): each round judges what was observed since the previous
+/// round's cutoff, and the reports hold one transit bound more than that,
+/// so a packet is lost or fabricated in exactly one round and entries
+/// older than the window can be forgotten. A downstream entry of the
+/// look-back slice must not read as fabricated — its upstream entry may
+/// be gone already — which is why the bound applies to both sets.
+/// Cumulative records (the simulator-hosted protocols, which compact
+/// validated fingerprints instead) pass `None`.
+///
 /// `fabrication_floor` guards against monitors attached to a live
 /// network: packets already in flight when monitoring began appear
 /// downstream with no upstream record; downstream entries observed before
@@ -99,6 +111,7 @@ impl PairVerdict {
 pub fn tv_pair(
     upstream: Option<&Report>,
     downstream: Option<&Report>,
+    judged_from: Option<SimTime>,
     cutoff: SimTime,
     fabrication_floor: SimTime,
 ) -> PairVerdict {
@@ -108,40 +121,18 @@ pub fn tv_pair(
             ..PairVerdict::default()
         };
     };
-    let up_mature = up.mature(cutoff);
-    let down_mature = down.mature(cutoff);
+    let up_judged = up.window(judged_from, Some(cutoff));
+    let down_judged = down.window(judged_from, Some(cutoff));
 
-    // Multiset difference by fingerprint.
-    let mut down_counts: BTreeMap<Fingerprint, u32> = BTreeMap::new();
-    for e in &down.entries {
-        *down_counts.entry(e.fingerprint).or_insert(0) += 1;
-    }
-    let mut lost = Vec::new();
-    for e in &up_mature.entries {
-        match down_counts.get_mut(&e.fingerprint) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => lost.push(e.fingerprint),
-        }
-    }
-    let mut up_counts: BTreeMap<Fingerprint, u32> = BTreeMap::new();
-    for e in &up.entries {
-        *up_counts.entry(e.fingerprint).or_insert(0) += 1;
-    }
-    let mut fabricated = Vec::new();
-    for e in &down_mature.entries {
-        match up_counts.get_mut(&e.fingerprint) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => {
-                if e.time >= fabrication_floor {
-                    fabricated.push(e.fingerprint);
-                }
-            }
-        }
-    }
+    let lost = unmatched(&up_judged, down).map(|e| e.fingerprint).collect();
+    let fabricated = unmatched(&down_judged, up)
+        .filter(|e| e.time >= fabrication_floor)
+        .map(|e| e.fingerprint)
+        .collect();
 
-    // Order: compare the mature upstream sequence with the downstream
+    // Order: compare the judged upstream sequence with the downstream
     // sequence; lost/fabricated packets are excluded by the LCS metric.
-    let reordered = tv_order(&up_mature.to_ordered(), &down.to_ordered()).reordered;
+    let reordered = tv_order(&up_judged.to_ordered(), &down.to_ordered()).reordered;
 
     PairVerdict {
         lost,
@@ -149,6 +140,25 @@ pub fn tv_pair(
         reordered,
         bottom: false,
     }
+}
+
+/// The entries of `judged` left over once each entry of `held` has
+/// matched at most one of them by fingerprint: a multiset difference.
+fn unmatched<'a>(judged: &'a Report, held: &Report) -> impl Iterator<Item = &'a ReportEntry> {
+    let mut counts: BTreeMap<Fingerprint, u32> = BTreeMap::new();
+    for e in &held.entries {
+        *counts.entry(e.fingerprint).or_insert(0) += 1;
+    }
+    judged
+        .entries
+        .iter()
+        .filter(move |e| match counts.get_mut(&e.fingerprint) {
+            Some(c) if *c > 0 => {
+                *c -= 1;
+                false
+            }
+            _ => true,
+        })
 }
 
 /// Protocol-faulty report behaviour (§2.2.1: a router that "misbehaves
@@ -201,7 +211,6 @@ pub fn distort(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::ReportEntry;
 
     fn report(fps: &[u64]) -> Report {
         Report {
@@ -222,7 +231,7 @@ mod tests {
     #[test]
     fn equal_reports_pass_all_policies() {
         let r = report(&[1, 2, 3]);
-        let v = tv_pair(Some(&r), Some(&r), LATE, SimTime::ZERO);
+        let v = tv_pair(Some(&r), Some(&r), None, LATE, SimTime::ZERO);
         for p in [Policy::Flow, Policy::Content, Policy::Order] {
             assert!(v.passes(p, &Thresholds::default()));
         }
@@ -232,7 +241,7 @@ mod tests {
     fn loss_fails_within_threshold_semantics() {
         let up = report(&[1, 2, 3]);
         let down = report(&[1, 3]);
-        let v = tv_pair(Some(&up), Some(&down), LATE, SimTime::ZERO);
+        let v = tv_pair(Some(&up), Some(&down), None, LATE, SimTime::ZERO);
         assert_eq!(v.lost.len(), 1);
         let th0 = Thresholds::default();
         let th1 = Thresholds {
@@ -249,7 +258,7 @@ mod tests {
     fn flow_misses_modification_but_content_catches_it() {
         let up = report(&[1, 2, 3]);
         let down = report(&[1, 2, 99]); // packet 3 modified into 99
-        let v = tv_pair(Some(&up), Some(&down), LATE, SimTime::ZERO);
+        let v = tv_pair(Some(&up), Some(&down), None, LATE, SimTime::ZERO);
         assert_eq!(v.lost.len(), 1);
         assert_eq!(v.fabricated.len(), 1);
         let th = Thresholds {
@@ -264,7 +273,7 @@ mod tests {
     fn only_order_catches_reordering() {
         let up = report(&[1, 2, 3]);
         let down = report(&[2, 1, 3]);
-        let v = tv_pair(Some(&up), Some(&down), LATE, SimTime::ZERO);
+        let v = tv_pair(Some(&up), Some(&down), None, LATE, SimTime::ZERO);
         let th = Thresholds::default();
         assert!(v.passes(Policy::Flow, &th));
         assert!(v.passes(Policy::Content, &th));
@@ -278,7 +287,13 @@ mod tests {
         // it at all (in flight). Not a loss.
         let up = report(&[1, 2, 3]); // times 0ms, 1ms, 2ms
         let down = report(&[1, 2]);
-        let v = tv_pair(Some(&up), Some(&down), SimTime::from_ms(1), SimTime::ZERO);
+        let v = tv_pair(
+            Some(&up),
+            Some(&down),
+            None,
+            SimTime::from_ms(1),
+            SimTime::ZERO,
+        );
         assert!(v.lost.is_empty(), "{v:?}");
         assert!(v.passes(Policy::Content, &Thresholds::default()));
     }
@@ -291,7 +306,13 @@ mod tests {
         let up = report(&[1, 2]);
         let mut down = report(&[1, 99, 2]); // 99 mature, never upstream
         down.entries[2].time = SimTime::from_secs(99); // 2 still young
-        let v = tv_pair(Some(&up), Some(&down), SimTime::from_ms(10), SimTime::ZERO);
+        let v = tv_pair(
+            Some(&up),
+            Some(&down),
+            None,
+            SimTime::from_ms(10),
+            SimTime::ZERO,
+        );
         assert_eq!(v.fabricated, vec![Fingerprint::new(99)]);
     }
 
@@ -299,7 +320,7 @@ mod tests {
     fn bottom_always_fails() {
         let r = report(&[1]);
         for (a, b) in [(None, Some(&r)), (Some(&r), None), (None, None)] {
-            let v = tv_pair(a, b, LATE, SimTime::ZERO);
+            let v = tv_pair(a, b, None, LATE, SimTime::ZERO);
             assert!(v.bottom);
             assert!(!v.passes(Policy::Flow, &Thresholds::default()));
         }
@@ -311,10 +332,10 @@ mod tests {
         // monitor never saw; inside the warm-up window it is not judged.
         let up = report(&[1]);
         let down = report(&[99, 1]); // 99 at t=0ms, unknown upstream
-        let v = tv_pair(Some(&up), Some(&down), LATE, SimTime::from_ms(1));
+        let v = tv_pair(Some(&up), Some(&down), None, LATE, SimTime::from_ms(1));
         assert!(v.fabricated.is_empty());
         // After the floor it is.
-        let v = tv_pair(Some(&up), Some(&down), LATE, SimTime::ZERO);
+        let v = tv_pair(Some(&up), Some(&down), None, LATE, SimTime::ZERO);
         assert_eq!(v.fabricated, vec![Fingerprint::new(99)]);
     }
 

@@ -22,10 +22,21 @@
 //! wall-clock deadlines and every message crosses a real transport as
 //! encoded bytes.
 //!
+//! Records are **sliding windows in the recorder's own clock**. With
+//! `c_r = (r+1)·τ − maturity_lag`, round `r` *judges* what a router
+//! observed in `(c_{r−1}, c_r]`, a round-`r` summary or digest *holds*
+//! what it observed in `(c_{r−1} − maturity_lag, now]` — one lag of
+//! look-back, so a packet in flight across `c_{r−1}` still finds its
+//! upstream entry — and once round `r` is evaluated everything at or
+//! before `c_r − maturity_lag` is dropped. Every observation falls in
+//! exactly one judged window, so a packet is validated once and round-end
+//! work, memory and summary bytes follow the round, not the run. Both
+//! ends apply the rule to their own timestamps; nothing is agreed.
+//!
 //! Summary exchange has two modes ([`SummaryMode`]). In `Full` mode the
 //! ends ship complete [`ContentSummary`](fatih_validation::summary::ContentSummary)-bearing
 //! reports, costing control
-//! bytes proportional to the traffic volume. In `Reconcile` mode they ship
+//! bytes proportional to one window's traffic. In `Reconcile` mode they ship
 //! fixed-size [`ContentDigest`]s (the Appendix A characteristic-polynomial
 //! sketch plus certifying checksums) and each end *decodes* the peer's
 //! summary from its own records plus the recovered difference; only when
@@ -46,7 +57,7 @@ use crate::poller;
 use crate::reliable::{ReliableConfig, ReliableLayer};
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
-use fatih_core::monitor::{MonitorMode, PathOracle, SegmentMonitorSet};
+use fatih_core::monitor::{MonitorMetrics, MonitorMode, PathOracle, Report, SegmentMonitorSet};
 use fatih_core::policy::{tv_pair, PairVerdict, Policy, Thresholds};
 use fatih_core::probation::ProbationTracker;
 use fatih_core::spec::{Interval, Suspicion};
@@ -430,6 +441,9 @@ struct NetMetrics {
     shard_waits: Counter,
     recv_polls: Counter,
     recv_polls_empty: Counter,
+    stale_summaries: Counter,
+    /// The `monitor.*` handles every node's monitor set counts into.
+    monitor: MonitorMetrics,
     frame_bytes: Histogram,
     round_eval_ns: Histogram,
     reroute_latency_ns: Histogram,
@@ -469,6 +483,8 @@ impl NetMetrics {
             shard_waits: reg.counter("net.shard_waits"),
             recv_polls: reg.counter("net.recv_polls"),
             recv_polls_empty: reg.counter("net.recv_polls_empty"),
+            stale_summaries: reg.counter("net.stale_summaries"),
+            monitor: MonitorMetrics::registered(reg),
             frame_bytes: reg.histogram("net.frame_bytes"),
             round_eval_ns: reg.histogram("net.round_eval_ns"),
             reroute_latency_ns: reg.histogram("net.reroute_latency_ns"),
@@ -801,6 +817,30 @@ enum ShardTimer {
 /// before yielding to its shard-mates.
 const RECV_SWEEP: usize = 64;
 
+/// When the first flow injects its first packet, after the epoch.
+const FLOW_LEAD_NS: u64 = 2_000_000;
+
+/// Flows that tick at the same instant.
+///
+/// A wake-up is the expensive part of an idle shard's packet: on a
+/// 128-socket shard it costs ≈ 60 µs of CPU (the blocking `ppoll`, and the
+/// packet's whole path run on cold caches) against ≈ 10 µs for four warm
+/// hops, and what a packet of a burst pays for it in return is the time
+/// its burst-mates take to cross the shard with it. Four to a tick keeps
+/// CPU per packet where one shared tick had it (within 10 %) at half the
+/// latency; see DESIGN.md, "Flow phases".
+const FLOWS_PER_TICK: usize = 4;
+
+/// Where in its interval flow `i` of `n` ticks: flows are dealt round-robin
+/// to `⌈n / FLOWS_PER_TICK⌉` groups, the groups are spread evenly over the
+/// interval and the flows of a group tick together. The phase depends on
+/// the flow list alone — not on which router or shard carries the flow,
+/// and (see `Node::flow_tick`) not on what happened since.
+fn flow_phase_ns(i: usize, n: usize, interval: Duration) -> u64 {
+    let groups = n.div_ceil(FLOWS_PER_TICK);
+    interval.as_nanos() as u64 * (i % groups) as u64 / groups as u64
+}
+
 /// Longest a worker waits before looking at the shutdown flag again.
 const MAX_WAIT_NS: u64 = 2_000_000;
 
@@ -870,10 +910,7 @@ impl<T: Transport> Shard<T> {
         let tau = self.cfg.tau.as_nanos() as u64;
         let budget = self.cfg.exchange_budget.as_nanos() as u64;
         for (ni, node) in self.nodes.iter_mut().enumerate() {
-            for (fi, flow) in node.flows.iter_mut().enumerate() {
-                // Stagger flow starts so sources don't burst in sync —
-                // within a node and across the shard.
-                flow.next_due = 2_000_000 + (fi as u64) * 500_000 + (ni as u64) * 137_000;
+            for (fi, flow) in node.flows.iter().enumerate() {
                 self.wheel
                     .schedule(flow.next_due, ShardTimer::FlowTick { node: ni, flow: fi });
             }
@@ -1133,7 +1170,7 @@ struct Node<T: Transport> {
     digest_rng: StdRng,
     reliable: ReliableLayer,
     mailbox: Option<MailboxRouter>,
-    peer_summaries: HashMap<(u64, usize), fatih_core::monitor::Report>,
+    peer_summaries: HashMap<(u64, usize), Report>,
     /// Verdicts already decoded from digest exchanges: (round, segment) →
     /// (lost, fabricated), certified equal to the full-summary result.
     peer_verdicts: HashMap<(u64, usize), (Vec<Fingerprint>, Vec<Fingerprint>)>,
@@ -1150,6 +1187,11 @@ struct Node<T: Transport> {
     /// First round that is summarized/evaluated again after a
     /// reconvergence — rounds before it fall under deterministic amnesty.
     eval_resume: u64,
+    /// The last round this node evaluated (amnesty rounds included). A
+    /// summary, digest or pull for it or an earlier round is stale: the
+    /// verdict is out and the record it would be read against is pruned.
+    /// A rebuild empties the record and starts this afresh with it.
+    evaluated: Option<u64>,
     /// Dedup of applied link-state updates by (origin, update_seq).
     applied_keys: HashSet<(RouterId, u64)>,
     /// The link-state database: applied updates (pruned of superseded
@@ -1193,9 +1235,10 @@ impl<T: Transport> Node<T> {
         metrics: NetMetrics,
     ) -> Self {
         // This set only ever sees this router's own taps.
-        let monitors =
+        let mut monitors =
             SegmentMonitorSet::new(segments.to_vec(), oracle, keys, MonitorMode::EndsOnly, None)
                 .without_fingerprint_memo();
+        monitors.attach_metrics(metrics.monitor.clone());
         let ends = Self::end_roles(segments, id);
         let flows = spec
             .flows
@@ -1206,7 +1249,7 @@ impl<T: Transport> Node<T> {
                 spec: *f,
                 global_idx: i as u32,
                 sent: 0,
-                next_due: 0, // the shard sets it with the first tick
+                next_due: FLOW_LEAD_NS + flow_phase_ns(i, spec.flows.len(), f.interval),
             })
             .collect();
         let dropper = spec.droppers.iter().find(|d| d.router == id);
@@ -1252,6 +1295,7 @@ impl<T: Transport> Node<T> {
             obs_buf: Vec::with_capacity(OBS_BUF_FLUSH),
             route_epoch: 0,
             eval_resume: 0,
+            evaluated: None,
             applied_keys: HashSet::new(),
             ls_db: Vec::new(),
             ls_seq: 0,
@@ -1302,18 +1346,51 @@ impl<T: Transport> Node<T> {
         SimTime::from_ns(self.now_ns())
     }
 
-    /// The maturity cutoff of round `r`.
+    /// The maturity cutoff of round `r`, `c_r`: where its judged window
+    /// closes.
     fn cutoff(&self, r: u64) -> SimTime {
         let tau = self.cfg.tau.as_nanos() as u64;
         SimTime::from_ns((r + 1) * tau)
             .since(SimTime::from_ns(self.cfg.maturity_lag.as_nanos() as u64))
     }
 
-    /// Folds end-of-run transport wire bytes into the registry counters
-    /// and flushes any buffered observations. (Retransmit accounting
-    /// flows through registry-backed handles as it happens.)
+    /// Where round `r`'s judged window opens: `c_{r−1}`, exclusive. Round
+    /// 0 judges everything up to `c_0` — observations made before the
+    /// deployment's epoch stamp as time 0, and "after `c_{−1}`" must not
+    /// turn into `time > 0`.
+    fn judged_from(&self, r: u64) -> Option<SimTime> {
+        r.checked_sub(1).map(|prev| self.cutoff(prev))
+    }
+
+    /// Where the window a round-`r` summary holds opens: one maturity lag
+    /// before [`judged_from`](Self::judged_from), exclusive; `None` while
+    /// that still reaches back past the epoch.
+    fn held_from(&self, r: u64) -> Option<SimTime> {
+        let lag = self.cfg.maturity_lag.as_nanos() as u64;
+        let from = self.judged_from(r)?.as_ns().checked_sub(lag)?;
+        Some(SimTime::from_ns(from))
+    }
+
+    /// What this router's record of segment `seg` holds for round `r`.
+    /// Trimmed here, where it is read, and not by the pruning: a peer on
+    /// another shard may send its round-`r` digest before this node's own
+    /// `round_end(r)`, and amnesty rounds return early.
+    fn held(&self, r: u64, seg: usize) -> Report {
+        self.monitors.report_after(self.id, seg, self.held_from(r))
+    }
+
+    /// The slice of a [`held`](Self::held) window that round `r` judges.
+    fn judged(&self, r: u64, held: &Report) -> Report {
+        held.window(self.judged_from(r), Some(self.cutoff(r)))
+    }
+
+    /// Folds end-of-run transport wire bytes into the registry counters,
+    /// flushes any buffered observations and publishes what the record
+    /// still holds. (Retransmit accounting flows through registry-backed
+    /// handles as it happens.)
     fn finish(&mut self) {
         self.flush_observations();
+        self.monitors.publish_held();
         self.metrics
             .wire_bytes_sent
             .add(self.transport.bytes_sent());
@@ -1374,11 +1451,17 @@ impl<T: Transport> Node<T> {
             return None;
         }
         // On time, the period is exact; after a stall, one packet goes out
-        // at once and the schedule restarts from there rather than
-        // bursting through the backlog.
+        // at once and the schedule resumes at the latest tick missed rather
+        // than bursting through the backlog. The flow stays on its own
+        // phase: restarting every stalled flow from `now` would put them
+        // all on one phase, and they would tick as one burst ever after.
         let next = {
             let f = &mut self.flows[i];
-            f.next_due = (f.next_due + f.spec.interval.as_nanos() as u64).max(now);
+            let interval = (f.spec.interval.as_nanos() as u64).max(1);
+            f.next_due += interval;
+            if f.next_due < now {
+                f.next_due += (now - f.next_due) / interval * interval;
+            }
             f.next_due
         };
         if !self.alive {
@@ -1469,33 +1552,29 @@ impl<T: Transport> Node<T> {
             return;
         }
         self.flush_observations();
-        let cutoff = self.cutoff(r);
         for end in self.ends.clone() {
-            let mut report = self.monitors.report(self.id, end.seg);
+            let held = self.held(r, end.seg);
             let segment = self.segments[end.seg].clone();
             let (msg, kind) = match self.cfg.summary {
                 SummaryMode::Full => (
                     WireMessage::Summary {
                         round: r,
                         segment,
-                        report,
+                        report: held,
                     },
                     TraceKind::SummarySent,
                 ),
                 SummaryMode::Reconcile { capacity } => {
                     let capacity = capacity.max(1);
-                    // Full first, then cut the copy down to its mature
-                    // prefix: the history is cumulative, and a second copy
-                    // of it would show in the process's peak memory.
-                    let full = ContentDigest::of(&report.to_content(), capacity);
-                    report.retain_mature(cutoff);
-                    let mature = ContentDigest::of(&report.to_content(), capacity);
+                    // On the wire the judged slice travels as `mature`,
+                    // the held window as `full`.
+                    let judged = self.judged(r, &held);
                     (
                         WireMessage::SummaryDigest {
                             round: r,
                             segment,
-                            mature,
-                            full,
+                            mature: ContentDigest::of(&judged.to_content(), capacity),
+                            full: ContentDigest::of(&held.to_content(), capacity),
                         },
                         TraceKind::DigestSent,
                     )
@@ -1514,44 +1593,44 @@ impl<T: Transport> Node<T> {
 
     /// Attempts to decode the round verdict from a peer's digest pair.
     ///
-    /// The exchange reconciles like-with-like — the peer's mature digest
-    /// against this end's mature summary, full against full — so the
-    /// sketch only has to span the *discrepancy* (losses, boundary
-    /// crossers, in-flight packets), not the maturity window. Both remote
-    /// summaries are then reconstructed exactly and the verdict computed
-    /// with the same multiset differences `tv_pair` uses:
-    /// `lost = mature(up) ∖ full(down)`, `fabricated = mature(down) ∖
-    /// full(up)`. Returns `None` (forcing a full pull) whenever either
-    /// digest fails certification.
+    /// The exchange reconciles like-with-like — the peer's judged-slice
+    /// digest against this end's judged slice, held window against held
+    /// window — so the sketch only has to span the *discrepancy* (losses,
+    /// packets in flight across a window edge), never the window itself;
+    /// that is why both ends hold the same window although only the
+    /// upstream end needs the look-back. Both remote summaries are then
+    /// reconstructed exactly and the verdict computed with the same
+    /// multiset differences `tv_pair` uses: `lost = judged(up) ∖
+    /// held(down)`, `fabricated = judged(down) ∖ held(up)`. Both windows
+    /// are read off `round`, so a digest that arrives before this node's
+    /// own `round_end(round)` resolves the same. Returns `None` (forcing a
+    /// full pull) whenever either digest fails certification.
     fn resolve_digest(
         &mut self,
         round: u64,
         seg_idx: usize,
         upstream: bool,
-        mature_d: &ContentDigest,
-        full_d: &ContentDigest,
+        judged_d: &ContentDigest,
+        held_d: &ContentDigest,
     ) -> Option<(Vec<Fingerprint>, Vec<Fingerprint>)> {
         self.flush_observations();
-        let cutoff = self.cutoff(round);
-        let (my_full, my_mature) = {
-            let mut mine = self.monitors.report(self.id, seg_idx);
-            let full = mine.to_content();
-            mine.retain_mature(cutoff); // as in `round_end`
-            (full, mine.to_content())
+        let (my_held, my_judged) = {
+            let held = self.held(round, seg_idx);
+            (held.to_content(), self.judged(round, &held).to_content())
         };
-        let (m_add, m_rem) = diff_via_digest(mature_d, &my_mature, &mut self.digest_rng)?;
-        let (f_add, f_rem) = diff_via_digest(full_d, &my_full, &mut self.digest_rng)?;
-        let peer_mature = apply_diff(&my_mature, &m_add, &m_rem, mature_d.flow());
-        let peer_full = apply_diff(&my_full, &f_add, &f_rem, full_d.flow());
+        let (j_add, j_rem) = diff_via_digest(judged_d, &my_judged, &mut self.digest_rng)?;
+        let (h_add, h_rem) = diff_via_digest(held_d, &my_held, &mut self.digest_rng)?;
+        let peer_judged = apply_diff(&my_judged, &j_add, &j_rem, judged_d.flow());
+        let peer_held = apply_diff(&my_held, &h_add, &h_rem, held_d.flow());
         let (lost, fabricated) = if upstream {
             (
-                my_mature.difference_pair(&peer_full).0,
-                peer_mature.difference_pair(&my_full).0,
+                my_judged.difference_pair(&peer_held).0,
+                peer_judged.difference_pair(&my_held).0,
             )
         } else {
             (
-                peer_mature.difference_pair(&my_full).0,
-                my_mature.difference_pair(&peer_full).0,
+                peer_judged.difference_pair(&my_held).0,
+                my_judged.difference_pair(&peer_held).0,
             )
         };
         Some((lost, fabricated))
@@ -1562,13 +1641,13 @@ impl<T: Transport> Node<T> {
             return;
         }
         if r < self.eval_resume {
-            // Amnesty round: drop whatever arrived for it and raise
-            // nothing. Both ends of every segment skip the same rounds
-            // (the window is derived from the update's origin timestamp),
-            // so nobody waits for a summary that will never come.
-            self.peer_summaries.retain(|(round, _), _| *round != r);
-            self.peer_verdicts.retain(|(round, _), _| *round != r);
+            // Amnesty round: raise nothing (retiring it drops whatever
+            // arrived for it). Both ends of every segment skip the same
+            // rounds (the window is derived from the update's origin
+            // timestamp), so nobody waits for a summary that will never
+            // come.
             self.probation_tick(r, events, trace);
+            self.retire(r);
             return;
         }
         let eval_began = self.now_ns();
@@ -1576,7 +1655,7 @@ impl<T: Transport> Node<T> {
         let tau = self.cfg.tau.as_nanos() as u64;
         let round_start = SimTime::from_ns(r * tau);
         let round_end = SimTime::from_ns((r + 1) * tau);
-        let cutoff = self.cutoff(r);
+        let (judged_from, cutoff) = (self.judged_from(r), self.cutoff(r));
         // Convictions are originated after the loop: applying one rebuilds
         // the segment set, which would invalidate the indices still in use.
         let mut convictions: Vec<PathSegment> = Vec::new();
@@ -1607,13 +1686,13 @@ impl<T: Transport> Node<T> {
                         round: r,
                     });
                 }
-                let mine = self.monitors.report(self.id, end.seg);
+                let mine = self.held(r, end.seg);
                 let (up, down) = if end.upstream {
                     (Some(&mine), peer_report.as_ref())
                 } else {
                     (peer_report.as_ref(), Some(&mine))
                 };
-                tv_pair(up, down, cutoff, SimTime::ZERO)
+                tv_pair(up, down, judged_from, cutoff, SimTime::ZERO)
             };
             let passed = verdict.passes(Policy::Content, &self.cfg.thresholds);
             let _ = events.send(LiveEvent::RoundEvaluated {
@@ -1693,6 +1772,33 @@ impl<T: Transport> Node<T> {
             .round_eval_ns
             .record(self.now_ns().saturating_sub(eval_began));
         self.probation_tick(r, events, trace);
+        self.retire(r);
+    }
+
+    /// Round `r` is over for this node: frames for it are stale from here
+    /// on, whatever arrived for it (or for an earlier round) is dropped,
+    /// and the record forgets what no later round reads — everything at
+    /// or before `c_r − maturity_lag`, where round `r + 1`'s held window
+    /// opens. Readers trim to their own window, so the pruning is a memory
+    /// matter only.
+    fn retire(&mut self, r: u64) {
+        self.evaluated = Some(r);
+        self.peer_summaries.retain(|(round, _), _| *round > r);
+        self.peer_verdicts.retain(|(round, _), _| *round > r);
+        self.flush_observations();
+        if let Some(horizon) = self.held_from(r + 1) {
+            self.monitors.prune(horizon);
+        }
+    }
+
+    /// Whether `round` is one this node has already evaluated; counts the
+    /// frame that asked if so.
+    fn stale(&self, round: u64) -> bool {
+        let stale = self.evaluated.is_some_and(|done| round <= done);
+        if stale {
+            self.metrics.stale_summaries.inc();
+        }
+        stale
     }
 
     /// Deterministic probation bookkeeping at the boundary of round
@@ -1804,7 +1910,7 @@ impl<T: Transport> Node<T> {
                 report,
             } => {
                 self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) {
+                if self.reliable.accept(frame.src, frame.seq) && !self.stale(round) {
                     if let Some(idx) = self.segments.iter().position(|s| *s == segment) {
                         self.peer_summaries.insert((round, idx), report);
                     }
@@ -1817,7 +1923,7 @@ impl<T: Transport> Node<T> {
                 full,
             } => {
                 self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) {
+                if self.reliable.accept(frame.src, frame.seq) && !self.stale(round) {
                     let idx = self.segments.iter().position(|s| *s == segment);
                     let role = idx.and_then(|i| self.ends.iter().find(|e| e.seg == i).copied());
                     if let (Some(idx), Some(role)) = (idx, role) {
@@ -1854,10 +1960,10 @@ impl<T: Transport> Node<T> {
             }
             WireMessage::SummaryPull { round, segment } => {
                 self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) {
+                if self.reliable.accept(frame.src, frame.seq) && !self.stale(round) {
                     if let Some(idx) = self.segments.iter().position(|s| *s == segment) {
                         self.flush_observations();
-                        let report = self.monitors.report(self.id, idx);
+                        let report = self.held(round, idx);
                         self.send_frame(
                             frame.src,
                             WireMessage::Summary {
@@ -2257,6 +2363,7 @@ impl<T: Transport> Node<T> {
         // longer exist, and the amnesty window covers the gap.
         self.peer_summaries.clear();
         self.peer_verdicts.clear();
+        self.evaluated = None;
         self.obs_buf.clear();
         self.route_epoch += 1;
         self.metrics.epoch_transitions.inc();
@@ -2521,8 +2628,8 @@ mod tests {
     }
 
     /// Reconciliation-mode exchange still catches the dropper: either the
-    /// decoded diff convicts directly, or the cumulative loss overflows
-    /// the sketch and the fallback full transfer convicts.
+    /// decoded diff convicts directly, or the round's loss overflows the
+    /// sketch and the fallback full transfer convicts.
     #[test]
     fn reconcile_mode_catches_dropper() {
         let topo = builtin::line(5);
@@ -2748,6 +2855,366 @@ mod tests {
         assert!(shard.due.iter().all(|&d| !d), "{:?}", shard.due);
     }
 
+    /// A 3-line on one hand-driven shard over the loopback hub: its one
+    /// monitored segment ⟨0, 1, 2⟩ has routers 0 and 2 as ends. Records
+    /// are written with chosen timestamps and rounds are driven by calling
+    /// the round methods, so window edges can be hit to the nanosecond.
+    struct Line3 {
+        shard: Shard<crate::transport::LoopbackNet>,
+        registry: MetricsRegistry,
+        events: mpsc::Sender<LiveEvent>,
+        event_rx: mpsc::Receiver<LiveEvent>,
+        poller: poller::Installed,
+        ids: Vec<RouterId>,
+        /// Not yet recorded: (time, event) per end, upstream first, in
+        /// time order.
+        pending: [Vec<(u64, TapEvent)>; 2],
+        packets: u64,
+    }
+
+    const TAU: u64 = 200_000_000;
+    const LAG: u64 = 50_000_000;
+
+    impl Line3 {
+        fn new(summary: SummaryMode) -> Self {
+            let topo = builtin::line(3);
+            let ids: Vec<RouterId> = topo.routers().collect();
+            let spec = LiveSpec {
+                flows: vec![FlowSpec::new(ids[0], ids[2], 800, Duration::from_secs(1))],
+                ..LiveSpec::default()
+            };
+            let cfg = LiveConfig {
+                tau: Duration::from_nanos(TAU),
+                exchange_budget: Duration::from_millis(100),
+                maturity_lag: Duration::from_nanos(LAG),
+                thresholds: Thresholds::default(),
+                shards: 1,
+                response: false,
+                summary,
+                ..LiveConfig::default()
+            };
+            let registry = MetricsRegistry::new();
+            let metrics = NetMetrics::registered(&registry);
+            let mut prepared =
+                LiveDeployment::prepare(&topo, &spec, &cfg, LoopbackHub::group(&ids), &metrics);
+            let nodes = prepared.shard_nodes.remove(0);
+            let (events, event_rx) = mpsc::channel();
+            Self {
+                shard: Shard::new(0, nodes, cfg, Instant::now(), None, metrics),
+                registry,
+                events,
+                event_rx,
+                poller: poller::install(),
+                ids,
+                pending: [Vec::new(), Vec::new()],
+                packets: 0,
+            }
+        }
+
+        /// Plans packets by (time router 0 forwards it, time router 2
+        /// receives it — `None`: lost on the way), in nanoseconds.
+        fn plan(&mut self, stamps: &[(u64, Option<u64>)]) {
+            for &(t_up, t_down) in stamps {
+                self.packets += 1;
+                let id = PacketId(self.packets);
+                let packet = Packet {
+                    id,
+                    src: self.ids[0],
+                    dst: self.ids[2],
+                    flow: FlowId(0),
+                    kind: PacketKind::Data,
+                    size: 800,
+                    seq: self.packets,
+                    payload_tag: Packet::expected_tag(id),
+                    ttl: Packet::DEFAULT_TTL,
+                    created_at: SimTime::from_ns(t_up),
+                };
+                self.pending[0].push((
+                    t_up,
+                    TapEvent::Enqueued {
+                        router: self.ids[0],
+                        next_hop: self.ids[1],
+                        packet,
+                        time: SimTime::from_ns(t_up),
+                        queue_len_after: 0,
+                    },
+                ));
+                if let Some(t) = t_down {
+                    self.pending[1].push((
+                        t,
+                        TapEvent::Arrived {
+                            router: self.ids[2],
+                            from: Some(self.ids[1]),
+                            packet,
+                            time: SimTime::from_ns(t),
+                        },
+                    ));
+                }
+            }
+            for end in &mut self.pending {
+                end.sort_by_key(|&(t, _)| t);
+            }
+        }
+
+        /// The clock reaches `now`: both ends record what was planned up
+        /// to then.
+        fn advance(&mut self, now: u64) {
+            for (end, node) in [(0, 0), (1, 2)] {
+                let due = self.pending[end].partition_point(|&(t, _)| t <= now);
+                let evs: Vec<TapEvent> = self.pending[end].drain(..due).map(|(_, ev)| ev).collect();
+                self.shard.nodes[node].monitors.observe_batch(&evs);
+            }
+        }
+
+        fn round_end(&mut self, node: usize, r: u64) {
+            self.shard.nodes[node].round_end(r, &mut self.shard.trace);
+            self.settle();
+        }
+
+        fn round_eval(&mut self, node: usize, r: u64) {
+            self.shard.nodes[node].round_eval(r, &self.events, &mut self.shard.trace);
+            self.settle();
+        }
+
+        /// A whole round at both ends, the clock standing at the
+        /// evaluation deadline by the end of it.
+        fn round(&mut self, r: u64) {
+            self.advance((r + 1) * TAU);
+            self.round_end(0, r);
+            self.round_end(2, r);
+            self.advance((r + 1) * TAU + 100_000_000);
+            self.round_eval(0, r);
+            self.round_eval(2, r);
+        }
+
+        /// Delivers frames until nobody has anything left to say.
+        fn settle(&mut self) {
+            for ni in 0..self.shard.nodes.len() {
+                self.shard.mark_sent_due(ni);
+            }
+            while self.shard.pass(&self.poller, &self.events) > 0 {}
+        }
+
+        fn counter(&self, name: &str) -> u64 {
+            self.registry.snapshot().counter(name)
+        }
+
+        /// (passed, lost, fabricated) of every evaluation since the last
+        /// call.
+        fn verdicts(&self) -> Vec<(bool, usize, usize)> {
+            self.event_rx
+                .try_iter()
+                .filter_map(|e| match e {
+                    LiveEvent::RoundEvaluated {
+                        passed,
+                        lost,
+                        fabricated,
+                        ..
+                    } => Some((passed, lost, fabricated)),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// Both ends evaluated, passed, and found nothing amiss.
+    const CLEAN: [(bool, usize, usize); 2] = [(true, 0, 0); 2];
+
+    /// Packets stamped a nanosecond either side of every window edge —
+    /// `c_{r−1} − lag` (where the held window opens), `c_{r−1}` (where the
+    /// judged one opens), `c_r` (where it closes) — at either end or
+    /// straddling it, with transits from nothing to just short of the
+    /// lag: zero tolerance, both modes, nothing lost, nothing fabricated,
+    /// and in Reconcile mode never a fallback.
+    #[test]
+    fn packets_at_the_window_edges_are_judged_exactly_once() {
+        for summary in [SummaryMode::Full, SummaryMode::Reconcile { capacity: 32 }] {
+            let mut net = Line3::new(summary);
+            let rounds = 4;
+            let mut edges = vec![];
+            for r in 0..rounds {
+                let c = (r + 1) * TAU - LAG;
+                edges.extend([c - LAG, c]);
+            }
+            let mut planned = 0;
+            for &b in &edges {
+                let stamps = [
+                    (b - 1, Some(b - 1)),
+                    (b - 1, Some(b)),
+                    (b - 1, Some(b + 1)),
+                    (b, Some(b)),
+                    (b, Some(b + 1)),
+                    (b + 1, Some(b + 2)),
+                    (b + 1 - LAG, Some(b)),
+                    (b + 2 - LAG, Some(b + 1)),
+                    (b - 1, Some(b - 2 + LAG)),
+                    (b, Some(b - 1 + LAG)),
+                    (b + 1, Some(b + LAG)),
+                ];
+                planned += stamps.len();
+                net.plan(&stamps);
+            }
+            for r in 0..rounds {
+                net.round(r);
+                assert_eq!(net.verdicts(), CLEAN, "{summary:?} round {r}");
+            }
+            assert_eq!(net.counter("net.summary_timeouts"), 0);
+            if summary != SummaryMode::Full {
+                assert_eq!(net.counter("net.digests_resolved"), 2 * rounds);
+                assert_eq!(net.counter("net.digest_fallbacks"), 0);
+            }
+            // Every packet was recorded at both ends, and all but the last
+            // window's worth is forgotten.
+            assert_eq!(net.counter("monitor.records"), 2 * planned as u64);
+            let held: usize = net.shard.nodes.iter().map(|n| n.monitors.held()).sum();
+            assert_eq!(
+                net.counter("monitor.records") - net.counter("monitor.entries_pruned"),
+                held as u64
+            );
+            assert!(held < planned, "{held} of {planned} still held");
+        }
+    }
+
+    /// A drop is counted in the one round whose judged window holds the
+    /// upstream observation, at both ends alike, and in no later round.
+    #[test]
+    fn a_lost_packet_is_counted_in_exactly_one_round() {
+        let mut net = Line3::new(SummaryMode::Full);
+        // Round 1 judges (150 ms, 350 ms]: one loss just inside its
+        // window, one just past it, traffic either side.
+        net.plan(&[
+            (100_000_000, Some(101_000_000)),
+            (150_000_001, None),
+            (200_000_000, Some(201_000_000)),
+            (350_000_001, None),
+            (400_000_000, Some(401_000_000)),
+        ]);
+        let mut lost = vec![];
+        for r in 0..4 {
+            net.round(r);
+            let verdicts = net.verdicts();
+            assert!(verdicts.iter().all(|v| v.2 == 0), "round {r}: {verdicts:?}");
+            lost.push(verdicts.iter().map(|v| v.1).sum::<usize>());
+        }
+        // Each end reports the loss once.
+        assert_eq!(lost, [0, 2, 2, 0]);
+    }
+
+    /// A peer on another shard can fire its round timer first: its digest
+    /// for round r then reaches this node before this node's own
+    /// `round_end(r)`. The windows are read off the round in the frame, so
+    /// it resolves all the same — in round 0, which has no lower bound,
+    /// and in a later round, which has.
+    #[test]
+    fn a_digest_that_arrives_before_the_own_round_end_resolves() {
+        let mut net = Line3::new(SummaryMode::Reconcile { capacity: 32 });
+        let stamps: Vec<_> = (1..120u64)
+            .map(|i| (i * 5_000_000, Some(i * 5_000_000 + 1_000_000)))
+            .collect();
+        net.plan(&stamps);
+        for r in 0..3 {
+            net.advance((r + 1) * TAU);
+            net.round_end(0, r);
+            assert_eq!(net.counter("net.digests_resolved"), 2 * r + 1, "round {r}");
+            net.round_end(2, r);
+            assert_eq!(net.counter("net.digests_resolved"), 2 * r + 2, "round {r}");
+            net.round_eval(0, r);
+            net.round_eval(2, r);
+            assert_eq!(net.verdicts(), CLEAN, "round {r}");
+        }
+        assert_eq!(net.counter("net.digest_fallbacks"), 0);
+        assert_eq!(net.counter("net.stale_summaries"), 0);
+    }
+
+    /// A summary, digest or pull for a round the receiver has already
+    /// evaluated is acked, counted and dropped: it is neither kept (nobody
+    /// would ever remove it) nor answered from a pruned record.
+    #[test]
+    fn frames_for_an_evaluated_round_are_dropped_and_counted() {
+        let mut net = Line3::new(SummaryMode::Full);
+        net.plan(&[(10_000_000, Some(11_000_000))]);
+        net.advance(TAU);
+        // Router 2 evaluates round 0 without having heard from router 0
+        // (a timeout accusation, which is not the point here) ...
+        net.round_end(2, 0);
+        net.round_eval(2, 0);
+        assert_eq!(net.counter("net.summary_timeouts"), 1);
+        // ... and then router 0's summary for that round turns up.
+        net.round_end(0, 0);
+        assert_eq!(net.counter("net.stale_summaries"), 1);
+        assert!(net.shard.nodes[2].peer_summaries.is_empty());
+
+        // So does a pull for it: no summary goes back.
+        let (dst, segment) = (net.ids[2], net.shard.nodes[0].segments[0].clone());
+        let pull = WireMessage::SummaryPull { round: 0, segment };
+        net.shard.nodes[0].send_frame(dst, pull, true);
+        net.settle();
+        assert_eq!(net.counter("net.stale_summaries"), 2);
+        // Router 0 still holds router 2's on-time summary and nothing
+        // else; both frames were acked, so nothing is retransmitted.
+        assert_eq!(net.shard.nodes[0].peer_summaries.len(), 1);
+        for node in &mut net.shard.nodes {
+            node.pump(&net.events, &mut net.shard.trace);
+        }
+        assert_eq!(net.counter("net.retransmits"), 0);
+
+        // The round after is live again.
+        net.round_eval(0, 0);
+        net.plan(&[(210_000_000, Some(211_000_000))]);
+        net.verdicts();
+        net.round(1);
+        assert_eq!(net.verdicts(), CLEAN);
+        assert_eq!(net.counter("net.stale_summaries"), 2);
+    }
+
+    /// Full mode used to ship the whole run's history and fell off the
+    /// `MAX_FRAME` cliff after ≈ 2 300 entries per record. With windowed
+    /// records a run several times that long encodes every summary,
+    /// accuses nobody, and no router ever holds more than a window.
+    #[test]
+    fn full_mode_outlives_the_frame_cliff_with_bounded_records() {
+        let topo = builtin::line(3);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let interval = Duration::from_micros(500);
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(ids[0], ids[2], 800, interval)],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            tau: Duration::from_millis(200),
+            exchange_budget: Duration::from_millis(100),
+            maturity_lag: Duration::from_millis(50),
+            rounds: 12,
+            summary: SummaryMode::Full,
+            ..LiveConfig::default()
+        };
+        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
+        assert!(
+            outcome.stats.data_delivered > 3 * 2_300 / 2,
+            "only {} packets: the run never reached the cliff",
+            outcome.stats.data_delivered
+        );
+        assert_eq!(outcome.stats.encode_failures, 0);
+        assert!(outcome.suspicions.is_empty(), "{:?}", outcome.suspicions);
+        assert_eq!(outcome.metrics.counter("net.summary_timeouts"), 0);
+
+        // Each end router keeps one record. Right before a prune it spans
+        // τ + budget + 2·lag; allow half as much again.
+        let window = cfg.tau + cfg.exchange_budget + 2 * cfg.maturity_lag;
+        let bound = 1.5 * window.as_secs_f64() / interval.as_secs_f64();
+        for (r, snap) in outcome.round_metrics.iter().enumerate() {
+            let held = snap.gauge("monitor.entries_held_max");
+            assert!(held > 0.0 && held <= bound, "round {r}: {held} > {bound}");
+        }
+        let m = &outcome.metrics;
+        assert!(m.gauge("monitor.entries_held_max") <= bound);
+        assert!(m.counter("monitor.entries_held_at_finish") as f64 <= 2.0 * bound);
+        assert_eq!(
+            m.counter("monitor.records") - m.counter("monitor.entries_pruned"),
+            m.counter("monitor.entries_held_at_finish")
+        );
+    }
+
     /// The §2.4.3 response loop end to end: a ring carries one flow whose
     /// shortest path transits a dropper that activates in round 1. The
     /// segment ends convict it, flood the signed exclusion, every router
@@ -2929,5 +3396,46 @@ mod tests {
             "no ProbationCleared event for the returnee"
         );
         assert!(outcome.stats.data_delivered > 0, "traffic stopped");
+    }
+
+    #[test]
+    fn flows_tick_four_to_a_phase_and_the_phases_are_spread_evenly() {
+        let interval = Duration::from_millis(8);
+        let phases =
+            |n: usize| -> Vec<u64> { (0..n).map(|i| flow_phase_ns(i, n, interval)).collect() };
+        assert_eq!(phases(1), [0]);
+        assert_eq!(phases(4), [0; 4]);
+        // Two groups of four, half an interval apart.
+        assert_eq!(phases(8), [0, 4_000_000].repeat(4));
+        // Nine flows make three groups of three.
+        let mut nine = phases(9);
+        nine.sort_unstable();
+        nine.dedup();
+        assert_eq!(nine.len(), 3);
+        assert!(nine.windows(2).all(|w| w[1] - w[0] >= 8_000_000 / 3));
+    }
+
+    /// A flow that ran late by several intervals sends at once and resumes
+    /// on its own phase: two stalled flows must not end up ticking together.
+    #[test]
+    fn a_stalled_flow_resumes_on_its_own_phase() {
+        let mut line = Line3::new(SummaryMode::Full);
+        let shard = &mut line.shard;
+        let node = &mut shard.nodes[0];
+        let interval = node.flows[0].spec.interval.as_nanos() as u64;
+        let phase = FLOW_LEAD_NS + 123;
+        node.cfg.rounds = 1_000; // still injecting three seconds in
+        node.epoch = Instant::now() - Duration::from_secs(3);
+        node.flows[0].next_due = phase;
+
+        let before = node.now_ns();
+        let next = node.flow_tick(0, &mut shard.trace).expect("injecting");
+        assert_eq!(node.flows[0].sent, 1, "the late tick itself sends");
+        assert_eq!((next - phase) % interval, 0, "left its phase");
+        assert!(next <= node.now_ns(), "the latest missed tick is due now");
+        assert!(next + interval > before, "skipped a tick still to come");
+        // Caught up, the period is exact again.
+        let after = node.flow_tick(0, &mut shard.trace).expect("injecting");
+        assert_eq!(after, next + interval);
     }
 }

@@ -60,6 +60,18 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Raises the gauge to `v` if `v` is larger: a high-water mark that
+    /// many writers can share.
+    #[inline]
+    pub fn set_max(&self, v: f64) {
+        // `fetch_update` retries only when another writer got in between.
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (v > f64::from_bits(cur)).then(|| v.to_bits())
+            });
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> f64 {
@@ -449,6 +461,16 @@ mod tests {
     fn empty_histogram_snapshot_is_zeroed() {
         let h = Histogram::default();
         assert_eq!(h.snapshot(), HistogramSnapshot::default());
+    }
+
+    #[test]
+    fn gauge_set_max_keeps_the_high_water_mark() {
+        let reg = MetricsRegistry::new();
+        let g = reg.gauge("peak");
+        g.set_max(3.0);
+        reg.gauge("peak").set_max(7.5);
+        g.set_max(5.0);
+        assert_eq!(reg.snapshot().gauge("peak"), 7.5);
     }
 
     #[test]

@@ -105,6 +105,18 @@ fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
         outcome.metrics.counter("net.shard_waits") <= outcome.metrics.counter("net.shard_passes")
     );
 
+    // The records are sliding windows: what was recorded and not pruned
+    // since is exactly what the routers still held when they finished,
+    // and no router ever held more than a window's worth after a prune
+    // (500 pkts/s over budget + 2·lag, on at most two records).
+    let m = &outcome.metrics;
+    let pruned = m.counter("monitor.entries_pruned");
+    let held = m.counter("monitor.entries_held_at_finish");
+    assert!(pruned > 0 && held > 0, "{pruned} pruned, {held} held");
+    assert_eq!(m.counter("monitor.records") - pruned, held);
+    let held_max = m.gauge("monitor.entries_held_max");
+    assert!(held_max > 0.0 && held_max <= 2.0 * 1.5 * 500.0 * 0.22);
+
     // JSONL export is lossless: parsing it back yields the same events
     // and the same per-kind recorded totals.
     let jsonl = outcome.trace.to_jsonl();
