@@ -45,10 +45,10 @@ pub enum ProbationStatus {
 /// t.admit(r, 10);
 /// assert!(t.is_on_probation(r));
 /// assert_eq!(t.clear_due(11), vec![]);
-/// assert_eq!(t.clear_due(12), vec![r]);
+/// assert_eq!(t.clear_due(12), vec![(r, 12)]);
 /// assert_eq!(t.status(r), ProbationStatus::Clear);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbationTracker {
     /// Clean rounds required before a probationer carries transit traffic.
     k: u64,
@@ -83,13 +83,16 @@ impl ProbationTracker {
     }
 
     /// A conviction or accusation touching the probationer during its
-    /// probation window: the clock restarts from `round`.
+    /// probation window: the clock restarts from `round`, unless it
+    /// already started later — a conviction older than the admission
+    /// never shortens the probation.
     pub fn violation(&mut self, router: RouterId, round: u64) -> bool {
-        if self.is_on_probation(router) {
-            self.admit(router, round);
-            true
-        } else {
-            false
+        match self.status(router) {
+            ProbationStatus::Probation { since_round, .. } => {
+                self.admit(router, round.max(since_round));
+                true
+            }
+            ProbationStatus::Clear => false,
         }
     }
 
@@ -120,21 +123,22 @@ impl ProbationTracker {
 
     /// Evaluated at the boundary of `round` (i.e. once rounds `< round`
     /// have verdicts): clears every probationer whose window has elapsed
-    /// and returns them in id order. Deterministic — every node calling
-    /// this with the same round sequence clears the same routers.
-    pub fn clear_due(&mut self, round: u64) -> Vec<RouterId> {
-        let mut cleared: Vec<RouterId> = self
+    /// and returns each with the boundary its window ended at, in id
+    /// order. The boundary is the router's own, not `round`: a caller that
+    /// looks late learns the same boundary as one that looked on time.
+    pub fn clear_due(&mut self, round: u64) -> Vec<(RouterId, u64)> {
+        let mut cleared: Vec<(RouterId, u64)> = self
             .probation
             .iter()
             .filter_map(|(r, s)| match s {
                 ProbationStatus::Probation {
                     clears_at_round, ..
-                } if round >= *clears_at_round => Some(*r),
+                } if round >= *clears_at_round => Some((*r, *clears_at_round)),
                 _ => None,
             })
             .collect();
         cleared.sort();
-        for r in &cleared {
+        for (r, _) in &cleared {
             self.probation.remove(r);
         }
         cleared
@@ -162,7 +166,7 @@ mod tests {
             }
         );
         assert!(t.clear_due(7).is_empty());
-        assert_eq!(t.clear_due(8), vec![r(1)]);
+        assert_eq!(t.clear_due(8), vec![(r(1), 8)]);
         assert!(!t.is_on_probation(r(1)));
         // Idempotent once cleared.
         assert!(t.clear_due(9).is_empty());
@@ -174,9 +178,22 @@ mod tests {
         t.admit(r(4), 10);
         assert!(t.violation(r(4), 11));
         assert!(t.clear_due(12).is_empty());
-        assert_eq!(t.clear_due(13), vec![r(4)]);
+        assert_eq!(t.clear_due(13), vec![(r(4), 13)]);
         // Violations against clear routers are not probation business.
         assert!(!t.violation(r(4), 14));
+    }
+
+    /// A conviction from before the admission, learnt after it, must not
+    /// move the clock back: a restarted router learns old convictions from
+    /// the resync *after* its own admission, and would otherwise clear a
+    /// round before the routers that saw them in order.
+    #[test]
+    fn an_older_violation_never_rewinds_the_clock() {
+        let mut t = ProbationTracker::new(2);
+        t.admit(r(4), 3);
+        assert!(t.violation(r(4), 2));
+        assert!(t.clear_due(4).is_empty());
+        assert_eq!(t.clear_due(5), vec![(r(4), 5)]);
     }
 
     #[test]
@@ -185,7 +202,7 @@ mod tests {
         t.admit(r(2), 3);
         t.admit(r(2), 6); // crashed again mid-probation
         assert!(t.clear_due(5).is_empty());
-        assert_eq!(t.clear_due(8), vec![r(2)]);
+        assert_eq!(t.clear_due(9), vec![(r(2), 8)], "late look, same boundary");
     }
 
     #[test]
@@ -195,7 +212,7 @@ mod tests {
         t.admit(r(3), 0);
         t.admit(r(7), 5);
         assert_eq!(t.on_probation(), vec![r(3), r(7), r(9)]);
-        assert_eq!(t.clear_due(1), vec![r(3), r(9)]);
+        assert_eq!(t.clear_due(1), vec![(r(3), 1), (r(9), 1)]);
         assert_eq!(t.on_probation(), vec![r(7)]);
     }
 
@@ -205,6 +222,6 @@ mod tests {
         assert_eq!(t.required_rounds(), 1);
         t.admit(r(0), 2);
         assert!(t.clear_due(2).is_empty());
-        assert_eq!(t.clear_due(3), vec![r(0)]);
+        assert_eq!(t.clear_due(3), vec![(r(0), 3)]);
     }
 }

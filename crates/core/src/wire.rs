@@ -4,90 +4,15 @@
 //! (`[info(i, π, τ)]_i`, Figure 5.1) and Protocol Πk+2 exchanges MAC'd
 //! summaries; both need a deterministic byte representation to sign.
 //!
-//! Two encoders live here:
-//!
-//! * [`Encoder`] — the original untagged layout: bare length-prefixed
-//!   little-endian fields. It is **ambiguous across schemas**: adjacent
-//!   variable-length fields carry no type information, so the same byte
-//!   string can be a valid encoding of two different field sequences (see
-//!   `untagged_layout_is_ambiguous_across_schemas` below, which pins the
-//!   flaw). It is kept only for byte-compatibility with the MAC inputs of
-//!   the in-simulator protocols.
-//! * [`WireEncoder`] / [`WireReader`] — the tagged, self-describing
-//!   replacement used by the `fatih-net` wire codec: every field is
-//!   prefixed with a type tag, and variable-length fields also carry an
-//!   explicit byte length, so no two distinct field sequences share an
-//!   encoding and a decoder can reject malformed input field by field.
+//! [`WireEncoder`] / [`WireReader`] are the tagged, self-describing layout
+//! used by the `fatih-net` wire codec: every field is prefixed with a type
+//! tag, and variable-length fields also carry an explicit byte length, so
+//! no two distinct field sequences share an encoding and a decoder can
+//! reject malformed input field by field.
 
 use fatih_sim::SimTime;
 use fatih_topology::{PathSegment, RouterId};
 use fatih_validation::summary::ContentSummary;
-
-/// Incremental encoder.
-#[derive(Debug, Default)]
-pub struct Encoder {
-    bytes: Vec<u8>,
-}
-
-impl Encoder {
-    /// Fresh encoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a u64.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a u32.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a router id.
-    pub fn router(&mut self, r: RouterId) -> &mut Self {
-        self.u32(r.into())
-    }
-
-    /// Appends a time.
-    pub fn time(&mut self, t: SimTime) -> &mut Self {
-        self.u64(t.as_ns())
-    }
-
-    /// Appends a path segment (length-prefixed).
-    pub fn segment(&mut self, seg: &PathSegment) -> &mut Self {
-        self.u32(seg.len() as u32);
-        for &r in seg.routers() {
-            self.router(r);
-        }
-        self
-    }
-
-    /// Appends a content summary: flow counters plus the fingerprint
-    /// multiset (deterministic order — `ContentSummary` iterates sorted).
-    pub fn content_summary(&mut self, s: &ContentSummary) -> &mut Self {
-        self.u64(s.flow().packets);
-        self.u64(s.flow().bytes);
-        self.u64(s.iter().count() as u64);
-        for (fp, count) in s.iter() {
-            self.u64(fp.value());
-            self.u32(count);
-        }
-        self
-    }
-
-    /// The encoded bytes.
-    pub fn finish(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tagged encoding
-// ---------------------------------------------------------------------
 
 /// Field type tags of the self-describing layout. Every field starts with
 /// one of these bytes; variable-length fields add a u32 byte/element
@@ -370,9 +295,9 @@ mod tests {
         for i in [1u64, 2, 3] {
             b.observe(Fingerprint::new(i), 100);
         }
-        let mut ea = Encoder::new();
+        let mut ea = WireEncoder::new();
         ea.content_summary(&a);
-        let mut eb = Encoder::new();
+        let mut eb = WireEncoder::new();
         eb.content_summary(&b);
         assert_eq!(ea.finish(), eb.finish());
     }
@@ -382,9 +307,9 @@ mod tests {
         let mut a = ContentSummary::default();
         a.observe(Fingerprint::new(1), 100);
         let b = ContentSummary::default();
-        let mut ea = Encoder::new();
+        let mut ea = WireEncoder::new();
         ea.content_summary(&a);
-        let mut eb = Encoder::new();
+        let mut eb = WireEncoder::new();
         eb.content_summary(&b);
         assert_ne!(ea.finish(), eb.finish());
     }
@@ -393,49 +318,24 @@ mod tests {
     fn segment_encoding_includes_order() {
         let s1 = PathSegment::new(vec![RouterId::from(1), RouterId::from(2)]);
         let s2 = PathSegment::new(vec![RouterId::from(2), RouterId::from(1)]);
-        let mut e1 = Encoder::new();
+        let mut e1 = WireEncoder::new();
         e1.segment(&s1);
-        let mut e2 = Encoder::new();
+        let mut e2 = WireEncoder::new();
         e2.segment(&s2);
         assert_ne!(e1.finish(), e2.finish());
     }
 
+    /// A segment ⟨1, 2⟩ and the unrelated field sequence `u32(2), u32(1),
+    /// u32(2)` carry the same numbers; the tags keep their encodings
+    /// apart, and the decoder refuses to read one as the other.
     #[test]
-    fn chaining_composes() {
-        let mut e = Encoder::new();
-        e.u64(1)
-            .u32(2)
-            .time(SimTime::from_ms(3))
-            .router(RouterId::from(4));
-        assert_eq!(e.finish().len(), 8 + 4 + 8 + 4);
-    }
-
-    /// Pins the flaw that motivates the tagged layout: under the legacy
-    /// untagged encoding, a 2-router segment ⟨1, 2⟩ and the unrelated field
-    /// sequence `u32(2), u32(1), u32(2)` produce *identical* bytes — a
-    /// decoder cannot tell which schema produced them. The tagged encoding
-    /// distinguishes the two.
-    #[test]
-    fn untagged_layout_is_ambiguous_across_schemas() {
+    fn a_segment_is_never_mistaken_for_its_numbers() {
         let seg = PathSegment::new(vec![RouterId::from(1), RouterId::from(2)]);
-
-        let mut legacy_seg = Encoder::new();
-        legacy_seg.segment(&seg);
-        let mut legacy_u32s = Encoder::new();
-        legacy_u32s.u32(2).u32(1).u32(2);
-        assert_eq!(
-            legacy_seg.finish(),
-            legacy_u32s.finish(),
-            "the legacy layout is supposed to exhibit the ambiguity"
-        );
-
         let mut tagged_seg = WireEncoder::new();
         tagged_seg.segment(&seg);
         let mut tagged_u32s = WireEncoder::new();
         tagged_u32s.u32(2).u32(1).u32(2);
         assert_ne!(tagged_seg.finish(), tagged_u32s.finish());
-
-        // And the tagged decoder refuses to read the segment as u32s.
         let mut rd = WireReader::new(tagged_seg.finish());
         assert!(matches!(rd.u32(), Err(WireError::WrongTag { .. })));
     }

@@ -15,8 +15,8 @@
 //!   shim ([`ChaosTransport`]);
 //! * [`linkstate`] — origin-signed topology updates (segment convictions,
 //!   join/leave, crash-restart incarnations, link flaps) flooded through
-//!   the control plane to drive the conviction → reroute → reconverge
-//!   loop;
+//!   the control plane, and (crate-private) `Convergence`, the view of
+//!   the network a router derives from the set of them it holds;
 //! * [`timer`] — a deadline-driven hashed timer wheel for round ticks,
 //!   flow ticks and retransmit timeouts;
 //! * [`reliable`] — per-message ack/retransmission with capped exponential

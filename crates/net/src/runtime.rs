@@ -51,15 +51,16 @@
 //! tolerance.
 
 use crate::codec::{decode_frame, encode_frame, sign_alert, verify_alert, Frame, WireMessage};
-use crate::linkstate::{sign_link_state, verify_link_state, LinkStateUpdate, TopoUpdate};
+use crate::linkstate::{
+    sign_link_state, verify_link_state, Convergence, LinkStateUpdate, Plan, TopoUpdate,
+};
 use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::poller;
 use crate::reliable::{ReliableConfig, ReliableLayer};
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
-use fatih_core::monitor::{MonitorMetrics, MonitorMode, PathOracle, Report, SegmentMonitorSet};
+use fatih_core::monitor::{MonitorMetrics, MonitorMode, Report, SegmentMonitorSet};
 use fatih_core::policy::{tv_pair, PairVerdict, Policy, Thresholds};
-use fatih_core::probation::ProbationTracker;
 use fatih_core::spec::{Interval, Suspicion};
 use fatih_crypto::{Fingerprint, KeyStore, Signature};
 use fatih_obs::trace::{NO_ROUND, NO_ROUTER};
@@ -67,13 +68,11 @@ use fatih_obs::{
     Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal, TraceKind,
 };
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime, TapEvent};
-use fatih_topology::{
-    pik2_segments_from_paths, DynamicTopology, Path, PathSegment, RouterId, Routes, Topology,
-};
+use fatih_topology::{DynamicTopology, Path, PathSegment, RouterId, Routes, Topology};
 use fatih_validation::digest::{apply_diff, diff_via_digest, ContentDigest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -651,7 +650,7 @@ impl LiveDeployment {
             metrics,
             round_metrics,
             trace,
-            segments: segments.to_vec(),
+            segments,
         }
     }
 
@@ -682,46 +681,24 @@ impl LiveDeployment {
         let routes = Arc::new(topo.link_state_routes());
 
         // The shared initial view: the base graph minus initially-down
-        // routers. Every node starts from a clone of this overlay and the
-        // path set it induces, so forwarding, the path oracle and the
-        // monitored segments are consistent from the first packet — and
-        // stay consistent through reconvergence, because every rebuild
-        // recomputes them from the same (deterministic) machinery.
+        // routers. Every node starts from a clone of it and of the plan it
+        // implies, and every rebuild plans again by the same machinery, so
+        // forwarding, the path oracle and the monitored segments agree
+        // from the first packet and through every reconvergence.
         let mut dyn0 = DynamicTopology::new(topo.clone());
         for &r in &spec.initially_down {
             dyn0.set_router_down(r);
         }
-        let monitor_pairs: Vec<(RouterId, RouterId)> = if spec.monitor_pairs.is_empty() {
-            spec.flows.iter().map(|f| (f.src, f.dst)).collect()
+        let mut convergence =
+            Convergence::new(dyn0, cfg.tau.as_nanos() as u64, cfg.probation_rounds);
+        let flow_pairs: Vec<(RouterId, RouterId)> =
+            spec.flows.iter().map(|f| (f.src, f.dst)).collect();
+        let monitor_pairs = if spec.monitor_pairs.is_empty() {
+            flow_pairs.clone()
         } else {
             spec.monitor_pairs.clone()
         };
-        let flow_pairs: Vec<(RouterId, RouterId)> =
-            spec.flows.iter().map(|f| (f.src, f.dst)).collect();
-        let paths0 = dyn0.paths_for(
-            monitor_pairs
-                .iter()
-                .chain(flow_pairs.iter())
-                .copied()
-                .collect::<Vec<_>>(),
-        );
-        // Monitored segments: all ≤(k+2)-windows of the monitored paths.
-        let seg_paths: Vec<Path> = monitor_pairs
-            .iter()
-            .filter_map(|p| paths0.get(p).cloned())
-            .collect();
-        let segments: Arc<Vec<PathSegment>> = Arc::new(
-            pik2_segments_from_paths(seg_paths.clone(), topo.router_count(), cfg.k)
-                .all_segments()
-                .into_iter()
-                .collect(),
-        );
-        // One shared path oracle over the monitored paths plus the flows'
-        // own paths: every packet that can exist resolves identically to a
-        // full all-pairs oracle, at a fraction of the per-router memory.
-        let mut oracle_paths = seg_paths;
-        oracle_paths.extend(flow_pairs.iter().filter_map(|p| paths0.get(p).cloned()));
-        let oracle = PathOracle::from_paths(oracle_paths);
+        let plan = convergence.plan(&monitor_pairs, &flow_pairs, cfg.k);
 
         let n_shards = if cfg.shards == 0 {
             std::thread::available_parallelism()
@@ -758,10 +735,8 @@ impl LiveDeployment {
                 cfg,
                 &keys,
                 &routes,
-                &segments,
-                oracle.clone(),
-                dyn0.clone(),
-                paths0.clone(),
+                convergence.clone(),
+                &plan,
                 &monitor_pairs,
                 mail_router.clone(),
                 metrics.clone(),
@@ -771,7 +746,7 @@ impl LiveDeployment {
         Prepared {
             shard_nodes,
             mailboxes: mail_rx,
-            segments,
+            segments: plan.segments,
         }
     }
 }
@@ -783,7 +758,7 @@ struct Prepared<T: Transport> {
     /// Each shard's receiving mailbox, when the fastpath is on.
     mailboxes: Vec<Option<ShardMailbox>>,
     /// The segments under monitoring.
-    segments: Arc<Vec<PathSegment>>,
+    segments: Vec<PathSegment>,
 }
 
 /// Timer payloads of a shard's wheel. Round work and the retransmission
@@ -1149,11 +1124,12 @@ struct Node<T: Transport> {
     /// Static link-state routes of the base graph: the stale-packet
     /// forwarding fallback during epoch transitions.
     routes: Arc<Routes>,
-    /// This node's view of the network: base graph plus the churn overlay
-    /// accumulated from applied link-state updates.
-    dyn_topo: DynamicTopology,
-    /// Current forwarding paths per (source, destination) pair, rebuilt on
-    /// every reconvergence. Forwarding follows these, not `routes`.
+    /// The link-state database and the view of the network it implies:
+    /// overlay, probation, amnesty horizon and route epoch.
+    convergence: Convergence,
+    /// Current forwarding paths per (source, destination) pair, rebuilt
+    /// whenever the route epoch changes. Forwarding follows these, not
+    /// `routes`.
     paths: HashMap<(RouterId, RouterId), Path>,
     /// The (source, destination) pairs under Πk+2 monitoring.
     monitor_pairs: Vec<(RouterId, RouterId)>,
@@ -1181,33 +1157,13 @@ struct Node<T: Transport> {
     /// when full and before any report is read, so a round boundary always
     /// sees every observation.
     obs_buf: Vec<TapEvent>,
-    /// Route epoch: bumped on every rebuild; data frames carry the epoch
-    /// they were injected under, and only current-epoch frames are tapped.
-    route_epoch: u64,
-    /// First round that is summarized/evaluated again after a
-    /// reconvergence — rounds before it fall under deterministic amnesty.
-    eval_resume: u64,
     /// The last round this node evaluated (amnesty rounds included). A
     /// summary, digest or pull for it or an earlier round is stale: the
     /// verdict is out and the record it would be read against is pruned.
     /// A rebuild empties the record and starts this afresh with it.
     evaluated: Option<u64>,
-    /// Dedup of applied link-state updates by (origin, update_seq).
-    applied_keys: HashSet<(RouterId, u64)>,
-    /// The link-state database: applied updates (pruned of superseded
-    /// entries), re-flooded to restarted neighbours so they resynchronize.
-    ls_db: Vec<(LinkStateUpdate, Signature)>,
     /// This node's next link-state origination sequence number.
     ls_seq: u64,
-    /// Every distinct convicted segment applied so far. When a router
-    /// appears in two or more of them and is their *only* common member,
-    /// the intersection pinpoints it as the faulty router (the paper's
-    /// identification argument) and it loses transit duty entirely.
-    convicted: Vec<PathSegment>,
-    /// Probation standing of every restarted router this node knows of.
-    probation: ProbationTracker,
-    /// Routers this node has already originated a `RouterDown` for.
-    reported_down: HashSet<RouterId>,
     /// This node's own churn script, in schedule order.
     churn: Vec<ChurnEvent>,
 }
@@ -1226,20 +1182,19 @@ impl<T: Transport> Node<T> {
         cfg: &LiveConfig,
         keys: &Arc<KeyStore>,
         routes: &Arc<Routes>,
-        segments: &Arc<Vec<PathSegment>>,
-        oracle: PathOracle,
-        dyn_topo: DynamicTopology,
-        paths: HashMap<(RouterId, RouterId), Path>,
+        convergence: Convergence,
+        plan: &Plan,
         monitor_pairs: &[(RouterId, RouterId)],
         mailbox: Option<MailboxRouter>,
         metrics: NetMetrics,
     ) -> Self {
         // This set only ever sees this router's own taps.
+        let (segments, oracle) = (plan.segments.clone(), plan.oracle.clone());
         let mut monitors =
-            SegmentMonitorSet::new(segments.to_vec(), oracle, keys, MonitorMode::EndsOnly, None)
+            SegmentMonitorSet::new(segments.clone(), oracle, keys, MonitorMode::EndsOnly, None)
                 .without_fingerprint_memo();
         monitors.attach_metrics(metrics.monitor.clone());
-        let ends = Self::end_roles(segments, id);
+        let ends = Self::end_roles(&segments, id);
         let flows = spec
             .flows
             .iter()
@@ -1253,11 +1208,6 @@ impl<T: Transport> Node<T> {
             })
             .collect();
         let dropper = spec.droppers.iter().find(|d| d.router == id);
-        let mut reliable = ReliableLayer::new(cfg.reliable);
-        reliable.attach_counters(
-            metrics.retransmits.clone(),
-            metrics.retransmit_bytes.clone(),
-        );
         Self {
             id,
             cfg: *cfg,
@@ -1269,11 +1219,11 @@ impl<T: Transport> Node<T> {
             incarnation: 0,
             keys: Arc::clone(keys),
             routes: Arc::clone(routes),
-            dyn_topo,
-            paths,
+            convergence,
+            paths: plan.paths.clone(),
             monitor_pairs: monitor_pairs.to_vec(),
             flow_pairs: spec.flows.iter().map(|f| (f.src, f.dst)).collect(),
-            segments: segments.to_vec(),
+            segments,
             monitors,
             ends,
             flows,
@@ -1285,7 +1235,7 @@ impl<T: Transport> Node<T> {
             digest_rng: StdRng::seed_from_u64(
                 cfg.key_seed ^ 0xD16E57 ^ (u64::from(u32::from(id)) << 16),
             ),
-            reliable,
+            reliable: Self::reliable_layer(cfg, &metrics),
             mailbox,
             peer_summaries: HashMap::new(),
             peer_verdicts: HashMap::new(),
@@ -1293,15 +1243,8 @@ impl<T: Transport> Node<T> {
             next_seq: 0,
             pkt_counter: 0,
             obs_buf: Vec::with_capacity(OBS_BUF_FLUSH),
-            route_epoch: 0,
-            eval_resume: 0,
             evaluated: None,
-            applied_keys: HashSet::new(),
-            ls_db: Vec::new(),
             ls_seq: 0,
-            convicted: Vec::new(),
-            probation: ProbationTracker::new(cfg.probation_rounds),
-            reported_down: HashSet::new(),
             churn: spec
                 .churn
                 .iter()
@@ -1309,6 +1252,16 @@ impl<T: Transport> Node<T> {
                 .copied()
                 .collect(),
         }
+    }
+
+    /// A reliable layer with nothing in flight, counting into `metrics`.
+    fn reliable_layer(cfg: &LiveConfig, metrics: &NetMetrics) -> ReliableLayer {
+        let mut reliable = ReliableLayer::new(cfg.reliable);
+        reliable.attach_counters(
+            metrics.retransmits.clone(),
+            metrics.retransmit_bytes.clone(),
+        );
+        reliable
     }
 
     /// The end roles `id` plays in `segments`.
@@ -1430,12 +1383,9 @@ impl<T: Transport> Node<T> {
                 attempts: ex.attempts,
             });
             // Organic crash detection: a peer that exhausts reliable
-            // delivery is reported down (once), so the fabric reroutes
-            // around it without waiting for an operator.
-            if self.cfg.response
-                && !self.dyn_topo.is_router_down(ex.dst)
-                && self.reported_down.insert(ex.dst)
-            {
+            // delivery is reported down (unless it already is), so the
+            // fabric reroutes around it without waiting for an operator.
+            if self.cfg.response && !self.convergence.view().overlay.is_router_down(ex.dst) {
                 self.originate_ls(TopoUpdate::RouterDown(ex.dst), events, trace);
             }
         }
@@ -1499,7 +1449,7 @@ impl<T: Transport> Node<T> {
                 },
                 trace,
             );
-            let epoch = self.route_epoch;
+            let epoch = self.convergence.view().epoch;
             self.send_frame(next_hop, WireMessage::Data { packet, epoch }, false);
         }
         Some(next)
@@ -1544,14 +1494,13 @@ impl<T: Transport> Node<T> {
         if !self.alive {
             return;
         }
-        if r < self.eval_resume {
+        self.flush_observations();
+        if r < self.convergence.view().eval_resume {
             // Reconvergence amnesty: this round straddles a topology
             // change, so neither end summarizes it — the transition can
             // never be mistaken for an attack.
-            self.flush_observations();
             return;
         }
-        self.flush_observations();
         for end in self.ends.clone() {
             let held = self.held(r, end.seg);
             let segment = self.segments[end.seg].clone();
@@ -1640,7 +1589,7 @@ impl<T: Transport> Node<T> {
         if !self.alive {
             return;
         }
-        if r < self.eval_resume {
+        if r < self.convergence.view().eval_resume {
             // Amnesty round: raise nothing (retiring it drops whatever
             // arrived for it). Both ends of every segment skip the same
             // rounds (the window is derived from the update's origin
@@ -1801,44 +1750,35 @@ impl<T: Transport> Node<T> {
         stale
     }
 
-    /// Deterministic probation bookkeeping at the boundary of round
-    /// `r + 1`: every node clears the same probationers at the same round,
-    /// restores their transit duty and rebuilds — no agreement traffic.
+    /// Closes round `r`. Probations that end at the boundary of `r + 1`
+    /// are over — at every node alike, with no agreement traffic — and a
+    /// router whose transit duty that restores is routed through again.
     fn probation_tick(
         &mut self,
         r: u64,
         events: &mpsc::Sender<LiveEvent>,
         trace: &mut TraceBuffer,
     ) {
-        let cleared = self.probation.clear_due(r + 1);
-        if cleared.is_empty() {
-            return;
+        let before = self.convergence.view().epoch;
+        let serving = self.convergence.view().probation.is_on_probation(self.id);
+        self.convergence.round_closed(r);
+        if serving && !self.convergence.view().probation.is_on_probation(self.id) {
+            self.metrics.probation_cleared.inc();
+            trace.record(
+                self.now_ns(),
+                TraceKind::ProbationCleared,
+                u32::from(self.id),
+                r + 1,
+                0,
+            );
+            let _ = events.send(LiveEvent::ProbationCleared {
+                router: self.id,
+                round: r + 1,
+            });
         }
-        for &router in &cleared {
-            // A router the convicted-segment intersection has pinpointed
-            // cannot launder its isolation through a crash-restart.
-            if !self.is_pinpointed(router) {
-                self.dyn_topo.clear_no_transit(router);
-            }
-            if router == self.id {
-                self.metrics.probation_cleared.inc();
-                trace.record(
-                    self.now_ns(),
-                    TraceKind::ProbationCleared,
-                    u32::from(self.id),
-                    r + 1,
-                    0,
-                );
-                let _ = events.send(LiveEvent::ProbationCleared {
-                    router,
-                    round: r + 1,
-                });
-            }
+        if self.convergence.view().epoch != before {
+            self.rebuild(self.now_ns(), trace);
         }
-        // The clearing rebuild lands mid-round r+1, so that round gets
-        // amnesty; r+2 starts entirely under the restored routes.
-        self.eval_resume = self.eval_resume.max(r + 2);
-        self.rebuild(self.now_ns(), trace);
     }
 
     fn send_frame(&mut self, dst: RouterId, msg: WireMessage, reliable: bool) {
@@ -2022,7 +1962,7 @@ impl<T: Transport> Node<T> {
         // tapped: their upstream observations were recorded by monitors
         // that no longer exist, so tapping them here would misattribute
         // in-flight traffic across the transition.
-        let current = epoch == self.route_epoch;
+        let current = epoch == self.convergence.view().epoch;
         if current {
             self.tap(
                 TapEvent::Arrived {
@@ -2104,32 +2044,27 @@ impl<T: Transport> Node<T> {
     /// Reliably sends `ls` to every up neighbour except `except` and the
     /// update's origin.
     fn flood_ls(&mut self, ls: &LinkStateUpdate, sig: &Signature, except: Option<RouterId>) {
-        let targets: Vec<RouterId> = self
-            .dyn_topo
-            .base()
-            .neighbors(self.id)
-            .iter()
+        let overlay = &self.convergence.view().overlay;
+        let targets: Vec<RouterId> = (overlay.base().neighbors(self.id).iter())
             .map(|&(n, _)| n)
-            .filter(|&n| n != ls.origin && Some(n) != except && !self.dyn_topo.is_router_down(n))
+            .filter(|&n| n != ls.origin && Some(n) != except && !overlay.is_router_down(n))
             .collect();
         for n in targets {
-            self.send_frame(
-                n,
-                WireMessage::LinkState {
-                    update: ls.clone(),
-                    sig: *sig,
-                },
-                true,
-            );
-            self.metrics.ls_updates_sent.inc();
+            self.send_ls(n, ls, sig);
         }
     }
 
-    /// Applies a deduplicated, signature-verified link-state update:
-    /// mutates the topology overlay, derives the deterministic amnesty
-    /// window from the origin timestamp, and rebuilds routes, segments
-    /// and monitors. Returns whether the update was fresh (and should be
-    /// re-flooded).
+    fn send_ls(&mut self, to: RouterId, ls: &LinkStateUpdate, sig: &Signature) {
+        let (update, sig) = (ls.clone(), *sig);
+        self.send_frame(to, WireMessage::LinkState { update, sig }, true);
+        self.metrics.ls_updates_sent.inc();
+    }
+
+    /// Takes in a signature-verified link-state update: if it is fresh,
+    /// the view is derived anew from the database, the transport and the
+    /// metrics follow, and routes, segments and monitors are rebuilt iff
+    /// the route epoch changed. Returns whether the update was fresh (and
+    /// should be re-flooded).
     fn apply_ls(
         &mut self,
         ls: &LinkStateUpdate,
@@ -2137,235 +2072,96 @@ impl<T: Transport> Node<T> {
         events: &mpsc::Sender<LiveEvent>,
         trace: &mut TraceBuffer,
     ) -> bool {
-        if !self.applied_keys.insert((ls.origin, ls.update_seq)) {
+        // Only a monitoring end may convict its own segment — a
+        // compromised router cannot excise arbitrary fabric.
+        if matches!(&ls.update, TopoUpdate::ExcludeSegment(seg)
+            if seg.source() != ls.origin && seg.sink() != ls.origin)
+        {
             return false;
         }
-        let tau = self.cfg.tau.as_nanos() as u64;
-        let origin_round = ls.t_origin_ns / tau;
-        match &ls.update {
-            TopoUpdate::ExcludeSegment(seg) => {
-                // Only a monitoring end may convict its own segment — a
-                // compromised router cannot excise arbitrary fabric.
-                if seg.source() != ls.origin && seg.sink() != ls.origin {
-                    return false;
-                }
-                self.dyn_topo.exclude_segment(seg.clone());
-                // A conviction touching a probationer restarts its clock.
-                for &r in seg.routers() {
-                    self.probation.violation(r, origin_round + 1);
-                }
-                self.isolate_by_intersection(seg);
+        let view = self.convergence.view();
+        let (before, isolated) = (view.epoch, view.pinpointed.len());
+        if !self.convergence.insert(ls, sig) {
+            return false;
+        }
+        self.metrics.ls_updates_applied.inc();
+        let isolated = self.convergence.view().pinpointed.len() - isolated;
+        self.metrics.routers_isolated.add(isolated as u64);
+        match ls.update {
+            // A `RouterDown` that arrives behind a newer `RouterUp` leaves
+            // the router up, and the frames tracked toward it alone.
+            TopoUpdate::RouterDown(r)
+                if r != self.id && self.convergence.view().overlay.is_router_down(r) =>
+            {
+                let purged = self.reliable.purge_peer(r);
+                self.metrics.purged_frames.add(purged as u64);
             }
-            TopoUpdate::RouterDown(r) => {
-                self.dyn_topo.set_router_down(*r);
-                if *r != self.id {
-                    let purged = self.reliable.purge_peer(*r);
-                    self.metrics.purged_frames.add(purged as u64);
-                }
-            }
-            TopoUpdate::RouterUp {
-                router,
-                incarnation,
-            } => {
-                self.dyn_topo.set_router_up(*router);
-                self.reported_down.remove(router);
-                if *router != self.id {
-                    // Frames tracked toward its previous incarnation were
-                    // sealed under retired keys; drop them, and reopen the
-                    // dedup space for its fresh sequence numbers.
-                    let purged = self.reliable.purge_peer(*router);
-                    self.metrics.purged_frames.add(purged as u64);
-                    self.reliable.forget_peer_history(*router);
-                }
-                if *incarnation > 0 {
-                    // Crash-restart: re-admission under probation — it
-                    // sources and sinks its own traffic but carries no
-                    // transit until K clean rounds pass.
-                    self.dyn_topo.set_no_transit(*router);
-                    self.probation.admit(*router, origin_round + 1);
-                    if *router == self.id {
-                        self.metrics.probation_admitted.inc();
-                    }
-                }
-                self.prune_ls_db(&ls.update);
-                if *router != self.id && self.is_base_neighbor(*router) {
+            TopoUpdate::RouterUp { router, .. } if router != self.id => {
+                // Frames tracked toward its previous incarnation were
+                // sealed under retired keys; drop them, and reopen the
+                // dedup space for its fresh sequence numbers.
+                let purged = self.reliable.purge_peer(router);
+                self.metrics.purged_frames.add(purged as u64);
+                self.reliable.forget_peer_history(router);
+                let base = self.convergence.view().overlay.base();
+                if base.neighbors(self.id).iter().any(|&(n, _)| n == router) {
                     // Database resync: a restarted neighbour lost its
                     // link-state DB with the crash; re-flood ours so it
                     // reconverges onto the fabric's current shape.
-                    for (db_ls, db_sig) in self.ls_db.clone() {
-                        if db_ls.origin != *router {
-                            self.send_frame(
-                                *router,
-                                WireMessage::LinkState {
-                                    update: db_ls,
-                                    sig: db_sig,
-                                },
-                                true,
-                            );
-                            self.metrics.ls_updates_sent.inc();
-                        }
+                    let db: Vec<_> = (self.convergence.database())
+                        .filter(|(db_ls, _)| db_ls.origin != router)
+                        .cloned()
+                        .collect();
+                    for (db_ls, db_sig) in &db {
+                        self.send_ls(router, db_ls, db_sig);
                     }
                 }
             }
-            TopoUpdate::LinkDown(a, b) => {
-                self.dyn_topo.set_link_down(*a, *b);
-                self.prune_ls_db(&ls.update);
-            }
-            TopoUpdate::LinkUp(a, b) => {
-                self.dyn_topo.set_link_up(*a, *b);
-                self.prune_ls_db(&ls.update);
-            }
+            _ => {}
         }
-        self.ls_db.push((ls.clone(), *sig));
-        self.metrics.ls_updates_applied.inc();
-        // Deterministic amnesty: every applier derives the same resume
-        // round from the origin timestamp, so both ends of every segment
-        // skip the same transition rounds.
-        self.eval_resume = self.eval_resume.max(origin_round + 2);
-        self.rebuild(ls.t_origin_ns, trace);
+        if self.convergence.view().epoch != before {
+            self.rebuild(ls.t_origin_ns, trace);
+        }
         trace.record(
             self.now_ns(),
             TraceKind::LinkStateApplied,
             u32::from(self.id),
-            origin_round,
+            ls.t_origin_ns / self.cfg.tau.as_nanos() as u64,
             u64::from(u32::from(ls.origin)),
         );
         let _ = events.send(LiveEvent::LinkStateApplied {
             by: self.id,
             origin: ls.origin,
             update_seq: ls.update_seq,
-            epoch: self.route_epoch,
+            epoch: self.convergence.view().epoch,
         });
         true
     }
 
-    /// Whether `r` is adjacent to this router in the base graph.
-    fn is_base_neighbor(&self, r: RouterId) -> bool {
-        self.dyn_topo
-            .base()
-            .neighbors(self.id)
-            .iter()
-            .any(|&(n, _)| n == r)
-    }
-
-    /// Drops database entries superseded by `update`, so a resync never
-    /// replays a stale `RouterDown` over a fresher `RouterUp` (or a stale
-    /// flap direction). Dedup keys are kept — stragglers of pruned
-    /// updates still bounce off `applied_keys`.
-    fn prune_ls_db(&mut self, update: &TopoUpdate) {
-        let unordered_eq = |a1: RouterId, b1: RouterId, a2: RouterId, b2: RouterId| {
-            (a1 == a2 && b1 == b2) || (a1 == b2 && b1 == a2)
-        };
-        self.ls_db.retain(|(db, _)| match (update, &db.update) {
-            (
-                TopoUpdate::RouterUp {
-                    router,
-                    incarnation,
-                },
-                TopoUpdate::RouterDown(r),
-            ) => {
-                let _ = incarnation;
-                r != router
-            }
-            (
-                TopoUpdate::RouterUp {
-                    router,
-                    incarnation,
-                },
-                TopoUpdate::RouterUp {
-                    router: r,
-                    incarnation: inc,
-                },
-            ) => !(r == router && inc < incarnation),
-            (TopoUpdate::RouterDown(router), TopoUpdate::RouterUp { router: r, .. }) => r != router,
-            (TopoUpdate::LinkUp(a, b), TopoUpdate::LinkDown(x, y))
-            | (TopoUpdate::LinkDown(a, b), TopoUpdate::LinkUp(x, y)) => {
-                !unordered_eq(*a, *b, *x, *y)
-            }
-            _ => true,
-        });
-    }
-
-    /// Records a freshly applied conviction and escalates when the
-    /// convicted segments pinpoint a single router: if `r` appears in at
-    /// least two distinct convicted segments and is their only common
-    /// member, Πk+2's accuracy guarantee (every convicted segment
-    /// contains a faulty router) identifies `r`, and every node
-    /// deterministically strips its transit duty. Segment-by-segment
-    /// exclusion alone converges one neighbour pair per conviction
-    /// cycle; the intersection walls the router off as soon as two
-    /// overlapping convictions disambiguate it from its neighbours.
-    fn isolate_by_intersection(&mut self, seg: &PathSegment) {
-        if self.convicted.iter().any(|s| s == seg) {
-            return;
-        }
-        self.convicted.push(seg.clone());
-        for &r in seg.routers() {
-            if self.is_pinpointed(r) && self.dyn_topo.set_no_transit(r) {
-                self.metrics.routers_isolated.inc();
-            }
-        }
-    }
-
-    /// Whether the convicted segments identify `r` as faulty: it appears
-    /// in at least two of them and is their only common member.
-    fn is_pinpointed(&self, r: RouterId) -> bool {
-        let with_r: Vec<&PathSegment> = self.convicted.iter().filter(|s| s.contains(r)).collect();
-        with_r.len() >= 2
-            && with_r[0]
-                .routers()
-                .iter()
-                .all(|&x| x == r || !with_r.iter().all(|s| s.contains(x)))
-    }
-
-    /// Reconverges this node onto the current topology overlay: recomputes
+    /// Reconverges this node onto a changed topology overlay: recomputes
     /// the forwarding paths, re-derives the Πk+2 segment set from the
-    /// rerouted monitor paths, retargets the monitors (keeping their
-    /// registry-backed metric handles), and opens a new route epoch so
-    /// in-flight traffic drains untapped.
+    /// rerouted monitor paths and retargets the monitors (keeping their
+    /// registry-backed metric handles). Traffic in flight carries the
+    /// epoch it was injected under and drains untapped.
     fn rebuild(&mut self, t_origin_ns: u64, trace: &mut TraceBuffer) {
         self.flush_observations();
-        let pairs: Vec<(RouterId, RouterId)> = self
-            .monitor_pairs
-            .iter()
-            .chain(self.flow_pairs.iter())
-            .copied()
-            .collect();
-        self.paths = self.dyn_topo.paths_for(pairs);
-        let seg_paths: Vec<Path> = self
-            .monitor_pairs
-            .iter()
-            .filter_map(|p| self.paths.get(p).cloned())
-            .collect();
-        let router_count = self.dyn_topo.base().router_count();
-        let segments: Vec<PathSegment> =
-            pik2_segments_from_paths(seg_paths.clone(), router_count, self.cfg.k)
-                .all_segments()
-                .into_iter()
-                .collect();
-        let mut oracle_paths = seg_paths;
-        oracle_paths.extend(
-            self.flow_pairs
-                .iter()
-                .filter_map(|p| self.paths.get(p).cloned()),
-        );
-        let oracle = PathOracle::from_paths(oracle_paths);
+        let plan = (self.convergence).plan(&self.monitor_pairs, &self.flow_pairs, self.cfg.k);
         self.monitors = self.monitors.retarget(
-            segments.clone(),
-            oracle,
+            plan.segments.clone(),
+            plan.oracle,
             &self.keys,
             MonitorMode::EndsOnly,
             None,
         );
-        self.ends = Self::end_roles(&segments, self.id);
-        self.segments = segments;
+        self.paths = plan.paths;
+        self.ends = Self::end_roles(&plan.segments, self.id);
+        self.segments = plan.segments;
         // Cross-epoch summary state is void: the segments it described no
         // longer exist, and the amnesty window covers the gap.
         self.peer_summaries.clear();
         self.peer_verdicts.clear();
         self.evaluated = None;
         self.obs_buf.clear();
-        self.route_epoch += 1;
         self.metrics.epoch_transitions.inc();
         self.metrics
             .reroute_latency_ns
@@ -2375,7 +2171,7 @@ impl<T: Transport> Node<T> {
             TraceKind::EpochTransition,
             u32::from(self.id),
             NO_ROUND,
-            self.route_epoch,
+            self.convergence.view().epoch,
         );
     }
 
@@ -2406,47 +2202,32 @@ impl<T: Transport> Node<T> {
                 self.originate_ls(TopoUpdate::RouterDown(self.id), events, trace);
                 self.alive = false;
             }
-            ChurnAction::Join => {
-                self.alive = true;
-                self.originate_ls(
-                    TopoUpdate::RouterUp {
-                        router: self.id,
-                        incarnation: self.incarnation,
-                    },
-                    events,
-                    trace,
-                );
-            }
             ChurnAction::Crash => {
                 self.alive = false;
             }
-            ChurnAction::Restart => {
-                // The crash lost all volatile protocol state. The key
-                // authority bumps the incarnation — the shared KeyStore
-                // re-derives every pairwise key, fencing the previous
-                // incarnation's traffic — and the node returns with an
-                // empty link-state DB (neighbours resync it) and a fresh
-                // sequence space disjoint from its old one.
-                self.incarnation += 1;
-                self.keys
-                    .set_incarnation(u32::from(self.id), self.incarnation);
-                self.next_seq = u64::from(self.incarnation) << 48;
-                let mut reliable = ReliableLayer::new(self.cfg.reliable);
-                reliable.attach_counters(
-                    self.metrics.retransmits.clone(),
-                    self.metrics.retransmit_bytes.clone(),
-                );
-                self.reliable = reliable;
-                self.dyn_topo = DynamicTopology::new(self.dyn_topo.base().clone());
-                self.applied_keys.clear();
-                self.ls_db.clear();
-                self.convicted.clear();
-                self.probation = ProbationTracker::new(self.cfg.probation_rounds);
-                self.reported_down.clear();
-                self.peer_summaries.clear();
-                self.peer_verdicts.clear();
-                self.obs_buf.clear();
+            ChurnAction::Join | ChurnAction::Restart => {
+                if ev.action == ChurnAction::Restart {
+                    // The crash lost all volatile protocol state. The key
+                    // authority bumps the incarnation — the shared KeyStore
+                    // re-derives every pairwise key, fencing the previous
+                    // incarnation's traffic — and the node returns with an
+                    // empty link-state DB (neighbours resync it) and a
+                    // fresh sequence space disjoint from its old one.
+                    self.incarnation += 1;
+                    self.keys
+                        .set_incarnation(u32::from(self.id), self.incarnation);
+                    self.next_seq = u64::from(self.incarnation) << 48;
+                    self.reliable = Self::reliable_layer(&self.cfg, &self.metrics);
+                    self.convergence.reset();
+                    self.metrics.probation_admitted.inc();
+                    self.peer_summaries.clear();
+                    self.peer_verdicts.clear();
+                    self.obs_buf.clear();
+                }
                 self.alive = true;
+                // A restart's own `RouterUp` puts this router on probation,
+                // which the reset overlay never has: the epoch moves and
+                // `rebuild` drops the records from before the crash.
                 self.originate_ls(
                     TopoUpdate::RouterUp {
                         router: self.id,
@@ -2457,7 +2238,7 @@ impl<T: Transport> Node<T> {
                 );
             }
             ChurnAction::ReportDown(r) => {
-                if self.reported_down.insert(r) {
+                if !self.convergence.view().overlay.is_router_down(r) {
                     self.originate_ls(TopoUpdate::RouterDown(r), events, trace);
                 }
             }

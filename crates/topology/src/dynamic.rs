@@ -6,10 +6,11 @@
 //! graph, one set of deterministic routes. A live deployment is not that —
 //! routers crash and restart, links flap, and the §2.4.3 response excises
 //! convicted segments mid-run. `DynamicTopology` is the incremental
-//! recompute API the runtime drives: each mutation bumps a version, and
-//! paths are recomputed lazily per (source, destination) pair through
-//! [`AvoidingRoutes`] over the masked graph, with a per-pair cache that is
-//! invalidated wholesale on the next mutation.
+//! recompute API the runtime drives: paths are recomputed lazily per
+//! (source, destination) pair through [`AvoidingRoutes`] over the masked
+//! graph, with a per-pair cache that is invalidated wholesale on the next
+//! mutation, and [`digest`](DynamicTopology::digest) names the overlay's
+//! content, however it was reached.
 //!
 //! Masking semantics:
 //!
@@ -31,6 +32,7 @@ use crate::graph::{RouterId, Topology};
 use crate::routing::Path;
 use crate::segments::PathSegment;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A base topology with a churn overlay and lazily recomputed avoidance
 /// paths.
@@ -49,12 +51,12 @@ use std::collections::{BTreeSet, HashMap};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicTopology {
-    base: Topology,
+    /// Shared by every clone: the overlay is what differs between them.
+    base: Arc<Topology>,
     down_routers: BTreeSet<RouterId>,
     down_links: BTreeSet<(RouterId, RouterId)>,
     no_transit: BTreeSet<RouterId>,
     excluded: Vec<PathSegment>,
-    version: u64,
     masked: Option<Topology>,
     cache: HashMap<(RouterId, RouterId), Result<Path, AvoidanceError>>,
 }
@@ -63,12 +65,11 @@ impl DynamicTopology {
     /// Wraps a base topology with an empty overlay.
     pub fn new(base: Topology) -> Self {
         Self {
-            base,
+            base: Arc::new(base),
             down_routers: BTreeSet::new(),
             down_links: BTreeSet::new(),
             no_transit: BTreeSet::new(),
             excluded: Vec::new(),
-            version: 0,
             masked: None,
             cache: HashMap::new(),
         }
@@ -79,9 +80,36 @@ impl DynamicTopology {
         &self.base
     }
 
-    /// Monotone overlay version; bumped on every effective mutation.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// A 64-bit name for the overlay's content: FNV-1a over the down
+    /// routers, down links, no-transit set and the excluded segments in
+    /// sorted order, each list length-prefixed. Equal overlays digest
+    /// alike whatever order of mutations built them, and an empty overlay
+    /// digests to 0.
+    pub fn digest(&self) -> u64 {
+        fn push_ids(words: &mut Vec<u32>, ids: impl Iterator<Item = RouterId>) {
+            let at = words.len();
+            words.push(0);
+            words.extend(ids.map(u32::from));
+            words[at] = (words.len() - at - 1) as u32;
+        }
+        let mut excluded: Vec<&PathSegment> = self.excluded.iter().collect();
+        excluded.sort();
+        let mut words = Vec::new();
+        push_ids(&mut words, self.down_routers.iter().copied());
+        push_ids(
+            &mut words,
+            self.down_links.iter().flat_map(|&(a, b)| [a, b]),
+        );
+        push_ids(&mut words, self.no_transit.iter().copied());
+        for seg in excluded {
+            push_ids(&mut words, seg.routers().iter().copied());
+        }
+        if words == [0, 0, 0] {
+            return 0;
+        }
+        // Word-wise FNV-1a, as `PathSegment::stable_id`.
+        let fnv = |h: u64, word: u32| (h ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3);
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, fnv).max(1)
     }
 
     /// Currently excluded (convicted) segments.
@@ -110,7 +138,6 @@ impl DynamicTopology {
     }
 
     fn bump(&mut self) {
-        self.version += 1;
         self.masked = None;
         self.cache.clear();
     }
@@ -309,7 +336,7 @@ mod tests {
                 assert_eq!(d.path(s, dst).ok(), routes.path(s, dst));
             }
         }
-        assert_eq!(d.version(), 0);
+        assert_eq!(d.digest(), 0);
     }
 
     #[test]
@@ -318,7 +345,6 @@ mod tests {
         let mut d = DynamicTopology::new(t);
         assert!(d.set_router_down(rs[1]));
         assert!(!d.set_router_down(rs[1])); // idempotent
-        assert_eq!(d.version(), 1);
         let p = d.path(rs[0], rs[3]).unwrap();
         assert_eq!(p.routers(), &[rs[0], rs[4], rs[5], rs[3]]);
         // The down router is unreachable even as an endpoint.
@@ -382,11 +408,53 @@ mod tests {
         let seg = PathSegment::new(vec![rs[1], rs[2]]);
         assert!(d.exclude_segment(seg.clone()));
         assert!(!d.exclude_segment(seg));
-        assert_eq!(d.version(), 1);
         assert_eq!(
             d.path(rs[0], rs[3]).unwrap().routers(),
             &[rs[0], rs[4], rs[5], rs[3]]
         );
+    }
+
+    #[test]
+    fn digest_names_the_overlay_not_its_history() {
+        let (t, rs) = line_with_bypass();
+        let (s1, s2) = (
+            PathSegment::new(vec![rs[1], rs[2]]),
+            PathSegment::new(vec![rs[0], rs[4], rs[5]]),
+        );
+        let mut a = DynamicTopology::new(t.clone());
+        a.exclude_segment(s1.clone());
+        a.set_router_down(rs[4]);
+        a.exclude_segment(s2.clone());
+        a.set_no_transit(rs[2]);
+        a.set_link_down(rs[5], rs[3]);
+        let mut b = DynamicTopology::new(t);
+        b.set_link_down(rs[3], rs[5]);
+        b.set_router_down(rs[0]); // a detour through states `a` never saw
+        b.set_no_transit(rs[2]);
+        b.exclude_segment(s2);
+        b.set_router_up(rs[0]);
+        b.set_router_down(rs[4]);
+        b.exclude_segment(s1);
+        assert_eq!(a.digest(), b.digest());
+        assert_ne!(a.digest(), 0);
+        // Every part of the overlay is covered.
+        let full = a.digest();
+        a.clear_no_transit(rs[2]);
+        assert_ne!(a.digest(), full);
+        a.set_no_transit(rs[2]);
+        a.set_link_up(rs[5], rs[3]);
+        assert_ne!(a.digest(), full);
+        a.set_link_down(rs[5], rs[3]);
+        a.set_router_up(rs[4]);
+        assert_ne!(a.digest(), full);
+        a.set_router_down(rs[4]);
+        assert_eq!(a.digest(), full);
+        // The same ids in another role are another overlay.
+        let mut c = DynamicTopology::new(a.base().clone());
+        c.set_router_down(rs[1]);
+        let mut d = DynamicTopology::new(a.base().clone());
+        d.set_no_transit(rs[1]);
+        assert_ne!(c.digest(), d.digest());
     }
 
     #[test]

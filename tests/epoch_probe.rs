@@ -1,72 +1,130 @@
-//! Review probe: does a crash-restarted router's route epoch stay in
-//! lockstep with the rest of the fabric?
+//! Crash-restart probe: a router of a 6-ring crashes silently in round 0
+//! and restarts in round 2, in every role it can play for a monitored
+//! flow, with and without a neighbour reporting it down.
+//!
+//! Fail-stop is a faulty behaviour in the paper's model, so a suspicion
+//! whose segment contains the crashed router, for a round it was down in,
+//! satisfies a-Accuracy (DESIGN.md, "Closing the loop"). Anything else —
+//! a segment without it, or any round once it is back and on probation —
+//! frames an honest router.
 
 use fatih::net::runtime::{
-    ChurnAction, ChurnEvent, FlowSpec, LiveConfig, LiveDeployment, LiveSpec,
+    ChurnAction, ChurnEvent, FlowSpec, LiveConfig, LiveDeployment, LiveEvent, LiveOutcome, LiveSpec,
 };
 use fatih::net::transport::LoopbackHub;
 use fatih::topology::{builtin, RouterId};
 use std::time::Duration;
 
-#[test]
-fn restarted_router_stays_in_epoch_lockstep() {
+const TAU: Duration = Duration::from_millis(200);
+const LAG: Duration = Duration::from_millis(50);
+const CRASH: Duration = Duration::from_millis(120);
+const REPORT: Duration = Duration::from_millis(320);
+const RESTART: Duration = Duration::from_millis(520);
+
+/// What a run got wrong, if anything.
+fn judge(outcome: &LiveOutcome, crashed: RouterId) -> Result<(), String> {
+    // It restarts in round 2 and serves probation from round 3.
+    let back = (RESTART.as_nanos() / TAU.as_nanos() + 1) as u64 * TAU.as_nanos() as u64;
+    for s in &outcome.suspicions {
+        if !s.segment.contains(crashed) {
+            return Err(format!(
+                "{s:?} names a segment the crashed router is not in"
+            ));
+        }
+        if s.interval.start.as_ns() >= back {
+            return Err(format!("{s:?} judges a round the router was back in"));
+        }
+    }
+    // Frames of another epoch drain untapped while routes reconverge and
+    // not after: a router whose epoch never realigned would go on
+    // draining through the last, long-settled rounds.
+    let drained: Vec<u64> = (outcome.round_metrics.iter())
+        .map(|s| s.counter("net.untapped_drained"))
+        .collect();
+    let n = drained.len();
+    if drained[n - 3..] != [drained[n - 1]; 3] {
+        return Err(format!("epochs diverged: untapped drains {drained:?}"));
+    }
+    Ok(())
+}
+
+/// The longest the (one) shard thread went without recording a trace
+/// event. A flow ticks every 2 ms and the retransmission pump every
+/// 12.5 ms, so anything much longer is the host holding the thread.
+fn longest_stall(outcome: &LiveOutcome) -> Duration {
+    assert_eq!(outcome.trace.dropped(), 0, "the trace ring is too small");
+    let events = outcome.trace.events();
+    let gap = (events.windows(2))
+        .map(|w| w[1].t_ns.saturating_sub(w[0].t_ns))
+        .max();
+    Duration::from_nanos(gap.unwrap_or(0))
+}
+
+/// Runs the scenario with router 4 crashing while `flow` (source,
+/// destination) crosses it, beside a flow 0 → 3 it has no part in.
+fn crash_restart(role: &str, flow: (usize, usize), reported: bool) {
+    let case = format!("crashed router as flow {role}, reported down: {reported}");
     let topo = builtin::ring(6);
     let ids: Vec<RouterId> = topo.routers().collect();
-    let spec = LiveSpec {
+    let crashed = ids[4];
+    let churn = |at, actor, action| ChurnEvent { at, actor, action };
+    let mut spec = LiveSpec {
         flows: vec![
             FlowSpec::new(ids[0], ids[3], 800, Duration::from_millis(2)),
-            // The crash-restart router itself sources a monitored flow.
-            FlowSpec::new(ids[4], ids[1], 800, Duration::from_millis(2)),
+            FlowSpec::new(ids[flow.0], ids[flow.1], 800, Duration::from_millis(2)),
         ],
         churn: vec![
-            ChurnEvent {
-                at: Duration::from_millis(120),
-                actor: ids[4],
-                action: ChurnAction::Crash,
-            },
-            ChurnEvent {
-                at: Duration::from_millis(320),
-                actor: ids[3],
-                action: ChurnAction::ReportDown(ids[4]),
-            },
-            ChurnEvent {
-                at: Duration::from_millis(520),
-                actor: ids[4],
-                action: ChurnAction::Restart,
-            },
+            churn(CRASH, crashed, ChurnAction::Crash),
+            churn(RESTART, crashed, ChurnAction::Restart),
         ],
         ..LiveSpec::default()
     };
+    if reported {
+        spec.churn
+            .push(churn(REPORT, ids[3], ChurnAction::ReportDown(crashed)));
+    }
     let cfg = LiveConfig {
-        tau: Duration::from_millis(200),
+        tau: TAU,
         exchange_budget: Duration::from_millis(100),
-        maturity_lag: Duration::from_millis(50),
+        maturity_lag: LAG,
         rounds: 10,
+        shards: 1,
+        trace_capacity: 1 << 17,
         ..LiveConfig::default()
     };
-    let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
+    for attempt in 1.. {
+        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
+        let stall = longest_stall(&outcome);
+        println!("{case}, longest stall {stall:?}");
+        println!("  suspicions: {:?}", outcome.suspicions);
+        for e in &outcome.events {
+            if !matches!(e, LiveEvent::RoundEvaluated { passed: true, .. }) {
+                println!("  {e:?}");
+            }
+        }
+        assert!(outcome.stats.data_delivered > 0, "{case}: no traffic");
+        match judge(&outcome, crashed) {
+            Ok(()) => return,
+            // Accuracy is conditional on bounded delay: a packet held
+            // between two taps for longer than the maturity lag reads as
+            // fabricated, summaries held past the exchange budget as a
+            // timeout. A run in which the host held the thread that long
+            // shows nothing either way.
+            Err(why) if stall > LAG && attempt < 3 => {
+                println!("{case}: not judged, the host held the shard for {stall:?} ({why})");
+            }
+            Err(why) => panic!("{case} (longest stall {stall:?}): {why}"),
+        }
+    }
+}
 
-    // Untapped drains should stop once reconvergence settles. If the
-    // restarted router's epoch never realigns, stale-epoch drains keep
-    // accumulating through the last (long-settled) rounds.
-    let m = &outcome.round_metrics;
-    let n = m.len();
-    let tail_untapped =
-        m[n - 1].counter("net.untapped_drained") - m[n - 3].counter("net.untapped_drained");
-    println!(
-        "untapped per round (cumulative): {:?}",
-        m.iter()
-            .map(|s| s.counter("net.untapped_drained"))
-            .collect::<Vec<_>>()
-    );
-    println!("suspicions: {:?}", outcome.suspicions);
-    assert_eq!(
-        tail_untapped, 0,
-        "stale-epoch drains continued through the final rounds: epochs diverged"
-    );
-    assert!(
-        outcome.suspicions.is_empty(),
-        "crash-restart framed honest routers: {:?}",
-        outcome.suspicions
-    );
+#[test]
+fn a_crash_restart_frames_nobody_in_any_role() {
+    // Lowest-id tie-breaks route 4 → 1 via 5 and 0, 1 → 4 via 2 and 3,
+    // and 3 → 5 through 4.
+    for (role, flow) in [("source", (4, 1)), ("sink", (1, 4)), ("transit", (3, 5))] {
+        for reported in [true, false] {
+            crash_restart(role, flow, reported);
+        }
+    }
 }
