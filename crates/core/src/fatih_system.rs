@@ -138,7 +138,14 @@ impl FatihSystem {
             SimTime::ZERO < cfg.exchange_budget && cfg.exchange_budget < cfg.tau,
             "exchange budget must lie in (0, tau)"
         );
-        let detector = Pik2Detector::new(net.routes(), keystore.clone(), cfg.detector);
+        let paths: Vec<Path> = net.routes().all_paths().collect();
+        let detector = Pik2Detector::with_paths(
+            &paths,
+            net.topology().router_count(),
+            keystore.clone(),
+            cfg.detector,
+            net.now(),
+        );
         Self {
             cfg,
             keystore,
@@ -352,6 +359,7 @@ impl FatihSystem {
             net.topology().router_count(),
             self.keystore.clone(),
             self.cfg.detector,
+            self.next_round_begin.since(self.cfg.tau),
         );
         // An exchange in flight references the old fabric's segment
         // indices: abandon it. Its still-travelling summaries carry a
@@ -475,6 +483,12 @@ mod tests {
         // Steady coast-to-coast traffic (through Kansas City).
         net.add_cbr_flow(sun, ny, 1000, SimTime::from_ms(5), SimTime::ZERO, None);
         net.add_cbr_flow(ny, sun, 1000, SimTime::from_ms(7), SimTime::ZERO, None);
+        // And a flow that crosses Kansas City by another interface, which
+        // the first reroute leaves in place: it is judged, and excluded, by
+        // a detector redeployed over the new routes.
+        let den = net.topology().router_by_name("Denver").unwrap();
+        let dc = net.topology().router_by_name("WashingtonDC").unwrap();
+        net.add_cbr_flow(den, dc, 800, SimTime::from_ms(9), SimTime::ZERO, None);
 
         let mut system = FatihSystem::new(&net, ks, FatihConfig::default());
 
@@ -499,6 +513,14 @@ mod tests {
             .filter(|e| matches!(e, FatihEvent::Detection { .. }))
             .collect();
         assert!(!detections.is_empty(), "attack never detected");
+        // Each names the one round that judged it, redeployments included.
+        for d in &detections {
+            let FatihEvent::Detection { suspicion, .. } = d else {
+                unreachable!()
+            };
+            let Interval { start, end } = suspicion.interval;
+            assert_eq!(end.since(start), SimTime::from_secs(5), "{suspicion:?}");
+        }
         // Every excluded segment contains Kansas City (accuracy).
         for seg in system.excluded_segments() {
             assert!(
@@ -511,6 +533,13 @@ mod tests {
             _ => None,
         });
         let update_at = update_at.expect("route update installed");
+        assert!(
+            detections
+                .iter()
+                .any(|d| matches!(d, FatihEvent::Detection { at, .. } if *at > update_at)),
+            "no detection by a redeployed detector: {:?}",
+            system.timeline()
+        );
         // Detection at the end of the round containing the attack; update
         // one SPF delay later.
         let first_detection = match detections[0] {

@@ -13,6 +13,9 @@
 //! * [`spec`] — the failure-detector specification: suspicions,
 //!   a-Accuracy, a-Completeness, precision (§4.2.2);
 //! * [`monitor`] — building `info(r, π, τ)` from local observations;
+//! * [`rounds`] — the round rule: the window of observations a round
+//!   judges, holds and afterwards forgets, one definition under the
+//!   simulator-hosted detectors and the live runtime;
 //! * [`probation`] — crash-restart re-admission: restarted routers carry
 //!   no transit traffic until they survive K clean rounds;
 //! * [`consensus`] — Dolev–Strong authenticated broadcast for Π2's
@@ -35,9 +38,12 @@
 //!   the Chapter 3 literature review: the per-interface rate model, the
 //!   ack/timeout per-packet protocols, and Secure Traceroute with its
 //!   framing weakness;
-//! * [`transport`] — reliable control-plane delivery: per-message
-//!   ack/retransmission with exponential backoff, bounded retries and
-//!   duplicate suppression over the lossy simulated network;
+//! * [`reliable`] — the sans-I/O retransmission core: backoff, retry
+//!   budget and bounded duplicate suppression, hosted by [`transport`]
+//!   and by the live runtime;
+//! * [`transport`] — reliable control-plane delivery over the lossy
+//!   simulated network: [`reliable`]'s core driven by the simulator's
+//!   clock and control packets;
 //! * [`flooding`] — robust flooding for alert dissemination (§3.7);
 //! * [`perlman`] — Byzantine-robust multipath forwarding under
 //!   `TotalFault(f)` (§3.7).
@@ -90,6 +96,8 @@ pub mod pi2;
 pub mod pik2;
 pub mod policy;
 pub mod probation;
+pub mod reliable;
+pub mod rounds;
 pub mod sectrace;
 pub mod spec;
 pub mod threshold;

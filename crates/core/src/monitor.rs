@@ -17,7 +17,7 @@ use fatih_sim::{Packet, PacketId, SimTime, TapEvent};
 use fatih_topology::{Path, PathSegment, RouterId, Routes};
 use fatih_validation::sampling::SamplingPattern;
 use fatih_validation::summary::{ContentSummary, FlowCounter, OrderedSummary};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// One recorded packet observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,16 +75,6 @@ impl Report {
         Report {
             entries: self.entries[lo..hi.max(lo)].to_vec(),
         }
-    }
-
-    /// Entries observed at or before `cutoff`.
-    pub fn mature(&self, cutoff: SimTime) -> Report {
-        self.window(None, Some(cutoff))
-    }
-
-    /// Removes entries whose fingerprint is in `fps` (round compaction).
-    pub fn compact(&mut self, fps: &BTreeSet<Fingerprint>) {
-        self.entries.retain(|e| !fps.contains(&e.fingerprint));
     }
 
     /// Conservation-of-flow view.
@@ -169,7 +159,7 @@ impl Report {
     /// Decodes [`encode`](Self::encode)'s output; `None` on malformed
     /// input (a garbled report from a protocol-faulty router). Entries out
     /// of observation-time order are malformed too: a correct recorder
-    /// appends monotonically, and [`mature`](Self::mature) relies on the
+    /// appends monotonically, and [`window`](Self::window) relies on the
     /// ordering — an adversarial permutation could otherwise smuggle
     /// entries past the maturity cutoff.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
@@ -351,7 +341,8 @@ struct IngestScratch {
 }
 
 /// Entries in the packet-fingerprint memo before it is flushed (bounds the
-/// memory of a long run; compaction makes old ids worthless anyway).
+/// memory of a long run; a packet's id is worthless once it left the
+/// network).
 const FP_CACHE_MAX: usize = 1 << 16;
 
 /// Counter handles for the monitor's ingest accounting.
@@ -372,8 +363,8 @@ pub struct MonitorMetrics {
     pub batches: Counter,
     /// Recorded observations since dropped: by
     /// [`SegmentMonitorSet::prune`], or with the whole record on
-    /// [`SegmentMonitorSet::retarget`]. For a set that is never compacted
-    /// `records − entries_pruned` is what it holds.
+    /// [`SegmentMonitorSet::retarget`]: `records − entries_pruned` is what
+    /// the sets hold.
     pub entries_pruned: Counter,
     /// The most entries any one set held right after a
     /// [`SegmentMonitorSet::prune`] — for live nodes, which own one set
@@ -420,8 +411,6 @@ pub struct SegmentMonitorSet {
     slots: Vec<Report>,
     /// (router, segment) → slot, for the cold read path.
     slot_of: HashMap<(RouterId, usize), usize>,
-    /// Slots belonging to each segment (compaction touches only these).
-    segment_slots: Vec<Vec<usize>>,
     /// (packet, segment) → fingerprint memo: the same packet is recorded
     /// by every member of a segment, but its fingerprint under that
     /// segment's key never changes. The stored invariant bytes are
@@ -467,12 +456,10 @@ impl SegmentMonitorSet {
         let mut arrival_index: HashMap<(RouterId, RouterId), Vec<SlotRef>> = HashMap::new();
         let mut slots: Vec<Report> = Vec::new();
         let mut slot_of: HashMap<(RouterId, usize), usize> = HashMap::new();
-        let mut segment_slots: Vec<Vec<usize>> = vec![Vec::new(); segments.len()];
         let mut intern = |router: RouterId, seg: usize| -> SlotRef {
             let slot = *slot_of.entry((router, seg)).or_insert_with(|| {
                 let s = slots.len();
                 slots.push(Report::default());
-                segment_slots[seg].push(s);
                 s
             });
             SlotRef {
@@ -513,7 +500,6 @@ impl SegmentMonitorSet {
             arrival_index,
             slots,
             slot_of,
-            segment_slots,
             fp_cache: HashMap::new(),
             memo: true,
             traverse_cache: HashMap::new(),
@@ -840,8 +826,8 @@ impl SegmentMonitorSet {
     }
 
     /// Everything `router` still holds for segment index `i`: what it
-    /// recorded since the last compaction or [`prune`](Self::prune)
-    /// (empty if it saw nothing).
+    /// recorded since the last [`prune`](Self::prune) (empty if it saw
+    /// nothing).
     pub fn report(&self, router: RouterId, i: usize) -> Report {
         self.report_after(router, i, None)
     }
@@ -885,20 +871,6 @@ impl SegmentMonitorSet {
     /// Whether any record exists (for tests).
     pub fn is_idle(&self) -> bool {
         self.slots.iter().all(Report::is_empty)
-    }
-
-    /// Removes the given fingerprints from **every** member record of
-    /// segment `i`: called once a packet is mature end-to-end (seen or
-    /// judged by all recorders), so it is never re-validated. The
-    /// per-segment slot index makes this O(members of segment `i`), not a
-    /// scan of every record in the set.
-    pub fn compact_segment(&mut self, i: usize, fps: &BTreeSet<Fingerprint>) {
-        if fps.is_empty() {
-            return;
-        }
-        for &s in &self.segment_slots[i] {
-            self.slots[s].compact(fps);
-        }
     }
 }
 

@@ -11,9 +11,10 @@
 
 use crate::consensus::{dolev_strong, FaultyBehavior};
 use crate::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
-use crate::policy::{distort, tv_pair, Policy, ReportFault, Thresholds};
+use crate::policy::{distort, Policy, ReportFault, Thresholds};
+use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
-use fatih_crypto::{Fingerprint, KeyStore};
+use fatih_crypto::KeyStore;
 use fatih_sim::{SimTime, TapEvent};
 use fatih_topology::{pi2_segments, PathSegment, RouterId, Routes};
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,8 +59,10 @@ pub struct Pi2Detector {
     monitors: SegmentMonitorSet,
     report_faults: BTreeMap<RouterId, ReportFault>,
     withheld: BTreeSet<RouterId>,
-    round_start: SimTime,
+    /// When the previous round ended; `None` until one has.
+    prev_end: Option<SimTime>,
     first_event: Option<SimTime>,
+    lost_judged: u64,
 }
 
 impl Pi2Detector {
@@ -80,8 +83,9 @@ impl Pi2Detector {
             monitors,
             report_faults: BTreeMap::new(),
             withheld: BTreeSet::new(),
-            round_start: SimTime::ZERO,
+            prev_end: None,
             first_event: None,
+            lost_judged: 0,
         }
     }
 
@@ -107,6 +111,13 @@ impl Pi2Detector {
         self.monitors.segments().len()
     }
 
+    /// Packets judged lost so far, over every adjacent pair of every
+    /// segment: what the rounds' verdicts add up to, for experiments that
+    /// set it against the simulator's ground truth.
+    pub fn lost_judged(&self) -> u64 {
+        self.lost_judged
+    }
+
     /// Feeds one simulator observation.
     pub fn observe(&mut self, ev: &TapEvent) {
         if self.first_event.is_none() {
@@ -118,14 +129,14 @@ impl Pi2Detector {
     /// Ends the measurement round at `now`, returning the suspicions every
     /// correct router raises (deduplicated by segment and raiser).
     ///
-    /// Only packets mature at `now − maturity_lag` are judged; packets
-    /// mature end-to-end are compacted out of the cumulative records so
-    /// each is validated exactly once.
+    /// The round judges the [`Window`] between the previous round's
+    /// maturity cutoff and its own, `now − maturity_lag`, and the records
+    /// then forget what no later round reads: each packet is validated
+    /// exactly once.
     pub fn end_round(&mut self, now: SimTime) -> Vec<Suspicion> {
-        let interval = Interval::new(self.round_start, now);
-        self.round_start = now;
-        let cutoff = now.since(self.cfg.maturity_lag);
-        let compact_cutoff = now.since(self.cfg.maturity_lag * 2);
+        let prev_end = self.prev_end.replace(now);
+        let interval = Interval::new(prev_end.unwrap_or(SimTime::ZERO), now);
+        let window = Window::closing(prev_end, now, self.cfg.maturity_lag);
         // Packets already in flight when monitoring began must not read as
         // fabrication (see `tv_pair`).
         let fabrication_floor = self
@@ -148,11 +159,12 @@ impl Pi2Detector {
                         // as a protocol-silent member.
                         return None;
                     }
-                    let own = self.monitors.report(r, i);
+                    let held = |r| self.monitors.report_after(r, i, window.held_from());
+                    let own = held(r);
                     let received = if pos == 0 {
                         None
                     } else {
-                        Some(self.monitors.report(members[pos - 1], i))
+                        Some(held(members[pos - 1]))
                     };
                     distort(
                         self.report_faults.get(&r).copied(),
@@ -171,16 +183,9 @@ impl Pi2Detector {
                 claimed
             };
 
-            let mut judged_fabricated: BTreeSet<Fingerprint> = BTreeSet::new();
             for (w, pair) in decided.windows(2).enumerate() {
-                let verdict = tv_pair(
-                    pair[0].as_ref(),
-                    pair[1].as_ref(),
-                    None,
-                    cutoff,
-                    fabrication_floor,
-                );
-                judged_fabricated.extend(verdict.fabricated.iter().copied());
+                let verdict = window.judge(pair[0].as_ref(), pair[1].as_ref(), fabrication_floor);
+                self.lost_judged += verdict.lost.len() as u64;
                 if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
                     let pair_seg = PathSegment::new(vec![members[w], members[w + 1]]);
                     // Strong completeness: every member that is not
@@ -195,19 +200,9 @@ impl Pi2Detector {
                     }
                 }
             }
-
-            // Compaction: a packet mature at the segment's first recorder
-            // one extra lag ago has been judged by every pair by now.
-            let mut done: BTreeSet<Fingerprint> = self
-                .monitors
-                .report(members[0], i)
-                .mature(compact_cutoff)
-                .entries
-                .iter()
-                .map(|e| e.fingerprint)
-                .collect();
-            done.extend(judged_fabricated);
-            self.monitors.compact_segment(i, &done);
+        }
+        if let Some(horizon) = window.forget_horizon() {
+            self.monitors.prune(horizon);
         }
         self.withheld.clear();
         out.into_iter().collect()

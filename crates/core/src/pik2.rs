@@ -12,10 +12,11 @@
 //! the ends may secretly subsample (§5.2.1).
 
 use crate::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
-use crate::policy::{distort, tv_pair, Policy, ReportFault, Thresholds};
+use crate::policy::{distort, Policy, ReportFault, Thresholds};
+use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
 use crate::transport::{ReliableTransport, TransportEvent, TransportMsg};
-use fatih_crypto::{Fingerprint, KeyStore};
+use fatih_crypto::KeyStore;
 use fatih_sim::{Network, SimTime, TapEvent};
 use fatih_topology::{PathSegment, RouterId, Routes};
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,24 +57,31 @@ pub struct Pik2Detector {
     keystore: KeyStore,
     monitors: SegmentMonitorSet,
     report_faults: BTreeMap<RouterId, ReportFault>,
-    round_start: SimTime,
+    /// Where this deployment's first round opens.
+    deployed_at: SimTime,
+    /// When the previous round ended; `None` until one has.
+    prev_end: Option<SimTime>,
     first_event: Option<SimTime>,
+    lost_judged: u64,
 }
 
 impl Pik2Detector {
-    /// Deploys Πk+2 over the routed network.
+    /// Deploys Πk+2 over the routed network, the first round opening at
+    /// time 0.
     pub fn new(routes: &Routes, keystore: KeyStore, cfg: Pik2Config) -> Self {
         let paths: Vec<fatih_topology::Path> = routes.all_paths().collect();
-        Self::with_paths(&paths, routes.router_count(), keystore, cfg)
+        Self::with_paths(&paths, routes.router_count(), keystore, cfg, SimTime::ZERO)
     }
 
     /// Deploys Πk+2 over an explicit path set — used to re-deploy
-    /// monitoring after the response changed the routing fabric.
+    /// monitoring after the response changed the routing fabric, in the
+    /// middle of the round that opened at `round_start`.
     pub fn with_paths(
         paths: &[fatih_topology::Path],
         router_count: usize,
         keystore: KeyStore,
         cfg: Pik2Config,
+        round_start: SimTime,
     ) -> Self {
         let segments: Vec<PathSegment> =
             fatih_topology::pik2_segments_from_paths(paths.iter().cloned(), router_count, cfg.k)
@@ -93,8 +101,10 @@ impl Pik2Detector {
             keystore,
             monitors,
             report_faults: BTreeMap::new(),
-            round_start: SimTime::ZERO,
+            deployed_at: round_start,
+            prev_end: None,
             first_event: None,
+            lost_judged: 0,
         }
     }
 
@@ -108,6 +118,13 @@ impl Pik2Detector {
         self.monitors.segments().len()
     }
 
+    /// Packets judged lost so far, over every segment: what the rounds'
+    /// verdicts add up to, for experiments that set it against the
+    /// simulator's ground truth.
+    pub fn lost_judged(&self) -> u64 {
+        self.lost_judged
+    }
+
     /// Feeds one simulator observation.
     pub fn observe(&mut self, ev: &TapEvent) {
         if self.first_event.is_none() {
@@ -116,96 +133,30 @@ impl Pik2Detector {
         self.monitors.observe(ev);
     }
 
-    /// Ends the round: runs every segment's end-to-end MAC'd exchange and
-    /// returns the raised suspicions.
-    ///
-    /// Only packets mature at `now − maturity_lag` are judged; packets
-    /// mature end-to-end are compacted out of the cumulative records so
-    /// each is validated exactly once.
+    /// Ends the round at `now` and runs every segment's end-to-end MAC'd
+    /// exchange in memory — a control plane that loses and delays nothing
+    /// — returning the raised suspicions. The round rule is
+    /// [`begin_round`](Self::begin_round)'s and
+    /// [`finish_round`](Self::finish_round)'s.
     pub fn end_round(&mut self, now: SimTime) -> Vec<Suspicion> {
-        let interval = Interval::new(self.round_start, now);
-        self.round_start = now;
-        let cutoff = now.since(self.cfg.maturity_lag);
-        let compact_cutoff = now.since(self.cfg.maturity_lag * 2);
-        // Packets already in flight when monitoring began must not read as
-        // fabrication (see `tv_pair`).
-        let fabrication_floor = self
-            .first_event
-            .map(|t| t + self.cfg.maturity_lag)
-            .unwrap_or(SimTime::ZERO);
-        let mut out: BTreeSet<Suspicion> = BTreeSet::new();
-
-        let segments: Vec<PathSegment> = self.monitors.segments().to_vec();
-        for (i, seg) in segments.iter().enumerate() {
-            let (a, b) = seg.ends();
-            let report_a = self.monitors.report(a, i);
-            let report_b = self.monitors.report(b, i);
-            // Ends have no upstream record within the segment to copy, so
-            // HideDrops degenerates to an honest report here; Silent and
-            // Inflate apply as-is.
-            let claimed_a = distort(self.report_faults.get(&a).copied(), &report_a, None, 1);
-            let claimed_b = distort(self.report_faults.get(&b).copied(), &report_b, None, 2);
-
-            // The exchange travels over π itself with a pairwise MAC
-            // (Figure 5.3); a missing or unauthenticated message is a
-            // failed exchange and the receiving end suspects π. We model
-            // the MAC check explicitly to keep the authentication path
-            // honest.
-            let authenticated = |claim: &Option<Report>| -> Option<Report> {
-                let r = claim.as_ref()?;
-                let bytes = r.encode();
-                let mac = self.keystore.pairwise_mac(a.into(), b.into(), &bytes);
-                self.keystore
-                    .pairwise_verify(b.into(), a.into(), &bytes, &mac)
-                    .then(|| r.clone())
-            };
-            let recv_at_b = authenticated(&claimed_a);
-            let recv_at_a = authenticated(&claimed_b);
-
-            let mut suspect = |raiser: RouterId| {
-                out.insert(Suspicion {
-                    segment: seg.clone(),
-                    interval,
-                    raised_by: raiser,
-                });
-            };
-
-            let mut judged_fabricated: BTreeSet<Fingerprint> = BTreeSet::new();
-            match (recv_at_a, recv_at_b) {
-                (None, _) => suspect(a), // b's message never arrived at a
-                (_, None) => suspect(b),
-                (Some(from_b), Some(from_a)) => {
-                    let verdict = tv_pair(
-                        Some(&from_a),
-                        Some(&from_b),
-                        None,
-                        cutoff,
-                        fabrication_floor,
-                    );
-                    judged_fabricated.extend(verdict.fabricated.iter().copied());
-                    if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
-                        // Both ends detect and announce (the broadcast of
-                        // Figure 5.3 upgrades this to strong completeness).
-                        suspect(a);
-                        suspect(b);
-                    }
-                }
-            }
-
-            // Compaction: packets mature at the source one extra lag ago
-            // have been judged; drop them from both end records.
-            let mut done: BTreeSet<Fingerprint> = self
-                .monitors
-                .report(a, i)
-                .mature(compact_cutoff)
-                .entries
-                .iter()
-                .map(|e| e.fingerprint)
-                .collect();
-            done.extend(judged_fabricated);
-            self.monitors.compact_segment(i, &done);
+        let mut sent: Vec<TransportMsg> = Vec::new();
+        // Nothing outlives the call, so no earlier exchange's summary can
+        // turn up in this one and any round id will do.
+        let mut exch = self.summarise(now, 0, |from, to, payload| {
+            let msg = sent.len() as u64;
+            sent.push(TransportMsg {
+                msg,
+                from,
+                to,
+                payload,
+                at: now,
+            });
+            msg
+        });
+        for msg in &sent {
+            self.exchange_message(&mut exch, msg);
         }
-        out.into_iter().collect()
+        self.finish_round(exch)
     }
 
     // ------------------------------------------------------------------
@@ -221,8 +172,11 @@ impl Pik2Detector {
     /// events to [`exchange_event`](Self::exchange_event), then call
     /// [`finish_round`](Self::finish_round).
     ///
-    /// `round_id` must be unique per exchange (stale messages from an
-    /// earlier, abandoned exchange are ignored by the id check).
+    /// The round judges the [`Window`] between the previous round's
+    /// maturity cutoff and its own, `now − maturity_lag`; a round that is
+    /// begun and abandoned stays unjudged. `round_id` must be unique per
+    /// exchange (stale messages from an earlier, abandoned exchange are
+    /// ignored by the id check).
     pub fn begin_round(
         &mut self,
         now: SimTime,
@@ -230,17 +184,31 @@ impl Pik2Detector {
         net: &mut Network,
         transport: &mut ReliableTransport,
     ) -> RoundExchange {
-        let interval = Interval::new(self.round_start, now);
-        self.round_start = now;
+        self.summarise(now, round_id, |from, to, payload| {
+            transport.send(net, from, to, payload)
+        })
+    }
+
+    /// Closes the measurement round at `now`: every segment end MACs what
+    /// its record holds for the round and hands it to `send` (sender,
+    /// receiver, payload), which returns the transport's message id.
+    fn summarise(
+        &mut self,
+        now: SimTime,
+        round_id: u64,
+        mut send: impl FnMut(RouterId, RouterId, Vec<u8>) -> u64,
+    ) -> RoundExchange {
+        let prev_end = self.prev_end.replace(now);
+        // Packets already in flight when monitoring began must not read as
+        // fabrication (see `tv_pair`).
         let fabrication_floor = self
             .first_event
             .map(|t| t + self.cfg.maturity_lag)
             .unwrap_or(SimTime::ZERO);
         let mut exch = RoundExchange {
             round_id,
-            interval,
-            cutoff: now.since(self.cfg.maturity_lag),
-            compact_cutoff: now.since(self.cfg.maturity_lag * 2),
+            interval: Interval::new(prev_end.unwrap_or(self.deployed_at), now),
+            window: Window::closing(prev_end, now, self.cfg.maturity_lag),
             fabrication_floor,
             pending: BTreeMap::new(),
             received: BTreeMap::new(),
@@ -250,7 +218,11 @@ impl Pik2Detector {
         for (i, seg) in segments.iter().enumerate() {
             let (a, b) = seg.ends();
             for (sender, receiver, from_a, salt) in [(a, b, true, 1), (b, a, false, 2)] {
-                let report = self.monitors.report(sender, i);
+                let held_from = exch.window.held_from();
+                let report = self.monitors.report_after(sender, i, held_from);
+                // Ends have no upstream record within the segment to copy,
+                // so HideDrops degenerates to an honest report here; Silent
+                // and Inflate apply as-is.
                 let claimed = distort(
                     self.report_faults.get(&sender).copied(),
                     &report,
@@ -264,7 +236,7 @@ impl Pik2Detector {
                     continue;
                 };
                 let payload = self.encode_summary(&exch, i, from_a, a, b, &claimed);
-                let msg = transport.send(net, sender, receiver, payload);
+                let msg = send(sender, receiver, payload);
                 exch.pending.insert(msg, (i, from_a));
             }
         }
@@ -386,18 +358,14 @@ impl Pik2Detector {
             };
             let from_a = exch.received.get(&(i, true));
             let from_b = exch.received.get(&(i, false));
-            let mut judged_fabricated: BTreeSet<Fingerprint> = BTreeSet::new();
             match (from_a, from_b) {
                 (Some(ra), Some(rb)) => {
-                    let verdict = tv_pair(
-                        Some(ra),
-                        Some(rb),
-                        None,
-                        exch.cutoff,
-                        exch.fabrication_floor,
-                    );
-                    judged_fabricated.extend(verdict.fabricated.iter().copied());
+                    let floor = exch.fabrication_floor;
+                    let verdict = exch.window.judge(Some(ra), Some(rb), floor);
+                    self.lost_judged += verdict.lost.len() as u64;
                     if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
+                        // Both ends detect and announce (the broadcast of
+                        // Figure 5.3 upgrades this to strong completeness).
                         suspect(a);
                         suspect(b);
                     }
@@ -405,17 +373,9 @@ impl Pik2Detector {
                 (None, _) => suspect(b), // a's summary never reached b
                 (_, None) => suspect(a), // b's summary never reached a
             }
-
-            let mut done: BTreeSet<Fingerprint> = self
-                .monitors
-                .report(a, i)
-                .mature(exch.compact_cutoff)
-                .entries
-                .iter()
-                .map(|e| e.fingerprint)
-                .collect();
-            done.extend(judged_fabricated);
-            self.monitors.compact_segment(i, &done);
+        }
+        if let Some(horizon) = exch.window.forget_horizon() {
+            self.monitors.prune(horizon);
         }
         out.into_iter().collect()
     }
@@ -430,8 +390,7 @@ const SUMMARY_TAG: u8 = 0xE1;
 pub struct RoundExchange {
     round_id: u64,
     interval: Interval,
-    cutoff: SimTime,
-    compact_cutoff: SimTime,
+    window: Window,
     fabrication_floor: SimTime,
     /// Transport msg id → (segment, direction) for summaries in flight.
     pending: BTreeMap<u64, (usize, bool)>,

@@ -2,10 +2,10 @@
 //! Chapter 5 protocols, plus the protocol-faulty report behaviours of
 //! §2.2.1.
 //!
-//! Validation is *maturity-windowed*: only packets observed at the
-//! upstream recorder at or before a cutoff are judged, so packets still in
-//! flight at a round boundary are deferred instead of miscounted (see
-//! [`crate::monitor::Report::mature`]).
+//! Validation is *maturity-windowed*: only packets observed at or before
+//! a cutoff are judged, so packets still in flight at a round boundary are
+//! deferred instead of miscounted. Which window a round judges is
+//! [`crate::rounds::Window`]'s business; [`tv_pair`] is handed the bounds.
 
 use crate::monitor::{Report, ReportEntry};
 use fatih_crypto::Fingerprint;
@@ -94,15 +94,13 @@ impl PairVerdict {
 /// observed upstream strictly earlier, so its absence upstream really is
 /// fabrication.
 ///
-/// `judged_from` is the lower bound of a *sliding-window* record (the live
-/// runtime's): each round judges what was observed since the previous
-/// round's cutoff, and the reports hold one transit bound more than that,
-/// so a packet is lost or fabricated in exactly one round and entries
-/// older than the window can be forgotten. A downstream entry of the
-/// look-back slice must not read as fabricated — its upstream entry may
-/// be gone already — which is why the bound applies to both sets.
-/// Cumulative records (the simulator-hosted protocols, which compact
-/// validated fingerprints instead) pass `None`.
+/// `judged_from` is the lower bound of a sliding-window record
+/// ([`crate::rounds::Window`], which every protocol host calls this
+/// through): the previous round's cutoff, or `None` in a first round. The
+/// reports hold one transit bound more than that, so a packet is lost or
+/// fabricated in exactly one round. A downstream entry of the look-back
+/// slice must not read as fabricated — its upstream entry may be gone
+/// already — which is why the bound applies to both sets.
 ///
 /// `fabrication_floor` guards against monitors attached to a live
 /// network: packets already in flight when monitoring began appear

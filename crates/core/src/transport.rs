@@ -12,6 +12,10 @@
 //!
 //! Design notes:
 //!
+//! * When to retransmit, when to give up and what is a duplicate is
+//!   [`crate::reliable::Retransmitter`]'s business — the same core the live
+//!   runtime hosts; this module gives it the simulator's clock and control
+//!   packets.
 //! * Message ids ride in the simulated packet's `seq` field; the high bit
 //!   marks acknowledgments. Payload bytes travel out-of-band in the
 //!   transport's own table (simulated packets are content stand-ins; the
@@ -22,9 +26,9 @@
 //!   simulation, mirroring how the detectors are driven as a global
 //!   harness; state is still kept per (sender, message).
 
+use crate::reliable::{Retransmitter, RetryPolicy};
 use fatih_sim::{Network, SimTime};
 use fatih_topology::RouterId;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// High bit of the packet `seq` field marks an acknowledgment; the low 63
 /// bits carry the message id.
@@ -58,20 +62,6 @@ impl Default for TransportConfig {
             msg_size: 256,
             ack_size: 64,
         }
-    }
-}
-
-impl TransportConfig {
-    /// The retransmission delay after `attempts` transmissions:
-    /// `min(rto · 2^(attempts−1), max_backoff)`, computed with saturating
-    /// arithmetic so no retry count can overflow.
-    pub fn backoff(&self, attempts: u32) -> SimTime {
-        // 2^63 ns already exceeds any u64 time span, so the shift itself
-        // is clamped before the saturating multiply.
-        let doublings = attempts.saturating_sub(1).min(63);
-        self.rto
-            .saturating_mul(1u64 << doublings)
-            .min(self.max_backoff)
     }
 }
 
@@ -124,13 +114,11 @@ pub enum TransportEvent {
     },
 }
 
+/// What the transport keeps of a message until it is acknowledged.
 #[derive(Debug)]
-struct Outstanding {
+struct Sent {
     src: RouterId,
-    dst: RouterId,
     payload: Vec<u8>,
-    attempts: u32,
-    next_retry: SimTime,
 }
 
 /// Ack/retransmit reliable delivery over [`Network::send_control`].
@@ -138,24 +126,27 @@ struct Outstanding {
 pub struct ReliableTransport {
     config: TransportConfig,
     next_msg: u64,
-    outstanding: BTreeMap<u64, Outstanding>,
-    /// (sender, message id) pairs already delivered up — duplicates and
-    /// re-acked retransmissions are suppressed against this set.
-    seen: BTreeSet<(RouterId, u64)>,
+    retransmitter: Retransmitter<Sent>,
     inbox: Vec<TransportMsg>,
     events: Vec<TransportEvent>,
 }
 
 impl ReliableTransport {
     /// Creates a transport with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` allows no attempt or has a zero `rto`.
     pub fn new(config: TransportConfig) -> Self {
-        assert!(config.max_attempts >= 1, "need at least one attempt");
-        assert!(config.rto > SimTime::ZERO, "rto must be positive");
+        let policy = RetryPolicy {
+            rto_ns: config.rto.as_ns(),
+            max_backoff_ns: config.max_backoff.as_ns(),
+            max_attempts: config.max_attempts,
+        };
         Self {
             config,
             next_msg: 0,
-            outstanding: BTreeMap::new(),
-            seen: BTreeSet::new(),
+            retransmitter: Retransmitter::new(policy),
             inbox: Vec::new(),
             events: Vec::new(),
         }
@@ -180,16 +171,8 @@ impl ReliableTransport {
         assert!(msg & ACK_BIT == 0, "message id space exhausted");
         self.next_msg += 1;
         net.send_control(from, to, self.config.msg_size, msg);
-        self.outstanding.insert(
-            msg,
-            Outstanding {
-                src: from,
-                dst: to,
-                payload,
-                attempts: 1,
-                next_retry: net.now() + self.config.rto,
-            },
-        );
+        let sent = Sent { src: from, payload };
+        self.retransmitter.track(msg, to, sent, net.now().as_ns());
         msg
     }
 
@@ -197,6 +180,7 @@ impl ReliableTransport {
     /// due retransmissions. Call after each `run_until` slice; a
     /// convenience loop is [`run`](Self::run).
     pub fn pump(&mut self, net: &mut Network) {
+        let now = net.now();
         for d in net.take_control_deliveries() {
             if !d.intact {
                 // Corrupted in flight: drop silently, the sender's timer
@@ -207,13 +191,13 @@ impl ReliableTransport {
                 let msg = d.seq & !ACK_BIT;
                 // `d.from` is the acknowledging peer; the outstanding
                 // entry lives at the original sender (`d.to`).
-                if let Some(out) = self.outstanding.remove(&msg) {
+                if let Some(acked) = self.retransmitter.on_ack(msg) {
                     self.events.push(TransportEvent::Delivered {
                         msg,
-                        src: out.src,
-                        dst: out.dst,
+                        src: acked.msg.src,
+                        dst: acked.dst,
                         at: d.at,
-                        attempts: out.attempts,
+                        attempts: acked.attempts,
                     });
                 }
                 continue;
@@ -222,14 +206,11 @@ impl ReliableTransport {
             // Always (re-)acknowledge: the previous ack may have been
             // lost, and acks are idempotent.
             net.send_control(d.to, d.from, self.config.ack_size, ACK_BIT | msg);
-            if !self.seen.insert((d.from, msg)) {
+            if !self.retransmitter.accept(d.from, msg, now.as_ns()) {
                 continue; // duplicate — already handed up
             }
-            let payload = self
-                .outstanding
-                .get(&msg)
-                .map(|o| o.payload.clone())
-                .unwrap_or_default();
+            let sent = self.retransmitter.get(msg);
+            let payload = sent.map(|s| s.payload.clone()).unwrap_or_default();
             self.inbox.push(TransportMsg {
                 msg,
                 from: d.from,
@@ -239,31 +220,19 @@ impl ReliableTransport {
             });
         }
 
-        let now = net.now();
-        let due: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| now >= o.next_retry)
-            .map(|(&m, _)| m)
-            .collect();
-        for msg in due {
-            let o = self.outstanding.get_mut(&msg).expect("collected above");
-            if o.attempts >= self.config.max_attempts {
-                let o = self.outstanding.remove(&msg).expect("present");
-                self.events.push(TransportEvent::Exhausted {
-                    msg,
-                    src: o.src,
-                    dst: o.dst,
-                    attempts: o.attempts,
-                    at: now,
-                });
-                continue;
-            }
-            net.send_control(o.src, o.dst, self.config.msg_size, msg);
-            o.attempts += 1;
-            // Exponential backoff: rto, 2·rto, 4·rto, … capped at
-            // max_backoff (saturating — see TransportConfig::backoff).
-            o.next_retry = now.saturating_add(self.config.backoff(o.attempts));
+        let size = self.config.msg_size;
+        let resend = |msg, dst, sent: &Sent| {
+            net.send_control(sent.src, dst, size, msg);
+        };
+        let exhausted = self.retransmitter.poll(now.as_ns(), resend);
+        for gone in exhausted {
+            self.events.push(TransportEvent::Exhausted {
+                msg: gone.id,
+                src: gone.msg.src,
+                dst: gone.dst,
+                attempts: gone.attempts,
+                at: now,
+            });
         }
     }
 
@@ -297,7 +266,7 @@ impl ReliableTransport {
 
     /// Messages still awaiting acknowledgment.
     pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
+        self.retransmitter.outstanding()
     }
 }
 
@@ -484,104 +453,6 @@ mod tests {
         );
         assert!(t.take_inbox().is_empty());
         assert_eq!(t.outstanding(), 0);
-    }
-
-    #[test]
-    fn backoff_doubles_per_retry() {
-        let (mut net, ids) = net_line(2);
-        net.set_fault_plan(Some(FaultPlan::new(1).with_link_flap(
-            ids[0],
-            ids[1],
-            SimTime::ZERO,
-            SimTime::from_secs(3600),
-        )));
-        let cfg = TransportConfig {
-            rto: SimTime::from_ms(100),
-            max_attempts: 4,
-            ..TransportConfig::default()
-        };
-        let mut t = ReliableTransport::new(cfg);
-        t.send(&mut net, ids[0], ids[1], vec![]);
-        drive(&mut t, &mut net, 60);
-        let events = t.take_events();
-        // Attempts at t=0, 100 ms, 300 ms, 700 ms; exhausted at 1500 ms
-        // (modulo the 10 ms pump granularity).
-        match events[..] {
-            [TransportEvent::Exhausted { at, attempts, .. }] => {
-                assert_eq!(attempts, 4);
-                assert!(
-                    at >= SimTime::from_ms(1500) && at <= SimTime::from_ms(1600),
-                    "exhaustion at {at}"
-                );
-            }
-            ref other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn backoff_saturates_instead_of_overflowing() {
-        // Regression: the delay used to be `rto * (1 << min(attempts-1, 16))`
-        // with plain arithmetic, so a large rto (or an attempt counter past
-        // the shift clamp) overflowed the multiply in debug builds. The
-        // computation must now saturate and respect the ceiling for *any*
-        // attempt count.
-        let cfg = TransportConfig {
-            rto: SimTime::from_secs(400_000), // absurd, but must not panic
-            max_backoff: SimTime::from_secs(30),
-            ..TransportConfig::default()
-        };
-        for attempts in [1, 2, 16, 17, 63, 64, 1000, u32::MAX] {
-            let b = cfg.backoff(attempts);
-            assert!(b <= cfg.max_backoff, "attempts {attempts}: {b}");
-            assert!(b > SimTime::ZERO);
-        }
-        // The cap engages exactly where doubling would first exceed it.
-        let cfg = TransportConfig {
-            rto: SimTime::from_ms(100),
-            max_backoff: SimTime::from_ms(450),
-            ..TransportConfig::default()
-        };
-        assert_eq!(cfg.backoff(1), SimTime::from_ms(100));
-        assert_eq!(cfg.backoff(2), SimTime::from_ms(200));
-        assert_eq!(cfg.backoff(3), SimTime::from_ms(400));
-        assert_eq!(cfg.backoff(4), SimTime::from_ms(450));
-        assert_eq!(cfg.backoff(40), SimTime::from_ms(450));
-    }
-
-    #[test]
-    fn capped_backoff_keeps_retrying_on_dead_link() {
-        // With a low ceiling, a big retry budget completes in bounded time
-        // instead of stretching exponentially (8 retries at ≤200 ms each).
-        let (mut net, ids) = net_line(2);
-        net.set_fault_plan(Some(FaultPlan::new(1).with_link_flap(
-            ids[0],
-            ids[1],
-            SimTime::ZERO,
-            SimTime::from_secs(3600),
-        )));
-        let cfg = TransportConfig {
-            rto: SimTime::from_ms(100),
-            max_backoff: SimTime::from_ms(200),
-            max_attempts: 9,
-            ..TransportConfig::default()
-        };
-        let mut t = ReliableTransport::new(cfg);
-        t.send(&mut net, ids[0], ids[1], vec![]);
-        drive(&mut t, &mut net, 10);
-        let events = t.take_events();
-        match events[..] {
-            [TransportEvent::Exhausted { at, attempts, .. }] => {
-                assert_eq!(attempts, 9);
-                // Final attempt at 100 + 200·7 = 1500 ms, exhaustion one
-                // capped backoff later (modulo pump slices); uncapped
-                // doubling would have needed 25.5 s.
-                assert!(
-                    at <= SimTime::from_ms(1800),
-                    "cap not applied: exhausted at {at}"
-                );
-            }
-            ref other => panic!("{other:?}"),
-        }
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //!   the network a router derives from the set of them it holds;
 //! * [`timer`] — a deadline-driven hashed timer wheel for round ticks,
 //!   flow ticks and retransmit timeouts;
-//! * [`reliable`] — per-message ack/retransmission with capped exponential
-//!   backoff and duplicate suppression, the live twin of
-//!   `fatih_core::transport::ReliableTransport`;
 //! * [`mailbox`] — lock-free cross-shard frame queues that let co-resident
 //!   routers bypass the kernel when the fastpath is enabled;
 //! * [`runtime`] — the sharded live runtime: a small pool of worker
@@ -67,7 +64,6 @@ pub mod linkstate;
 pub mod mailbox;
 #[allow(unsafe_code)]
 mod poller;
-pub mod reliable;
 pub mod runtime;
 pub mod timer;
 pub mod transport;

@@ -16,22 +16,21 @@
 //! a handful of threads and timer streams.
 //!
 //! The protocol machinery is the simulator's own — [`SegmentMonitorSet`]
-//! builds `info(r, π, τ)` from the router's real forwarding decisions,
-//! [`tv_pair`] judges maturity-windowed traffic validation, and a failed
-//! exchange becomes a timeout accusation — but round boundaries are
-//! wall-clock deadlines and every message crosses a real transport as
-//! encoded bytes.
+//! builds `info(r, π, τ)` from the router's real forwarding decisions, a
+//! round's [`Window`] says what it judges, [`Retransmitter`] when a frame
+//! is sent again, and a failed exchange becomes a timeout accusation — but
+//! round boundaries are wall-clock deadlines and every message crosses a
+//! real transport as encoded bytes.
 //!
-//! Records are **sliding windows in the recorder's own clock**. With
-//! `c_r = (r+1)·τ − maturity_lag`, round `r` *judges* what a router
-//! observed in `(c_{r−1}, c_r]`, a round-`r` summary or digest *holds*
-//! what it observed in `(c_{r−1} − maturity_lag, now]` — one lag of
-//! look-back, so a packet in flight across `c_{r−1}` still finds its
-//! upstream entry — and once round `r` is evaluated everything at or
-//! before `c_r − maturity_lag` is dropped. Every observation falls in
-//! exactly one judged window, so a packet is validated once and round-end
-//! work, memory and summary bytes follow the round, not the run. Both
-//! ends apply the rule to their own timestamps; nothing is agreed.
+//! Records are **sliding windows in the recorder's own clock**, by the
+//! rule of [`fatih_core::rounds`]: with `c_r` one maturity lag before the
+//! end of round `r`, the round *judges* what a router observed in
+//! `(c_{r−1}, c_r]`, a round-`r` summary or digest *holds* one lag more,
+//! and once round `r` is evaluated what no later round reads is dropped.
+//! Every observation falls in exactly one judged window, so a packet is
+//! validated once and round-end work, memory and summary bytes follow the
+//! round, not the run. Both ends apply the rule to their own timestamps;
+//! nothing is agreed.
 //!
 //! Summary exchange has two modes ([`SummaryMode`]). In `Full` mode the
 //! ends ship complete [`ContentSummary`](fatih_validation::summary::ContentSummary)-bearing
@@ -56,11 +55,12 @@ use crate::linkstate::{
 };
 use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::poller;
-use crate::reliable::{ReliableConfig, ReliableLayer};
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
 use fatih_core::monitor::{MonitorMetrics, MonitorMode, Report, SegmentMonitorSet};
-use fatih_core::policy::{tv_pair, PairVerdict, Policy, Thresholds};
+use fatih_core::policy::{PairVerdict, Policy, Thresholds};
+use fatih_core::reliable::{Retransmitter, RetryPolicy};
+use fatih_core::rounds::Window;
 use fatih_core::spec::{Interval, Suspicion};
 use fatih_crypto::{Fingerprint, KeyStore, Signature};
 use fatih_obs::trace::{NO_ROUND, NO_ROUTER};
@@ -206,8 +206,6 @@ pub struct LiveConfig {
     pub rounds: u64,
     /// Benign-anomaly allowances for traffic validation.
     pub thresholds: Thresholds,
-    /// Reliable-delivery policy for summaries and alerts.
-    pub reliable: ReliableConfig,
     /// Master seed for the deployment's key infrastructure.
     pub key_seed: u64,
     /// Worker shards multiplexing the router event loops. `0` = auto:
@@ -226,9 +224,6 @@ pub struct LiveConfig {
     /// [`TopoUpdate::ExcludeSegment`], reroute around it and reconverge.
     /// Off, the runtime only detects (the pre-response behaviour).
     pub response: bool,
-    /// Clean rounds a crash-restarted router must survive on probation
-    /// (no transit duty) before it carries transit traffic again.
-    pub probation_rounds: u64,
 }
 
 impl Default for LiveConfig {
@@ -246,14 +241,12 @@ impl Default for LiveConfig {
                 loss: 2,
                 reorder: 0,
             },
-            reliable: ReliableConfig::default(),
             key_seed: 0xFA714,
             shards: 0,
             summary: SummaryMode::Full,
             mailbox_fastpath: false,
             trace_capacity: 32_768,
             response: true,
-            probation_rounds: 2,
         }
     }
 }
@@ -689,8 +682,7 @@ impl LiveDeployment {
         for &r in &spec.initially_down {
             dyn0.set_router_down(r);
         }
-        let mut convergence =
-            Convergence::new(dyn0, cfg.tau.as_nanos() as u64, cfg.probation_rounds);
+        let mut convergence = Convergence::new(dyn0, cfg.tau.as_nanos() as u64, PROBATION_ROUNDS);
         let flow_pairs: Vec<(RouterId, RouterId)> =
             spec.flows.iter().map(|f| (f.src, f.dst)).collect();
         let monitor_pairs = if spec.monitor_pairs.is_empty() {
@@ -806,6 +798,23 @@ const FLOW_LEAD_NS: u64 = 2_000_000;
 /// latency; see DESIGN.md, "Flow phases".
 const FLOWS_PER_TICK: usize = 4;
 
+/// Reliable-delivery policy for summaries, pulls, alerts and link-state
+/// updates: eight attempts, 25 ms apart at first and at most 100 ms, fit
+/// the exchange budgets loopback deployments run with.
+const RELIABLE: RetryPolicy = RetryPolicy {
+    rto_ns: 25_000_000,
+    max_backoff_ns: 100_000_000,
+    max_attempts: 8,
+};
+
+/// How often a shard looks for frames due a retransmission: twice per
+/// initial timeout.
+const PUMP_STEP_NS: u64 = RELIABLE.rto_ns / 2;
+
+/// Clean rounds a crash-restarted router must survive on probation (no
+/// transit duty) before it carries transit traffic again.
+const PROBATION_ROUNDS: u64 = 2;
+
 /// Where in its interval flow `i` of `n` ticks: flows are dealt round-robin
 /// to `⌈n / FLOWS_PER_TICK⌉` groups, the groups are spread evenly over the
 /// interval and the flows of a group tick together. The phase depends on
@@ -901,8 +910,7 @@ impl<T: Transport> Shard<T> {
             self.wheel
                 .schedule((r + 1) * tau + budget, ShardTimer::RoundEval(r));
         }
-        let pump_step = (self.cfg.reliable.rto.as_nanos() as u64 / 2).max(1_000_000);
-        self.wheel.schedule(pump_step, ShardTimer::Pump);
+        self.wheel.schedule(PUMP_STEP_NS, ShardTimer::Pump);
         self.trace
             .record(self.now_ns(), TraceKind::RoundStart, NO_ROUTER, 0, 0);
 
@@ -911,7 +919,7 @@ impl<T: Transport> Shard<T> {
         let poller = poller::install();
         let mut handled = 0;
         loop {
-            self.fire_timers(pump_step, events);
+            self.fire_timers(events);
             if shutdown.load(Ordering::Relaxed) {
                 break;
             }
@@ -929,7 +937,7 @@ impl<T: Transport> Shard<T> {
     }
 
     /// Runs every timer that is due.
-    fn fire_timers(&mut self, pump_step: u64, events: &mpsc::Sender<LiveEvent>) {
+    fn fire_timers(&mut self, events: &mpsc::Sender<LiveEvent>) {
         let now = self.now_ns();
         let due = self.wheel.pop_due(now);
         if due.is_empty() {
@@ -973,7 +981,7 @@ impl<T: Transport> Shard<T> {
                         n.pump(events, &mut self.trace);
                     }
                     self.wheel
-                        .schedule(self.now_ns() + pump_step, ShardTimer::Pump);
+                        .schedule(self.now_ns() + PUMP_STEP_NS, ShardTimer::Pump);
                 }
                 ShardTimer::Churn { node, step } => {
                     self.nodes[node].churn_step(step, events, &mut self.trace);
@@ -1144,7 +1152,9 @@ struct Node<T: Transport> {
     drop_from: u64,
     rng: StdRng,
     digest_rng: StdRng,
-    reliable: ReliableLayer,
+    /// Reliable control frames awaiting their ack, as encoded, and the
+    /// duplicate-suppression history.
+    reliable: Retransmitter<Vec<u8>>,
     mailbox: Option<MailboxRouter>,
     peer_summaries: HashMap<(u64, usize), Report>,
     /// Verdicts already decoded from digest exchanges: (round, segment) →
@@ -1235,7 +1245,7 @@ impl<T: Transport> Node<T> {
             digest_rng: StdRng::seed_from_u64(
                 cfg.key_seed ^ 0xD16E57 ^ (u64::from(u32::from(id)) << 16),
             ),
-            reliable: Self::reliable_layer(cfg, &metrics),
+            reliable: Retransmitter::new(RELIABLE),
             mailbox,
             peer_summaries: HashMap::new(),
             peer_verdicts: HashMap::new(),
@@ -1252,16 +1262,6 @@ impl<T: Transport> Node<T> {
                 .copied()
                 .collect(),
         }
-    }
-
-    /// A reliable layer with nothing in flight, counting into `metrics`.
-    fn reliable_layer(cfg: &LiveConfig, metrics: &NetMetrics) -> ReliableLayer {
-        let mut reliable = ReliableLayer::new(cfg.reliable);
-        reliable.attach_counters(
-            metrics.retransmits.clone(),
-            metrics.retransmit_bytes.clone(),
-        );
-        reliable
     }
 
     /// The end roles `id` plays in `segments`.
@@ -1299,29 +1299,12 @@ impl<T: Transport> Node<T> {
         SimTime::from_ns(self.now_ns())
     }
 
-    /// The maturity cutoff of round `r`, `c_r`: where its judged window
-    /// closes.
-    fn cutoff(&self, r: u64) -> SimTime {
-        let tau = self.cfg.tau.as_nanos() as u64;
-        SimTime::from_ns((r + 1) * tau)
-            .since(SimTime::from_ns(self.cfg.maturity_lag.as_nanos() as u64))
-    }
-
-    /// Where round `r`'s judged window opens: `c_{r−1}`, exclusive. Round
-    /// 0 judges everything up to `c_0` — observations made before the
-    /// deployment's epoch stamp as time 0, and "after `c_{−1}`" must not
-    /// turn into `time > 0`.
-    fn judged_from(&self, r: u64) -> Option<SimTime> {
-        r.checked_sub(1).map(|prev| self.cutoff(prev))
-    }
-
-    /// Where the window a round-`r` summary holds opens: one maturity lag
-    /// before [`judged_from`](Self::judged_from), exclusive; `None` while
-    /// that still reaches back past the epoch.
-    fn held_from(&self, r: u64) -> Option<SimTime> {
-        let lag = self.cfg.maturity_lag.as_nanos() as u64;
-        let from = self.judged_from(r)?.as_ns().checked_sub(lag)?;
-        Some(SimTime::from_ns(from))
+    /// Round `r`'s window on this deployment's schedule. Round 0 has no
+    /// lower bound: observations made before the deployment's epoch stamp
+    /// as time 0 and are judged with it.
+    fn window(&self, r: u64) -> Window {
+        let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
+        Window::of_round(r, ns(self.cfg.tau), ns(self.cfg.maturity_lag))
     }
 
     /// What this router's record of segment `seg` holds for round `r`.
@@ -1329,18 +1312,13 @@ impl<T: Transport> Node<T> {
     /// another shard may send its round-`r` digest before this node's own
     /// `round_end(r)`, and amnesty rounds return early.
     fn held(&self, r: u64, seg: usize) -> Report {
-        self.monitors.report_after(self.id, seg, self.held_from(r))
-    }
-
-    /// The slice of a [`held`](Self::held) window that round `r` judges.
-    fn judged(&self, r: u64, held: &Report) -> Report {
-        held.window(self.judged_from(r), Some(self.cutoff(r)))
+        let from = self.window(r).held_from();
+        self.monitors.report_after(self.id, seg, from)
     }
 
     /// Folds end-of-run transport wire bytes into the registry counters,
     /// flushes any buffered observations and publishes what the record
-    /// still holds. (Retransmit accounting flows through registry-backed
-    /// handles as it happens.)
+    /// still holds.
     fn finish(&mut self) {
         self.flush_observations();
         self.monitors.publish_held();
@@ -1357,9 +1335,13 @@ impl<T: Transport> Node<T> {
             return;
         }
         let now = self.now_ns();
-        let before = self.reliable.local_retransmits();
-        let exhausted = self.reliable.pump(now, &mut self.transport);
-        let resent = self.reliable.local_retransmits() - before;
+        let mut resent = 0;
+        let exhausted = self.reliable.poll(now, |_, dst, frame| {
+            let _ = self.transport.send(dst, frame); // best-effort resend
+            self.metrics.retransmits.inc();
+            self.metrics.retransmit_bytes.add(frame.len() as u64);
+            resent += 1;
+        });
         if resent > 0 {
             trace.record(
                 now,
@@ -1517,7 +1499,7 @@ impl<T: Transport> Node<T> {
                     let capacity = capacity.max(1);
                     // On the wire the judged slice travels as `mature`,
                     // the held window as `full`.
-                    let judged = self.judged(r, &held);
+                    let judged = self.window(r).judged(&held);
                     (
                         WireMessage::SummaryDigest {
                             round: r,
@@ -1565,7 +1547,8 @@ impl<T: Transport> Node<T> {
         self.flush_observations();
         let (my_held, my_judged) = {
             let held = self.held(round, seg_idx);
-            (held.to_content(), self.judged(round, &held).to_content())
+            let judged = self.window(round).judged(&held);
+            (held.to_content(), judged.to_content())
         };
         let (j_add, j_rem) = diff_via_digest(judged_d, &my_judged, &mut self.digest_rng)?;
         let (h_add, h_rem) = diff_via_digest(held_d, &my_held, &mut self.digest_rng)?;
@@ -1604,7 +1587,7 @@ impl<T: Transport> Node<T> {
         let tau = self.cfg.tau.as_nanos() as u64;
         let round_start = SimTime::from_ns(r * tau);
         let round_end = SimTime::from_ns((r + 1) * tau);
-        let (judged_from, cutoff) = (self.judged_from(r), self.cutoff(r));
+        let window = self.window(r);
         // Convictions are originated after the loop: applying one rebuilds
         // the segment set, which would invalidate the indices still in use.
         let mut convictions: Vec<PathSegment> = Vec::new();
@@ -1641,7 +1624,7 @@ impl<T: Transport> Node<T> {
                 } else {
                     (peer_report.as_ref(), Some(&mine))
                 };
-                tv_pair(up, down, judged_from, cutoff, SimTime::ZERO)
+                window.judge(up, down, SimTime::ZERO)
             };
             let passed = verdict.passes(Policy::Content, &self.cfg.thresholds);
             let _ = events.send(LiveEvent::RoundEvaluated {
@@ -1726,16 +1709,14 @@ impl<T: Transport> Node<T> {
 
     /// Round `r` is over for this node: frames for it are stale from here
     /// on, whatever arrived for it (or for an earlier round) is dropped,
-    /// and the record forgets what no later round reads — everything at
-    /// or before `c_r − maturity_lag`, where round `r + 1`'s held window
-    /// opens. Readers trim to their own window, so the pruning is a memory
-    /// matter only.
+    /// and the record forgets what no later round reads. Readers trim to
+    /// their own window, so the pruning is a memory matter only.
     fn retire(&mut self, r: u64) {
         self.evaluated = Some(r);
         self.peer_summaries.retain(|(round, _), _| *round > r);
         self.peer_verdicts.retain(|(round, _), _| *round > r);
         self.flush_observations();
-        if let Some(horizon) = self.held_from(r + 1) {
+        if let Some(horizon) = self.window(r).forget_horizon() {
             self.monitors.prune(horizon);
         }
     }
@@ -1837,6 +1818,22 @@ impl<T: Transport> Node<T> {
             self.metrics.decode_failures.inc(); // misaddressed frame
             return;
         }
+        match &frame.msg {
+            WireMessage::Data { .. } | WireMessage::Ack { .. } => {}
+            control => {
+                // Acknowledged every time it arrives — the previous ack may
+                // have been lost — and handled the first time. (An
+                // accusation is sent once, unacknowledged; the transport
+                // may still duplicate it.)
+                if !matches!(control, WireMessage::Accusation { .. }) {
+                    self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
+                }
+                let now = self.now_ns();
+                if !self.reliable.accept(frame.src, frame.seq, now) {
+                    return;
+                }
+            }
+        }
         match frame.msg {
             WireMessage::Data { packet, epoch } => {
                 self.handle_data(frame.src, packet, epoch, trace)
@@ -1849,8 +1846,7 @@ impl<T: Transport> Node<T> {
                 segment,
                 report,
             } => {
-                self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) && !self.stale(round) {
+                if !self.stale(round) {
                     if let Some(idx) = self.segments.iter().position(|s| *s == segment) {
                         self.peer_summaries.insert((round, idx), report);
                     }
@@ -1862,8 +1858,7 @@ impl<T: Transport> Node<T> {
                 mature,
                 full,
             } => {
-                self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) && !self.stale(round) {
+                if !self.stale(round) {
                     let idx = self.segments.iter().position(|s| *s == segment);
                     let role = idx.and_then(|i| self.ends.iter().find(|e| e.seg == i).copied());
                     if let (Some(idx), Some(role)) = (idx, role) {
@@ -1899,8 +1894,7 @@ impl<T: Transport> Node<T> {
                 }
             }
             WireMessage::SummaryPull { round, segment } => {
-                self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) && !self.stale(round) {
+                if !self.stale(round) {
                     if let Some(idx) = self.segments.iter().position(|s| *s == segment) {
                         self.flush_observations();
                         let report = self.held(round, idx);
@@ -1922,30 +1916,23 @@ impl<T: Transport> Node<T> {
                 interval,
                 sig,
             } => {
-                self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) {
-                    let sig_ok = verify_alert(&self.keys, origin, &segment, interval, &sig);
-                    let _ = events.send(LiveEvent::AlertReceived {
-                        by: self.id,
-                        origin,
-                        segment,
-                        sig_ok,
-                    });
-                }
+                let sig_ok = verify_alert(&self.keys, origin, &segment, interval, &sig);
+                let _ = events.send(LiveEvent::AlertReceived {
+                    by: self.id,
+                    origin,
+                    segment,
+                    sig_ok,
+                });
             }
             WireMessage::Accusation { segment, .. } => {
-                if self.reliable.accept(frame.src, frame.seq) {
-                    let _ = events.send(LiveEvent::AccusationReceived {
-                        by: self.id,
-                        from: frame.src,
-                        segment,
-                    });
-                }
+                let _ = events.send(LiveEvent::AccusationReceived {
+                    by: self.id,
+                    from: frame.src,
+                    segment,
+                });
             }
             WireMessage::LinkState { update, sig } => {
-                self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq)
-                    && verify_link_state(&self.keys, &update, &sig)
+                if verify_link_state(&self.keys, &update, &sig)
                     && self.apply_ls(&update, &sig, events, trace)
                 {
                     // Freshly applied: re-flood to every up neighbour
@@ -2217,7 +2204,7 @@ impl<T: Transport> Node<T> {
                     self.keys
                         .set_incarnation(u32::from(self.id), self.incarnation);
                     self.next_seq = u64::from(self.incarnation) << 48;
-                    self.reliable = Self::reliable_layer(&self.cfg, &self.metrics);
+                    self.reliable = Retransmitter::new(RELIABLE);
                     self.convergence.reset();
                     self.metrics.probation_admitted.inc();
                     self.peer_summaries.clear();
@@ -2946,6 +2933,27 @@ mod tests {
         net.round(1);
         assert_eq!(net.verdicts(), CLEAN);
         assert_eq!(net.counter("net.stale_summaries"), 2);
+    }
+
+    /// The host's part of purging: once a router is reported down, what
+    /// was being retransmitted to it is dropped and counted, and the pump
+    /// sends it nothing more.
+    #[test]
+    fn a_router_reported_down_is_owed_no_retransmissions() {
+        let mut net = Line3::new(SummaryMode::Full);
+        let (dst, segment) = (net.ids[2], net.shard.nodes[0].segments[0].clone());
+        let pull = WireMessage::SummaryPull { round: 0, segment };
+        net.shard.nodes[0].send_frame(dst, pull, true);
+        let (events, trace) = (&net.events, &mut net.shard.trace);
+        let node = &mut net.shard.nodes[0];
+        node.originate_ls(TopoUpdate::RouterDown(dst), events, trace);
+        // Nobody has acknowledged anything yet. A second later, of the two
+        // frames router 0 sent only the update it flooded to router 1 is
+        // sent again.
+        node.epoch -= Duration::from_secs(1);
+        node.pump(events, trace);
+        assert_eq!(net.counter("net.purged_frames"), 1);
+        assert_eq!(net.counter("net.retransmits"), 1);
     }
 
     /// Full mode used to ship the whole run's history and fell off the

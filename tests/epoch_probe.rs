@@ -8,6 +8,9 @@
 //! a segment without it, or any round once it is back and on probation —
 //! frames an honest router.
 
+mod common;
+
+use common::longest_stall;
 use fatih::net::runtime::{
     ChurnAction, ChurnEvent, FlowSpec, LiveConfig, LiveDeployment, LiveEvent, LiveOutcome, LiveSpec,
 };
@@ -46,18 +49,6 @@ fn judge(outcome: &LiveOutcome, crashed: RouterId) -> Result<(), String> {
         return Err(format!("epochs diverged: untapped drains {drained:?}"));
     }
     Ok(())
-}
-
-/// The longest the (one) shard thread went without recording a trace
-/// event. A flow ticks every 2 ms and the retransmission pump every
-/// 12.5 ms, so anything much longer is the host holding the thread.
-fn longest_stall(outcome: &LiveOutcome) -> Duration {
-    assert_eq!(outcome.trace.dropped(), 0, "the trace ring is too small");
-    let events = outcome.trace.events();
-    let gap = (events.windows(2))
-        .map(|w| w[1].t_ns.saturating_sub(w[0].t_ns))
-        .max();
-    Duration::from_nanos(gap.unwrap_or(0))
 }
 
 /// Runs the scenario with router 4 crashing while `flow` (source,
@@ -105,11 +96,7 @@ fn crash_restart(role: &str, flow: (usize, usize), reported: bool) {
         assert!(outcome.stats.data_delivered > 0, "{case}: no traffic");
         match judge(&outcome, crashed) {
             Ok(()) => return,
-            // Accuracy is conditional on bounded delay: a packet held
-            // between two taps for longer than the maturity lag reads as
-            // fabricated, summaries held past the exchange budget as a
-            // timeout. A run in which the host held the thread that long
-            // shows nothing either way.
+            // See `longest_stall` for the rule.
             Err(why) if stall > LAG && attempt < 3 => {
                 println!("{case}: not judged, the host held the shard for {stall:?} ({why})");
             }

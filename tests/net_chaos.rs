@@ -8,6 +8,9 @@
 //! under the same fault plan: the dropper's segments suspected
 //! (completeness), no correct-only segment accused (accuracy).
 
+mod common;
+
+use common::longest_stall;
 use fatih::net::runtime::{DropperSpec, FlowSpec, LiveConfig, LiveDeployment, LiveSpec};
 use fatih::net::{ChaosTransport, UdpNet};
 use fatih::protocols::spec::SpecCheck;
@@ -53,29 +56,40 @@ fn udp_chaos_seeds_keep_verdicts() {
             response: false,
             ..LiveConfig::default()
         };
-        let transports: Vec<_> = UdpNet::bind_group(&ids)
-            .expect("bind loopback sockets")
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| ChaosTransport::control(t, loss, duplicate, seed * 1000 + i as u64))
-            .collect();
+        for attempt in 1.. {
+            let transports: Vec<_> = UdpNet::bind_group(&ids)
+                .expect("bind loopback sockets")
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| ChaosTransport::control(t, loss, duplicate, seed * 1000 + i as u64))
+                .collect();
 
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
-        assert!(
-            outcome.stats.data_delivered > 0,
-            "seed {seed}: no traffic delivered"
-        );
-        let check = SpecCheck::evaluate(&outcome.suspicions, &faulty);
-        assert!(
-            check.is_complete(),
-            "seed {seed} (loss {loss:.2}, dup {duplicate:.2}): dropper escaped; \
-             suspicions: {:?}",
-            outcome.suspicions
-        );
-        assert!(
-            check.is_accurate(cfg.k + 2),
-            "seed {seed} (loss {loss:.2}, dup {duplicate:.2}): false positives: {:?}",
-            check.false_positives
-        );
+            let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
+            let check = SpecCheck::evaluate(&outcome.suspicions, &faulty);
+            // See `longest_stall` for the rule.
+            let stall = longest_stall(&outcome);
+            let failed = !check.is_complete() || !check.is_accurate(cfg.k + 2);
+            if failed && stall > cfg.maturity_lag && attempt < 3 {
+                println!("seed {seed}: not judged, the host held the shard for {stall:?}");
+                continue;
+            }
+            assert!(
+                outcome.stats.data_delivered > 0,
+                "seed {seed}: no traffic delivered"
+            );
+            assert!(
+                check.is_complete(),
+                "seed {seed} (loss {loss:.2}, dup {duplicate:.2}): dropper escaped; \
+                 suspicions: {:?}",
+                outcome.suspicions
+            );
+            assert!(
+                check.is_accurate(cfg.k + 2),
+                "seed {seed} (loss {loss:.2}, dup {duplicate:.2}): false positives: {:?}",
+                check.false_positives
+            );
+            println!("seed {seed}: longest stall {stall:?}");
+            break;
+        }
     }
 }
