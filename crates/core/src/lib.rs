@@ -24,7 +24,8 @@
 //!   adjacent pair; strong-complete, accurate, precision 2 (§5.1);
 //! * [`pik2`] — **Protocol Πk+2**: only segment ends validate;
 //!   strong-complete, accurate, precision k+2, cheap enough to deploy
-//!   (§5.2);
+//!   (§5.2). The exchange is the per-router, sans-I/O `Pik2Node`, hosted
+//!   by `Pik2Detector` here and by the live runtime;
 //! * [`chi`] — **Protocol χ**: congestion-aware loss detection by queue
 //!   replay with statistical confidence tests, for drop-tail and RED
 //!   queues (Chapter 6);

@@ -10,16 +10,322 @@
 //! monitored length, completeness holds; because the suspicion names the
 //! whole segment, precision degrades to k+2 (Appendix B.3). Unlike Π2,
 //! the ends may secretly subsample (§5.2.1).
+//!
+//! The exchange is one per-router, sans-I/O value, [`Pik2Node`]: which
+//! segments this router ends, what their other ends have told it about
+//! which round, who may tell it anything at all, the Appendix A digest
+//! resolution and the verdicts. It owns no clock, socket, key or counter;
+//! a host closes its rounds, hands it what arrived — having authenticated
+//! the sender — and reads it the record through a `&SegmentMonitorSet`.
+//! Two hosts do: [`Pik2Detector`] here, one node per segment-ending router
+//! over the simulator's shared monitor set, adding the summary wire form,
+//! the pairwise MAC, [`ReliableTransport`] delivery and the report faults
+//! of §2.2.1; and the live runtime's per-router event loop (`fatih-net`),
+//! adding sealed frames, retransmission, metrics, alerts and the response.
 
 use crate::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
-use crate::policy::{distort, Policy, ReportFault, Thresholds};
+use crate::policy::{distort, PairVerdict, Policy, ReportFault, Thresholds};
 use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
 use crate::transport::{ReliableTransport, TransportEvent, TransportMsg};
 use fatih_crypto::KeyStore;
 use fatih_sim::{Network, SimTime, TapEvent};
 use fatih_topology::{PathSegment, RouterId, Routes};
+use fatih_validation::digest::{apply_diff, diff_via_digest, ContentDigest};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// What one end of a segment tells the other about a round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Evidence {
+    /// What the sender's record holds for the round.
+    Summary(Report),
+    /// Fixed-size Appendix A digests of the sender's record.
+    Digest {
+        /// Of the slice the round judges.
+        judged: ContentDigest,
+        /// Of everything the record holds for the round.
+        held: ContentDigest,
+    },
+    /// The sender could not resolve a digest: it asks for the summary.
+    Pull,
+}
+
+/// What a node did with a piece of evidence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Received {
+    /// Kept for the round's evaluation.
+    Stored,
+    /// Answer the sender with this: a [`Evidence::Pull`] for a digest that
+    /// did not resolve, the [`Evidence::Summary`] a pull asked for.
+    Reply(Evidence),
+    /// Dropped: this router ends no such segment (a peer on another route
+    /// epoch monitors different ones).
+    Unknown,
+    /// Dropped: the sender is not the segment's other end, and nobody else
+    /// may speak for it, whoever the transport says they are.
+    Foreign,
+    /// Dropped: the round is evaluated already — the verdict is out and
+    /// the record it would be read against is pruned.
+    Stale,
+}
+
+/// One end's verdict on one segment for one round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Judged {
+    /// Index of the segment in the planned list.
+    pub segment: usize,
+    /// The segment's other end.
+    pub peer: RouterId,
+    /// `TV` over the round's window; ⊥ if the peer was not heard from.
+    pub verdict: PairVerdict,
+    /// Whether the verdict passes the policy and thresholds.
+    pub passed: bool,
+}
+
+/// One segment this router is an end of.
+#[derive(Debug, Clone, Copy)]
+struct EndRole {
+    seg: usize,
+    peer: RouterId,
+    /// Whether this router is the segment's source (upstream recorder).
+    upstream: bool,
+}
+
+/// What the peer's evidence for a (round, segment) came to: its report,
+/// or the verdict decoded from its digests, certified equal to what the
+/// report would have given.
+#[derive(Debug, Clone)]
+enum Heard {
+    Report(Report),
+    Verdict(PairVerdict),
+}
+
+/// One router's part in Πk+2: see the module documentation.
+#[derive(Debug, Clone)]
+pub struct Pik2Node {
+    id: RouterId,
+    roles: BTreeMap<PathSegment, EndRole>,
+    heard: BTreeMap<(u64, usize), Heard>,
+    /// The last round evaluated; evidence for it or an earlier one is
+    /// stale.
+    evaluated: Option<u64>,
+}
+
+impl Pik2Node {
+    /// The node of router `id` under the planned `segments`.
+    pub fn new(id: RouterId, segments: &[PathSegment]) -> Self {
+        let mut node = Self {
+            id,
+            roles: BTreeMap::new(),
+            heard: BTreeMap::new(),
+            evaluated: None,
+        };
+        node.replan(segments);
+        node
+    }
+
+    /// The monitored segments changed (and the host's record with them).
+    /// Evidence from before is void — the segments it described no longer
+    /// exist — and the count of evaluated rounds starts afresh with the
+    /// emptied record.
+    pub fn replan(&mut self, segments: &[PathSegment]) {
+        self.roles.clear();
+        for (seg, s) in segments.iter().enumerate() {
+            let (peer, upstream) = match s.ends() {
+                (a, b) if a == self.id => (b, true),
+                (a, b) if b == self.id => (a, false),
+                _ => continue,
+            };
+            let role = EndRole {
+                seg,
+                peer,
+                upstream,
+            };
+            self.roles.insert(s.clone(), role);
+        }
+        self.heard.clear();
+        self.evaluated = None;
+    }
+
+    /// What this router's record of segment `seg` holds for the round of
+    /// `window`. Trimmed here, where it is read, and not by the pruning:
+    /// a peer may send its round-`r` evidence before this router's own
+    /// round `r` closes.
+    fn held(&self, seg: usize, window: Window, record: &SegmentMonitorSet) -> Report {
+        record.report_after(self.id, seg, window.held_from())
+    }
+
+    /// The round of `window` closed: for every segment this router ends,
+    /// (the other end, the segment's index in the planned list, what to
+    /// tell it) — summaries, or digests from sketches of `sketch` capacity.
+    pub fn close_round(
+        &self,
+        window: Window,
+        sketch: Option<usize>,
+        record: &SegmentMonitorSet,
+    ) -> Vec<(RouterId, usize, Evidence)> {
+        let evidence = |role: &EndRole| {
+            let held = self.held(role.seg, window, record);
+            let Some(capacity) = sketch else {
+                return Evidence::Summary(held);
+            };
+            Evidence::Digest {
+                judged: ContentDigest::of(&window.judged(&held).to_content(), capacity),
+                held: ContentDigest::of(&held.to_content(), capacity),
+            }
+        };
+        let say = |role: &EndRole| (role.peer, role.seg, evidence(role));
+        self.roles.values().map(say).collect()
+    }
+
+    /// Takes in `evidence` about `round` of `segment` from `from`, whom
+    /// the host has authenticated; `window` is that round's. Only the
+    /// segment's other end is heard, and only until the round is
+    /// evaluated.
+    pub fn receive(
+        &mut self,
+        from: RouterId,
+        round: u64,
+        segment: &PathSegment,
+        evidence: Evidence,
+        window: Window,
+        record: &SegmentMonitorSet,
+    ) -> Received {
+        let Some(&role) = self.roles.get(segment) else {
+            return Received::Unknown;
+        };
+        if from != role.peer {
+            return Received::Foreign;
+        }
+        if self.evaluated.is_some_and(|done| round <= done) {
+            return Received::Stale;
+        }
+        let heard = match evidence {
+            Evidence::Summary(report) => Heard::Report(report),
+            Evidence::Digest { judged, held } => {
+                match self.resolve_digest(role, window, &judged, &held, record) {
+                    Some(verdict) => Heard::Verdict(verdict),
+                    None => return Received::Reply(Evidence::Pull),
+                }
+            }
+            Evidence::Pull => {
+                let held = self.held(role.seg, window, record);
+                return Received::Reply(Evidence::Summary(held));
+            }
+        };
+        self.heard.insert((round, role.seg), heard);
+        Received::Stored
+    }
+
+    /// Attempts to decode the round verdict from a peer's digest pair.
+    ///
+    /// The exchange reconciles like-with-like — the peer's judged-slice
+    /// digest against this end's judged slice, held window against held
+    /// window — so the sketch only has to span the *discrepancy* (losses,
+    /// packets in flight across a window edge), never the window itself;
+    /// that is why both ends hold the same window although only the
+    /// upstream end needs the look-back. Both remote summaries are then
+    /// reconstructed exactly and the verdict computed with the same
+    /// multiset differences `tv_pair` uses: `lost = judged(up) ∖
+    /// held(down)`, `fabricated = judged(down) ∖ held(up)`. Both windows
+    /// are the evidence's round's, so a digest that arrives before this
+    /// router's own round closes resolves the same. Returns `None`
+    /// (forcing a full pull) whenever either digest fails certification.
+    fn resolve_digest(
+        &self,
+        role: EndRole,
+        window: Window,
+        judged_d: &ContentDigest,
+        held_d: &ContentDigest,
+        record: &SegmentMonitorSet,
+    ) -> Option<PairVerdict> {
+        let (my_held, my_judged) = {
+            let held = self.held(role.seg, window, record);
+            (held.to_content(), window.judged(&held).to_content())
+        };
+        // The polynomial splitting wants random points, not secret ones: a
+        // function of the input keeps the verdict one too.
+        let mut rng = StdRng::seed_from_u64(held_d.mix_sum());
+        let (j_add, j_rem) = diff_via_digest(judged_d, &my_judged, &mut rng)?;
+        let (h_add, h_rem) = diff_via_digest(held_d, &my_held, &mut rng)?;
+        let peer_judged = apply_diff(&my_judged, &j_add, &j_rem, judged_d.flow());
+        let peer_held = apply_diff(&my_held, &h_add, &h_rem, held_d.flow());
+        let mine = my_judged.difference_pair(&peer_held).0;
+        let theirs = peer_judged.difference_pair(&my_held).0;
+        let (lost, fabricated) = if role.upstream {
+            (mine, theirs)
+        } else {
+            (theirs, mine)
+        };
+        Some(PairVerdict {
+            lost,
+            fabricated,
+            reordered: 0,
+            bottom: false,
+        })
+    }
+
+    /// Judges `round` — `window` is its — on every segment this router
+    /// ends, a peer not heard from reading as ⊥ (the timeout-as-accusation
+    /// rule), and retires the round. Downstream entries older than `floor`
+    /// are never fabrication (see [`crate::policy::tv_pair`]; a verdict
+    /// decoded from digests knows no floor).
+    pub fn evaluate(
+        &mut self,
+        round: u64,
+        window: Window,
+        floor: SimTime,
+        policy: Policy,
+        thresholds: &Thresholds,
+        record: &SegmentMonitorSet,
+    ) -> Vec<Judged> {
+        let mut out = Vec::with_capacity(self.roles.len());
+        for role in self.roles.values() {
+            let heard = self.heard.remove(&(round, role.seg));
+            let verdict = if let Some(Heard::Verdict(decoded)) = heard {
+                decoded
+            } else {
+                let peer = match &heard {
+                    Some(Heard::Report(report)) => Some(report),
+                    _ => None,
+                };
+                let mine = self.held(role.seg, window, record);
+                let (up, down) = if role.upstream {
+                    (Some(&mine), peer)
+                } else {
+                    (peer, Some(&mine))
+                };
+                window.judge(up, down, floor)
+            };
+            out.push(Judged {
+                segment: role.seg,
+                peer: role.peer,
+                passed: verdict.passes(policy, thresholds),
+                verdict,
+            });
+        }
+        self.retire(round);
+        out
+    }
+
+    /// `round` is over, with a verdict or (a host's amnesty round) without:
+    /// evidence for it or an earlier round is stale from here on, and
+    /// whatever arrived for them is dropped.
+    pub fn retire(&mut self, round: u64) {
+        self.evaluated = Some(round);
+        self.heard.retain(|&(r, _), _| r > round);
+    }
+
+    /// Whether waiting longer would tell `round`'s evaluation nothing:
+    /// every segment's other end has been heard from, or the round is
+    /// over.
+    pub fn is_settled(&self, round: u64) -> bool {
+        self.evaluated.is_some_and(|done| round <= done)
+            || (self.roles.values()).all(|role| self.heard.contains_key(&(round, role.seg)))
+    }
+}
 
 /// Configuration of a Πk+2 deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,18 +356,24 @@ impl Default for Pik2Config {
     }
 }
 
-/// The Πk+2 detector.
+/// The Πk+2 detector over a simulated network: every segment-ending
+/// router's [`Pik2Node`], the monitor set they all record into, and the
+/// control-plane I/O between them.
 #[derive(Debug)]
 pub struct Pik2Detector {
     cfg: Pik2Config,
     keystore: KeyStore,
     monitors: SegmentMonitorSet,
+    nodes: BTreeMap<RouterId, Pik2Node>,
     report_faults: BTreeMap<RouterId, ReportFault>,
     /// Where this deployment's first round opens.
     deployed_at: SimTime,
     /// When the previous round ended; `None` until one has.
     prev_end: Option<SimTime>,
     first_event: Option<SimTime>,
+    /// Rounds closed so far: the number the nodes know the latest by (a
+    /// caller's `round_id` need not count up).
+    rounds: u64,
     lost_judged: u64,
 }
 
@@ -88,6 +400,12 @@ impl Pik2Detector {
                 .all_segments()
                 .into_iter()
                 .collect();
+        let mut nodes = BTreeMap::new();
+        for end in segments.iter().flat_map(|s| [s.source(), s.sink()]) {
+            nodes
+                .entry(end)
+                .or_insert_with(|| Pik2Node::new(end, &segments));
+        }
         let oracle = PathOracle::from_paths(paths.iter().cloned());
         let monitors = SegmentMonitorSet::new(
             segments,
@@ -100,10 +418,12 @@ impl Pik2Detector {
             cfg,
             keystore,
             monitors,
+            nodes,
             report_faults: BTreeMap::new(),
             deployed_at: round_start,
             prev_end: None,
             first_event: None,
+            rounds: 0,
             lost_judged: 0,
         }
     }
@@ -118,9 +438,9 @@ impl Pik2Detector {
         self.monitors.segments().len()
     }
 
-    /// Packets judged lost so far, over every segment: what the rounds'
-    /// verdicts add up to, for experiments that set it against the
-    /// simulator's ground truth.
+    /// Packets judged lost so far, over every segment (as its upstream end
+    /// judged it): what the rounds' verdicts add up to, for experiments
+    /// that set it against the simulator's ground truth.
     pub fn lost_judged(&self) -> u64 {
         self.lost_judged
     }
@@ -189,9 +509,10 @@ impl Pik2Detector {
         })
     }
 
-    /// Closes the measurement round at `now`: every segment end MACs what
-    /// its record holds for the round and hands it to `send` (sender,
-    /// receiver, payload), which returns the transport's message id.
+    /// Closes the measurement round at `now`: every node says what its
+    /// record holds for the round, and each summary is MAC'd and handed to
+    /// `send` (sender, receiver, payload), which returns the transport's
+    /// message id.
     fn summarise(
         &mut self,
         now: SimTime,
@@ -199,6 +520,7 @@ impl Pik2Detector {
         mut send: impl FnMut(RouterId, RouterId, Vec<u8>) -> u64,
     ) -> RoundExchange {
         let prev_end = self.prev_end.replace(now);
+        self.rounds += 1;
         // Packets already in flight when monitoring began must not read as
         // fabrication (see `tv_pair`).
         let fabrication_floor = self
@@ -207,76 +529,63 @@ impl Pik2Detector {
             .unwrap_or(SimTime::ZERO);
         let mut exch = RoundExchange {
             round_id,
+            round: self.rounds,
             interval: Interval::new(prev_end.unwrap_or(self.deployed_at), now),
             window: Window::closing(prev_end, now, self.cfg.maturity_lag),
             fabrication_floor,
             pending: BTreeMap::new(),
-            received: BTreeMap::new(),
             failed: BTreeSet::new(),
         };
-        let segments: Vec<PathSegment> = self.monitors.segments().to_vec();
-        for (i, seg) in segments.iter().enumerate() {
-            let (a, b) = seg.ends();
-            for (sender, receiver, from_a, salt) in [(a, b, true, 1), (b, a, false, 2)] {
-                let held_from = exch.window.held_from();
-                let report = self.monitors.report_after(sender, i, held_from);
-                // Ends have no upstream record within the segment to copy,
-                // so HideDrops degenerates to an honest report here; Silent
-                // and Inflate apply as-is.
-                let claimed = distort(
-                    self.report_faults.get(&sender).copied(),
-                    &report,
-                    None,
-                    salt,
-                );
-                let Some(claimed) = claimed else {
-                    // A silent end sends nothing; the peer's round timer
-                    // expires and the exchange counts as failed.
-                    exch.failed.insert((i, from_a));
-                    continue;
-                };
-                let payload = self.encode_summary(&exch, i, from_a, a, b, &claimed);
-                let msg = send(sender, receiver, payload);
-                exch.pending.insert(msg, (i, from_a));
-            }
+        let segments = self.monitors.segments();
+        let mut outgoing = Vec::new();
+        for (&sender, node) in &self.nodes {
+            let said = node.close_round(exch.window, None, &self.monitors);
+            outgoing.extend((said.into_iter()).map(|(to, seg, said)| (seg, sender, to, said)));
+        }
+        // Segment by segment, the source's summary first: the order the
+        // summaries enter the network in is part of a seeded run.
+        outgoing.sort_by_key(|&(seg, sender, ..)| (seg, sender != segments[seg].source()));
+        for (seg, sender, receiver, said) in outgoing {
+            let Evidence::Summary(report) = said else {
+                unreachable!("no sketch was asked for");
+            };
+            let (a, b) = segments[seg].ends();
+            let from_a = sender == a;
+            let salt = if from_a { 1 } else { 2 };
+            // The report fault wraps the node's outgoing summary. Ends have
+            // no upstream record within the segment to copy, so HideDrops
+            // degenerates to an honest report here; Silent and Inflate
+            // apply as-is.
+            let fault = self.report_faults.get(&sender).copied();
+            let Some(claimed) = distort(fault, &report, None, salt) else {
+                // A silent end sends nothing; the peer's round timer
+                // expires and the exchange counts as failed.
+                exch.failed.insert((seg, from_a));
+                continue;
+            };
+            // Wire form of one summary: tag, round id, segment index,
+            // direction, pairwise MAC, report bytes.
+            let body = claimed.encode();
+            let ctx = summary_context(round_id, seg, from_a, &body);
+            let mac = self.keystore.pairwise_mac(a.into(), b.into(), &ctx);
+            let mut payload = Vec::with_capacity(1 + ctx.len() + 32);
+            payload.push(SUMMARY_TAG);
+            payload.extend_from_slice(&ctx[..13]);
+            payload.extend_from_slice(&mac.0 .0);
+            payload.extend_from_slice(&body);
+            let msg = send(sender, receiver, payload);
+            exch.pending.insert(msg, (seg, from_a));
         }
         exch
-    }
-
-    /// Wire form of one summary: tag, round id, segment index, direction,
-    /// pairwise MAC, report bytes. The MAC covers the context (round,
-    /// segment, direction) and the report, so a summary cannot be replayed
-    /// into another round or segment.
-    fn encode_summary(
-        &self,
-        exch: &RoundExchange,
-        seg: usize,
-        from_a: bool,
-        a: RouterId,
-        b: RouterId,
-        report: &Report,
-    ) -> Vec<u8> {
-        let body = report.encode();
-        let mut ctx = Vec::with_capacity(13 + body.len());
-        ctx.extend_from_slice(&exch.round_id.to_le_bytes());
-        ctx.extend_from_slice(&(seg as u32).to_le_bytes());
-        ctx.push(from_a as u8);
-        ctx.extend_from_slice(&body);
-        let mac = self.keystore.pairwise_mac(a.into(), b.into(), &ctx);
-        let mut out = Vec::with_capacity(1 + ctx.len() + 32);
-        out.push(SUMMARY_TAG);
-        out.extend_from_slice(&exch.round_id.to_le_bytes());
-        out.extend_from_slice(&(seg as u32).to_le_bytes());
-        out.push(from_a as u8);
-        out.extend_from_slice(&mac.0 .0);
-        out.extend_from_slice(&body);
-        out
     }
 
     /// Offers a delivered transport message to the exchange. Returns
     /// `true` if it was one of this exchange's summaries (consumed),
     /// `false` if it belongs to someone else (another round, an alert…).
-    pub fn exchange_message(&self, exch: &mut RoundExchange, msg: &TransportMsg) -> bool {
+    /// A summary that is authentic — the pairwise MAC is this host's
+    /// authentication of the sending end — goes to the receiving end's
+    /// node.
+    pub fn exchange_message(&mut self, exch: &mut RoundExchange, msg: &TransportMsg) -> bool {
         let p = &msg.payload;
         if p.len() < 46 || p[0] != SUMMARY_TAG {
             return false;
@@ -291,30 +600,32 @@ impl Pik2Detector {
         let from_a = p[13] != 0;
         let mut mac_bytes = [0u8; 32];
         mac_bytes.copy_from_slice(&p[14..46]);
+        let mac = fatih_crypto::Signature(fatih_crypto::Digest(mac_bytes));
         let body = &p[46..];
         exch.pending.remove(&msg.msg);
-        let segments = self.monitors.segments();
-        let Some(segment) = segments.get(seg) else {
-            exch.failed.insert((seg, from_a));
-            return true;
-        };
-        let (a, b) = segment.ends();
-        let mut ctx = Vec::with_capacity(13 + body.len());
-        ctx.extend_from_slice(&round_id.to_le_bytes());
-        ctx.extend_from_slice(&(seg as u32).to_le_bytes());
-        ctx.push(from_a as u8);
-        ctx.extend_from_slice(body);
-        let mac = fatih_crypto::Signature(fatih_crypto::Digest(mac_bytes));
-        let authentic = self
-            .keystore
-            .pairwise_verify(a.into(), b.into(), &ctx, &mac);
-        match (authentic, Report::decode(body)) {
-            (true, Some(report)) => {
-                exch.received.insert((seg, from_a), report);
+        let authentic = self.monitors.segments().get(seg).and_then(|segment| {
+            let (a, b) = segment.ends();
+            let ctx = summary_context(round_id, seg, from_a, body);
+            let ok = (self.keystore).pairwise_verify(a.into(), b.into(), &ctx, &mac);
+            let report = ok.then(|| Report::decode(body)).flatten()?;
+            Some((segment, if from_a { (a, b) } else { (b, a) }, report))
+        });
+        match authentic {
+            Some((segment, (from, to), report)) => {
+                let node = self.nodes.get_mut(&to).expect("every end has a node");
+                let summary = Evidence::Summary(report);
+                node.receive(
+                    from,
+                    exch.round,
+                    segment,
+                    summary,
+                    exch.window,
+                    &self.monitors,
+                );
             }
-            _ => {
-                // Unauthenticated or garbled: a failed exchange, exactly
-                // as if the summary never arrived (Figure 5.3).
+            // Unauthenticated or garbled: a failed exchange, exactly as if
+            // the summary never arrived (Figure 5.3).
+            None => {
                 exch.failed.insert((seg, from_a));
             }
         }
@@ -334,44 +645,42 @@ impl Pik2Detector {
         false
     }
 
-    /// Closes the exchange and returns the round's suspicions.
+    /// Closes the exchange and returns the round's suspicions: every node
+    /// evaluates the round, and an end whose verdict fails suspects the
+    /// whole segment.
     ///
-    /// For each segment, a direction whose summary never arrived intact —
-    /// transport retries exhausted, authentication failed, the peer sent
-    /// nothing, or the message was still in flight when the round budget
-    /// expired — is a *failed exchange*: the would-be receiver suspects
-    /// the whole segment (the timeout-as-accusation rule; a router that
-    /// withholds its summary is treated exactly like one caught lying,
-    /// §5.2's refusal-to-cooperate semantics). Segments with both
-    /// summaries in hand are validated with `TV` as usual.
+    /// An end whose peer's summary never arrived intact — transport
+    /// retries exhausted, authentication failed, the peer sent nothing, or
+    /// the message was still in flight when the round budget expired —
+    /// holds ⊥ for it: a *failed exchange* (the timeout-as-accusation
+    /// rule; a router that withholds its summary is treated exactly like
+    /// one caught lying, §5.2's refusal-to-cooperate semantics). Each end
+    /// judges for itself: with both directions failed both raise, with
+    /// both summaries in hand both validate with `TV` (the broadcast of
+    /// Figure 5.3 upgrades this to strong completeness).
     pub fn finish_round(&mut self, exch: RoundExchange) -> Vec<Suspicion> {
         let mut out: BTreeSet<Suspicion> = BTreeSet::new();
-        let segments: Vec<PathSegment> = self.monitors.segments().to_vec();
-        for (i, seg) in segments.iter().enumerate() {
-            let (a, b) = seg.ends();
-            let mut suspect = |raiser: RouterId| {
-                out.insert(Suspicion {
-                    segment: seg.clone(),
-                    interval: exch.interval,
-                    raised_by: raiser,
-                });
-            };
-            let from_a = exch.received.get(&(i, true));
-            let from_b = exch.received.get(&(i, false));
-            match (from_a, from_b) {
-                (Some(ra), Some(rb)) => {
-                    let floor = exch.fabrication_floor;
-                    let verdict = exch.window.judge(Some(ra), Some(rb), floor);
-                    self.lost_judged += verdict.lost.len() as u64;
-                    if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
-                        // Both ends detect and announce (the broadcast of
-                        // Figure 5.3 upgrades this to strong completeness).
-                        suspect(a);
-                        suspect(b);
-                    }
+        for (&router, node) in &mut self.nodes {
+            let judged = node.evaluate(
+                exch.round,
+                exch.window,
+                exch.fabrication_floor,
+                self.cfg.policy,
+                &self.cfg.thresholds,
+                &self.monitors,
+            );
+            for j in judged {
+                let segment = &self.monitors.segments()[j.segment];
+                if router == segment.source() {
+                    self.lost_judged += j.verdict.lost.len() as u64;
                 }
-                (None, _) => suspect(b), // a's summary never reached b
-                (_, None) => suspect(a), // b's summary never reached a
+                if !j.passed {
+                    out.insert(Suspicion {
+                        segment: segment.clone(),
+                        interval: exch.interval,
+                        raised_by: router,
+                    });
+                }
             }
         }
         if let Some(horizon) = exch.window.forget_horizon() {
@@ -384,28 +693,38 @@ impl Pik2Detector {
 /// First byte of a Πk+2 summary message on the wire.
 const SUMMARY_TAG: u8 = 0xE1;
 
+/// What a summary's pairwise MAC covers: the context (round, segment,
+/// direction) and the report, so a summary cannot be replayed into another
+/// round or segment. The first 13 bytes are the wire header after the tag.
+fn summary_context(round_id: u64, seg: usize, from_a: bool, body: &[u8]) -> Vec<u8> {
+    let mut ctx = Vec::with_capacity(13 + body.len());
+    ctx.extend_from_slice(&round_id.to_le_bytes());
+    ctx.extend_from_slice(&(seg as u32).to_le_bytes());
+    ctx.push(from_a as u8);
+    ctx.extend_from_slice(body);
+    ctx
+}
+
 /// A transport-backed summary exchange in progress (between
-/// [`Pik2Detector::begin_round`] and [`Pik2Detector::finish_round`]).
+/// [`Pik2Detector::begin_round`] and [`Pik2Detector::finish_round`]): the
+/// round's parameters and the transport's bookkeeping. What the summaries
+/// said is with the nodes.
 #[derive(Debug)]
 pub struct RoundExchange {
+    /// The caller's id, which frames the exchange's messages.
     round_id: u64,
+    /// The round as the nodes number it.
+    round: u64,
     interval: Interval,
     window: Window,
     fabrication_floor: SimTime,
     /// Transport msg id → (segment, direction) for summaries in flight.
     pending: BTreeMap<u64, (usize, bool)>,
-    /// Summaries that arrived intact and authentic.
-    received: BTreeMap<(usize, bool), Report>,
     /// Directions known failed (exhausted, unauthentic, or never sent).
     failed: BTreeSet<(usize, bool)>,
 }
 
 impl RoundExchange {
-    /// This exchange's round id.
-    pub fn round_id(&self) -> u64 {
-        self.round_id
-    }
-
     /// Whether every summary has either arrived or conclusively failed —
     /// i.e. [`Pik2Detector::finish_round`] would not learn more by
     /// waiting (callers normally finish at the earlier of this and the
@@ -748,6 +1067,52 @@ mod tests {
         let check = SpecCheck::evaluate(&sus, &faulty);
         assert!(check.is_complete(), "silent end escaped: {sus:?}");
         assert!(check.is_accurate(3));
+    }
+
+    /// With both directions of an exchange failed each end times out on
+    /// its own: a partition that opens as the round ends exhausts every
+    /// summary, and both ends of every segment raise — same segment, same
+    /// interval.
+    #[test]
+    fn both_directions_failed_means_both_ends_raise() {
+        let (mut net, ids, ks) = line(4);
+        let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
+        let mut transport = ReliableTransport::new(crate::transport::TransportConfig::default());
+        net.add_cbr_flow(
+            ids[0],
+            ids[3],
+            1000,
+            SimTime::from_ms(2),
+            SimTime::ZERO,
+            None,
+        );
+        let end = SimTime::from_secs(5);
+        let healed = SimTime::from_secs(60);
+        // Every 3-segment of a 4-line crosses the middle link.
+        let plan = fatih_sim::FaultPlan::new(1)
+            .with_link_flap(ids[1], ids[2], end, healed)
+            .with_link_flap(ids[2], ids[1], end, healed);
+        net.set_fault_plan(Some(plan));
+        net.run_until(end, |ev| det.observe(ev));
+        let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
+        drive_exchange(
+            &mut net,
+            &mut det,
+            &mut transport,
+            &mut exch,
+            SimTime::from_secs(10),
+        );
+        assert!(exch.is_settled(), "every summary should have exhausted");
+        assert_eq!(exch.failed_count(), 2 * det.segment_count());
+        let sus = det.finish_round(exch);
+        assert_eq!(sus.len(), 2 * det.segment_count(), "{sus:?}");
+        for pair in sus.chunks(2) {
+            assert_eq!(pair[0].segment, pair[1].segment);
+            assert_eq!(pair[0].interval, pair[1].interval);
+            let raisers = (pair[0].raised_by, pair[1].raised_by);
+            let (a, b) = pair[0].segment.ends();
+            assert!(raisers == (a, b) || raisers == (b, a), "{pair:?}");
+        }
     }
 
     #[test]

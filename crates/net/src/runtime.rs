@@ -48,6 +48,8 @@
 //! clocks assumption (§2.1.2) holds exactly — the routers literally share
 //! a clock — and the maturity lag plays the role of the §5.3.1 skew/transit
 //! tolerance.
+//!
+//! [`ContentDigest`]: fatih_validation::digest::ContentDigest
 
 use crate::codec::{decode_frame, encode_frame, sign_alert, verify_alert, Frame, WireMessage};
 use crate::linkstate::{
@@ -57,19 +59,19 @@ use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::poller;
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
-use fatih_core::monitor::{MonitorMetrics, MonitorMode, Report, SegmentMonitorSet};
-use fatih_core::policy::{PairVerdict, Policy, Thresholds};
+use fatih_core::monitor::{MonitorMetrics, MonitorMode, SegmentMonitorSet};
+use fatih_core::pik2::{Evidence, Pik2Node, Received};
+use fatih_core::policy::{Policy, Thresholds};
 use fatih_core::reliable::{Retransmitter, RetryPolicy};
 use fatih_core::rounds::Window;
 use fatih_core::spec::{Interval, Suspicion};
-use fatih_crypto::{Fingerprint, KeyStore, Signature};
+use fatih_crypto::{KeyStore, Signature};
 use fatih_obs::trace::{NO_ROUND, NO_ROUTER};
 use fatih_obs::{
     Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal, TraceKind,
 };
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime, TapEvent};
 use fatih_topology::{DynamicTopology, Path, PathSegment, RouterId, Routes, Topology};
-use fatih_validation::digest::{apply_diff, diff_via_digest, ContentDigest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -181,6 +183,8 @@ pub enum SummaryMode {
     /// Ship fixed-size [`ContentDigest`]s and decode the difference
     /// against local records; pull the full summary only when the
     /// difference exceeds the sketch `capacity` (Appendix A).
+    ///
+    /// [`ContentDigest`]: fatih_validation::digest::ContentDigest
     Reconcile {
         /// Sketch capacity: the largest distinct-fingerprint difference
         /// the digest can resolve without falling back.
@@ -434,6 +438,7 @@ struct NetMetrics {
     recv_polls: Counter,
     recv_polls_empty: Counter,
     stale_summaries: Counter,
+    foreign_summaries: Counter,
     /// The `monitor.*` handles every node's monitor set counts into.
     monitor: MonitorMetrics,
     frame_bytes: Histogram,
@@ -476,6 +481,7 @@ impl NetMetrics {
             recv_polls: reg.counter("net.recv_polls"),
             recv_polls_empty: reg.counter("net.recv_polls_empty"),
             stale_summaries: reg.counter("net.stale_summaries"),
+            foreign_summaries: reg.counter("net.foreign_summaries"),
             monitor: MonitorMetrics::registered(reg),
             frame_bytes: reg.histogram("net.frame_bytes"),
             round_eval_ns: reg.histogram("net.round_eval_ns"),
@@ -1092,15 +1098,6 @@ impl<T: Transport> Shard<T> {
     }
 }
 
-/// One segment this router is an end of.
-#[derive(Debug, Clone, Copy)]
-struct EndRole {
-    seg: usize,
-    peer: RouterId,
-    /// Whether this router is the segment's source (upstream recorder).
-    upstream: bool,
-}
-
 struct LocalFlow {
     spec: FlowSpec,
     global_idx: u32,
@@ -1143,23 +1140,21 @@ struct Node<T: Transport> {
     monitor_pairs: Vec<(RouterId, RouterId)>,
     /// The flows' own endpoint pairs (kept routable for forwarding).
     flow_pairs: Vec<(RouterId, RouterId)>,
-    segments: Vec<PathSegment>,
     monitors: SegmentMonitorSet,
-    ends: Vec<EndRole>,
+    /// This router's end of every Πk+2 exchange: the segments it ends,
+    /// what their other ends said about which round, and the verdicts.
+    /// The node keeps the I/O: frames in and out, timers, metrics,
+    /// alerts and the response.
+    pik2: Pik2Node,
     flows: Vec<LocalFlow>,
     drop_rate: f64,
     /// First round the dropper misbehaves in.
     drop_from: u64,
     rng: StdRng,
-    digest_rng: StdRng,
     /// Reliable control frames awaiting their ack, as encoded, and the
     /// duplicate-suppression history.
     reliable: Retransmitter<Vec<u8>>,
     mailbox: Option<MailboxRouter>,
-    peer_summaries: HashMap<(u64, usize), Report>,
-    /// Verdicts already decoded from digest exchanges: (round, segment) →
-    /// (lost, fabricated), certified equal to the full-summary result.
-    peer_verdicts: HashMap<(u64, usize), (Vec<Fingerprint>, Vec<Fingerprint>)>,
     metrics: NetMetrics,
     next_seq: u64,
     pkt_counter: u64,
@@ -1167,11 +1162,6 @@ struct Node<T: Transport> {
     /// when full and before any report is read, so a round boundary always
     /// sees every observation.
     obs_buf: Vec<TapEvent>,
-    /// The last round this node evaluated (amnesty rounds included). A
-    /// summary, digest or pull for it or an earlier round is stale: the
-    /// verdict is out and the record it would be read against is pruned.
-    /// A rebuild empties the record and starts this afresh with it.
-    evaluated: Option<u64>,
     /// This node's next link-state origination sequence number.
     ls_seq: u64,
     /// This node's own churn script, in schedule order.
@@ -1201,10 +1191,9 @@ impl<T: Transport> Node<T> {
         // This set only ever sees this router's own taps.
         let (segments, oracle) = (plan.segments.clone(), plan.oracle.clone());
         let mut monitors =
-            SegmentMonitorSet::new(segments.clone(), oracle, keys, MonitorMode::EndsOnly, None)
+            SegmentMonitorSet::new(segments, oracle, keys, MonitorMode::EndsOnly, None)
                 .without_fingerprint_memo();
         monitors.attach_metrics(metrics.monitor.clone());
-        let ends = Self::end_roles(&segments, id);
         let flows = spec
             .flows
             .iter()
@@ -1233,27 +1222,20 @@ impl<T: Transport> Node<T> {
             paths: plan.paths.clone(),
             monitor_pairs: monitor_pairs.to_vec(),
             flow_pairs: spec.flows.iter().map(|f| (f.src, f.dst)).collect(),
-            segments,
             monitors,
-            ends,
+            pik2: Pik2Node::new(id, &plan.segments),
             flows,
             drop_rate: dropper.map(|d| d.rate).unwrap_or(0.0),
             drop_from: dropper.map(|d| d.active_from).unwrap_or(0),
             rng: StdRng::seed_from_u64(
                 dropper.map(|d| d.seed).unwrap_or(0) ^ (u64::from(u32::from(id)) << 32),
             ),
-            digest_rng: StdRng::seed_from_u64(
-                cfg.key_seed ^ 0xD16E57 ^ (u64::from(u32::from(id)) << 16),
-            ),
             reliable: Retransmitter::new(RELIABLE),
             mailbox,
-            peer_summaries: HashMap::new(),
-            peer_verdicts: HashMap::new(),
             metrics,
             next_seq: 0,
             pkt_counter: 0,
             obs_buf: Vec::with_capacity(OBS_BUF_FLUSH),
-            evaluated: None,
             ls_seq: 0,
             churn: spec
                 .churn
@@ -1262,31 +1244,6 @@ impl<T: Transport> Node<T> {
                 .copied()
                 .collect(),
         }
-    }
-
-    /// The end roles `id` plays in `segments`.
-    fn end_roles(segments: &[PathSegment], id: RouterId) -> Vec<EndRole> {
-        segments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                if s.source() == id {
-                    Some(EndRole {
-                        seg: i,
-                        peer: s.sink(),
-                        upstream: true,
-                    })
-                } else if s.sink() == id {
-                    Some(EndRole {
-                        seg: i,
-                        peer: s.source(),
-                        upstream: false,
-                    })
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 
     fn now_ns(&self) -> u64 {
@@ -1305,15 +1262,6 @@ impl<T: Transport> Node<T> {
     fn window(&self, r: u64) -> Window {
         let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
         Window::of_round(r, ns(self.cfg.tau), ns(self.cfg.maturity_lag))
-    }
-
-    /// What this router's record of segment `seg` holds for round `r`.
-    /// Trimmed here, where it is read, and not by the pruning: a peer on
-    /// another shard may send its round-`r` digest before this node's own
-    /// `round_end(r)`, and amnesty rounds return early.
-    fn held(&self, r: u64, seg: usize) -> Report {
-        let from = self.window(r).held_from();
-        self.monitors.report_after(self.id, seg, from)
     }
 
     /// Folds end-of-run transport wire bytes into the registry counters,
@@ -1483,150 +1431,145 @@ impl<T: Transport> Node<T> {
             // never be mistaken for an attack.
             return;
         }
-        for end in self.ends.clone() {
-            let held = self.held(r, end.seg);
-            let segment = self.segments[end.seg].clone();
-            let (msg, kind) = match self.cfg.summary {
-                SummaryMode::Full => (
-                    WireMessage::Summary {
-                        round: r,
-                        segment,
-                        report: held,
-                    },
-                    TraceKind::SummarySent,
-                ),
-                SummaryMode::Reconcile { capacity } => {
-                    let capacity = capacity.max(1);
-                    // On the wire the judged slice travels as `mature`,
-                    // the held window as `full`.
-                    let judged = self.window(r).judged(&held);
-                    (
-                        WireMessage::SummaryDigest {
-                            round: r,
-                            segment,
-                            mature: ContentDigest::of(&judged.to_content(), capacity),
-                            full: ContentDigest::of(&held.to_content(), capacity),
-                        },
-                        TraceKind::DigestSent,
-                    )
-                }
-            };
-            self.send_frame(end.peer, msg, true);
+        let (sketch, kind) = match self.cfg.summary {
+            SummaryMode::Full => (None, TraceKind::SummarySent),
+            SummaryMode::Reconcile { capacity } => (Some(capacity.max(1)), TraceKind::DigestSent),
+        };
+        for (to, seg, said) in (self.pik2).close_round(self.window(r), sketch, &self.monitors) {
+            let segment = self.monitors.segments()[seg].clone();
+            self.send_evidence(to, r, segment, said);
             trace.record(
                 self.now_ns(),
                 kind,
                 u32::from(self.id),
                 r,
-                u64::from(u32::from(end.peer)),
+                u64::from(u32::from(to)),
             );
         }
     }
 
-    /// Attempts to decode the round verdict from a peer's digest pair.
-    ///
-    /// The exchange reconciles like-with-like — the peer's judged-slice
-    /// digest against this end's judged slice, held window against held
-    /// window — so the sketch only has to span the *discrepancy* (losses,
-    /// packets in flight across a window edge), never the window itself;
-    /// that is why both ends hold the same window although only the
-    /// upstream end needs the look-back. Both remote summaries are then
-    /// reconstructed exactly and the verdict computed with the same
-    /// multiset differences `tv_pair` uses: `lost = judged(up) ∖
-    /// held(down)`, `fabricated = judged(down) ∖ held(up)`. Both windows
-    /// are read off `round`, so a digest that arrives before this node's
-    /// own `round_end(round)` resolves the same. Returns `None` (forcing a
-    /// full pull) whenever either digest fails certification.
-    fn resolve_digest(
+    /// Frames a piece of Πk+2 evidence about `round` of `segment` and sends
+    /// it reliably. On the wire the judged slice travels as `mature`, the
+    /// held window as `full`.
+    fn send_evidence(&mut self, to: RouterId, round: u64, segment: PathSegment, ev: Evidence) {
+        let msg = match ev {
+            Evidence::Summary(report) => WireMessage::Summary {
+                round,
+                segment,
+                report,
+            },
+            Evidence::Digest { judged, held } => WireMessage::SummaryDigest {
+                round,
+                segment,
+                mature: judged,
+                full: held,
+            },
+            Evidence::Pull => WireMessage::SummaryPull { round, segment },
+        };
+        self.send_frame(to, msg, true);
+    }
+
+    /// Hands the node a piece of evidence that arrived in a sealed frame.
+    /// The seal says `from` is the registered router it claims to be;
+    /// whether that router may speak for `segment` is the node's decision.
+    /// The frame is acknowledged already, so a rejected one is not sent
+    /// again.
+    fn handle_evidence(
         &mut self,
+        from: RouterId,
         round: u64,
-        seg_idx: usize,
-        upstream: bool,
-        judged_d: &ContentDigest,
-        held_d: &ContentDigest,
-    ) -> Option<(Vec<Fingerprint>, Vec<Fingerprint>)> {
+        segment: PathSegment,
+        evidence: Evidence,
+        trace: &mut TraceBuffer,
+    ) {
         self.flush_observations();
-        let (my_held, my_judged) = {
-            let held = self.held(round, seg_idx);
-            let judged = self.window(round).judged(&held);
-            (held.to_content(), judged.to_content())
+        let is_digest = matches!(evidence, Evidence::Digest { .. });
+        let window = self.window(round);
+        let received = (self.pik2).receive(from, round, &segment, evidence, window, &self.monitors);
+        let mut note = |counter: &Counter, kind| {
+            counter.inc();
+            let (by, peer) = (u32::from(self.id), u64::from(u32::from(from)));
+            trace.record(self.now_ns(), kind, by, round, peer);
         };
-        let (j_add, j_rem) = diff_via_digest(judged_d, &my_judged, &mut self.digest_rng)?;
-        let (h_add, h_rem) = diff_via_digest(held_d, &my_held, &mut self.digest_rng)?;
-        let peer_judged = apply_diff(&my_judged, &j_add, &j_rem, judged_d.flow());
-        let peer_held = apply_diff(&my_held, &h_add, &h_rem, held_d.flow());
-        let (lost, fabricated) = if upstream {
-            (
-                my_judged.difference_pair(&peer_held).0,
-                peer_judged.difference_pair(&my_held).0,
-            )
-        } else {
-            (
-                peer_judged.difference_pair(&my_held).0,
-                my_judged.difference_pair(&peer_held).0,
-            )
-        };
-        Some((lost, fabricated))
+        match received {
+            Received::Stored if is_digest => {
+                note(&self.metrics.digests_resolved, TraceKind::DigestResolved)
+            }
+            Received::Stored => {}
+            Received::Reply(reply) => {
+                if matches!(reply, Evidence::Pull) {
+                    note(&self.metrics.digest_fallbacks, TraceKind::DigestFallback);
+                }
+                self.send_evidence(from, round, segment, reply);
+            }
+            Received::Stale => self.metrics.stale_summaries.inc(),
+            Received::Foreign => self.metrics.foreign_summaries.inc(),
+            // A peer on another route epoch monitors other segments.
+            Received::Unknown => {}
+        }
     }
 
     fn round_eval(&mut self, r: u64, events: &mpsc::Sender<LiveEvent>, trace: &mut TraceBuffer) {
         if !self.alive {
             return;
         }
-        if r < self.convergence.view().eval_resume {
-            // Amnesty round: raise nothing (retiring it drops whatever
-            // arrived for it). Both ends of every segment skip the same
-            // rounds (the window is derived from the update's origin
-            // timestamp), so nobody waits for a summary that will never
-            // come.
-            self.probation_tick(r, events, trace);
-            self.retire(r);
-            return;
+        // An amnesty round raises nothing (retiring it drops whatever
+        // arrived for it). Both ends of every segment skip the same rounds
+        // (the window is derived from the update's origin timestamp), so
+        // nobody waits for a summary that will never come.
+        if r >= self.convergence.view().eval_resume {
+            self.judge_round(r, events, trace);
         }
+        self.probation_tick(r, events, trace);
+        // Round `r` is over for this node: evidence for it is stale from
+        // here on — said again after the evaluation, since a conviction's
+        // rebuild replans the node, which forgets — and the record forgets
+        // what no later round reads. Readers trim to their own window, so
+        // the pruning is a memory matter only.
+        self.pik2.retire(r);
+        self.flush_observations();
+        if let Some(horizon) = self.window(r).forget_horizon() {
+            self.monitors.prune(horizon);
+        }
+    }
+
+    /// Has the node judge round `r` and acts on each verdict: events,
+    /// metrics, the accusation or signed alert, and the response.
+    fn judge_round(&mut self, r: u64, events: &mpsc::Sender<LiveEvent>, trace: &mut TraceBuffer) {
         let eval_began = self.now_ns();
         self.flush_observations();
         let tau = self.cfg.tau.as_nanos() as u64;
         let round_start = SimTime::from_ns(r * tau);
         let round_end = SimTime::from_ns((r + 1) * tau);
-        let window = self.window(r);
+        let judged = self.pik2.evaluate(
+            r,
+            self.window(r),
+            SimTime::ZERO,
+            Policy::Content,
+            &self.cfg.thresholds,
+            &self.monitors,
+        );
         // Convictions are originated after the loop: applying one rebuilds
         // the segment set, which would invalidate the indices still in use.
         let mut convictions: Vec<PathSegment> = Vec::new();
-        for end in self.ends.clone() {
-            let segment = self.segments[end.seg].clone();
-            let verdict = if let Some((lost, fabricated)) = self.peer_verdicts.remove(&(r, end.seg))
-            {
-                PairVerdict {
-                    lost,
-                    fabricated,
-                    reordered: 0,
-                    bottom: false,
-                }
-            } else {
-                let peer_report = self.peer_summaries.remove(&(r, end.seg));
-                if peer_report.is_none() {
-                    self.metrics.summary_timeouts.inc();
-                    trace.record(
-                        self.now_ns(),
-                        TraceKind::SummaryTimeout,
-                        u32::from(self.id),
-                        r,
-                        u64::from(u32::from(end.peer)),
-                    );
-                    let _ = events.send(LiveEvent::SummaryTimeout {
-                        by: self.id,
-                        segment: segment.clone(),
-                        round: r,
-                    });
-                }
-                let mine = self.held(r, end.seg);
-                let (up, down) = if end.upstream {
-                    (Some(&mine), peer_report.as_ref())
-                } else {
-                    (peer_report.as_ref(), Some(&mine))
-                };
-                window.judge(up, down, SimTime::ZERO)
-            };
-            let passed = verdict.passes(Policy::Content, &self.cfg.thresholds);
+        for j in judged {
+            let (peer, verdict, passed) = (j.peer, j.verdict, j.passed);
+            let segment = self.monitors.segments()[j.segment].clone();
+            if verdict.bottom {
+                self.metrics.summary_timeouts.inc();
+                trace.record(
+                    self.now_ns(),
+                    TraceKind::SummaryTimeout,
+                    u32::from(self.id),
+                    r,
+                    u64::from(u32::from(peer)),
+                );
+                let _ = events.send(LiveEvent::SummaryTimeout {
+                    by: self.id,
+                    segment: segment.clone(),
+                    round: r,
+                });
+            }
             let _ = events.send(LiveEvent::RoundEvaluated {
                 router: self.id,
                 round: r,
@@ -1651,7 +1594,7 @@ impl<T: Transport> Node<T> {
                 TraceKind::AccusationRaised,
                 u32::from(self.id),
                 r,
-                u64::from(u32::from(end.peer)),
+                u64::from(u32::from(peer)),
             );
             let _ = events.send(LiveEvent::SuspicionRaised {
                 suspicion,
@@ -1661,7 +1604,7 @@ impl<T: Transport> Node<T> {
                 // Timeout-as-accusation: the peer (or the path to it)
                 // failed the exchange itself.
                 self.send_frame(
-                    end.peer,
+                    peer,
                     WireMessage::Accusation {
                         segment: segment.clone(),
                         interval,
@@ -1671,7 +1614,7 @@ impl<T: Transport> Node<T> {
             } else {
                 let sig = sign_alert(&self.keys, self.id, &segment, interval);
                 self.send_frame(
-                    end.peer,
+                    peer,
                     WireMessage::Alert {
                         origin: self.id,
                         segment: segment.clone(),
@@ -1686,7 +1629,7 @@ impl<T: Transport> Node<T> {
                     TraceKind::AlertSent,
                     u32::from(self.id),
                     r,
-                    u64::from(u32::from(end.peer)),
+                    u64::from(u32::from(peer)),
                 );
             }
             if self.cfg.response {
@@ -1703,32 +1646,6 @@ impl<T: Transport> Node<T> {
         self.metrics
             .round_eval_ns
             .record(self.now_ns().saturating_sub(eval_began));
-        self.probation_tick(r, events, trace);
-        self.retire(r);
-    }
-
-    /// Round `r` is over for this node: frames for it are stale from here
-    /// on, whatever arrived for it (or for an earlier round) is dropped,
-    /// and the record forgets what no later round reads. Readers trim to
-    /// their own window, so the pruning is a memory matter only.
-    fn retire(&mut self, r: u64) {
-        self.evaluated = Some(r);
-        self.peer_summaries.retain(|(round, _), _| *round > r);
-        self.peer_verdicts.retain(|(round, _), _| *round > r);
-        self.flush_observations();
-        if let Some(horizon) = self.window(r).forget_horizon() {
-            self.monitors.prune(horizon);
-        }
-    }
-
-    /// Whether `round` is one this node has already evaluated; counts the
-    /// frame that asked if so.
-    fn stale(&self, round: u64) -> bool {
-        let stale = self.evaluated.is_some_and(|done| round <= done);
-        if stale {
-            self.metrics.stale_summaries.inc();
-        }
-        stale
     }
 
     /// Closes round `r`. Probations that end at the boundary of `r + 1`
@@ -1845,70 +1762,18 @@ impl<T: Transport> Node<T> {
                 round,
                 segment,
                 report,
-            } => {
-                if !self.stale(round) {
-                    if let Some(idx) = self.segments.iter().position(|s| *s == segment) {
-                        self.peer_summaries.insert((round, idx), report);
-                    }
-                }
-            }
+            } => self.handle_evidence(frame.src, round, segment, Evidence::Summary(report), trace),
             WireMessage::SummaryDigest {
                 round,
                 segment,
-                mature,
-                full,
+                mature: judged,
+                full: held,
             } => {
-                if !self.stale(round) {
-                    let idx = self.segments.iter().position(|s| *s == segment);
-                    let role = idx.and_then(|i| self.ends.iter().find(|e| e.seg == i).copied());
-                    if let (Some(idx), Some(role)) = (idx, role) {
-                        match self.resolve_digest(round, idx, role.upstream, &mature, &full) {
-                            Some(v) => {
-                                self.metrics.digests_resolved.inc();
-                                trace.record(
-                                    self.now_ns(),
-                                    TraceKind::DigestResolved,
-                                    u32::from(self.id),
-                                    round,
-                                    u64::from(u32::from(frame.src)),
-                                );
-                                self.peer_verdicts.insert((round, idx), v);
-                            }
-                            None => {
-                                self.metrics.digest_fallbacks.inc();
-                                trace.record(
-                                    self.now_ns(),
-                                    TraceKind::DigestFallback,
-                                    u32::from(self.id),
-                                    round,
-                                    u64::from(u32::from(frame.src)),
-                                );
-                                self.send_frame(
-                                    frame.src,
-                                    WireMessage::SummaryPull { round, segment },
-                                    true,
-                                );
-                            }
-                        }
-                    }
-                }
+                let digest = Evidence::Digest { judged, held };
+                self.handle_evidence(frame.src, round, segment, digest, trace)
             }
             WireMessage::SummaryPull { round, segment } => {
-                if !self.stale(round) {
-                    if let Some(idx) = self.segments.iter().position(|s| *s == segment) {
-                        self.flush_observations();
-                        let report = self.held(round, idx);
-                        self.send_frame(
-                            frame.src,
-                            WireMessage::Summary {
-                                round,
-                                segment,
-                                report,
-                            },
-                            true,
-                        );
-                    }
-                }
+                self.handle_evidence(frame.src, round, segment, Evidence::Pull, trace)
             }
             WireMessage::Alert {
                 origin,
@@ -2134,20 +1999,16 @@ impl<T: Transport> Node<T> {
         self.flush_observations();
         let plan = (self.convergence).plan(&self.monitor_pairs, &self.flow_pairs, self.cfg.k);
         self.monitors = self.monitors.retarget(
-            plan.segments.clone(),
+            plan.segments,
             plan.oracle,
             &self.keys,
             MonitorMode::EndsOnly,
             None,
         );
         self.paths = plan.paths;
-        self.ends = Self::end_roles(&plan.segments, self.id);
-        self.segments = plan.segments;
         // Cross-epoch summary state is void: the segments it described no
         // longer exist, and the amnesty window covers the gap.
-        self.peer_summaries.clear();
-        self.peer_verdicts.clear();
-        self.evaluated = None;
+        self.pik2.replan(self.monitors.segments());
         self.obs_buf.clear();
         self.metrics.epoch_transitions.inc();
         self.metrics
@@ -2207,8 +2068,7 @@ impl<T: Transport> Node<T> {
                     self.reliable = Retransmitter::new(RELIABLE);
                     self.convergence.reset();
                     self.metrics.probation_admitted.inc();
-                    self.peer_summaries.clear();
-                    self.peer_verdicts.clear();
+                    self.pik2 = Pik2Node::new(self.id, self.monitors.segments());
                     self.obs_buf.clear();
                 }
                 self.alive = true;
@@ -2237,8 +2097,10 @@ impl<T: Transport> Node<T> {
 mod tests {
     use super::*;
     use crate::transport::{LoopbackHub, NetError, UdpNet};
+    use fatih_core::monitor::Report;
     use fatih_core::spec::SpecCheck;
     use fatih_topology::builtin;
+    use fatih_validation::digest::ContentDigest;
     use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
 
@@ -2767,6 +2629,19 @@ mod tests {
             self.registry.snapshot().counter(name)
         }
 
+        /// The one monitored segment, ⟨0, 1, 2⟩.
+        fn segment(&self) -> PathSegment {
+            self.shard.nodes[0].monitors.segments()[0].clone()
+        }
+
+        /// Router `from` sends `msg` reliably to router `to`, and whatever
+        /// that sets off runs its course.
+        fn send(&mut self, from: usize, to: usize, msg: WireMessage) {
+            let dst = self.ids[to];
+            self.shard.nodes[from].send_frame(dst, msg, true);
+            self.settle();
+        }
+
         /// (passed, lost, fabricated) of every evaluation since the last
         /// call.
         fn verdicts(&self) -> Vec<(bool, usize, usize)> {
@@ -2870,9 +2745,9 @@ mod tests {
 
     /// A peer on another shard can fire its round timer first: its digest
     /// for round r then reaches this node before this node's own
-    /// `round_end(r)`. The windows are read off the round in the frame, so
-    /// it resolves all the same — in round 0, which has no lower bound,
-    /// and in a later round, which has.
+    /// `round_end(r)`. The host reads the window off the round in the
+    /// frame, so it is counted as resolved all the same (what it resolves
+    /// to is `fatih-core`'s `pik2_node` table's business).
     #[test]
     fn a_digest_that_arrives_before_the_own_round_end_resolves() {
         let mut net = Line3::new(SummaryMode::Reconcile { capacity: 32 });
@@ -2888,15 +2763,14 @@ mod tests {
             assert_eq!(net.counter("net.digests_resolved"), 2 * r + 2, "round {r}");
             net.round_eval(0, r);
             net.round_eval(2, r);
-            assert_eq!(net.verdicts(), CLEAN, "round {r}");
         }
+        assert_eq!(net.counter("net.summary_timeouts"), 0);
         assert_eq!(net.counter("net.digest_fallbacks"), 0);
         assert_eq!(net.counter("net.stale_summaries"), 0);
     }
 
-    /// A summary, digest or pull for a round the receiver has already
-    /// evaluated is acked, counted and dropped: it is neither kept (nobody
-    /// would ever remove it) nor answered from a pruned record.
+    /// A summary or pull for a round the receiver has already evaluated is
+    /// acked, counted and dropped, not answered from a pruned record.
     #[test]
     fn frames_for_an_evaluated_round_are_dropped_and_counted() {
         let mut net = Line3::new(SummaryMode::Full);
@@ -2910,17 +2784,18 @@ mod tests {
         // ... and then router 0's summary for that round turns up.
         net.round_end(0, 0);
         assert_eq!(net.counter("net.stale_summaries"), 1);
-        assert!(net.shard.nodes[2].peer_summaries.is_empty());
 
         // So does a pull for it: no summary goes back.
-        let (dst, segment) = (net.ids[2], net.shard.nodes[0].segments[0].clone());
-        let pull = WireMessage::SummaryPull { round: 0, segment };
-        net.shard.nodes[0].send_frame(dst, pull, true);
-        net.settle();
+        let sent = net.counter("net.frames_sent");
+        let segment = net.segment();
+        net.send(0, 2, WireMessage::SummaryPull { round: 0, segment });
         assert_eq!(net.counter("net.stale_summaries"), 2);
-        // Router 0 still holds router 2's on-time summary and nothing
-        // else; both frames were acked, so nothing is retransmitted.
-        assert_eq!(net.shard.nodes[0].peer_summaries.len(), 1);
+        assert_eq!(
+            net.counter("net.frames_sent"),
+            sent + 2,
+            "the pull, its ack"
+        );
+        // Both frames were acked, so nothing is retransmitted.
         for node in &mut net.shard.nodes {
             node.pump(&net.events, &mut net.shard.trace);
         }
@@ -2935,13 +2810,75 @@ mod tests {
         assert_eq!(net.counter("net.stale_summaries"), 2);
     }
 
+    /// The frame seal says who sent a frame, not what they may say: only a
+    /// segment's other end is heard on it. Router 1 sits inside ⟨0, 1, 2⟩,
+    /// holds valid keys, and tells both ends what it likes about the
+    /// segment: every frame is acked, counted as foreign and ignored.
+    #[test]
+    fn a_segment_end_hears_evidence_from_its_other_end_only() {
+        let mut net = Line3::new(SummaryMode::Full);
+        let stamps: Vec<_> = (1..40u64)
+            .map(|i| (i * 3_000_000, Some(i * 3_000_000 + 1_000_000)))
+            .collect();
+        net.plan(&stamps);
+        net.advance(TAU);
+        net.round_end(0, 0);
+        net.round_end(2, 0);
+        let (round, segment) = (0, net.segment());
+
+        // A forged (empty) summary after the genuine one does not replace
+        // it: taken in, either end would read its whole record as lost or
+        // fabricated.
+        for end in [0, 2] {
+            let (segment, report) = (segment.clone(), Report::default());
+            let forged = WireMessage::Summary {
+                round,
+                segment,
+                report,
+            };
+            net.send(1, end, forged);
+        }
+        assert_eq!(net.counter("net.foreign_summaries"), 2);
+
+        // A forged digest is neither resolved nor pulled after (resolved,
+        // its verdict would take the summary's place).
+        let empty = ContentDigest::of(&Report::default().to_content(), 64);
+        let forged = WireMessage::SummaryDigest {
+            round,
+            segment: segment.clone(),
+            mature: empty.clone(),
+            full: empty,
+        };
+        net.send(1, 2, forged);
+        assert_eq!(net.counter("net.digests_resolved"), 0);
+        assert_eq!(net.counter("net.digest_fallbacks"), 0);
+
+        // A pull by a third party gets no record back.
+        let sent = net.counter("net.frames_sent");
+        net.send(1, 2, WireMessage::SummaryPull { round, segment });
+        assert_eq!(
+            net.counter("net.frames_sent"),
+            sent + 2,
+            "the pull, its ack"
+        );
+        assert_eq!(net.counter("net.foreign_summaries"), 4);
+
+        net.round_eval(0, 0);
+        net.round_eval(2, 0);
+        assert_eq!(net.verdicts(), CLEAN);
+        for node in &mut net.shard.nodes {
+            node.pump(&net.events, &mut net.shard.trace);
+        }
+        assert_eq!(net.counter("net.retransmits"), 0, "every frame was acked");
+    }
+
     /// The host's part of purging: once a router is reported down, what
     /// was being retransmitted to it is dropped and counted, and the pump
     /// sends it nothing more.
     #[test]
     fn a_router_reported_down_is_owed_no_retransmissions() {
         let mut net = Line3::new(SummaryMode::Full);
-        let (dst, segment) = (net.ids[2], net.shard.nodes[0].segments[0].clone());
+        let (dst, segment) = (net.ids[2], net.segment());
         let pull = WireMessage::SummaryPull { round: 0, segment };
         net.shard.nodes[0].send_frame(dst, pull, true);
         let (events, trace) = (&net.events, &mut net.shard.trace);
