@@ -25,6 +25,7 @@
 //! (`-- --smoke` shrinks the churn scenarios and shortens the conviction
 //! run; the 128-router conviction gate runs in both modes).
 
+use fatih_bench::pick_flows;
 use fatih_core::spec::SpecCheck;
 use fatih_net::runtime::{
     ChurnAction, ChurnEvent, DropperSpec, FlowSpec, LiveConfig, LiveDeployment, LiveOutcome,
@@ -32,10 +33,11 @@ use fatih_net::runtime::{
 };
 use fatih_net::UdpNet;
 use fatih_topology::{builtin, RouterId, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::time::Duration;
+
+/// Seeds which routers carry the flows.
+const FLOW_SEED: u64 = 0xC0FFEE;
 
 /// The router count the conviction-reroute gate is enforced at.
 const GATE_ROUTERS: usize = 128;
@@ -53,45 +55,6 @@ const ATTACK_ROUND: u64 = 2;
 fn rocketfuel_like(n: usize) -> Topology {
     let links = (n * 972 / 315).max(n - 1);
     builtin::isp_like("churn", n, links, 45, 0xF00D ^ n as u64)
-}
-
-/// Picks `want` flows whose routed paths span at least `min_len` routers,
-/// degrading the requirement one router at a time (never below 3) on
-/// small dense topologies.
-fn pick_flows(topo: &Topology, want: usize, min_len: usize, interval: Duration) -> Vec<FlowSpec> {
-    let ids: Vec<RouterId> = topo.routers().collect();
-    let routes = topo.link_state_routes();
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ ids.len() as u64);
-    let mut flows = Vec::with_capacity(want);
-    let mut used: BTreeSet<(RouterId, RouterId)> = BTreeSet::new();
-    let mut need = min_len;
-    while flows.len() < want {
-        let mut attempts = 0;
-        while flows.len() < want && attempts < 20_000 {
-            attempts += 1;
-            let s = ids[rng.gen_range(0..ids.len())];
-            let d = ids[rng.gen_range(0..ids.len())];
-            if s == d || used.contains(&(s, d)) {
-                continue;
-            }
-            let Some(path) = routes.path(s, d) else {
-                continue;
-            };
-            if path.len() < need {
-                continue;
-            }
-            used.insert((s, d));
-            flows.push(FlowSpec::new(s, d, 1000, interval));
-        }
-        if flows.len() < want {
-            assert!(
-                need > 3,
-                "could not find {want} monitored flows even at length >= 3"
-            );
-            need -= 1;
-        }
-    }
-    flows
 }
 
 /// A router that no flow's routed path touches (so churning it never
@@ -143,7 +106,7 @@ struct ConvictionResult {
 fn conviction_reroute(rounds: u64) -> ConvictionResult {
     let topo = rocketfuel_like(GATE_ROUTERS);
     let interval = Duration::from_millis(4);
-    let flows = pick_flows(&topo, (GATE_ROUTERS / 16).max(4), 5, interval);
+    let flows = pick_flows(&topo, (GATE_ROUTERS / 16).max(4), 5, interval, FLOW_SEED);
     let victim = flows[0];
     let routes = topo.link_state_routes();
     let path = routes.path(victim.src, victim.dst).expect("routed flow");
@@ -291,10 +254,10 @@ fn churn_result(name: &str, routers: usize, outcome: &LiveOutcome) -> ChurnResul
 /// Scenario 2: link flap + graceful leave/rejoin, no adversary.
 fn pure_churn(routers: usize) -> ChurnResult {
     let topo = rocketfuel_like(routers);
-    let flows = pick_flows(&topo, (routers / 16).max(4), 4, Duration::from_millis(4));
+    let ms = Duration::from_millis;
+    let flows = pick_flows(&topo, (routers / 16).max(4), 4, ms(4), FLOW_SEED);
     let actor = off_path_actor(&topo, &flows);
     let peer = topo.neighbors(actor)[0].0;
-    let ms = Duration::from_millis;
     let spec = LiveSpec {
         flows,
         churn: vec![
@@ -328,10 +291,10 @@ fn pure_churn(routers: usize) -> ChurnResult {
 /// Scenario 3: silent crash, peer report, probationary restart.
 fn crash_restart(routers: usize) -> ChurnResult {
     let topo = rocketfuel_like(routers);
-    let flows = pick_flows(&topo, (routers / 16).max(4), 4, Duration::from_millis(4));
+    let ms = Duration::from_millis;
+    let flows = pick_flows(&topo, (routers / 16).max(4), 4, ms(4), FLOW_SEED);
     let actor = off_path_actor(&topo, &flows);
     let reporter = topo.neighbors(actor)[0].0;
-    let ms = Duration::from_millis;
     let spec = LiveSpec {
         flows,
         churn: vec![

@@ -25,14 +25,13 @@
 //! (`-- --smoke` for the reduced CI sweep; the 128-router gate runs in
 //! both modes).
 
+use fatih_bench::pick_flows;
 use fatih_core::spec::SpecCheck;
 use fatih_net::runtime::{
-    DropperSpec, FlowSpec, LiveConfig, LiveDeployment, LiveOutcome, LiveSpec, SummaryMode,
+    DropperSpec, LiveConfig, LiveDeployment, LiveOutcome, LiveSpec, SummaryMode,
 };
 use fatih_net::UdpNet;
 use fatih_topology::{builtin, RouterId, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -44,6 +43,9 @@ const SKETCH_CAPACITY: usize = 32;
 /// full-transfer control bytes at the largest sweep size.
 const RATIO_LIMIT: f64 = 0.5;
 
+/// Seeds which routers carry the flows.
+const FLOW_SEED: u64 = 0x5CA1E;
+
 /// The router count the headline gates are enforced at.
 const GATE_ROUTERS: usize = 128;
 
@@ -52,47 +54,6 @@ fn rocketfuel_like(n: usize) -> Topology {
     // 972 links / 315 routers ≈ 3.09 links per router (AS1239 shape).
     let links = (n * 972 / 315).max(n - 1);
     builtin::isp_like("scale", n, links, 45, 0xF00D ^ n as u64)
-}
-
-/// Picks `want` flows whose routed paths span at least `min_len` routers,
-/// so every flow produces multi-segment Πk+2 monitoring. Small dense
-/// topologies may not have paths that long; the requirement degrades one
-/// router at a time (never below 3 — one full k+2 segment) until the
-/// quota fills.
-fn pick_flows(topo: &Topology, want: usize, min_len: usize, interval: Duration) -> Vec<FlowSpec> {
-    let ids: Vec<RouterId> = topo.routers().collect();
-    let routes = topo.link_state_routes();
-    let mut rng = StdRng::seed_from_u64(0x5CA1E ^ ids.len() as u64);
-    let mut flows = Vec::with_capacity(want);
-    let mut used: BTreeSet<(RouterId, RouterId)> = BTreeSet::new();
-    let mut need = min_len;
-    while flows.len() < want {
-        let mut attempts = 0;
-        while flows.len() < want && attempts < 20_000 {
-            attempts += 1;
-            let s = ids[rng.gen_range(0..ids.len())];
-            let d = ids[rng.gen_range(0..ids.len())];
-            if s == d || used.contains(&(s, d)) {
-                continue;
-            }
-            let Some(path) = routes.path(s, d) else {
-                continue;
-            };
-            if path.len() < need {
-                continue;
-            }
-            used.insert((s, d));
-            flows.push(FlowSpec::new(s, d, 1000, interval));
-        }
-        if flows.len() < want {
-            assert!(
-                need > 3,
-                "could not find {want} monitored flows even at length >= 3"
-            );
-            need -= 1;
-        }
-    }
-    flows
 }
 
 /// One live deployment; returns the outcome and the wall time it took.
@@ -177,7 +138,7 @@ fn main() {
     let mut gate_clean = true;
     for &n in sizes {
         let topo = rocketfuel_like(n);
-        let flows = pick_flows(&topo, (n / 16).max(4), 5, interval);
+        let flows = pick_flows(&topo, (n / 16).max(4), 5, interval, FLOW_SEED);
         let spec = LiveSpec {
             flows,
             ..LiveSpec::default()
@@ -222,7 +183,7 @@ fn main() {
     // with the cumulative loss overflowing the sketch into full-pull
     // fallbacks rather than a wrong verdict.
     let topo = rocketfuel_like(GATE_ROUTERS);
-    let flows = pick_flows(&topo, (GATE_ROUTERS / 16).max(4), 5, interval);
+    let flows = pick_flows(&topo, (GATE_ROUTERS / 16).max(4), 5, interval, FLOW_SEED);
     let victim = flows[0];
     let routes = topo.link_state_routes();
     let path = routes.path(victim.src, victim.dst).expect("routed flow");
@@ -238,6 +199,7 @@ fn main() {
         ..LiveSpec::default()
     };
     let (outcome, _) = deploy(&topo, &spec, &cfg_rec);
+    assert!(outcome.stats.data_dropped > 0, "the dropper never fired");
     let faulty: BTreeSet<RouterId> = [dropper].into_iter().collect();
     let check = SpecCheck::evaluate(&outcome.suspicions, &faulty);
     let complete = check.is_complete();

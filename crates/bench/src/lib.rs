@@ -9,10 +9,15 @@
 use fatih_core::chi::{ChiConfig, QueueModel, QueueValidator};
 use fatih_core::threshold::ThresholdDetector;
 use fatih_crypto::KeyStore;
+use fatih_net::runtime::FlowSpec;
 use fatih_sim::{Attack, AttackKind, Network, RedParams, SimTime, TcpConfig, VictimFilter};
-use fatih_topology::{builtin, LinkParams, RouterId};
+use fatih_topology::{builtin, LinkParams, RouterId, Topology};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Renders a table with left-aligned first column and right-aligned rest.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -63,6 +68,56 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<P
     }
     std::fs::write(&path, body).ok()?;
     Some(path)
+}
+
+/// Picks `want` flows for a live deployment whose routed paths span at
+/// least `min_len` routers, so every flow produces multi-segment Πk+2
+/// monitoring. Small dense topologies may not have paths that long; the
+/// requirement degrades one router at a time (never below 3 — one full
+/// k+2 segment) until the quota fills. The link-state routes consulted
+/// here are the paths a clean deployment forwards on ([one
+/// rule](fatih_topology::routing#the-rule)), so a caller may pick its
+/// mid-path dropper or off-path actor from them as well.
+pub fn pick_flows(
+    topo: &Topology,
+    want: usize,
+    min_len: usize,
+    interval: Duration,
+    seed: u64,
+) -> Vec<FlowSpec> {
+    let ids: Vec<RouterId> = topo.routers().collect();
+    let routes = topo.link_state_routes();
+    let mut rng = StdRng::seed_from_u64(seed ^ ids.len() as u64);
+    let mut flows = Vec::with_capacity(want);
+    let mut used: BTreeSet<(RouterId, RouterId)> = BTreeSet::new();
+    let mut need = min_len;
+    while flows.len() < want {
+        let mut attempts = 0;
+        while flows.len() < want && attempts < 20_000 {
+            attempts += 1;
+            let s = ids[rng.gen_range(0..ids.len())];
+            let d = ids[rng.gen_range(0..ids.len())];
+            if s == d || used.contains(&(s, d)) {
+                continue;
+            }
+            let Some(path) = routes.path(s, d) else {
+                continue;
+            };
+            if path.len() < need {
+                continue;
+            }
+            used.insert((s, d));
+            flows.push(FlowSpec::new(s, d, 1000, interval));
+        }
+        if flows.len() < want {
+            assert!(
+                need > 3,
+                "could not find {want} monitored flows even at length >= 3"
+            );
+            need -= 1;
+        }
+    }
+    flows
 }
 
 /// Workload shape for the χ experiments.

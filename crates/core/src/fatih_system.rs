@@ -39,7 +39,7 @@ use crate::transport::{ReliableTransport, TransportConfig, TransportMsg};
 use fatih_crypto::KeyStore;
 use fatih_obs::{Counter, MetricsRegistry};
 use fatih_sim::{FaultPlan, Network, SimTime};
-use fatih_topology::{AvoidingRoutes, Path, PathSegment, RouterId};
+use fatih_topology::{Path, PathSegment, RouterId};
 use std::collections::BTreeSet;
 
 /// Fatih deployment parameters.
@@ -338,22 +338,10 @@ impl FatihSystem {
     /// new fabric.
     fn apply_route_update(&mut self, net: &mut Network, at: SimTime) {
         let segs: Vec<PathSegment> = self.excluded.iter().cloned().collect();
-        net.apply_avoidance(&segs);
         // Re-deploy monitoring over the *new* routing fabric (the
         // coordinator "is kept abreast of routing changes so that it
         // always knows which path segments should be monitored", §5.3.1).
-        let av = AvoidingRoutes::new(net.topology(), segs.clone());
-        let ids: Vec<RouterId> = net.topology().routers().collect();
-        let mut paths: Vec<Path> = Vec::new();
-        for &a in &ids {
-            for &b in &ids {
-                if a != b {
-                    if let Some(p) = av.path(a, b) {
-                        paths.push(p);
-                    }
-                }
-            }
-        }
+        let paths = net.apply_avoidance(&segs);
         self.detector = Pik2Detector::with_paths(
             &paths,
             net.topology().router_count(),

@@ -1127,7 +1127,9 @@ struct Node<T: Transport> {
     incarnation: u32,
     keys: Arc<KeyStore>,
     /// Static link-state routes of the base graph: the stale-packet
-    /// forwarding fallback during epoch transitions.
+    /// forwarding fallback during epoch transitions. They come from the
+    /// same route computation as `paths`, so under a clean overlay a
+    /// stranded packet drains along the route its epoch planned.
     routes: Arc<Routes>,
     /// The link-state database and the view of the network it implies:
     /// overlay, probation, amnesty horizon and route epoch.
@@ -2658,6 +2660,58 @@ mod tests {
                 })
                 .collect()
         }
+    }
+
+    /// One route computation under the live host: on a ring the antipodal
+    /// flow has two equally cheap routes, and every router plans the one
+    /// the link-state tables take. A transit router that has lost the
+    /// pair's path (a stale placement mid-transition) therefore drains the
+    /// packet along the planned route, not the other way round the ring.
+    #[test]
+    fn the_drain_table_forwards_along_the_planned_route() {
+        let topo = builtin::ring(8);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let (s, d) = (ids[1], ids[5]);
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(s, d, 800, Duration::from_secs(1))],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            shards: 1,
+            ..LiveConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let mut prepared =
+            LiveDeployment::prepare(&topo, &spec, &cfg, LoopbackHub::group(&ids), &metrics);
+        let mut nodes = prepared.shard_nodes.remove(0);
+        let planned = topo.link_state_routes().path(s, d).unwrap();
+        for node in &nodes {
+            assert_eq!(node.paths[&(s, d)], planned, "at {}", node.id);
+        }
+
+        let transit = &mut nodes[planned.routers()[1].index()];
+        transit.paths.clear();
+        let id = PacketId(1);
+        let packet = Packet {
+            id,
+            src: s,
+            dst: d,
+            flow: FlowId(0),
+            kind: PacketKind::Data,
+            size: 800,
+            seq: 1,
+            payload_tag: Packet::expected_tag(id),
+            ttl: Packet::DEFAULT_TTL,
+            created_at: SimTime::ZERO,
+        };
+        let epoch = transit.convergence.view().epoch;
+        transit.handle_data(s, packet, epoch, &mut TraceBuffer::new(0, 1));
+        assert_eq!(
+            registry.snapshot().counter("net.transition_forward_miss"),
+            1
+        );
+        assert_eq!(transit.sent_to, [planned.routers()[2]]);
     }
 
     /// Both ends evaluated, passed, and found nothing amiss.

@@ -287,27 +287,23 @@ impl Network {
     }
 
     /// Recomputes the routes of **all** pairs to avoid the given suspected
-    /// segments, installing overrides where the route changes. Pairs left
-    /// with no compliant route keep no override and will drop with
+    /// segments, installing overrides where the route changes — only for
+    /// pairs whose link-state route crosses a suspected segment, since
+    /// both come from [one rule](fatih_topology::routing#the-rule) — and
+    /// returns the new route of every routable pair, ordered as
+    /// [`Routes::all_paths`](fatih_topology::Routes::all_paths). Pairs
+    /// left with no compliant route keep no override and will drop with
     /// [`DropReason::NoRoute`] at the point the route vanishes.
-    pub fn apply_avoidance(&mut self, excluded: &[PathSegment]) {
-        let av = fatih_topology::AvoidingRoutes::new(&self.topo, excluded.to_vec());
-        let ids: Vec<RouterId> = self.topo.routers().collect();
-        for &s in &ids {
-            for &d in &ids {
-                if s == d {
-                    continue;
-                }
-                match av.path(s, d) {
-                    Some(p) if Some(&p) != self.routes.path(s, d).as_ref() => {
-                        self.overrides.insert((s, d), p);
-                    }
-                    _ => {
-                        self.overrides.remove(&(s, d));
-                    }
-                }
+    pub fn apply_avoidance(&mut self, excluded: &[PathSegment]) -> Vec<Path> {
+        let paths = fatih_topology::AvoidingRoutes::new(&self.topo, excluded.to_vec()).all_paths();
+        self.overrides.clear();
+        for p in &paths {
+            let pair = (p.source(), p.sink());
+            if Some(p) != self.routes.path(pair.0, pair.1).as_ref() {
+                self.overrides.insert(pair, p.clone());
             }
         }
+        paths
     }
 
     /// Installs (or clears) the environmental fault plan. Fault decisions
@@ -1049,6 +1045,32 @@ mod tests {
         });
         assert_eq!(via_kc2, 0, "overridden traffic must avoid Kansas City");
         assert!(via_la > 0);
+    }
+
+    /// A conviction moves only the pairs it touches: on tie-rich graphs a
+    /// pair whose link-state route does not cross the suspected segment
+    /// gets no override and is handed back its link-state route.
+    #[test]
+    fn avoidance_leaves_untouched_pairs_alone() {
+        for topo in [builtin::ring(8), builtin::random_connected(40, 30, 7)] {
+            let mut net = Network::new(topo, 1);
+            let longest = net.routes.all_paths().max_by_key(Path::len).unwrap();
+            let seg = PathSegment::new(longest.routers()[1..].to_vec());
+            let installed = net.apply_avoidance(std::slice::from_ref(&seg));
+            let mut moved = 0;
+            for plain in net.routes.all_paths() {
+                let pair = (plain.source(), plain.sink());
+                if plain.contains_segment(seg.routers()) {
+                    let detour = &net.overrides[&pair];
+                    assert!(!detour.contains_segment(seg.routers()));
+                    moved += 1;
+                } else {
+                    assert!(!net.overrides.contains_key(&pair), "{plain} moved");
+                    assert!(installed.contains(&plain));
+                }
+            }
+            assert!(moved > 0, "the conviction touches some pair");
+        }
     }
 
     #[test]

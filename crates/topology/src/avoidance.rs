@@ -7,21 +7,21 @@
 //! forwarding tables such that no traffic traverses along the suspected
 //! path-segment anymore", while the member routers may keep forwarding
 //! other traffic. Fatih realizes this with source-prefix policy routing
-//! (§5.3.1); we realize the identical reachability semantics by computing
-//! shortest paths in a product graph that never *completes* a suspected
-//! segment.
+//! (§5.3.1); we realize the identical reachability semantics by never
+//! *completing* a suspected segment.
 //!
-//! Forbidden-subsequence shortest paths are computed with an Aho–Corasick
-//! automaton over router-id sequences: states are prefixes of suspected
-//! segments, and any transition that would complete a full segment is
-//! removed. Dijkstra over (router, automaton-state) then yields the
-//! cheapest compliant path.
+//! Which router sequences are forbidden is an Aho–Corasick automaton over
+//! router ids: states are prefixes of suspected segments, and any
+//! transition that would complete a full segment is removed. The search
+//! over (router, automaton state), and the tie-break that makes the
+//! answer least disruptive — a pair whose link-state route crosses no
+//! suspected segment keeps it — are [the one route
+//! computation](crate::routing#the-rule).
 
 use crate::graph::{RouterId, Topology};
-use crate::routing::Path;
+use crate::routing::{Path, Toward};
 use crate::segments::PathSegment;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Why an avoidance route could not be produced.
 ///
@@ -75,7 +75,7 @@ impl std::error::Error for AvoidanceError {}
 /// Aho–Corasick automaton over router sequences, specialized to *rejecting*
 /// walks that contain any pattern as a contiguous subsequence.
 #[derive(Debug, Clone)]
-struct SegmentAutomaton {
+pub(crate) struct SegmentAutomaton {
     /// goto[state] : router -> next state.
     transitions: Vec<HashMap<RouterId, usize>>,
     /// Failure links.
@@ -85,69 +85,53 @@ struct SegmentAutomaton {
 }
 
 impl SegmentAutomaton {
-    fn build(patterns: &[PathSegment]) -> Self {
-        let mut transitions: Vec<HashMap<RouterId, usize>> = vec![HashMap::new()];
-        let mut terminal = vec![false];
+    /// The automaton that rejects every segment of `patterns` read back
+    /// to front — the direction a search toward the destination reads a
+    /// path in. No patterns give the one-state automaton that rejects
+    /// nothing.
+    pub(crate) fn reversed(patterns: &[PathSegment]) -> Self {
+        let mut automaton = Self {
+            transitions: vec![HashMap::new()],
+            fail: vec![0],
+            terminal: vec![false],
+        };
         // Trie construction.
         for p in patterns {
             let mut state = 0usize;
-            for &r in p.routers() {
-                state = match transitions[state].get(&r) {
-                    Some(&next) => next,
-                    None => {
-                        transitions.push(HashMap::new());
-                        terminal.push(false);
-                        let next = transitions.len() - 1;
-                        transitions[state].insert(r, next);
-                        next
-                    }
-                };
+            for &r in p.routers().iter().rev() {
+                let fresh = automaton.transitions.len();
+                state = *automaton.transitions[state].entry(r).or_insert(fresh);
+                if state == fresh {
+                    automaton.transitions.push(HashMap::new());
+                    automaton.fail.push(0);
+                    automaton.terminal.push(false);
+                }
             }
-            terminal[state] = true;
+            automaton.terminal[state] = true;
         }
-        // Failure links by BFS (standard Aho–Corasick).
-        let mut fail = vec![0usize; transitions.len()];
-        let mut queue = std::collections::VecDeque::new();
-        let first_level: Vec<usize> = transitions[0].values().copied().collect();
-        for s in first_level {
-            fail[s] = 0;
-            queue.push_back(s);
-        }
+        // Failure links by BFS (standard Aho–Corasick): the root's children
+        // fall back to the root, a deeper state to wherever its parent's
+        // fallback goes on the same router.
+        let mut queue = std::collections::VecDeque::from([0usize]);
         while let Some(state) = queue.pop_front() {
-            let edges: Vec<(RouterId, usize)> =
-                transitions[state].iter().map(|(&r, &s)| (r, s)).collect();
+            let edges: Vec<(RouterId, usize)> = (automaton.transitions[state].iter())
+                .map(|(&r, &next)| (r, next))
+                .collect();
             for (r, next) in edges {
-                // Walk failure links of `state` until a state with an
-                // `r`-edge is found (or the root is reached).
-                let mut f = fail[state];
-                fail[next] = loop {
-                    if let Some(&t) = transitions[f].get(&r) {
-                        // `t == next` can only happen when f == state == 0,
-                        // i.e. for depth-1 states, whose failure is the root.
-                        break if t == next { 0 } else { t };
-                    }
-                    if f == 0 {
-                        break 0;
-                    }
-                    f = fail[f];
-                };
+                if state != 0 {
+                    automaton.fail[next] = automaton.step(automaton.fail[state], r);
+                }
                 // A state whose failure state is terminal contains a
                 // pattern as a suffix.
-                if terminal[fail[next]] {
-                    terminal[next] = true;
-                }
+                automaton.terminal[next] |= automaton.terminal[automaton.fail[next]];
                 queue.push_back(next);
             }
         }
-        Self {
-            transitions,
-            fail,
-            terminal,
-        }
+        automaton
     }
 
     /// The state reached from `state` on symbol `r`.
-    fn step(&self, mut state: usize, r: RouterId) -> usize {
+    pub(crate) fn step(&self, mut state: usize, r: RouterId) -> usize {
         loop {
             if let Some(&next) = self.transitions[state].get(&r) {
                 return next;
@@ -159,11 +143,11 @@ impl SegmentAutomaton {
         }
     }
 
-    fn is_terminal(&self, state: usize) -> bool {
+    pub(crate) fn is_terminal(&self, state: usize) -> bool {
         self.terminal[state]
     }
 
-    fn state_count(&self) -> usize {
+    pub(crate) fn state_count(&self) -> usize {
         self.transitions.len()
     }
 }
@@ -198,76 +182,38 @@ impl SegmentAutomaton {
 #[derive(Debug, Clone)]
 pub struct AvoidingRoutes<'a> {
     topo: &'a Topology,
-    excluded: Vec<PathSegment>,
     automaton: SegmentAutomaton,
 }
 
 impl<'a> AvoidingRoutes<'a> {
     /// Builds the avoidance fabric for a set of suspected segments.
     pub fn new(topo: &'a Topology, excluded: Vec<PathSegment>) -> Self {
-        let automaton = SegmentAutomaton::build(&excluded);
-        Self {
-            topo,
-            excluded,
-            automaton,
-        }
+        let automaton = SegmentAutomaton::reversed(&excluded);
+        Self { topo, automaton }
     }
 
-    /// The excluded segments.
-    pub fn excluded(&self) -> &[PathSegment] {
-        &self.excluded
+    fn toward(&self, dst: RouterId) -> Toward<'_, impl Fn(RouterId, RouterId) -> bool> {
+        Toward::search(self.topo, |_, _| true, &self.automaton, dst)
     }
 
     /// Cheapest path from `src` to `dst` that contains no excluded segment,
     /// or `None` if every path is forbidden (or `dst` is unreachable).
     pub fn path(&self, src: RouterId, dst: RouterId) -> Option<Path> {
-        if src == dst {
-            return Some(Path::new(vec![src]));
-        }
-        let n = self.topo.router_count();
-        let states = self.automaton.state_count();
-        let idx = |r: RouterId, s: usize| r.index() * states + s;
+        self.toward(dst).path(src)
+    }
 
-        let start_state = self.automaton.step(0, src);
-        if self.automaton.is_terminal(start_state) {
-            return None; // can't even start (single-router pattern; not constructible)
-        }
-
-        let mut dist = vec![u64::MAX; n * states];
-        let mut parent: Vec<Option<(RouterId, usize)>> = vec![None; n * states];
-        let mut heap = BinaryHeap::new();
-        dist[idx(src, start_state)] = 0;
-        heap.push(Reverse((0u64, src, start_state)));
-
-        while let Some(Reverse((cost, u, s))) = heap.pop() {
-            if cost > dist[idx(u, s)] {
-                continue;
-            }
-            if u == dst {
-                // Reconstruct.
-                let mut routers = vec![u];
-                let mut cur = (u, s);
-                while let Some(prev) = parent[idx(cur.0, cur.1)] {
-                    routers.push(prev.0);
-                    cur = prev;
-                }
-                routers.reverse();
-                return Some(Path::new(routers));
-            }
-            for &(v, p) in self.topo.neighbors(u) {
-                let s2 = self.automaton.step(s, v);
-                if self.automaton.is_terminal(s2) {
-                    continue; // would complete a suspected segment
-                }
-                let cand = cost + p.cost as u64;
-                if cand < dist[idx(v, s2)] {
-                    dist[idx(v, s2)] = cand;
-                    parent[idx(v, s2)] = Some((u, s));
-                    heap.push(Reverse((cand, v, s2)));
-                }
-            }
-        }
-        None
+    /// The [`path`](Self::path) of every ordered pair that has one
+    /// (trivial self-paths excluded), in the order of
+    /// [`Routes::all_paths`](crate::Routes::all_paths) — one search per
+    /// destination.
+    pub fn all_paths(&self) -> Vec<Path> {
+        let routers = || self.topo.routers();
+        let toward: Vec<_> = routers().map(|dst| self.toward(dst)).collect();
+        let pairs = routers().flat_map(|src| routers().map(move |dst| (src, dst)));
+        pairs
+            .filter(|(src, dst)| src != dst)
+            .filter_map(|(src, dst)| toward[dst.index()].path(src))
+            .collect()
     }
 
     /// Like [`path`](Self::path), but a failure is typed: the caller
@@ -275,43 +221,7 @@ impl<'a> AvoidingRoutes<'a> {
     /// ([`AvoidanceError::Disconnected`]) or only became so under the
     /// current exclusions ([`AvoidanceError::AllPathsExcluded`]).
     pub fn route(&self, src: RouterId, dst: RouterId) -> Result<Path, AvoidanceError> {
-        if let Some(p) = self.path(src, dst) {
-            return Ok(p);
-        }
-        if self.reachable_ignoring_exclusions(src, dst) {
-            Err(AvoidanceError::AllPathsExcluded { src, dst })
-        } else {
-            Err(AvoidanceError::Disconnected { src, dst })
-        }
-    }
-
-    /// Directed reachability in the raw graph, exclusions ignored.
-    fn reachable_ignoring_exclusions(&self, src: RouterId, dst: RouterId) -> bool {
-        if src == dst {
-            return true;
-        }
-        let mut seen = vec![false; self.topo.router_count()];
-        let mut stack = vec![src];
-        seen[src.index()] = true;
-        while let Some(u) = stack.pop() {
-            for &(v, _) in self.topo.neighbors(u) {
-                if v == dst {
-                    return true;
-                }
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether a router has become completely unreachable as a traffic
-    /// *transit or endpoint* for the given source — the "uniformly
-    /// malicious router ends up completely isolated" outcome of §2.4.3.
-    pub fn is_unreachable_from(&self, src: RouterId, r: RouterId) -> bool {
-        self.path(src, r).is_none()
+        self.toward(dst).route(src)
     }
 }
 
@@ -342,8 +252,9 @@ mod tests {
     fn no_exclusions_matches_link_state_route() {
         let (t, rs) = line_with_bypass();
         let av = AvoidingRoutes::new(&t, vec![]);
-        let direct = t.link_state_routes().path(rs[0], rs[3]).unwrap();
-        assert_eq!(av.path(rs[0], rs[3]), Some(direct));
+        let routes = t.link_state_routes();
+        assert_eq!(av.path(rs[0], rs[3]), routes.path(rs[0], rs[3]));
+        assert_eq!(av.all_paths(), routes.all_paths().collect::<Vec<_>>());
     }
 
     #[test]
@@ -391,7 +302,6 @@ mod tests {
         t.add_duplex_link(b, c, LinkParams::default());
         let av = AvoidingRoutes::new(&t, vec![PathSegment::new(vec![a, b])]);
         assert_eq!(av.path(a, c), None);
-        assert!(av.is_unreachable_from(a, c));
         // Reverse direction unaffected (segments are directional).
         assert!(av.path(c, a).is_some());
     }

@@ -6,11 +6,13 @@
 //! graph, one set of deterministic routes. A live deployment is not that —
 //! routers crash and restart, links flap, and the §2.4.3 response excises
 //! convicted segments mid-run. `DynamicTopology` is the incremental
-//! recompute API the runtime drives: paths are recomputed lazily per
-//! (source, destination) pair through [`AvoidingRoutes`] over the masked
-//! graph, with a per-pair cache that is invalidated wholesale on the next
-//! mutation, and [`digest`](DynamicTopology::digest) names the overlay's
-//! content, however it was reached.
+//! recompute API the runtime drives: paths are computed on demand by [the
+//! one route computation](crate::routing#the-rule) — one search per
+//! destination, the overlay handed to it as a link predicate and the
+//! excluded-segment automaton, no masked copy of the graph and nothing to
+//! invalidate — and [`digest`](DynamicTopology::digest) names the
+//! overlay's content, however it was reached. With an empty overlay every
+//! path is the link-state route, ties included.
 //!
 //! Masking semantics:
 //!
@@ -23,19 +25,18 @@
 //! * an **excluded segment** is the §2.4.3 conviction response: no path may
 //!   traverse the segment as a contiguous subsequence.
 //!
-//! `RouterId`s stay stable across masking: the masked graphs contain every
-//! router of the base topology (possibly with zero links), so ids keep
-//! indexing the same routers everywhere.
+//! Masking never renumbers: ids keep indexing the routers of the base
+//! topology everywhere.
 
-use crate::avoidance::{AvoidanceError, AvoidingRoutes};
+use crate::avoidance::{AvoidanceError, SegmentAutomaton};
 use crate::graph::{RouterId, Topology};
-use crate::routing::Path;
+use crate::routing::{Path, Toward};
 use crate::segments::PathSegment;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// A base topology with a churn overlay and lazily recomputed avoidance
-/// paths.
+/// A base topology with a churn overlay and the avoidance paths it
+/// implies.
 ///
 /// # Examples
 ///
@@ -57,8 +58,8 @@ pub struct DynamicTopology {
     down_links: BTreeSet<(RouterId, RouterId)>,
     no_transit: BTreeSet<RouterId>,
     excluded: Vec<PathSegment>,
-    masked: Option<Topology>,
-    cache: HashMap<(RouterId, RouterId), Result<Path, AvoidanceError>>,
+    /// Rejects `excluded`; rebuilt when a segment is added.
+    automaton: SegmentAutomaton,
 }
 
 impl DynamicTopology {
@@ -70,8 +71,7 @@ impl DynamicTopology {
             down_links: BTreeSet::new(),
             no_transit: BTreeSet::new(),
             excluded: Vec::new(),
-            masked: None,
-            cache: HashMap::new(),
+            automaton: SegmentAutomaton::reversed(&[]),
         }
     }
 
@@ -137,68 +137,39 @@ impl DynamicTopology {
         self.no_transit.contains(&r)
     }
 
-    fn bump(&mut self) {
-        self.masked = None;
-        self.cache.clear();
-    }
-
     /// Marks a router down. Returns whether anything changed.
     pub fn set_router_down(&mut self, r: RouterId) -> bool {
-        let changed = self.down_routers.insert(r);
-        if changed {
-            self.bump();
-        }
-        changed
+        self.down_routers.insert(r)
     }
 
     /// Brings a router back up (it typically re-enters via
     /// [`set_no_transit`](Self::set_no_transit) probation). Returns whether
     /// anything changed.
     pub fn set_router_up(&mut self, r: RouterId) -> bool {
-        let changed = self.down_routers.remove(&r);
-        if changed {
-            self.bump();
-        }
-        changed
+        self.down_routers.remove(&r)
     }
 
     /// Takes the duplex link `a – b` down. Returns whether anything
     /// changed.
     pub fn set_link_down(&mut self, a: RouterId, b: RouterId) -> bool {
-        let changed = self.down_links.insert((a, b)) | self.down_links.insert((b, a));
-        if changed {
-            self.bump();
-        }
-        changed
+        self.down_links.insert((a, b)) | self.down_links.insert((b, a))
     }
 
     /// Restores the duplex link `a – b`. Returns whether anything changed.
     pub fn set_link_up(&mut self, a: RouterId, b: RouterId) -> bool {
-        let changed = self.down_links.remove(&(a, b)) | self.down_links.remove(&(b, a));
-        if changed {
-            self.bump();
-        }
-        changed
+        self.down_links.remove(&(a, b)) | self.down_links.remove(&(b, a))
     }
 
     /// Puts `r` in the no-transit set (probation). Returns whether anything
     /// changed.
     pub fn set_no_transit(&mut self, r: RouterId) -> bool {
-        let changed = self.no_transit.insert(r);
-        if changed {
-            self.bump();
-        }
-        changed
+        self.no_transit.insert(r)
     }
 
     /// Removes `r` from the no-transit set (probation cleared). Returns
     /// whether anything changed.
     pub fn clear_no_transit(&mut self, r: RouterId) -> bool {
-        let changed = self.no_transit.remove(&r);
-        if changed {
-            self.bump();
-        }
-        changed
+        self.no_transit.remove(&r)
     }
 
     /// Adds a convicted segment to the exclusion set (§2.4.3 response).
@@ -208,101 +179,74 @@ impl DynamicTopology {
             return false;
         }
         self.excluded.push(seg);
-        self.bump();
+        self.automaton = SegmentAutomaton::reversed(&self.excluded);
         true
     }
 
-    /// The base graph with down routers and down links masked out (every
-    /// router kept, so ids stay stable). No-transit masking is per-pair and
-    /// not applied here.
-    pub fn masked_topology(&mut self) -> &Topology {
-        if self.masked.is_none() {
-            self.masked = Some(self.build_masked(None));
-        }
-        self.masked.as_ref().expect("just built")
-    }
-
-    /// Builds the masked graph; when `endpoints` is given, routers in the
-    /// no-transit set — other than the endpoints themselves — also lose
-    /// their links.
-    fn build_masked(&self, endpoints: Option<(RouterId, RouterId)>) -> Topology {
-        let mut t = Topology::new();
-        for r in self.base.routers() {
-            t.add_router(self.base.name(r));
-        }
-        let transit_banned = |r: RouterId| {
-            self.no_transit.contains(&r) && endpoints.is_some_and(|(s, d)| r != s && r != d)
-        };
-        for l in self.base.links() {
-            if self.down_routers.contains(&l.from) || self.down_routers.contains(&l.to) {
-                continue;
-            }
-            if self.down_links.contains(&(l.from, l.to)) {
-                continue;
-            }
-            if transit_banned(l.from) || transit_banned(l.to) {
-                continue;
-            }
-            t.add_link(l.from, l.to, l.params);
-        }
-        t
-    }
-
-    /// The avoidance path for one pair under the current overlay, cached
-    /// until the next mutation.
+    /// The avoidance path for one pair under the current overlay. (It
+    /// takes `&mut self`, as the mutators do, because that is the
+    /// signature `benchmark/` compiles against.)
     ///
     /// # Panics
     ///
     /// Panics on router ids from another topology.
     pub fn path(&mut self, src: RouterId, dst: RouterId) -> Result<Path, AvoidanceError> {
-        if let Some(r) = self.cache.get(&(src, dst)) {
-            return r.clone();
-        }
-        let result = self.compute_path(src, dst);
-        self.cache.insert((src, dst), result.clone());
-        result
+        self.route(&self.toward(dst), src, dst)
     }
 
-    fn compute_path(&mut self, src: RouterId, dst: RouterId) -> Result<Path, AvoidanceError> {
-        if self.down_routers.contains(&src) || self.down_routers.contains(&dst) {
+    /// The search toward `dst` over the links the overlay leaves usable.
+    fn toward(&self, dst: RouterId) -> Toward<'_, impl Fn(RouterId, RouterId) -> bool + '_> {
+        // A link carries traffic bound for `dst` if both its ends and the
+        // link itself are up and it does not lead into a no-transit router
+        // short of `dst`. Such a router may still be where the path
+        // starts: the search reaches it over its out-links and stops.
+        let link_ok = move |from: RouterId, to: RouterId| {
+            !self.down_routers.contains(&from)
+                && !self.down_routers.contains(&to)
+                && !self.down_links.contains(&(from, to))
+                && (to == dst || !self.no_transit.contains(&to))
+        };
+        Toward::search(&self.base, link_ok, &self.automaton, dst)
+    }
+
+    fn route(
+        &self,
+        toward: &Toward<'_, impl Fn(RouterId, RouterId) -> bool>,
+        src: RouterId,
+        dst: RouterId,
+    ) -> Result<Path, AvoidanceError> {
+        // A down router is nobody's source or sink, not even its own.
+        if self.is_router_down(src) || self.is_router_down(dst) {
             return Err(AvoidanceError::Disconnected { src, dst });
         }
-        if src == dst {
-            return Ok(Path::new(vec![src]));
-        }
-        let needs_pair_mask = self.no_transit.iter().any(|&r| r != src && r != dst);
-        if needs_pair_mask {
-            let topo = self.build_masked(Some((src, dst)));
-            AvoidingRoutes::new(&topo, self.excluded.clone()).route(src, dst)
-        } else {
-            let excluded = self.excluded.clone();
-            let topo = self.masked_topology();
-            AvoidingRoutes::new(topo, excluded).route(src, dst)
-        }
+        toward.route(src)
     }
 
-    /// Paths for a set of pairs; unroutable pairs are silently dropped
-    /// (the runtime surfaces those through its own metrics).
+    /// Paths for a set of pairs — one search per destination, whatever the
+    /// number of its sources; unroutable pairs are silently dropped (the
+    /// runtime surfaces those through its own metrics).
     pub fn paths_for(
         &mut self,
         pairs: impl IntoIterator<Item = (RouterId, RouterId)>,
     ) -> HashMap<(RouterId, RouterId), Path> {
-        let mut out = HashMap::new();
-        for (s, d) in pairs {
-            if s == d {
-                continue;
-            }
-            if let Ok(p) = self.path(s, d) {
-                out.insert((s, d), p);
-            }
+        let mut sources_of: BTreeMap<RouterId, BTreeSet<RouterId>> = BTreeMap::new();
+        for (src, dst) in pairs.into_iter().filter(|(src, dst)| src != dst) {
+            sources_of.entry(dst).or_default().insert(src);
         }
-        out
+        let mut paths = HashMap::new();
+        for (dst, sources) in sources_of {
+            let toward = self.toward(dst);
+            let routed = |src| Some(((src, dst), self.route(&toward, src, dst).ok()?));
+            paths.extend(sources.into_iter().filter_map(routed));
+        }
+        paths
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtin;
     use crate::graph::LinkParams;
 
     /// r0 - r1 - r2 - r3 line plus a bypass r0 - r4 - r5 - r3 at cost 2.
@@ -323,20 +267,187 @@ mod tests {
         (t, rs)
     }
 
+    /// Tie-free and tie-rich graphs: Abilene, the Rocketfuel stand-ins,
+    /// the two ISP-like graphs fatihbench deploys on, and regular and
+    /// seeded random meshes.
+    fn graphs() -> Vec<Topology> {
+        let isp = |n: usize| builtin::isp_like("isp", n, n * 972 / 315, 45, 0xF00D ^ n as u64);
+        let mut graphs = vec![
+            line_with_bypass().0,
+            builtin::abilene(),
+            builtin::sprintlink_like(1),
+            builtin::ebone_like(1),
+            isp(64),
+            isp(128),
+            builtin::ring(8),
+            builtin::grid(4, 5),
+        ];
+        graphs.extend((0..6).map(|seed| builtin::random_connected(40, 30, seed)));
+        graphs
+    }
+
     #[test]
     fn clean_overlay_matches_link_state() {
-        let (t, _) = line_with_bypass();
-        let mut d = DynamicTopology::new(t.clone());
-        let routes = t.link_state_routes();
-        for s in t.routers() {
-            for dst in t.routers() {
-                if s == dst {
-                    continue;
+        for t in graphs() {
+            let mut d = DynamicTopology::new(t.clone());
+            let routes = t.link_state_routes();
+            let pairs = t
+                .routers()
+                .flat_map(|s| t.routers().map(move |dst| (s, dst)));
+            let paths = d.paths_for(pairs);
+            assert_eq!(paths.len(), routes.all_paths().count());
+            for p in routes.all_paths() {
+                assert_eq!(paths[&(p.source(), p.sink())], p);
+            }
+            assert_eq!(d.digest(), 0);
+        }
+    }
+
+    /// Down routers, down links and a no-transit set are the link-state
+    /// routes of the graph with those links taken out — built here, link
+    /// by link, from the masking semantics in the module doc.
+    #[test]
+    fn masked_overlay_matches_link_state_of_the_masked_graph() {
+        let small = [
+            builtin::abilene(),
+            builtin::ring(8),
+            builtin::grid(4, 4),
+            builtin::random_connected(16, 12, 3),
+            builtin::random_connected(16, 12, 4),
+        ];
+        for t in small {
+            let id = |i: u32| RouterId::from(i);
+            let (down, no_transit) = ([id(2)], [id(1), id(5)]);
+            let (a, b) = (id(3), t.neighbors(id(3))[0].0);
+            let mut d = DynamicTopology::new(t.clone());
+            d.set_router_down(down[0]);
+            d.set_link_down(a, b);
+            d.set_no_transit(no_transit[0]);
+            d.set_no_transit(no_transit[1]);
+            for s in t.routers() {
+                for dst in t.routers() {
+                    let banned = |r: RouterId| {
+                        down.contains(&r) || no_transit.contains(&r) && r != s && r != dst
+                    };
+                    let mut masked = Topology::new();
+                    for r in t.routers() {
+                        masked.add_router(t.name(r));
+                    }
+                    for l in t.links() {
+                        let flapped = (l.from, l.to) == (a, b) || (l.from, l.to) == (b, a);
+                        if !flapped && !banned(l.from) && !banned(l.to) {
+                            masked.add_link(l.from, l.to, l.params);
+                        }
+                    }
+                    let expected = masked.link_state_routes().path(s, dst);
+                    let expected = expected.filter(|_| !down.contains(&s));
+                    assert_eq!(d.path(s, dst).ok(), expected, "{s} -> {dst}");
                 }
-                assert_eq!(d.path(s, dst).ok(), routes.path(s, dst));
             }
         }
-        assert_eq!(d.digest(), 0);
+    }
+
+    /// A few convictions: the middles of some long link-state routes.
+    fn convictions(routes: &crate::Routes) -> Vec<PathSegment> {
+        (routes.all_paths().filter(|p| p.len() >= 4))
+            .step_by(17)
+            .take(5)
+            .map(|p| PathSegment::new(p.routers()[1..p.len() - 1].to_vec()))
+            .collect()
+    }
+
+    /// With exclusions the answer is the overlay's, not its history's, and
+    /// it is least disruptive (§2.4.3): a pair whose link-state route
+    /// crosses no excluded segment keeps that route.
+    #[test]
+    fn excluded_paths_are_order_independent_and_least_disruptive() {
+        for t in graphs().into_iter().filter(|t| t.router_count() <= 64) {
+            let routes = t.link_state_routes();
+            let segs = convictions(&routes);
+            let mut forward = DynamicTopology::new(t.clone());
+            let mut backward = DynamicTopology::new(t.clone());
+            for seg in &segs {
+                forward.exclude_segment(seg.clone());
+            }
+            backward.set_router_down(RouterId::from(0)); // a state `forward` never saw
+            for seg in segs.iter().rev() {
+                backward.exclude_segment(seg.clone());
+            }
+            backward.set_router_up(RouterId::from(0));
+            let crosses = |p: &Path| segs.iter().any(|s| p.contains_segment(s.routers()));
+            for s in t.routers() {
+                for dst in t.routers() {
+                    let got = forward.path(s, dst);
+                    assert_eq!(got, backward.path(s, dst), "{s} -> {dst}");
+                    let plain = routes.path(s, dst).unwrap();
+                    match got {
+                        Ok(p) if crosses(&plain) => assert!(!crosses(&p), "{s} -> {dst}"),
+                        Ok(p) => assert_eq!(p, plain),
+                        Err(e) => {
+                            assert_eq!(e, AvoidanceError::AllPathsExcluded { src: s, dst })
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rule, checked against every walk: on graphs small enough to
+    /// enumerate, the path is the cheapest walk that completes no excluded
+    /// segment, and among the cheapest the one with the lowest router ids,
+    /// hop by hop.
+    #[test]
+    fn excluded_paths_are_the_lowest_cheapest_compliant_walk() {
+        /// Every compliant walk from the end of `walk` to `dst` within
+        /// `budget`, as `(cost, routers)`.
+        fn walks(
+            t: &Topology,
+            segs: &[PathSegment],
+            walk: &mut Vec<RouterId>,
+            cost: u64,
+            budget: u64,
+            dst: RouterId,
+            found: &mut Vec<(u64, Vec<RouterId>)>,
+        ) {
+            let at = *walk.last().unwrap();
+            if at == dst {
+                found.push((cost, walk.clone()));
+                return;
+            }
+            for &(v, p) in t.neighbors(at) {
+                let cost = cost + u64::from(p.cost);
+                walk.push(v);
+                if cost <= budget && !segs.iter().any(|s| walk.ends_with(s.routers())) {
+                    walks(t, segs, walk, cost, budget, dst, found);
+                }
+                walk.pop();
+            }
+        }
+        let small = [
+            line_with_bypass().0,
+            builtin::ring(8),
+            builtin::grid(3, 3),
+            builtin::random_connected(10, 8, 1),
+            builtin::random_connected(10, 8, 2),
+        ];
+        for t in small {
+            let segs = convictions(&t.link_state_routes());
+            let mut d = DynamicTopology::new(t.clone());
+            for seg in &segs {
+                d.exclude_segment(seg.clone());
+            }
+            for s in t.routers() {
+                for dst in t.routers() {
+                    let mut found = Vec::new();
+                    walks(&t, &segs, &mut vec![s], 0, 9, dst, &mut found);
+                    let lowest = found
+                        .into_iter()
+                        .min()
+                        .map(|(_, routers)| Path::new(routers));
+                    assert_eq!(d.path(s, dst).ok(), lowest, "{s} -> {dst}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -495,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_survives_queries_and_resets_on_mutation() {
+    fn queries_repeat_and_follow_mutations() {
         let (t, rs) = line_with_bypass();
         let mut d = DynamicTopology::new(t);
         let before = d.path(rs[0], rs[3]).unwrap();

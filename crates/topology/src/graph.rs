@@ -116,6 +116,9 @@ pub struct Link {
 pub struct Topology {
     names: Vec<String>,
     adjacency: Vec<Vec<(RouterId, LinkParams)>>,
+    /// `incoming[w]`: the `(u, cost)` of every link `u → w` — what a
+    /// search toward a destination walks.
+    incoming: Vec<Vec<(RouterId, u32)>>,
     directed_links: usize,
 }
 
@@ -139,6 +142,7 @@ impl Topology {
         let id = RouterId(self.names.len() as u32);
         self.names.push(name.to_owned());
         self.adjacency.push(Vec::new());
+        self.incoming.push(Vec::new());
         id
     }
 
@@ -153,6 +157,7 @@ impl Topology {
         assert!(to.index() < self.names.len(), "unknown router {to}");
         assert!(!self.has_link(from, to), "duplicate link {from} -> {to}");
         self.adjacency[from.index()].push((to, params));
+        self.incoming[to.index()].push((from, params.cost));
         self.directed_links += 1;
     }
 
@@ -203,6 +208,12 @@ impl Topology {
     /// Outgoing neighbours of `r` with link parameters.
     pub fn neighbors(&self, r: RouterId) -> &[(RouterId, LinkParams)] {
         &self.adjacency[r.index()]
+    }
+
+    /// Incoming neighbours of `r`: the far end and routing cost of every
+    /// link *into* `r`.
+    pub(crate) fn in_neighbors(&self, r: RouterId) -> &[(RouterId, u32)] {
+        &self.incoming[r.index()]
     }
 
     /// Out-degree of `r`.

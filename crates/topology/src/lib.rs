@@ -7,8 +7,8 @@
 //! structures Chapter 5 builds on it:
 //!
 //! * [`graph`] — [`Topology`], [`RouterId`], [`LinkParams`];
-//! * [`routing`] — all-pairs deterministic shortest paths ([`Routes`],
-//!   [`Path`]);
+//! * [`routing`] — the one route computation, and the all-pairs
+//!   deterministic shortest paths it gives ([`Routes`], [`Path`]);
 //! * [`segments`] — [`PathSegment`] and the monitored sets `P_r` for
 //!   Protocol Π2 ([`pi2_segments`]) and Protocol Πk+2 ([`pik2_segments`]);
 //! * [`avoidance`] — the §2.4.3 response: shortest paths that never

@@ -1,15 +1,39 @@
-//! Link-state routing (dissertation §4.1).
+//! Link-state routing (dissertation §4.1) and the one route computation
+//! of the workspace.
 //!
 //! The detection protocols assume that forwarding tables come from a
 //! link-state protocol (OSPF/IS-IS) giving every router a consistent global
 //! view, and that each router can *predict* the path any packet will take —
 //! real routers resolve equal-cost ties with a deterministic hash (Cisco
-//! CEF, Juniper IP ASIC), which we model with a deterministic lowest-id
-//! tie-break. The result is a single, globally agreed path per
+//! CEF, Juniper IP ASIC). The result is a single, globally agreed path per
 //! (source, destination) pair, which is what the path-segment enumeration
 //! of Chapter 5 consumes.
+//!
+//! # The rule
+//!
+//! The route from `src` to `dst` is the cheapest *compliant* path — over
+//! usable links, completing no excluded segment — and among equally cheap
+//! ones the path that takes, hop by hop, the **lowest next-hop id** that
+//! some cheapest compliant path continues through. It is a function of the
+//! graph, the usable links and the excluded segments only, so every router
+//! that holds the same view predicts the same path. (Compliance is judged
+//! on router sequences, so where exclusions leave nothing better the
+//! cheapest compliant route may be a walk that passes a router twice.)
+//!
+//! `Toward` is the only implementation: one Dijkstra toward the
+//! destination over in-edges, parameterised by a link predicate and the
+//! excluded-segment automaton (`SegmentAutomaton`, built over the
+//! *reversed* segments because the search reads paths back to front; with
+//! nothing excluded it has one state). [`Topology::link_state_routes`]
+//! is that search with every link usable and nothing excluded, for every
+//! destination; [`AvoidingRoutes`](crate::AvoidingRoutes) adds the
+//! automaton and [`DynamicTopology`](crate::DynamicTopology) the overlay's
+//! predicate as well.
 
+use crate::avoidance::{AvoidanceError, SegmentAutomaton};
 use crate::graph::{RouterId, Topology};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A loop-free sequence of adjacent routers (dissertation §4.1: "a path
 /// defines a sequence of routers that a packet can follow"; the first
@@ -106,8 +130,153 @@ pub struct Routes {
     dist: Vec<Vec<u64>>,
 }
 
+/// Cheapest compliant costs toward one destination, and the paths
+/// [the rule](self#the-rule) picks among them.
+///
+/// A search state is `(router, automaton state)`: the automaton has read
+/// the path from the destination back to the router, so two suffixes that
+/// constrain what may precede them differently are kept apart.
+pub(crate) struct Toward<'a, L> {
+    topo: &'a Topology,
+    link_ok: L,
+    automaton: &'a SegmentAutomaton,
+    dst: RouterId,
+    /// `dist[router · states + state]`, `u64::MAX` where unreachable.
+    dist: Vec<u64>,
+}
+
+impl<'a, L: Fn(RouterId, RouterId) -> bool> Toward<'a, L> {
+    /// Searches from `dst` over in-edges: `link_ok(from, to)` says whether
+    /// the link `from → to` may carry traffic bound for `dst`, `automaton`
+    /// which router sequences (read back to front) may not be completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a usable link has cost 0 (link-state metrics are ≥ 1; a
+    /// zero-cost cycle would leave the lowest-next-hop walk without an end).
+    pub(crate) fn search(
+        topo: &'a Topology,
+        link_ok: L,
+        automaton: &'a SegmentAutomaton,
+        dst: RouterId,
+    ) -> Self {
+        let states = automaton.state_count();
+        let mut dist = vec![u64::MAX; topo.router_count() * states];
+        let mut heap = BinaryHeap::new();
+        let start = automaton.step(0, dst);
+        dist[dst.index() * states + start] = 0;
+        heap.push(Reverse((0u64, dst, start)));
+        while let Some(Reverse((cost, w, state))) = heap.pop() {
+            if cost > dist[w.index() * states + state] {
+                continue;
+            }
+            for &(u, link_cost) in topo.in_neighbors(w) {
+                if !link_ok(u, w) {
+                    continue;
+                }
+                assert!(link_cost >= 1, "link {u} -> {w} has cost 0");
+                let before = automaton.step(state, u);
+                if automaton.is_terminal(before) {
+                    continue; // would complete an excluded segment
+                }
+                let cand = cost + u64::from(link_cost);
+                let slot = &mut dist[u.index() * states + before];
+                if cand < *slot {
+                    *slot = cand;
+                    heap.push(Reverse((cand, u, before)));
+                }
+            }
+        }
+        Self {
+            topo,
+            link_ok,
+            automaton,
+            dst,
+            dist,
+        }
+    }
+
+    fn states_at(&self, r: RouterId) -> &[u64] {
+        let states = self.automaton.state_count();
+        &self.dist[r.index() * states..][..states]
+    }
+
+    /// Cost of the cheapest compliant path from `src`, if there is one.
+    pub(crate) fn cost(&self, src: RouterId) -> Option<u64> {
+        let cheapest = self.states_at(src).iter().copied().min();
+        cheapest.filter(|&cost| cost != u64::MAX)
+    }
+
+    /// One hop of the rule. A cheapest compliant path has reached `at` with
+    /// `remaining` cost to go, and `live` holds the automaton states its
+    /// possible suffixes are in: returns the lowest-id neighbour one of
+    /// them continues through and the cost left there, and leaves that
+    /// neighbour's live states in `next`.
+    fn hop(
+        &self,
+        at: RouterId,
+        remaining: u64,
+        live: &[usize],
+        next: &mut Vec<usize>,
+    ) -> Option<(RouterId, u64)> {
+        let mut best: Option<(RouterId, u64)> = None;
+        for &(v, p) in self.topo.neighbors(at) {
+            let Some(rest) = remaining.checked_sub(u64::from(p.cost)) else {
+                continue;
+            };
+            if best.is_some_and(|(b, _)| v >= b) || !(self.link_ok)(at, v) {
+                continue;
+            }
+            for (state, &d) in self.states_at(v).iter().enumerate() {
+                if d == rest && live.contains(&self.automaton.step(state, at)) {
+                    if best != Some((v, rest)) {
+                        best = Some((v, rest));
+                        next.clear();
+                    }
+                    next.push(state);
+                }
+            }
+        }
+        best
+    }
+
+    /// The route from `src`: `None` if no compliant path exists.
+    pub(crate) fn path(&self, src: RouterId) -> Option<Path> {
+        let mut remaining = self.cost(src)?;
+        let at_src = self.states_at(src).iter().enumerate();
+        let mut live: Vec<usize> = at_src
+            .filter_map(|(state, &d)| (d == remaining).then_some(state))
+            .collect();
+        let mut next = Vec::new();
+        let mut routers = vec![src];
+        let mut at = src;
+        while at != self.dst {
+            (at, remaining) = self
+                .hop(at, remaining, &live, &mut next)
+                .expect("a finite cost has a continuation");
+            std::mem::swap(&mut live, &mut next);
+            routers.push(at);
+        }
+        Some(Path::new(routers))
+    }
+
+    /// Like [`path`](Self::path), but says why there is none: the same
+    /// search with nothing excluded tells a destination that was never
+    /// reachable from one the exclusions isolate.
+    pub(crate) fn route(&self, src: RouterId) -> Result<Path, AvoidanceError> {
+        self.path(src).ok_or_else(|| {
+            let (nothing_excluded, dst) = (SegmentAutomaton::reversed(&[]), self.dst);
+            match Toward::search(self.topo, &self.link_ok, &nothing_excluded, dst).cost(src) {
+                Some(_) => AvoidanceError::AllPathsExcluded { src, dst },
+                None => AvoidanceError::Disconnected { src, dst },
+            }
+        })
+    }
+}
+
 impl Topology {
-    /// Computes all-pairs deterministic shortest-path routes.
+    /// Computes all-pairs deterministic shortest-path routes: [the
+    /// rule](self#the-rule) with every link usable and nothing excluded.
     ///
     /// Ties are broken toward the lowest next-hop id, modelling the
     /// deterministic ECMP hash of §4.1; all routers agree on the result, so
@@ -118,57 +287,21 @@ impl Topology {
     /// Panics if any link has cost 0 (link-state metrics are ≥ 1; zero-cost
     /// links would allow zero-length cycles in the next-hop derivation).
     pub fn link_state_routes(&self) -> Routes {
-        for l in self.links() {
-            assert!(l.params.cost >= 1, "link {} -> {} has cost 0", l.from, l.to);
-        }
         let n = self.router_count();
-        // Reverse adjacency for per-destination Dijkstra.
-        let mut reverse: Vec<Vec<(RouterId, u32)>> = vec![Vec::new(); n];
-        for l in self.links() {
-            reverse[l.to.index()].push((l.from, l.params.cost));
-        }
-
         let mut next_hop = vec![vec![None; n]; n];
         let mut dist = vec![vec![u64::MAX; n]; n];
-
+        let nothing_excluded = SegmentAutomaton::reversed(&[]);
+        let mut scratch = Vec::new();
         for dst in self.routers() {
-            let d = dst.index();
-            // Dijkstra from dst over reversed edges.
-            let mut local = vec![u64::MAX; n];
-            local[d] = 0;
-            let mut heap = std::collections::BinaryHeap::new();
-            heap.push(std::cmp::Reverse((0u64, dst)));
-            while let Some(std::cmp::Reverse((cost, w))) = heap.pop() {
-                if cost > local[w.index()] {
-                    continue;
-                }
-                for &(u, link_cost) in &reverse[w.index()] {
-                    let cand = cost + link_cost as u64;
-                    if cand < local[u.index()] {
-                        local[u.index()] = cand;
-                        heap.push(std::cmp::Reverse((cand, u)));
-                    }
-                }
-            }
-            // Deterministic next hops: among optimal neighbours pick the
-            // lowest id.
+            let toward = Toward::search(self, |_, _| true, &nothing_excluded, dst);
             for u in self.routers() {
-                if u == dst || local[u.index()] == u64::MAX {
-                    continue;
+                if let Some(cost) = toward.cost(u) {
+                    dist[u.index()][dst.index()] = cost;
+                    // Nothing excluded: the automaton's one state is live
+                    // at every router.
+                    next_hop[u.index()][dst.index()] =
+                        toward.hop(u, cost, &[0], &mut scratch).map(|(v, _)| v);
                 }
-                let mut best: Option<RouterId> = None;
-                for &(w, p) in self.neighbors(u) {
-                    if local[w.index()] != u64::MAX
-                        && p.cost as u64 + local[w.index()] == local[u.index()]
-                        && best.is_none_or(|b| w < b)
-                    {
-                        best = Some(w);
-                    }
-                }
-                next_hop[u.index()][d] = best;
-            }
-            for u in 0..n {
-                dist[u][d] = local[u];
             }
         }
         Routes { n, next_hop, dist }

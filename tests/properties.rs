@@ -6,7 +6,7 @@
 
 use fatih::crypto::{Sha256, UhashKey};
 use fatih::stats::{erf, normal};
-use fatih::topology::{builtin, AvoidingRoutes, PathSegment, RouterId};
+use fatih::topology::{builtin, AvoidingRoutes, DynamicTopology, PathSegment, RouterId};
 use fatih::validation::field::Fe;
 use fatih::validation::{reconcile, SetSketch};
 use rand::rngs::StdRng;
@@ -124,7 +124,8 @@ fn erf_and_normal_shape() {
 }
 
 /// Link-state routes are subpath-consistent on random connected graphs
-/// (§4.1's predictability requirement).
+/// (§4.1's predictability requirement), and the runtime's table under a
+/// clean overlay predicts the same remaining route from every router.
 #[test]
 fn routing_subpath_consistency() {
     for case in 0u64..24 {
@@ -134,17 +135,21 @@ fn routing_subpath_consistency() {
         let extra = rng.gen_range(0usize..10);
         let topo = builtin::random_connected(n, extra, seed);
         let routes = topo.link_state_routes();
+        let mut dynamic = DynamicTopology::new(topo.clone());
         for p in routes.all_paths() {
             for (i, &mid) in p.routers().iter().enumerate() {
                 let sub = routes.path(mid, p.sink()).unwrap();
                 assert_eq!(sub.routers(), &p.routers()[i..], "case {case}");
+                assert_eq!(dynamic.path(mid, p.sink()).ok(), Some(sub), "case {case}");
             }
         }
     }
 }
 
-/// Avoidance routing never traverses an excluded segment, and when it
-/// yields no path the plain route genuinely crossed an exclusion.
+/// Avoidance routing never traverses an excluded segment, is least
+/// disruptive (§2.4.3: a pair whose plain route does not cross the segment
+/// keeps it), and when it yields no path the plain route genuinely crossed
+/// an exclusion.
 #[test]
 fn avoidance_respects_exclusions() {
     for case in 0u64..24 {
@@ -172,7 +177,11 @@ fn avoidance_respects_exclusions() {
                 }
                 match av.path(s, d) {
                     Some(p) => {
-                        assert!(!p.contains_segment(seg.routers()), "case {case}")
+                        assert!(!p.contains_segment(seg.routers()), "case {case}");
+                        let plain = routes.path(s, d).unwrap();
+                        if !plain.contains_segment(seg.routers()) {
+                            assert_eq!(p, plain, "case {case}");
+                        }
                     }
                     None => {
                         // Then every plain route s→d must cross the segment.
