@@ -17,6 +17,7 @@
 //! alias of the default).
 
 use fatih_core::monitor::{Report, ReportEntry};
+use fatih_core::pik2::{Evidence, Message};
 use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_net::codec::{decode_frame, encode_frame, Frame, WireMessage};
 use fatih_net::{LoopbackHub, Transport, UdpNet};
@@ -73,10 +74,10 @@ fn summary_frame(i: u64) -> Frame {
         src: rid(0),
         dst: rid(1),
         seq: i,
-        msg: WireMessage::Summary {
+        msg: WireMessage::Pik2(Message {
             round: i,
             segment: PathSegment::new(vec![rid(0), rid(1)]),
-            report: Report {
+            evidence: Evidence::Summary(Report {
                 entries: (0..16)
                     .map(|j| ReportEntry {
                         fingerprint: Fingerprint::new(i ^ j),
@@ -84,8 +85,8 @@ fn summary_frame(i: u64) -> Frame {
                         time: SimTime::from_ns(j * 500),
                     })
                     .collect(),
-            },
-        },
+            }),
+        }),
     }
 }
 

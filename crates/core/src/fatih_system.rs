@@ -34,8 +34,9 @@
 //! [`PacketKind::Control`]: fatih_sim::PacketKind::Control
 
 use crate::pik2::{Pik2Config, Pik2Detector, RoundExchange};
-use crate::spec::Suspicion;
+use crate::spec::{SignedAlert, Suspicion};
 use crate::transport::{ReliableTransport, TransportConfig, TransportMsg};
+use crate::wire::{WireEncoder, WireReader};
 use fatih_crypto::KeyStore;
 use fatih_obs::{Counter, MetricsRegistry};
 use fatih_sim::{FaultPlan, Network, SimTime};
@@ -97,8 +98,8 @@ pub enum FatihEvent {
     },
 }
 
-/// First byte of a signed alert message on the wire.
-const ALERT_TAG: u8 = 0xA1;
+/// First field of an alert payload: what tells it from a summary.
+const ALERT_KIND: u32 = 0xA1;
 
 /// How often the control loop pumps the transport while the simulation
 /// advances between milestones.
@@ -284,11 +285,10 @@ impl FatihSystem {
         }
         // Alert dissemination: the raiser signs and unicasts the suspected
         // segment to every other router over the reliable transport
-        // (§5.3.1's alert channel; robust flooding is the heavyweight
-        // alternative, see `flooding`).
+        // (§5.3.1's alert channel).
         let ids: Vec<RouterId> = net.topology().routers().collect();
         for s in &newly {
-            let payload = encode_alert(&self.keystore, s.raised_by, &s.segment);
+            let payload = seal_alert(&self.keystore, s);
             for &r in &ids {
                 if r != s.raised_by {
                     self.transport.send(net, s.raised_by, r, payload.clone());
@@ -386,65 +386,33 @@ impl FatihSystem {
     /// Verifies and applies one alert message. Application is a set
     /// insert, so duplicated, reordered or late alerts are harmless.
     fn apply_alert(&mut self, msg: &TransportMsg) {
-        let Some(segment) = decode_alert(&self.keystore, &msg.payload) else {
+        let Some(alert) = open_alert(&self.keystore, &msg.payload) else {
             return;
         };
         self.alerts_delivered += 1;
         self.obs_alerts.inc();
-        self.excluded.insert(segment);
+        self.excluded.insert(alert.suspicion.segment);
     }
 }
 
-/// Wire form of an alert: tag, origin router, signature over
-/// `origin ‖ body`, body = router count + router ids of the suspected
-/// segment.
-fn encode_alert(keystore: &KeyStore, origin: RouterId, segment: &PathSegment) -> Vec<u8> {
-    let routers = segment.routers();
-    let mut body = Vec::with_capacity(4 + 4 * routers.len());
-    body.extend_from_slice(&(routers.len() as u32).to_le_bytes());
-    for &r in routers {
-        body.extend_from_slice(&u32::from(r).to_le_bytes());
-    }
-    let mut ctx = Vec::with_capacity(4 + body.len());
-    ctx.extend_from_slice(&u32::from(origin).to_le_bytes());
-    ctx.extend_from_slice(&body);
-    let sig = keystore.sign(origin.into(), &ctx);
-    let mut out = Vec::with_capacity(37 + body.len());
-    out.push(ALERT_TAG);
-    out.extend_from_slice(&u32::from(origin).to_le_bytes());
-    out.extend_from_slice(&sig.0 .0);
-    out.extend_from_slice(&body);
-    out
+/// An alert payload: the kind, then the suspicion signed by its raiser.
+fn seal_alert(keystore: &KeyStore, suspicion: &Suspicion) -> Vec<u8> {
+    let mut e = WireEncoder::new();
+    e.u32(ALERT_KIND);
+    SignedAlert::sign(keystore, suspicion.clone()).encode_into(&mut e);
+    e.into_bytes()
 }
 
-/// Decodes and authenticates an alert; `None` for non-alerts, malformed
-/// payloads and bad signatures.
-fn decode_alert(keystore: &KeyStore, payload: &[u8]) -> Option<PathSegment> {
-    if payload.len() < 41 || payload[0] != ALERT_TAG {
+/// The alert in a payload; `None` for non-alerts, malformed payloads and
+/// bad signatures.
+fn open_alert(keystore: &KeyStore, payload: &[u8]) -> Option<SignedAlert> {
+    let mut rd = WireReader::new(payload);
+    if rd.u32() != Ok(ALERT_KIND) {
         return None;
     }
-    let origin = u32::from_le_bytes(payload[1..5].try_into().unwrap());
-    let mut sig_bytes = [0u8; 32];
-    sig_bytes.copy_from_slice(&payload[5..37]);
-    let body = &payload[37..];
-    let count = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-    if count < 2 || body.len() != 4 + 4 * count {
-        return None;
-    }
-    let mut ctx = Vec::with_capacity(4 + body.len());
-    ctx.extend_from_slice(&origin.to_le_bytes());
-    ctx.extend_from_slice(body);
-    let sig = fatih_crypto::Signature(fatih_crypto::Digest(sig_bytes));
-    if !keystore.contains(origin) || !keystore.verify(origin, &ctx, &sig) {
-        return None;
-    }
-    let routers: Vec<RouterId> = (0..count)
-        .map(|i| {
-            let off = 4 + 4 * i;
-            RouterId::from(u32::from_le_bytes(body[off..off + 4].try_into().unwrap()))
-        })
-        .collect();
-    Some(PathSegment::new(routers))
+    let alert = SignedAlert::decode_from(&mut rd).ok()?;
+    rd.done().ok()?;
+    alert.verify(keystore).then_some(alert)
 }
 
 #[cfg(test)]
@@ -695,21 +663,29 @@ mod tests {
         for r in 0..4u32 {
             ks.register(r);
         }
-        let seg = PathSegment::new(vec![
-            RouterId::from(1),
-            RouterId::from(2),
-            RouterId::from(3),
-        ]);
-        let wire = encode_alert(&ks, RouterId::from(0), &seg);
-        assert_eq!(decode_alert(&ks, &wire), Some(seg.clone()));
+        let suspicion = Suspicion {
+            segment: PathSegment::new(vec![
+                RouterId::from(1),
+                RouterId::from(2),
+                RouterId::from(3),
+            ]),
+            interval: Interval::new(SimTime::ZERO, SimTime::from_secs(5)),
+            raised_by: RouterId::from(0),
+        };
+        let wire = seal_alert(&ks, &suspicion);
+        let opened = open_alert(&ks, &wire).expect("authentic");
+        assert_eq!(opened.suspicion, suspicion);
 
-        // Tampered body fails authentication.
-        let mut bad = wire.clone();
-        *bad.last_mut().unwrap() ^= 1;
-        assert_eq!(decode_alert(&ks, &bad), None);
+        // Tampered with anywhere — the suspicion or its signature — it
+        // fails authentication.
+        for byte in [6, wire.len() - 1] {
+            let mut bad = wire.clone();
+            bad[byte] ^= 1;
+            assert_eq!(open_alert(&ks, &bad), None);
+        }
         // Foreign origin fails too.
         let other = KeyStore::with_seed(7);
-        assert_eq!(decode_alert(&other, &wire), None);
+        assert_eq!(open_alert(&other, &wire), None);
 
         // Applying the same alert twice leaves one exclusion.
         let topo = builtin::line(4);

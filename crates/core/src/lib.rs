@@ -11,7 +11,8 @@
 //! substrates:
 //!
 //! * [`spec`] — the failure-detector specification: suspicions,
-//!   a-Accuracy, a-Completeness, precision (§4.2.2);
+//!   a-Accuracy, a-Completeness, precision (§4.2.2), and the signed alert
+//!   a suspicion travels as (`SignedAlert`, Figure 5.3);
 //! * [`monitor`] — building `info(r, π, τ)` from local observations;
 //! * [`rounds`] — the round rule: the window of observations a round
 //!   judges, holds and afterwards forgets, one definition under the
@@ -25,7 +26,8 @@
 //! * [`pik2`] — **Protocol Πk+2**: only segment ends validate;
 //!   strong-complete, accurate, precision k+2, cheap enough to deploy
 //!   (§5.2). The exchange is the per-router, sans-I/O `Pik2Node`, hosted
-//!   by `Pik2Detector` here and by the live runtime;
+//!   by `Pik2Detector` here and by the live runtime, and what either host
+//!   puts on its wire is a `pik2::Message`, encoded here;
 //! * [`chi`] — **Protocol χ**: congestion-aware loss detection by queue
 //!   replay with statistical confidence tests, for drop-tail and RED
 //!   queues (Chapter 6);
@@ -45,7 +47,8 @@
 //! * [`transport`] — reliable control-plane delivery over the lossy
 //!   simulated network: [`reliable`]'s core driven by the simulator's
 //!   clock and control packets;
-//! * [`flooding`] — robust flooding for alert dissemination (§3.7);
+//! * [`wire`] — the tagged byte layout every control message is written
+//!   in and signed over;
 //! * [`perlman`] — Byzantine-robust multipath forwarding under
 //!   `TotalFault(f)` (§3.7).
 //!
@@ -86,10 +89,8 @@
 #![warn(missing_docs)]
 
 pub mod chi;
-pub mod chi_deployment;
 pub mod consensus;
 pub mod fatih_system;
-pub mod flooding;
 pub mod herzberg;
 pub mod monitor;
 pub mod perlman;
@@ -108,14 +109,12 @@ pub mod wire;
 pub mod zhang;
 
 pub use chi::{ChiConfig, ChiVerdict, QueueModel, QueueValidator};
-pub use chi_deployment::ChiDeployment;
 pub use fatih_system::{FatihConfig, FatihEvent, FatihSystem};
-pub use flooding::{FloodBehavior, FloodError, FloodOutcome, NetworkFloodOutcome};
 pub use pi2::{Pi2Config, Pi2Detector};
 pub use pik2::{Pik2Config, Pik2Detector};
 pub use policy::{Policy, ReportFault, Thresholds};
 pub use probation::{ProbationStatus, ProbationTracker};
-pub use spec::{Interval, SpecCheck, Suspicion};
+pub use spec::{Interval, SignedAlert, SpecCheck, Suspicion};
 pub use threshold::{ThresholdDetector, ThresholdVerdict};
 pub use transport::{ReliableTransport, TransportConfig, TransportEvent, TransportMsg};
 pub use watchers::{WatchersConfig, WatchersDetector, WatchersMode};

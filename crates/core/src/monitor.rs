@@ -163,22 +163,19 @@ impl Report {
     /// ordering — an adversarial permutation could otherwise smuggle
     /// entries past the maturity cutoff.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let n = u64::from_le_bytes(bytes[..8].try_into().ok()?) as usize;
-        if bytes.len() != 8 + n * 20 {
+        let (count, body) = bytes.split_first_chunk::<8>()?;
+        // The count comes off the wire: it is held against the bytes that
+        // are there, without overflow, before anything is reserved for it.
+        let n = usize::try_from(u64::from_le_bytes(*count)).ok()?;
+        if n.checked_mul(20) != Some(body.len()) {
             return None;
         }
         let mut entries = Vec::with_capacity(n);
         let mut prev = SimTime::ZERO;
-        for i in 0..n {
-            let off = 8 + i * 20;
-            let fp = u64::from_le_bytes(bytes[off..off + 8].try_into().ok()?);
-            let size = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().ok()?);
-            let time = SimTime::from_ns(u64::from_le_bytes(
-                bytes[off + 12..off + 20].try_into().ok()?,
-            ));
+        for e in body.chunks_exact(20) {
+            let fp = u64::from_le_bytes(e[..8].try_into().ok()?);
+            let size = u32::from_le_bytes(e[8..12].try_into().ok()?);
+            let time = SimTime::from_ns(u64::from_le_bytes(e[12..].try_into().ok()?));
             if time < prev {
                 return None;
             }
@@ -917,6 +914,26 @@ mod tests {
         let mut garbled = r.encode();
         garbled.pop();
         assert_eq!(Report::decode(&garbled), None);
+    }
+
+    /// A count chosen so that `8 + n * 20` wraps round to the true length:
+    /// one entry's bytes under a claim of 1 + 2^62 entries. Refused, with
+    /// nothing reserved for the claim.
+    #[test]
+    fn a_report_whose_count_overflows_the_length_check_is_refused() {
+        let one = Report {
+            entries: vec![ReportEntry {
+                fingerprint: Fingerprint::new(1),
+                size: 100,
+                time: SimTime::from_ms(1),
+            }],
+        };
+        let mut crafted = one.encode();
+        assert_eq!(crafted.len(), 28);
+        crafted[..8].copy_from_slice(&(1u64 + (1 << 62)).to_le_bytes());
+        assert_eq!(Report::decode(&crafted), None);
+        assert_eq!(Report::decode(&[]), None);
+        assert_eq!(Report::decode(&u64::MAX.to_le_bytes()), None);
     }
 
     #[test]

@@ -18,16 +18,19 @@
 //! a host closes its rounds, hands it what arrived — having authenticated
 //! the sender — and reads it the record through a `&SegmentMonitorSet`.
 //! Two hosts do: [`Pik2Detector`] here, one node per segment-ending router
-//! over the simulator's shared monitor set, adding the summary wire form,
-//! the pairwise MAC, [`ReliableTransport`] delivery and the report faults
-//! of §2.2.1; and the live runtime's per-router event loop (`fatih-net`),
-//! adding sealed frames, retransmission, metrics, alerts and the response.
+//! over the simulator's shared monitor set, adding the pairwise MAC,
+//! [`ReliableTransport`] delivery and the report faults of §2.2.1; and the
+//! live runtime's per-router event loop (`fatih-net`), adding sealed
+//! frames, retransmission, metrics, alerts and the response. What either
+//! host puts on its wire is a [`Message`], whose bytes are laid out here
+//! and nowhere else.
 
 use crate::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
 use crate::policy::{distort, PairVerdict, Policy, ReportFault, Thresholds};
 use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
 use crate::transport::{ReliableTransport, TransportEvent, TransportMsg};
+use crate::wire::{WireEncoder, WireError, WireReader};
 use fatih_crypto::KeyStore;
 use fatih_sim::{Network, SimTime, TapEvent};
 use fatih_topology::{PathSegment, RouterId, Routes};
@@ -50,6 +53,71 @@ pub enum Evidence {
     },
     /// The sender could not resolve a digest: it asks for the summary.
     Pull,
+}
+
+/// Which form a piece of [`Evidence`] takes. A [`Message`]'s bytes do not
+/// say; what carries them does — the frame's type byte on the live wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvidenceKind {
+    /// [`Evidence::Summary`].
+    Summary,
+    /// [`Evidence::Digest`].
+    Digest,
+    /// [`Evidence::Pull`].
+    Pull,
+}
+
+/// The Πk+2 exchange message — `info(r, π, τ)` of Figure 5.3, or the
+/// Appendix A stand-ins for it: what one end of `segment` tells the other
+/// about `round`. A host authenticates it with the ends' pairwise key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Message {
+    /// The round the evidence is about.
+    pub round: u64,
+    /// The monitored segment.
+    pub segment: PathSegment,
+    /// What the sender says.
+    pub evidence: Evidence,
+}
+
+impl Message {
+    /// Appends the message's wire form: round, segment, then the report's
+    /// canonical bytes, the judged and the held digest, or nothing.
+    pub fn encode_into(&self, e: &mut WireEncoder) {
+        e.u64(self.round).segment(&self.segment);
+        match &self.evidence {
+            Evidence::Summary(report) => {
+                e.bytes(&report.encode());
+            }
+            Evidence::Digest { judged, held } => {
+                e.digest(judged).digest(held);
+            }
+            Evidence::Pull => {}
+        }
+    }
+
+    /// Reads [`encode_into`](Self::encode_into)'s output for evidence of
+    /// the given kind. Never panics, and allocates for nothing the input
+    /// does not hold.
+    pub fn decode_from(kind: EvidenceKind, rd: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let round = rd.u64()?;
+        let segment = rd.segment()?;
+        let evidence = match kind {
+            EvidenceKind::Summary => {
+                Evidence::Summary(Report::decode(rd.bytes()?).ok_or(WireError::Invalid)?)
+            }
+            EvidenceKind::Digest => Evidence::Digest {
+                judged: rd.digest()?,
+                held: rd.digest()?,
+            },
+            EvidenceKind::Pull => Evidence::Pull,
+        };
+        Ok(Self {
+            round,
+            segment,
+            evidence,
+        })
+    }
 }
 
 /// What a node did with a piece of evidence.
@@ -549,8 +617,7 @@ impl Pik2Detector {
             let Evidence::Summary(report) = said else {
                 unreachable!("no sketch was asked for");
             };
-            let (a, b) = segments[seg].ends();
-            let from_a = sender == a;
+            let from_a = sender == segments[seg].source();
             let salt = if from_a { 1 } else { 2 };
             // The report fault wraps the node's outgoing summary. Ends have
             // no upstream record within the segment to copy, so HideDrops
@@ -563,16 +630,14 @@ impl Pik2Detector {
                 exch.failed.insert((seg, from_a));
                 continue;
             };
-            // Wire form of one summary: tag, round id, segment index,
-            // direction, pairwise MAC, report bytes.
-            let body = claimed.encode();
-            let ctx = summary_context(round_id, seg, from_a, &body);
-            let mac = self.keystore.pairwise_mac(a.into(), b.into(), &ctx);
-            let mut payload = Vec::with_capacity(1 + ctx.len() + 32);
-            payload.push(SUMMARY_TAG);
-            payload.extend_from_slice(&ctx[..13]);
-            payload.extend_from_slice(&mac.0 .0);
-            payload.extend_from_slice(&body);
+            let message = Message {
+                round: round_id,
+                segment: segments[seg].clone(),
+                evidence: Evidence::Summary(claimed),
+            };
+            let mut body = WireEncoder::new();
+            message.encode_into(&mut body);
+            let payload = seal(&self.keystore, sender, receiver, body.finish());
             let msg = send(sender, receiver, payload);
             exch.pending.insert(msg, (seg, from_a));
         }
@@ -580,56 +645,55 @@ impl Pik2Detector {
     }
 
     /// Offers a delivered transport message to the exchange. Returns
-    /// `true` if it was one of this exchange's summaries (consumed),
-    /// `false` if it belongs to someone else (another round, an alert…).
-    /// A summary that is authentic — the pairwise MAC is this host's
-    /// authentication of the sending end — goes to the receiving end's
-    /// node.
+    /// `true` if it was a summary (consumed), `false` if it is something
+    /// else (an alert…). A summary that is authentic goes to the receiving
+    /// end's node.
     pub fn exchange_message(&mut self, exch: &mut RoundExchange, msg: &TransportMsg) -> bool {
-        let p = &msg.payload;
-        if p.len() < 46 || p[0] != SUMMARY_TAG {
+        let mut rd = WireReader::new(&msg.payload);
+        if rd.u32() != Ok(SUMMARY_KIND) {
             return false;
         }
-        let round_id = u64::from_le_bytes(p[1..9].try_into().unwrap());
-        if round_id != exch.round_id {
+        let heard = self.open(msg.to, &mut rd);
+        if matches!(&heard, Some((_, m)) if m.round != exch.round_id) {
             // A stale summary from an abandoned exchange: consumed (it is
             // a summary) but carries no information for this round.
             return true;
         }
-        let seg = u32::from_le_bytes(p[9..13].try_into().unwrap()) as usize;
-        let from_a = p[13] != 0;
-        let mut mac_bytes = [0u8; 32];
-        mac_bytes.copy_from_slice(&p[14..46]);
-        let mac = fatih_crypto::Signature(fatih_crypto::Digest(mac_bytes));
-        let body = &p[46..];
-        exch.pending.remove(&msg.msg);
-        let authentic = self.monitors.segments().get(seg).and_then(|segment| {
-            let (a, b) = segment.ends();
-            let ctx = summary_context(round_id, seg, from_a, body);
-            let ok = (self.keystore).pairwise_verify(a.into(), b.into(), &ctx, &mac);
-            let report = ok.then(|| Report::decode(body)).flatten()?;
-            Some((segment, if from_a { (a, b) } else { (b, a) }, report))
+        let direction = exch.pending.remove(&msg.msg);
+        let stored = heard.is_some_and(|(from, m)| {
+            self.nodes.get_mut(&msg.to).is_some_and(|node| {
+                let (round, window) = (exch.round, exch.window);
+                node.receive(from, round, &m.segment, m.evidence, window, &self.monitors)
+                    == Received::Stored
+            })
         });
-        match authentic {
-            Some((segment, (from, to), report)) => {
-                let node = self.nodes.get_mut(&to).expect("every end has a node");
-                let summary = Evidence::Summary(report);
-                node.receive(
-                    from,
-                    exch.round,
-                    segment,
-                    summary,
-                    exch.window,
-                    &self.monitors,
-                );
-            }
-            // Unauthenticated or garbled: a failed exchange, exactly as if
-            // the summary never arrived (Figure 5.3).
-            None => {
-                exch.failed.insert((seg, from_a));
-            }
+        if !stored {
+            // Unauthenticated, garbled, or not the segment's other end's to
+            // say: a failed exchange, exactly as if the summary never
+            // arrived (Figure 5.3).
+            exch.failed.extend(direction);
         }
         true
+    }
+
+    /// Opens the rest of a summary payload that reached `to`: the sender
+    /// and its message, if the pairwise MAC — this host's authentication
+    /// of the sending end — holds and the message under it decodes.
+    fn open(&self, to: RouterId, rd: &mut WireReader<'_>) -> Option<(RouterId, Message)> {
+        let from = rd.router().ok()?;
+        let body = rd.bytes().ok()?;
+        let sealed = rd.consumed();
+        let mac = rd.signature().ok()?;
+        rd.done().ok()?;
+        let keys = &self.keystore;
+        let (a, b) = (from.into(), to.into());
+        if !(keys.contains(a) && keys.contains(b) && keys.pairwise_verify(a, b, sealed, &mac)) {
+            return None;
+        }
+        let mut body = WireReader::new(body);
+        let message = Message::decode_from(EvidenceKind::Summary, &mut body).ok()?;
+        body.done().ok()?;
+        Some((from, message))
     }
 
     /// Offers a sender-side transport event to the exchange: an
@@ -690,19 +754,21 @@ impl Pik2Detector {
     }
 }
 
-/// First byte of a Πk+2 summary message on the wire.
-const SUMMARY_TAG: u8 = 0xE1;
+/// First field of a summary payload: what tells it from the simulator's
+/// other control payloads.
+const SUMMARY_KIND: u32 = 0xE1;
 
-/// What a summary's pairwise MAC covers: the context (round, segment,
-/// direction) and the report, so a summary cannot be replayed into another
-/// round or segment. The first 13 bytes are the wire header after the tag.
-fn summary_context(round_id: u64, seg: usize, from_a: bool, body: &[u8]) -> Vec<u8> {
-    let mut ctx = Vec::with_capacity(13 + body.len());
-    ctx.extend_from_slice(&round_id.to_le_bytes());
-    ctx.extend_from_slice(&(seg as u32).to_le_bytes());
-    ctx.push(from_a as u8);
-    ctx.extend_from_slice(body);
-    ctx
+/// The simulator host's envelope round an exchange message: kind, sender,
+/// the message, and the pairwise MAC of sender and receiver over all three
+/// — the message says which round and segment it is about, so a summary
+/// cannot be replayed into another round or segment, nor under another
+/// sender's name.
+fn seal(keystore: &KeyStore, from: RouterId, to: RouterId, message: &[u8]) -> Vec<u8> {
+    let mut e = WireEncoder::new();
+    e.u32(SUMMARY_KIND).router(from).bytes(message);
+    let mac = keystore.pairwise_mac(from.into(), to.into(), e.finish());
+    e.signature(&mac);
+    e.into_bytes()
 }
 
 /// A transport-backed summary exchange in progress (between
@@ -1113,6 +1179,45 @@ mod tests {
             let (a, b) = pair[0].segment.ends();
             assert!(raisers == (a, b) || raisers == (b, a), "{pair:?}");
         }
+    }
+
+    /// A segment end holds the pairwise key, so the MAC does not vouch for
+    /// what is under it: a summary whose report claims 1 + 2^62 entries
+    /// over one entry's bytes is a failed exchange like any garbled one,
+    /// not a panic in the decoder.
+    #[test]
+    fn a_crafted_report_behind_a_valid_mac_is_a_failed_exchange() {
+        let (mut net, _, ks) = line(4);
+        let mut det = Pik2Detector::new(net.routes(), ks.clone(), Pik2Config::default());
+        let mut transport = ReliableTransport::new(crate::transport::TransportConfig::default());
+        let end = SimTime::from_secs(1);
+        net.run_until(end, |ev| det.observe(ev));
+        let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
+        let (&msg, &(seg, from_a)) = exch.pending.iter().next().expect("a summary in flight");
+        let segment = det.monitors.segments()[seg].clone();
+        let (from, to) = match (segment.ends(), from_a) {
+            ((a, b), true) => (a, b),
+            ((a, b), false) => (b, a),
+        };
+        // The count, 1 + 2^62 little-endian, then one entry's 20 bytes.
+        let mut crafted = vec![1, 0, 0, 0, 0, 0, 0, 0x40];
+        crafted.extend_from_slice(&[0; 20]);
+        let mut body = WireEncoder::new();
+        body.u64(1).segment(&segment).bytes(&crafted);
+        let delivered = TransportMsg {
+            msg,
+            from,
+            to,
+            payload: seal(&ks, from, to, body.finish()),
+            at: end,
+        };
+        assert!(det.exchange_message(&mut exch, &delivered));
+        assert_eq!(exch.failed_count(), 1);
+        // The end that was told nothing usable holds ⊥ and raises.
+        let raisers: BTreeSet<RouterId> = (det.finish_round(exch).iter())
+            .map(|s| s.raised_by)
+            .collect();
+        assert!(raisers.contains(&to), "{raisers:?}");
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! * **Precision** — the maximum suspected segment length (2 for Π2,
 //!   k+2 for Πk+2).
 //!
-//! This module carries the shared types plus evaluation helpers that check
-//! the properties against simulator ground truth.
+//! This module carries the shared types — with the one wire form of a
+//! suspicion that travels, the origin-signed alert of Figure 5.3 — plus
+//! evaluation helpers that check the properties against simulator ground
+//! truth.
 
+use crate::wire::{WireEncoder, WireError, WireReader};
+use fatih_crypto::{KeyStore, Signature};
 use fatih_sim::SimTime;
 use fatih_topology::{PathSegment, RouterId};
 use std::collections::BTreeSet;
@@ -41,6 +45,21 @@ impl Interval {
     pub fn contains(&self, t: SimTime) -> bool {
         self.start <= t && t <= self.end
     }
+
+    /// Appends the interval's wire form: start, then end.
+    pub fn encode_into(&self, e: &mut WireEncoder) {
+        e.time(self.start).time(self.end);
+    }
+
+    /// Reads [`encode_into`](Self::encode_into)'s output; a backwards
+    /// interval is refused here, where [`Interval::new`] would panic.
+    pub fn decode_from(rd: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (start, end) = (rd.time()?, rd.time()?);
+        if end < start {
+            return Err(WireError::Invalid);
+        }
+        Ok(Self { start, end })
+    }
 }
 
 impl std::fmt::Display for Interval {
@@ -67,6 +86,76 @@ impl Suspicion {
     /// claimed precision.
     pub fn precision(&self) -> usize {
         self.segment.len()
+    }
+
+    /// Appends the suspicion's wire form: raiser, segment, interval.
+    pub fn encode_into(&self, e: &mut WireEncoder) {
+        e.router(self.raised_by).segment(&self.segment);
+        self.interval.encode_into(e);
+    }
+
+    /// Reads [`encode_into`](Self::encode_into)'s output.
+    pub fn decode_from(rd: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let raised_by = rd.router()?;
+        let segment = rd.segment()?;
+        let interval = Interval::decode_from(rd)?;
+        Ok(Self {
+            segment,
+            interval,
+            raised_by,
+        })
+    }
+
+    fn sign_bytes(&self) -> Vec<u8> {
+        let mut e = WireEncoder::new();
+        self.encode_into(&mut e);
+        e.into_bytes()
+    }
+}
+
+/// The signed alert of Figure 5.3: a suspicion and its raiser's signature
+/// over it, so an alert relayed by a third party stays attributable to its
+/// origin. The origin signs the suspicion's wire form — its semantic
+/// content, independent of which host or hop-by-hop frame carries it —
+/// and the alert's wire form is those bytes followed by the signature.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SignedAlert {
+    /// What is suspected, when, and by whom (`raised_by` is the origin).
+    pub suspicion: Suspicion,
+    /// The origin's signature over the suspicion.
+    pub sig: Signature,
+}
+
+impl SignedAlert {
+    /// Signs `suspicion` on behalf of the router that raised it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that router is not registered with `keys`.
+    pub fn sign(keys: &KeyStore, suspicion: Suspicion) -> Self {
+        let sig = keys.sign(suspicion.raised_by.into(), &suspicion.sign_bytes());
+        Self { suspicion, sig }
+    }
+
+    /// Whether the signature is the origin's over this suspicion; `false`
+    /// for an origin `keys` has never registered.
+    pub fn verify(&self, keys: &KeyStore) -> bool {
+        let s = &self.suspicion;
+        keys.verify(s.raised_by.into(), &s.sign_bytes(), &self.sig)
+    }
+
+    /// Appends the alert's wire form.
+    pub fn encode_into(&self, e: &mut WireEncoder) {
+        self.suspicion.encode_into(e);
+        e.signature(&self.sig);
+    }
+
+    /// Reads [`encode_into`](Self::encode_into)'s output. The signature is
+    /// not checked: [`verify`](Self::verify) does that.
+    pub fn decode_from(rd: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let suspicion = Suspicion::decode_from(rd)?;
+        let sig = rd.signature()?;
+        Ok(Self { suspicion, sig })
     }
 }
 
@@ -180,6 +269,29 @@ mod tests {
     #[should_panic(expected = "ends before")]
     fn backwards_interval_rejected() {
         let _ = Interval::new(SimTime::from_ms(2), SimTime::from_ms(1));
+    }
+
+    #[test]
+    fn an_alert_is_attributable_to_its_origin_and_tamper_evident() {
+        let mut ks = KeyStore::with_seed(11);
+        for r in 0..8 {
+            ks.register(r);
+        }
+        let alert = SignedAlert::sign(&ks, susp(&[1, 2, 3], 1));
+        assert!(alert.verify(&ks));
+        // Not attributable to anyone else — registered or not — and bound
+        // to the segment and interval it was raised for.
+        for other in [2, 100] {
+            let mut stolen = alert.clone();
+            stolen.suspicion.raised_by = rid(other);
+            assert!(!stolen.verify(&ks));
+        }
+        let mut moved = alert.clone();
+        moved.suspicion.segment = PathSegment::new(vec![rid(1), rid(4)]);
+        assert!(!moved.verify(&ks));
+        let mut later = alert.clone();
+        later.suspicion.interval.end = SimTime::from_secs(6);
+        assert!(!later.verify(&ks));
     }
 
     #[test]

@@ -5,14 +5,21 @@
 //! summaries; both need a deterministic byte representation to sign.
 //!
 //! [`WireEncoder`] / [`WireReader`] are the tagged, self-describing layout
-//! used by the `fatih-net` wire codec: every field is prefixed with a type
-//! tag, and variable-length fields also carry an explicit byte length, so
-//! no two distinct field sequences share an encoding and a decoder can
-//! reject malformed input field by field.
+//! every control message is written in — the Πk+2 exchange message
+//! ([`crate::pik2::Message`]) and the signed alert
+//! ([`crate::spec::SignedAlert`]) here, the rest in the `fatih-net` wire
+//! codec that frames them: every field is prefixed with a type tag, and
+//! variable-length fields also carry an explicit byte length, so no two
+//! distinct field sequences share an encoding and a decoder can reject
+//! malformed input field by field, before it allocates for it.
 
+use fatih_crypto::{Digest, Signature};
 use fatih_sim::SimTime;
 use fatih_topology::{PathSegment, RouterId};
-use fatih_validation::summary::ContentSummary;
+use fatih_validation::digest::ContentDigest;
+use fatih_validation::field::Fe;
+use fatih_validation::reconcile::SetSketch;
+use fatih_validation::summary::FlowCounter;
 
 /// Field type tags of the self-describing layout. Every field starts with
 /// one of these bytes; variable-length fields add a u32 byte/element
@@ -24,13 +31,16 @@ mod tag {
     pub const TIME: u8 = 0x04;
     pub const SEGMENT: u8 = 0x05;
     pub const BYTES: u8 = 0x06;
-    pub const SUMMARY: u8 = 0x07;
 }
 
 /// Largest element count a [`WireReader`] accepts for a variable-length
 /// field — rejects length fields that would ask for absurd allocations on
 /// adversarial input.
 pub const MAX_WIRE_ELEMS: u32 = 1 << 20;
+
+/// Largest sketch capacity a decoded digest may claim, bounding the
+/// allocation a single control message can demand.
+pub const MAX_SKETCH_CAPACITY: usize = 4_096;
 
 /// Incremental **tagged** encoder: the field-tagged, length-framed layout
 /// of the `fatih-net` wire protocol. Decode with [`WireReader`].
@@ -105,23 +115,24 @@ impl WireEncoder {
         self
     }
 
-    /// Appends a tagged, length-framed content summary (encode-only — the
-    /// summary aggregates per-fingerprint sizes, so it is MAC input, not a
-    /// round-trippable field).
-    pub fn content_summary(&mut self, s: &ContentSummary) -> &mut Self {
-        let mut body = Vec::with_capacity(24 + 12 * s.iter().count());
-        body.extend_from_slice(&s.flow().packets.to_le_bytes());
-        body.extend_from_slice(&s.flow().bytes.to_le_bytes());
-        body.extend_from_slice(&(s.iter().count() as u64).to_le_bytes());
-        for (fp, count) in s.iter() {
-            body.extend_from_slice(&fp.value().to_le_bytes());
-            body.extend_from_slice(&count.to_le_bytes());
+    /// Appends an Appendix A content digest: sketch capacity, set size,
+    /// the sketch's evaluations as one byte string, flow counters, mix sum.
+    pub fn digest(&mut self, d: &ContentDigest) -> &mut Self {
+        self.u32(d.sketch().capacity() as u32).u64(d.sketch().len());
+        let mut evals = Vec::with_capacity(d.sketch().evals().len() * 8);
+        for fe in d.sketch().evals() {
+            evals.extend_from_slice(&fe.value().to_le_bytes());
         }
-        self.bytes.push(tag::SUMMARY);
-        self.bytes
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(&body);
-        self
+        let flow = d.flow();
+        self.bytes(&evals)
+            .u64(flow.packets)
+            .u64(flow.bytes)
+            .u64(d.mix_sum())
+    }
+
+    /// Appends a signature or MAC as a 32-byte string.
+    pub fn signature(&mut self, sig: &Signature) -> &mut Self {
+        self.bytes(&sig.0 .0)
     }
 
     /// The encoded bytes.
@@ -190,6 +201,11 @@ impl<'a> WireReader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// The bytes consumed so far: what a trailing MAC covers.
+    pub fn consumed(&self) -> &'a [u8] {
+        &self.bytes[..self.pos]
     }
 
     /// Succeeds iff every byte has been consumed.
@@ -262,11 +278,13 @@ impl<'a> WireReader<'a> {
         if n < 2 {
             return Err(WireError::Invalid);
         }
-        let mut routers = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            routers.push(RouterId::from(self.raw_u32()?));
-        }
-        Ok(PathSegment::new(routers))
+        // The routers must be there before anything is reserved for them.
+        let raw = self.take(4 * n as usize)?;
+        let routers = raw.chunks_exact(4).map(|c| {
+            let id: [u8; 4] = c.try_into().expect("chunks of 4");
+            RouterId::from(u32::from_le_bytes(id))
+        });
+        Ok(PathSegment::new(routers.collect()))
     }
 
     /// Reads a tagged, length-framed opaque byte string.
@@ -278,41 +296,42 @@ impl<'a> WireReader<'a> {
         }
         self.take(n as usize)
     }
+
+    /// Reads a content digest, refusing a sketch capacity of 0 or above
+    /// [`MAX_SKETCH_CAPACITY`] before anything is allocated for it.
+    pub fn digest(&mut self) -> Result<ContentDigest, WireError> {
+        let capacity = self.u32()? as usize;
+        if capacity == 0 {
+            return Err(WireError::Invalid);
+        }
+        if capacity > MAX_SKETCH_CAPACITY {
+            return Err(WireError::Oversize);
+        }
+        let size = self.u64()?;
+        let raw = self.bytes()?;
+        if raw.len() % 8 != 0 {
+            return Err(WireError::Invalid);
+        }
+        let evals = raw
+            .chunks_exact(8)
+            .map(|c| Fe::new(u64::from_le_bytes(c.try_into().expect("chunks of 8"))))
+            .collect();
+        let sketch = SetSketch::from_parts(capacity, size, evals).ok_or(WireError::Invalid)?;
+        let (packets, bytes) = (self.u64()?, self.u64()?);
+        let flow = FlowCounter { packets, bytes };
+        Ok(ContentDigest::from_parts(sketch, flow, self.u64()?))
+    }
+
+    /// Reads a signature or MAC: a byte string of exactly 32 bytes.
+    pub fn signature(&mut self) -> Result<Signature, WireError> {
+        let raw: [u8; 32] = self.bytes()?.try_into().map_err(|_| WireError::Invalid)?;
+        Ok(Signature(Digest(raw)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatih_crypto::Fingerprint;
-
-    #[test]
-    fn equal_values_encode_equally() {
-        let mut a = ContentSummary::default();
-        let mut b = ContentSummary::default();
-        for i in [3u64, 1, 2] {
-            a.observe(Fingerprint::new(i), 100);
-        }
-        for i in [1u64, 2, 3] {
-            b.observe(Fingerprint::new(i), 100);
-        }
-        let mut ea = WireEncoder::new();
-        ea.content_summary(&a);
-        let mut eb = WireEncoder::new();
-        eb.content_summary(&b);
-        assert_eq!(ea.finish(), eb.finish());
-    }
-
-    #[test]
-    fn different_summaries_encode_differently() {
-        let mut a = ContentSummary::default();
-        a.observe(Fingerprint::new(1), 100);
-        let b = ContentSummary::default();
-        let mut ea = WireEncoder::new();
-        ea.content_summary(&a);
-        let mut eb = WireEncoder::new();
-        eb.content_summary(&b);
-        assert_ne!(ea.finish(), eb.finish());
-    }
 
     #[test]
     fn segment_encoding_includes_order() {
@@ -403,6 +422,19 @@ mod tests {
         assert_eq!(rd.segment().unwrap_err(), WireError::Oversize);
     }
 
+    /// A count is not taken at its word: a 9-byte field that claims 2^20
+    /// routers (4 MiB of them) is short of what it claims, and nothing is
+    /// reserved before that is known.
+    #[test]
+    fn a_segment_claiming_more_routers_than_it_holds_is_truncated() {
+        let mut raw = vec![0x05u8]; // SEGMENT tag
+        raw.extend_from_slice(&MAX_WIRE_ELEMS.to_le_bytes());
+        raw.extend_from_slice(&7u32.to_le_bytes());
+        assert_eq!(raw.len(), 9);
+        let mut rd = WireReader::new(&raw);
+        assert_eq!(rd.segment().unwrap_err(), WireError::UnexpectedEnd);
+    }
+
     #[test]
     fn tagged_decoder_rejects_undersized_segment() {
         // A 1-router "segment" would panic PathSegment::new; the decoder
@@ -412,22 +444,5 @@ mod tests {
         raw.extend_from_slice(&7u32.to_le_bytes());
         let mut rd = WireReader::new(&raw);
         assert_eq!(rd.segment().unwrap_err(), WireError::Invalid);
-    }
-
-    #[test]
-    fn tagged_content_summary_is_framed() {
-        let mut s = ContentSummary::default();
-        s.observe(Fingerprint::new(7), 100);
-        s.observe(Fingerprint::new(8), 60);
-        let mut e = WireEncoder::new();
-        e.content_summary(&s).u32(5);
-        // A reader that skips the summary via its length frame lands
-        // exactly on the next field.
-        let bytes = e.finish();
-        assert_eq!(bytes[0], 0x07); // SUMMARY tag
-        let body_len = u32::from_le_bytes(bytes[1..5].try_into().unwrap()) as usize;
-        let mut rd = WireReader::new(&bytes[5 + body_len..]);
-        assert_eq!(rd.u32().unwrap(), 5);
-        rd.done().unwrap();
     }
 }

@@ -6,7 +6,7 @@
 //! offset  size  field
 //! 0       1     magic (0xF7)
 //! 1       1     version (0x01)
-//! 2       1     message type (Data/Summary/Ack/Alert/Accusation)
+//! 2       1     message type ([`MsgType`], table below)
 //! 3       4     source router id, u32 LE
 //! 7       4     destination router id, u32 LE
 //! 11      8     frame sequence number, u64 LE
@@ -25,23 +25,35 @@
 //! the packet's own integrity tag ([`Packet::intact`]), so a modification
 //! in flight surfaces as a traffic-validation failure, not a codec error.
 //!
-//! Alerts additionally carry an **inner signature** by their origin router
-//! over the alert's semantic content ([`alert_sign_bytes`]), so an alert
-//! relayed by a third party is still attributable to its origin.
+//! Alerts and link-state updates additionally carry an **inner signature**
+//! by their origin router over their semantic content, so one relayed by a
+//! third party is still attributable to its origin.
+//!
+//! The eight message types, and where each body's fields are laid out —
+//! this module frames, seals and dispatches on the type byte; a Πk+2
+//! control message has its one encoding beside its type in `fatih-core`,
+//! shared with the simulator hosts:
+//!
+//! ```text
+//! byte  type           body
+//! 1     Data           the packet and its route epoch         here
+//! 2     Summary        round, segment, report                 fatih_core::pik2::Message
+//! 3     Ack            the acknowledged sequence number       here
+//! 4     Alert          suspicion, origin's signature          fatih_core::spec::SignedAlert
+//! 5     Accusation     segment, interval                      here
+//! 6     SummaryDigest  round, segment, judged + held digest   fatih_core::pik2::Message
+//! 7     SummaryPull    round, segment                         fatih_core::pik2::Message
+//! 8     LinkState      update, origin's signature             crate::linkstate::LinkStateUpdate
+//! ```
 
 use crate::linkstate::LinkStateUpdate;
-use fatih_core::monitor::Report;
-use fatih_core::spec::Interval;
+use fatih_core::pik2::{Evidence, EvidenceKind, Message};
+use fatih_core::spec::{Interval, SignedAlert};
 use fatih_core::wire::{WireEncoder, WireError, WireReader};
 use fatih_crypto::frame::{open_frame, seal_frame, MAC_LEN};
 use fatih_crypto::{KeyStore, Signature};
-#[cfg(test)]
-use fatih_sim::SimTime;
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind};
 use fatih_topology::{PathSegment, RouterId};
-use fatih_validation::digest::ContentDigest;
-use fatih_validation::reconcile::SetSketch;
-use fatih_validation::summary::FlowCounter;
 
 /// First byte of every fatih frame.
 pub const MAGIC: u8 = 0xF7;
@@ -51,9 +63,6 @@ pub const VERSION: u8 = 0x01;
 pub const HEADER_LEN: usize = 23;
 /// Largest frame this codec will emit or accept — fits one UDP datagram.
 pub const MAX_FRAME: usize = 65_000;
-/// Largest sketch capacity a decoded digest may claim, bounding the
-/// allocation a single control frame can demand.
-pub const MAX_SKETCH_CAPACITY: usize = 4_096;
 
 /// Message type discriminant, third byte of the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,31 +136,17 @@ pub enum WireMessage {
         /// Routing epoch of the emitting flow source.
         epoch: u64,
     },
-    /// One end's traffic record for a segment and round.
-    Summary {
-        /// Round index the summary closes.
-        round: u64,
-        /// The monitored segment.
-        segment: PathSegment,
-        /// The sender's cumulative record for the segment.
-        report: Report,
-    },
+    /// What one end of a segment tells the other about a round: a summary,
+    /// digests of it, or a pull ([`MsgType::Summary`],
+    /// [`MsgType::SummaryDigest`], [`MsgType::SummaryPull`] on the wire).
+    Pik2(Message),
     /// Acknowledges the reliable control frame with sequence `msg_id`.
     Ack {
         /// Sequence number of the acknowledged frame.
         msg_id: u64,
     },
     /// A suspicion, signed by its origin so relays stay attributable.
-    Alert {
-        /// Router that raised the suspicion.
-        origin: RouterId,
-        /// The suspected segment.
-        segment: PathSegment,
-        /// The measurement interval the suspicion covers.
-        interval: Interval,
-        /// `origin`'s signature over [`alert_sign_bytes`].
-        sig: Signature,
-    },
+    Alert(SignedAlert),
     /// Timeout-as-accusation: the sender never received its peer's
     /// summary for this segment and interval.
     Accusation {
@@ -159,28 +154,6 @@ pub enum WireMessage {
         segment: PathSegment,
         /// The measurement interval of the missing summary.
         interval: Interval,
-    },
-    /// Fixed-size digests of one end's record for a segment and round:
-    /// the Appendix A reconciliation path. Bytes are proportional to the
-    /// sketch capacity, not to the traffic summarized.
-    SummaryDigest {
-        /// Round index the digests close.
-        round: u64,
-        /// The monitored segment.
-        segment: PathSegment,
-        /// Digest of the maturity-filtered record (entries at or before
-        /// the round's maturity cutoff).
-        mature: ContentDigest,
-        /// Digest of the complete cumulative record.
-        full: ContentDigest,
-    },
-    /// Fallback request: the sender could not reconcile the peer's digest
-    /// against its own record and needs the full summary after all.
-    SummaryPull {
-        /// Round index of the digest that failed to reconcile.
-        round: u64,
-        /// The monitored segment.
-        segment: PathSegment,
     },
     /// A flooded topology change, attributable to its origin via the inner
     /// signature over [`crate::linkstate::ls_sign_bytes`].
@@ -197,12 +170,14 @@ impl WireMessage {
     pub fn msg_type(&self) -> MsgType {
         match self {
             WireMessage::Data { .. } => MsgType::Data,
-            WireMessage::Summary { .. } => MsgType::Summary,
+            WireMessage::Pik2(m) => match m.evidence {
+                Evidence::Summary(_) => MsgType::Summary,
+                Evidence::Digest { .. } => MsgType::SummaryDigest,
+                Evidence::Pull => MsgType::SummaryPull,
+            },
             WireMessage::Ack { .. } => MsgType::Ack,
-            WireMessage::Alert { .. } => MsgType::Alert,
+            WireMessage::Alert(_) => MsgType::Alert,
             WireMessage::Accusation { .. } => MsgType::Accusation,
-            WireMessage::SummaryDigest { .. } => MsgType::SummaryDigest,
-            WireMessage::SummaryPull { .. } => MsgType::SummaryPull,
             WireMessage::LinkState { .. } => MsgType::LinkState,
         }
     }
@@ -240,10 +215,8 @@ pub enum CodecError {
     UnknownRouter(u32),
     /// A tagged body field failed to decode.
     Field(WireError),
-    /// A summary's embedded report was malformed.
-    BadReport,
-    /// A decoded value violates its invariants (backwards interval,
-    /// unknown packet kind, frame too large to emit).
+    /// A value this module decodes violates its invariants (unknown packet
+    /// kind or link-state variant, frame too large to emit).
     Invalid,
 }
 
@@ -258,7 +231,6 @@ impl std::fmt::Display for CodecError {
             CodecError::BadMac => write!(f, "control frame MAC rejected"),
             CodecError::UnknownRouter(r) => write!(f, "unregistered router {r}"),
             CodecError::Field(e) => write!(f, "body field: {e}"),
-            CodecError::BadReport => write!(f, "malformed embedded report"),
             CodecError::Invalid => write!(f, "decoded value violates invariants"),
         }
     }
@@ -299,42 +271,6 @@ fn kind_from_code(code: u32) -> Option<PacketKind> {
     })
 }
 
-/// The bytes an alert's origin signs: its semantic content, independent of
-/// which hop-by-hop frame carries it.
-pub fn alert_sign_bytes(origin: RouterId, segment: &PathSegment, interval: Interval) -> Vec<u8> {
-    let mut e = WireEncoder::new();
-    e.router(origin)
-        .segment(segment)
-        .time(interval.start)
-        .time(interval.end);
-    e.into_bytes()
-}
-
-/// Signs an alert on behalf of `origin`.
-pub fn sign_alert(
-    keys: &KeyStore,
-    origin: RouterId,
-    segment: &PathSegment,
-    interval: Interval,
-) -> Signature {
-    keys.sign(origin.into(), &alert_sign_bytes(origin, segment, interval))
-}
-
-/// Verifies an alert's inner origin signature.
-pub fn verify_alert(
-    keys: &KeyStore,
-    origin: RouterId,
-    segment: &PathSegment,
-    interval: Interval,
-    sig: &Signature,
-) -> bool {
-    keys.verify(
-        origin.into(),
-        &alert_sign_bytes(origin, segment, interval),
-        sig,
-    )
-}
-
 fn encode_body(msg: &WireMessage) -> Vec<u8> {
     let mut e = WireEncoder::new();
     match msg {
@@ -351,90 +287,21 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
                 .time(p.created_at)
                 .u64(*epoch);
         }
-        WireMessage::Summary {
-            round,
-            segment,
-            report,
-        } => {
-            e.u64(*round).segment(segment).bytes(&report.encode());
-        }
+        WireMessage::Pik2(message) => message.encode_into(&mut e),
         WireMessage::Ack { msg_id } => {
             e.u64(*msg_id);
         }
-        WireMessage::Alert {
-            origin,
-            segment,
-            interval,
-            sig,
-        } => {
-            e.router(*origin)
-                .segment(segment)
-                .time(interval.start)
-                .time(interval.end)
-                .bytes(&sig.0 .0);
-        }
+        WireMessage::Alert(alert) => alert.encode_into(&mut e),
         WireMessage::Accusation { segment, interval } => {
-            e.segment(segment).time(interval.start).time(interval.end);
-        }
-        WireMessage::SummaryDigest {
-            round,
-            segment,
-            mature,
-            full,
-        } => {
-            e.u64(*round).segment(segment);
-            encode_digest(&mut e, mature);
-            encode_digest(&mut e, full);
-        }
-        WireMessage::SummaryPull { round, segment } => {
-            e.u64(*round).segment(segment);
+            e.segment(segment);
+            interval.encode_into(&mut e);
         }
         WireMessage::LinkState { update, sig } => {
             update.encode_into(&mut e);
-            e.bytes(&sig.0 .0);
+            e.signature(sig);
         }
     }
     e.into_bytes()
-}
-
-fn encode_digest(e: &mut WireEncoder, d: &ContentDigest) {
-    e.u32(d.sketch().capacity() as u32).u64(d.sketch().len());
-    let mut evals = Vec::with_capacity(d.sketch().evals().len() * 8);
-    for fe in d.sketch().evals() {
-        evals.extend_from_slice(&fe.value().to_le_bytes());
-    }
-    let flow = d.flow();
-    e.bytes(&evals)
-        .u64(flow.packets)
-        .u64(flow.bytes)
-        .u64(d.mix_sum());
-}
-
-fn read_digest(rd: &mut WireReader<'_>) -> Result<ContentDigest, CodecError> {
-    let capacity = rd.u32()? as usize;
-    if capacity == 0 || capacity > MAX_SKETCH_CAPACITY {
-        return Err(CodecError::Invalid);
-    }
-    let size = rd.u64()?;
-    let raw = rd.bytes()?;
-    if raw.len() % 8 != 0 {
-        return Err(CodecError::Invalid);
-    }
-    let evals: Vec<fatih_validation::field::Fe> = raw
-        .chunks_exact(8)
-        .map(|c| {
-            fatih_validation::field::Fe::new(u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        })
-        .collect();
-    let sketch = SetSketch::from_parts(capacity, size, evals).ok_or(CodecError::Invalid)?;
-    let packets = rd.u64()?;
-    let bytes = rd.u64()?;
-    let mix = rd.u64()?;
-    Ok(ContentDigest::from_parts(
-        sketch,
-        FlowCounter { packets, bytes },
-        mix,
-    ))
 }
 
 /// Encodes (and for control frames, seals) one frame for the wire.
@@ -484,7 +351,9 @@ pub fn peek_type(bytes: &[u8]) -> Option<MsgType> {
 /// Decodes (and for control frames, authenticates) one frame.
 ///
 /// Never panics: arbitrary, truncated or bit-flipped input yields a
-/// [`CodecError`].
+/// [`CodecError`], and so does a malformed body under a valid seal — a
+/// peer that holds the pairwise key is exactly the protocol-faulty router
+/// of §2.2.1.
 pub fn decode_frame(bytes: &[u8], keys: &KeyStore) -> Result<Frame, CodecError> {
     if bytes.len() < HEADER_LEN {
         return Err(CodecError::TooShort);
@@ -552,60 +421,19 @@ pub fn decode_frame(bytes: &[u8], keys: &KeyStore) -> Result<Frame, CodecError> 
                 epoch,
             }
         }
-        MsgType::Summary => {
-            let round = rd.u64()?;
-            let segment = rd.segment()?;
-            let report = Report::decode(rd.bytes()?).ok_or(CodecError::BadReport)?;
-            WireMessage::Summary {
-                round,
-                segment,
-                report,
-            }
-        }
+        MsgType::Summary => pik2(EvidenceKind::Summary, &mut rd)?,
+        MsgType::SummaryDigest => pik2(EvidenceKind::Digest, &mut rd)?,
+        MsgType::SummaryPull => pik2(EvidenceKind::Pull, &mut rd)?,
         MsgType::Ack => WireMessage::Ack { msg_id: rd.u64()? },
-        MsgType::Alert => {
-            let origin = rd.router()?;
-            let segment = rd.segment()?;
-            let interval = read_interval(&mut rd)?;
-            let sig_bytes = rd.bytes()?;
-            let digest: [u8; 32] = sig_bytes.try_into().map_err(|_| CodecError::Invalid)?;
-            WireMessage::Alert {
-                origin,
-                segment,
-                interval,
-                sig: Signature(fatih_crypto::Digest(digest)),
-            }
-        }
-        MsgType::Accusation => {
-            let segment = rd.segment()?;
-            let interval = read_interval(&mut rd)?;
-            WireMessage::Accusation { segment, interval }
-        }
-        MsgType::SummaryDigest => {
-            let round = rd.u64()?;
-            let segment = rd.segment()?;
-            let mature = read_digest(&mut rd)?;
-            let full = read_digest(&mut rd)?;
-            WireMessage::SummaryDigest {
-                round,
-                segment,
-                mature,
-                full,
-            }
-        }
-        MsgType::SummaryPull => {
-            let round = rd.u64()?;
-            let segment = rd.segment()?;
-            WireMessage::SummaryPull { round, segment }
-        }
+        MsgType::Alert => WireMessage::Alert(SignedAlert::decode_from(&mut rd)?),
+        MsgType::Accusation => WireMessage::Accusation {
+            segment: rd.segment()?,
+            interval: Interval::decode_from(&mut rd)?,
+        },
         MsgType::LinkState => {
             let update = LinkStateUpdate::decode_from(&mut rd)?.ok_or(CodecError::Invalid)?;
-            let sig_bytes = rd.bytes()?;
-            let digest: [u8; 32] = sig_bytes.try_into().map_err(|_| CodecError::Invalid)?;
-            WireMessage::LinkState {
-                update,
-                sig: Signature(fatih_crypto::Digest(digest)),
-            }
+            let sig = rd.signature()?;
+            WireMessage::LinkState { update, sig }
         }
     };
     rd.done()?;
@@ -617,21 +445,18 @@ pub fn decode_frame(bytes: &[u8], keys: &KeyStore) -> Result<Frame, CodecError> 
     })
 }
 
-fn read_interval(rd: &mut WireReader<'_>) -> Result<Interval, CodecError> {
-    let start = rd.time()?;
-    let end = rd.time()?;
-    if end < start {
-        // Interval::new panics on a backwards interval; reject instead.
-        return Err(CodecError::Invalid);
-    }
-    Ok(Interval::new(start, end))
+fn pik2(kind: EvidenceKind, rd: &mut WireReader<'_>) -> Result<WireMessage, CodecError> {
+    Ok(WireMessage::Pik2(Message::decode_from(kind, rd)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatih_core::monitor::ReportEntry;
+    use fatih_core::monitor::{Report, ReportEntry};
+    use fatih_core::spec::Suspicion;
     use fatih_crypto::Fingerprint;
+    use fatih_sim::SimTime;
+    use fatih_validation::digest::ContentDigest;
 
     fn keystore() -> KeyStore {
         let mut ks = KeyStore::with_seed(11);
@@ -728,15 +553,15 @@ mod tests {
             src: RouterId::from(3),
             dst: RouterId::from(4),
             seq: 1,
-            msg: WireMessage::Summary {
+            msg: WireMessage::Pik2(Message {
                 round: 2,
                 segment: PathSegment::new(vec![
                     RouterId::from(3),
                     RouterId::from(6),
                     RouterId::from(4),
                 ]),
-                report,
-            },
+                evidence: Evidence::Summary(report),
+            }),
         };
         let bytes = encode_frame(&f, &ks).unwrap();
         assert_eq!(peek_type(&bytes), Some(MsgType::Summary));
@@ -746,6 +571,42 @@ mod tests {
         let mut bad = bytes.clone();
         bad[HEADER_LEN + 2] ^= 0x40;
         assert_eq!(decode_frame(&bad, &ks), Err(CodecError::BadMac));
+    }
+
+    /// The seal says who wrote a frame, not that it is well-formed: a peer
+    /// holding the pairwise key seals a summary whose report claims
+    /// 1 + 2^62 entries over one entry's bytes (the count that wraps the
+    /// length check round to the true length). An error like any other.
+    #[test]
+    fn a_crafted_report_under_a_valid_seal_is_an_error_not_a_panic() {
+        let ks = keystore();
+        let one_entry = Report {
+            entries: vec![ReportEntry {
+                fingerprint: Fingerprint::new(5),
+                size: 900,
+                time: SimTime::from_ms(3),
+            }],
+        };
+        let f = Frame {
+            src: RouterId::from(3),
+            dst: RouterId::from(4),
+            seq: 1,
+            msg: WireMessage::Pik2(Message {
+                round: 2,
+                segment: PathSegment::new(vec![RouterId::from(3), RouterId::from(4)]),
+                evidence: Evidence::Summary(one_entry),
+            }),
+        };
+        let mut bytes = encode_frame(&f, &ks).unwrap();
+        bytes.truncate(bytes.len() - MAC_LEN);
+        // The report is the body's last field: a count, then 20 bytes.
+        let count = bytes.len() - 28;
+        bytes[count..count + 8].copy_from_slice(&(1u64 + (1 << 62)).to_le_bytes());
+        seal_frame(&ks.pairwise_key(3, 4), &mut bytes);
+        assert_eq!(
+            decode_frame(&bytes, &ks),
+            Err(CodecError::Field(WireError::Invalid))
+        );
     }
 
     #[test]
@@ -764,16 +625,18 @@ mod tests {
             src: RouterId::from(2),
             dst: RouterId::from(5),
             seq: 4,
-            msg: WireMessage::SummaryDigest {
+            msg: WireMessage::Pik2(Message {
                 round: 3,
                 segment: PathSegment::new(vec![
                     RouterId::from(2),
                     RouterId::from(7),
                     RouterId::from(5),
                 ]),
-                mature: ContentDigest::of(&mature, 16),
-                full: ContentDigest::of(&full, 16),
-            },
+                evidence: Evidence::Digest {
+                    judged: ContentDigest::of(&mature, 16),
+                    held: ContentDigest::of(&full, 16),
+                },
+            }),
         };
         let bytes = encode_frame(&f, &ks).unwrap();
         assert_eq!(peek_type(&bytes), Some(MsgType::SummaryDigest));
@@ -799,10 +662,11 @@ mod tests {
             src: RouterId::from(4),
             dst: RouterId::from(1),
             seq: 12,
-            msg: WireMessage::SummaryPull {
+            msg: WireMessage::Pik2(Message {
                 round: 9,
                 segment: PathSegment::new(vec![RouterId::from(1), RouterId::from(4)]),
-            },
+                evidence: Evidence::Pull,
+            }),
         };
         let bytes = encode_frame(&f, &ks).unwrap();
         assert_eq!(peek_type(&bytes), Some(MsgType::SummaryPull));
@@ -810,42 +674,27 @@ mod tests {
     }
 
     #[test]
-    fn alert_inner_signature_is_attributable() {
+    fn alert_inner_signature_survives_the_frame() {
         let ks = keystore();
-        let seg = PathSegment::new(vec![
-            RouterId::from(1),
-            RouterId::from(2),
-            RouterId::from(3),
-        ]);
-        let iv = Interval::new(SimTime::ZERO, SimTime::from_secs(1));
-        let origin = RouterId::from(1);
-        let sig = sign_alert(&ks, origin, &seg, iv);
-        assert!(verify_alert(&ks, origin, &seg, iv, &sig));
-        // Not attributable to anyone else, and tamper-evident.
-        assert!(!verify_alert(&ks, RouterId::from(2), &seg, iv, &sig));
-        let other = PathSegment::new(vec![RouterId::from(1), RouterId::from(4)]);
-        assert!(!verify_alert(&ks, origin, &other, iv, &sig));
-
-        // And it survives the frame round trip.
+        let suspicion = Suspicion {
+            segment: PathSegment::new(vec![
+                RouterId::from(1),
+                RouterId::from(2),
+                RouterId::from(3),
+            ]),
+            interval: Interval::new(SimTime::ZERO, SimTime::from_secs(1)),
+            raised_by: RouterId::from(1),
+        };
         let f = Frame {
             src: RouterId::from(1),
             dst: RouterId::from(3),
             seq: 9,
-            msg: WireMessage::Alert {
-                origin,
-                segment: seg.clone(),
-                interval: iv,
-                sig,
-            },
+            msg: WireMessage::Alert(SignedAlert::sign(&ks, suspicion)),
         };
         let bytes = encode_frame(&f, &ks).unwrap();
+        assert_eq!(peek_type(&bytes), Some(MsgType::Alert));
         match decode_frame(&bytes, &ks).unwrap().msg {
-            WireMessage::Alert {
-                origin: o,
-                segment: s,
-                interval,
-                sig,
-            } => assert!(verify_alert(&ks, o, &s, interval, &sig)),
+            WireMessage::Alert(alert) => assert!(alert.verify(&ks)),
             other => panic!("wrong message: {other:?}"),
         }
     }

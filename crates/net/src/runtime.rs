@@ -51,7 +51,7 @@
 //!
 //! [`ContentDigest`]: fatih_validation::digest::ContentDigest
 
-use crate::codec::{decode_frame, encode_frame, sign_alert, verify_alert, Frame, WireMessage};
+use crate::codec::{decode_frame, encode_frame, Frame, WireMessage};
 use crate::linkstate::{
     sign_link_state, verify_link_state, Convergence, LinkStateUpdate, Plan, TopoUpdate,
 };
@@ -60,11 +60,11 @@ use crate::poller;
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
 use fatih_core::monitor::{MonitorMetrics, MonitorMode, SegmentMonitorSet};
-use fatih_core::pik2::{Evidence, Pik2Node, Received};
+use fatih_core::pik2::{Evidence, Message, Pik2Node, Received};
 use fatih_core::policy::{Policy, Thresholds};
 use fatih_core::reliable::{Retransmitter, RetryPolicy};
 use fatih_core::rounds::Window;
-use fatih_core::spec::{Interval, Suspicion};
+use fatih_core::spec::{Interval, SignedAlert, Suspicion};
 use fatih_crypto::{KeyStore, Signature};
 use fatih_obs::trace::{NO_ROUND, NO_ROUTER};
 use fatih_obs::{
@@ -1438,8 +1438,12 @@ impl<T: Transport> Node<T> {
             SummaryMode::Reconcile { capacity } => (Some(capacity.max(1)), TraceKind::DigestSent),
         };
         for (to, seg, said) in (self.pik2).close_round(self.window(r), sketch, &self.monitors) {
-            let segment = self.monitors.segments()[seg].clone();
-            self.send_evidence(to, r, segment, said);
+            let message = Message {
+                round: r,
+                segment: self.monitors.segments()[seg].clone(),
+                evidence: said,
+            };
+            self.send_frame(to, WireMessage::Pik2(message), true);
             trace.record(
                 self.now_ns(),
                 kind,
@@ -1450,44 +1454,17 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    /// Frames a piece of Πk+2 evidence about `round` of `segment` and sends
-    /// it reliably. On the wire the judged slice travels as `mature`, the
-    /// held window as `full`.
-    fn send_evidence(&mut self, to: RouterId, round: u64, segment: PathSegment, ev: Evidence) {
-        let msg = match ev {
-            Evidence::Summary(report) => WireMessage::Summary {
-                round,
-                segment,
-                report,
-            },
-            Evidence::Digest { judged, held } => WireMessage::SummaryDigest {
-                round,
-                segment,
-                mature: judged,
-                full: held,
-            },
-            Evidence::Pull => WireMessage::SummaryPull { round, segment },
-        };
-        self.send_frame(to, msg, true);
-    }
-
     /// Hands the node a piece of evidence that arrived in a sealed frame.
     /// The seal says `from` is the registered router it claims to be;
     /// whether that router may speak for `segment` is the node's decision.
     /// The frame is acknowledged already, so a rejected one is not sent
     /// again.
-    fn handle_evidence(
-        &mut self,
-        from: RouterId,
-        round: u64,
-        segment: PathSegment,
-        evidence: Evidence,
-        trace: &mut TraceBuffer,
-    ) {
+    fn handle_evidence(&mut self, from: RouterId, message: Message, trace: &mut TraceBuffer) {
         self.flush_observations();
-        let is_digest = matches!(evidence, Evidence::Digest { .. });
-        let window = self.window(round);
-        let received = (self.pik2).receive(from, round, &segment, evidence, window, &self.monitors);
+        let (round, segment) = (message.round, &message.segment);
+        let is_digest = matches!(message.evidence, Evidence::Digest { .. });
+        let (said, window) = (message.evidence, self.window(round));
+        let received = (self.pik2).receive(from, round, segment, said, window, &self.monitors);
         let mut note = |counter: &Counter, kind| {
             counter.inc();
             let (by, peer) = (u32::from(self.id), u64::from(u32::from(from)));
@@ -1502,7 +1479,11 @@ impl<T: Transport> Node<T> {
                 if matches!(reply, Evidence::Pull) {
                     note(&self.metrics.digest_fallbacks, TraceKind::DigestFallback);
                 }
-                self.send_evidence(from, round, segment, reply);
+                let reply = Message {
+                    evidence: reply,
+                    ..message
+                };
+                self.send_frame(from, WireMessage::Pik2(reply), true);
             }
             Received::Stale => self.metrics.stale_summaries.inc(),
             Received::Foreign => self.metrics.foreign_summaries.inc(),
@@ -1599,7 +1580,7 @@ impl<T: Transport> Node<T> {
                 u64::from(u32::from(peer)),
             );
             let _ = events.send(LiveEvent::SuspicionRaised {
-                suspicion,
+                suspicion: suspicion.clone(),
                 round: r,
             });
             if verdict.bottom {
@@ -1614,17 +1595,8 @@ impl<T: Transport> Node<T> {
                     false,
                 );
             } else {
-                let sig = sign_alert(&self.keys, self.id, &segment, interval);
-                self.send_frame(
-                    peer,
-                    WireMessage::Alert {
-                        origin: self.id,
-                        segment: segment.clone(),
-                        interval,
-                        sig,
-                    },
-                    true,
-                );
+                let alert = SignedAlert::sign(&self.keys, suspicion);
+                self.send_frame(peer, WireMessage::Alert(alert), true);
                 self.metrics.alerts_sent.inc();
                 trace.record(
                     self.now_ns(),
@@ -1760,34 +1732,13 @@ impl<T: Transport> Node<T> {
             WireMessage::Ack { msg_id } => {
                 self.reliable.on_ack(msg_id);
             }
-            WireMessage::Summary {
-                round,
-                segment,
-                report,
-            } => self.handle_evidence(frame.src, round, segment, Evidence::Summary(report), trace),
-            WireMessage::SummaryDigest {
-                round,
-                segment,
-                mature: judged,
-                full: held,
-            } => {
-                let digest = Evidence::Digest { judged, held };
-                self.handle_evidence(frame.src, round, segment, digest, trace)
-            }
-            WireMessage::SummaryPull { round, segment } => {
-                self.handle_evidence(frame.src, round, segment, Evidence::Pull, trace)
-            }
-            WireMessage::Alert {
-                origin,
-                segment,
-                interval,
-                sig,
-            } => {
-                let sig_ok = verify_alert(&self.keys, origin, &segment, interval, &sig);
+            WireMessage::Pik2(message) => self.handle_evidence(frame.src, message, trace),
+            WireMessage::Alert(alert) => {
+                let sig_ok = alert.verify(&self.keys);
                 let _ = events.send(LiveEvent::AlertReceived {
                     by: self.id,
-                    origin,
-                    segment,
+                    origin: alert.suspicion.raised_by,
+                    segment: alert.suspicion.segment,
                     sig_ok,
                 });
             }
@@ -2714,6 +2665,14 @@ mod tests {
         assert_eq!(transit.sent_to, [planned.routers()[2]]);
     }
 
+    fn pik2(round: u64, segment: PathSegment, evidence: Evidence) -> WireMessage {
+        WireMessage::Pik2(Message {
+            round,
+            segment,
+            evidence,
+        })
+    }
+
     /// Both ends evaluated, passed, and found nothing amiss.
     const CLEAN: [(bool, usize, usize); 2] = [(true, 0, 0); 2];
 
@@ -2842,7 +2801,7 @@ mod tests {
         // So does a pull for it: no summary goes back.
         let sent = net.counter("net.frames_sent");
         let segment = net.segment();
-        net.send(0, 2, WireMessage::SummaryPull { round: 0, segment });
+        net.send(0, 2, pik2(0, segment, Evidence::Pull));
         assert_eq!(net.counter("net.stale_summaries"), 2);
         assert_eq!(
             net.counter("net.frames_sent"),
@@ -2884,32 +2843,25 @@ mod tests {
         // it: taken in, either end would read its whole record as lost or
         // fabricated.
         for end in [0, 2] {
-            let (segment, report) = (segment.clone(), Report::default());
-            let forged = WireMessage::Summary {
-                round,
-                segment,
-                report,
-            };
-            net.send(1, end, forged);
+            let forged = Evidence::Summary(Report::default());
+            net.send(1, end, pik2(round, segment.clone(), forged));
         }
         assert_eq!(net.counter("net.foreign_summaries"), 2);
 
         // A forged digest is neither resolved nor pulled after (resolved,
         // its verdict would take the summary's place).
         let empty = ContentDigest::of(&Report::default().to_content(), 64);
-        let forged = WireMessage::SummaryDigest {
-            round,
-            segment: segment.clone(),
-            mature: empty.clone(),
-            full: empty,
+        let forged = Evidence::Digest {
+            judged: empty.clone(),
+            held: empty,
         };
-        net.send(1, 2, forged);
+        net.send(1, 2, pik2(round, segment.clone(), forged));
         assert_eq!(net.counter("net.digests_resolved"), 0);
         assert_eq!(net.counter("net.digest_fallbacks"), 0);
 
         // A pull by a third party gets no record back.
         let sent = net.counter("net.frames_sent");
-        net.send(1, 2, WireMessage::SummaryPull { round, segment });
+        net.send(1, 2, pik2(round, segment, Evidence::Pull));
         assert_eq!(
             net.counter("net.frames_sent"),
             sent + 2,
@@ -2926,6 +2878,38 @@ mod tests {
         assert_eq!(net.counter("net.retransmits"), 0, "every frame was acked");
     }
 
+    /// Nor does the seal say a frame is well-formed. Router 0 — the
+    /// segment's other end, pairwise key and all — sends router 2 a summary
+    /// whose report claims 1 + 2^62 entries over one entry's bytes: a
+    /// decode failure, counted, and the shard goes on to judge the round.
+    #[test]
+    fn a_crafted_report_from_the_other_end_is_a_decode_failure() {
+        let mut net = Line3::new(SummaryMode::Full);
+        net.plan(&[(10_000_000, Some(11_000_000))]);
+        net.advance(TAU);
+        let one_entry = net.shard.nodes[0].monitors.report(net.ids[0], 0);
+        assert_eq!(one_entry.len(), 1);
+        let frame = Frame {
+            src: net.ids[0],
+            dst: net.ids[2],
+            seq: 1 << 40,
+            msg: pik2(0, net.segment(), Evidence::Summary(one_entry)),
+        };
+        let keys = &net.shard.nodes[0].keys;
+        let mut bytes = encode_frame(&frame, keys).unwrap();
+        bytes.truncate(bytes.len() - fatih_crypto::frame::MAC_LEN);
+        // The report is the body's last field: a count, then 20 bytes.
+        let count = bytes.len() - 28;
+        bytes[count..count + 8].copy_from_slice(&(1u64 + (1 << 62)).to_le_bytes());
+        fatih_crypto::frame::seal_frame(&keys.pairwise_key(0, 2), &mut bytes);
+
+        let failures = net.counter("net.decode_failures");
+        net.shard.nodes[2].handle_frame(&bytes, &net.events, &mut net.shard.trace);
+        assert_eq!(net.counter("net.decode_failures"), failures + 1);
+        net.round(0);
+        assert_eq!(net.verdicts(), CLEAN);
+    }
+
     /// The host's part of purging: once a router is reported down, what
     /// was being retransmitted to it is dropped and counted, and the pump
     /// sends it nothing more.
@@ -2933,7 +2917,7 @@ mod tests {
     fn a_router_reported_down_is_owed_no_retransmissions() {
         let mut net = Line3::new(SummaryMode::Full);
         let (dst, segment) = (net.ids[2], net.segment());
-        let pull = WireMessage::SummaryPull { round: 0, segment };
+        let pull = pik2(0, segment, Evidence::Pull);
         net.shard.nodes[0].send_frame(dst, pull, true);
         let (events, trace) = (&net.events, &mut net.shard.trace);
         let node = &mut net.shard.nodes[0];

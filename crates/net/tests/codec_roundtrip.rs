@@ -8,9 +8,10 @@
 //!    panic and never a silently-wrong frame.
 
 use fatih_core::monitor::{Report, ReportEntry};
-use fatih_core::spec::Interval;
+use fatih_core::pik2::{Evidence, Message};
+use fatih_core::spec::{Interval, SignedAlert, Suspicion};
 use fatih_crypto::{Fingerprint, KeyStore};
-use fatih_net::codec::{decode_frame, encode_frame, sign_alert, Frame, WireMessage};
+use fatih_net::codec::{decode_frame, encode_frame, Frame, WireMessage};
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime};
 use fatih_topology::{PathSegment, RouterId};
 use rand::rngs::StdRng;
@@ -86,7 +87,14 @@ fn sample_frames(ks: &KeyStore, seed: u64) -> Vec<Frame> {
     let seg = random_segment(&mut rng);
     let iv = random_interval(&mut rng);
     let origin = rid(rng.gen_range(0..8));
-    let sig = sign_alert(ks, origin, &seg, iv);
+    let alert = SignedAlert::sign(
+        ks,
+        Suspicion {
+            segment: seg.clone(),
+            interval: iv,
+            raised_by: origin,
+        },
+    );
     vec![
         Frame {
             src: rid(0),
@@ -101,11 +109,11 @@ fn sample_frames(ks: &KeyStore, seed: u64) -> Vec<Frame> {
             src: rid(2),
             dst: rid(3),
             seq: rng.gen::<u64>(),
-            msg: WireMessage::Summary {
+            msg: WireMessage::Pik2(Message {
                 round: rng.gen::<u64>(),
                 segment: random_segment(&mut rng),
-                report: random_report(&mut rng),
-            },
+                evidence: Evidence::Summary(random_report(&mut rng)),
+            }),
         },
         Frame {
             src: rid(4),
@@ -119,12 +127,7 @@ fn sample_frames(ks: &KeyStore, seed: u64) -> Vec<Frame> {
             src: rid(6),
             dst: rid(7),
             seq: rng.gen::<u64>(),
-            msg: WireMessage::Alert {
-                origin,
-                segment: seg.clone(),
-                interval: iv,
-                sig,
-            },
+            msg: WireMessage::Alert(alert),
         },
         Frame {
             src: rid(1),
