@@ -1,10 +1,12 @@
-//! Shared harness code for the figure regenerators and benchmarks.
+//! Shared harness code for the figure regenerators and the release gates.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure from the
 //! dissertation's evaluation (see `DESIGN.md` for the full index); this
 //! library holds what they share: aligned table printing, CSV output under
 //! `results/`, and the Protocol χ round-by-round experiment harness used
-//! by Figures 6.3, 6.5–6.9, 6.11–6.16 and the §6.4.3 comparison.
+//! by Figures 6.3, 6.5–6.9, 6.11–6.16 and the §6.4.3 comparison. The
+//! live-deployment inputs of `tests/gates.rs` ([`rocketfuel_like`],
+//! [`pick_flows`]) live here too.
 
 use fatih_core::chi::{ChiConfig, QueueModel, QueueValidator};
 use fatih_core::threshold::ThresholdDetector;
@@ -68,6 +70,14 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<P
     }
     std::fs::write(&path, body).ok()?;
     Some(path)
+}
+
+/// A Sprintlink-proportioned ISP graph with `n` routers: AS1239's 972
+/// duplex links per 315 routers (≈ 3.1 per router) under its degree cap
+/// of 45. The graph is fixed per size.
+pub fn rocketfuel_like(n: usize) -> Topology {
+    let links = (n * 972 / 315).max(n - 1);
+    builtin::isp_like("isp", n, links, 45, 0xF00D ^ n as u64)
 }
 
 /// Picks `want` flows for a live deployment whose routed paths span at

@@ -1,0 +1,618 @@
+//! The release gates: the throughput floors and live-deployment verdicts
+//! the repository holds itself to, each asserted on fixed inputs.
+//!
+//! * **Codec** — Data frames (the forwarding fast path, no MAC) and
+//!   HMAC-sealed 16-entry summaries (the control plane) round-trip through
+//!   `encode_frame` / `decode_frame` fast enough that neither competes with
+//!   forwarding.
+//! * **Validation fast path** — the 4-lane fingerprint kernel against the
+//!   scalar Horner baseline on MTU-sized packets, and the Abilene pipeline
+//!   batched ingest → per-end reports → content summaries → `tv_content`.
+//! * **Scale** — Πk+2 over real UDP loopback sockets on Sprintlink-shaped
+//!   graphs ([`rocketfuel_like`]): no false accusation in `Full` or
+//!   `Reconcile` mode, reconciled control bytes at most half of full
+//!   transfer, and a mid-path dropper caught, detection only.
+//! * **Response and churn** — with the §2.4.3 response on, a dropper is
+//!   convicted, every router reconverges and delivery recovers; pure churn
+//!   and a crash-restart accuse nobody.
+//!
+//! fatihbench (`benchmark/`) measures; these tests only assert. Run them
+//! with `cargo test --release -p fatih-bench --test gates -- --nocapture`,
+//! which prints each measured value. They are wall-clock gates that hold
+//! only in an optimised build, so a debug build skips each one, its
+//! `ignore` reason giving the debug reading where a debug run fails.
+//! Every test takes [`serial`] first: no two measure at once, whatever the
+//! harness's thread count.
+
+use fatih_bench::{pick_flows, rocketfuel_like};
+use fatih_core::monitor::{
+    MonitorMetrics, MonitorMode, PathOracle, Report, ReportEntry, SegmentMonitorSet,
+};
+use fatih_core::pik2::{Evidence, Message};
+use fatih_core::spec::SpecCheck;
+use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
+use fatih_net::codec::{decode_frame, encode_frame, Frame, WireMessage};
+use fatih_net::runtime::{
+    ChurnAction, ChurnEvent, DropperSpec, LiveConfig, LiveDeployment, LiveOutcome, LiveSpec,
+    SummaryMode,
+};
+use fatih_net::UdpNet;
+use fatih_obs::MetricsRegistry;
+use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime, TapEvent};
+use fatih_topology::{builtin, Path, PathSegment, RouterId, Topology};
+use fatih_validation::tv_content;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// The router count the live-deployment gates are enforced at.
+const GATE_ROUTERS: usize = 128;
+
+/// `Reconcile` mode with a sketch capacity that spans clean-run
+/// differences (boundary crossers + in-flight packets) with generous
+/// headroom.
+const RECONCILE: SummaryMode = SummaryMode::Reconcile { capacity: 32 };
+
+/// Holds the gate lock for the caller's lifetime. A gate that failed
+/// poisons it; the next one measures all the same.
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs one live deployment over freshly bound UDP loopback sockets.
+fn deploy(topo: &Topology, spec: &LiveSpec, cfg: &LiveConfig) -> LiveOutcome {
+    let ids: Vec<RouterId> = topo.routers().collect();
+    let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
+    LiveDeployment::run(topo, spec, cfg, transports)
+}
+
+/// `n` Sprintlink-shaped routers carrying `n / 16` (at least 4) flows
+/// every 4 ms, each routed over `min_len` or more routers, picked by `seed`.
+fn scenario(n: usize, min_len: usize, seed: u64) -> (Topology, LiveSpec) {
+    let topo = rocketfuel_like(n);
+    let flows = pick_flows(
+        &topo,
+        (n / 16).max(4),
+        min_len,
+        Duration::from_millis(4),
+        seed,
+    );
+    let spec = LiveSpec {
+        flows,
+        ..LiveSpec::default()
+    };
+    (topo, spec)
+}
+
+/// Makes the middle router of flow 0's routed path drop 30 % of its
+/// transit from round `from` on; returns that router.
+fn add_dropper(topo: &Topology, spec: &mut LiveSpec, from: u64) -> RouterId {
+    let flow = spec.flows[0];
+    let routes = topo.link_state_routes();
+    let path = routes.path(flow.src, flow.dst).expect("routed flow");
+    let router = path.routers()[path.len() / 2];
+    spec.droppers = vec![DropperSpec {
+        router,
+        rate: 0.3,
+        seed: 77,
+        active_from: from,
+    }];
+    router
+}
+
+/// Whether `outcome`'s verdicts catch `dropper` (complete) without
+/// suspecting a segment of correct routers only (accurate).
+fn complete_and_accurate(outcome: &LiveOutcome, dropper: RouterId, k: usize) -> (bool, bool) {
+    let faulty: BTreeSet<RouterId> = [dropper].into_iter().collect();
+    let check = SpecCheck::evaluate(&outcome.suspicions, &faulty);
+    (check.is_complete(), check.is_accurate(k + 2))
+}
+
+// ---------------------------------------------------------------- codec
+
+/// Floor on Data-frame encode+decode round trips per second.
+const CODEC_FLOOR: f64 = 100_000.0;
+
+/// Floor on sealed-summary round trips per second: the control plane must
+/// seal and open summaries fast enough that round bookkeeping never
+/// competes with forwarding.
+const CONTROL_FLOOR: f64 = 50_000.0;
+
+fn rid(v: u32) -> RouterId {
+    RouterId::from(v)
+}
+
+fn data_frame(i: u64) -> Frame {
+    let id = PacketId(i + 1);
+    Frame {
+        src: rid(0),
+        dst: rid(1),
+        seq: i,
+        msg: WireMessage::Data {
+            packet: Packet {
+                id,
+                src: rid(0),
+                dst: rid(1),
+                flow: FlowId(0),
+                kind: PacketKind::Data,
+                size: 1000,
+                seq: i,
+                payload_tag: Packet::expected_tag(id),
+                ttl: 64,
+                created_at: SimTime::from_ns(i * 1000),
+            },
+            epoch: 0,
+        },
+    }
+}
+
+fn summary_frame(i: u64) -> Frame {
+    let entries = (0..16)
+        .map(|j| ReportEntry {
+            fingerprint: Fingerprint::new(i ^ j),
+            size: 1000,
+            time: SimTime::from_ns(j * 500),
+        })
+        .collect();
+    Frame {
+        src: rid(0),
+        dst: rid(1),
+        seq: i,
+        msg: WireMessage::Pik2(Message {
+            round: i,
+            segment: PathSegment::new(vec![rid(0), rid(1)]),
+            evidence: Evidence::Summary(Report { entries }),
+        }),
+    }
+}
+
+/// Encode+decode round trips per second for frames from `make`.
+fn codec_rate(make: impl Fn(u64) -> Frame, iters: u64, ks: &KeyStore) -> f64 {
+    // Warm up, and keep a checksum live so nothing is optimized away.
+    let mut sink = 0u64;
+    for i in 0..iters.min(1000) {
+        sink ^= encode_frame(&make(i), ks).expect("encodable").len() as u64;
+    }
+    let start = Instant::now();
+    for i in 0..iters {
+        let bytes = encode_frame(&make(i), ks).expect("encodable");
+        sink ^= decode_frame(&bytes, ks).expect("decodable").seq;
+    }
+    let secs = start.elapsed().as_secs_f64();
+    assert!(sink != u64::MAX, "keep the checksum live");
+    iters as f64 / secs
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only wall-clock floor (debug: 12 k sealed summaries/s)"
+)]
+fn codec_round_trips_data_and_sealed_summaries_above_their_floors() {
+    let _serial = serial();
+    let mut ks = KeyStore::with_seed(0xBE7C);
+    ks.register(0);
+    ks.register(1);
+    let data = codec_rate(data_frame, 50_000, &ks);
+    let sealed = codec_rate(summary_frame, 10_000, &ks);
+    println!("codec: Data {data:.0} msgs/s, sealed 16-entry summary {sealed:.0} msgs/s");
+    assert!(
+        data >= CODEC_FLOOR,
+        "Data-frame codec {data:.0} msgs/s is below the {CODEC_FLOOR:.0} floor"
+    );
+    assert!(
+        sealed >= CONTROL_FLOOR,
+        "sealed-summary codec {sealed:.0} msgs/s is below the {CONTROL_FLOOR:.0} floor"
+    );
+}
+
+// -------------------------------------------------- validation fast path
+
+/// The batched kernel must beat the scalar baseline by this factor on
+/// MTU-sized packets.
+const KERNEL_FLOOR: f64 = 3.0;
+
+/// Packets/s floor for the monitor → summary → verdict pipeline.
+const PIPELINE_FLOOR: f64 = 1_000_000.0;
+
+/// Fingerprint throughput in bytes/s over `iters` copies of `msg`, scalar
+/// Horner or the batched kernel in groups of 64.
+fn fingerprint_rate(key: &UhashKey, msg: &[u8], iters: u64, batched: bool) -> f64 {
+    const GROUP: u64 = 64;
+    let msgs: Vec<&[u8]> = (0..GROUP).map(|_| msg).collect();
+    let mut out = Vec::new();
+    let mut sink = 0u64;
+    let start = Instant::now();
+    let hashed = if batched {
+        for _ in 0..iters / GROUP {
+            key.fingerprint_batch_into(&msgs, &mut out);
+            sink ^= out[0].value();
+        }
+        iters / GROUP * GROUP
+    } else {
+        for _ in 0..iters {
+            sink ^= key.fingerprint_scalar(msg).value();
+        }
+        iters
+    };
+    let secs = start.elapsed().as_secs_f64();
+    assert!(sink != u64::MAX, "keep the checksum live");
+    hashed as f64 * msg.len() as f64 / secs
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only wall-clock ratio (debug: batched kernel 1.7× scalar)"
+)]
+fn batched_fingerprint_kernel_is_three_times_scalar_on_1500_bytes() {
+    let _serial = serial();
+    let key = UhashKey::from_seed(0xDA7A);
+    let msg = vec![0xA5u8; 1500];
+    // Warm up both paths before timing.
+    fingerprint_rate(&key, &msg, 1_000, false);
+    fingerprint_rate(&key, &msg, 1_000, true);
+    let scalar = fingerprint_rate(&key, &msg, 200_000, false);
+    let batch = fingerprint_rate(&key, &msg, 200_000, true);
+    let speedup = batch / scalar;
+    println!(
+        "fingerprint kernel: scalar {:.0} MB/s, batched {:.0} MB/s ({speedup:.2}× scalar)",
+        scalar / 1e6,
+        batch / 1e6
+    );
+    assert!(
+        speedup >= KERNEL_FLOOR,
+        "batched kernel is only {speedup:.2}× the scalar baseline (floor {KERNEL_FLOOR}×)"
+    );
+}
+
+/// The Abilene tap tape: one source enqueue and one sink arrival per
+/// packet, 1 500 B each, spread round-robin over the maximal routed paths
+/// of three or more routers. Only *maximal* paths are kept: a shortest
+/// path's subpath is itself a routed path, and a nested segment would be
+/// fed the tape's source events but not its sink events.
+fn abilene_tape(packets: usize) -> (Vec<PathSegment>, PathOracle, Vec<TapEvent>) {
+    let routes = builtin::abilene().link_state_routes();
+    let all: Vec<Path> = routes
+        .all_paths()
+        .filter(|p| p.routers().len() >= 3)
+        .collect();
+    let paths: Vec<&Path> = all
+        .iter()
+        .filter(|p| {
+            !all.iter()
+                .any(|q| q.routers().len() > p.routers().len() && q.contains_segment(p.routers()))
+        })
+        .collect();
+    let segments = paths
+        .iter()
+        .map(|p| PathSegment::new(p.routers().to_vec()))
+        .collect();
+    let mut events = Vec::with_capacity(packets * 2);
+    for i in 0..packets {
+        let routers = paths[i % paths.len()].routers();
+        let (src, dst) = (routers[0], routers[routers.len() - 1]);
+        let id = PacketId(i as u64 + 1);
+        let time = SimTime::from_ns(i as u64 * 100);
+        let packet = Packet {
+            id,
+            src,
+            dst,
+            flow: FlowId((i % paths.len()) as u32),
+            kind: PacketKind::Data,
+            size: 1500,
+            seq: i as u64,
+            payload_tag: Packet::expected_tag(id),
+            ttl: Packet::DEFAULT_TTL,
+            created_at: time,
+        };
+        events.push(TapEvent::Enqueued {
+            router: src,
+            next_hop: routers[1],
+            packet,
+            time,
+            queue_len_after: 0,
+        });
+        events.push(TapEvent::Arrived {
+            router: dst,
+            from: Some(routers[routers.len() - 2]),
+            packet,
+            time: SimTime::from_ns(i as u64 * 100 + 50),
+        });
+    }
+    (segments, PathOracle::from_routes(&routes), events)
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only wall-clock floor (debug: 0.18 M pkts/s)"
+)]
+fn abilene_validation_pipeline_clears_a_million_packets_per_second() {
+    let _serial = serial();
+    const PACKETS: usize = 200_000;
+    let mut ks = KeyStore::with_seed(0xDA7A);
+    for r in builtin::abilene().routers() {
+        ks.register(u32::from(r));
+    }
+    let (segments, oracle, events) = abilene_tape(PACKETS);
+    let reg = MetricsRegistry::new();
+    let mut mon =
+        SegmentMonitorSet::new(segments.clone(), oracle, &ks, MonitorMode::EndsOnly, None);
+    mon.attach_metrics(MonitorMetrics::registered(&reg));
+
+    let start = Instant::now();
+    for chunk in events.chunks(512) {
+        mon.observe_batch(chunk);
+    }
+    let (mut lost, mut fabricated) = (0, 0);
+    for (i, seg) in segments.iter().enumerate() {
+        let up = mon.report(seg.source(), i).to_content();
+        let down = mon.report(seg.sink(), i).to_content();
+        let verdict = tv_content(&up, &down);
+        lost += verdict.lost.len();
+        fabricated += verdict.fabricated.len();
+    }
+    let pps = PACKETS as f64 / start.elapsed().as_secs_f64();
+    println!(
+        "validation pipeline: {:.2} M pkts/s over {} Abilene paths",
+        pps / 1e6,
+        segments.len()
+    );
+    assert_eq!((lost, fabricated), (0, 0), "clean tape must validate clean");
+    assert!(
+        pps >= PIPELINE_FLOOR,
+        "pipeline {pps:.0} pkts/s is below the {PIPELINE_FLOOR:.0} floor"
+    );
+}
+
+// ---------------------------------------------------------------- scale
+
+/// Reconciled control bytes must come in at or below this fraction of
+/// full-transfer control bytes at the gate size.
+const RATIO_LIMIT: f64 = 0.5;
+
+/// Seeds which routers carry the scale scenarios' flows.
+const SCALE_FLOW_SEED: u64 = 0x5CA1E;
+
+/// Two default-timed rounds in `summary` mode, detection only: a reroute
+/// around the dropper mid-measurement would skew the control-byte
+/// comparison, and the response path has its own gate below.
+fn detect_only(summary: SummaryMode) -> LiveConfig {
+    LiveConfig {
+        rounds: 2,
+        summary,
+        response: false,
+        ..LiveConfig::default()
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only wall-clock gate (debug: Reconcile/Full 0.59)"
+)]
+fn reconcile_costs_at_most_half_of_full_and_nobody_is_accused() {
+    let _serial = serial();
+    let mut gate_ratio = f64::NAN;
+    for n in [48, GATE_ROUTERS] {
+        let (topo, spec) = scenario(n, 5, SCALE_FLOW_SEED);
+        let full = deploy(&topo, &spec, &detect_only(SummaryMode::Full));
+        let rec = deploy(&topo, &spec, &detect_only(RECONCILE));
+        let ratio = rec.stats.control_bytes_sent as f64 / full.stats.control_bytes_sent as f64;
+        println!(
+            "{n} routers: Reconcile/Full control bytes {ratio:.3} ({} resolved, {} fallbacks); \
+             suspicions Full {} / Reconcile {}",
+            rec.stats.digests_resolved,
+            rec.stats.digest_fallbacks,
+            full.suspicions.len(),
+            rec.suspicions.len(),
+        );
+        assert!(
+            full.suspicions.is_empty() && rec.suspicions.is_empty(),
+            "clean run at {n} routers accused: Full {:?}, Reconcile {:?}",
+            full.suspicions,
+            rec.suspicions
+        );
+        gate_ratio = ratio;
+    }
+    assert!(
+        gate_ratio <= RATIO_LIMIT,
+        "Reconcile/Full control bytes {gate_ratio:.3} exceed {RATIO_LIMIT} at {GATE_ROUTERS} routers"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only live gate: its wall-clock rounds assume an optimised build"
+)]
+fn mid_path_dropper_is_caught_at_128_routers_detection_only() {
+    let _serial = serial();
+    let (topo, mut spec) = scenario(GATE_ROUTERS, 5, SCALE_FLOW_SEED);
+    let dropper = add_dropper(&topo, &mut spec, 0);
+    let cfg = detect_only(RECONCILE);
+    let outcome = deploy(&topo, &spec, &cfg);
+    let (complete, accurate) = complete_and_accurate(&outcome, dropper, cfg.k);
+    println!(
+        "30 % dropper at {GATE_ROUTERS} routers: complete={complete} accurate={accurate}, \
+         {} dropped ({} resolved, {} fallbacks)",
+        outcome.stats.data_dropped, outcome.stats.digests_resolved, outcome.stats.digest_fallbacks,
+    );
+    assert!(outcome.stats.data_dropped > 0, "the dropper never fired");
+    assert!(
+        complete && accurate,
+        "dropper detection failed: complete={complete} accurate={accurate} {:?}",
+        outcome.suspicions
+    );
+}
+
+// -------------------------------------------------- response and churn
+
+/// Seeds which routers carry the response and churn scenarios' flows.
+const CHURN_FLOW_SEED: u64 = 0xC0FFEE;
+
+/// Post-reconvergence delivery must reach this fraction of the
+/// pre-attack per-round delivery.
+const RECOVERY_FLOOR: f64 = 0.99;
+
+/// The round the conviction scenario's dropper starts in; the rounds
+/// before it are the pre-attack baseline.
+const ATTACK_ROUND: usize = 2;
+
+/// 200 ms rounds, so each scenario takes seconds; response on.
+fn churn_cfg(rounds: u64) -> LiveConfig {
+    LiveConfig {
+        tau: Duration::from_millis(200),
+        exchange_budget: Duration::from_millis(120),
+        maturity_lag: Duration::from_millis(50),
+        rounds,
+        ..LiveConfig::default()
+    }
+}
+
+/// `actor` performs `action` `ms` milliseconds into the run.
+fn churn(ms: u64, actor: RouterId, action: ChurnAction) -> ChurnEvent {
+    ChurnEvent {
+        at: Duration::from_millis(ms),
+        actor,
+        action,
+    }
+}
+
+/// [`scenario`] with flows of 4 or more routers, plus a router no flow's
+/// path touches (so churning it never frames honest traffic) with at least
+/// two links, and its first neighbour.
+fn churn_scenario(n: usize) -> (Topology, LiveSpec, RouterId, RouterId) {
+    let (topo, spec) = scenario(n, 4, CHURN_FLOW_SEED);
+    let routes = topo.link_state_routes();
+    let on_path: BTreeSet<RouterId> = (spec.flows.iter())
+        .filter_map(|f| routes.path(f.src, f.dst))
+        .flat_map(|p| p.routers().to_vec())
+        .collect();
+    let actor = topo
+        .routers()
+        .find(|&r| !on_path.contains(&r) && topo.neighbors(r).len() >= 2)
+        .expect("an off-path router with degree >= 2");
+    let peer = topo.neighbors(actor)[0].0;
+    (topo, spec, actor, peer)
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only wall-clock gate (debug: dozens of suspicions, accurate=false)"
+)]
+fn convicted_dropper_is_routed_around_and_delivery_recovers() {
+    let _serial = serial();
+    let (topo, mut spec) = scenario(GATE_ROUTERS, 5, CHURN_FLOW_SEED);
+    let dropper = add_dropper(&topo, &mut spec, ATTACK_ROUND as u64);
+    let cfg = churn_cfg(9);
+    let outcome = deploy(&topo, &spec, &cfg);
+    let (complete, accurate) = complete_and_accurate(&outcome, dropper, cfg.k);
+    let transitions = outcome.metrics.counter("net.epoch_transitions");
+
+    // Per-round delivery: the round before the attack is the baseline, the
+    // mean of the last two complete rounds the recovered rate. The final
+    // round's snapshot races teardown (its tail is cut), so it is left out.
+    let delivered: Vec<u64> = (outcome.round_metrics.iter())
+        .map(|m| m.counter("net.data_delivered"))
+        .collect();
+    let n = delivered.len();
+    assert!(n >= ATTACK_ROUND + 5, "too few rounds to measure recovery");
+    let baseline = (delivered[ATTACK_ROUND - 1] - delivered[ATTACK_ROUND - 2]) as f64;
+    let recovered = (delivered[n - 2] - delivered[n - 4]) as f64 / 2.0;
+    let ratio = recovered / baseline.max(1.0);
+    let per_round: Vec<u64> = (0..n)
+        .map(|i| delivered[i] - if i == 0 { 0 } else { delivered[i - 1] })
+        .collect();
+    println!(
+        "conviction at {GATE_ROUTERS} routers: complete={complete} accurate={accurate}, \
+         {transitions} epoch transitions; delivery {baseline:.0}/round pre-attack → \
+         {recovered:.0}/round recovered (ratio {ratio:.3}); per round {per_round:?}"
+    );
+    assert!(
+        complete && accurate,
+        "conviction failed: complete={complete} accurate={accurate} ({} suspicions)",
+        outcome.suspicions.len()
+    );
+    assert!(
+        transitions >= GATE_ROUTERS as u64,
+        "only {transitions} epoch transitions: not every router applied the exclusion"
+    );
+    assert!(
+        ratio >= RECOVERY_FLOOR,
+        "delivery recovered to {ratio:.3} of pre-attack, below {RECOVERY_FLOOR}"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only live gate: its wall-clock rounds assume an optimised build"
+)]
+fn pure_churn_flap_leave_and_join_accuse_nobody() {
+    let _serial = serial();
+    let (topo, mut spec, actor, peer) = churn_scenario(48);
+    spec.churn = vec![
+        churn(250, actor, ChurnAction::LinkDown(peer)),
+        churn(650, actor, ChurnAction::LinkUp(peer)),
+        churn(900, actor, ChurnAction::Leave),
+        churn(1300, actor, ChurnAction::Join),
+    ];
+    let outcome = deploy(&topo, &spec, &churn_cfg(8));
+    let transitions = outcome.metrics.counter("net.epoch_transitions");
+    println!(
+        "pure churn at 48 routers: {} suspicions, {transitions} epoch transitions, {} delivered",
+        outcome.suspicions.len(),
+        outcome.stats.data_delivered
+    );
+    assert!(
+        outcome.suspicions.is_empty(),
+        "pure churn accused: {:?}",
+        outcome.suspicions
+    );
+    assert!(transitions > 0, "pure churn never reconverged");
+    assert!(
+        outcome.stats.data_delivered > 0,
+        "pure churn delivered nothing"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only live gate: its wall-clock rounds assume an optimised build"
+)]
+fn crash_restart_serves_probation_and_accuses_nobody() {
+    let _serial = serial();
+    let (topo, mut spec, actor, reporter) = churn_scenario(32);
+    spec.churn = vec![
+        churn(150, actor, ChurnAction::Crash),
+        churn(450, reporter, ChurnAction::ReportDown(actor)),
+        churn(800, actor, ChurnAction::Restart),
+    ];
+    let outcome = deploy(&topo, &spec, &churn_cfg(10));
+    let admitted = outcome.metrics.counter("net.probation_admitted");
+    let cleared = outcome.metrics.counter("net.probation_cleared");
+    println!(
+        "crash-restart at 32 routers: {} suspicions, probation {admitted} admitted / \
+         {cleared} cleared, {} delivered",
+        outcome.suspicions.len(),
+        outcome.stats.data_delivered
+    );
+    assert!(
+        outcome.suspicions.is_empty(),
+        "crash-restart accused: {:?}",
+        outcome.suspicions
+    );
+    assert!(
+        admitted >= 1 && cleared >= 1,
+        "probation never served: admitted={admitted} cleared={cleared}"
+    );
+    assert!(
+        outcome.stats.data_delivered > 0,
+        "crash-restart delivered nothing"
+    );
+}

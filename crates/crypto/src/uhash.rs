@@ -40,8 +40,8 @@
 //!   directly without materializing a contiguous buffer first.
 //!
 //! [`UhashKey::fingerprint_scalar`] preserves the textbook recurrence as
-//! the reference the property tests and the `datapath` bench compare
-//! against.
+//! the reference the property tests and the batched-kernel release gate
+//! (`crates/bench/tests/gates.rs`) compare against.
 
 /// The Mersenne prime 2⁶¹ − 1 used as the fingerprint field modulus.
 pub const FINGERPRINT_PRIME: u64 = (1u64 << 61) - 1;
@@ -250,7 +250,7 @@ impl UhashKey {
     }
 
     /// The textbook scalar recurrence — the reference implementation the
-    /// kernels are verified against (and the `datapath` bench's baseline).
+    /// kernels are verified against (and the release gate's baseline).
     pub fn fingerprint_scalar(&self, message: &[u8]) -> Fingerprint {
         let mut acc = self.offset;
         let mut chunks = message.chunks_exact(8);

@@ -3051,9 +3051,10 @@ mod tests {
     }
 
     /// Pure churn must never accuse anyone: an off-path link flaps down
-    /// and back up, then an off-path router gracefully leaves, while a
-    /// monitored flow keeps validating. Every applier lands inside the
-    /// deterministic amnesty window, so the verdict log stays empty.
+    /// and back up, then an off-path router gracefully leaves and joins
+    /// again, while a monitored flow keeps validating. Every applier lands
+    /// inside the deterministic amnesty window, so the verdict log stays
+    /// empty.
     #[test]
     fn pure_churn_raises_no_suspicions() {
         let topo = builtin::ring(6);
@@ -3076,6 +3077,11 @@ mod tests {
                     actor: ids[5],
                     action: ChurnAction::Leave,
                 },
+                ChurnEvent {
+                    at: Duration::from_millis(950),
+                    actor: ids[5],
+                    action: ChurnAction::Join,
+                },
             ],
             ..LiveSpec::default()
         };
@@ -3096,6 +3102,73 @@ mod tests {
         assert!(
             outcome.metrics.counter("net.epoch_transitions") > 0,
             "churn never triggered a reconvergence"
+        );
+    }
+
+    /// A router that starts the run down (`LiveSpec::initially_down`) and
+    /// joins mid-run: its `RouterUp` carries incarnation 0, so it is not
+    /// put on probation; every router applies it and returns to the
+    /// empty-overlay route epoch, 0; the flow the join shortens and the
+    /// one it does not touch deliver in every round; nobody is accused.
+    #[test]
+    fn an_initially_down_router_joins_without_probation_or_accusation() {
+        let topo = builtin::ring(6);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let every = Duration::from_millis(2);
+        let spec = LiveSpec {
+            // 3 → 5 runs the long way round until router 4 joins.
+            flows: vec![
+                FlowSpec::new(ids[0], ids[3], 800, every),
+                FlowSpec::new(ids[3], ids[5], 800, every),
+            ],
+            initially_down: vec![ids[4]],
+            churn: vec![ChurnEvent {
+                at: Duration::from_millis(320),
+                actor: ids[4],
+                action: ChurnAction::Join,
+            }],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            tau: Duration::from_millis(200),
+            exchange_budget: Duration::from_millis(100),
+            maturity_lag: Duration::from_millis(50),
+            rounds: 6,
+            ..LiveConfig::default()
+        };
+        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
+        assert!(
+            outcome.suspicions.is_empty(),
+            "a join accused someone: {:?}",
+            outcome.suspicions
+        );
+        assert_eq!(outcome.metrics.counter("net.probation_admitted"), 0);
+        let appliers: BTreeSet<RouterId> = (outcome.events.iter())
+            .filter_map(|e| match e {
+                LiveEvent::LinkStateApplied {
+                    by, origin, epoch, ..
+                } if *origin == ids[4] => {
+                    assert_eq!(*epoch, 0, "{by} did not return to the empty overlay");
+                    Some(*by)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            appliers.len(),
+            ids.len(),
+            "not every router applied the join"
+        );
+        assert_eq!(
+            outcome.metrics.counter("net.epoch_transitions"),
+            ids.len() as u64
+        );
+        let delivered: Vec<u64> = (outcome.round_metrics.iter())
+            .map(|m| m.counter("net.data_delivered"))
+            .collect();
+        assert!(
+            delivered.windows(2).all(|w| w[1] > w[0]) && delivered[0] > 0,
+            "a round delivered nothing: cumulative {delivered:?}"
         );
     }
 

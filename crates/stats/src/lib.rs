@@ -14,8 +14,6 @@
 //! * [`normal`] — standard-normal CDF, survival function and quantile;
 //! * [`ztest`] — one-sample Z-tests as used by Protocol χ;
 //! * [`descriptive`] — batch and online (Welford) summaries;
-//! * [`ewma`] — exponentially weighted moving averages (RED's average
-//!   queue size, traffic-rate estimation);
 //! * [`hist`] — fixed-bin histograms plus normality diagnostics for the
 //!   Figure 6.3 experiment.
 //!
@@ -36,12 +34,10 @@
 
 pub mod descriptive;
 mod erf_impl;
-pub mod ewma;
 pub mod hist;
 pub mod normal;
 pub mod ztest;
 
 pub use descriptive::{OnlineStats, Summary};
 pub use erf_impl::{erf, erfc};
-pub use ewma::Ewma;
 pub use hist::Histogram;

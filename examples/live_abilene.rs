@@ -56,7 +56,7 @@ fn main() {
         ..LiveSpec::default()
     };
     // k = 1, τ = 300ms, 3 rounds; detection only — the conviction→reroute
-    // response loop is exercised by `fatih-bench --bin churnbench`.
+    // response loop is exercised by `crates/bench/tests/gates.rs`.
     let cfg = LiveConfig {
         response: false,
         ..LiveConfig::default()

@@ -9,7 +9,8 @@
 //!
 //! This crate is a facade that re-exports the workspace members:
 //!
-//! * [`stats`] — error function, normal distribution, Z-tests, EWMA;
+//! * [`stats`] — error function, normal distribution, Z-tests,
+//!   descriptive statistics, histograms;
 //! * [`crypto`] — SHA-256, HMAC, universal hashing, packet fingerprints;
 //! * [`validation`] — conservation-of-traffic summaries, Bloom filters and
 //!   polynomial set reconciliation;
