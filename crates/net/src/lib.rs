@@ -54,8 +54,9 @@
 //! ```
 
 // `deny`, not `forbid`, so that exactly one module can opt out: `poller`
-// declares the `ppoll(2)` call `std` lacks. CI fails if the keyword, or a
-// second opt-out, appears anywhere else under `crates/`.
+// declares the `epoll(7)` calls `std` lacks. CI fails if the keyword, a
+// foreign function block, or a second opt-out appears anywhere else under
+// `crates/`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -2,11 +2,15 @@
 //! workspace that may contain `unsafe`.
 //!
 //! `std` has no way to wait on several sockets at once, so this module
-//! declares `ppoll(2)` itself (there is no `libc` crate offline).
-//! `ppoll` rather than `epoll`: one function instead of three, a
-//! nanosecond `timespec` timeout (plain `poll` rounds to milliseconds,
-//! which would make 4 ms flow ticks late), and no descriptor lifecycle
-//! beyond a `Vec`.
+//! declares `epoll(7)` itself (there is no `libc` crate offline). A worker
+//! owns one `epoll` instance: a wait costs what the *ready* sockets cost,
+//! not what the registered ones do. `ppoll` over a shard's descriptor
+//! array made the kernel walk all of them on every call: 7.5 µs per call
+//! with one of 128 UDP sockets ready, against 0.35 µs for `epoll_pwait2`
+//! (DESIGN.md, "The readiness loop", has the measurement). `epoll_pwait2`
+//! rather than `epoll_wait` for its nanosecond `timespec` timeout: a
+//! millisecond one would make 4 ms flow ticks late. It needs Linux ≥ 5.11
+//! and glibc ≥ 2.35.
 //!
 //! Registration is *ambient*, the way a tokio socket finds its reactor: a
 //! worker [`install`]s a poller as its thread's current one, and a socket
@@ -18,27 +22,30 @@
 
 use fatih_topology::RouterId;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-const POLLIN: i16 = 0x001;
-const POLLNVAL: i16 = 0x020;
-
-/// `struct pollfd`.
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
+/// Most readiness events one wait reports. More ready sockets than this
+/// are reported by the next waits: readiness is level-triggered, and the
+/// kernel moves a reported socket to the back of its ready list.
+const EVENTS: usize = 64;
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod sys {
-    use super::PollFd;
-    use std::os::fd::AsRawFd;
+    use std::ffi::{c_int, c_void};
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
     use std::time::Duration;
+
+    const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+    const EPOLL_CTL_ADD: c_int = 1;
+    const EPOLL_CTL_DEL: c_int = 2;
+    const EPOLL_CTL_MOD: c_int = 3;
+    const EPOLLIN: u32 = 0x001;
+    const POLLIN: i16 = 0x001;
+    const EEXIST: i32 = 17;
 
     /// `struct timespec` of the 64-bit Linux ABIs.
     #[repr(C)]
@@ -47,51 +54,174 @@ mod sys {
         tv_nsec: i64,
     }
 
+    impl Timespec {
+        fn of(d: Duration) -> Self {
+            Timespec {
+                tv_sec: i64::try_from(d.as_secs()).unwrap_or(i64::MAX),
+                tv_nsec: i64::from(d.subsec_nanos()),
+            }
+        }
+    }
+
+    /// `struct epoll_event`: packed on x86_64 only, where the kernel ABI
+    /// inherited the i386 layout.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+    #[derive(Clone, Copy)]
+    pub(super) struct EpollEvent {
+        events: u32,
+        data: u64,
+    }
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
     extern "C" {
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        fn epoll_pwait2(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
         fn ppoll(
             fds: *mut PollFd,
             nfds: std::ffi::c_ulong,
             timeout: *const Timespec,
-            sigmask: *const std::ffi::c_void,
-        ) -> std::ffi::c_int;
+            sigmask: *const c_void,
+        ) -> c_int;
     }
 
-    pub(super) fn fd_of(socket: &std::net::UdpSocket) -> Option<i32> {
-        Some(socket.as_raw_fd())
+    /// One `epoll` instance, closed on drop.
+    pub(super) struct Epoll {
+        fd: OwnedFd,
+        events: Vec<EpollEvent>,
     }
 
-    /// Blocks until an entry of `fds` has an event or `timeout` elapsed and
-    /// reports whether any `revents` was set.
-    pub(super) fn wait(fds: &mut [PollFd], timeout: Duration) -> bool {
-        let ts = Timespec {
-            tv_sec: i64::try_from(timeout.as_secs()).unwrap_or(i64::MAX),
-            tv_nsec: i64::from(timeout.subsec_nanos()),
+    impl Epoll {
+        /// A fresh, empty instance; `None` if the kernel refuses one.
+        pub(super) fn new() -> Option<Epoll> {
+            // SAFETY: takes no pointers.
+            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if fd < 0 {
+                return None;
+            }
+            // SAFETY: a non-negative result is a new descriptor nobody
+            // else owns, so `OwnedFd` may close it.
+            let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+            Some(Epoll {
+                fd,
+                events: vec![EpollEvent { events: 0, data: 0 }; super::EVENTS],
+            })
+        }
+
+        fn ctl(&self, op: c_int, fd: i32, key: u64) -> std::io::Result<()> {
+            let mut ev = EpollEvent {
+                events: EPOLLIN,
+                data: key,
+            };
+            // SAFETY: `ev` lives across the call and is only read (the
+            // kernel ignores it for a delete); no pointer outlives it.
+            match unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) } {
+                0 => Ok(()),
+                _ => Err(std::io::Error::last_os_error()),
+            }
+        }
+
+        /// Adds `socket`, level-triggered, reporting `key`, and returns
+        /// its descriptor. A socket the set already holds is re-keyed.
+        pub(super) fn add(&self, socket: &std::net::UdpSocket, key: u64) -> Option<i32> {
+            let fd = socket.as_raw_fd();
+            match self.ctl(EPOLL_CTL_ADD, fd, key) {
+                Err(e) if e.raw_os_error() == Some(EEXIST) => {
+                    self.ctl(EPOLL_CTL_MOD, fd, key).ok()?
+                }
+                r => r.ok()?,
+            }
+            Some(fd)
+        }
+
+        /// Removes `fd`; one already gone (closed) is no error.
+        pub(super) fn del(&self, fd: i32) {
+            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0);
+        }
+
+        /// Blocks until a registered descriptor is readable or `timeout`
+        /// elapsed, and hands the key of each readable one to `ready`.
+        pub(super) fn wait(&mut self, timeout: Duration, mut ready: impl FnMut(u64)) {
+            let ts = Timespec::of(timeout);
+            // SAFETY: `events` is an exclusively borrowed buffer of
+            // `#[repr(C)]` structs laid out as `struct epoll_event`, and
+            // its own length is the count passed, so the kernel writes
+            // inside it only; `ts` lives across the call and is only read;
+            // a null signal mask leaves the mask alone. No pointer
+            // outlives the call.
+            let n = unsafe {
+                epoll_pwait2(
+                    self.fd.as_raw_fd(),
+                    self.events.as_mut_ptr(),
+                    self.events.len() as c_int,
+                    &ts,
+                    std::ptr::null(),
+                )
+            };
+            // An interrupted or failed wait reports nothing ready.
+            for ev in &self.events[..usize::try_from(n).unwrap_or(0)] {
+                ready(ev.data);
+            }
+        }
+    }
+
+    /// Waits up to `timeout` for `socket` alone to become readable.
+    pub(super) fn wait_readable(socket: &std::net::UdpSocket, timeout: Duration) {
+        let mut one = PollFd {
+            fd: socket.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
         };
-        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
-        // structs laid out as `struct pollfd`, and its own length is the
-        // count passed, so the kernel reads and writes inside it only;
-        // `ts` lives across the call and is only read; a null signal mask
-        // is allowed and leaves the mask alone. No pointer outlives the
-        // call.
-        let n = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as _, &ts, std::ptr::null()) };
-        n > 0 // an interrupted or failed wait reports nothing ready
+        let ts = Timespec::of(timeout);
+        // SAFETY: `one` is a single exclusively borrowed `struct pollfd`
+        // and the count passed is 1; `ts` lives across the call and is
+        // only read; a null signal mask is allowed. No pointer outlives
+        // the call.
+        unsafe { ppoll(&mut one, 1, &ts, std::ptr::null()) };
     }
 }
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
 mod sys {
-    use super::PollFd;
     use std::time::Duration;
 
-    pub(super) fn fd_of(_: &std::net::UdpSocket) -> Option<i32> {
-        None
+    /// Nothing can be waited on here, so there is never an instance.
+    pub(super) enum Epoll {}
+
+    impl Epoll {
+        pub(super) fn new() -> Option<Epoll> {
+            None
+        }
+
+        pub(super) fn add(&self, _: &std::net::UdpSocket, _: u64) -> Option<i32> {
+            match *self {}
+        }
+
+        pub(super) fn del(&self, _: i32) {
+            match *self {}
+        }
+
+        pub(super) fn wait(&mut self, _: Duration, _: impl FnMut(u64)) {
+            match *self {}
+        }
     }
 
-    /// Nothing can be waited on here: sleep a short while and let the
-    /// caller poll again.
-    pub(super) fn wait(_: &mut [PollFd], timeout: Duration) -> bool {
+    pub(super) fn wait_readable(_: &std::net::UdpSocket, timeout: Duration) {
         std::thread::sleep(timeout.min(Duration::from_micros(500)));
-        false
     }
 }
 
@@ -99,8 +229,9 @@ mod sys {
 /// whose endpoint it is.
 struct Poller {
     id: u64,
-    fds: Vec<PollFd>,
-    keys: Vec<RouterId>,
+    epoll: Option<sys::Epoll>,
+    /// Descriptor → key of every socket registered and not deregistered.
+    keys: HashMap<i32, RouterId>,
 }
 
 thread_local! {
@@ -119,8 +250,8 @@ pub(crate) struct Installed(PhantomData<*const ()>);
 pub(crate) fn install() -> Installed {
     let poller = Poller {
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-        fds: Vec::new(),
-        keys: Vec::new(),
+        epoll: sys::Epoll::new(),
+        keys: HashMap::new(),
     };
     CURRENT.with(|c| *c.borrow_mut() = Some(poller));
     Installed(PhantomData)
@@ -141,35 +272,31 @@ impl Installed {
     /// and appends the keys of the readable ones to `ready`. Readiness is
     /// level-triggered: a socket stays ready until it is drained, so the
     /// caller must drain or [`deregister`](Self::deregister) what it is
-    /// told about. Closed descriptors leave the set unreported.
+    /// told about. A closed socket leaves the set by itself, unreported.
     pub(crate) fn wait(&self, timeout: Duration, ready: &mut Vec<RouterId>) {
-        self.with(|p| {
-            if (p.fds.is_empty() && timeout.is_zero()) || !sys::wait(&mut p.fds, timeout) {
-                return;
-            }
-            for i in (0..p.fds.len()).rev() {
-                let revents = std::mem::take(&mut p.fds[i].revents);
-                if revents & POLLNVAL != 0 {
-                    p.fds.swap_remove(i);
-                    p.keys.swap_remove(i);
-                } else if revents != 0 {
-                    ready.push(p.keys[i]);
-                }
-            }
+        self.with(|p| match &mut p.epoll {
+            _ if p.keys.is_empty() && timeout.is_zero() => {}
+            Some(epoll) => epoll.wait(timeout, |key| ready.push(RouterId::from(key as u32))),
+            // Nothing can be waited on: sleep a short while and let the
+            // caller sweep again.
+            None => std::thread::sleep(timeout.min(Duration::from_micros(500))),
         })
     }
 
     /// Whether a socket keyed `key` is in the set.
     pub(crate) fn is_registered(&self, key: RouterId) -> bool {
-        self.with(|p| p.keys.contains(&key))
+        self.with(|p| p.keys.values().any(|k| *k == key))
     }
 
     /// Removes the socket keyed `key`, if present.
     pub(crate) fn deregister(&self, key: RouterId) {
         self.with(|p| {
-            if let Some(i) = p.keys.iter().position(|k| *k == key) {
-                p.fds.swap_remove(i);
-                p.keys.swap_remove(i);
+            let Some(fd) = p.keys.iter().find(|(_, k)| **k == key).map(|(fd, _)| *fd) else {
+                return;
+            };
+            p.keys.remove(&fd);
+            if let Some(epoll) = &p.epoll {
+                epoll.del(fd);
             }
         })
     }
@@ -185,38 +312,32 @@ pub(crate) fn register(socket: &UdpSocket, key: RouterId, seen: &mut u64) {
         let Some(p) = current.as_mut().filter(|p| p.id != *seen) else {
             return;
         };
-        let Some(fd) = sys::fd_of(socket) else { return };
+        let Some(fd) = p
+            .epoll
+            .as_ref()
+            .and_then(|e| e.add(socket, key.index() as u64))
+        else {
+            return;
+        };
         *seen = p.id;
-        // A descriptor number met again belongs to a new socket: the old
-        // one was closed, or it could not have been reissued.
-        match p.fds.iter().position(|e| e.fd == fd) {
-            Some(i) => p.keys[i] = key,
-            None => {
-                p.fds.push(PollFd {
-                    fd,
-                    events: POLLIN,
-                    revents: 0,
-                });
-                p.keys.push(key);
-            }
-        }
+        // A descriptor number met again belongs to a new socket (the old
+        // one was closed, or it could not have been reissued): it replaces
+        // the old key.
+        p.keys.insert(fd, key);
     })
 }
 
 /// Waits up to `timeout` for `socket` alone to become readable. May return
 /// early or spuriously; the caller tries a receive and checks its clock.
 pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) {
-    let mut one = [PollFd {
-        fd: sys::fd_of(socket).unwrap_or(-1), // a negative fd is ignored
-        events: POLLIN,
-        revents: 0,
-    }];
-    sys::wait(&mut one, timeout);
+    sys::wait_readable(socket, timeout);
 }
 
 #[cfg(all(test, target_os = "linux", target_pointer_width = "64"))]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::os::fd::AsRawFd;
     use std::time::Instant;
 
     fn rid(v: u32) -> RouterId {
@@ -227,6 +348,12 @@ mod tests {
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();
         let b = UdpSocket::bind("127.0.0.1:0").unwrap();
         (a, b)
+    }
+
+    #[test]
+    fn epoll_event_has_the_kernel_layout() {
+        let expected = if cfg!(target_arch = "x86_64") { 12 } else { 16 };
+        assert_eq!(std::mem::size_of::<sys::EpollEvent>(), expected);
     }
 
     #[test]
@@ -279,28 +406,83 @@ mod tests {
     fn deregistered_and_closed_sockets_are_neither_reported_nor_spun_on() {
         let poller = install();
         let (a, b) = pair();
+        let c = UdpSocket::bind("127.0.0.1:0").unwrap();
         register(&b, rid(2), &mut 0);
+        register(&c, rid(3), &mut 0);
         a.send_to(b"x", b.local_addr().unwrap()).unwrap();
+        a.send_to(b"x", c.local_addr().unwrap()).unwrap();
         poller.deregister(rid(2));
-        // A descriptor closed while registered: the kernel answers
-        // POLLNVAL at once, on every call. (No real socket is closed here,
-        // because a parallel test could be handed its number again.)
-        poller.with(|p| {
-            p.fds.push(PollFd {
-                fd: i32::MAX,
-                events: POLLIN,
-                revents: 0,
-            });
-            p.keys.push(rid(3));
-        });
+        assert!(!poller.is_registered(rid(2)));
+        // Closed while registered and readable: the kernel drops it from
+        // the interest list, whoever is handed its number next.
+        drop(c);
         let mut ready = Vec::new();
         poller.wait(Duration::ZERO, &mut ready);
         assert!(ready.is_empty(), "reported {ready:?}");
-        assert!(!poller.is_registered(rid(2)) && !poller.is_registered(rid(3)));
-        // With the set empty again a wait lasts its whole timeout.
+        // With nothing left to report a wait lasts its whole timeout.
         let t0 = Instant::now();
         poller.wait(Duration::from_millis(2), &mut ready);
         assert!(t0.elapsed() >= Duration::from_millis(2));
+        assert!(ready.is_empty(), "reported {ready:?}");
+    }
+
+    #[test]
+    fn a_reused_descriptor_number_registers_under_its_new_key() {
+        let poller = install();
+        let (a, old) = pair();
+        register(&old, rid(1), &mut 0);
+        let fd = old.as_raw_fd();
+        drop(old);
+        // The lowest free number is handed out next, unless a parallel
+        // test takes it first: then wait for that one to let it go.
+        let new = (0..1000)
+            .find_map(|_| {
+                let s = UdpSocket::bind("127.0.0.1:0").unwrap();
+                if s.as_raw_fd() == fd {
+                    return Some(s);
+                }
+                drop(s);
+                std::thread::sleep(Duration::from_millis(1));
+                None
+            })
+            .expect("descriptor number reissued");
+        register(&new, rid(2), &mut 0);
+        assert!(poller.is_registered(rid(2)) && !poller.is_registered(rid(1)));
+        a.send_to(b"x", new.local_addr().unwrap()).unwrap();
+        let mut ready = Vec::new();
+        poller.wait(Duration::from_millis(500), &mut ready);
+        assert_eq!(ready, vec![rid(2)]);
+
+        // The same socket registered afresh (the set already holds it) is
+        // re-keyed, not added twice.
+        register(&new, rid(3), &mut 0);
+        ready.clear();
+        poller.wait(Duration::from_millis(500), &mut ready);
+        assert_eq!(ready, vec![rid(3)]);
+    }
+
+    #[test]
+    fn more_ready_sockets_than_one_wait_reports_are_all_reported() {
+        let poller = install();
+        let n = 2 * EVENTS + 5;
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let rx: Vec<UdpSocket> = (0..n)
+            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
+            .collect();
+        for (i, s) in rx.iter().enumerate() {
+            register(s, rid(i as u32), &mut 0);
+            tx.send_to(b"x", s.local_addr().unwrap()).unwrap();
+        }
+        // Nothing is drained: level-triggered readiness must still get to
+        // every socket within ⌈n / EVENTS⌉ waits.
+        let mut reported = HashSet::new();
+        for _ in 0..n.div_ceil(EVENTS) {
+            let mut ready = Vec::new();
+            poller.wait(Duration::from_millis(500), &mut ready);
+            assert!(ready.len() <= EVENTS);
+            reported.extend(ready);
+        }
+        assert_eq!(reported.len(), n);
     }
 
     #[test]

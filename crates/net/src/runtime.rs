@@ -796,12 +796,12 @@ const FLOW_LEAD_NS: u64 = 2_000_000;
 /// Flows that tick at the same instant.
 ///
 /// A wake-up is the expensive part of an idle shard's packet: on a
-/// 128-socket shard it costs ≈ 60 µs of CPU (the blocking `ppoll`, and the
-/// packet's whole path run on cold caches) against ≈ 10 µs for four warm
-/// hops, and what a packet of a burst pays for it in return is the time
-/// its burst-mates take to cross the shard with it. Four to a tick keeps
-/// CPU per packet where one shared tick had it (within 10 %) at half the
-/// latency; see DESIGN.md, "Flow phases".
+/// 128-socket shard it costs ≈ 20 µs of CPU (the wait on the shard's
+/// `epoll` set, and the packet's whole path run on cold caches), and what
+/// a packet of a burst pays for it in return is the time its burst-mates
+/// take to cross the shard with it. Four to a tick keeps CPU per packet
+/// within 15 % of eight at 50–65 % of its latency; see DESIGN.md, "Flow
+/// phases".
 const FLOWS_PER_TICK: usize = 4;
 
 /// Reliable-delivery policy for summaries, pulls, alerts and link-state
