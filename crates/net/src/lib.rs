@@ -17,13 +17,13 @@
 //!   join/leave, crash-restart incarnations, link flaps) flooded through
 //!   the control plane, and (crate-private) `Convergence`, the view of
 //!   the network a router derives from the set of them it holds;
-//! * [`timer`] — a deadline-driven hashed timer wheel for round ticks,
-//!   flow ticks and retransmit timeouts;
+//! * [`timer`] — a deadline-ordered timer queue (one binary heap) for
+//!   round ticks, flow ticks and retransmit timeouts;
 //! * [`mailbox`] — lock-free cross-shard frame queues that let co-resident
 //!   routers bypass the kernel when the fastpath is enabled;
 //! * [`runtime`] — the sharded live runtime: a small pool of worker
 //!   threads, each multiplexing a shard of router event loops over
-//!   non-blocking transports with one shared timer wheel per shard, plus
+//!   non-blocking transports with one shared timer queue per shard, plus
 //!   the [`LiveDeployment`] harness that deploys
 //!   a topology, injects traffic and droppers, and collects suspicions.
 //!   Summary exchange optionally runs in reconciliation mode

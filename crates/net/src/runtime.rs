@@ -7,9 +7,10 @@
 //! cross-shard [`mailbox`](crate::mailbox) for the optional in-process
 //! frame fastpath. A worker blocks until one of its sockets is readable
 //! or its next timer is due and then polls only the endpoints that have
-//! something to say, so an idle router costs nothing; endpoints that
-//! cannot be waited on (in-memory transports, the mailbox) are swept on
-//! every pass instead. Round boundaries, evaluation deadlines and the
+//! something to say, serving each frame's next hop on the shard at once,
+//! so an idle router costs nothing; endpoints that cannot be waited on
+//! (in-memory transports, the mailbox) are swept on every pass instead.
+//! Round boundaries, evaluation deadlines and the
 //! retransmission pump are *batched per shard* — one timer fires and every
 //! router in the shard does its round work — so a Rocketfuel-scale
 //! deployment (hundreds of routers) costs hundreds of event loops but only
@@ -75,7 +76,6 @@ use fatih_topology::{DynamicTopology, Path, PathSegment, RouterId, Routes, Topol
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -579,7 +579,10 @@ impl LiveDeployment {
         let n_shards = shard_nodes.len();
 
         let epoch = Instant::now() + Duration::from_millis(30);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        // Every round finishes before a shard stops: final evaluation
+        // fires at rounds·τ + budget after the epoch, and the slack lets
+        // the last alerts cross the wire.
+        let stop = cfg.tau * (cfg.rounds as u32) + cfg.exchange_budget + Duration::from_millis(300);
         let (event_tx, event_rx) = mpsc::channel::<LiveEvent>();
 
         let mut handles = Vec::with_capacity(n_shards);
@@ -592,12 +595,11 @@ impl LiveDeployment {
                 mailboxes[s].take(),
                 metrics.clone(),
             );
-            let flag = Arc::clone(&shutdown);
             let tx = event_tx.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("shard-{s}"))
-                    .spawn(move || shard.run(&flag, &tx))
+                    .spawn(move || shard.run(stop.as_nanos() as u64, &tx))
                     .expect("spawn shard thread"),
             );
         }
@@ -605,9 +607,7 @@ impl LiveDeployment {
 
         // Snapshot the registry just after each round's evaluation
         // deadline so callers can diff neighbouring snapshots into
-        // per-round costs, then let every round finish: final evaluation
-        // fires at rounds·τ + budget after the epoch; leave slack for
-        // the last alerts to cross the wire.
+        // per-round costs.
         let mut round_metrics = Vec::with_capacity(cfg.rounds as usize);
         for r in 0..cfg.rounds {
             let at =
@@ -618,15 +618,6 @@ impl LiveDeployment {
             }
             round_metrics.push(registry.snapshot());
         }
-        let deadline = epoch
-            + cfg.tau * (cfg.rounds as u32)
-            + cfg.exchange_budget
-            + Duration::from_millis(300);
-        let now = Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
-        }
-        shutdown.store(true, Ordering::Relaxed);
 
         let mut buffers = Vec::with_capacity(n_shards);
         for h in handles {
@@ -762,7 +753,7 @@ struct Prepared<T: Transport> {
 /// Timer payloads of a shard's wheel. Round work and the retransmission
 /// pump are scheduled once per shard and fan out over every resident
 /// node; only flow ticks stay per-(node, flow).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum ShardTimer {
     /// Inject the next packet of `node`'s local flow `flow`.
     FlowTick {
@@ -784,6 +775,8 @@ enum ShardTimer {
         /// Index into that node's churn script.
         step: usize,
     },
+    /// The run is over: the worker leaves its loop.
+    Stop,
 }
 
 /// Per-node receive bound: how many frames one node may drain per pass
@@ -798,10 +791,11 @@ const FLOW_LEAD_NS: u64 = 2_000_000;
 /// A wake-up is the expensive part of an idle shard's packet: on a
 /// 128-socket shard it costs ≈ 20 µs of CPU (the wait on the shard's
 /// `epoll` set, and the packet's whole path run on cold caches), and what
-/// a packet of a burst pays for it in return is the time its burst-mates
-/// take to cross the shard with it. Four to a tick keeps CPU per packet
-/// within 15 % of eight at 50–65 % of its latency; see DESIGN.md, "Flow
-/// phases".
+/// a packet of a burst pays for it in return is the time the burst-mates
+/// served before it take to cross the shard: a pass serves a tick's
+/// packets one after another. Two to a tick cost 3–5 % more CPU per
+/// packet than four on the one-shard ISP workloads, for about half the
+/// latency; see DESIGN.md, "Flow phases".
 const FLOWS_PER_TICK: usize = 4;
 
 /// Reliable-delivery policy for summaries, pulls, alerts and link-state
@@ -831,9 +825,6 @@ fn flow_phase_ns(i: usize, n: usize, interval: Duration) -> u64 {
     interval.as_nanos() as u64 * (i % groups) as u64 / groups as u64
 }
 
-/// Longest a worker waits before looking at the shutdown flag again.
-const MAX_WAIT_NS: u64 = 2_000_000;
-
 /// Longest an idle worker waits while something it serves cannot wake it:
 /// an endpoint that is not in the poll set, or a mailbox.
 const SWEEP_WAIT_NS: u64 = 500_000;
@@ -842,14 +833,38 @@ const SWEEP_WAIT_NS: u64 = 500_000;
 struct Shard<T: Transport> {
     nodes: Vec<Node<T>>,
     index_of: HashMap<RouterId, usize>,
-    /// Per node: its endpoint is in this worker's poll set, so a pass
-    /// visits it only when it is due. Whether an endpoint can be waited
-    /// on is its own business — it registers on first poll or it does
-    /// not — and the others are swept on every pass.
-    pollable: Vec<bool>,
-    /// Per node: has (or may have) a frame queued — the poller said so, or
-    /// a node of this shard just sent to it.
+    /// Open endpoints that are not in this worker's poll set: nothing
+    /// announces their frames, so every pass polls them. Whether an
+    /// endpoint can be waited on is its own business — it registers on
+    /// first poll or it does not — and it leaves this list once it has.
+    swept: Vec<usize>,
+    /// Due nodes, served depth-first: a pass pops the top one, takes one
+    /// frame, and pushes every shard-mate the node sent to, so a forwarded
+    /// frame is received next, whatever the index of the router it went
+    /// to.
+    work: Vec<usize>,
+    /// Per node: a frame was announced that no poll has looked for yet —
+    /// the poller said so, a node of this shard sent to it, or it yielded
+    /// with frames left. An entry of `work` whose node is no longer due is
+    /// skipped.
     due: Vec<bool>,
+    /// Nodes that took a frame in this pass, polled again once `work` is
+    /// empty until they come back empty: once per pass, however many
+    /// frames came their way.
+    drain: Vec<usize>,
+    /// Per node: the pass it last received in, and how many frames it
+    /// took in that pass.
+    taken: Vec<(u64, usize)>,
+    /// Nodes that took [`RECV_SWEEP`] frames in this pass: they are still
+    /// due, and open the next pass.
+    yielded: Vec<usize>,
+    /// Passes made so far.
+    passes: u64,
+    /// Endpoints whose transport has not errored out.
+    open: usize,
+    /// The retransmission pump fell due: it runs after the next pass, so
+    /// that the acks already queued are read before it resends.
+    pump_due: bool,
     /// Scratch for the poller's answer.
     ready: Vec<RouterId>,
     wheel: TimerWheel<ShardTimer>,
@@ -876,8 +891,15 @@ impl<T: Transport> Shard<T> {
         }
         let index_of = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
         Self {
-            pollable: vec![false; nodes.len()],
+            swept: (0..nodes.len()).collect(),
+            work: Vec::new(),
             due: vec![false; nodes.len()],
+            drain: Vec::new(),
+            taken: vec![(0, 0); nodes.len()],
+            yielded: Vec::new(),
+            passes: 0,
+            open: nodes.len(),
+            pump_due: false,
             ready: Vec::new(),
             nodes,
             index_of,
@@ -896,7 +918,8 @@ impl<T: Transport> Shard<T> {
             .as_nanos() as u64
     }
 
-    fn run(mut self, shutdown: &AtomicBool, events: &mpsc::Sender<LiveEvent>) -> TraceBuffer {
+    /// Serves the shard until `stop_ns` after the epoch.
+    fn run(mut self, stop_ns: u64, events: &mpsc::Sender<LiveEvent>) -> TraceBuffer {
         let tau = self.cfg.tau.as_nanos() as u64;
         let budget = self.cfg.exchange_budget.as_nanos() as u64;
         for (ni, node) in self.nodes.iter_mut().enumerate() {
@@ -917,6 +940,7 @@ impl<T: Transport> Shard<T> {
                 .schedule((r + 1) * tau + budget, ShardTimer::RoundEval(r));
         }
         self.wheel.schedule(PUMP_STEP_NS, ShardTimer::Pump);
+        self.wheel.schedule(stop_ns, ShardTimer::Stop);
         self.trace
             .record(self.now_ns(), TraceKind::RoundStart, NO_ROUTER, 0, 0);
 
@@ -924,15 +948,15 @@ impl<T: Transport> Shard<T> {
         // they register through whatever wraps them.
         let poller = poller::install();
         let mut handled = 0;
-        loop {
-            self.fire_timers(events);
-            if shutdown.load(Ordering::Relaxed) {
+        // Until every transport closed under us, or the stop.
+        while self.open > 0 {
+            self.wait(&poller, handled);
+            if !self.fire_timers(events) {
                 break;
             }
-            self.wait(&poller, handled);
             handled = self.pass(&poller, events);
-            if self.nodes.iter().all(|n| !n.open) {
-                break; // every transport closed under us
+            if std::mem::take(&mut self.pump_due) {
+                self.for_each_node(|n, trace| n.pump(events, trace));
             }
         }
 
@@ -942,14 +966,11 @@ impl<T: Transport> Shard<T> {
         self.trace
     }
 
-    /// Runs every timer that is due.
-    fn fire_timers(&mut self, events: &mpsc::Sender<LiveEvent>) {
+    /// Runs every timer that is due, and marks due the shard-mates that
+    /// the nodes it ran sent to. Returns false once the run is over.
+    fn fire_timers(&mut self, events: &mpsc::Sender<LiveEvent>) -> bool {
         let now = self.now_ns();
-        let due = self.wheel.pop_due(now);
-        if due.is_empty() {
-            return;
-        }
-        for t in due {
+        for t in self.wheel.pop_due(now) {
             self.trace
                 .record(now, TraceKind::TimerFired, NO_ROUTER, NO_ROUND, 0);
             match t {
@@ -958,11 +979,10 @@ impl<T: Transport> Shard<T> {
                         self.wheel
                             .schedule(next, ShardTimer::FlowTick { node, flow });
                     }
+                    self.mark_sent_due(node);
                 }
                 ShardTimer::RoundEnd(r) => {
-                    for n in &mut self.nodes {
-                        n.round_end(r, &mut self.trace);
-                    }
+                    self.for_each_node(|n, trace| n.round_end(r, trace));
                     // The summary sends above still belong to round
                     // r's slice; the next round opens after them.
                     self.trace
@@ -978,46 +998,46 @@ impl<T: Transport> Shard<T> {
                     }
                 }
                 ShardTimer::RoundEval(r) => {
-                    for n in &mut self.nodes {
-                        n.round_eval(r, events, &mut self.trace);
-                    }
+                    self.for_each_node(|n, trace| n.round_eval(r, events, trace));
                 }
                 ShardTimer::Pump => {
-                    for n in &mut self.nodes {
-                        n.pump(events, &mut self.trace);
-                    }
-                    self.wheel
-                        .schedule(self.now_ns() + PUMP_STEP_NS, ShardTimer::Pump);
+                    self.pump_due = true;
+                    self.wheel.schedule(now + PUMP_STEP_NS, ShardTimer::Pump);
                 }
                 ShardTimer::Churn { node, step } => {
                     self.nodes[node].churn_step(step, events, &mut self.trace);
+                    self.mark_sent_due(node);
                 }
+                ShardTimer::Stop => return false,
             }
         }
+        true
+    }
+
+    /// Runs `f` on every node of the shard, in order, marking due the
+    /// shard-mates each sent to.
+    fn for_each_node(&mut self, mut f: impl FnMut(&mut Node<T>, &mut TraceBuffer)) {
         for ni in 0..self.nodes.len() {
+            f(&mut self.nodes[ni], &mut self.trace);
             self.mark_sent_due(ni);
         }
     }
 
     /// Blocks until a socket of this shard is readable or the next timer
-    /// is due, and marks the readable nodes due. `handled` is what the
-    /// previous pass got done.
+    /// is due, and marks the readable nodes due. It does not block while
+    /// work is queued. `handled` is what the previous pass got done.
     fn wait(&mut self, poller: &poller::Installed, handled: usize) {
+        // Only a shard driven by hand has an empty wheel.
         let until_timer = self
             .wheel
             .next_deadline()
-            .map_or(MAX_WAIT_NS, |d| d.saturating_sub(self.now_ns()))
-            .min(MAX_WAIT_NS);
+            .map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(self.now_ns()));
         // Nothing announces a frame for a swept endpoint or the mailbox:
         // while the last pass found work there may be more, and an idle
         // wait stays short.
-        let swept = self.mailbox.is_some()
-            || self
-                .nodes
-                .iter()
-                .zip(&self.pollable)
-                .any(|(n, &pollable)| n.open && !pollable);
+        let swept = self.mailbox.is_some() || !self.swept.is_empty();
         let wait = match (swept, handled) {
+            _ if !self.work.is_empty() => 0,
             (false, _) => until_timer,
             (true, 0) => until_timer.min(SWEEP_WAIT_NS),
             (true, _) => 0,
@@ -1029,16 +1049,22 @@ impl<T: Transport> Shard<T> {
         poller.wait(Duration::from_nanos(wait), &mut self.ready);
         // Only this shard's endpoints are ever polled on this thread.
         for id in &self.ready {
-            self.due[self.index_of[id]] = true;
+            let ni = self.index_of[id];
+            self.due[ni] = true;
+            self.work.push(ni);
         }
     }
 
-    /// One receive pass, in node order: drains the mailbox, every swept
-    /// endpoint and every pollable endpoint that is due. A frame one node
-    /// forwards to a later node of the shard is received within the same
-    /// pass. Returns the number of frames handled.
+    /// One receive pass, run to completion: drains the mailbox, then
+    /// serves the due nodes one frame at a time, depth-first, so a frame
+    /// forwarded to a shard-mate is received before anything else and a
+    /// packet crosses every hop on this shard, one packet after another.
+    /// Only then is each node that took a frame polled until it comes back
+    /// empty. A node that took [`RECV_SWEEP`] frames yields, and opens the
+    /// next pass. Returns the number of frames handled.
     fn pass(&mut self, poller: &poller::Installed, events: &mpsc::Sender<LiveEvent>) -> usize {
         self.metrics.shard_passes.inc();
+        self.passes += 1;
         let mut handled = 0usize;
         if let Some(envelopes) = self.mailbox.as_mut().map(|mb| mb.drain(512)) {
             for env in envelopes {
@@ -1049,50 +1075,69 @@ impl<T: Transport> Shard<T> {
                 }
             }
         }
+        for &ni in &self.swept {
+            self.due[ni] = true;
+            self.work.push(ni);
+        }
         let (mut polls, mut empty) = (0u64, 0u64);
-        for ni in 0..self.nodes.len() {
-            let due = std::mem::take(&mut self.due[ni]);
+        loop {
+            let (ni, announced) = match self.work.pop() {
+                Some(ni) => (ni, true),
+                None => match self.drain.pop() {
+                    Some(ni) => (ni, false),
+                    None => break,
+                },
+            };
+            let taken = &mut self.taken[ni];
+            if taken.0 != self.passes {
+                *taken = (self.passes, 0);
+            }
+            if (announced && !self.due[ni]) || !self.nodes[ni].open || taken.1 == RECV_SWEEP {
+                continue;
+            }
+            self.due[ni] = false;
+            polls += 1;
             // A crashed node is still drained (its frames fall on the
             // floor): a readable socket nobody reads would end every wait
             // at once.
-            if !self.nodes[ni].open || (self.pollable[ni] && !due) {
-                continue;
-            }
-            for _ in 0..RECV_SWEEP {
-                polls += 1;
-                match self.nodes[ni].transport.try_recv() {
-                    Ok(Some(bytes)) => {
-                        self.nodes[ni].handle_frame(&bytes, events, &mut self.trace);
-                        handled += 1;
+            match self.nodes[ni].transport.try_recv() {
+                Ok(Some(bytes)) => {
+                    taken.1 += 1;
+                    if taken.1 == RECV_SWEEP {
+                        self.due[ni] = true;
+                        self.yielded.push(ni);
+                    } else if taken.1 == 1 || !announced {
+                        self.drain.push(ni);
                     }
-                    Ok(None) => {
-                        empty += 1;
-                        break;
-                    }
-                    Err(_) => {
-                        empty += 1;
-                        self.nodes[ni].open = false;
-                        poller.deregister(self.nodes[ni].id);
-                        break;
-                    }
+                    self.nodes[ni].handle_frame(&bytes, events, &mut self.trace);
+                    self.mark_sent_due(ni);
+                    handled += 1;
+                }
+                Ok(None) => empty += 1,
+                Err(_) => {
+                    empty += 1;
+                    self.nodes[ni].open = false;
+                    self.open -= 1;
+                    poller.deregister(self.nodes[ni].id);
                 }
             }
-            if !self.pollable[ni] {
-                self.pollable[ni] = poller.is_registered(self.nodes[ni].id);
-            }
-            self.mark_sent_due(ni);
         }
+        std::mem::swap(&mut self.work, &mut self.yielded);
+        let nodes = &self.nodes;
+        self.swept
+            .retain(|&ni| nodes[ni].open && !poller.is_registered(nodes[ni].id));
         self.metrics.recv_polls.add(polls);
         self.metrics.recv_polls_empty.add(empty);
         handled
     }
 
     /// Marks due every node of this shard that node `ni` has sent to since
-    /// it was last asked.
+    /// it was last asked, the last one sent to on top.
     fn mark_sent_due(&mut self, ni: usize) {
         for dst in self.nodes[ni].sent_to.drain(..) {
             if let Some(&di) = self.index_of.get(&dst) {
                 self.due[di] = true;
+                self.work.push(di);
             }
         }
     }
@@ -2055,7 +2100,7 @@ mod tests {
     use fatih_topology::builtin;
     use fatih_validation::digest::ContentDigest;
     use std::collections::BTreeSet;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A fast end-to-end run over in-memory transports: a 5-router line
     /// with a 30% dropper at the middle hop must be caught, with zero
@@ -2408,7 +2453,7 @@ mod tests {
         // which is when each joins the poll set.
         assert_eq!(shard.pass(&poller, &events), 0);
         assert_eq!(counter("net.recv_polls"), 6);
-        assert!(shard.pollable.iter().all(|&p| p));
+        assert!(shard.swept.is_empty());
 
         // What a flow tick does: router 0 injects one packet.
         assert!(shard.nodes[0].flow_tick(0, &mut shard.trace).is_some());
@@ -2436,6 +2481,118 @@ mod tests {
         assert_eq!(counter("net.data_delivered"), 1);
         shard.wait(&poller, 3);
         assert!(shard.due.iter().all(|&d| !d), "{:?}", shard.due);
+    }
+
+    /// Every router of `topo` on one hand-driven shard over real sockets,
+    /// carrying one packet a second on each (source, destination) index
+    /// pair of `flows`.
+    #[cfg(target_os = "linux")]
+    fn udp_shard(topo: &Topology, flows: &[(usize, usize)]) -> (Shard<UdpNet>, MetricsRegistry) {
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: flows
+                .iter()
+                .map(|&(s, d)| FlowSpec::new(ids[s], ids[d], 800, Duration::from_secs(1)))
+                .collect(),
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            shards: 1,
+            response: false,
+            ..LiveConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
+        let mut prepared = LiveDeployment::prepare(topo, &spec, &cfg, transports, &metrics);
+        let nodes = prepared.shard_nodes.remove(0);
+        let shard = Shard::new(0, nodes, cfg, Instant::now(), None, metrics);
+        (shard, registry)
+    }
+
+    /// The other way along the 6-line: every hop goes to a lower-indexed
+    /// router, and the packet still crosses in one pass, because a pass
+    /// serves each frame's next hop at once, whatever its index. (Served
+    /// in index order, each hop waited for the next pass: five passes.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_packet_crosses_a_descending_line_in_one_pass() {
+        let (mut shard, registry) = udp_shard(&builtin::line(6), &[(5, 0)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let counter = |name: &str| registry.snapshot().counter(name);
+
+        assert_eq!(shard.pass(&poller, &events), 0);
+        assert!(shard.nodes[5].flow_tick(0, &mut shard.trace).is_some());
+        shard.mark_sent_due(5);
+        assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
+        assert_eq!(counter("net.data_delivered"), 1);
+        assert_eq!(counter("net.shard_passes"), 2);
+        // One frame and one empty poll at each of routers 4..=0.
+        assert_eq!(counter("net.recv_polls"), 6 + 10);
+    }
+
+    /// Two flows that tick together on one shard, 3 → 0 and 7 → 4 on an
+    /// 8-line: the first packet is delivered before the second one's
+    /// second hop is received. Served in index order they crossed in lock
+    /// step, a hop of each per pass, and finished together.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn packets_that_tick_together_complete_one_after_the_other() {
+        let (mut shard, registry) = udp_shard(&builtin::line(8), &[(3, 0), (7, 4)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        for node in [3, 7] {
+            shard
+                .wheel
+                .schedule(0, ShardTimer::FlowTick { node, flow: 0 });
+        }
+        shard.fire_timers(&events);
+        while shard.pass(&poller, &events) > 0 {}
+        assert_eq!(registry.snapshot().counter("net.data_delivered"), 2);
+
+        let trace = std::mem::replace(&mut shard.trace, TraceBuffer::new(0, 1));
+        let journal = TraceJournal::from_buffers([trace]);
+        let taps: Vec<u32> = journal
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::PacketTap)
+            .map(|e| e.router)
+            .collect();
+        // Each router of the two paths is on one of them only.
+        let at = |i: usize| {
+            let id = u32::from(shard.nodes[i].id);
+            taps.iter().position(|&r| r == id).expect("tapped")
+        };
+        let (first_sink, other_second_hop) = if at(0) < at(4) { (0, 5) } else { (4, 1) };
+        assert!(
+            at(first_sink) < at(other_second_hop),
+            "taps in order: {taps:?}"
+        );
+    }
+
+    /// A node with more than `RECV_SWEEP` frames queued takes that many in
+    /// one pass and yields; it opens the next pass, with no wait between.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_node_yields_after_its_receive_bound_and_opens_the_next_pass() {
+        let (mut shard, registry) = udp_shard(&builtin::line(3), &[(0, 2)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let delivered = || registry.snapshot().counter("net.data_delivered");
+
+        assert_eq!(shard.pass(&poller, &events), 0);
+        let queued = RECV_SWEEP + 6;
+        for _ in 0..queued {
+            assert!(shard.nodes[0].flow_tick(0, &mut shard.trace).is_some());
+        }
+        shard.mark_sent_due(0);
+        // Router 1 takes its bound; each frame it forwards is delivered.
+        assert_eq!(shard.pass(&poller, &events), 2 * RECV_SWEEP);
+        assert_eq!(delivered(), RECV_SWEEP as u64);
+        assert_eq!(shard.pass(&poller, &events), 2 * (queued - RECV_SWEEP));
+        assert_eq!(delivered(), queued as u64);
+        assert_eq!(shard.pass(&poller, &events), 0);
     }
 
     /// A 3-line on one hand-driven shard over the loopback hub: its one

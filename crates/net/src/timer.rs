@@ -1,131 +1,87 @@
-//! A deadline-driven hashed timer wheel.
+//! A deadline-ordered timer queue.
 //!
 //! The per-router event loop multiplexes many timers — flow ticks, round
 //! boundaries, evaluation deadlines, retransmit pumps — over one blocking
-//! receive. The wheel hashes each deadline into a ring of slots of fixed
-//! granularity; deadlines beyond the ring's horizon wait in an overflow
-//! map until the ring wraps around to them. Firing is exact: an entry
-//! never fires before its deadline, however it is stored.
+//! receive. The queue is one binary heap ordered by (deadline, insertion
+//! order): scheduling and popping an entry cost O(log n), and asking for
+//! the earliest deadline or finding nothing due costs O(1), however many
+//! entries wait and however far ahead. Firing is exact: an entry never
+//! fires before its deadline.
 //!
 //! Deadlines are `u64` nanoseconds on whatever monotonic axis the caller
 //! uses (the runtime uses nanoseconds since its shared epoch).
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Number of slots in the ring.
-const SLOTS: usize = 64;
-/// Slot width in nanoseconds (4ms; horizon = 64 × 4ms = 256ms).
-const GRANULARITY_NS: u64 = 4_000_000;
-
-/// A hashed timer wheel storing items of type `T` by deadline.
+/// A timer queue storing items of type `T` by deadline. Entries are
+/// ordered by (deadline, insertion order) alone — the insertion counter
+/// is unique, so the items' own order never decides — but the heap asks
+/// `T` for one all the same.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    slots: Vec<Vec<(u64, T)>>,
-    /// Deadlines at or beyond the ring horizon, keyed by (deadline, tie).
-    overflow: BTreeMap<(u64, u64), T>,
+    heap: BinaryHeap<Reverse<(u64, u64, T)>>,
     tie: u64,
-    len: usize,
 }
 
-impl<T> Default for TimerWheel<T> {
+impl<T: Ord> Default for TimerWheel<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> TimerWheel<T> {
-    /// An empty wheel.
+impl<T: Ord> TimerWheel<T> {
+    /// An empty queue.
     pub fn new() -> Self {
         Self {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            overflow: BTreeMap::new(),
+            heap: BinaryHeap::new(),
             tie: 0,
-            len: 0,
         }
     }
 
     /// Number of scheduled entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// Schedules `item` to fire at `deadline_ns`. Entries in the same
-    /// slot fire in deadline order; same-deadline entries in insertion
-    /// order.
+    /// Schedules `item` to fire at `deadline_ns`. Entries fire in deadline
+    /// order; same-deadline entries in insertion order.
     pub fn schedule(&mut self, deadline_ns: u64, item: T) {
-        self.len += 1;
-        // Far deadlines would alias into a near slot after hashing; park
-        // them in the overflow map. `migrate` moves them into the ring as
-        // the horizon advances.
-        let slot = (deadline_ns / GRANULARITY_NS) as usize % SLOTS;
-        if deadline_ns >= self.horizon_floor() + (SLOTS as u64) * GRANULARITY_NS {
-            self.overflow.insert((deadline_ns, self.tie), item);
-            self.tie += 1;
-        } else {
-            self.slots[slot].push((deadline_ns, item));
-        }
-    }
-
-    /// Lowest deadline currently storable in the ring without aliasing:
-    /// approximated as the minimum scheduled ring deadline (or 0).
-    fn horizon_floor(&self) -> u64 {
-        self.slots
-            .iter()
-            .flat_map(|s| s.iter().map(|(d, _)| *d))
-            .min()
-            .unwrap_or(0)
+        self.heap.push(Reverse((deadline_ns, self.tie, item)));
+        self.tie += 1;
     }
 
     /// Removes and returns every item whose deadline is ≤ `now_ns`, in
     /// deadline order.
     pub fn pop_due(&mut self, now_ns: u64) -> Vec<T> {
-        let mut due: Vec<(u64, u64, T)> = Vec::new();
-        for slot in &mut self.slots {
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].0 <= now_ns {
-                    let (d, item) = slot.swap_remove(i);
-                    due.push((d, 0, item));
-                } else {
-                    i += 1;
-                }
-            }
+        let mut due = Vec::new();
+        while self.next_deadline().is_some_and(|d| d <= now_ns) {
+            let Reverse((_, _, item)) = self.heap.pop().expect("an entry is due");
+            due.push(item);
         }
-        while let Some(entry) = self.overflow.first_key_value() {
-            if entry.0 .0 > now_ns {
-                break;
-            }
-            let ((d, tie), item) = self.overflow.pop_first().expect("non-empty");
-            due.push((d, tie, item));
-        }
-        self.len -= due.len();
-        due.sort_by_key(|(d, tie, _)| (*d, *tie));
-        due.into_iter().map(|(_, _, item)| item).collect()
+        due
     }
 
     /// The earliest scheduled deadline, if any.
     pub fn next_deadline(&self) -> Option<u64> {
-        let ring_min = self
-            .slots
-            .iter()
-            .flat_map(|s| s.iter().map(|(d, _)| *d))
-            .min();
-        let overflow_min = self.overflow.keys().next().map(|(d, _)| *d);
-        match (ring_min, overflow_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.heap.peek().map(|Reverse((deadline, _, _))| *deadline)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The geometry of the hashed wheel this queue replaced (64 slots of
+    /// 4 ms, an overflow map beyond them). The tests below were written
+    /// against it and still place entries on both sides of its horizon.
+    const SLOTS: usize = 64;
+    const GRANULARITY_NS: u64 = 4_000_000;
 
     #[test]
     fn fires_in_deadline_order() {
@@ -188,5 +144,16 @@ mod tests {
         }
         let expect: Vec<u64> = (0..1000).collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn same_deadline_entries_fire_in_insertion_order() {
+        let mut w = TimerWheel::new();
+        for i in 0..100u64 {
+            w.schedule(7 + i % 2, i);
+        }
+        let (even, odd): (Vec<u64>, Vec<u64>) = (0..100).partition(|i| i % 2 == 0);
+        assert_eq!(w.pop_due(7), even);
+        assert_eq!(w.pop_due(8), odd);
     }
 }
