@@ -833,10 +833,14 @@ impl SegmentMonitorSet {
     /// `after`: the windowed read of a sliding-window record, copying the
     /// window only.
     pub fn report_after(&self, router: RouterId, i: usize, after: Option<SimTime>) -> Report {
-        self.slot_of
-            .get(&(router, i))
-            .map(|&s| self.slots[s].window(after, None))
-            .unwrap_or_default()
+        let entries = self.entries(router, i, after).to_vec();
+        Report { entries }
+    }
+
+    /// [`report_after`](Self::report_after)'s entries, borrowed.
+    pub fn entries(&self, router: RouterId, i: usize, after: Option<SimTime>) -> &[ReportEntry] {
+        let entries = (self.slot_of.get(&(router, i))).map_or(&[][..], |&s| &self.slots[s].entries);
+        &entries[after.map_or(0, |t| entries.partition_point(|e| e.time <= t))..]
     }
 
     /// Entries held across all records.

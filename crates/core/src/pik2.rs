@@ -25,16 +25,16 @@
 //! host puts on its wire is a [`Message`], whose bytes are laid out here
 //! and nowhere else.
 
-use crate::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
+use crate::monitor::{MonitorMode, PathOracle, Report, ReportEntry, SegmentMonitorSet};
 use crate::policy::{distort, PairVerdict, Policy, ReportFault, Thresholds};
 use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
 use crate::transport::{ReliableTransport, TransportEvent, TransportMsg};
 use crate::wire::{WireEncoder, WireError, WireReader};
-use fatih_crypto::KeyStore;
+use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_sim::{Network, SimTime, TapEvent};
 use fatih_topology::{PathSegment, RouterId, Routes};
-use fatih_validation::digest::{apply_diff, diff_via_digest, ContentDigest};
+use fatih_validation::digest::{diff_digests, ContentDigest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -176,6 +176,9 @@ pub struct Pik2Node {
     id: RouterId,
     roles: BTreeMap<PathSegment, EndRole>,
     heard: BTreeMap<(u64, usize), Heard>,
+    /// The (judged, held) digests this node sent per (round, segment),
+    /// which a peer's digest is resolved against.
+    said: BTreeMap<(u64, usize), (ContentDigest, ContentDigest)>,
     /// The last round evaluated; evidence for it or an earlier one is
     /// stale.
     evaluated: Option<u64>,
@@ -188,6 +191,7 @@ impl Pik2Node {
             id,
             roles: BTreeMap::new(),
             heard: BTreeMap::new(),
+            said: BTreeMap::new(),
             evaluated: None,
         };
         node.replan(segments);
@@ -214,6 +218,7 @@ impl Pik2Node {
             self.roles.insert(s.clone(), role);
         }
         self.heard.clear();
+        self.said.clear();
         self.evaluated = None;
     }
 
@@ -225,27 +230,48 @@ impl Pik2Node {
         record.report_after(self.id, seg, window.held_from())
     }
 
-    /// The round of `window` closed: for every segment this router ends,
-    /// (the other end, the segment's index in the planned list, what to
-    /// tell it) — summaries, or digests from sketches of `sketch` capacity.
-    pub fn close_round(
+    /// The (judged, held) digests of what this router's record of segment
+    /// `seg` holds for the round of `window`: one sort and one sketch pass.
+    fn digests(
         &self,
+        seg: usize,
+        window: Window,
+        capacity: usize,
+        record: &SegmentMonitorSet,
+    ) -> (ContentDigest, ContentDigest) {
+        let held = record.entries(self.id, seg, window.held_from());
+        let judged = window.judged_span(held);
+        let tag =
+            |(i, e): (usize, &ReportEntry)| (e.fingerprint, e.size.into(), judged.contains(&i));
+        let mut tagged: Vec<_> = held.iter().enumerate().map(tag).collect();
+        ContentDigest::of_part_and_whole(&mut tagged, capacity)
+    }
+
+    /// Round `round`, of `window`, closed: for every segment this router
+    /// ends, (the other end, the segment's index in the planned list, what
+    /// to tell it) — summaries, or digests from sketches of `sketch`
+    /// capacity, which the node keeps until the round is over.
+    pub fn close_round(
+        &mut self,
+        round: u64,
         window: Window,
         sketch: Option<usize>,
         record: &SegmentMonitorSet,
     ) -> Vec<(RouterId, usize, Evidence)> {
-        let evidence = |role: &EndRole| {
-            let held = self.held(role.seg, window, record);
+        let mut out = Vec::with_capacity(self.roles.len());
+        for role in self.roles.values() {
             let Some(capacity) = sketch else {
-                return Evidence::Summary(held);
+                let held = self.held(role.seg, window, record);
+                out.push((role.peer, role.seg, Evidence::Summary(held)));
+                continue;
             };
-            Evidence::Digest {
-                judged: ContentDigest::of(&window.judged(&held).to_content(), capacity),
-                held: ContentDigest::of(&held.to_content(), capacity),
+            let (judged, held) = self.digests(role.seg, window, capacity, record);
+            if self.evaluated.is_none_or(|done| round > done) {
+                (self.said).insert((round, role.seg), (judged.clone(), held.clone()));
             }
-        };
-        let say = |role: &EndRole| (role.peer, role.seg, evidence(role));
-        self.roles.values().map(say).collect()
+            out.push((role.peer, role.seg, Evidence::Digest { judged, held }));
+        }
+        out
     }
 
     /// Takes in `evidence` about `round` of `segment` from `from`, whom
@@ -273,7 +299,7 @@ impl Pik2Node {
         let heard = match evidence {
             Evidence::Summary(report) => Heard::Report(report),
             Evidence::Digest { judged, held } => {
-                match self.resolve_digest(role, window, &judged, &held, record) {
+                match self.resolve_digest(role, round, window, &judged, &held, record) {
                     Some(verdict) => Heard::Verdict(verdict),
                     None => return Received::Reply(Evidence::Pull),
                 }
@@ -294,34 +320,49 @@ impl Pik2Node {
     /// window — so the sketch only has to span the *discrepancy* (losses,
     /// packets in flight across a window edge), never the window itself;
     /// that is why both ends hold the same window although only the
-    /// upstream end needs the look-back. Both remote summaries are then
-    /// reconstructed exactly and the verdict computed with the same
-    /// multiset differences `tv_pair` uses: `lost = judged(up) ∖
-    /// held(down)`, `fabricated = judged(down) ∖ held(up)`. Both windows
-    /// are the evidence's round's, so a digest that arrives before this
-    /// router's own round closes resolves the same. Returns `None`
-    /// (forcing a full pull) whenever either digest fails certification.
+    /// upstream end needs the look-back. This end's side is what it said
+    /// for the round, or digests of its record if the peer closed first.
+    /// The verdict is `tv_pair`'s, `lost = judged(up) ∖ held(down)`,
+    /// `fabricated = judged(down) ∖ held(up)`: with judged ⊆ held and
+    /// certified differences of multiplicity 1, `J_mine ∖ H_peer` is what
+    /// this end judged of `H_mine ∖ H_peer`, and `J_peer ∖ H_mine` what its
+    /// record lacks of `J_peer ∖ J_mine`. Returns `None` (forcing a full
+    /// pull) whenever either digest fails certification.
     fn resolve_digest(
         &self,
         role: EndRole,
+        round: u64,
         window: Window,
         judged_d: &ContentDigest,
         held_d: &ContentDigest,
         record: &SegmentMonitorSet,
     ) -> Option<PairVerdict> {
-        let (my_held, my_judged) = {
-            let held = self.held(role.seg, window, record);
-            (held.to_content(), window.judged(&held).to_content())
+        let capacity = held_d.sketch().capacity();
+        let (my_judged, my_held) = match self.said.get(&(round, role.seg)) {
+            Some(said) if said.1.sketch().capacity() == capacity => said.clone(),
+            _ => self.digests(role.seg, window, capacity, record),
         };
         // The polynomial splitting wants random points, not secret ones: a
         // function of the input keeps the verdict one too.
         let mut rng = StdRng::seed_from_u64(held_d.mix_sum());
-        let (j_add, j_rem) = diff_via_digest(judged_d, &my_judged, &mut rng)?;
-        let (h_add, h_rem) = diff_via_digest(held_d, &my_held, &mut rng)?;
-        let peer_judged = apply_diff(&my_judged, &j_add, &j_rem, judged_d.flow());
-        let peer_held = apply_diff(&my_held, &h_add, &h_rem, held_d.flow());
-        let mine = my_judged.difference_pair(&peer_held).0;
-        let theirs = peer_judged.difference_pair(&my_held).0;
+        let (j_add, _) = diff_digests(judged_d, &my_judged, &mut rng)?;
+        let (_, h_rem) = diff_digests(held_d, &my_held, &mut rng)?;
+        // One scan marks what of `j_add` the record holds and of `h_rem` the
+        // judged slice does (disjoint sets: `J_peer ⊆ H_peer`); none if both
+        // are empty.
+        let mut found = BTreeSet::new();
+        if !(h_rem.is_empty() && j_add.is_empty()) {
+            let held = record.entries(self.id, role.seg, window.held_from());
+            let judged = window.judged_span(held);
+            for (i, e) in held.iter().enumerate() {
+                let wanted = |set: &[Fingerprint]| set.binary_search(&e.fingerprint).is_ok();
+                if wanted(&j_add) || (judged.contains(&i) && wanted(&h_rem)) {
+                    found.insert(e.fingerprint);
+                }
+            }
+        }
+        let mine: Vec<_> = h_rem.into_iter().filter(|fp| found.contains(fp)).collect();
+        let theirs: Vec<_> = j_add.into_iter().filter(|fp| !found.contains(fp)).collect();
         let (lost, fabricated) = if role.upstream {
             (mine, theirs)
         } else {
@@ -384,6 +425,7 @@ impl Pik2Node {
     pub fn retire(&mut self, round: u64) {
         self.evaluated = Some(round);
         self.heard.retain(|&(r, _), _| r > round);
+        self.said.retain(|&(r, _), _| r > round);
     }
 
     /// Whether waiting longer would tell `round`'s evaluation nothing:
@@ -606,8 +648,8 @@ impl Pik2Detector {
         };
         let segments = self.monitors.segments();
         let mut outgoing = Vec::new();
-        for (&sender, node) in &self.nodes {
-            let said = node.close_round(exch.window, None, &self.monitors);
+        for (&sender, node) in &mut self.nodes {
+            let said = node.close_round(exch.round, exch.window, None, &self.monitors);
             outgoing.extend((said.into_iter()).map(|(to, seg, said)| (seg, sender, to, said)));
         }
         // Segment by segment, the source's summary first: the order the

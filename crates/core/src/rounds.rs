@@ -17,9 +17,10 @@
 //! their rounds end at, the live runtime from its fixed schedule
 //! ([`Window::of_round`]); all three judge through [`Window::judge`].
 
-use crate::monitor::Report;
+use crate::monitor::{Report, ReportEntry};
 use crate::policy::{tv_pair, PairVerdict};
 use fatih_sim::SimTime;
+use std::ops::Range;
 
 /// One round's view of a sliding-window record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +57,10 @@ impl Window {
         self.lag_before(self.judged_from?)
     }
 
-    /// The entries of a held report that this round judges.
-    pub fn judged(&self, held: &Report) -> Report {
-        held.window(self.judged_from, Some(self.cutoff))
+    /// Where the entries this round judges lie in a held report's.
+    pub fn judged_span(&self, held: &[ReportEntry]) -> Range<usize> {
+        let upto = |t: SimTime| held.partition_point(|e| e.time <= t);
+        self.judged_from.map_or(0, upto)..upto(self.cutoff)
     }
 
     /// Everything at or before this instant is read by no later round and

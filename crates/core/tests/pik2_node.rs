@@ -140,7 +140,7 @@ impl Line3 {
     ) -> [(usize, usize); 2] {
         let mut wire: Vec<Msg> = Vec::new();
         for i in [0, 1] {
-            wire.extend(self.close(&ends[i], i, r, sketch));
+            wire.extend(self.close(&mut ends[i], i, r, sketch));
         }
         while let Some(msg) = wire.pop() {
             wire.extend(self.deliver(ends, msg).1);
@@ -154,8 +154,8 @@ impl Line3 {
     }
 
     /// End `i` closes round `r`: what it sends.
-    fn close(&self, node: &Pik2Node, i: usize, r: u64, sketch: Option<usize>) -> Vec<Msg> {
-        let said = node.close_round(window(r), sketch, &self.record);
+    fn close(&self, node: &mut Pik2Node, i: usize, r: u64, sketch: Option<usize>) -> Vec<Msg> {
+        let said = node.close_round(r, window(r), sketch, &self.record);
         let msg = |(to, seg, evidence): (RouterId, usize, Evidence)| {
             assert_eq!((to, seg), (self.router(1 - i), 0));
             Msg {
@@ -271,14 +271,14 @@ fn every_arrival_order_gives_the_same_verdict() {
             let mut ends = after_round_0.clone();
             // Round 0 is evaluated: its evidence, turning up again, is the
             // stale frame of this round.
-            let mut wire = net.close(&ends[0], 0, 0, sketch);
+            let mut wire = net.close(&mut ends[0], 0, 0, sketch);
             wire.truncate(leftover as usize);
             let mut closes = vec![0, 1];
             while !(closes.is_empty() && wire.is_empty()) {
                 let pick = choose(closes.len() + wire.len());
                 if pick < closes.len() {
                     let i = closes.remove(pick);
-                    let said = net.close(&ends[i], i, 1, sketch);
+                    let said = net.close(&mut ends[i], i, 1, sketch);
                     if i == 0 && duplicate {
                         wire.extend(said.clone());
                     }
@@ -369,7 +369,7 @@ fn evidence_is_taken_from_the_other_end_only() {
     ]);
     let (mut ends, segment) = (net.ends(), &net.segments[0]);
     for i in [0, 1] {
-        for msg in net.close(&ends[i], i, 0, None) {
+        for msg in net.close(&mut ends[i], i, 0, None) {
             assert_eq!(net.deliver(&mut ends, msg).0, Received::Stored);
         }
     }
@@ -404,7 +404,9 @@ fn evidence_is_taken_from_the_other_end_only() {
         &net.record,
     );
     assert_eq!(got, Received::Unknown);
-    assert!(middle.close_round(window(0), None, &net.record).is_empty());
+    assert!(middle
+        .close_round(0, window(0), None, &net.record)
+        .is_empty());
     assert!(middle.is_settled(0), "nobody to wait for");
     // Nor does an end know a segment that is not in the plan.
     let reverse = PathSegment::new(segment.routers().iter().rev().copied().collect());
@@ -423,15 +425,15 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
         .collect();
     net.record(&stamps);
     let mut ends = net.ends();
-    let say = |ends: &[Pik2Node; 2], i: usize, r: u64, sketch| {
-        let mut said = net.close(&ends[i], i, r, sketch);
+    let say = |ends: &mut [Pik2Node; 2], i: usize, r: u64, sketch| {
+        let mut said = net.close(&mut ends[i], i, r, sketch);
         said.pop().expect("one segment")
     };
 
     // Round 0: the downstream end hears the upstream one and not the
     // other way round, so only the upstream end times out.
     assert!(!ends[1].is_settled(0));
-    let summary = say(&ends, 0, 0, None);
+    let summary = say(&mut ends, 0, 0, None);
     assert_eq!(net.deliver(&mut ends, summary).0, Received::Stored);
     assert!(ends[1].is_settled(0) && !ends[0].is_settled(0));
     assert!(net.evaluate(&mut ends[0], 0).verdict.bottom);
@@ -441,7 +443,7 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
     // What turns up for round 0 now is stale in every form, and a pull is
     // not answered from the pruned record; round 1 is open.
     for sketch in [None, Some(16)] {
-        let late = say(&ends, 1, 0, sketch);
+        let late = say(&mut ends, 1, 0, sketch);
         assert_eq!(net.deliver(&mut ends, late).0, Received::Stale);
     }
     let pull = Msg {
@@ -450,7 +452,7 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
         evidence: Evidence::Pull,
     };
     assert_eq!(net.deliver(&mut ends, pull), (Received::Stale, None));
-    let summary = say(&ends, 0, 1, None);
+    let summary = say(&mut ends, 0, 1, None);
     assert_eq!(net.deliver(&mut ends, summary.clone()).0, Received::Stored);
 
     // A host's amnesty round: retired unjudged, what arrived for it
@@ -461,15 +463,15 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
     // Round 2 is heard, then the plan changes: the evidence is void (the
     // peer reads as ⊥, whatever the new plan's segment is called), and
     // rounds count from the start again.
-    let summary = say(&ends, 0, 2, None);
+    let summary = say(&mut ends, 0, 2, None);
     assert_eq!(net.deliver(&mut ends, summary).0, Received::Stored);
     assert!(ends[1].is_settled(2));
     ends[1].replan(&net.segments);
     assert!(!ends[1].is_settled(2));
-    let early = say(&ends, 0, 0, None);
+    let early = say(&mut ends, 0, 0, None);
     assert_eq!(net.deliver(&mut ends, early).0, Received::Stored);
     assert!(net.evaluate(&mut ends[1], 2).verdict.bottom);
     ends[1].replan(&[]);
-    let summary = say(&ends, 0, 3, None);
+    let summary = say(&mut ends, 0, 3, None);
     assert_eq!(net.deliver(&mut ends, summary).0, Received::Unknown);
 }

@@ -443,6 +443,8 @@ struct NetMetrics {
     monitor: MonitorMetrics,
     frame_bytes: Histogram,
     round_eval_ns: Histogram,
+    round_end_ns: Histogram,
+    digest_resolve_ns: Histogram,
     reroute_latency_ns: Histogram,
 }
 
@@ -485,6 +487,8 @@ impl NetMetrics {
             monitor: MonitorMetrics::registered(reg),
             frame_bytes: reg.histogram("net.frame_bytes"),
             round_eval_ns: reg.histogram("net.round_eval_ns"),
+            round_end_ns: reg.histogram("net.round_end_ns"),
+            digest_resolve_ns: reg.histogram("net.digest_resolve_ns"),
             reroute_latency_ns: reg.histogram("net.reroute_latency_ns"),
         }
     }
@@ -1471,6 +1475,7 @@ impl<T: Transport> Node<T> {
         if !self.alive {
             return;
         }
+        let began = self.now_ns();
         self.flush_observations();
         if r < self.convergence.view().eval_resume {
             // Reconvergence amnesty: this round straddles a topology
@@ -1482,7 +1487,8 @@ impl<T: Transport> Node<T> {
             SummaryMode::Full => (None, TraceKind::SummarySent),
             SummaryMode::Reconcile { capacity } => (Some(capacity.max(1)), TraceKind::DigestSent),
         };
-        for (to, seg, said) in (self.pik2).close_round(self.window(r), sketch, &self.monitors) {
+        let window = self.window(r);
+        for (to, seg, said) in (self.pik2).close_round(r, window, sketch, &self.monitors) {
             let message = Message {
                 round: r,
                 segment: self.monitors.segments()[seg].clone(),
@@ -1497,6 +1503,8 @@ impl<T: Transport> Node<T> {
                 u64::from(u32::from(to)),
             );
         }
+        let spent = self.now_ns().saturating_sub(began);
+        self.metrics.round_end_ns.record(spent);
     }
 
     /// Hands the node a piece of evidence that arrived in a sealed frame.
@@ -1509,7 +1517,12 @@ impl<T: Transport> Node<T> {
         let (round, segment) = (message.round, &message.segment);
         let is_digest = matches!(message.evidence, Evidence::Digest { .. });
         let (said, window) = (message.evidence, self.window(round));
+        let began = self.now_ns();
         let received = (self.pik2).receive(from, round, segment, said, window, &self.monitors);
+        if is_digest && matches!(received, Received::Stored | Received::Reply(_)) {
+            let spent = self.now_ns().saturating_sub(began);
+            self.metrics.digest_resolve_ns.record(spent);
+        }
         let mut note = |counter: &Counter, kind| {
             counter.inc();
             let (by, peer) = (u32::from(self.id), u64::from(u32::from(from)));
@@ -2299,6 +2312,13 @@ mod tests {
             outcome.stats.digests_resolved + outcome.stats.digest_fallbacks > 0,
             "digest path never exercised"
         );
+        // Every digest taken in is timed once, resolved or pulled.
+        let timed = |name| outcome.metrics.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(
+            timed("net.digest_resolve_ns"),
+            outcome.stats.digests_resolved + outcome.stats.digest_fallbacks
+        );
+        assert!(timed("net.round_end_ns") > 0);
     }
 
     /// With the mailbox fastpath on, co-resident routers bypass the

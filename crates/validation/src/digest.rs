@@ -50,7 +50,6 @@ use crate::reconcile::{reconcile, SetSketch};
 use crate::summary::{ContentSummary, FlowCounter};
 use fatih_crypto::Fingerprint;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// SplitMix64 finalizer: a cheap 64-bit mixing permutation. Summing it over
 /// a multiset gives an order-independent checksum in which distinct
@@ -93,6 +92,30 @@ impl ContentDigest {
             flow: summary.flow(),
             mix: mix_of(summary),
         }
+    }
+
+    /// The digests of a part of a multiset and of the multiset, from one
+    /// sort and one sketch pass over `entries` — each element's fingerprint,
+    /// size and whether it is in the part. Each is [`of`](Self::of) its
+    /// summary bit for bit: products and wrapping sums ignore order.
+    pub fn of_part_and_whole(
+        entries: &mut [(Fingerprint, u64, bool)],
+        capacity: usize,
+    ) -> (Self, Self) {
+        // A fingerprint's occurrences in the part sort first.
+        entries.sort_unstable_by_key(|&(fp, _, in_part)| (fp, !in_part));
+        let [mut part, mut whole] = [(FlowCounter::default(), 0u64); 2];
+        let mut last = None;
+        let distinct = entries.iter().filter_map(|&(fp, size, in_part)| {
+            for (flow, mix) in std::iter::once(&mut whole).chain(in_part.then_some(&mut part)) {
+                flow.observe(size);
+                *mix = mix.wrapping_add(mix64(fp.value()));
+            }
+            (last.replace(fp) != Some(fp)).then_some((fp.into(), in_part))
+        });
+        let (part_sketch, whole_sketch) = SetSketch::of_part_and_whole(distinct, capacity);
+        let digest = |sketch, (flow, mix)| Self { sketch, flow, mix };
+        (digest(part_sketch, part), digest(whole_sketch, whole))
     }
 
     /// Reassembles a digest from wire-decoded parts.
@@ -140,15 +163,26 @@ pub fn diff_via_digest<R: Rng>(
     local: &ContentSummary,
     rng: &mut R,
 ) -> Option<(Vec<Fingerprint>, Vec<Fingerprint>)> {
-    let local_sketch = local.to_sketch(remote.sketch.capacity());
-    let delta = reconcile(&remote.sketch, &local_sketch, rng).ok()?;
+    let local = ContentDigest::of(local, remote.sketch.capacity());
+    diff_digests(remote, &local, rng)
+}
+
+/// [`diff_via_digest`] with the local summary known by its digest too:
+/// sketch against sketch, checksum against checksum, count against count.
+/// Digests of different capacities do not resolve.
+pub fn diff_digests<R: Rng>(
+    remote: &ContentDigest,
+    local: &ContentDigest,
+    rng: &mut R,
+) -> Option<(Vec<Fingerprint>, Vec<Fingerprint>)> {
+    let delta = reconcile(&remote.sketch, &local.sketch, rng).ok()?;
 
     // The decoded delta is over distinct fingerprints. It equals the true
     // multiset difference iff no shared fingerprint has differing
     // multiplicities and no differing fingerprint appears more than once —
     // exactly what the checksum equation verifies:
     //   mix(remote) − mix(local) == Σ mix(only_in_remote) − Σ mix(only_in_local)
-    let mut implied = mix_of(local);
+    let mut implied = local.mix;
     for x in &delta.only_in_a {
         implied = implied.wrapping_add(mix64(x.value()));
     }
@@ -160,7 +194,7 @@ pub fn diff_via_digest<R: Rng>(
     }
     // Cheap exact corroboration: multiset sizes must agree with a
     // multiplicity-1 delta.
-    let count_delta = remote.flow.packets as i128 - local.flow().packets as i128;
+    let count_delta = remote.flow.packets as i128 - local.flow.packets as i128;
     if count_delta != delta.only_in_a.len() as i128 - delta.only_in_b.len() as i128 {
         return None;
     }
@@ -169,37 +203,6 @@ pub fn diff_via_digest<R: Rng>(
         v.iter().map(|fe| Fingerprint::new(fe.value())).collect()
     };
     Some((to_fp(&delta.only_in_a), to_fp(&delta.only_in_b)))
-}
-
-/// Reconstructs the remote summary a certified diff was taken against:
-/// `local + add − remove` as multisets, with the remote's exact `flow`
-/// counter (carried in its digest) attached.
-///
-/// With `(add, remove) = diff_via_digest(remote_digest, local, …)` this
-/// returns the remote's full summary without the remote ever shipping it —
-/// the decode step of reconciliation-based summary exchange. `remove`
-/// entries absent from `local` are ignored (certified diffs never contain
-/// any).
-pub fn apply_diff(
-    local: &ContentSummary,
-    add: &[Fingerprint],
-    remove: &[Fingerprint],
-    flow: FlowCounter,
-) -> ContentSummary {
-    let mut counts: BTreeMap<Fingerprint, i64> =
-        local.iter().map(|(fp, c)| (fp, i64::from(c))).collect();
-    for &fp in add {
-        *counts.entry(fp).or_insert(0) += 1;
-    }
-    for &fp in remove {
-        *counts.entry(fp).or_insert(0) -= 1;
-    }
-    let counts: Vec<(Fingerprint, u32)> = counts
-        .into_iter()
-        .filter(|&(_, c)| c > 0)
-        .map(|(fp, c)| (fp, c as u32))
-        .collect();
-    ContentSummary::from_sorted(counts, flow)
 }
 
 #[cfg(test)]
@@ -282,17 +285,36 @@ mod tests {
         assert_eq!(small.wire_bytes(), big.wire_bytes());
     }
 
+    /// Random multisets with repeated fingerprints, some in and some out
+    /// of the part at once: each one-pass digest is `of` its summary.
     #[test]
-    fn apply_diff_reconstructs_the_remote_summary() {
-        let remote = summary_of(&[1, 2, 2, 5, 9, 14]);
-        let local = summary_of(&[1, 2, 2, 5, 7, 7]);
-        let (add, remove) = remote.difference_pair(&local);
-        let rebuilt = apply_diff(&local, &add, &remove, remote.flow());
-        assert_eq!(
-            rebuilt.iter().collect::<Vec<_>>(),
-            remote.iter().collect::<Vec<_>>()
-        );
-        assert_eq!(rebuilt.flow(), remote.flow());
+    fn one_pass_digests_equal_the_summaries_digests() {
+        use rand::Rng;
+        for case in 0u64..50 {
+            let rng = &mut StdRng::seed_from_u64(case);
+            let n = rng.gen_range(0..400usize);
+            let mut entries: Vec<(Fingerprint, u64, bool)> = (0..n)
+                .map(|_| {
+                    let fp = Fingerprint::new(rng.gen_range(1..60));
+                    (fp, rng.gen_range(40..1500), rng.gen_range(0..3u32) > 0)
+                })
+                .collect();
+            let (mut part, mut whole) = (ContentSummary::default(), ContentSummary::default());
+            for &(fp, size, in_part) in &entries {
+                whole.observe(fp, size);
+                if in_part {
+                    part.observe(fp, size);
+                }
+            }
+            for cap in [1, 8, 33] {
+                let got = ContentDigest::of_part_and_whole(&mut entries, cap);
+                let want = (
+                    ContentDigest::of(&part, cap),
+                    ContentDigest::of(&whole, cap),
+                );
+                assert_eq!(got, want, "case {case} capacity {cap}");
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod summary;
 pub mod tv;
 
 pub use bloom::BloomFilter;
-pub use digest::{apply_diff, diff_via_digest, ContentDigest};
+pub use digest::{diff_digests, diff_via_digest, ContentDigest};
 pub use reconcile::{reconcile, Delta, ReconcileError, SetSketch};
 pub use sampling::SamplingPattern;
 pub use summary::{ContentSummary, FlowCounter, OrderedSummary, TimedEntry, TimedSummary};

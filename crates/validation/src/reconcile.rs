@@ -17,6 +17,18 @@
 //! difference, not the set sizes — the property the dissertation calls
 //! "optimal in bandwidth utilization".
 //!
+//! Computation follows the difference too. `m₀ = |δ|`, `δ = |A| − |B|`,
+//! is the smallest total degree the ratio can have (identical sets,
+//! packets in flight, one-sided losses). [`reconcile`] interpolates at
+//! `m₀` first and keeps `p/q` only if `p(z)·χ_B(z) = χ_A(z)·q(z)` at
+//! *every* one of the `capacity + 2` sample points. With `d ≤ capacity`
+//! the true difference's size and `P/Q` its ratio, `p·Q − P·q` has both
+//! terms monic of degree `(m₀ + d)/2`, so its degree is below `capacity`:
+//! vanishing at more points, it is zero, and `p/q = P/Q` — the answer
+//! the full bound gives too. Otherwise the full bound is solved and
+//! checked at the two reserved points. Identical sketches cost
+//! `O(capacity)`, not a `capacity`-cubed elimination.
+//!
 //! # Examples
 //!
 //! ```
@@ -121,21 +133,39 @@ impl SetSketch {
     ///
     /// Panics if `capacity == 0`.
     pub fn from_elements<I: IntoIterator<Item = Fe>>(elements: I, capacity: usize) -> Self {
+        Self::of_part_and_whole(elements.into_iter().map(|x| (x, true)), capacity).0
+    }
+
+    /// The sketches of a part of a set and of the set, in one pass:
+    /// `elements` yields each element once, with whether it is in the part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub(crate) fn of_part_and_whole<I: IntoIterator<Item = (Fe, bool)>>(
+        elements: I,
+        capacity: usize,
+    ) -> (Self, Self) {
         assert!(capacity > 0, "sketch capacity must be positive");
-        let m = capacity + CHECK_POINTS;
-        let mut evals = vec![Fe::ONE; m];
-        let mut size = 0u64;
-        for x in elements {
-            size += 1;
-            for (i, e) in evals.iter_mut().enumerate() {
-                *e *= sample_point(i) - x;
+        let empty = Self {
+            capacity,
+            size: 0,
+            evals: vec![Fe::ONE; capacity + CHECK_POINTS],
+        };
+        let (mut part, mut whole) = (empty.clone(), empty);
+        let points: Vec<Fe> = (0..capacity + CHECK_POINTS).map(sample_point).collect();
+        for (x, in_part) in elements {
+            let s = if in_part { &mut part } else { &mut whole };
+            s.size += 1;
+            for (e, &z) in s.evals.iter_mut().zip(&points) {
+                *e *= z - x;
             }
         }
-        Self {
-            capacity,
-            size,
-            evals,
+        whole.size += part.size;
+        for (w, &p) in whole.evals.iter_mut().zip(&part.evals) {
+            *w *= p;
         }
+        (part, whole)
     }
 
     /// Maximum symmetric difference this sketch can resolve.
@@ -189,8 +219,9 @@ impl SetSketch {
 ///
 /// See [`ReconcileError`]. All failure modes are detected — the function
 /// never silently returns a wrong difference: the interpolated rational
-/// function is re-verified at reserved check points, and both recovered
-/// polynomials must split completely into distinct linear factors.
+/// function is re-verified at every sample point (smallest bound) or at
+/// the reserved check points (full bound), and both recovered polynomials
+/// must split completely into distinct linear factors.
 pub fn reconcile<R: Rng>(
     a: &SetSketch,
     b: &SetSketch,
@@ -203,39 +234,59 @@ pub fn reconcile<R: Rng>(
 
     // Size difference fixes deg(num) − deg(den).
     let delta = a.size as i64 - b.size as i64;
-    if delta.unsigned_abs() as usize > d {
+    let smallest = delta.unsigned_abs() as usize;
+    if smallest > d {
         return Err(ReconcileError::BoundExceeded);
     }
     // Largest usable bound with the right parity.
-    let m = if (d as i64 - delta).rem_euclid(2) == 0 {
-        d
-    } else {
-        d - 1
-    };
-    if (m as i64) < delta.abs() {
-        return Err(ReconcileError::BoundExceeded);
+    let m = d - (d - smallest) % 2;
+    // χ(z_i) = 0 means z_i is an element of the set.
+    if (0..m).any(|i| a.evals[i].is_zero() || b.evals[i].is_zero()) {
+        return Err(ReconcileError::EvalPointCollision);
     }
+
+    // Whether num(z)·χ_B(z) == χ_A(z)·den(z) at every sample point of `at`.
+    let agrees = |(num, den): &(Poly, Poly), mut at: std::ops::Range<usize>| {
+        at.all(|i| {
+            let z = sample_point(i);
+            num.eval(z) * b.evals[i] == a.evals[i] * den.eval(z)
+        })
+    };
+    // The smallest bound first, exact if it holds at every sample point
+    // (module documentation); else the largest, checked at the reserved ones.
+    let mut fit = interpolate(a, b, smallest, delta);
+    if !agrees(&fit, 0..d + CHECK_POINTS) {
+        fit = interpolate(a, b, m, delta);
+        if !agrees(&fit, d..d + CHECK_POINTS) {
+            return Err(ReconcileError::BoundExceeded);
+        }
+    }
+    let (num, den) = fit;
+
+    // Extract roots; failure to split completely means the bound was wrong.
+    let only_in_a = num.roots(rng).ok_or(ReconcileError::BoundExceeded)?;
+    let only_in_b = den.roots(rng).ok_or(ReconcileError::BoundExceeded)?;
+    Ok(Delta {
+        only_in_a,
+        only_in_b,
+    })
+}
+
+/// The reduced monic `num / den`, `deg num + deg den ≤ m` (of `delta`'s
+/// parity, `≥ |delta|`) and `deg num − deg den = delta`, that takes the
+/// value `χ_A / χ_B` at the first `m` sample points.
+fn interpolate(a: &SetSketch, b: &SetSketch, m: usize, delta: i64) -> (Poly, Poly) {
     let deg_num = ((m as i64 + delta) / 2) as usize;
     let deg_den = ((m as i64 - delta) / 2) as usize;
 
-    // Ratio f(z_i) = χ_A(z_i) / χ_B(z_i) at interpolation points.
-    let mut ratio = Vec::with_capacity(m);
-    for i in 0..m {
-        if b.evals[i].is_zero() || a.evals[i].is_zero() {
-            // χ(z_i) = 0 means z_i is an element of the set.
-            return Err(ReconcileError::EvalPointCollision);
-        }
-        ratio.push(a.evals[i] / b.evals[i]);
-    }
-
     // Solve for the non-monic coefficients of num (deg_num of them) and den
-    // (deg_den of them):
+    // (deg_den of them), with f(z_i) = χ_A(z_i) / χ_B(z_i):
     //   Σ_j a_j z^j − f(z) Σ_j b_j z^j = f(z)·z^deg_den − z^deg_num
     let unknowns = deg_num + deg_den;
     let mut matrix = vec![vec![Fe::ZERO; unknowns + 1]; m];
     for (row, mrow) in matrix.iter_mut().enumerate() {
         let z = sample_point(row);
-        let f = ratio[row];
+        let f = a.evals[row] / b.evals[row];
         let mut zj = Fe::ONE;
         for cell in mrow.iter_mut().take(deg_num) {
             *cell = zj;
@@ -261,25 +312,7 @@ pub fn reconcile<R: Rng>(
     // Cancel any common factor (happens when the true difference is smaller
     // than the bound and the system was underdetermined).
     let g = num.gcd(&den);
-    let num = num.divmod(&g).0.monic();
-    let den = den.divmod(&g).0.monic();
-
-    // Verify at the reserved check points: num(z)·χ_B(z) == χ_A(z)·den(z).
-    for i in 0..CHECK_POINTS {
-        let idx = d + i;
-        let z = sample_point(idx);
-        if num.eval(z) * b.evals[idx] != a.evals[idx] * den.eval(z) {
-            return Err(ReconcileError::BoundExceeded);
-        }
-    }
-
-    // Extract roots; failure to split completely means the bound was wrong.
-    let only_in_a = num.roots(rng).ok_or(ReconcileError::BoundExceeded)?;
-    let only_in_b = den.roots(rng).ok_or(ReconcileError::BoundExceeded)?;
-    Ok(Delta {
-        only_in_a,
-        only_in_b,
-    })
+    (num.divmod(&g).0.monic(), den.divmod(&g).0.monic())
 }
 
 /// Gaussian elimination over GF(p); free variables are set to zero.
