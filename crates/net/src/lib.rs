@@ -21,15 +21,13 @@
 //!   round ticks, flow ticks and retransmit timeouts;
 //! * [`mailbox`] — lock-free cross-shard frame queues that let co-resident
 //!   routers bypass the kernel when the fastpath is enabled;
-//! * [`runtime`] — the sharded live runtime: a small pool of worker
-//!   threads, each multiplexing a shard of router event loops over
-//!   non-blocking transports with one shared timer queue per shard, plus
-//!   the [`LiveDeployment`] harness that deploys
-//!   a topology, injects traffic and droppers, and collects suspicions.
-//!   Summary exchange optionally runs in reconciliation mode
-//!   ([`SummaryMode::Reconcile`](runtime::SummaryMode)): ends swap
-//!   fixed-size digests and decode the difference, falling back to full
-//!   summaries only when it does not fit.
+//! * [`runtime`] — the live runtime's public types and the
+//!   [`LiveDeployment`] harness that deploys a topology, injects traffic
+//!   and droppers, and collects suspicions; summaries travel whole or, in
+//!   reconciliation mode ([`SummaryMode::Reconcile`](runtime::SummaryMode)),
+//!   as digests. Crate-private, split at the I/O seam: `router` (a router
+//!   as a sans-I/O step function), `flows` (its traffic) and `shard` (the
+//!   worker threads that host routers over their transports).
 //!
 //! # Examples
 //!
@@ -61,11 +59,14 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+mod flows;
 pub mod linkstate;
 pub mod mailbox;
 #[allow(unsafe_code)]
 mod poller;
+mod router;
 pub mod runtime;
+mod shard;
 pub mod timer;
 pub mod transport;
 

@@ -1,0 +1,770 @@
+//! The host of the live runtime: worker threads, each serving a shard of
+//! [`Router`]s, and [`LiveDeployment`], which sets a run up and gathers
+//! what the workers report.
+//!
+//! A worker owns all of its routers' I/O: the sockets and their `epoll`
+//! set, one [`TimerWheel`] for the shard, the clock, the event channel and
+//! the mailbox fastpath. It sleeps until a socket is readable or a timer
+//! is due, steps routers with the instant and the frame or timer, and
+//! sends what they said, serving a frame's next hop on the shard at once.
+//! Round work and the retransmission pump are batched per shard: one
+//! timer fires and every resident router does its part.
+
+use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
+use crate::poller;
+use crate::router::{routers, Input, Outputs, Router, RELIABLE};
+use crate::runtime::{LiveConfig, LiveEvent, LiveOutcome, LiveSpec, LiveStats, NetMetrics};
+use crate::timer::TimerWheel;
+use crate::transport::Transport;
+use fatih_obs::trace::{NO_ROUND, NO_ROUTER};
+use fatih_obs::{MetricsRegistry, TraceBuffer, TraceJournal, TraceKind};
+use fatih_topology::{PathSegment, RouterId, Topology};
+use std::collections::HashMap;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
+/// Deploys the Πk+2 runtime over real transports.
+///
+/// # Examples
+///
+/// A clean one-round deployment over the in-memory loopback hub. The
+/// outcome carries the protocol verdicts ([`LiveOutcome::suspicions`]),
+/// the final metrics snapshot, per-round snapshots, and the merged trace
+/// journal:
+///
+/// ```
+/// use fatih_net::runtime::{FlowSpec, LiveConfig, LiveDeployment, LiveSpec};
+/// use fatih_net::transport::LoopbackHub;
+/// use fatih_topology::builtin;
+/// use std::time::Duration;
+///
+/// let topo = builtin::line(3);
+/// let ids: Vec<_> = topo.routers().collect();
+/// let spec = LiveSpec {
+///     flows: vec![FlowSpec::new(ids[0], ids[2], 500, Duration::from_millis(5))],
+///     ..LiveSpec::default()
+/// };
+/// let cfg = LiveConfig {
+///     tau: Duration::from_millis(120),
+///     exchange_budget: Duration::from_millis(80),
+///     maturity_lag: Duration::from_millis(30),
+///     rounds: 1,
+///     ..LiveConfig::default()
+/// };
+/// let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
+/// assert!(outcome.suspicions.is_empty(), "clean run accuses nobody");
+/// assert!(outcome.stats.data_delivered > 0);
+/// assert_eq!(outcome.round_metrics.len(), 1);
+/// assert_eq!(
+///     outcome.metrics.counter("net.frames_sent"),
+///     outcome.stats.frames_sent
+/// );
+/// assert!(!outcome.trace.is_empty());
+/// ```
+#[derive(Debug)]
+pub struct LiveDeployment;
+
+impl LiveDeployment {
+    /// Runs `cfg.rounds` wall-clock rounds of Πk+2 end-to-end validation
+    /// over the given transports (one per router, matched by
+    /// [`Transport::local`]), injecting `spec`'s traffic and droppers.
+    /// The routers are partitioned round-robin across `cfg.shards` worker
+    /// threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transport set does not cover the topology's routers
+    /// exactly, or if a flow endpoint has no route.
+    pub fn run<T: Transport + 'static>(
+        topo: &Topology,
+        spec: &LiveSpec,
+        cfg: &LiveConfig,
+        transports: Vec<T>,
+    ) -> LiveOutcome {
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let Prepared {
+            shard_nodes,
+            mut mailboxes,
+            segments,
+        } = Self::prepare(topo, spec, cfg, transports, &metrics);
+        let n_shards = shard_nodes.len();
+
+        let epoch = Instant::now() + Duration::from_millis(30);
+        // Every round finishes before a shard stops: final evaluation
+        // fires at rounds·τ + budget after the epoch, and the slack lets
+        // the last alerts cross the wire.
+        let stop = cfg.tau * (cfg.rounds as u32) + cfg.exchange_budget + Duration::from_millis(300);
+        let (event_tx, event_rx) = mpsc::channel::<LiveEvent>();
+
+        let mut handles = Vec::with_capacity(n_shards);
+        for (s, nodes) in shard_nodes.into_iter().enumerate() {
+            let shard = Shard::new(
+                s as u32,
+                nodes,
+                *cfg,
+                epoch,
+                mailboxes[s].take(),
+                metrics.clone(),
+            );
+            let tx = event_tx.clone();
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("shard-{s}"))
+                    .spawn(move || shard.run(stop.as_nanos() as u64, &tx))
+                    .expect("spawn shard thread"),
+            );
+        }
+        drop(event_tx);
+
+        // Snapshot the registry just after each round's evaluation
+        // deadline so callers can diff neighbouring snapshots into
+        // per-round costs.
+        let mut round_metrics = Vec::with_capacity(cfg.rounds as usize);
+        for r in 0..cfg.rounds {
+            let at =
+                epoch + cfg.tau * (r as u32 + 1) + cfg.exchange_budget + Duration::from_millis(50);
+            let now = Instant::now();
+            if at > now {
+                std::thread::sleep(at - now);
+            }
+            round_metrics.push(registry.snapshot());
+        }
+
+        let mut buffers = Vec::with_capacity(n_shards);
+        for h in handles {
+            buffers.push(h.join().expect("shard thread panicked"));
+        }
+        let trace = TraceJournal::from_buffers(buffers);
+        let events: Vec<LiveEvent> = event_rx.iter().collect();
+        let suspicions = events
+            .iter()
+            .filter_map(|e| match e {
+                LiveEvent::SuspicionRaised { suspicion, .. } => Some(suspicion.clone()),
+                _ => None,
+            })
+            .collect();
+        let metrics = registry.snapshot();
+        LiveOutcome {
+            suspicions,
+            events,
+            stats: LiveStats::from_snapshot(&metrics),
+            metrics,
+            round_metrics,
+            trace,
+            segments,
+        }
+    }
+
+    /// Everything a run sets up before its clock starts: one router per
+    /// router of the topology — built *before* the epoch is fixed, so that
+    /// monitor construction for hundreds of routers does not eat into
+    /// round 0 — dealt round-robin onto the shards with its transport.
+    fn prepare<T: Transport>(
+        topo: &Topology,
+        spec: &LiveSpec,
+        cfg: &LiveConfig,
+        transports: Vec<T>,
+        metrics: &NetMetrics,
+    ) -> Prepared<T> {
+        let mut by_router: HashMap<RouterId, T> =
+            transports.into_iter().map(|t| (t.local(), t)).collect();
+        let (routers, segments) = routers(topo, spec, cfg, metrics);
+        assert_eq!(
+            by_router.len(),
+            routers.len(),
+            "need exactly one transport per router"
+        );
+        let n_shards = if cfg.shards == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get().saturating_sub(1))
+                .unwrap_or(1)
+        } else {
+            cfg.shards
+        }
+        .clamp(1, routers.len().max(1));
+
+        let mailboxes = if cfg.mailbox_fastpath {
+            let shard_of = (routers.iter().enumerate())
+                .map(|(i, r)| (r.id, i % n_shards))
+                .collect();
+            let (mut to, boxes) = mailboxes(shard_of, n_shards);
+            to.attach_counters(metrics.mailbox_frames.clone());
+            boxes.into_iter().map(|b| Some((to.clone(), b))).collect()
+        } else {
+            (0..n_shards).map(|_| None).collect()
+        };
+        let mut shard_nodes: Vec<Vec<(Router, T)>> = (0..n_shards).map(|_| Vec::new()).collect();
+        for (i, router) in routers.into_iter().enumerate() {
+            let transport = by_router.remove(&router.id).expect("transport per router");
+            shard_nodes[i % n_shards].push((router, transport));
+        }
+        Prepared {
+            shard_nodes,
+            mailboxes,
+            segments,
+        }
+    }
+}
+
+/// What [`LiveDeployment::prepare`] hands to `run`.
+struct Prepared<T: Transport> {
+    /// The routers of each shard with their transports, in shard order.
+    shard_nodes: Vec<Vec<(Router, T)>>,
+    /// Each shard's ends of the mailbox fabric, when the fastpath is on.
+    mailboxes: Vec<Option<(MailboxRouter, ShardMailbox)>>,
+    /// The segments under monitoring.
+    segments: Vec<PathSegment>,
+}
+
+/// Timer payloads of a shard's wheel. Round work and the retransmission
+/// pump are scheduled once per shard and fan out over every resident
+/// node; only flow ticks stay per-(node, flow).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ShardTimer {
+    /// Inject the next packet of `node`'s local flow `flow`.
+    FlowTick {
+        /// Index into the shard's node vector.
+        node: usize,
+        /// Index into that node's local flows.
+        flow: usize,
+    },
+    /// A round boundary: every node snapshots and sends summaries.
+    RoundEnd(u64),
+    /// The exchange budget expired: every node validates the round.
+    RoundEval(u64),
+    /// Retransmission pump across the shard.
+    Pump,
+    /// `node` performs step `step` of its scripted churn.
+    Churn {
+        /// Index into the shard's node vector.
+        node: usize,
+        /// Index into that node's churn script.
+        step: usize,
+    },
+    /// The run is over: the worker leaves its loop.
+    Stop,
+}
+
+/// Per-node receive bound: how many frames one node may drain per pass
+/// before yielding to its shard-mates.
+const RECV_SWEEP: usize = 64;
+
+/// How often a shard looks for frames due a retransmission: twice per
+/// initial timeout.
+const PUMP_STEP_NS: u64 = RELIABLE.rto_ns / 2;
+
+/// Longest an idle worker waits while something it serves cannot wake it:
+/// an endpoint that is not in the poll set, or a mailbox.
+const SWEEP_WAIT_NS: u64 = 500_000;
+
+/// One worker thread's shard of routers.
+struct Shard<T: Transport> {
+    nodes: Vec<Router>,
+    /// Each node's endpoint.
+    links: Vec<T>,
+    /// Per node: its endpoint errored out, and the shard no longer polls it.
+    closed: Vec<bool>,
+    index_of: HashMap<RouterId, usize>,
+    /// Open endpoints that are not in this worker's poll set: nothing
+    /// announces their frames, so every pass polls them. Whether an
+    /// endpoint can be waited on is its own business — it registers on
+    /// first poll or it does not — and it leaves this list once it has.
+    swept: Vec<usize>,
+    /// Due nodes, served depth-first: a pass pops the top one, takes one
+    /// frame, and pushes every shard-mate the node sent to, so a forwarded
+    /// frame is received next, whatever the index of the router it went
+    /// to.
+    work: Vec<usize>,
+    /// Per node: a frame was announced that no poll has looked for yet —
+    /// the poller said so, a node of this shard sent to it, or it yielded
+    /// with frames left. An entry of `work` whose node is no longer due is
+    /// skipped.
+    due: Vec<bool>,
+    /// Nodes that took a frame in this pass, polled again once `work` is
+    /// empty until they come back empty: once per pass, however many
+    /// frames came their way.
+    drain: Vec<usize>,
+    /// Per node: the pass it last received in, and how many frames it
+    /// took in that pass.
+    taken: Vec<(u64, usize)>,
+    /// Nodes that took [`RECV_SWEEP`] frames in this pass: they are still
+    /// due, and open the next pass.
+    yielded: Vec<usize>,
+    /// Passes made so far.
+    passes: u64,
+    /// Endpoints whose transport has not errored out.
+    open: usize,
+    /// The retransmission pump fell due: it runs after the next pass, so
+    /// that the acks already queued are read before it resends.
+    pump_due: bool,
+    /// Scratch for the poller's answer.
+    ready: Vec<RouterId>,
+    wheel: TimerWheel<ShardTimer>,
+    /// The fastpath: the sending half to every shard, and this one's
+    /// receiving half.
+    mailbox: Option<(MailboxRouter, ShardMailbox)>,
+    cfg: LiveConfig,
+    epoch: Instant,
+    metrics: NetMetrics,
+    /// What the step in progress says. Its trace ring is this worker's:
+    /// written only by this thread, handed back when it joins.
+    out: Outputs,
+}
+
+impl<T: Transport> Shard<T> {
+    fn new(
+        shard: u32,
+        nodes: Vec<(Router, T)>,
+        cfg: LiveConfig,
+        epoch: Instant,
+        mailbox: Option<(MailboxRouter, ShardMailbox)>,
+        metrics: NetMetrics,
+    ) -> Self {
+        let (nodes, links): (Vec<Router>, Vec<T>) = nodes.into_iter().unzip();
+        let index_of = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+        Self {
+            swept: (0..nodes.len()).collect(),
+            work: Vec::new(),
+            due: vec![false; nodes.len()],
+            drain: Vec::new(),
+            taken: vec![(0, 0); nodes.len()],
+            yielded: Vec::new(),
+            passes: 0,
+            closed: vec![false; nodes.len()],
+            open: nodes.len(),
+            pump_due: false,
+            ready: Vec::new(),
+            nodes,
+            links,
+            index_of,
+            wheel: TimerWheel::new(),
+            mailbox,
+            cfg,
+            epoch,
+            metrics,
+            out: Outputs::new(TraceBuffer::new(shard, cfg.trace_capacity)),
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        Instant::now()
+            .saturating_duration_since(self.epoch)
+            .as_nanos() as u64
+    }
+
+    /// Serves the shard until `stop_ns` after the epoch.
+    fn run(mut self, stop_ns: u64, events: &mpsc::Sender<LiveEvent>) -> TraceBuffer {
+        let tau = self.cfg.tau.as_nanos() as u64;
+        let budget = self.cfg.exchange_budget.as_nanos() as u64;
+        for (ni, node) in self.nodes.iter().enumerate() {
+            for (fi, flow) in node.traffic.flows.iter().enumerate() {
+                self.wheel
+                    .schedule(flow.next_due, ShardTimer::FlowTick { node: ni, flow: fi });
+            }
+            for (si, ev) in node.churn.iter().enumerate() {
+                self.wheel.schedule(
+                    ev.at.as_nanos() as u64,
+                    ShardTimer::Churn { node: ni, step: si },
+                );
+            }
+        }
+        for r in 0..self.cfg.rounds {
+            self.wheel.schedule((r + 1) * tau, ShardTimer::RoundEnd(r));
+            self.wheel
+                .schedule((r + 1) * tau + budget, ShardTimer::RoundEval(r));
+        }
+        self.wheel.schedule(PUMP_STEP_NS, ShardTimer::Pump);
+        self.wheel.schedule(stop_ns, ShardTimer::Stop);
+        let now = self.now_ns();
+        (self.out.trace).record(now, TraceKind::RoundStart, NO_ROUTER, 0, 0);
+
+        // This worker's sockets find the poller through the thread, so
+        // they register through whatever wraps them.
+        let poller = poller::install();
+        let mut handled = 0;
+        // Until every transport closed under us, or the stop.
+        while self.open > 0 {
+            self.wait(&poller, handled);
+            if !self.fire_timers(events) {
+                break;
+            }
+            handled = self.pass(&poller, events);
+            if std::mem::take(&mut self.pump_due) {
+                self.for_each_node(Input::Pump, events);
+            }
+        }
+
+        for (node, link) in self.nodes.iter_mut().zip(&self.links) {
+            node.finish();
+            self.metrics.wire_bytes_sent.add(link.bytes_sent());
+            self.metrics.wire_bytes_recv.add(link.bytes_recv());
+        }
+        self.out.trace
+    }
+
+    /// Steps node `ni` with `input` at the current instant — timing the
+    /// step if it was a stage — sends the frames it produced and marks due
+    /// the shard-mates they went to, in send order, so the last one sent
+    /// to is on top. Returns a flow tick's next deadline.
+    fn step(
+        &mut self,
+        ni: usize,
+        input: Input<'_>,
+        events: &mpsc::Sender<LiveEvent>,
+    ) -> Option<u64> {
+        let now = self.now_ns();
+        self.nodes[ni].step(now, input, &mut self.out);
+        if std::mem::take(&mut self.out.timed) {
+            let stage = match input {
+                Input::RoundEnd(_) => &self.metrics.round_end_ns,
+                Input::RoundEval(_) => &self.metrics.round_eval_ns,
+                _ => &self.metrics.digest_resolve_ns,
+            };
+            stage.record(self.now_ns().saturating_sub(now));
+        }
+        for (dst, bytes) in self.out.frames.drain(..) {
+            let mailed =
+                (self.mailbox.as_ref()).is_some_and(|(to, _)| to.deliver(dst, bytes.clone()));
+            if !mailed {
+                let _ = self.links[ni].send(dst, &bytes);
+                if let Some(&di) = self.index_of.get(&dst) {
+                    self.due[di] = true;
+                    self.work.push(di);
+                }
+            }
+        }
+        for event in self.out.events.drain(..) {
+            let _ = events.send(event);
+        }
+        self.out.next_tick.take()
+    }
+
+    /// Runs every timer that is due. Returns false once the run is over.
+    fn fire_timers(&mut self, events: &mpsc::Sender<LiveEvent>) -> bool {
+        let now = self.now_ns();
+        for t in self.wheel.pop_due(now) {
+            (self.out.trace).record(now, TraceKind::TimerFired, NO_ROUTER, NO_ROUND, 0);
+            match t {
+                ShardTimer::FlowTick { node, flow } => {
+                    if let Some(next) = self.step(node, Input::FlowTick(flow), events) {
+                        self.wheel
+                            .schedule(next, ShardTimer::FlowTick { node, flow });
+                    }
+                }
+                ShardTimer::RoundEnd(r) => {
+                    self.for_each_node(Input::RoundEnd(r), events);
+                    // The summary sends above still belong to round
+                    // r's slice; the next round opens after them.
+                    let now = self.now_ns();
+                    (self.out.trace).record(now, TraceKind::RoundEnd, NO_ROUTER, r, 0);
+                    if r + 1 < self.cfg.rounds {
+                        (self.out.trace).record(now, TraceKind::RoundStart, NO_ROUTER, r + 1, 0);
+                    }
+                }
+                ShardTimer::RoundEval(r) => self.for_each_node(Input::RoundEval(r), events),
+                ShardTimer::Pump => {
+                    self.pump_due = true;
+                    self.wheel.schedule(now + PUMP_STEP_NS, ShardTimer::Pump);
+                }
+                ShardTimer::Churn { node, step } => {
+                    self.step(node, Input::Churn(step), events);
+                }
+                ShardTimer::Stop => return false,
+            }
+        }
+        true
+    }
+
+    /// Steps every node of the shard with `input`, in order.
+    fn for_each_node(&mut self, input: Input<'_>, events: &mpsc::Sender<LiveEvent>) {
+        for ni in 0..self.nodes.len() {
+            self.step(ni, input, events);
+        }
+    }
+
+    /// Blocks until a socket of this shard is readable or the next timer
+    /// is due, and marks the readable nodes due. It does not block while
+    /// work is queued. `handled` is what the previous pass got done.
+    fn wait(&mut self, poller: &poller::Installed, handled: usize) {
+        // Only a shard driven by hand has an empty wheel.
+        let until_timer = self
+            .wheel
+            .next_deadline()
+            .map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(self.now_ns()));
+        // Nothing announces a frame for a swept endpoint or the mailbox:
+        // while the last pass found work there may be more, and an idle
+        // wait stays short.
+        let swept = self.mailbox.is_some() || !self.swept.is_empty();
+        let wait = match (swept, handled) {
+            _ if !self.work.is_empty() => 0,
+            (false, _) => until_timer,
+            (true, 0) => until_timer.min(SWEEP_WAIT_NS),
+            (true, _) => 0,
+        };
+        if wait > 0 {
+            self.metrics.shard_waits.inc();
+        }
+        self.ready.clear();
+        poller.wait(Duration::from_nanos(wait), &mut self.ready);
+        // Only this shard's endpoints are ever polled on this thread.
+        for id in &self.ready {
+            let ni = self.index_of[id];
+            self.due[ni] = true;
+            self.work.push(ni);
+        }
+    }
+
+    /// One receive pass, run to completion: drains the mailbox, then
+    /// serves the due nodes one frame at a time, depth-first, so a frame
+    /// forwarded to a shard-mate is received before anything else and a
+    /// packet crosses every hop on this shard, one packet after another.
+    /// Only then is each node that took a frame polled until it comes back
+    /// empty. A node that took [`RECV_SWEEP`] frames yields, and opens the
+    /// next pass. Returns the number of frames handled.
+    fn pass(&mut self, poller: &poller::Installed, events: &mpsc::Sender<LiveEvent>) -> usize {
+        self.metrics.shard_passes.inc();
+        self.passes += 1;
+        let mut handled = 0usize;
+        if let Some(envelopes) = self.mailbox.as_mut().map(|(_, mb)| mb.drain(512)) {
+            for env in envelopes {
+                if let Some(&ni) = self.index_of.get(&env.dst) {
+                    self.step(ni, Input::Frame(&env.bytes), events);
+                    handled += 1;
+                }
+            }
+        }
+        for &ni in &self.swept {
+            self.due[ni] = true;
+            self.work.push(ni);
+        }
+        let (mut polls, mut empty) = (0u64, 0u64);
+        loop {
+            let (ni, announced) = match self.work.pop() {
+                Some(ni) => (ni, true),
+                None => match self.drain.pop() {
+                    Some(ni) => (ni, false),
+                    None => break,
+                },
+            };
+            let taken = &mut self.taken[ni];
+            if taken.0 != self.passes {
+                *taken = (self.passes, 0);
+            }
+            if (announced && !self.due[ni]) || self.closed[ni] || taken.1 == RECV_SWEEP {
+                continue;
+            }
+            self.due[ni] = false;
+            polls += 1;
+            // A crashed node is still drained (its frames fall on the
+            // floor): a readable socket nobody reads would end every wait
+            // at once.
+            match self.links[ni].try_recv() {
+                Ok(Some(bytes)) => {
+                    taken.1 += 1;
+                    if taken.1 == RECV_SWEEP {
+                        self.due[ni] = true;
+                        self.yielded.push(ni);
+                    } else if taken.1 == 1 || !announced {
+                        self.drain.push(ni);
+                    }
+                    self.step(ni, Input::Frame(&bytes), events);
+                    handled += 1;
+                }
+                Ok(None) => empty += 1,
+                Err(_) => {
+                    empty += 1;
+                    self.closed[ni] = true;
+                    self.open -= 1;
+                    poller.deregister(self.nodes[ni].id);
+                }
+            }
+        }
+        std::mem::swap(&mut self.work, &mut self.yielded);
+        let (nodes, closed) = (&self.nodes, &self.closed);
+        self.swept
+            .retain(|&ni| !closed[ni] && !poller.is_registered(nodes[ni].id));
+        self.metrics.recv_polls.add(polls);
+        self.metrics.recv_polls_empty.add(empty);
+        handled
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::FlowSpec;
+    use crate::transport::UdpNet;
+    use fatih_topology::builtin;
+
+    /// Drives one shard by hand, pass by pass, over real sockets: a packet
+    /// injected at the head of a 6-line reaches its tail within *one*
+    /// pass, because every hop marks the next router due before the pass
+    /// gets to it; an idle pass polls nobody; and a crashed router's
+    /// socket is still drained, so it cannot keep the poller awake.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_forwarded_frame_is_received_within_the_same_pass() {
+        let topo = builtin::line(6);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(ids[0], ids[5], 800, Duration::from_secs(1))],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            shards: 1,
+            response: false,
+            ..LiveConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
+        let mut prepared = LiveDeployment::prepare(&topo, &spec, &cfg, transports, &metrics);
+        let nodes = prepared.shard_nodes.remove(0);
+        let mut shard = Shard::new(0, nodes, cfg, Instant::now(), None, metrics);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let counter = |name: &str| registry.snapshot().counter(name);
+
+        // Nothing is in flight: the first pass sweeps every endpoint once,
+        // which is when each joins the poll set.
+        assert_eq!(shard.pass(&poller, &events), 0);
+        assert_eq!(counter("net.recv_polls"), 6);
+        assert!(shard.swept.is_empty());
+
+        // What a flow tick does: router 0 injects one packet.
+        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        assert_eq!(shard.due, [false, true, false, false, false, false]);
+        assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
+        assert_eq!(counter("net.data_delivered"), 1);
+        assert_eq!(counter("net.shard_passes"), 2);
+        // One frame and one empty poll at each of routers 1..=5.
+        assert_eq!(counter("net.recv_polls"), 6 + 10);
+
+        // Idle: the wait runs out with nothing readable, the pass visits
+        // nobody.
+        shard.wait(&poller, 5);
+        assert_eq!(shard.pass(&poller, &events), 0);
+        assert_eq!(counter("net.recv_polls"), 6 + 10);
+        assert_eq!(counter("net.shard_waits"), 1);
+
+        // Router 3 crashes: the next packet dies there, but its frame is
+        // taken off the socket all the same and the shard goes quiet.
+        shard.nodes[3].alive = false;
+        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        assert_eq!(shard.pass(&poller, &events), 3);
+        assert_eq!(counter("net.data_delivered"), 1);
+        shard.wait(&poller, 3);
+        assert!(shard.due.iter().all(|&d| !d), "{:?}", shard.due);
+    }
+
+    /// Every router of `topo` on one hand-driven shard over real sockets,
+    /// carrying one packet a second on each (source, destination) index
+    /// pair of `flows`.
+    #[cfg(target_os = "linux")]
+    fn udp_shard(topo: &Topology, flows: &[(usize, usize)]) -> (Shard<UdpNet>, MetricsRegistry) {
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: flows
+                .iter()
+                .map(|&(s, d)| FlowSpec::new(ids[s], ids[d], 800, Duration::from_secs(1)))
+                .collect(),
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            shards: 1,
+            response: false,
+            ..LiveConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
+        let mut prepared = LiveDeployment::prepare(topo, &spec, &cfg, transports, &metrics);
+        let nodes = prepared.shard_nodes.remove(0);
+        let shard = Shard::new(0, nodes, cfg, Instant::now(), None, metrics);
+        (shard, registry)
+    }
+
+    /// The other way along the 6-line: every hop goes to a lower-indexed
+    /// router, and the packet still crosses in one pass, because a pass
+    /// serves each frame's next hop at once, whatever its index. (Served
+    /// in index order, each hop waited for the next pass: five passes.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_packet_crosses_a_descending_line_in_one_pass() {
+        let (mut shard, registry) = udp_shard(&builtin::line(6), &[(5, 0)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let counter = |name: &str| registry.snapshot().counter(name);
+
+        assert_eq!(shard.pass(&poller, &events), 0);
+        assert!(shard.step(5, Input::FlowTick(0), &events).is_some());
+        assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
+        assert_eq!(counter("net.data_delivered"), 1);
+        assert_eq!(counter("net.shard_passes"), 2);
+        // One frame and one empty poll at each of routers 4..=0.
+        assert_eq!(counter("net.recv_polls"), 6 + 10);
+    }
+
+    /// Two flows that tick together on one shard, 3 → 0 and 7 → 4 on an
+    /// 8-line: the first packet is delivered before the second one's
+    /// second hop is received. Served in index order they crossed in lock
+    /// step, a hop of each per pass, and finished together.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn packets_that_tick_together_complete_one_after_the_other() {
+        let (mut shard, registry) = udp_shard(&builtin::line(8), &[(3, 0), (7, 4)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        for node in [3, 7] {
+            shard
+                .wheel
+                .schedule(0, ShardTimer::FlowTick { node, flow: 0 });
+        }
+        shard.fire_timers(&events);
+        while shard.pass(&poller, &events) > 0 {}
+        assert_eq!(registry.snapshot().counter("net.data_delivered"), 2);
+
+        let trace = std::mem::replace(&mut shard.out.trace, TraceBuffer::new(0, 1));
+        let journal = TraceJournal::from_buffers([trace]);
+        let taps: Vec<u32> = journal
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::PacketTap)
+            .map(|e| e.router)
+            .collect();
+        // Each router of the two paths is on one of them only.
+        let at = |i: usize| {
+            let id = u32::from(shard.nodes[i].id);
+            taps.iter().position(|&r| r == id).expect("tapped")
+        };
+        let (first_sink, other_second_hop) = if at(0) < at(4) { (0, 5) } else { (4, 1) };
+        assert!(
+            at(first_sink) < at(other_second_hop),
+            "taps in order: {taps:?}"
+        );
+    }
+
+    /// A node with more than `RECV_SWEEP` frames queued takes that many in
+    /// one pass and yields; it opens the next pass, with no wait between.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_node_yields_after_its_receive_bound_and_opens_the_next_pass() {
+        let (mut shard, registry) = udp_shard(&builtin::line(3), &[(0, 2)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let delivered = || registry.snapshot().counter("net.data_delivered");
+
+        assert_eq!(shard.pass(&poller, &events), 0);
+        let queued = RECV_SWEEP + 6;
+        for _ in 0..queued {
+            assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        }
+        // Router 1 takes its bound; each frame it forwards is delivered.
+        assert_eq!(shard.pass(&poller, &events), 2 * RECV_SWEEP);
+        assert_eq!(delivered(), RECV_SWEEP as u64);
+        assert_eq!(shard.pass(&poller, &events), 2 * (queued - RECV_SWEEP));
+        assert_eq!(delivered(), queued as u64);
+        assert_eq!(shard.pass(&poller, &events), 0);
+    }
+}
