@@ -10,9 +10,7 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin chi_vs_threshold`.
 
-use fatih_bench::{
-    render_table, run_threshold_baseline, write_csv, ChiAttack, ChiExperiment, Workload,
-};
+use fatih_bench::{publish, run_threshold_baseline, ChiAttack, ChiExperiment, Workload};
 use fatih_sim::SimTime;
 
 const THRESHOLDS: [f64; 4] = [0.01, 0.05, 0.10, 0.20];
@@ -80,10 +78,7 @@ fn main() {
         "th=20%",
     ];
     println!("== §6.4.3: Protocol χ vs. static thresholds ==\n");
-    println!("{}", render_table(&headers, &rows));
-    if let Some(p) = write_csv("chi_vs_threshold", &headers, &rows) {
-        println!("(csv: {})", p.display());
-    }
+    publish("chi_vs_threshold", &headers, &rows);
     println!(
         "\nPaper shape to compare against: every column of the static\n\
          detector contains at least one ✗ — small thresholds false-positive\n\

@@ -5,41 +5,11 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin fig5_2`.
 
-use fatih_bench::{render_table, write_csv};
-use fatih_stats::Summary;
-use fatih_topology::{builtin, pi2_segment_counts};
+use fatih_bench::segment_count_figure;
+use fatih_topology::pi2_segment_counts;
 
 fn main() {
-    for (name, topo) in [
-        ("sprintlink", builtin::sprintlink_like(1)),
-        ("ebone", builtin::ebone_like(1)),
-    ] {
-        println!(
-            "== Figure 5.2 (Protocol Π2) — {name}: {} routers, {} links, mean degree {:.2}, max {} ==",
-            topo.router_count(),
-            topo.duplex_link_count(),
-            topo.mean_degree(),
-            topo.max_degree()
-        );
-        let routes = topo.link_state_routes();
-        let mut rows = Vec::new();
-        for k in 1..=8usize {
-            let counts = pi2_segment_counts(&routes, k);
-            let s = Summary::from_iter(counts.iter().map(|&c| c as f64));
-            rows.push(vec![
-                k.to_string(),
-                format!("{:.0}", s.max()),
-                format!("{:.1}", s.mean()),
-                format!("{:.0}", s.median()),
-            ]);
-            eprintln!("  k={k} done");
-        }
-        let headers = ["k", "max |Pr|", "avg |Pr|", "median |Pr|"];
-        println!("{}", render_table(&headers, &rows));
-        if let Some(p) = write_csv(&format!("fig5_2_{name}"), &headers, &rows) {
-            println!("(csv: {})\n", p.display());
-        }
-    }
+    segment_count_figure("Figure 5.2 (Protocol Π2)", "fig5_2", pi2_segment_counts);
     println!(
         "Paper shape to compare against: max ≫ average ≫ median, all growing\n\
          with k; Sprintlink max reaches thousands by k=8 while the median\n\

@@ -6,39 +6,11 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin fig5_4`.
 
-use fatih_bench::{render_table, write_csv};
-use fatih_stats::Summary;
-use fatih_topology::{builtin, pik2_segment_counts};
+use fatih_bench::segment_count_figure;
+use fatih_topology::pik2_segment_counts;
 
 fn main() {
-    for (name, topo) in [
-        ("sprintlink", builtin::sprintlink_like(1)),
-        ("ebone", builtin::ebone_like(1)),
-    ] {
-        println!(
-            "== Figure 5.4 (Protocol Πk+2) — {name}: {} routers, {} links ==",
-            topo.router_count(),
-            topo.duplex_link_count(),
-        );
-        let routes = topo.link_state_routes();
-        let mut rows = Vec::new();
-        for k in 1..=8usize {
-            let counts = pik2_segment_counts(&routes, k);
-            let s = Summary::from_iter(counts.iter().map(|&c| c as f64));
-            rows.push(vec![
-                k.to_string(),
-                format!("{:.0}", s.max()),
-                format!("{:.1}", s.mean()),
-                format!("{:.0}", s.median()),
-            ]);
-            eprintln!("  k={k} done");
-        }
-        let headers = ["k", "max |Pr|", "avg |Pr|", "median |Pr|"];
-        println!("{}", render_table(&headers, &rows));
-        if let Some(p) = write_csv(&format!("fig5_4_{name}"), &headers, &rows) {
-            println!("(csv: {})\n", p.display());
-        }
-    }
+    segment_count_figure("Figure 5.4 (Protocol Πk+2)", "fig5_4", pik2_segment_counts);
     println!(
         "Paper shape to compare against: values far below Figure 5.2's,\n\
          with the maximum flattening toward ~N as k grows (dissertation\n\

@@ -99,9 +99,7 @@ fn main() {
     }
     println!("\nNY ↔ Sunnyvale RTT (sampled every ~10 s):");
     println!("{}", render_table(&["t (s)", "RTT (ms)"], &rows));
-    if let Some(p) = write_csv("fig5_7_rtt", &["t_s", "rtt_ms"], &csv) {
-        println!("(full series: {})", p.display());
-    }
+    write_csv("fig5_7_rtt", &["t_s", "rtt_ms"], &csv);
 
     // Verify the headline numbers.
     let before: Vec<f64> = rtts

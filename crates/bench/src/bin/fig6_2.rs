@@ -34,9 +34,7 @@ fn main() {
     }
     let headers = ["q_pred (B)", "c (σ=300)", "c (σ=1500)", "c (σ=6000)"];
     println!("{}", render_table(&headers, &rows));
-    if let Some(p) = write_csv("fig6_2", &headers, &csv) {
-        println!("(csv: {})", p.display());
-    }
+    write_csv("fig6_2", &headers, &csv);
     println!(
         "\nPaper shape to compare against: confidence ≈ 1 while the queue\n\
          has room, collapsing to ≈ 0 as q_pred + ps approaches q_limit,\n\

@@ -11,26 +11,18 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin fig6_3`.
 
-use fatih_bench::{render_table, write_csv};
+use fatih_bench::{render_table, write_csv, ChiExperiment};
 use fatih_core::chi::{ChiConfig, QueueModel, QueueValidator};
-use fatih_crypto::KeyStore;
-use fatih_sim::{Network, SimTime, TapEvent};
+use fatih_sim::{SimTime, TapEvent};
 use fatih_stats::Histogram;
-use fatih_topology::{builtin, LinkParams};
 
 fn main() {
-    let bottleneck = LinkParams {
-        bandwidth_bps: 8_000_000,
-        queue_limit_bytes: 32_000,
-        ..LinkParams::default()
+    let exp = ChiExperiment {
+        q_limit: 32_000,
+        seed: 2,
+        ..ChiExperiment::default()
     };
-    let topo = builtin::fan_in(3, bottleneck);
-    let mut ks = KeyStore::with_seed(2);
-    for r in topo.routers() {
-        ks.register(r.into());
-    }
-    let r = topo.router_by_name("r").unwrap();
-    let rd = topo.router_by_name("rd").unwrap();
+    let (mut net, ks, r, rd) = exp.network();
     // A deployment with known clock noise calibrates the detector during
     // the learning period (§6.2.1): σ absorbs the skew-induced prediction
     // error, and the exact-replay mismatch test — which assumes calibrated
@@ -40,8 +32,8 @@ fn main() {
         mismatch_floor: usize::MAX,
         ..ChiConfig::default()
     };
-    let mut validator = QueueValidator::new(&topo, &ks, r, rd, QueueModel::DropTail, cfg);
-    let mut net = Network::new(topo, 2);
+    let model = QueueModel::DropTail;
+    let mut validator = QueueValidator::new(net.topology(), &ks, r, rd, model, cfg);
 
     // NTP-grade skews: a few hundred microseconds per monitor (§5.3.1
     // says "clocks synchronized within a few milliseconds are sufficient").
@@ -148,9 +140,7 @@ fn main() {
             vec![lo.to_string(), hi.to_string(), hist.count(i).to_string()]
         })
         .collect();
-    if let Some(p) = write_csv("fig6_3", &["bin_lo", "bin_hi", "count"], &csv) {
-        println!("(csv: {})", p.display());
-    }
+    write_csv("fig6_3", &["bin_lo", "bin_hi", "count"], &csv);
     println!(
         "\nno-attack verdict under skew (σ calibrated to clock noise): detected = {} \
          (must be false), congestive drops judged = {}",

@@ -13,7 +13,7 @@
 //! `cargo run --release -p fatih-bench --bin fig6_red -- <scenario>`, or
 //! all with no argument.
 
-use fatih_bench::{render_table, write_csv, ChiAttack, ChiExperiment, RoundRow, Workload};
+use fatih_bench::{ChiAttack, ChiExperiment, Workload};
 use fatih_sim::{RedParams, SimTime};
 
 fn red_params() -> RedParams {
@@ -85,27 +85,7 @@ fn run_one(name: &str) {
         victim_cbr_pps: Some(200),
         ..ChiExperiment::default()
     };
-    let out = exp.run();
-    println!("== {title} ==");
-    let rows: Vec<Vec<String>> = out.rows.iter().map(RoundRow::cells).collect();
-    println!("{}", render_table(&RoundRow::headers(), &rows));
-    if let Some(p) = write_csv(&format!("fig6_red_{name}"), &RoundRow::headers(), &rows) {
-        println!("(csv: {})", p.display());
-    }
-    println!(
-        "ground truth: {} malicious, {} congestive (RED) drops — detected in {}/{} rounds\n",
-        out.truth.malicious_drops,
-        out.truth.congestive_drops,
-        out.detected_rounds(),
-        out.rows.len()
-    );
-    match attack {
-        ChiAttack::None => assert!(!out.detected(), "FALSE POSITIVE in the RED no-attack run"),
-        _ => assert!(
-            out.truth.malicious_drops == 0 || out.detected(),
-            "attack escaped detection"
-        ),
-    }
+    exp.run_scenario(&format!("fig6_red_{name}"), title);
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 //! `cargo run --release -p fatih-bench --bin fig6_x -- <scenario>`, or all
 //! of them with no argument.
 
-use fatih_bench::{render_table, write_csv, ChiAttack, ChiExperiment, RoundRow, Workload};
+use fatih_bench::{ChiAttack, ChiExperiment, Workload};
 use fatih_sim::SimTime;
 
 fn scenario(name: &str) -> Option<(ChiAttack, &'static str)> {
@@ -51,27 +51,7 @@ fn run_one(name: &str) {
         round: SimTime::from_secs(5),
         ..ChiExperiment::default()
     };
-    let out = exp.run();
-    println!("== {title} ==");
-    let rows: Vec<Vec<String>> = out.rows.iter().map(RoundRow::cells).collect();
-    println!("{}", render_table(&RoundRow::headers(), &rows));
-    if let Some(p) = write_csv(&format!("fig6_x_{name}"), &RoundRow::headers(), &rows) {
-        println!("(csv: {})", p.display());
-    }
-    println!(
-        "ground truth: {} malicious, {} congestive drops — detected in {}/{} rounds\n",
-        out.truth.malicious_drops,
-        out.truth.congestive_drops,
-        out.detected_rounds(),
-        out.rows.len()
-    );
-    match attack {
-        ChiAttack::None => assert!(!out.detected(), "FALSE POSITIVE in the no-attack scenario"),
-        _ => assert!(
-            out.truth.malicious_drops == 0 || out.detected(),
-            "attack escaped detection"
-        ),
-    }
+    exp.run_scenario(&format!("fig6_x_{name}"), title);
 }
 
 fn main() {

@@ -65,15 +65,13 @@ fn main() {
         "{}",
         render_table(&["f", "end-to-end", "hop-by-hop", "checkpoints s=4"], &rows)
     );
-    if let Some(p) = write_csv(
+    write_csv(
         "tab_herzberg",
         &[
             "f", "e2e_t", "e2e_prec", "hbh_t", "hbh_prec", "cp4_t", "cp4_prec",
         ],
         &csv,
-    ) {
-        println!("(csv: {})", p.display());
-    }
+    );
     println!(
         "\nPaper shape to compare against: end-to-end pays one ack but waits\n\
          a full round trip and suspects the whole path; hop-by-hop detects\n\

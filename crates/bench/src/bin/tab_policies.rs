@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin tab_policies`.
 
-use fatih_bench::{render_table, write_csv};
+use fatih_bench::publish;
 use fatih_core::pi2::{Pi2Config, Pi2Detector};
 use fatih_core::spec::SpecCheck;
 use fatih_core::{Policy, Thresholds};
@@ -116,10 +116,7 @@ fn main() {
         rows.push(cells);
     }
     let headers = ["attack", "flow", "content", "order"];
-    println!("{}", render_table(&headers, &rows));
-    if let Some(p) = write_csv("tab_policies", &headers, &rows) {
-        println!("(csv: {})", p.display());
-    }
+    publish("tab_policies", &headers, &rows);
     println!(
         "\nPaper shape to compare against: §2.4.1's hierarchy — flow\n\
          conservation catches loss only (modification balances the books),\n\

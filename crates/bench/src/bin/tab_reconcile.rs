@@ -63,9 +63,7 @@ fn main() {
         "poly sketch (B)",
     ];
     println!("{}", render_table(&headers, &rows));
-    if let Some(p) = write_csv("tab_reconcile", &headers, &csv) {
-        println!("(csv: {})", p.display());
-    }
+    write_csv("tab_reconcile", &headers, &csv);
     println!(
         "\nPaper shape to compare against: the naive exchange grows linearly\n\
          with traffic, Bloom filters grow linearly too (cheaper constant,\n\

@@ -3,17 +3,24 @@
 //! Each binary in `src/bin/` regenerates one table or figure from the
 //! dissertation's evaluation (see `DESIGN.md` for the full index); this
 //! library holds what they share: aligned table printing, CSV output under
-//! `results/`, and the Protocol χ round-by-round experiment harness used
+//! `results/` ([`publish`]), and the Protocol χ round-by-round experiment harness used
 //! by Figures 6.3, 6.5–6.9, 6.11–6.16 and the §6.4.3 comparison. The
 //! live-deployment inputs of `tests/gates.rs` ([`rocketfuel_like`],
-//! [`pick_flows`]) live here too.
+//! [`pick_flows`]) live here too, and so do the operation counts behind
+//! Chapter 7's overhead table, which `tab_state` renders.
 
 use fatih_core::chi::{ChiConfig, QueueModel, QueueValidator};
+use fatih_core::monitor::{Report, ReportEntry};
+use fatih_core::pik2::{Evidence, Message};
 use fatih_core::threshold::ThresholdDetector;
-use fatih_crypto::KeyStore;
+use fatih_crypto::{Fingerprint, KeyStore};
+use fatih_net::codec::{encode_frame, Frame, WireMessage};
 use fatih_net::runtime::FlowSpec;
-use fatih_sim::{Attack, AttackKind, Network, RedParams, SimTime, TcpConfig, VictimFilter};
-use fatih_topology::{builtin, LinkParams, RouterId, Topology};
+use fatih_sim::{Attack, AttackKind, Network, Packet, RedParams, SimTime, TcpConfig, VictimFilter};
+use fatih_stats::Summary;
+use fatih_topology::{builtin, LinkParams, PathSegment, RouterId, Routes, Topology};
+use fatih_validation::digest::ContentDigest;
+use fatih_validation::summary::ContentSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -31,18 +38,8 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         }
     }
     let mut out = String::new();
-    for (i, h) in headers.iter().enumerate() {
-        if i == 0 {
-            let _ = write!(out, "{:<w$}", h, w = widths[i]);
-        } else {
-            let _ = write!(out, "  {:>w$}", h, w = widths[i]);
-        }
-    }
-    out.push('\n');
-    let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
-    out.push_str(&"-".repeat(total));
-    out.push('\n');
-    for row in rows {
+    let header: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    for (n, row) in std::iter::once(&header).chain(rows).enumerate() {
         for (i, cell) in row.iter().enumerate() {
             if i == 0 {
                 let _ = write!(out, "{:<w$}", cell, w = widths[i]);
@@ -51,16 +48,20 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
             }
         }
         out.push('\n');
+        if n == 0 {
+            let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
+            out.push_str(&"-".repeat(total));
+            out.push('\n');
+        }
     }
     out
 }
 
 /// Writes rows as CSV into `results/<name>.csv` (relative to the workspace
-/// root when run via `cargo run`), creating the directory if needed.
-/// Returns the path written, or `None` if the filesystem refused.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
+/// root when run via `cargo run`), creating the directory if needed, and
+/// prints the path written; a filesystem that refuses is skipped silently.
+pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).ok()?;
     let path = dir.join(format!("{name}.csv"));
     let mut body = headers.join(",");
     body.push('\n');
@@ -68,8 +69,19 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<P
         body.push_str(&row.join(","));
         body.push('\n');
     }
-    std::fs::write(&path, body).ok()?;
-    Some(path)
+    if std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, body))
+        .is_ok()
+    {
+        println!("(csv: {})\n", path.display());
+    }
+}
+
+/// Prints rows as a table ([`render_table`]) and writes them as
+/// `results/<name>.csv` ([`write_csv`]).
+pub fn publish(name: &str, headers: &[&str], rows: &[Vec<String>]) {
+    println!("{}", render_table(headers, rows));
+    write_csv(name, headers, rows);
 }
 
 /// A Sprintlink-proportioned ISP graph with `n` routers: AS1239's 972
@@ -128,6 +140,113 @@ pub fn pick_flows(
         }
     }
     flows
+}
+
+/// Figures 5.2 and 5.4: the maximum, mean and median number of segments
+/// `count` gives a router under `AdjacentFault(k)`, k = 1..8, on the
+/// Sprintlink and EBONE shapes, each written as `results/<csv>_<shape>.csv`.
+pub fn segment_count_figure(title: &str, csv: &str, count: fn(&Routes, usize) -> Vec<usize>) {
+    for (name, topo) in [
+        ("sprintlink", builtin::sprintlink_like(1)),
+        ("ebone", builtin::ebone_like(1)),
+    ] {
+        println!(
+            "== {title} — {name}: {} routers, {} links, mean degree {:.2}, max {} ==",
+            topo.router_count(),
+            topo.duplex_link_count(),
+            topo.mean_degree(),
+            topo.max_degree()
+        );
+        let routes = topo.link_state_routes();
+        let mut rows = Vec::new();
+        for k in 1..=8usize {
+            let s = Summary::from_iter(count(&routes, k).iter().map(|&c| c as f64));
+            rows.push(vec![
+                k.to_string(),
+                format!("{:.0}", s.max()),
+                format!("{:.1}", s.mean()),
+                format!("{:.0}", s.median()),
+            ]);
+            eprintln!("  k={k} done");
+        }
+        let headers = ["k", "max |Pr|", "avg |Pr|", "median |Pr|"];
+        publish(&format!("{csv}_{name}"), &headers, &rows);
+    }
+}
+
+/// Fingerprints one packet costs under Πk+2 (§5.2) on a routed path of
+/// `routers` routers: one at each end of every monitored x-segment of the
+/// path, 3 ≤ x ≤ k+2. Data frames carry no MAC, so this is all the keyed
+/// hashing a forwarded packet causes.
+pub fn fingerprints_per_packet(routers: usize, k: usize) -> usize {
+    (3..=routers.min(k + 2))
+        .map(|x| 2 * (routers + 1 - x))
+        .sum()
+}
+
+/// What one end of a monitored 3-router segment sends in a round, each as
+/// the length of a real sealed frame from `encode_frame`: a `Full` summary
+/// of `entries` entries (`None` past `MAX_FRAME`), a `Reconcile{capacity}`
+/// digest pair, and the ack it returns for its peer's frame.
+pub fn control_frame_lens(entries: u64, capacity: usize) -> (Option<usize>, usize, usize) {
+    let mut keys = KeyStore::with_seed(1);
+    (0..3).for_each(|r| keys.register(r));
+    let entries = (0..entries).map(|i| ReportEntry {
+        fingerprint: Fingerprint::new(i * 131 + 7),
+        size: 1000,
+        time: SimTime::from_ns(i),
+    });
+    let report = Report {
+        entries: entries.collect(),
+    };
+    let digest = ContentDigest::of(&report.to_content(), capacity);
+    let segment = PathSegment::new((0..3).map(RouterId::from).collect());
+    let len = |msg| {
+        let (src, dst) = (RouterId::from(0), RouterId::from(2));
+        let frame = Frame {
+            src,
+            dst,
+            seq: 1,
+            msg,
+        };
+        encode_frame(&frame, &keys).ok().map(|bytes| bytes.len())
+    };
+    let pik2 = |evidence| {
+        let segment = segment.clone();
+        len(WireMessage::Pik2(Message {
+            round: 1,
+            segment,
+            evidence,
+        }))
+    };
+    let judged = digest.clone();
+    (
+        pik2(Evidence::Summary(report)),
+        pik2(Evidence::Digest {
+            judged,
+            held: digest,
+        })
+        .expect("a digest fits a frame"),
+        len(WireMessage::Ack { msg_id: 1 }).expect("an ack fits a frame"),
+    )
+}
+
+/// Points a `Reconcile{capacity}` digest evaluates its characteristic
+/// polynomial at: the field multiplications each distinct entry costs it.
+pub fn sketch_points(capacity: usize) -> usize {
+    let digest = ContentDigest::of(&ContentSummary::default(), capacity);
+    digest.sketch().evals().len()
+}
+
+/// Dolev–Strong's cost for one broadcast among `n` participants, all
+/// correct, tolerating f ≥ 1 faults (`fatih_core::consensus::dolev_strong`):
+/// the sender signs and sends to the other n − 1, each of them checks that
+/// signature, signs and relays to its n − 1 others, who check both
+/// signatures and extract nothing new. Returns (messages, signatures made,
+/// signature checks).
+pub fn dolev_strong_counts(n: usize) -> (usize, usize, usize) {
+    let relays = (n - 1) * (n - 1);
+    (n - 1 + relays, n, n - 1 + 2 * relays)
 }
 
 /// Workload shape for the χ experiments.
@@ -287,8 +406,9 @@ impl ChiOutcome {
 }
 
 impl ChiExperiment {
-    /// Builds the network, runs the rounds, and reports.
-    pub fn run(&self) -> ChiOutcome {
+    /// The Fig 6.4 network this experiment runs on, with its key store and
+    /// the monitored queue `r → rd`, before any traffic.
+    pub fn network(&self) -> (Network, KeyStore, RouterId, RouterId) {
         let bottleneck = LinkParams {
             bandwidth_bps: self.bandwidth_bps,
             queue_limit_bytes: self.q_limit,
@@ -301,29 +421,30 @@ impl ChiExperiment {
         }
         let r = topo.router_by_name("r").expect("fan_in names");
         let rd = topo.router_by_name("rd").expect("fan_in names");
-        let model = match self.red {
-            Some(p) => QueueModel::Red(p),
-            None => QueueModel::DropTail,
-        };
-        let mut validator = QueueValidator::new(&topo, &ks, r, rd, model, ChiConfig::default());
         let mut net = Network::new(topo, self.seed);
         if let Some(p) = self.red {
             net.set_queue_discipline(r, rd, fatih_sim::QueueDiscipline::Red(p));
         }
+        (net, ks, r, rd)
+    }
+
+    /// Builds the network, runs the rounds, and reports.
+    pub fn run(&self) -> ChiOutcome {
+        let (mut net, ks, r, rd) = self.network();
+        let model = match self.red {
+            Some(p) => QueueModel::Red(p),
+            None => QueueModel::DropTail,
+        };
+        let mut validator =
+            QueueValidator::new(net.topology(), &ks, r, rd, model, ChiConfig::default());
         let victim_flows = self.spawn_workload(&mut net, rd);
         self.install_attack(&mut net, r, rd, &victim_flows);
 
-        let routes = net.routes().clone();
+        let hop = next_hop_after(net.routes().clone(), r);
         let mut rows = Vec::with_capacity(self.rounds);
         for round in 1..=self.rounds {
             let end = self.round * round as u64;
-            net.run_until(end, |ev| {
-                validator.observe(ev, |p| {
-                    routes
-                        .path(p.src, p.dst)
-                        .and_then(|path| path.next_after(r))
-                })
-            });
+            net.run_until(end, |ev| validator.observe(ev, &hop));
             let verdict = validator.end_round(end);
             let truth = net.ground_truth();
             rows.push(RoundRow {
@@ -343,6 +464,31 @@ impl ChiExperiment {
         ChiOutcome {
             rows,
             truth: net.ground_truth(),
+        }
+    }
+
+    /// Runs one scenario of Figures 6.5–6.16: prints the per-round table
+    /// under `title`, writes it as `results/<csv>.csv`, prints the ground
+    /// truth, and asserts χ's verdict — quiet without an attack, detecting
+    /// any attack that dropped a packet.
+    pub fn run_scenario(&self, csv: &str, title: &str) {
+        let out = self.run();
+        println!("== {title} ==");
+        let rows: Vec<Vec<String>> = out.rows.iter().map(RoundRow::cells).collect();
+        publish(csv, &RoundRow::headers(), &rows);
+        println!(
+            "ground truth: {} malicious, {} congestive drops — detected in {}/{} rounds\n",
+            out.truth.malicious_drops,
+            out.truth.congestive_drops,
+            out.detected_rounds(),
+            out.rows.len()
+        );
+        match self.attack {
+            ChiAttack::None => assert!(!out.detected(), "FALSE POSITIVE without an attack"),
+            _ => assert!(
+                out.truth.malicious_drops == 0 || out.detected(),
+                "attack escaped detection"
+            ),
         }
     }
 
@@ -454,43 +600,54 @@ impl ChiExperiment {
     }
 }
 
+/// Where χ's monitors predict a packet leaves router `r`: its next hop
+/// after `r` on `routes`.
+fn next_hop_after(routes: Routes, r: RouterId) -> impl Fn(&Packet) -> Option<RouterId> {
+    move |p| routes.path(p.src, p.dst)?.next_after(r)
+}
+
 /// Runs the same scenario past a static-threshold detector instead of χ
 /// (§6.4.3). Returns per-round (loss fraction, detected).
 pub fn run_threshold_baseline(exp: &ChiExperiment, threshold: f64) -> Vec<(f64, bool)> {
-    let bottleneck = LinkParams {
-        bandwidth_bps: exp.bandwidth_bps,
-        queue_limit_bytes: exp.q_limit,
-        ..LinkParams::default()
-    };
-    let topo = builtin::fan_in(exp.sources, bottleneck);
-    let mut ks = KeyStore::with_seed(exp.seed);
-    for r in topo.routers() {
-        ks.register(r.into());
-    }
-    let r = topo.router_by_name("r").expect("fan_in names");
-    let rd = topo.router_by_name("rd").expect("fan_in names");
-    let mut det = ThresholdDetector::new(&topo, &ks, r, rd, threshold);
-    let mut net = Network::new(topo, exp.seed);
-    if let Some(p) = exp.red {
-        net.set_queue_discipline(r, rd, fatih_sim::QueueDiscipline::Red(p));
-    }
+    let (mut net, ks, r, rd) = exp.network();
+    let mut det = ThresholdDetector::new(net.topology(), &ks, r, rd, threshold);
     let victims = exp.spawn_workload(&mut net, rd);
     exp.install_attack(&mut net, r, rd, &victims);
-    let routes = net.routes().clone();
+    let hop = next_hop_after(net.routes().clone(), r);
     let mut out = Vec::new();
     for round in 1..=exp.rounds {
         let end = exp.round * round as u64;
-        net.run_until(end, |ev| {
-            det.observe(ev, |p| {
-                routes
-                    .path(p.src, p.dst)
-                    .and_then(|path| path.next_after(r))
-            })
-        });
+        net.run_until(end, |ev| det.observe(ev, &hop));
         let v = det.end_round(end);
         out.push((v.loss_fraction, v.detected));
     }
     out
+}
+
+/// Protocol χ's replay of one congested round on `fan_in(3)`: three
+/// 1 000 B sources every 1.1 ms for 5 s into an 8 Mb/s, 16 kB bottleneck
+/// (seed 9), judged once at 6 s. Returns the queue entries and exits it
+/// replayed — one fingerprint each — and the losses it judged.
+pub fn chi_replay_counts() -> (usize, usize, usize) {
+    let exp = ChiExperiment {
+        q_limit: 16_000,
+        seed: 9,
+        ..ChiExperiment::default()
+    };
+    let (mut net, ks, r, rd) = exp.network();
+    let cfg = ChiConfig::default();
+    let mut v = QueueValidator::new(net.topology(), &ks, r, rd, QueueModel::DropTail, cfg);
+    for i in 0..3 {
+        let s = net.topology().router_by_name(&format!("s{i}"));
+        let (gap, end) = (SimTime::from_us(1_100), Some(SimTime::from_secs(5)));
+        net.add_cbr_flow(s.expect("source name"), rd, 1000, gap, SimTime::ZERO, end);
+    }
+    let hop = next_hop_after(net.routes().clone(), r);
+    let end = SimTime::from_secs(6);
+    net.run_until(end, |ev| v.observe(ev, &hop));
+    let verdict = v.end_round(end);
+    let (fwd, lost) = (verdict.forwarded, verdict.total_drops());
+    (fwd + lost, fwd + verdict.fabricated, lost)
 }
 
 #[cfg(test)]

@@ -20,8 +20,8 @@
 //! Two hosts do: [`Pik2Detector`] here, one node per segment-ending router
 //! over the simulator's shared monitor set, adding the pairwise MAC,
 //! [`ReliableTransport`] delivery and the report faults of §2.2.1; and the
-//! live runtime's per-router event loop (`fatih-net`), adding sealed
-//! frames, retransmission, metrics, alerts and the response. What either
+//! live runtime's sans-I/O `Router` (`fatih-net`), stepped by a shard,
+//! adding sealed frames, retransmission, metrics, alerts and the response. What either
 //! host puts on its wire is a [`Message`], whose bytes are laid out here
 //! and nowhere else.
 

@@ -10,7 +10,8 @@
 //! which the protocols above turn into a timeout accusation. Time is
 //! nanoseconds on whatever axis the host keeps. Two hosts:
 //! [`crate::transport::ReliableTransport`] over the simulated network,
-//! and each router of the live runtime over its datagram transport.
+//! and the live runtime's `Router` (`fatih-net`), which owns no transport
+//! and re-sends, as it first sends, through `Router::step`'s outputs.
 
 use fatih_topology::RouterId;
 use std::collections::{BTreeMap, VecDeque};

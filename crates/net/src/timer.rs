@@ -1,12 +1,13 @@
 //! A deadline-ordered timer queue.
 //!
-//! The per-router event loop multiplexes many timers — flow ticks, round
-//! boundaries, evaluation deadlines, retransmit pumps — over one blocking
-//! receive. The queue is one binary heap ordered by (deadline, insertion
-//! order): scheduling and popping an entry cost O(log n), and asking for
-//! the earliest deadline or finding nothing due costs O(1), however many
-//! entries wait and however far ahead. Firing is exact: an entry never
-//! fires before its deadline.
+//! Each shard keeps one queue for all of its routers' timers — flow ticks,
+//! round boundaries, evaluation deadlines, retransmit pumps, churn steps,
+//! its own stop — and blocks in one `epoll` wait until a socket is
+//! readable or the earliest deadline is due. The queue is one binary heap
+//! ordered by (deadline, insertion order): scheduling and popping an entry
+//! cost O(log n), and asking for the earliest deadline or finding nothing
+//! due costs O(1), however many entries wait and however far ahead.
+//! Firing is exact: an entry never fires before its deadline.
 //!
 //! Deadlines are `u64` nanoseconds on whatever monotonic axis the caller
 //! uses (the runtime uses nanoseconds since its shared epoch).
