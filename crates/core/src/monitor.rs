@@ -334,6 +334,10 @@ struct PendingObs {
 #[derive(Debug, Default)]
 struct IngestScratch {
     pending: Vec<PendingObs>,
+    /// One segment's memo misses: their places in `pending`, and their
+    /// invariant bytes, the kernel's input.
+    miss: Vec<usize>,
+    msgs: Vec<[u8; 40]>,
     fps: Vec<Fingerprint>,
 }
 
@@ -678,16 +682,18 @@ impl SegmentMonitorSet {
             while end < pending.len() && pending[end].seg == seg {
                 end += 1;
             }
-            let miss: Vec<usize> = (start..end).filter(|&i| pending[i].fp.is_none()).collect();
+            let IngestScratch {
+                miss, msgs, fps, ..
+            } = &mut self.scratch;
+            miss.clear();
+            miss.extend((start..end).filter(|&i| pending[i].fp.is_none()));
             memo_misses += miss.len() as u64;
             if !miss.is_empty() {
                 let key = self.keys[seg as usize];
-                let mut fps = std::mem::take(&mut self.scratch.fps);
-                {
-                    let msgs: Vec<&[u8]> = miss.iter().map(|&i| &pending[i].inv[..]).collect();
-                    key.fingerprint_batch_into(&msgs, &mut fps);
-                }
-                for (&i, &fp) in miss.iter().zip(&fps) {
+                msgs.clear();
+                msgs.extend(miss.iter().map(|&i| pending[i].inv));
+                key.fingerprint_batch_into(msgs, fps);
+                for (&i, &fp) in miss.iter().zip(fps.iter()) {
                     pending[i].fp = Some(fp);
                     if !self.memo {
                         continue;
@@ -698,7 +704,6 @@ impl SegmentMonitorSet {
                     self.fp_cache
                         .insert((pending[i].id, seg), (pending[i].inv, fp));
                 }
-                self.scratch.fps = fps;
             }
             start = end;
         }

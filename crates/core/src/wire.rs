@@ -67,6 +67,12 @@ impl WireEncoder {
         Self::default()
     }
 
+    /// An encoder appending to `bytes`, which [`into_bytes`](Self::into_bytes)
+    /// hands back: a caller that owns a buffer encodes into it in place.
+    pub fn over(bytes: Vec<u8>) -> Self {
+        Self { bytes }
+    }
+
     /// Appends a tagged u64.
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.bytes.push(tag::U64);

@@ -284,21 +284,26 @@ impl UhashKey {
     /// [`fingerprint_batch`](Self::fingerprint_batch) into a caller-owned
     /// buffer (cleared first), so a hot ingest loop can reuse its
     /// allocation.
-    pub fn fingerprint_batch_into(&self, messages: &[&[u8]], out: &mut Vec<Fingerprint>) {
+    pub fn fingerprint_batch_into<M: AsRef<[u8]>>(
+        &self,
+        messages: &[M],
+        out: &mut Vec<Fingerprint>,
+    ) {
         out.clear();
         out.reserve(messages.len());
         let mut groups = messages.chunks_exact(4);
         for g in &mut groups {
+            let g = [g[0].as_ref(), g[1].as_ref(), g[2].as_ref(), g[3].as_ref()];
             let len = g[0].len();
             // Cross-message lanes need lock-step word counts; long messages
             // already get intra-message lanes from `fingerprint`.
             if len < LANE_MIN_BYTES && g[1..].iter().all(|m| m.len() == len) {
-                out.extend(self.lane4_equal_len([g[0], g[1], g[2], g[3]]));
+                out.extend(self.lane4_equal_len(g));
             } else {
                 out.extend(g.iter().map(|m| self.fingerprint(m)));
             }
         }
-        out.extend(groups.remainder().iter().map(|m| self.fingerprint(m)));
+        out.extend((groups.remainder().iter()).map(|m| self.fingerprint(m.as_ref())));
     }
 
     /// Four equal-length messages, one per lane, in lock step.

@@ -50,7 +50,8 @@ use crate::linkstate::LinkStateUpdate;
 use fatih_core::pik2::{Evidence, EvidenceKind, Message};
 use fatih_core::spec::{Interval, SignedAlert};
 use fatih_core::wire::{WireEncoder, WireError, WireReader};
-use fatih_crypto::frame::{open_frame, seal_frame, MAC_LEN};
+use fatih_crypto::frame::{open_frame, MAC_LEN};
+use fatih_crypto::hmac::hmac_sha256;
 use fatih_crypto::{KeyStore, Signature};
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind};
 use fatih_topology::{PathSegment, RouterId};
@@ -271,8 +272,7 @@ fn kind_from_code(code: u32) -> Option<PacketKind> {
     })
 }
 
-fn encode_body(msg: &WireMessage) -> Vec<u8> {
-    let mut e = WireEncoder::new();
+fn encode_body(msg: &WireMessage, e: &mut WireEncoder) {
     match msg {
         WireMessage::Data { packet: p, epoch } => {
             e.u64(p.id.0)
@@ -287,21 +287,20 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
                 .time(p.created_at)
                 .u64(*epoch);
         }
-        WireMessage::Pik2(message) => message.encode_into(&mut e),
+        WireMessage::Pik2(message) => message.encode_into(e),
         WireMessage::Ack { msg_id } => {
             e.u64(*msg_id);
         }
-        WireMessage::Alert(alert) => alert.encode_into(&mut e),
+        WireMessage::Alert(alert) => alert.encode_into(e),
         WireMessage::Accusation { segment, interval } => {
             e.segment(segment);
-            interval.encode_into(&mut e);
+            interval.encode_into(e);
         }
         WireMessage::LinkState { update, sig } => {
-            update.encode_into(&mut e);
+            update.encode_into(e);
             e.signature(sig);
         }
     }
-    e.into_bytes()
 }
 
 /// Encodes (and for control frames, seals) one frame for the wire.
@@ -310,32 +309,51 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
 /// [`MAX_FRAME`], and with [`CodecError::UnknownRouter`] if a control
 /// frame's endpoints are not both registered with the key store.
 pub fn encode_frame(frame: &Frame, keys: &KeyStore) -> Result<Vec<u8>, CodecError> {
-    let body = encode_body(&frame.msg);
+    // Room for a data frame or an ack: one allocation.
+    let mut out = Vec::with_capacity(256);
+    encode_frame_into(frame, keys, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_frame`] appended to `buf`, with no allocation once `buf` has
+/// room: the header, then the body through a [`WireEncoder`] over the same
+/// buffer, then the body length patched into the header, then the MAC over
+/// everything from the header on. On an error `buf` is as it was.
+pub fn encode_frame_into(
+    frame: &Frame,
+    keys: &KeyStore,
+    buf: &mut Vec<u8>,
+) -> Result<(), CodecError> {
     let ty = frame.msg.msg_type();
-    let total = HEADER_LEN + body.len() + if ty.is_control() { MAC_LEN } else { 0 };
-    if total > MAX_FRAME {
+    let (src, dst) = (u32::from(frame.src), u32::from(frame.dst));
+    let start = buf.len();
+    buf.extend_from_slice(&[MAGIC, VERSION, ty.as_byte()]);
+    buf.extend_from_slice(&src.to_le_bytes());
+    buf.extend_from_slice(&dst.to_le_bytes());
+    buf.extend_from_slice(&frame.seq.to_le_bytes());
+    buf.extend_from_slice(&[0; 4]); // the body length, once known
+    let mut e = WireEncoder::over(std::mem::take(buf));
+    encode_body(&frame.msg, &mut e);
+    *buf = e.into_bytes();
+    let body = buf.len() - start - HEADER_LEN;
+    let mac = if ty.is_control() { MAC_LEN } else { 0 };
+    if HEADER_LEN + body + mac > MAX_FRAME {
+        buf.truncate(start);
         return Err(CodecError::Invalid);
     }
-    let mut out = Vec::with_capacity(total);
-    out.push(MAGIC);
-    out.push(VERSION);
-    out.push(ty.as_byte());
-    out.extend_from_slice(&u32::from(frame.src).to_le_bytes());
-    out.extend_from_slice(&u32::from(frame.dst).to_le_bytes());
-    out.extend_from_slice(&frame.seq.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+    let at = start + HEADER_LEN - 4;
+    buf[at..at + 4].copy_from_slice(&(body as u32).to_le_bytes());
     if ty.is_control() {
-        let (src, dst) = (u32::from(frame.src), u32::from(frame.dst));
-        if !keys.contains(src) {
-            return Err(CodecError::UnknownRouter(src));
+        for r in [src, dst] {
+            if !keys.contains(r) {
+                buf.truncate(start);
+                return Err(CodecError::UnknownRouter(r));
+            }
         }
-        if !keys.contains(dst) {
-            return Err(CodecError::UnknownRouter(dst));
-        }
-        seal_frame(&keys.pairwise_key(src, dst), &mut out);
+        let mac = hmac_sha256(&keys.pairwise_key(src, dst), &buf[start..]);
+        buf.extend_from_slice(&mac.0);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Peeks a frame's message type without decoding it (used by the chaos
@@ -454,6 +472,7 @@ mod tests {
     use super::*;
     use fatih_core::monitor::{Report, ReportEntry};
     use fatih_core::spec::Suspicion;
+    use fatih_crypto::frame::seal_frame;
     use fatih_crypto::Fingerprint;
     use fatih_sim::SimTime;
     use fatih_validation::digest::ContentDigest;

@@ -8,7 +8,7 @@
 //! router's behaviour is a function of the `(now, input)` sequence it is
 //! given, whether a shard or a test gives it.
 
-use crate::codec::{decode_frame, encode_frame, Frame, WireMessage};
+use crate::codec::{decode_frame, encode_frame_into, Frame, WireMessage};
 use crate::flows::Traffic;
 use crate::linkstate::{
     sign_link_state, verify_link_state, Convergence, LinkStateUpdate, TopoUpdate,
@@ -27,6 +27,7 @@ use fatih_obs::{Counter, TraceBuffer, TraceKind};
 use fatih_sim::{Packet, SimTime, TapEvent};
 use fatih_topology::{DynamicTopology, Path, PathSegment, RouterId, Routes, Topology};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,8 +69,12 @@ pub(crate) enum Input<'a> {
 /// What steps said, in a buffer the host reuses from step to step.
 #[derive(Debug)]
 pub(crate) struct Outputs {
-    /// Encoded frames to send, in order, as (destination, bytes).
-    pub(crate) frames: Vec<(RouterId, Vec<u8>)>,
+    /// Frames to send, in order, as (destination, where its bytes lie in
+    /// `bytes`).
+    pub(crate) frames: Vec<(RouterId, Range<usize>)>,
+    /// The frames' bytes, back to back, encoded in place: once the buffer
+    /// has grown, a step that sends a frame allocates nothing for it.
+    pub(crate) bytes: Vec<u8>,
     /// A flow tick's next deadline; `None` once the flow has stopped.
     pub(crate) next_tick: Option<u64>,
     /// Events for the run's log.
@@ -87,11 +92,19 @@ impl Outputs {
     pub(crate) fn new(trace: TraceBuffer) -> Self {
         Self {
             frames: Vec::new(),
+            bytes: Vec::new(),
             next_tick: None,
             events: Vec::new(),
             trace,
             timed: false,
         }
+    }
+
+    /// Appends a frame for `dst`, already encoded.
+    fn push_frame(&mut self, dst: RouterId, frame: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(frame);
+        self.frames.push((dst, start..self.bytes.len()));
     }
 }
 
@@ -250,7 +263,7 @@ impl Router {
         }
         let mut resent = 0;
         let exhausted = self.reliable.poll(self.now, |_, dst, frame| {
-            out.frames.push((dst, frame.clone()));
+            out.push_frame(dst, frame);
             self.metrics.retransmits.inc();
             self.metrics.retransmit_bytes.add(frame.len() as u64);
             resent += 1;
@@ -551,10 +564,12 @@ impl Router {
             seq,
             msg,
         };
-        let Ok(bytes) = encode_frame(&frame, &self.keys) else {
+        let start = out.bytes.len();
+        if encode_frame_into(&frame, &self.keys, &mut out.bytes).is_err() {
             self.metrics.encode_failures.inc();
             return;
-        };
+        }
+        let bytes = &out.bytes[start..];
         self.metrics.frames_sent.inc();
         self.metrics.frame_bytes.record(bytes.len() as u64);
         let class = if is_data {
@@ -564,9 +579,10 @@ impl Router {
         };
         class.add(bytes.len() as u64);
         if reliable {
-            self.reliable.track(seq, dst, bytes.clone(), self.now);
+            // The one copy a frame costs: reliable ones are kept for resends.
+            self.reliable.track(seq, dst, bytes.to_vec(), self.now);
         }
-        out.frames.push((dst, bytes));
+        out.frames.push((dst, start..out.bytes.len()));
     }
 
     fn handle_frame(&mut self, bytes: &[u8], out: &mut Outputs) {
@@ -1045,7 +1061,10 @@ mod tests {
         /// Delivers frames, the latest sent first, until nobody has
         /// anything left to say.
         fn settle(&mut self) {
-            while let Some((dst, bytes)) = self.out.frames.pop() {
+            while let Some((dst, at)) = self.out.frames.pop() {
+                // The last frame's bytes end the buffer.
+                let bytes = self.out.bytes[at.clone()].to_vec();
+                self.out.bytes.truncate(at.start);
                 let input = Input::Frame(&bytes);
                 self.routers[dst.index()].step(self.now, input, &mut self.out);
                 self.delivered.push((dst, bytes));
@@ -1436,7 +1455,7 @@ mod tests {
             msg: pik2(0, net.segment(), Evidence::Summary(one_entry)),
         };
         let keys = &net.routers[0].keys;
-        let mut bytes = encode_frame(&frame, keys).unwrap();
+        let mut bytes = crate::codec::encode_frame(&frame, keys).unwrap();
         bytes.truncate(bytes.len() - fatih_crypto::frame::MAC_LEN);
         // The report is the body's last field: a count, then 20 bytes.
         let count = bytes.len() - 28;

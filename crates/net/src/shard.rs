@@ -271,25 +271,28 @@ struct Shard<T: Transport> {
     /// endpoint can be waited on is its own business — it registers on
     /// first poll or it does not — and it leaves this list once it has.
     swept: Vec<usize>,
-    /// Due nodes, served depth-first: a pass pops the top one, takes one
-    /// frame, and pushes every shard-mate the node sent to, so a forwarded
-    /// frame is received next, whatever the index of the router it went
-    /// to.
+    /// Nodes a shard-mate sent a frame to, one entry per frame, served
+    /// depth-first: a pass pops the top one, takes one frame, and pushes
+    /// every shard-mate the node sent to, so a forwarded frame is received
+    /// next, whatever the index of the router it went to.
     work: Vec<usize>,
-    /// Per node: a frame was announced that no poll has looked for yet —
-    /// the poller said so, a node of this shard sent to it, or it yielded
-    /// with frames left. An entry of `work` whose node is no longer due is
+    /// Per node: the frames shard-mates sent it that no poll has looked
+    /// for yet. A node is polled once per such frame, and never for a
+    /// frame nobody sent. An entry of `work` whose node has none left is
     /// skipped.
-    due: Vec<bool>,
-    /// Nodes that took a frame in this pass, polled again once `work` is
-    /// empty until they come back empty: once per pass, however many
-    /// frames came their way.
+    due: Vec<u32>,
+    /// Per node: the poller or the sweep reported it readable, or it
+    /// yielded with frames left — how many, nothing says — so it is polled
+    /// until it comes back empty.
+    reported: Vec<bool>,
+    /// Reported nodes, polled one frame at a time once `work` is empty, so
+    /// each frame's hops on the shard are served before the next frame.
     drain: Vec<usize>,
     /// Per node: the pass it last received in, and how many frames it
     /// took in that pass.
     taken: Vec<(u64, usize)>,
-    /// Nodes that took [`RECV_SWEEP`] frames in this pass: they are still
-    /// due, and open the next pass.
+    /// Nodes that took [`RECV_SWEEP`] frames in this pass: they are
+    /// reported, and open the next pass.
     yielded: Vec<usize>,
     /// Passes made so far.
     passes: u64,
@@ -300,6 +303,10 @@ struct Shard<T: Transport> {
     pump_due: bool,
     /// Scratch for the poller's answer.
     ready: Vec<RouterId>,
+    /// Where every node's frames are received: one buffer for the shard.
+    recv_buf: Vec<u8>,
+    /// Scratch for the timers that fall due.
+    fired: Vec<ShardTimer>,
     wheel: TimerWheel<ShardTimer>,
     /// The fastpath: the sending half to every shard, and this one's
     /// receiving half.
@@ -326,7 +333,8 @@ impl<T: Transport> Shard<T> {
         Self {
             swept: (0..nodes.len()).collect(),
             work: Vec::new(),
-            due: vec![false; nodes.len()],
+            due: vec![0; nodes.len()],
+            reported: vec![false; nodes.len()],
             drain: Vec::new(),
             taken: vec![(0, 0); nodes.len()],
             yielded: Vec::new(),
@@ -335,6 +343,8 @@ impl<T: Transport> Shard<T> {
             open: nodes.len(),
             pump_due: false,
             ready: Vec::new(),
+            recv_buf: Vec::new(),
+            fired: Vec::new(),
             nodes,
             links,
             index_of,
@@ -404,9 +414,9 @@ impl<T: Transport> Shard<T> {
     }
 
     /// Steps node `ni` with `input` at the current instant — timing the
-    /// step if it was a stage — sends the frames it produced and marks due
-    /// the shard-mates they went to, in send order, so the last one sent
-    /// to is on top. Returns a flow tick's next deadline.
+    /// step if it was a stage — sends the frames it produced and counts
+    /// each one due at the shard-mate it went to, in send order, so the
+    /// last one sent to is on top. Returns a flow tick's next deadline.
     fn step(
         &mut self,
         ni: usize,
@@ -423,17 +433,19 @@ impl<T: Transport> Shard<T> {
             };
             stage.record(self.now_ns().saturating_sub(now));
         }
-        for (dst, bytes) in self.out.frames.drain(..) {
+        for (dst, at) in self.out.frames.drain(..) {
+            let bytes = &self.out.bytes[at];
             let mailed =
-                (self.mailbox.as_ref()).is_some_and(|(to, _)| to.deliver(dst, bytes.clone()));
+                (self.mailbox.as_ref()).is_some_and(|(to, _)| to.deliver(dst, bytes.to_vec()));
             if !mailed {
-                let _ = self.links[ni].send(dst, &bytes);
+                let _ = self.links[ni].send(dst, bytes);
                 if let Some(&di) = self.index_of.get(&dst) {
-                    self.due[di] = true;
+                    self.due[di] += 1;
                     self.work.push(di);
                 }
             }
         }
+        self.out.bytes.clear();
         for event in self.out.events.drain(..) {
             let _ = events.send(event);
         }
@@ -443,7 +455,9 @@ impl<T: Transport> Shard<T> {
     /// Runs every timer that is due. Returns false once the run is over.
     fn fire_timers(&mut self, events: &mpsc::Sender<LiveEvent>) -> bool {
         let now = self.now_ns();
-        for t in self.wheel.pop_due(now) {
+        let mut fired = std::mem::take(&mut self.fired);
+        self.wheel.pop_due_into(now, &mut fired);
+        for t in fired.drain(..) {
             (self.out.trace).record(now, TraceKind::TimerFired, NO_ROUTER, NO_ROUND, 0);
             match t {
                 ShardTimer::FlowTick { node, flow } => {
@@ -473,6 +487,7 @@ impl<T: Transport> Shard<T> {
                 ShardTimer::Stop => return false,
             }
         }
+        self.fired = fired;
         true
     }
 
@@ -484,7 +499,7 @@ impl<T: Transport> Shard<T> {
     }
 
     /// Blocks until a socket of this shard is readable or the next timer
-    /// is due, and marks the readable nodes due. It does not block while
+    /// is due, and reports the readable nodes. It does not block while
     /// work is queued. `handled` is what the previous pass got done.
     fn wait(&mut self, poller: &poller::Installed, handled: usize) {
         // Only a shard driven by hand has an empty wheel.
@@ -497,7 +512,7 @@ impl<T: Transport> Shard<T> {
         // wait stays short.
         let swept = self.mailbox.is_some() || !self.swept.is_empty();
         let wait = match (swept, handled) {
-            _ if !self.work.is_empty() => 0,
+            _ if !self.work.is_empty() || !self.drain.is_empty() => 0,
             (false, _) => until_timer,
             (true, 0) => until_timer.min(SWEEP_WAIT_NS),
             (true, _) => 0,
@@ -508,20 +523,27 @@ impl<T: Transport> Shard<T> {
         self.ready.clear();
         poller.wait(Duration::from_nanos(wait), &mut self.ready);
         // Only this shard's endpoints are ever polled on this thread.
-        for id in &self.ready {
-            let ni = self.index_of[id];
-            self.due[ni] = true;
-            self.work.push(ni);
+        for i in 0..self.ready.len() {
+            self.report(self.index_of[&self.ready[i]]);
+        }
+    }
+
+    /// Marks node `ni` to be polled until it comes back empty.
+    fn report(&mut self, ni: usize) {
+        if !std::mem::replace(&mut self.reported[ni], true) {
+            self.drain.push(ni);
         }
     }
 
     /// One receive pass, run to completion: drains the mailbox, then
-    /// serves the due nodes one frame at a time, depth-first, so a frame
+    /// serves each frame a shard-mate sent, depth-first, so a frame
     /// forwarded to a shard-mate is received before anything else and a
     /// packet crosses every hop on this shard, one packet after another.
-    /// Only then is each node that took a frame polled until it comes back
-    /// empty. A node that took [`RECV_SWEEP`] frames yields, and opens the
-    /// next pass. Returns the number of frames handled.
+    /// A node is polled once per such frame. Once that work is done, each
+    /// reported node is polled until it comes back empty, one frame at a
+    /// time, each frame's hops served before the next. A node that took
+    /// [`RECV_SWEEP`] frames yields, and opens the next pass. Returns the
+    /// number of frames handled.
     fn pass(&mut self, poller: &poller::Installed, events: &mpsc::Sender<LiveEvent>) -> usize {
         self.metrics.shard_passes.inc();
         self.passes += 1;
@@ -534,13 +556,12 @@ impl<T: Transport> Shard<T> {
                 }
             }
         }
-        for &ni in &self.swept {
-            self.due[ni] = true;
-            self.work.push(ni);
+        for i in 0..self.swept.len() {
+            self.report(self.swept[i]);
         }
         let (mut polls, mut empty) = (0u64, 0u64);
         loop {
-            let (ni, announced) = match self.work.pop() {
+            let (ni, sent) = match self.work.pop() {
                 Some(ni) => (ni, true),
                 None => match self.drain.pop() {
                     Some(ni) => (ni, false),
@@ -551,36 +572,50 @@ impl<T: Transport> Shard<T> {
             if taken.0 != self.passes {
                 *taken = (self.passes, 0);
             }
-            if (announced && !self.due[ni]) || self.closed[ni] || taken.1 == RECV_SWEEP {
+            let stale = if sent {
+                self.due[ni] == 0
+            } else {
+                !self.reported[ni]
+            };
+            if stale || self.closed[ni] || taken.1 == RECV_SWEEP {
                 continue;
             }
-            self.due[ni] = false;
+            if sent {
+                self.due[ni] -= 1;
+            }
             polls += 1;
             // A crashed node is still drained (its frames fall on the
             // floor): a readable socket nobody reads would end every wait
             // at once.
-            match self.links[ni].try_recv() {
-                Ok(Some(bytes)) => {
+            match self.links[ni].recv_into(&mut self.recv_buf) {
+                Ok(Some(n)) => {
                     taken.1 += 1;
                     if taken.1 == RECV_SWEEP {
-                        self.due[ni] = true;
+                        self.reported[ni] = true;
                         self.yielded.push(ni);
-                    } else if taken.1 == 1 || !announced {
+                    } else if !sent {
                         self.drain.push(ni);
                     }
-                    self.step(ni, Input::Frame(&bytes), events);
+                    let buf = std::mem::take(&mut self.recv_buf);
+                    self.step(ni, Input::Frame(&buf[..n]), events);
+                    self.recv_buf = buf;
                     handled += 1;
                 }
-                Ok(None) => empty += 1,
+                Ok(None) => {
+                    empty += 1;
+                    // Nothing is left that anybody sent.
+                    (self.due[ni], self.reported[ni]) = (0, false);
+                }
                 Err(_) => {
                     empty += 1;
+                    (self.due[ni], self.reported[ni]) = (0, false);
                     self.closed[ni] = true;
                     self.open -= 1;
                     poller.deregister(self.nodes[ni].id);
                 }
             }
         }
-        std::mem::swap(&mut self.work, &mut self.yielded);
+        std::mem::swap(&mut self.drain, &mut self.yielded);
         let (nodes, closed) = (&self.nodes, &self.closed);
         self.swept
             .retain(|&ni| !closed[ni] && !poller.is_registered(nodes[ni].id));
@@ -634,18 +669,18 @@ mod tests {
 
         // What a flow tick does: router 0 injects one packet.
         assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
-        assert_eq!(shard.due, [false, true, false, false, false, false]);
+        assert_eq!(shard.due, [0, 1, 0, 0, 0, 0]);
         assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
         assert_eq!(counter("net.data_delivered"), 1);
         assert_eq!(counter("net.shard_passes"), 2);
-        // One frame and one empty poll at each of routers 1..=5.
-        assert_eq!(counter("net.recv_polls"), 6 + 10);
+        // One frame at each of routers 1..=5, and no empty poll.
+        assert_eq!(counter("net.recv_polls"), 6 + 5);
 
         // Idle: the wait runs out with nothing readable, the pass visits
         // nobody.
         shard.wait(&poller, 5);
         assert_eq!(shard.pass(&poller, &events), 0);
-        assert_eq!(counter("net.recv_polls"), 6 + 10);
+        assert_eq!(counter("net.recv_polls"), 6 + 5);
         assert_eq!(counter("net.shard_waits"), 1);
 
         // Router 3 crashes: the next packet dies there, but its frame is
@@ -655,7 +690,8 @@ mod tests {
         assert_eq!(shard.pass(&poller, &events), 3);
         assert_eq!(counter("net.data_delivered"), 1);
         shard.wait(&poller, 3);
-        assert!(shard.due.iter().all(|&d| !d), "{:?}", shard.due);
+        assert!(shard.due.iter().all(|&d| d == 0), "{:?}", shard.due);
+        assert!(shard.drain.is_empty(), "{:?}", shard.reported);
     }
 
     /// Every router of `topo` on one hand-driven shard over real sockets,
@@ -702,8 +738,44 @@ mod tests {
         assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
         assert_eq!(counter("net.data_delivered"), 1);
         assert_eq!(counter("net.shard_passes"), 2);
-        // One frame and one empty poll at each of routers 4..=0.
-        assert_eq!(counter("net.recv_polls"), 6 + 10);
+        // One frame at each of routers 4..=0, and no empty poll.
+        assert_eq!(counter("net.recv_polls"), 6 + 5);
+    }
+
+    /// A router with frames from outside the shard — sent past every step,
+    /// as another shard's router would, and reported by the poller — that
+    /// also gets a shard-mate's frame is emptied within that pass, the
+    /// shard-mate's frame and all. Polled only once per frame a shard-mate
+    /// sent, it would keep one frame queued behind each new packet, for
+    /// ever.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_reported_router_is_emptied_in_the_pass_a_shard_mate_sends_it_a_frame() {
+        let (mut shard, registry) = udp_shard(&builtin::line(3), &[(0, 2)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let delivered = || registry.snapshot().counter("net.data_delivered");
+
+        assert_eq!(shard.pass(&poller, &events), 0);
+        // Three of router 0's packets reach router 1's socket, and the
+        // shard forgets it sent them: to it they came from outside.
+        for _ in 0..3 {
+            assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        }
+        shard.due[1] = 0;
+        shard.work.clear();
+        shard.wait(&poller, 0);
+        assert!(shard.reported[1], "the poller reports router 1");
+        // A fourth comes from a shard-mate.
+        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        assert_eq!(
+            shard.pass(&poller, &events),
+            8,
+            "four packets, two hops each"
+        );
+        assert_eq!(delivered(), 4);
+        shard.wait(&poller, 8);
+        assert_eq!(shard.pass(&poller, &events), 0, "nothing was left");
     }
 
     /// Two flows that tick together on one shard, 3 → 0 and 7 → 4 on an

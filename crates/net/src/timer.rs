@@ -61,11 +61,17 @@ impl<T: Ord> TimerWheel<T> {
     /// deadline order.
     pub fn pop_due(&mut self, now_ns: u64) -> Vec<T> {
         let mut due = Vec::new();
+        self.pop_due_into(now_ns, &mut due);
+        due
+    }
+
+    /// [`pop_due`](Self::pop_due) appended to `due`, a buffer the caller
+    /// reuses: a shard's loop allocates nothing to fire its timers.
+    pub fn pop_due_into(&mut self, now_ns: u64, due: &mut Vec<T>) {
         while self.next_deadline().is_some_and(|d| d <= now_ns) {
             let Reverse((_, _, item)) = self.heap.pop().expect("an entry is due");
             due.push(item);
         }
-        due
     }
 
     /// The earliest scheduled deadline, if any.

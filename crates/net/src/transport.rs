@@ -77,6 +77,19 @@ pub trait Transport: Send {
         self.recv_timeout(Duration::from_micros(1))
     }
 
+    /// [`try_recv`](Self::try_recv) into a buffer the caller reuses:
+    /// `Ok(Some(n))` when a frame arrived, which is then `buf[..n]`. The
+    /// rest of `buf` is scratch, and its length is the transport's to
+    /// manage. The default copies what `try_recv` returns; a transport
+    /// overrides it to receive without allocating.
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, NetError> {
+        Ok(self.try_recv()?.map(|frame| {
+            buf.clear();
+            buf.extend_from_slice(&frame);
+            frame.len()
+        }))
+    }
+
     /// Largest frame this transport can carry.
     fn max_datagram(&self) -> usize {
         MAX_FRAME
@@ -177,6 +190,15 @@ impl Transport for LoopbackNet {
         }
     }
 
+    /// Moves the datagram in, with no copy: a loopback send already made
+    /// the one copy an in-memory medium needs.
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, NetError> {
+        Ok(self.try_recv()?.map(|frame| {
+            *buf = frame;
+            buf.len()
+        }))
+    }
+
     fn bytes_sent(&self) -> u64 {
         self.sent_bytes
     }
@@ -208,7 +230,9 @@ pub struct UdpNet {
 }
 
 thread_local! {
-    /// Where datagrams land before an exact-size copy leaves the call: one
+    /// Where [`UdpNet::try_recv`]'s datagrams land before an exact-size
+    /// copy leaves the call — the receive of [`UdpNet::recv_timeout`] and
+    /// of any wrapper that does not forward [`Transport::recv_into`]: one
     /// per receiving thread, not per endpoint (65 kB × 128 routers would
     /// show in the process's peak memory) and not per call (an empty poll
     /// is then one `recv` and nothing else).
@@ -277,18 +301,27 @@ impl Transport for UdpNet {
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        poller::register(&self.socket, self.local, &mut self.poller_seen);
         RECV_BUF.with(|buf| {
             let mut buf = buf.borrow_mut();
-            match self.socket.recv(&mut buf) {
-                Ok(n) => {
-                    self.recv_bytes += n as u64;
-                    Ok(Some(buf[..n].to_vec()))
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(NetError::Io(e.to_string())),
-            }
+            Ok(self.recv_into(&mut buf)?.map(|n| buf[..n].to_vec()))
         })
+    }
+
+    /// Receives straight into `buf`, grown once to a whole datagram and
+    /// left at that length.
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, NetError> {
+        poller::register(&self.socket, self.local, &mut self.poller_seen);
+        if buf.len() < MAX_FRAME {
+            buf.resize(MAX_FRAME, 0);
+        }
+        match self.socket.recv(buf) {
+            Ok(n) => {
+                self.recv_bytes += n as u64;
+                Ok(Some(n))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(NetError::Io(e.to_string())),
+        }
     }
 
     fn bytes_sent(&self) -> u64 {

@@ -14,11 +14,22 @@
 #       --manifest-path benchmark/Cargo.toml
 #
 # For each end-to-end metric of BENCHMARK.json it prints the median and
-# quartiles of each side, change/parent of the medians and the pairs the
-# change won (strictly better), then every run's value in seed order; the
-# p90 latency, failed ops, suspicions and the correctness verdict follow.
-# Medians are nearest-rank and quartiles Python's exclusive method, as
-# fatihbench's own suite computes them.
+# quartiles of each side, change/parent of the medians, the pairs the
+# change won (strictly better) and a verdict, then every run's value in
+# seed order; the p90 latency, failed ops, suspicions and the correctness
+# verdict follow. Medians are nearest-rank and quartiles Python's exclusive
+# method, as fatihbench's own suite computes them. The verdict, against the
+# metric's `bound` in BENCHMARK.json, is the first of these that holds:
+#
+#   gain        the change won at least 9 in 10 of the pairs, and its median
+#               is better than the parent's by more than the parent's
+#               inter-quartile distance;
+#   unresolved  either side's inter-quartile distance is wider than the
+#               bound, as a share of its median, and not every change run
+#               beats every parent run;
+#   worse       the change's median is worse than the parent's by more than
+#               the bound;
+#   held        the change is inside the bound.
 set -eu
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
     echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD N [FIRST_SEED]" >&2
@@ -27,12 +38,13 @@ fi
 parent=$1 change=$2 workload=$3 n=$4 first=${5:-1}
 cd "$(dirname "$0")/.."
 
-# "name:better" for each end-to-end metric, in BENCHMARK.json order.
+# "name:better:bound" for each end-to-end metric, in BENCHMARK.json order.
 metrics=$(awk '
     /"end_to_end"/ { on = 1 }
     /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-    on && /"better"/ { gsub(/[",]/, "", $2); printf "%s:%s ", name, $2 }' BENCHMARK.json)
+    on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); printf "%s:%s:%s ", name, better, $2 }' BENCHMARK.json)
 
 runs=$(mktemp)
 out=$(mktemp)
@@ -93,8 +105,29 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" '
     function summary(side, name) {
         values(side, name)
         med[side] = nearest(0.5)
+        iqr[side] = (n < 2) ? 0 : quartile(3) - quartile(1)
+        lo[side] = s[1]; hi[side] = s[n]
         if (n < 2) return sprintf("%s %.5g", side, med[side])
         return sprintf("%s %.5g [%.5g, %.5g]", side, med[side], quartile(1), quartile(3))
+    }
+    # How far the change is better than the parent, in the direction of the
+    # metric (negative: worse).
+    function gained(better, p, c) { return (better == "lower") ? p - c : c - p }
+    # An inter-quartile distance as a share of its median.
+    function spread(side) {
+        if (med[side] != 0) return iqr[side] / (med[side] < 0 ? -med[side] : med[side])
+        return (iqr[side] == 0) ? 0 : 1e9
+    }
+    function verdict(better, bound, won,    apart, worse) {
+        if (10 * won >= 9 * n && gained(better, med["parent"], med["change"]) > iqr["parent"])
+            return "gain"
+        apart = (better == "lower") ? hi["change"] < lo["parent"] : lo["change"] > hi["parent"]
+        if ((spread("parent") > bound || spread("change") > bound) && !apart)
+            return "unresolved"
+        worse = -gained(better, med["parent"], med["change"])
+        if (worse > bound * (med["parent"] < 0 ? -med["parent"] : med["parent"]))
+            return "worse"
+        return "held"
     }
     function row(side, name,    i, line) {
         line = sprintf("    %-6s", side)
@@ -109,7 +142,7 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" '
         printf "%s: %d pairs, seeds %d-%d\n", workload, n, first, first + n - 1
         k = split(list, specs, " ")
         for (m = 1; m <= k; m++) {
-            split(specs[m], f, ":"); name = f[1]; better = f[2]
+            split(specs[m], f, ":"); name = f[1]; better = f[2]; bound = f[3]
             won = 0
             for (i = 0; i < n; i++) {
                 p = v["parent", first + i, name]; c = v["change", first + i, name]
@@ -117,7 +150,7 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" '
             }
             a = summary("parent", name); b = summary("change", name)
             ratio = (med["parent"] != 0) ? sprintf("%.3f", med["change"] / med["parent"]) : "-"
-            printf "%-20s %-6s  %s  %s  change/parent %s  won %d/%d\n", name, better, a, b, ratio, won, n
+            printf "%-20s %-6s  %s  %s  change/parent %s  won %d/%d  %s\n", name, better, a, b, ratio, won, n, verdict(better, bound, won)
             row("parent", name); row("change", name)
         }
         name = "fwd_latency_us_p90"
