@@ -12,7 +12,7 @@
 //! Run with `cargo run --release -p fatih-bench --bin fig6_3`.
 
 use fatih_bench::{render_table, write_csv, ChiExperiment};
-use fatih_core::chi::{ChiConfig, QueueModel, QueueValidator};
+use fatih_core::chi::{ChiConfig, QueueValidator};
 use fatih_sim::{SimTime, TapEvent};
 use fatih_stats::Histogram;
 
@@ -32,8 +32,7 @@ fn main() {
         mismatch_floor: usize::MAX,
         ..ChiConfig::default()
     };
-    let model = QueueModel::DropTail;
-    let mut validator = QueueValidator::new(net.topology(), &ks, r, rd, model, cfg);
+    let mut validator = QueueValidator::new(net.topology(), &ks, r, rd, exp.discipline, cfg);
 
     // NTP-grade skews: a few hundred microseconds per monitor (§5.3.1
     // says "clocks synchronized within a few milliseconds are sufficient").
@@ -58,7 +57,7 @@ fn main() {
     // Run, feeding the validator *skewed* timestamps (what each monitor's
     // own clock would have recorded) while sampling the true queue.
     let routes = net.routes().clone();
-    let mut actual: Vec<(SimTime, f64)> = Vec::new();
+    let mut actual: Vec<f64> = Vec::new();
     let skew_of = |router: fatih_topology::RouterId| -> i64 {
         let idx: u32 = router.into();
         *skews.get(idx as usize).unwrap_or(&0)
@@ -87,31 +86,23 @@ fn main() {
         if let TapEvent::Enqueued {
             router,
             next_hop,
-            time,
             queue_len_after,
             ..
         } = ev
         {
             if *router == r && *next_hop == rd {
-                actual.push((*time, *queue_len_after as f64));
+                actual.push(*queue_len_after as f64);
             }
         }
     });
     let verdict = validator.end_round(end);
 
-    // Pair predicted and actual occupancy by walking both series.
-    let trace = validator.prediction_trace();
+    // Pair predicted and actual occupancy by order: the actual sample at
+    // the same true enqueue instant (predictions are timestamped with the
+    // skewed clock).
     let mut hist = Histogram::new(-4_000.0, 4_000.0, 32);
-    let mut ai = 0usize;
-    for &(tp, qp) in trace {
-        // The actual sample at the same true enqueue instant (predictions
-        // are timestamped with the skewed clock; match by order).
-        if ai < actual.len() {
-            let (_, qa) = actual[ai];
-            hist.push(qa - qp);
-            ai += 1;
-        }
-        let _ = tp;
+    for (&(_, qp), &qa) in validator.prediction_trace().iter().zip(&actual) {
+        hist.push(qa - qp);
     }
 
     println!("== Figure 6.3: distribution of q_error = q_act − q_pred ==");

@@ -14,7 +14,7 @@
 //! all with no argument.
 
 use fatih_bench::{ChiAttack, ChiExperiment, Workload};
-use fatih_sim::{RedParams, SimTime};
+use fatih_sim::{QueueDiscipline, RedParams, SimTime};
 
 fn red_params() -> RedParams {
     // Thresholds placed so the paper's 45,000 / 54,000-byte attack
@@ -78,7 +78,7 @@ fn run_one(name: &str) {
         attack,
         workload: Workload::Tcp,
         q_limit: 90_000,
-        red: Some(red_params()),
+        discipline: QueueDiscipline::Red(red_params()),
         rounds: 12,
         round: SimTime::from_secs(5),
         sources: 12,

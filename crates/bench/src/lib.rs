@@ -9,14 +9,16 @@
 //! [`pick_flows`]) live here too, and so do the operation counts behind
 //! Chapter 7's overhead table, which `tab_state` renders.
 
-use fatih_core::chi::{ChiConfig, QueueModel, QueueValidator};
+use fatih_core::chi::{ChiConfig, QueueValidator};
 use fatih_core::monitor::{Report, ReportEntry};
 use fatih_core::pik2::{Evidence, Message};
 use fatih_core::threshold::ThresholdDetector;
 use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_net::codec::{encode_frame, Frame, WireMessage};
 use fatih_net::runtime::FlowSpec;
-use fatih_sim::{Attack, AttackKind, Network, Packet, RedParams, SimTime, TcpConfig, VictimFilter};
+use fatih_sim::{
+    Attack, AttackKind, Network, Packet, QueueDiscipline, SimTime, TcpConfig, VictimFilter,
+};
 use fatih_stats::Summary;
 use fatih_topology::{builtin, LinkParams, PathSegment, RouterId, Routes, Topology};
 use fatih_validation::digest::ContentDigest;
@@ -348,8 +350,8 @@ pub struct ChiExperiment {
     pub q_limit: u32,
     /// Bottleneck bandwidth in bits/s.
     pub bandwidth_bps: u64,
-    /// RED parameters; `None` = drop-tail.
-    pub red: Option<RedParams>,
+    /// The bottleneck's queue discipline, which χ replays.
+    pub discipline: QueueDiscipline,
     /// Workload shape.
     pub workload: Workload,
     /// The attack at router r.
@@ -373,7 +375,7 @@ impl Default for ChiExperiment {
             sources: 3,
             q_limit: 64_000,
             bandwidth_bps: 8_000_000,
-            red: None,
+            discipline: QueueDiscipline::DropTail,
             workload: Workload::Cbr { interval_us: 1_100 },
             attack: ChiAttack::None,
             victim_cbr_pps: None,
@@ -422,21 +424,15 @@ impl ChiExperiment {
         let r = topo.router_by_name("r").expect("fan_in names");
         let rd = topo.router_by_name("rd").expect("fan_in names");
         let mut net = Network::new(topo, self.seed);
-        if let Some(p) = self.red {
-            net.set_queue_discipline(r, rd, fatih_sim::QueueDiscipline::Red(p));
-        }
+        net.set_queue_discipline(r, rd, self.discipline);
         (net, ks, r, rd)
     }
 
     /// Builds the network, runs the rounds, and reports.
     pub fn run(&self) -> ChiOutcome {
         let (mut net, ks, r, rd) = self.network();
-        let model = match self.red {
-            Some(p) => QueueModel::Red(p),
-            None => QueueModel::DropTail,
-        };
-        let mut validator =
-            QueueValidator::new(net.topology(), &ks, r, rd, model, ChiConfig::default());
+        let cfg = ChiConfig::default();
+        let mut validator = QueueValidator::new(net.topology(), &ks, r, rd, self.discipline, cfg);
         let victim_flows = self.spawn_workload(&mut net, rd);
         self.install_attack(&mut net, r, rd, &victim_flows);
 
@@ -636,7 +632,7 @@ pub fn chi_replay_counts() -> (usize, usize, usize) {
     };
     let (mut net, ks, r, rd) = exp.network();
     let cfg = ChiConfig::default();
-    let mut v = QueueValidator::new(net.topology(), &ks, r, rd, QueueModel::DropTail, cfg);
+    let mut v = QueueValidator::new(net.topology(), &ks, r, rd, exp.discipline, cfg);
     for i in 0..3 {
         let s = net.topology().router_by_name(&format!("s{i}"));
         let (gap, end) = (SimTime::from_us(1_100), Some(SimTime::from_secs(5)));

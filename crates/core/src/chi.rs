@@ -22,16 +22,26 @@
 //! outright, and the round's drop count is compared to its expectation
 //! with a Z-test.
 //!
+//! The replay steps the simulator's own queue core,
+//! [`fatih_sim::queue::OutputQueueState`], with the same
+//! [`QueueDiscipline`] value the network runs: its occupancy is `q_pred`,
+//! and the drop rule, EWMA and idle decay are the engine's. The engine
+//! draws RED's early drops; the replay instead *observes* each one as a
+//! missing exit and reports it to the core, which restarts RED's `count`.
+//!
 //! Rounds are *windowed*: a packet is only judged once enough time has
 //! passed for its exit to have been observed (one maximum queue residence
 //! plus slack), and the replay state — occupancy, RED average — carries
-//! across rounds, so round boundaries cause no false judgements.
+//! across rounds, so round boundaries cause no false judgements. What the
+//! neighbours observe, and that window, is a [`QueueTap`], which the two
+//! Chapter 6 baselines ([`crate::threshold`], [`crate::zhang`]) share.
 
 use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
-use fatih_sim::{Packet, RedParams, SimTime, TapEvent};
+use fatih_sim::queue::{Offer, OutputQueueState};
+use fatih_sim::{Packet, QueueDiscipline, SimTime, TapEvent};
 use fatih_stats::normal;
 use fatih_topology::{LinkParams, RouterId, Topology};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Statistical thresholds and the learned error model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,75 +125,195 @@ impl ChiVerdict {
     }
 }
 
-/// Which queue model the validator replays.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueueModel {
-    /// Deterministic drop-tail FIFO (§6.2).
-    DropTail,
-    /// RED with the given parameters (§6.5.2).
-    Red(RedParams),
+/// One packet crossing the tapped queue's boundary, as its neighbours saw
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapRecord {
+    /// The packet's fingerprint under the segment key.
+    pub fingerprint: Fingerprint,
+    /// Its size in bytes.
+    pub size: u32,
+    /// When it entered the queue (sent by a neighbour, plus that link's
+    /// delay) or left it (arrived at the egress, minus the egress delay).
+    pub time: SimTime,
+}
+
+/// The records of one round, split at its cutoff.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TapRound {
+    /// The round's judging horizon: its end minus one maximum residence.
+    pub cutoff: SimTime,
+    /// Entries at or before the cutoff.
+    pub entries: Vec<TapRecord>,
+    /// Exits at or before the cutoff.
+    pub exits: Vec<TapRecord>,
+}
+
+/// What the neighbours of router `r` observe of its output queue toward
+/// `r_d`: the packets they send into it, each timed at its entry, and the
+/// packets `r_d` receives out of it, each timed at its exit. Protocol χ
+/// and the two Chapter 6 baselines consume the same tap and differ only
+/// in how they judge it.
+#[derive(Debug)]
+pub struct QueueTap {
+    router: RouterId,
+    egress: RouterId,
+    link: LinkParams,
+    key: UhashKey,
+    in_delay_ns: HashMap<RouterId, u64>,
+    max_residence: SimTime,
+    entries: Vec<TapRecord>,
+    exits: Vec<TapRecord>,
+}
+
+impl QueueTap {
+    /// Taps the queue `router → egress`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology lacks the `router → egress` link.
+    pub fn new(topo: &Topology, keystore: &KeyStore, router: RouterId, egress: RouterId) -> Self {
+        let link = topo
+            .link(router, egress)
+            .unwrap_or_else(|| panic!("no link {router} -> {egress}"));
+        let in_delay_ns = (topo.neighbors(router).iter())
+            .filter_map(|&(n, _)| Some((n, topo.link(n, router)?.delay_ns)))
+            .collect();
+        // Worst-case queue residence.
+        let drain = SimTime::from_ns(2 * link.tx_time_ns(link.queue_limit_bytes) + link.delay_ns);
+        let seg_id = (u64::from(u32::from(router)) << 32) | u64::from(u32::from(egress));
+        Self {
+            router,
+            egress,
+            link,
+            key: keystore.segment_uhash_key(seg_id),
+            in_delay_ns,
+            max_residence: drain + SimTime::from_ms(20),
+            entries: Vec::new(),
+            exits: Vec::new(),
+        }
+    }
+
+    /// The router whose queue is tapped.
+    pub fn router(&self) -> RouterId {
+        self.router
+    }
+
+    /// The tapped link `router → egress`.
+    pub fn link(&self) -> LinkParams {
+        self.link
+    }
+
+    /// A packet's fingerprint under the segment key.
+    pub fn fingerprint(&self, packet: &Packet) -> Fingerprint {
+        packet.fingerprint(&self.key)
+    }
+
+    fn record(&self, packet: &Packet, time: SimTime) -> TapRecord {
+        TapRecord {
+            fingerprint: self.fingerprint(packet),
+            size: packet.size,
+            time,
+        }
+    }
+
+    /// Feeds one simulator observation. The tap keeps only what the
+    /// *neighbours* of `r` can see: their own transmissions toward `r`
+    /// that are bound for the egress (`next_hop_of` predicts a packet's
+    /// next hop after `r`), and the egress's arrivals from `r`.
+    pub fn observe(&mut self, ev: &TapEvent, next_hop_of: impl Fn(&Packet) -> Option<RouterId>) {
+        match ev {
+            TapEvent::Transmitted {
+                router: rs,
+                next_hop,
+                packet,
+                time,
+            } if *next_hop == self.router && next_hop_of(packet) == Some(self.egress) => {
+                if let Some(&d) = self.in_delay_ns.get(rs) {
+                    let entry = self.record(packet, *time + SimTime::from_ns(d));
+                    self.entries.push(entry);
+                }
+            }
+            TapEvent::Arrived {
+                router,
+                from: Some(from),
+                packet,
+                time,
+            } if *router == self.egress && *from == self.router => {
+                let exit = self.record(packet, time.since(SimTime::from_ns(self.link.delay_ns)));
+                self.exits.push(exit);
+            }
+            _ => {}
+        }
+    }
+
+    /// The exits observed and not yet handed out by
+    /// [`end_round`](Self::end_round), in observation order.
+    pub fn exits(&self) -> &[TapRecord] {
+        &self.exits
+    }
+
+    /// Hands out every exit observed so far, due or not.
+    pub fn take_exits(&mut self) -> Vec<TapRecord> {
+        std::mem::take(&mut self.exits)
+    }
+
+    /// Ends a round at `now`: hands out the entries and exits at or before
+    /// `now` minus one maximum residence — a full buffer ahead at line rate
+    /// twice over, the egress delay and 20 ms of slack — and keeps the later
+    /// ones for the next round.
+    pub fn end_round(&mut self, now: SimTime) -> TapRound {
+        let cutoff = now.since(self.max_residence);
+        let split = |records: &mut Vec<TapRecord>| {
+            let (due, later) = std::mem::take(records)
+                .into_iter()
+                .partition(|r| r.time <= cutoff);
+            *records = later;
+            due
+        };
+        TapRound {
+            cutoff,
+            entries: split(&mut self.entries),
+            exits: split(&mut self.exits),
+        }
+    }
 }
 
 /// Exact replay of an honest drop-tail queue fed the same arrivals: the
-/// "what would a correct router have done" predictor. Mirrors the engine's
-/// queue semantics — bytes stay in the queue until transmission completes,
-/// the head starts transmitting as soon as the link frees.
-#[derive(Debug, Clone, Default)]
+/// "what would a correct router have done" predictor. It is the
+/// simulator's queue core over a FIFO of sizes, with the engine's
+/// semantics — bytes stay in the queue until transmission completes, the
+/// head starts transmitting as soon as the link frees.
+#[derive(Debug, Clone)]
 struct HonestQueue {
-    q_bytes: u64,
-    fifo: std::collections::VecDeque<u32>,
+    link: LinkParams,
+    queue: OutputQueueState,
+    fifo: VecDeque<u32>,
     next_complete: SimTime,
 }
 
 impl HonestQueue {
     /// Advances transmissions to time `t`, then offers a packet; returns
     /// whether the honest queue would have accepted it.
-    fn offer(&mut self, t: SimTime, size: u32, limit: u32, bandwidth_bps: u64) -> bool {
-        while let Some(&head) = self.fifo.front() {
-            if self.next_complete > t {
+    fn offer(&mut self, t: SimTime, size: u32) -> bool {
+        while self.next_complete <= t {
+            let Some(head) = self.fifo.pop_front() else {
                 break;
-            }
-            self.fifo.pop_front();
-            self.q_bytes -= head as u64;
+            };
+            self.queue.commit_dequeue(head, self.next_complete);
             if let Some(&next) = self.fifo.front() {
-                self.next_complete += SimTime::from_ns(
-                    (next as u64 * 8).saturating_mul(1_000_000_000) / bandwidth_bps,
-                );
+                self.next_complete += SimTime::from_ns(self.link.tx_time_ns(next));
             }
         }
-        if self.q_bytes + size as u64 > limit as u64 {
+        if self.queue.offer(size, t) != Offer::Accept {
             return false;
         }
         if self.fifo.is_empty() {
-            self.next_complete = t + SimTime::from_ns(
-                (size as u64 * 8).saturating_mul(1_000_000_000) / bandwidth_bps,
-            );
+            self.next_complete = t + SimTime::from_ns(self.link.tx_time_ns(size));
         }
         self.fifo.push_back(size);
-        self.q_bytes += size as u64;
+        self.queue.commit_enqueue(size);
         true
-    }
-}
-
-/// Persistent replay state carried across rounds.
-#[derive(Debug, Clone, Copy)]
-struct ReplayState {
-    q_pred: f64,
-    avg: f64,
-    avg_seeded: bool,
-    count: i64,
-    idle_since: Option<SimTime>,
-}
-
-impl Default for ReplayState {
-    fn default() -> Self {
-        Self {
-            q_pred: 0.0,
-            avg: 0.0,
-            avg_seeded: false,
-            count: -1,
-            idle_since: Some(SimTime::ZERO),
-        }
     }
 }
 
@@ -191,28 +321,21 @@ impl Default for ReplayState {
 /// hosted at `r_d` and fed by the neighbour routers of `r` (Figure 6.1).
 #[derive(Debug)]
 pub struct QueueValidator {
-    router: RouterId,
-    egress: RouterId,
-    key: UhashKey,
+    tap: QueueTap,
     cfg: ChiConfig,
-    model: QueueModel,
-    q_limit: u32,
-    bandwidth_bps: u64,
-    in_delay_ns: HashMap<RouterId, u64>,
-    out_delay_ns: u64,
-    max_residence: SimTime,
-    entries: Vec<(Fingerprint, u32, SimTime)>,
-    exits: Vec<(Fingerprint, u32, SimTime)>,
-    state: ReplayState,
-    honest: HonestQueue,
+    /// The replayed queue: its occupancy is `q_pred`.
+    queue: OutputQueueState,
+    /// The honest-queue predictor (drop-tail only).
+    honest: Option<HonestQueue>,
     /// Packets accepted in a previous round whose exits are still owed to
     /// the replay (exit observed after that round's cutoff).
-    pending_exits: std::collections::HashSet<Fingerprint>,
+    pending_exits: HashSet<Fingerprint>,
     prediction_trace: Vec<(SimTime, f64)>,
 }
 
 impl QueueValidator {
-    /// Builds the validator for queue `router → egress`.
+    /// Builds the validator for queue `router → egress`, which the network
+    /// runs under `discipline`.
     ///
     /// # Panics
     ///
@@ -222,88 +345,35 @@ impl QueueValidator {
         keystore: &KeyStore,
         router: RouterId,
         egress: RouterId,
-        model: QueueModel,
+        discipline: QueueDiscipline,
         cfg: ChiConfig,
     ) -> Self {
-        let out: LinkParams = topo
-            .link(router, egress)
-            .unwrap_or_else(|| panic!("no link {router} -> {egress}"));
-        let mut in_delay_ns = HashMap::new();
-        for &(n, _) in topo.neighbors(router) {
-            if let Some(p) = topo.link(n, router) {
-                in_delay_ns.insert(n, p.delay_ns);
-            }
-        }
-        // Worst-case queue residence: a full buffer ahead at line rate,
-        // plus the egress propagation delay and generous slack.
-        let drain_ns =
-            (out.queue_limit_bytes as u64 * 8).saturating_mul(1_000_000_000) / out.bandwidth_bps;
-        let max_residence = SimTime::from_ns(2 * drain_ns + out.delay_ns) + SimTime::from_ms(20);
-        let seg_id = (u64::from(u32::from(router)) << 32) | u64::from(u32::from(egress));
+        let tap = QueueTap::new(topo, keystore, router, egress);
+        let link = tap.link();
+        let queue = OutputQueueState::new(discipline, link.queue_limit_bytes, link.bandwidth_bps);
         Self {
-            router,
-            egress,
-            key: keystore.segment_uhash_key(seg_id),
             cfg,
-            model,
-            q_limit: out.queue_limit_bytes,
-            bandwidth_bps: out.bandwidth_bps,
-            in_delay_ns,
-            out_delay_ns: out.delay_ns,
-            max_residence,
-            entries: Vec::new(),
-            exits: Vec::new(),
-            state: ReplayState::default(),
-            honest: HonestQueue::default(),
-            pending_exits: std::collections::HashSet::new(),
+            honest: (discipline == QueueDiscipline::DropTail).then(|| HonestQueue {
+                link,
+                queue: queue.clone(),
+                fifo: VecDeque::new(),
+                next_complete: SimTime::ZERO,
+            }),
+            queue,
+            tap,
+            pending_exits: HashSet::new(),
             prediction_trace: Vec::new(),
         }
     }
 
     /// The validated router.
     pub fn router(&self) -> RouterId {
-        self.router
+        self.tap.router()
     }
 
-    /// The judging lag: observations newer than this are deferred to the
-    /// next round so their exits can still arrive.
-    pub fn judgement_lag(&self) -> SimTime {
-        self.max_residence
-    }
-
-    /// Feeds one simulator observation. The validator uses only what the
-    /// *neighbours* of `r` can see: their own transmissions toward `r`
-    /// (plus the packet's predictable next hop) and `r_d`'s arrivals.
+    /// Feeds one simulator observation (see [`QueueTap::observe`]).
     pub fn observe(&mut self, ev: &TapEvent, next_hop_of: impl Fn(&Packet) -> Option<RouterId>) {
-        match ev {
-            TapEvent::Transmitted {
-                router: rs,
-                next_hop,
-                packet,
-                time,
-            } if *next_hop == self.router => {
-                if next_hop_of(packet) != Some(self.egress) {
-                    return;
-                }
-                let Some(&d) = self.in_delay_ns.get(rs) else {
-                    return;
-                };
-                let entry = *time + SimTime::from_ns(d);
-                self.entries
-                    .push((packet.fingerprint(&self.key), packet.size, entry));
-            }
-            TapEvent::Arrived {
-                router,
-                from: Some(from),
-                packet,
-                time,
-            } if *router == self.egress && *from == self.router => {
-                let exit = time.since(SimTime::from_ns(self.out_delay_ns));
-                self.exits
-                    .push((packet.fingerprint(&self.key), packet.size, exit));
-            }
-            _ => {}
-        }
+        self.tap.observe(ev, next_hop_of);
     }
 
     /// `(time, q_pred)` samples after each accepted entry of the last
@@ -314,51 +384,44 @@ impl QueueValidator {
 
     /// Ends a round at wall-clock `now`: judges every entry old enough
     /// that its exit must have been observed (entry time ≤ `now` minus
-    /// [`judgement_lag`](Self::judgement_lag)), carrying newer
-    /// observations and the replay state into the next round.
+    /// one maximum queue residence, see [`QueueTap::end_round`]), carrying
+    /// newer observations and the replay state into the next round.
     pub fn end_round(&mut self, now: SimTime) -> ChiVerdict {
-        let cutoff = now.since(self.max_residence);
         self.prediction_trace.clear();
 
         // Classification uses the *full* observed exit stream: any entry
         // at or before the cutoff has had time to exit by `now`, so its
         // exit (if it was forwarded) is already recorded even when that
         // exit is after the cutoff.
-        let all_exit_time: std::collections::HashMap<Fingerprint, SimTime> =
-            self.exits.iter().map(|&(fp, _, t)| (fp, t)).collect();
+        let all_exit_time: HashMap<Fingerprint, SimTime> = self
+            .tap
+            .exits()
+            .iter()
+            .map(|e| (e.fingerprint, e.time))
+            .collect();
 
         // Replay, however, is strictly chronological: only events at or
         // before the cutoff change occupancy this round, so `q_pred`
         // equals the real queue at every judged instant. Exits after the
         // cutoff are deferred; their packets wait in `pending_exits`.
-        let entries = std::mem::take(&mut self.entries);
-        let exits = std::mem::take(&mut self.exits);
-        let (due_entries, later_entries): (Vec<_>, Vec<_>) =
-            entries.into_iter().partition(|&(_, _, t)| t <= cutoff);
-        self.entries = later_entries;
-        let (due_exits, later_exits): (Vec<_>, Vec<_>) =
-            exits.into_iter().partition(|&(_, _, t)| t <= cutoff);
-        self.exits = later_exits;
-
-        let due_fps: std::collections::HashSet<Fingerprint> =
-            due_entries.iter().map(|&(fp, _, _)| fp).collect();
+        let due = self.tap.end_round(now);
+        let due_fps: HashSet<Fingerprint> = due.entries.iter().map(|e| e.fingerprint).collect();
 
         let mut timeline: Vec<(SimTime, u8, RawEvent)> = Vec::new();
-        for &(fp, size, t) in &due_entries {
-            let has_exit = all_exit_time.contains_key(&fp);
-            if has_exit {
-                // Exit beyond the cutoff: the packet stays in the replayed
-                // queue across the round boundary.
-                if all_exit_time[&fp] > cutoff {
-                    self.pending_exits.insert(fp);
-                }
+        for e in &due.entries {
+            let exit = all_exit_time.get(&e.fingerprint);
+            // Exit beyond the cutoff: the packet stays in the replayed
+            // queue across the round boundary.
+            if exit.is_some_and(|&t| t > due.cutoff) {
+                self.pending_exits.insert(e.fingerprint);
             }
-            timeline.push((t, 1, RawEvent::Entry(fp, size, has_exit)));
+            let entry = RawEvent::Entry(e.fingerprint, e.size, exit.is_some());
+            timeline.push((e.time, 1, entry));
         }
         let mut fabricated = 0;
-        for &(fp, size, t) in &due_exits {
-            if self.pending_exits.remove(&fp) || due_fps.contains(&fp) {
-                timeline.push((t, 0, RawEvent::Exit(size)));
+        for e in &due.exits {
+            if self.pending_exits.remove(&e.fingerprint) || due_fps.contains(&e.fingerprint) {
+                timeline.push((e.time, 0, RawEvent::Exit(e.size)));
             } else {
                 // An exit with no matching entry, ever: fabricated at r.
                 fabricated += 1;
@@ -370,49 +433,92 @@ impl QueueValidator {
             fabricated,
             ..ChiVerdict::default()
         };
-        match self.model {
-            QueueModel::DropTail => self.replay_drop_tail(&timeline, &mut verdict),
-            QueueModel::Red(p) => self.replay_red(&timeline, p, &mut verdict),
-        }
+        self.replay(&timeline, &mut verdict);
         verdict
     }
 
-    fn replay_drop_tail(&mut self, timeline: &[(SimTime, u8, RawEvent)], verdict: &mut ChiVerdict) {
+    fn replay(&mut self, timeline: &[(SimTime, u8, RawEvent)], verdict: &mut ChiVerdict) {
+        // RED's drop-count test: the round's expected drops and their
+        // variance under the replayed probabilities.
+        let mut expected_drops = 0.0;
+        let mut variance = 0.0;
+        let mut zero_prob_drop = false;
+
         for &(t, _, ev) in timeline {
-            match ev {
+            let (fp, size, has_exit) = match ev {
                 RawEvent::Exit(size) => {
-                    self.state.q_pred = (self.state.q_pred - size as f64).max(0.0);
+                    self.queue.replay_dequeue(size, t);
+                    continue;
                 }
-                RawEvent::Entry(fp, size, has_exit) => {
-                    // What would an honest queue have done with this
-                    // arrival?
-                    let predicted_accept =
-                        self.honest.offer(t, size, self.q_limit, self.bandwidth_bps);
-                    if predicted_accept != has_exit {
-                        verdict.outcome_mismatches += 1;
-                    }
-                    if has_exit {
-                        self.state.q_pred += size as f64;
-                        verdict.forwarded += 1;
-                        self.prediction_trace.push((t, self.state.q_pred));
-                    } else {
-                        let headroom = self.q_limit as f64 - self.state.q_pred - size as f64;
-                        let c = normal::cdf((headroom - self.cfg.mu) / self.cfg.sigma);
-                        if headroom < 0.0 {
-                            verdict.congestion_consistent += 1;
-                        }
-                        verdict.drops.push(DropJudgement {
-                            fingerprint: fp,
-                            size,
-                            entry_time: t,
-                            q_pred: self.state.q_pred,
-                            confidence: c,
-                        });
-                    }
+                RawEvent::Entry(fp, size, has_exit) => (fp, size, has_exit),
+            };
+            // What would an honest queue have done with this arrival?
+            if let Some(honest) = &mut self.honest {
+                if honest.offer(t, size) != has_exit {
+                    verdict.outcome_mismatches += 1;
                 }
             }
+            let q_pred = self.queue.len_bytes() as f64;
+            let prob = match self.queue.offer(size, t) {
+                Offer::Accept => 0.0,
+                Offer::Forced => 1.0,
+                Offer::Early(p) => p,
+            };
+            expected_drops += prob;
+            variance += prob * (1.0 - prob);
+            if has_exit {
+                self.queue.replay_enqueue(size);
+                verdict.forwarded += 1;
+                self.prediction_trace
+                    .push((t, self.queue.len_bytes() as f64));
+                continue;
+            }
+            self.queue.commit_drop();
+            zero_prob_drop |= prob == 0.0;
+            if prob >= 1.0 {
+                verdict.congestion_consistent += 1;
+            }
+            let confidence = match self.queue.discipline() {
+                QueueDiscipline::DropTail => {
+                    let headroom = self.queue.limit_bytes() as f64 - q_pred - size as f64;
+                    normal::cdf((headroom - self.cfg.mu) / self.cfg.sigma)
+                }
+                QueueDiscipline::Red(_) => 1.0 - prob,
+            };
+            verdict.drops.push(DropJudgement {
+                fingerprint: fp,
+                size,
+                entry_time: t,
+                q_pred,
+                confidence,
+            });
         }
 
+        verdict.detected = match self.queue.discipline() {
+            QueueDiscipline::DropTail => self.drop_tail_detects(verdict),
+            QueueDiscipline::Red(_) => {
+                // Drop-count test. RED's count-based spreading correlates
+                // successive outcomes, so Σp(1−p) only approximates the
+                // variance; the decision therefore demands a 4σ excess
+                // plus an absolute floor, which a benign queue essentially
+                // never produces while even a few-percent targeted attack
+                // clears it within a round.
+                let combined = if !verdict.drops.is_empty() && variance > 1e-9 {
+                    let excess = verdict.drops.len() as f64 - expected_drops;
+                    let z = excess / variance.sqrt();
+                    verdict.combined_confidence = Some(normal::cdf(z));
+                    excess >= 4.0 * (variance + 1.0).sqrt() && excess >= 5.0
+                } else {
+                    false
+                };
+                zero_prob_drop || combined
+            }
+        };
+    }
+
+    /// The drop-tail decision: one confident loss, the combined-losses
+    /// test, or the honest queue disagreeing too often.
+    fn drop_tail_detects(&self, verdict: &mut ChiVerdict) -> bool {
         let single_hit = verdict
             .drops
             .iter()
@@ -422,7 +528,7 @@ impl QueueValidator {
             let mean_q: f64 = verdict.drops.iter().map(|d| d.q_pred).sum::<f64>() / n as f64;
             let mean_ps: f64 = verdict.drops.iter().map(|d| d.size as f64).sum::<f64>() / n as f64;
             let c = fatih_stats::ztest::combined_loss_confidence(
-                self.q_limit as f64,
+                self.queue.limit_bytes() as f64,
                 mean_q,
                 mean_ps,
                 self.cfg.mu,
@@ -434,106 +540,7 @@ impl QueueValidator {
         } else {
             false
         };
-        verdict.detected =
-            single_hit || combined_hit || verdict.outcome_mismatches >= self.cfg.mismatch_floor;
-    }
-
-    fn replay_red(
-        &mut self,
-        timeline: &[(SimTime, u8, RawEvent)],
-        p: RedParams,
-        verdict: &mut ChiVerdict,
-    ) {
-        let mut expected_drops = 0.0;
-        let mut variance = 0.0;
-        let mut observed_drops = 0usize;
-        let mut zero_prob_drop = false;
-
-        for &(t, _, ev) in timeline {
-            match ev {
-                RawEvent::Exit(size) => {
-                    self.state.q_pred = (self.state.q_pred - size as f64).max(0.0);
-                    if self.state.q_pred <= 0.0 {
-                        self.state.idle_since = Some(t);
-                    }
-                }
-                RawEvent::Entry(fp, size, has_exit) => {
-                    if let Some(start) = self.state.idle_since.take() {
-                        if self.state.avg_seeded {
-                            let idle_ns = t.since(start).as_ns();
-                            let drain = p.mean_packet_size * 8.0 * 1e9 / self.bandwidth_bps as f64;
-                            let m = (idle_ns as f64 / drain).floor().min(1e6) as i32;
-                            self.state.avg *= (1.0 - p.weight).powi(m);
-                        }
-                    }
-                    if self.state.avg_seeded {
-                        self.state.avg += p.weight * (self.state.q_pred - self.state.avg);
-                    } else {
-                        self.state.avg = self.state.q_pred;
-                        self.state.avg_seeded = true;
-                    }
-                    let overflow = self.state.q_pred + size as f64 > self.q_limit as f64;
-                    let prob = if overflow {
-                        self.state.count = 0;
-                        1.0
-                    } else if self.state.avg < p.min_threshold {
-                        self.state.count = -1;
-                        0.0
-                    } else if self.state.avg >= p.max_threshold {
-                        self.state.count = 0;
-                        1.0
-                    } else {
-                        self.state.count += 1;
-                        let pb = p.max_p * (self.state.avg - p.min_threshold)
-                            / (p.max_threshold - p.min_threshold);
-                        let denom = 1.0 - self.state.count as f64 * pb;
-                        if denom <= 0.0 {
-                            1.0
-                        } else {
-                            (pb / denom).min(1.0)
-                        }
-                    };
-                    expected_drops += prob;
-                    variance += prob * (1.0 - prob);
-                    if has_exit {
-                        self.state.q_pred += size as f64;
-                        verdict.forwarded += 1;
-                        self.prediction_trace.push((t, self.state.q_pred));
-                    } else {
-                        observed_drops += 1;
-                        self.state.count = 0;
-                        if prob == 0.0 {
-                            zero_prob_drop = true;
-                        }
-                        if prob >= 1.0 {
-                            verdict.congestion_consistent += 1;
-                        }
-                        verdict.drops.push(DropJudgement {
-                            fingerprint: fp,
-                            size,
-                            entry_time: t,
-                            q_pred: self.state.q_pred,
-                            confidence: 1.0 - prob,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Drop-count test. RED's count-based spreading correlates
-        // successive outcomes, so Σp(1−p) only approximates the variance;
-        // the decision therefore demands a 4σ excess plus an absolute
-        // floor, which a benign queue essentially never produces while
-        // even a few-percent targeted attack clears it within a round.
-        let combined = if observed_drops > 0 && variance > 1e-9 {
-            let excess = observed_drops as f64 - expected_drops;
-            let z = excess / variance.sqrt();
-            verdict.combined_confidence = Some(normal::cdf(z));
-            excess >= 4.0 * (variance + 1.0).sqrt() && excess >= 5.0
-        } else {
-            false
-        };
-        verdict.detected = zero_prob_drop || combined;
+        single_hit || combined_hit || verdict.outcome_mismatches >= self.cfg.mismatch_floor
     }
 }
 
@@ -548,7 +555,7 @@ enum RawEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatih_sim::{Attack, AttackKind, Network, QueueDiscipline, VictimFilter};
+    use fatih_sim::{Attack, AttackKind, Network, RedParams, VictimFilter};
     use fatih_topology::{builtin, LinkParams};
 
     /// Fig 6.4 fixture: `sources` CBR senders through r's bottleneck
@@ -572,23 +579,18 @@ mod tests {
         }
         let r = topo.router_by_name("r").unwrap();
         let rd = topo.router_by_name("rd").unwrap();
-        let model = if red {
-            QueueModel::Red(RedParams {
+        let discipline = if red {
+            QueueDiscipline::Red(RedParams {
                 min_threshold: q_limit as f64 * 0.3,
                 max_threshold: q_limit as f64 * 0.7,
                 ..RedParams::default()
             })
         } else {
-            QueueModel::DropTail
+            QueueDiscipline::DropTail
         };
-        let validator = QueueValidator::new(&topo, &ks, r, rd, model, ChiConfig::default());
+        let validator = QueueValidator::new(&topo, &ks, r, rd, discipline, ChiConfig::default());
         let mut net = Network::new(topo, 5);
-        if red {
-            let QueueModel::Red(p) = model else {
-                unreachable!()
-            };
-            net.set_queue_discipline(r, rd, QueueDiscipline::Red(p));
-        }
+        net.set_queue_discipline(r, rd, discipline);
         let mut flows = Vec::new();
         for i in 0..sources {
             let s = net.topology().router_by_name(&format!("s{i}")).unwrap();

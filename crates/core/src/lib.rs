@@ -108,7 +108,7 @@ pub mod watchers;
 pub mod wire;
 pub mod zhang;
 
-pub use chi::{ChiConfig, ChiVerdict, QueueModel, QueueValidator};
+pub use chi::{ChiConfig, ChiVerdict, QueueTap, QueueValidator};
 pub use fatih_system::{FatihConfig, FatihEvent, FatihSystem};
 pub use pi2::{Pi2Config, Pi2Detector};
 pub use pik2::{Pik2Config, Pik2Detector};

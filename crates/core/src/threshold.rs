@@ -9,22 +9,18 @@
 //! observations and flags a round whenever the loss fraction exceeds a
 //! user-chosen constant.
 
-use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
+use crate::chi::QueueTap;
+use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_sim::{Packet, SimTime, TapEvent};
 use fatih_topology::{RouterId, Topology};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A static-threshold loss detector for one output interface, consuming
 /// the same neighbour observations as Protocol χ's validator.
 #[derive(Debug)]
 pub struct ThresholdDetector {
-    router: RouterId,
-    egress: RouterId,
-    key: UhashKey,
+    tap: QueueTap,
     loss_fraction_threshold: f64,
-    in_delay_ns: HashMap<RouterId, u64>,
-    max_residence: SimTime,
-    entries: Vec<(Fingerprint, SimTime)>,
     exits: HashSet<Fingerprint>,
 }
 
@@ -59,26 +55,9 @@ impl ThresholdDetector {
             (0.0..=1.0).contains(&loss_fraction_threshold),
             "threshold must be a fraction"
         );
-        let out = topo
-            .link(router, egress)
-            .unwrap_or_else(|| panic!("no link {router} -> {egress}"));
-        let mut in_delay_ns = HashMap::new();
-        for &(n, _) in topo.neighbors(router) {
-            if let Some(p) = topo.link(n, router) {
-                in_delay_ns.insert(n, p.delay_ns);
-            }
-        }
-        let drain_ns =
-            (out.queue_limit_bytes as u64 * 8).saturating_mul(1_000_000_000) / out.bandwidth_bps;
-        let seg_id = (u64::from(u32::from(router)) << 32) | u64::from(u32::from(egress));
         Self {
-            router,
-            egress,
-            key: keystore.segment_uhash_key(seg_id),
+            tap: QueueTap::new(topo, keystore, router, egress),
             loss_fraction_threshold,
-            in_delay_ns,
-            max_residence: SimTime::from_ns(2 * drain_ns + out.delay_ns) + SimTime::from_ms(20),
-            entries: Vec::new(),
             exits: HashSet::new(),
         }
     }
@@ -86,48 +65,19 @@ impl ThresholdDetector {
     /// Feeds one simulator observation (same information set as
     /// [`crate::chi::QueueValidator::observe`]).
     pub fn observe(&mut self, ev: &TapEvent, next_hop_of: impl Fn(&Packet) -> Option<RouterId>) {
-        match ev {
-            TapEvent::Transmitted {
-                router: rs,
-                next_hop,
-                packet,
-                time,
-            } if *next_hop == self.router => {
-                if next_hop_of(packet) != Some(self.egress) {
-                    return;
-                }
-                let Some(&d) = self.in_delay_ns.get(rs) else {
-                    return;
-                };
-                self.entries
-                    .push((packet.fingerprint(&self.key), *time + SimTime::from_ns(d)));
-            }
-            TapEvent::Arrived {
-                router,
-                from: Some(from),
-                packet,
-                ..
-            } if *router == self.egress && *from == self.router => {
-                self.exits.insert(packet.fingerprint(&self.key));
-            }
-            _ => {}
-        }
+        self.tap.observe(ev, next_hop_of);
     }
 
     /// Ends the round at `now`, judging only entries old enough that their
     /// exits must have been seen.
     pub fn end_round(&mut self, now: SimTime) -> ThresholdVerdict {
-        let cutoff = now.since(self.max_residence);
-        let entries = std::mem::take(&mut self.entries);
-        let (due, later): (Vec<_>, Vec<_>) = entries.into_iter().partition(|&(_, t)| t <= cutoff);
-        self.entries = later;
+        self.exits
+            .extend(self.tap.take_exits().iter().map(|e| e.fingerprint));
+        let due = self.tap.end_round(now).entries;
         let offered = due.len();
-        let mut forwarded = 0;
-        for (fp, _) in due {
-            if self.exits.remove(&fp) {
-                forwarded += 1;
-            }
-        }
+        let forwarded = (due.iter())
+            .filter(|e| self.exits.remove(&e.fingerprint))
+            .count();
         let loss_fraction = if offered == 0 {
             0.0
         } else {
@@ -168,7 +118,7 @@ mod tests {
 
     fn drive(net: &mut Network, det: &mut ThresholdDetector, until_secs: u64) -> ThresholdVerdict {
         let routes = net.routes().clone();
-        let at = det.router;
+        let at = det.tap.router();
         let end = SimTime::from_secs(until_secs);
         net.run_until(end, |ev| {
             det.observe(ev, |p| {

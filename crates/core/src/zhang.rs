@@ -10,11 +10,12 @@
 //! than Protocol χ's per-packet queue measurement: bursty arrivals break
 //! the stationarity assumption in both directions.
 
-use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
+use crate::chi::QueueTap;
+use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_sim::{Packet, SimTime, TapEvent};
 use fatih_stats::normal;
 use fatih_topology::{RouterId, Topology};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Configuration of the rate-model detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,15 +51,8 @@ pub struct ZhangVerdict {
 /// keeps only aggregate rates — no per-packet queue replay.
 #[derive(Debug)]
 pub struct ZhangDetector {
-    router: RouterId,
-    egress: RouterId,
-    key: UhashKey,
+    tap: QueueTap,
     cfg: ZhangConfig,
-    capacity_bytes_per_sec: f64,
-    q_limit: u32,
-    in_delay_ns: HashMap<RouterId, u64>,
-    max_residence: SimTime,
-    entries: Vec<(Fingerprint, u32, SimTime)>,
     exits: HashSet<Fingerprint>,
     round_start: SimTime,
     carry_backlog: f64,
@@ -77,28 +71,9 @@ impl ZhangDetector {
         egress: RouterId,
         cfg: ZhangConfig,
     ) -> Self {
-        let out = topo
-            .link(router, egress)
-            .unwrap_or_else(|| panic!("no link {router} -> {egress}"));
-        let mut in_delay_ns = HashMap::new();
-        for &(n, _) in topo.neighbors(router) {
-            if let Some(p) = topo.link(n, router) {
-                in_delay_ns.insert(n, p.delay_ns);
-            }
-        }
-        let drain_ns =
-            (out.queue_limit_bytes as u64 * 8).saturating_mul(1_000_000_000) / out.bandwidth_bps;
-        let seg_id = (u64::from(u32::from(router)) << 32) | u64::from(u32::from(egress));
         Self {
-            router,
-            egress,
-            key: keystore.segment_uhash_key(seg_id),
+            tap: QueueTap::new(topo, keystore, router, egress),
             cfg,
-            capacity_bytes_per_sec: out.bandwidth_bps as f64 / 8.0,
-            q_limit: out.queue_limit_bytes,
-            in_delay_ns,
-            max_residence: SimTime::from_ns(2 * drain_ns + out.delay_ns) + SimTime::from_ms(20),
-            entries: Vec::new(),
             exits: HashSet::new(),
             round_start: SimTime::ZERO,
             carry_backlog: 0.0,
@@ -107,67 +82,35 @@ impl ZhangDetector {
 
     /// Feeds one simulator observation.
     pub fn observe(&mut self, ev: &TapEvent, next_hop_of: impl Fn(&Packet) -> Option<RouterId>) {
-        match ev {
-            TapEvent::Transmitted {
-                router: rs,
-                next_hop,
-                packet,
-                time,
-            } if *next_hop == self.router => {
-                if next_hop_of(packet) != Some(self.egress) {
-                    return;
-                }
-                let Some(&d) = self.in_delay_ns.get(rs) else {
-                    return;
-                };
-                self.entries.push((
-                    packet.fingerprint(&self.key),
-                    packet.size,
-                    *time + SimTime::from_ns(d),
-                ));
-            }
-            TapEvent::Arrived {
-                router,
-                from: Some(from),
-                packet,
-                ..
-            } if *router == self.egress && *from == self.router => {
-                self.exits.insert(packet.fingerprint(&self.key));
-            }
-            _ => {}
-        }
+        self.tap.observe(ev, next_hop_of);
     }
 
     /// Ends a round at `now`: predicts this round's congestive losses from
     /// the fluid rate model and tests the observed loss count against it.
     pub fn end_round(&mut self, now: SimTime) -> ZhangVerdict {
-        let cutoff = now.since(self.max_residence);
-        let entries = std::mem::take(&mut self.entries);
-        let (due, later): (Vec<_>, Vec<_>) =
-            entries.into_iter().partition(|&(_, _, t)| t <= cutoff);
-        self.entries = later;
-
-        let offered = due.len();
+        self.exits
+            .extend(self.tap.take_exits().iter().map(|e| e.fingerprint));
+        let due = self.tap.end_round(now);
+        let offered = due.entries.len();
         let mut offered_bytes = 0.0f64;
         let mut forwarded = 0usize;
-        let mut lost_sizes: Vec<u32> = Vec::new();
-        for (fp, size, _) in due {
-            offered_bytes += size as f64;
-            if self.exits.remove(&fp) {
+        for e in &due.entries {
+            offered_bytes += e.size as f64;
+            if self.exits.remove(&e.fingerprint) {
                 forwarded += 1;
-            } else {
-                lost_sizes.push(size);
             }
         }
-        let window = cutoff.since(self.round_start).as_secs_f64().max(1e-9);
-        self.round_start = cutoff;
+        let window = due.cutoff.since(self.round_start).as_secs_f64().max(1e-9);
+        self.round_start = due.cutoff;
 
         // Fluid model: whatever exceeds capacity for the window, minus the
         // buffer the interface can absorb (backlog carried across rounds).
-        let can_serve = self.capacity_bytes_per_sec * window;
+        let link = self.tap.link();
+        let can_serve = link.bandwidth_bps as f64 / 8.0 * window;
+        let q_limit = link.queue_limit_bytes as f64;
         let backlog = (self.carry_backlog + offered_bytes - can_serve).max(0.0);
-        let spill_bytes = (backlog - self.q_limit as f64).max(0.0);
-        self.carry_backlog = backlog.min(self.q_limit as f64);
+        let spill_bytes = (backlog - q_limit).max(0.0);
+        self.carry_backlog = backlog.min(q_limit);
         let mean_pkt = if offered > 0 {
             offered_bytes / offered as f64
         } else {
@@ -178,7 +121,7 @@ impl ZhangDetector {
         // Poisson-style slack around the prediction.
         let z = normal::quantile(self.cfg.confidence.clamp(0.5001, 0.999_999));
         let slack = z * (predicted.max(1.0)).sqrt();
-        let observed = lost_sizes.len();
+        let observed = offered - forwarded;
         ZhangVerdict {
             offered,
             forwarded,
@@ -192,7 +135,7 @@ impl ZhangDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatih_sim::{Attack, Network};
+    use fatih_sim::{Attack, Network, QueueDiscipline};
     use fatih_topology::{builtin, LinkParams};
 
     fn fixture(q_limit: u32) -> (Network, KeyStore, RouterId, RouterId) {
@@ -215,7 +158,7 @@ mod tests {
 
     fn drive(net: &mut Network, det: &mut ZhangDetector, until_secs: u64) -> ZhangVerdict {
         let routes = net.routes().clone();
-        let at = det.router;
+        let at = det.tap.router();
         let end = SimTime::from_secs(until_secs);
         net.run_until(end, |ev| {
             det.observe(ev, |p| {
@@ -297,7 +240,7 @@ mod tests {
             &ks,
             r,
             rd,
-            crate::chi::QueueModel::DropTail,
+            QueueDiscipline::DropTail,
             crate::chi::ChiConfig::default(),
         );
         let mut net = Network::new(topo, 5);

@@ -14,7 +14,7 @@ use crate::agent::AgentState;
 use crate::attack::{Attack, AttackAction, AttackKind};
 use crate::fault::FaultPlan;
 use crate::packet::{FlowId, Packet, PacketId, PacketKind};
-use crate::queue::{OutputQueueState, QueueDiscipline, Verdict};
+use crate::queue::{Offer, OutputQueueState, QueueDiscipline};
 use crate::tap::{DropReason, GroundTruth, SimMetrics, TapEvent};
 use crate::time::SimTime;
 use fatih_topology::{Path, PathSegment, RouterId, Routes, Topology};
@@ -789,38 +789,40 @@ impl Network {
             .links
             .get_mut(&(from, to))
             .unwrap_or_else(|| panic!("no link {from} -> {to}"));
-        match link.queue.offer(packet.size, now, &mut self.rng) {
-            Verdict::Accept => {
-                link.queue.commit_enqueue(packet.size);
-                link.fifo.push_back(packet);
-                let qlen = link.queue.len_bytes();
-                self.emit(TapEvent::Enqueued {
-                    router: from,
-                    next_hop: to,
-                    packet,
-                    time: now,
-                    queue_len_after: qlen,
-                });
-                self.try_start_tx(from, to);
-            }
-            Verdict::CongestionDrop {
+        // One draw per early-drop offer and none otherwise: every RED
+        // figure is this RNG stream.
+        let dropped = match link.queue.offer(packet.size, now) {
+            Offer::Accept => None,
+            Offer::Forced => Some(1.0),
+            Offer::Early(p) => self.rng.gen_bool(p).then_some(p),
+        };
+        let Some(drop_probability) = dropped else {
+            link.queue.commit_enqueue(packet.size);
+            link.fifo.push_back(packet);
+            let qlen = link.queue.len_bytes();
+            self.emit(TapEvent::Enqueued {
+                router: from,
+                next_hop: to,
+                packet,
+                time: now,
+                queue_len_after: qlen,
+            });
+            self.try_start_tx(from, to);
+            return;
+        };
+        link.queue.commit_drop();
+        let (red_avg, qlen) = (link.queue.red_avg(), link.queue.len_bytes());
+        self.emit(TapEvent::Dropped {
+            router: from,
+            next_hop: Some(to),
+            packet,
+            reason: DropReason::Congestion {
                 red_avg,
                 drop_probability,
-            } => {
-                let qlen = link.queue.len_bytes();
-                self.emit(TapEvent::Dropped {
-                    router: from,
-                    next_hop: Some(to),
-                    packet,
-                    reason: DropReason::Congestion {
-                        red_avg,
-                        drop_probability,
-                    },
-                    time: now,
-                    queue_len: qlen,
-                });
-            }
-        }
+            },
+            time: now,
+            queue_len: qlen,
+        });
     }
 
     fn try_start_tx(&mut self, from: RouterId, to: RouterId) {

@@ -4,11 +4,20 @@
 //! queue `Q` of an output interface, with a byte limit `q_limit`, fed by the
 //! neighbours and drained at link speed. Chapter 6 evaluates both a
 //! deterministic drop-tail queue (§6.4) and the probabilistic Random Early
-//! Detection discipline (§6.5), whose EWMA average-queue state is faithfully
-//! reproduced here because the χ validator must be able to *replay* it.
+//! Detection discipline (§6.5).
+//!
+//! [`OutputQueueState`] is the only code that knows a discipline's
+//! arithmetic — the limit check, RED's EWMA with its idle-time decay, and
+//! the Floyd–Jacobson drop rule. Two callers step it: the engine's queues,
+//! and χ's validator (`fatih_core::chi`), which replays the same core from
+//! what the monitors observed. [`offer`](OutputQueueState::offer) takes
+//! the decision up to the early-drop draw and says which branch it took;
+//! whoever decides the packet's fate reports a drop with
+//! [`commit_drop`](OutputQueueState::commit_drop), which restarts RED's
+//! `count`. The engine reports the drops it draws, χ the drops it observes
+//! as a missing exit.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use crate::time::SimTime;
 
 /// RED parameters (Floyd–Jacobson), in bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,42 +57,38 @@ pub enum QueueDiscipline {
     Red(RedParams),
 }
 
-/// Verdict for an arriving packet.
+/// The branch a discipline took for an arriving packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Verdict {
-    /// Enqueue the packet.
+pub enum Offer {
+    /// Enqueue it: it fits, and RED's average, if any, is below
+    /// `min_threshold`.
     Accept,
-    /// Drop due to queue overflow (drop-tail) or RED early drop.
-    CongestionDrop {
-        /// RED's average queue size at the decision, if RED.
-        red_avg: Option<f64>,
-        /// The RED drop probability that fired (1.0 for overflow).
-        drop_probability: f64,
-    },
+    /// Drop it: it would overflow the byte limit, or RED's average is at
+    /// or above `max_threshold`.
+    Forced,
+    /// RED's middle band: drop it with this probability.
+    Early(f64),
 }
 
 /// The byte-accounting state of one output queue.
 ///
-/// The engine owns the actual packet FIFO; this object makes the
+/// The caller owns the actual packet FIFO; this object takes the
 /// accept/drop decision and tracks occupancy and RED state.
 ///
 /// # Examples
 ///
 /// ```
-/// use fatih_sim::queue::{OutputQueueState, QueueDiscipline, Verdict};
+/// use fatih_sim::queue::{Offer, OutputQueueState, QueueDiscipline};
 /// use fatih_sim::SimTime;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
 ///
 /// let mut q = OutputQueueState::new(QueueDiscipline::DropTail, 3_000, 1_000_000_000);
-/// let mut rng = StdRng::seed_from_u64(0);
 /// for _ in 0..3 {
-///     assert_eq!(q.offer(1_000, SimTime::ZERO, &mut rng), Verdict::Accept);
+///     assert_eq!(q.offer(1_000, SimTime::ZERO), Offer::Accept);
 ///     q.commit_enqueue(1_000);
 /// }
 /// // Fourth kilobyte packet overflows the 3 kB limit:
-/// assert!(matches!(q.offer(1_000, SimTime::ZERO, &mut rng),
-///                  Verdict::CongestionDrop { .. }));
+/// assert_eq!(q.offer(1_000, SimTime::ZERO), Offer::Forced);
+/// q.commit_drop();
 /// ```
 #[derive(Debug, Clone)]
 pub struct OutputQueueState {
@@ -95,7 +100,7 @@ pub struct OutputQueueState {
     avg: f64,
     avg_seeded: bool,
     count_since_drop: i64,
-    idle_since: Option<crate::time::SimTime>,
+    idle_since: Option<SimTime>,
 }
 
 impl OutputQueueState {
@@ -116,7 +121,7 @@ impl OutputQueueState {
             avg: 0.0,
             avg_seeded: false,
             count_since_drop: -1,
-            idle_since: Some(crate::time::SimTime::ZERO),
+            idle_since: Some(SimTime::ZERO),
         }
     }
 
@@ -148,70 +153,50 @@ impl OutputQueueState {
         self.discipline
     }
 
-    /// Decides whether an arriving packet of `size` bytes is accepted.
-    /// Does **not** change occupancy; call
-    /// [`commit_enqueue`](Self::commit_enqueue) after actually enqueueing.
+    /// Decides the fate of an arriving packet of `size` bytes as far as
+    /// the discipline can without a coin: accept, forced drop, or early
+    /// drop with a probability the caller draws against (or, replaying,
+    /// observes). Does **not** change occupancy; call
+    /// [`commit_enqueue`](Self::commit_enqueue) after enqueueing, or
+    /// [`commit_drop`](Self::commit_drop) after dropping.
     ///
     /// RED semantics follow Floyd–Jacobson: EWMA update on every arrival
     /// (with idle-time decay), geometric inter-drop spreading via the
     /// `count` variable, forced drop above `max_threshold`, and overflow
     /// drop when the instantaneous queue is full.
-    pub fn offer(&mut self, size: u32, now: crate::time::SimTime, rng: &mut StdRng) -> Verdict {
-        match self.discipline {
-            QueueDiscipline::DropTail => {
-                if self.len_bytes + size > self.limit_bytes {
-                    Verdict::CongestionDrop {
-                        red_avg: None,
-                        drop_probability: 1.0,
-                    }
-                } else {
-                    Verdict::Accept
-                }
-            }
-            QueueDiscipline::Red(p) => {
-                self.update_avg(&p, now);
-                // Hard overflow always drops.
-                if self.len_bytes + size > self.limit_bytes {
-                    self.count_since_drop = 0;
-                    return Verdict::CongestionDrop {
-                        red_avg: Some(self.avg),
-                        drop_probability: 1.0,
-                    };
-                }
-                if self.avg < p.min_threshold {
-                    self.count_since_drop = -1;
-                    return Verdict::Accept;
-                }
-                if self.avg >= p.max_threshold {
-                    self.count_since_drop = 0;
-                    return Verdict::CongestionDrop {
-                        red_avg: Some(self.avg),
-                        drop_probability: 1.0,
-                    };
-                }
-                self.count_since_drop += 1;
-                let pb =
-                    p.max_p * (self.avg - p.min_threshold) / (p.max_threshold - p.min_threshold);
-                let denom = 1.0 - self.count_since_drop as f64 * pb;
-                let pa = if denom <= 0.0 {
-                    1.0
-                } else {
-                    (pb / denom).min(1.0)
-                };
-                if rng.gen_bool(pa) {
-                    self.count_since_drop = 0;
-                    Verdict::CongestionDrop {
-                        red_avg: Some(self.avg),
-                        drop_probability: pa,
-                    }
-                } else {
-                    Verdict::Accept
-                }
-            }
+    pub fn offer(&mut self, size: u32, now: SimTime) -> Offer {
+        let overflow = u64::from(self.len_bytes) + u64::from(size) > u64::from(self.limit_bytes);
+        let QueueDiscipline::Red(p) = self.discipline else {
+            return if overflow {
+                Offer::Forced
+            } else {
+                Offer::Accept
+            };
+        };
+        self.update_avg(&p, now);
+        if overflow {
+            self.count_since_drop = 0;
+            return Offer::Forced;
         }
+        if self.avg < p.min_threshold {
+            self.count_since_drop = -1;
+            return Offer::Accept;
+        }
+        if self.avg >= p.max_threshold {
+            self.count_since_drop = 0;
+            return Offer::Forced;
+        }
+        self.count_since_drop += 1;
+        let pb = p.max_p * (self.avg - p.min_threshold) / (p.max_threshold - p.min_threshold);
+        let denom = 1.0 - self.count_since_drop as f64 * pb;
+        Offer::Early(if denom <= 0.0 {
+            1.0
+        } else {
+            (pb / denom).min(1.0)
+        })
     }
 
-    fn update_avg(&mut self, p: &RedParams, now: crate::time::SimTime) {
+    fn update_avg(&mut self, p: &RedParams, now: SimTime) {
         if let Some(idle_start) = self.idle_since.take() {
             if self.avg_seeded {
                 // Age the average as if m small packets had drained during
@@ -230,6 +215,12 @@ impl OutputQueueState {
         }
     }
 
+    /// Records that the packet just offered was dropped: RED's `count`
+    /// restarts at zero.
+    pub fn commit_drop(&mut self) {
+        self.count_since_drop = 0;
+    }
+
     /// Records that a packet of `size` bytes was enqueued.
     ///
     /// # Panics
@@ -243,7 +234,7 @@ impl OutputQueueState {
             self.len_bytes,
             self.limit_bytes
         );
-        self.len_bytes += size;
+        self.replay_enqueue(size);
     }
 
     /// Records that a packet of `size` bytes finished transmission and left
@@ -252,9 +243,23 @@ impl OutputQueueState {
     /// # Panics
     ///
     /// Panics on underflow (dequeue without matching enqueue).
-    pub fn commit_dequeue(&mut self, size: u32, now: crate::time::SimTime) {
+    pub fn commit_dequeue(&mut self, size: u32, now: SimTime) {
         assert!(self.len_bytes >= size, "queue byte underflow");
-        self.len_bytes -= size;
+        self.replay_dequeue(size, now);
+    }
+
+    /// [`commit_enqueue`](Self::commit_enqueue) for a replay, which takes
+    /// what the monitors saw leave the queue: no limit check.
+    pub fn replay_enqueue(&mut self, size: u32) {
+        self.len_bytes = self.len_bytes.saturating_add(size);
+    }
+
+    /// [`commit_dequeue`](Self::commit_dequeue) for a replay: occupancy
+    /// saturates at zero, since skewed monitor clocks can order an exit
+    /// before its entry and a fingerprint shared by a retransmission can
+    /// drain twice.
+    pub fn replay_dequeue(&mut self, size: u32, now: SimTime) {
+        self.len_bytes = self.len_bytes.saturating_sub(size);
         if self.len_bytes == 0 {
             self.idle_since = Some(now);
         }
@@ -264,29 +269,54 @@ impl OutputQueueState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
-    use rand::SeedableRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// An offer as the engine makes it: the early-drop draw, then
+    /// `commit_drop` for every drop.
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        Accept,
+        CongestionDrop {
+            red_avg: Option<f64>,
+            drop_probability: f64,
+        },
+    }
+
+    fn offer(q: &mut OutputQueueState, size: u32, now: SimTime, rng: &mut StdRng) -> Verdict {
+        let drop_probability = match q.offer(size, now) {
+            Offer::Accept => return Verdict::Accept,
+            Offer::Forced => 1.0,
+            Offer::Early(p) if rng.gen_bool(p) => p,
+            Offer::Early(_) => return Verdict::Accept,
+        };
+        q.commit_drop();
+        Verdict::CongestionDrop {
+            red_avg: q.red_avg(),
+            drop_probability,
+        }
     }
 
     #[test]
     fn drop_tail_accepts_until_full() {
         let mut q = OutputQueueState::new(QueueDiscipline::DropTail, 2500, 1_000_000);
         let mut r = rng();
-        assert_eq!(q.offer(1000, SimTime::ZERO, &mut r), Verdict::Accept);
+        assert_eq!(offer(&mut q, 1000, SimTime::ZERO, &mut r), Verdict::Accept);
         q.commit_enqueue(1000);
-        assert_eq!(q.offer(1000, SimTime::ZERO, &mut r), Verdict::Accept);
+        assert_eq!(offer(&mut q, 1000, SimTime::ZERO, &mut r), Verdict::Accept);
         q.commit_enqueue(1000);
         assert!(matches!(
-            q.offer(1000, SimTime::ZERO, &mut r),
+            offer(&mut q, 1000, SimTime::ZERO, &mut r),
             Verdict::CongestionDrop {
                 drop_probability, ..
             } if drop_probability == 1.0
         ));
         // A smaller packet still fits.
-        assert_eq!(q.offer(500, SimTime::ZERO, &mut r), Verdict::Accept);
+        assert_eq!(offer(&mut q, 500, SimTime::ZERO, &mut r), Verdict::Accept);
     }
 
     #[test]
@@ -295,11 +325,14 @@ mod tests {
         let mut r = rng();
         q.commit_enqueue(1000);
         assert!(matches!(
-            q.offer(1, SimTime::ZERO, &mut r),
+            offer(&mut q, 1, SimTime::ZERO, &mut r),
             Verdict::CongestionDrop { .. }
         ));
         q.commit_dequeue(1000, SimTime::from_ms(1));
-        assert_eq!(q.offer(1000, SimTime::from_ms(1), &mut r), Verdict::Accept);
+        assert_eq!(
+            offer(&mut q, 1000, SimTime::from_ms(1), &mut r),
+            Verdict::Accept
+        );
     }
 
     #[test]
@@ -309,7 +342,7 @@ mod tests {
         let mut r = rng();
         // Stay well below min_threshold: 10 packets of 1000 B.
         for i in 0..10 {
-            let v = q.offer(1000, SimTime::from_us(i * 100), &mut r);
+            let v = offer(&mut q, 1000, SimTime::from_us(i * 100), &mut r);
             assert_eq!(v, Verdict::Accept, "packet {i}");
             q.commit_enqueue(1000);
         }
@@ -325,7 +358,7 @@ mod tests {
         let mut drops = 0;
         let mut offers = 0;
         for i in 0..5_000u64 {
-            match q.offer(1000, SimTime::from_us(i), &mut r) {
+            match offer(&mut q, 1000, SimTime::from_us(i), &mut r) {
                 Verdict::Accept => {
                     q.commit_enqueue(1000);
                     // Drain to hold occupancy around 45 kB.
@@ -355,13 +388,13 @@ mod tests {
         let mut q = OutputQueueState::new(QueueDiscipline::Red(p), 90_000, 100_000_000);
         let mut r = rng();
         for _ in 0..3 {
-            if let Verdict::Accept = q.offer(1000, SimTime::ZERO, &mut r) {
+            if let Verdict::Accept = offer(&mut q, 1000, SimTime::ZERO, &mut r) {
                 q.commit_enqueue(1000);
             }
         }
         // avg == len >= 2000 now: forced drop.
         assert!(matches!(
-            q.offer(1000, SimTime::ZERO, &mut r),
+            offer(&mut q, 1000, SimTime::ZERO, &mut r),
             Verdict::CongestionDrop {
                 drop_probability, ..
             } if drop_probability == 1.0
@@ -377,7 +410,7 @@ mod tests {
         let mut q = OutputQueueState::new(QueueDiscipline::Red(p), 90_000, 8_000_000); // 1 B/us
         let mut r = rng();
         for i in 0..40 {
-            if q.offer(1000, SimTime::from_us(i), &mut r) == Verdict::Accept {
+            if offer(&mut q, 1000, SimTime::from_us(i), &mut r) == Verdict::Accept {
                 q.commit_enqueue(1000);
             }
         }
@@ -385,7 +418,7 @@ mod tests {
         // Drain fully, then go idle a long time.
         let len = q.len_bytes();
         q.commit_dequeue(len, SimTime::from_ms(1));
-        let _ = q.offer(1000, SimTime::from_secs(1), &mut r);
+        let _ = offer(&mut q, 1000, SimTime::from_secs(1), &mut r);
         assert!(
             q.red_avg().unwrap() < avg_before / 10.0,
             "idle decay failed: {} -> {}",

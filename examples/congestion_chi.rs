@@ -12,8 +12,8 @@
 //! ```
 
 use fatih::crypto::KeyStore;
-use fatih::protocols::chi::{ChiConfig, QueueModel, QueueValidator};
-use fatih::sim::{Attack, Network, SimTime};
+use fatih::protocols::chi::{ChiConfig, QueueValidator};
+use fatih::sim::{Attack, Network, QueueDiscipline, SimTime};
 use fatih::topology::{builtin, LinkParams};
 
 fn scenario(attack_fraction: f64, congested: bool) {
@@ -29,16 +29,11 @@ fn scenario(attack_fraction: f64, congested: bool) {
     }
     let r = topo.router_by_name("r").unwrap();
     let rd = topo.router_by_name("rd").unwrap();
-    let mut validator = QueueValidator::new(
-        &topo,
-        &ks,
-        r,
-        rd,
-        QueueModel::DropTail,
-        ChiConfig::default(),
-    );
+    let discipline = QueueDiscipline::DropTail;
+    let mut validator = QueueValidator::new(&topo, &ks, r, rd, discipline, ChiConfig::default());
 
     let mut net = Network::new(topo, 17);
+    net.set_queue_discipline(r, rd, discipline);
     // Offered load: 3 × 1000 B per interval; 1.1 ms ≈ 2.7× capacity
     // (congested), 4 ms ≈ 0.75× (uncongested).
     let interval = if congested { 1_100 } else { 4_000 };

@@ -7,18 +7,18 @@
 //! ```
 
 use fatih::crypto::KeyStore;
-use fatih::protocols::chi::{ChiConfig, QueueModel, QueueValidator};
+use fatih::protocols::chi::{ChiConfig, QueueValidator};
 use fatih::sim::{Attack, AttackKind, Network, QueueDiscipline, RedParams, SimTime, VictimFilter};
 use fatih::topology::{builtin, LinkParams};
 
 fn main() {
-    let red = RedParams {
+    let red = QueueDiscipline::Red(RedParams {
         min_threshold: 20_000.0,
         max_threshold: 40_000.0,
         max_p: 0.1,
         weight: 0.002,
         mean_packet_size: 1_000.0,
-    };
+    });
     let bottleneck = LinkParams {
         bandwidth_bps: 8_000_000,
         queue_limit_bytes: 60_000,
@@ -36,16 +36,9 @@ fn main() {
         ("RED early drops only", false),
         ("plus an avg-queue-triggered attack", true),
     ] {
-        let mut validator = QueueValidator::new(
-            &topo,
-            &ks,
-            r,
-            rd,
-            QueueModel::Red(red),
-            ChiConfig::default(),
-        );
+        let mut validator = QueueValidator::new(&topo, &ks, r, rd, red, ChiConfig::default());
         let mut net = Network::new(topo.clone(), 23);
-        net.set_queue_discipline(r, rd, QueueDiscipline::Red(red));
+        net.set_queue_discipline(r, rd, red);
         let mut victim = None;
         for i in 0..3 {
             let s = net.topology().router_by_name(&format!("s{i}")).unwrap();
@@ -99,7 +92,7 @@ fn main() {
         assert_eq!(verdict.detected, attacked && truth.malicious_drops > 0);
     }
     println!(
-        "\nthe validator replays RED's EWMA exactly (outcomes are known from\n\
+        "\nthe validator steps the simulator's own RED core (outcomes are known from\n\
          the exit records), so the expected number of early drops is known —\n\
          an attacker shadowing RED's average adds drops the model cannot\n\
          explain (§6.5.2)."

@@ -2,11 +2,13 @@
 //! richer scenarios than the unit fixtures.
 
 use fatih::crypto::KeyStore;
-use fatih::protocols::chi::{ChiConfig, QueueModel, QueueValidator};
+use fatih::protocols::chi::{ChiConfig, QueueTap, QueueValidator};
 use fatih::protocols::fatih_system::{FatihConfig, FatihSystem};
 use fatih::protocols::threshold::ThresholdDetector;
-use fatih::sim::{Attack, Network, SimTime};
+use fatih::sim::{Attack, DropReason, Network, QueueDiscipline, RedParams, SimTime, TapEvent};
 use fatih::topology::{builtin, LinkParams, RouterId};
+use fatih_bench::{ChiExperiment, Workload};
+use std::collections::HashMap;
 
 fn fan(sources: usize, q_limit: u32) -> (Network, KeyStore, RouterId, RouterId) {
     let topo = builtin::fan_in(
@@ -35,7 +37,7 @@ fn chi_and_threshold_see_the_same_traffic_but_judge_differently() {
         &ks,
         r,
         rd,
-        QueueModel::DropTail,
+        QueueDiscipline::DropTail,
         ChiConfig::default(),
     );
     let mut th = ThresholdDetector::new(net.topology(), &ks, r, rd, 0.01);
@@ -81,7 +83,7 @@ fn chi_survives_many_short_rounds_under_attack_onset() {
         &ks,
         r,
         rd,
-        QueueModel::DropTail,
+        QueueDiscipline::DropTail,
         ChiConfig::default(),
     );
     let s0 = net.topology().router_by_name("s0").unwrap();
@@ -114,6 +116,75 @@ fn chi_survives_many_short_rounds_under_attack_onset() {
         matches!(first_detection, Some(5 | 6)),
         "attack onset not caught promptly: {first_detection:?}"
     );
+}
+
+/// χ's premise, pinned: on an honest queue, the replay's occupancy and
+/// RED probability at each drop it judges are the engine's, bit for bit.
+/// The fixture is `fig6_red`'s cut to 3 rounds: 12 TCP sources and a
+/// 200 pkt/s constant-rate victim into a 90 kB bottleneck.
+#[test]
+fn chi_replays_the_engines_queue_at_every_congestion_drop() {
+    let red = QueueDiscipline::Red(RedParams {
+        min_threshold: 30_000.0,
+        max_threshold: 70_000.0,
+        max_p: 0.01,
+        weight: 0.002,
+        mean_packet_size: 1_000.0,
+    });
+    for discipline in [red, QueueDiscipline::DropTail] {
+        let exp = ChiExperiment {
+            discipline,
+            workload: Workload::Tcp,
+            q_limit: 90_000,
+            sources: 12,
+            victim_cbr_pps: Some(200),
+            rounds: 3,
+            ..ChiExperiment::default()
+        };
+        let (mut net, ks, r, rd) = exp.network();
+        let mut chi =
+            QueueValidator::new(net.topology(), &ks, r, rd, discipline, ChiConfig::default());
+        let tap = QueueTap::new(net.topology(), &ks, r, rd);
+        exp.spawn_workload(&mut net, rd);
+        let routes = net.routes().clone();
+        // Fingerprint → (drop probability, occupancy) of each congestion
+        // drop the engine took on r → rd.
+        let mut engine = HashMap::new();
+        let mut judged = 0;
+        for round in 1..=exp.rounds as u64 {
+            let end = exp.round * round;
+            net.run_until(end, |ev| {
+                chi.observe(ev, |p| routes.path(p.src, p.dst)?.next_after(r));
+                if let TapEvent::Dropped {
+                    router,
+                    next_hop: Some(next_hop),
+                    packet,
+                    reason:
+                        DropReason::Congestion {
+                            drop_probability, ..
+                        },
+                    queue_len,
+                    ..
+                } = ev
+                {
+                    if (*router, *next_hop) == (r, rd) {
+                        engine.insert(tap.fingerprint(packet), (*drop_probability, *queue_len));
+                    }
+                }
+            });
+            for d in chi.end_round(end).drops {
+                let Some(&(p, queue_len)) = engine.get(&d.fingerprint) else {
+                    continue;
+                };
+                judged += 1;
+                assert_eq!(d.q_pred, f64::from(queue_len), "{discipline:?}: {d:?}");
+                if discipline == red {
+                    assert_eq!(d.confidence.to_bits(), (1.0 - p).to_bits(), "{d:?}");
+                }
+            }
+        }
+        assert!(judged > 500, "{discipline:?}: only {judged} drops judged");
+    }
 }
 
 #[test]
