@@ -18,6 +18,7 @@ use fatih_topology::{Path, PathSegment, RouterId, Routes};
 use fatih_validation::sampling::SamplingPattern;
 use fatih_validation::summary::{ContentSummary, FlowCounter, OrderedSummary};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One recorded packet observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,17 +392,52 @@ impl MonitorMetrics {
     }
 }
 
+/// One segment assignment as every recorder of it shares it: the
+/// segments, one fingerprint key per segment — derived here, once — and the
+/// path oracle. [`SegmentMonitorSet`]s built from one plan hold it by
+/// reference count, so a deployment of n routers derives each key once,
+/// not n times, and copies no segment or path.
+#[derive(Debug, Clone)]
+pub struct MonitorPlan {
+    segments: Arc<[PathSegment]>,
+    keys: Arc<[UhashKey]>,
+    oracle: Arc<PathOracle>,
+}
+
+impl MonitorPlan {
+    /// The plan for `segments` under `oracle`, each segment's key derived
+    /// from the key store (shared by exactly its recording routers).
+    pub fn new(segments: Vec<PathSegment>, oracle: PathOracle, keystore: &KeyStore) -> Self {
+        let keys = (segments.iter())
+            .map(|s| keystore.segment_uhash_key(s.stable_id()))
+            .collect();
+        Self {
+            segments: segments.into(),
+            keys,
+            oracle: Arc::new(oracle),
+        }
+    }
+
+    /// The segments, in the order whose indices every reader shares.
+    pub fn segments(&self) -> &[PathSegment] {
+        &self.segments
+    }
+}
+
 /// Monitors a set of path segments, accumulating [`Report`]s per
 /// (router, segment) per round.
 ///
 /// Record storage is a flat slot vector laid out at construction — one
 /// slot per (recording router, segment) pair — so the per-packet hot path
-/// indexes an array instead of probing an ordered map.
+/// indexes an array instead of probing an ordered map. A set built
+/// [`for_router`](Self::for_router) lays out that router's slots only.
 #[derive(Debug)]
 pub struct SegmentMonitorSet {
-    segments: Vec<PathSegment>,
-    oracle: PathOracle,
-    keys: Vec<UhashKey>,
+    plan: MonitorPlan,
+    /// The only router this set records for, if it is one router's.
+    recorder: Option<RouterId>,
+    mode: MonitorMode,
+    sampling_rate: Option<f64>,
     sampling: Option<Vec<SamplingPattern>>,
     /// (router, its successor in segment) → slots the router fills on
     /// forward.
@@ -429,10 +465,11 @@ pub struct SegmentMonitorSet {
 }
 
 impl SegmentMonitorSet {
-    /// Builds monitors for `segments`. Fingerprint keys are derived per
-    /// segment from the key store (shared by exactly the recording
-    /// routers); when `sampling_rate` is set, each segment's recorders
-    /// subsample with a secret pattern under that segment's key.
+    /// Builds monitors for `segments`, recording for every router.
+    /// Fingerprint keys are derived per segment from the key store (shared
+    /// by exactly the recording routers); when `sampling_rate` is set, each
+    /// segment's recorders subsample with a secret pattern under that
+    /// segment's key.
     ///
     /// # Panics
     ///
@@ -444,12 +481,26 @@ impl SegmentMonitorSet {
         mode: MonitorMode,
         sampling_rate: Option<f64>,
     ) -> Self {
-        let keys: Vec<UhashKey> = segments
-            .iter()
-            .map(|s| keystore.segment_uhash_key(s.stable_id()))
-            .collect();
+        let plan = MonitorPlan::new(segments, oracle, keystore);
+        Self::build(plan, None, mode, sampling_rate)
+    }
+
+    /// Builds `router`'s own Πk+2 monitors over `plan`
+    /// ([`MonitorMode::EndsOnly`]): records for the segments it ends, and
+    /// none for the rest of the network, so the set costs what the router
+    /// records. Segment indices are the plan's. Unsampled.
+    pub fn for_router(plan: &MonitorPlan, router: RouterId) -> Self {
+        Self::build(plan.clone(), Some(router), MonitorMode::EndsOnly, None)
+    }
+
+    fn build(
+        plan: MonitorPlan,
+        recorder: Option<RouterId>,
+        mode: MonitorMode,
+        sampling_rate: Option<f64>,
+    ) -> Self {
         let sampling = sampling_rate.map(|rate| {
-            keys.iter()
+            (plan.keys.iter())
                 .map(|k| SamplingPattern::new(*k, rate))
                 .collect()
         });
@@ -457,45 +508,41 @@ impl SegmentMonitorSet {
         let mut arrival_index: HashMap<(RouterId, RouterId), Vec<SlotRef>> = HashMap::new();
         let mut slots: Vec<Report> = Vec::new();
         let mut slot_of: HashMap<(RouterId, usize), usize> = HashMap::new();
-        let mut intern = |router: RouterId, seg: usize| -> SlotRef {
-            let slot = *slot_of.entry((router, seg)).or_insert_with(|| {
-                let s = slots.len();
+        // Lays out a slot for `edge.0` on segment `seg` in `index`, if this
+        // set records for that router.
+        let mut add = |index: &mut HashMap<(RouterId, RouterId), Vec<SlotRef>>,
+                       edge: (RouterId, RouterId),
+                       seg: usize| {
+            if recorder.is_some_and(|r| r != edge.0) {
+                return;
+            }
+            let slot = *slot_of.entry((edge.0, seg)).or_insert_with(|| {
                 slots.push(Report::default());
-                s
+                slots.len() - 1
             });
-            SlotRef {
+            index.entry(edge).or_default().push(SlotRef {
                 seg: seg as u32,
                 slot: slot as u32,
-            }
+            });
         };
-        for (i, seg) in segments.iter().enumerate() {
+        for (i, seg) in plan.segments.iter().enumerate() {
             let routers = seg.routers();
             match mode {
                 MonitorMode::AllMembers => {
                     for w in routers.windows(2) {
-                        let r = intern(w[0], i);
-                        forward_index.entry((w[0], w[1])).or_default().push(r);
+                        add(&mut forward_index, (w[0], w[1]), i);
                     }
                 }
-                MonitorMode::EndsOnly => {
-                    let r = intern(routers[0], i);
-                    forward_index
-                        .entry((routers[0], routers[1]))
-                        .or_default()
-                        .push(r);
-                }
+                MonitorMode::EndsOnly => add(&mut forward_index, (routers[0], routers[1]), i),
             }
             let n = routers.len();
-            let r = intern(routers[n - 1], i);
-            arrival_index
-                .entry((routers[n - 1], routers[n - 2]))
-                .or_default()
-                .push(r);
+            add(&mut arrival_index, (routers[n - 1], routers[n - 2]), i);
         }
         Self {
-            segments,
-            oracle,
-            keys,
+            plan,
+            recorder,
+            mode,
+            sampling_rate,
             sampling,
             forward_index,
             arrival_index,
@@ -523,7 +570,12 @@ impl SegmentMonitorSet {
 
     /// The monitored segments.
     pub fn segments(&self) -> &[PathSegment] {
-        &self.segments
+        self.plan.segments()
+    }
+
+    /// The (router, segment index) pairs this set keeps a record for.
+    pub fn recorded(&self) -> impl Iterator<Item = (RouterId, usize)> + '_ {
+        self.slot_of.keys().copied()
     }
 
     /// Swaps the ingest counters for registry-backed handles, so every
@@ -533,24 +585,17 @@ impl SegmentMonitorSet {
         self.metrics = metrics;
     }
 
-    /// Rebuilds the monitor set for a new segment assignment and path
-    /// oracle — the §2.4.3 response's "monitoring follows the new routes"
-    /// step. The metrics handles carry over so a live deployment keeps
-    /// aggregating into the same registry cells, and so does the choice
-    /// made with
+    /// Rebuilds the monitor set for a new plan — the §2.4.3 response's
+    /// "monitoring follows the new routes" step — recording for the same
+    /// routers, in the same mode, at the same sampling rate. The metrics
+    /// handles carry over so a live deployment keeps aggregating into the
+    /// same registry cells, and so does the choice made with
     /// [`without_fingerprint_memo`](Self::without_fingerprint_memo);
-    /// accumulated records,
-    /// fingerprint memos and route memos belong to the old routing epoch
-    /// and are dropped wholesale (the records count as pruned).
-    pub fn retarget(
-        &self,
-        segments: Vec<PathSegment>,
-        oracle: PathOracle,
-        keystore: &KeyStore,
-        mode: MonitorMode,
-        sampling_rate: Option<f64>,
-    ) -> Self {
-        let mut next = Self::new(segments, oracle, keystore, mode, sampling_rate);
+    /// accumulated records, fingerprint memos and route memos belong to
+    /// the old routing epoch and are dropped wholesale (the records count
+    /// as pruned).
+    pub fn retarget(&self, plan: MonitorPlan) -> Self {
+        let mut next = Self::build(plan, self.recorder, self.mode, self.sampling_rate);
         next.metrics = self.metrics.clone();
         next.metrics.entries_pruned.add(self.held() as u64);
         next.memo = self.memo;
@@ -638,13 +683,7 @@ impl SegmentMonitorSet {
             };
             let inv = packet.invariant_bytes();
             for r in refs {
-                if !Self::traverses(
-                    &self.oracle,
-                    &mut self.traverse_cache,
-                    &self.segments,
-                    packet,
-                    r.seg,
-                ) {
+                if !Self::traverses(&self.plan, &mut self.traverse_cache, packet, r.seg) {
                     continue;
                 }
                 let memoed = self
@@ -689,7 +728,7 @@ impl SegmentMonitorSet {
             miss.extend((start..end).filter(|&i| pending[i].fp.is_none()));
             memo_misses += miss.len() as u64;
             if !miss.is_empty() {
-                let key = self.keys[seg as usize];
+                let key = self.plan.keys[seg as usize];
                 msgs.clear();
                 msgs.extend(miss.iter().map(|&i| pending[i].inv));
                 key.fingerprint_batch_into(msgs, fps);
@@ -749,25 +788,19 @@ impl SegmentMonitorSet {
         // this edge feeds.
         let inv = packet.invariant_bytes();
         for r in refs {
-            if !Self::traverses(
-                &self.oracle,
-                &mut self.traverse_cache,
-                &self.segments,
-                packet,
-                r.seg,
-            ) {
+            if !Self::traverses(&self.plan, &mut self.traverse_cache, packet, r.seg) {
                 continue;
             }
             let (fp, memo_hit) = if self.memo {
                 Self::memo_fingerprint(
                     &mut self.fp_cache,
-                    &self.keys[r.seg as usize],
+                    &self.plan.keys[r.seg as usize],
                     packet.id,
                     r.seg,
                     &inv,
                 )
             } else {
-                (self.keys[r.seg as usize].fingerprint(&inv), false)
+                (self.plan.keys[r.seg as usize].fingerprint(&inv), false)
             };
             if memo_hit {
                 self.metrics.fp_cache_hits.inc();
@@ -791,15 +824,14 @@ impl SegmentMonitorSet {
     /// Memoized route-traversal check: the oracle is fixed at construction,
     /// so (src, dst, segment) → bool is a pure lookup after the first miss.
     fn traverses(
-        oracle: &PathOracle,
+        plan: &MonitorPlan,
         cache: &mut HashMap<(RouterId, RouterId, u32), bool>,
-        segments: &[PathSegment],
         packet: &Packet,
         seg: u32,
     ) -> bool {
         *cache
             .entry((packet.src, packet.dst, seg))
-            .or_insert_with(|| oracle.packet_traverses(packet, &segments[seg as usize]))
+            .or_insert_with(|| (plan.oracle).packet_traverses(packet, &plan.segments[seg as usize]))
     }
 
     /// Memoized per-(packet, segment) fingerprint (plus whether the memo
@@ -1004,7 +1036,7 @@ mod tests {
         // gone, the new assignment records, and the counters keep
         // accumulating into the same registry cells.
         let seg2 = PathSegment::new(vec![ids[1], ids[2], ids[3]]);
-        let mut mon2 = mon.retarget(vec![seg2], oracle, &ks, MonitorMode::EndsOnly, None);
+        let mut mon2 = mon.retarget(MonitorPlan::new(vec![seg2], oracle, &ks));
         assert!(mon2.is_idle());
         assert_eq!(mon2.segments().len(), 1);
         assert_eq!(mon2.report(ids[1], 0).len(), 0);
@@ -1020,6 +1052,55 @@ mod tests {
         net2.run_until(SimTime::from_secs(1), |ev| mon2.observe(ev));
         assert_eq!(mon2.report(ids[1], 0).len(), 10);
         assert!(reg.snapshot().counter("monitor.records") > recorded_before);
+    }
+
+    /// A router's own set, fed the whole network's taps, records for that
+    /// router exactly what the network-wide set does, and nothing else;
+    /// every own set shares the plan's keys.
+    #[test]
+    fn a_routers_own_set_records_what_the_network_wide_set_records_for_it() {
+        let (mut net, ids) = setup_line4();
+        let segs = vec![
+            PathSegment::new(vec![ids[0], ids[1], ids[2], ids[3]]),
+            PathSegment::new(vec![ids[1], ids[2], ids[3]]),
+            PathSegment::new(vec![ids[0], ids[1]]),
+        ];
+        let oracle = PathOracle::from_routes(net.routes());
+        let ks = keystore(4);
+        let plan = MonitorPlan::new(segs.clone(), oracle.clone(), &ks);
+        let mut all =
+            SegmentMonitorSet::new(segs.clone(), oracle, &ks, MonitorMode::EndsOnly, None);
+        let mut own: Vec<SegmentMonitorSet> = (ids.iter())
+            .map(|&r| SegmentMonitorSet::for_router(&plan, r))
+            .collect();
+        net.add_cbr_flow(
+            ids[0],
+            ids[3],
+            1000,
+            SimTime::from_ms(1),
+            SimTime::ZERO,
+            Some(SimTime::from_ms(20)),
+        );
+        net.run_until(SimTime::from_secs(1), |ev| {
+            all.observe(ev);
+            own.iter_mut().for_each(|set| set.observe_batch(&[*ev]));
+        });
+        for (set, &r) in own.iter().zip(&ids) {
+            assert!(
+                std::ptr::eq(set.segments(), plan.segments()),
+                "shares the plan"
+            );
+            assert!(set.recorded().all(|(at, _)| at == r), "router {r}");
+            for i in 0..segs.len() {
+                assert_eq!(set.report(r, i), all.report(r, i), "router {r} seg {i}");
+            }
+        }
+        assert_eq!(
+            own.iter().map(|set| set.recorded().count()).sum::<usize>(),
+            6
+        );
+        assert_eq!(own[1].held(), 2 * 20, "router 1 ends two segments");
+        assert_eq!(own[2].recorded().count(), 0, "router 2 ends none");
     }
 
     #[test]

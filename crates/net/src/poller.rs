@@ -154,8 +154,9 @@ mod sys {
         }
 
         /// Blocks until a registered descriptor is readable or `timeout`
-        /// elapsed, and hands the key of each readable one to `ready`.
-        pub(super) fn wait(&mut self, timeout: Duration, mut ready: impl FnMut(u64)) {
+        /// elapsed, hands the key of each readable one to `ready`, and
+        /// returns how many there were.
+        pub(super) fn wait(&mut self, timeout: Duration, mut ready: impl FnMut(u64)) -> usize {
             let ts = Timespec::of(timeout);
             // SAFETY: `events` is an exclusively borrowed buffer of
             // `#[repr(C)]` structs laid out as `struct epoll_event`, and
@@ -173,9 +174,11 @@ mod sys {
                 )
             };
             // An interrupted or failed wait reports nothing ready.
-            for ev in &self.events[..usize::try_from(n).unwrap_or(0)] {
+            let n = usize::try_from(n).unwrap_or(0);
+            for ev in &self.events[..n] {
                 ready(ev.data);
             }
+            n
         }
     }
 
@@ -215,7 +218,7 @@ mod sys {
             match *self {}
         }
 
-        pub(super) fn wait(&mut self, _: Duration, _: impl FnMut(u64)) {
+        pub(super) fn wait(&mut self, _: Duration, _: impl FnMut(u64)) -> usize {
             match *self {}
         }
     }
@@ -273,13 +276,28 @@ impl Installed {
     /// level-triggered: a socket stays ready until it is drained, so the
     /// caller must drain or [`deregister`](Self::deregister) what it is
     /// told about. A closed socket leaves the set by itself, unreported.
-    pub(crate) fn wait(&self, timeout: Duration, ready: &mut Vec<RouterId>) {
+    ///
+    /// Returns whether the thread slept: a wait with a timeout looks
+    /// without blocking first, and blocks only if nothing was ready.
+    pub(crate) fn wait(&self, timeout: Duration, ready: &mut Vec<RouterId>) -> bool {
+        let mut push = |key: u64| ready.push(RouterId::from(key as u32));
         self.with(|p| match &mut p.epoll {
-            _ if p.keys.is_empty() && timeout.is_zero() => {}
-            Some(epoll) => epoll.wait(timeout, |key| ready.push(RouterId::from(key as u32))),
+            _ if p.keys.is_empty() && timeout.is_zero() => false,
+            Some(epoll) => {
+                // What is ready already is taken without sleeping.
+                let found = epoll.wait(Duration::ZERO, &mut push);
+                if found > 0 || timeout.is_zero() {
+                    return false;
+                }
+                epoll.wait(timeout, push);
+                true
+            }
             // Nothing can be waited on: sleep a short while and let the
             // caller sweep again.
-            None => std::thread::sleep(timeout.min(Duration::from_micros(500))),
+            None => {
+                std::thread::sleep(timeout.min(Duration::from_micros(500)));
+                true
+            }
         })
     }
 

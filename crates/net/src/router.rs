@@ -15,7 +15,7 @@ use crate::linkstate::{
 };
 use crate::runtime::SummaryMode;
 use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, NetMetrics};
-use fatih_core::monitor::{MonitorMode, SegmentMonitorSet};
+use fatih_core::monitor::{MonitorPlan, SegmentMonitorSet};
 use fatih_core::pik2::{Evidence, Message, Pik2Node, Received};
 use fatih_core::policy::Policy;
 use fatih_core::reliable::{Retransmitter, RetryPolicy};
@@ -189,13 +189,13 @@ pub(crate) fn routers(
         spec.monitor_pairs.clone()
     };
     let plan = convergence.plan(&monitor_pairs, &flow_pairs, cfg.k);
+    // One key per segment for the whole deployment; each router lays out
+    // the records of the segments it ends, the only ones its taps feed.
+    let monitored = MonitorPlan::new(plan.segments, plan.oracle, &keys);
     let routers = (topo.routers())
         .map(|id| {
-            // This set only ever sees this router's own taps.
-            let (segments, oracle) = (plan.segments.clone(), plan.oracle.clone());
             let mut monitors =
-                SegmentMonitorSet::new(segments, oracle, &keys, MonitorMode::EndsOnly, None)
-                    .without_fingerprint_memo();
+                SegmentMonitorSet::for_router(&monitored, id).without_fingerprint_memo();
             monitors.attach_metrics(metrics.monitor.clone());
             Router {
                 id,
@@ -210,7 +210,7 @@ pub(crate) fn routers(
                 monitor_pairs: monitor_pairs.clone(),
                 flow_pairs: flow_pairs.clone(),
                 monitors,
-                pik2: Pik2Node::new(id, &plan.segments),
+                pik2: Pik2Node::new(id, monitored.segments()),
                 traffic: Traffic::new(spec, id),
                 reliable: Retransmitter::new(RELIABLE),
                 metrics: metrics.clone(),
@@ -224,7 +224,7 @@ pub(crate) fn routers(
             }
         })
         .collect();
-    (routers, plan.segments)
+    (routers, monitored.segments().to_vec())
 }
 
 impl Router {
@@ -248,6 +248,12 @@ impl Router {
     fn window(&self, r: u64) -> Window {
         let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
         Window::of_round(r, ns(self.cfg.tau), ns(self.cfg.maturity_lag))
+    }
+
+    /// Whether a [`Input::Pump`] could resend something: the router is up
+    /// and a reliable frame of its awaits an ack.
+    pub(crate) fn awaits_ack(&self) -> bool {
+        self.alive && self.reliable.outstanding() > 0
     }
 
     /// Flushes any buffered observations and publishes what the record
@@ -824,13 +830,8 @@ impl Router {
     fn rebuild(&mut self, t_origin_ns: u64, out: &mut Outputs) {
         self.flush_observations();
         let plan = (self.convergence).plan(&self.monitor_pairs, &self.flow_pairs, self.cfg.k);
-        self.monitors = self.monitors.retarget(
-            plan.segments,
-            plan.oracle,
-            &self.keys,
-            MonitorMode::EndsOnly,
-            None,
-        );
+        let monitored = MonitorPlan::new(plan.segments, plan.oracle, &self.keys);
+        self.monitors = self.monitors.retarget(monitored);
         self.paths = plan.paths;
         // Cross-epoch summary state is void: the segments it described no
         // longer exist, and the amnesty window covers the gap.
@@ -1164,6 +1165,42 @@ mod tests {
         );
         let sent_to: Vec<RouterId> = out.frames.iter().map(|&(dst, _)| dst).collect();
         assert_eq!(sent_to, [planned.routers()[2]]);
+    }
+
+    /// A deployment's monitors cost what each router records: on a
+    /// 128-router ISP-like graph every router's set holds a record for
+    /// exactly the (router, segment) pairs it ends, none for the rest of
+    /// the network, and all of them share the one plan, whose keys are
+    /// derived once, one per segment.
+    #[test]
+    fn each_router_records_only_the_segments_it_ends() {
+        let topo = builtin::isp_like("isp", 128, 128 * 972 / 315, 45, 0xF00D ^ 128);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: (0..8)
+                .map(|i| FlowSpec::new(ids[i * 3], ids[127 - i * 5], 800, Duration::from_millis(8)))
+                .collect(),
+            ..LiveSpec::default()
+        };
+        let metrics = NetMetrics::registered(&MetricsRegistry::new());
+        let (nodes, segments) = routers(&topo, &spec, &LiveConfig::default(), &metrics);
+        assert!(segments.len() > 8, "{} segments", segments.len());
+        let plan = nodes[0].monitors.segments();
+        assert_eq!(plan, &segments[..]);
+        let mut ends = 0;
+        for node in &nodes {
+            let shared = std::ptr::eq(node.monitors.segments(), plan);
+            assert!(shared, "one plan, one key per segment");
+            let mut held: Vec<(RouterId, usize)> = node.monitors.recorded().collect();
+            held.sort_unstable();
+            let ended: Vec<(RouterId, usize)> = (segments.iter().enumerate())
+                .filter(|(_, seg)| seg.source() == node.id || seg.sink() == node.id)
+                .map(|(i, _)| (node.id, i))
+                .collect();
+            assert_eq!(held, ended, "at {}", node.id);
+            ends += ended.len();
+        }
+        assert_eq!(ends, 2 * segments.len(), "every segment has two ends");
     }
 
     /// A router's behaviour is a function of the `(now, input)` sequence

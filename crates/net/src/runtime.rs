@@ -409,6 +409,8 @@ pub(crate) struct NetMetrics {
     pub(crate) routers_isolated: Counter,
     pub(crate) shard_passes: Counter,
     pub(crate) shard_waits: Counter,
+    pub(crate) shard_sleeps: Counter,
+    pub(crate) shard_busy_ns: Counter,
     pub(crate) recv_polls: Counter,
     pub(crate) recv_polls_empty: Counter,
     pub(crate) stale_summaries: Counter,
@@ -454,6 +456,8 @@ impl NetMetrics {
             routers_isolated: reg.counter("net.routers_isolated"),
             shard_passes: reg.counter("net.shard_passes"),
             shard_waits: reg.counter("net.shard_waits"),
+            shard_sleeps: reg.counter("net.shard_sleeps"),
+            shard_busy_ns: reg.counter("net.shard_busy_ns"),
             recv_polls: reg.counter("net.recv_polls"),
             recv_polls_empty: reg.counter("net.recv_polls_empty"),
             stale_summaries: reg.counter("net.stale_summaries"),

@@ -8,7 +8,11 @@
 //! is due, steps routers with the instant and the frame or timer, and
 //! sends what they said, serving a frame's next hop on the shard at once.
 //! Round work and the retransmission pump are batched per shard: one
-//! timer fires and every resident router does its part.
+//! timer fires and every resident router does its part. The pump is on
+//! the wheel only while a resident router awaits an ack.
+//!
+//! Every worker starts its rounds at one epoch, fixed when the last of
+//! them is ready to serve: [`await_epoch`] and [`fix_epoch`].
 
 use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::poller;
@@ -90,32 +94,26 @@ impl LiveDeployment {
         } = Self::prepare(topo, spec, cfg, transports, &metrics);
         let n_shards = shard_nodes.len();
 
-        let epoch = Instant::now() + Duration::from_millis(30);
         // Every round finishes before a shard stops: final evaluation
         // fires at rounds·τ + budget after the epoch, and the slack lets
         // the last alerts cross the wire.
         let stop = cfg.tau * (cfg.rounds as u32) + cfg.exchange_budget + Duration::from_millis(300);
         let (event_tx, event_rx) = mpsc::channel::<LiveEvent>();
+        let (ready_tx, ready_rx) = mpsc::channel();
 
         let mut handles = Vec::with_capacity(n_shards);
         for (s, nodes) in shard_nodes.into_iter().enumerate() {
-            let shard = Shard::new(
-                s as u32,
-                nodes,
-                *cfg,
-                epoch,
-                mailboxes[s].take(),
-                metrics.clone(),
-            );
-            let tx = event_tx.clone();
+            let shard = Shard::new(s as u32, nodes, *cfg, mailboxes[s].take(), metrics.clone());
+            let (tx, ready) = (event_tx.clone(), ready_tx.clone());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("shard-{s}"))
-                    .spawn(move || shard.run(stop.as_nanos() as u64, &tx))
+                    .spawn(move || shard.run(stop.as_nanos() as u64, ready, &tx))
                     .expect("spawn shard thread"),
             );
         }
-        drop(event_tx);
+        drop((event_tx, ready_tx));
+        let epoch = fix_epoch(ready_rx);
 
         // Snapshot the registry just after each round's evaluation
         // deadline so callers can diff neighbouring snapshots into
@@ -207,6 +205,29 @@ impl LiveDeployment {
     }
 }
 
+/// A shard's half of the start protocol: it tells the deployment that it
+/// is ready to serve, through `ready`, and returns the epoch the deployment
+/// then fixes.
+fn await_epoch(ready: mpsc::Sender<mpsc::Sender<Instant>>) -> Instant {
+    let (go, epoch) = mpsc::channel();
+    ready.send(go).expect("the deployment awaits its shards");
+    // The deployment waits for every sender to be gone.
+    drop(ready);
+    epoch.recv().expect("the deployment fixes the epoch")
+}
+
+/// The deployment's half: once every shard holding a sender of `ready`
+/// has signalled (or died trying), reads the clock once and hands that
+/// instant to each shard as the epoch.
+fn fix_epoch(ready: mpsc::Receiver<mpsc::Sender<Instant>>) -> Instant {
+    let shards: Vec<mpsc::Sender<Instant>> = ready.iter().collect();
+    let epoch = Instant::now();
+    for go in shards {
+        let _ = go.send(epoch);
+    }
+    epoch
+}
+
 /// What [`LiveDeployment::prepare`] hands to `run`.
 struct Prepared<T: Transport> {
     /// The routers of each shard with their transports, in shard order.
@@ -233,7 +254,9 @@ enum ShardTimer {
     RoundEnd(u64),
     /// The exchange budget expired: every node validates the round.
     RoundEval(u64),
-    /// Retransmission pump across the shard.
+    /// Retransmission pump across the shard. Armed [`PUMP_STEP_NS`]
+    /// after a step leaves a resident router awaiting an ack, and only
+    /// then: one is on the wheel at most.
     Pump,
     /// `node` performs step `step` of its scripted churn.
     Churn {
@@ -298,9 +321,13 @@ struct Shard<T: Transport> {
     passes: u64,
     /// Endpoints whose transport has not errored out.
     open: usize,
+    /// A [`ShardTimer::Pump`] is on the wheel.
+    pump_armed: bool,
     /// The retransmission pump fell due: it runs after the next pass, so
     /// that the acks already queued are read before it resends.
     pump_due: bool,
+    /// When the last wait returned: the shard has been busy since.
+    woke: u64,
     /// Scratch for the poller's answer.
     ready: Vec<RouterId>,
     /// Where every node's frames are received: one buffer for the shard.
@@ -312,6 +339,8 @@ struct Shard<T: Transport> {
     /// receiving half.
     mailbox: Option<(MailboxRouter, ShardMailbox)>,
     cfg: LiveConfig,
+    /// Time zero of the shard's clock: when it was built, until the start
+    /// protocol fixes the deployment's.
     epoch: Instant,
     metrics: NetMetrics,
     /// What the step in progress says. Its trace ring is this worker's:
@@ -324,7 +353,6 @@ impl<T: Transport> Shard<T> {
         shard: u32,
         nodes: Vec<(Router, T)>,
         cfg: LiveConfig,
-        epoch: Instant,
         mailbox: Option<(MailboxRouter, ShardMailbox)>,
         metrics: NetMetrics,
     ) -> Self {
@@ -341,7 +369,9 @@ impl<T: Transport> Shard<T> {
             passes: 0,
             closed: vec![false; nodes.len()],
             open: nodes.len(),
+            pump_armed: false,
             pump_due: false,
+            woke: 0,
             ready: Vec::new(),
             recv_buf: Vec::new(),
             fired: Vec::new(),
@@ -351,7 +381,7 @@ impl<T: Transport> Shard<T> {
             wheel: TimerWheel::new(),
             mailbox,
             cfg,
-            epoch,
+            epoch: Instant::now(),
             metrics,
             out: Outputs::new(TraceBuffer::new(shard, cfg.trace_capacity)),
         }
@@ -363,8 +393,14 @@ impl<T: Transport> Shard<T> {
             .as_nanos() as u64
     }
 
-    /// Serves the shard until `stop_ns` after the epoch.
-    fn run(mut self, stop_ns: u64, events: &mpsc::Sender<LiveEvent>) -> TraceBuffer {
+    /// Installs the shard's poller, signals `ready`, and serves the shard
+    /// from the epoch the deployment fixes until `stop_ns` after it.
+    fn run(
+        mut self,
+        stop_ns: u64,
+        ready: mpsc::Sender<mpsc::Sender<Instant>>,
+        events: &mpsc::Sender<LiveEvent>,
+    ) -> TraceBuffer {
         let tau = self.cfg.tau.as_nanos() as u64;
         let budget = self.cfg.exchange_budget.as_nanos() as u64;
         for (ni, node) in self.nodes.iter().enumerate() {
@@ -384,14 +420,14 @@ impl<T: Transport> Shard<T> {
             self.wheel
                 .schedule((r + 1) * tau + budget, ShardTimer::RoundEval(r));
         }
-        self.wheel.schedule(PUMP_STEP_NS, ShardTimer::Pump);
         self.wheel.schedule(stop_ns, ShardTimer::Stop);
-        let now = self.now_ns();
-        (self.out.trace).record(now, TraceKind::RoundStart, NO_ROUTER, 0, 0);
 
         // This worker's sockets find the poller through the thread, so
         // they register through whatever wraps them.
         let poller = poller::install();
+        self.epoch = await_epoch(ready);
+        let now = self.now_ns();
+        (self.out.trace).record(now, TraceKind::RoundStart, NO_ROUTER, 0, 0);
         let mut handled = 0;
         // Until every transport closed under us, or the stop.
         while self.open > 0 {
@@ -410,13 +446,15 @@ impl<T: Transport> Shard<T> {
             self.metrics.wire_bytes_sent.add(link.bytes_sent());
             self.metrics.wire_bytes_recv.add(link.bytes_recv());
         }
+        (self.metrics.shard_busy_ns).add(self.now_ns().saturating_sub(self.woke));
         self.out.trace
     }
 
     /// Steps node `ni` with `input` at the current instant — timing the
     /// step if it was a stage — sends the frames it produced and counts
     /// each one due at the shard-mate it went to, in send order, so the
-    /// last one sent to is on top. Returns a flow tick's next deadline.
+    /// last one sent to is on top. Arms the pump if the node now awaits an
+    /// ack. Returns a flow tick's next deadline.
     fn step(
         &mut self,
         ni: usize,
@@ -449,6 +487,13 @@ impl<T: Transport> Shard<T> {
         for event in self.out.events.drain(..) {
             let _ = events.send(event);
         }
+        // A frame sent at `now` or later is resent by a pump in
+        // [rto, rto + PUMP_STEP_NS] after it: pumps follow each other
+        // PUMP_STEP_NS apart while anything awaits an ack.
+        if !self.pump_armed && self.nodes[ni].awaits_ack() {
+            self.pump_armed = true;
+            self.wheel.schedule(now + PUMP_STEP_NS, ShardTimer::Pump);
+        }
         self.out.next_tick.take()
     }
 
@@ -477,10 +522,7 @@ impl<T: Transport> Shard<T> {
                     }
                 }
                 ShardTimer::RoundEval(r) => self.for_each_node(Input::RoundEval(r), events),
-                ShardTimer::Pump => {
-                    self.pump_due = true;
-                    self.wheel.schedule(now + PUMP_STEP_NS, ShardTimer::Pump);
-                }
+                ShardTimer::Pump => (self.pump_armed, self.pump_due) = (false, true),
                 ShardTimer::Churn { node, step } => {
                     self.step(node, Input::Churn(step), events);
                 }
@@ -501,12 +543,13 @@ impl<T: Transport> Shard<T> {
     /// Blocks until a socket of this shard is readable or the next timer
     /// is due, and reports the readable nodes. It does not block while
     /// work is queued. `handled` is what the previous pass got done.
+    /// Counts the time since the previous wait as busy.
     fn wait(&mut self, poller: &poller::Installed, handled: usize) {
+        let now = self.now_ns();
+        (self.metrics.shard_busy_ns).add(now.saturating_sub(self.woke));
         // Only a shard driven by hand has an empty wheel.
-        let until_timer = self
-            .wheel
-            .next_deadline()
-            .map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(self.now_ns()));
+        let until_timer =
+            (self.wheel.next_deadline()).map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(now));
         // Nothing announces a frame for a swept endpoint or the mailbox:
         // while the last pass found work there may be more, and an idle
         // wait stays short.
@@ -521,7 +564,10 @@ impl<T: Transport> Shard<T> {
             self.metrics.shard_waits.inc();
         }
         self.ready.clear();
-        poller.wait(Duration::from_nanos(wait), &mut self.ready);
+        if poller.wait(Duration::from_nanos(wait), &mut self.ready) {
+            self.metrics.shard_sleeps.inc();
+        }
+        self.woke = self.now_ns();
         // Only this shard's endpoints are ever polled on this thread.
         for i in 0..self.ready.len() {
             self.report(self.index_of[&self.ready[i]]);
@@ -656,7 +702,7 @@ mod tests {
         let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
         let mut prepared = LiveDeployment::prepare(&topo, &spec, &cfg, transports, &metrics);
         let nodes = prepared.shard_nodes.remove(0);
-        let mut shard = Shard::new(0, nodes, cfg, Instant::now(), None, metrics);
+        let mut shard = Shard::new(0, nodes, cfg, None, metrics);
         let (events, _event_rx) = mpsc::channel();
         let poller = poller::install();
         let counter = |name: &str| registry.snapshot().counter(name);
@@ -717,7 +763,7 @@ mod tests {
         let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
         let mut prepared = LiveDeployment::prepare(topo, &spec, &cfg, transports, &metrics);
         let nodes = prepared.shard_nodes.remove(0);
-        let shard = Shard::new(0, nodes, cfg, Instant::now(), None, metrics);
+        let shard = Shard::new(0, nodes, cfg, None, metrics);
         (shard, registry)
     }
 
@@ -815,6 +861,100 @@ mod tests {
             at(first_sink) < at(other_second_hop),
             "taps in order: {taps:?}"
         );
+    }
+
+    /// The start protocol: a shard held back 50 ms before it says it is
+    /// ready does not find the epoch already past. Every shard gets the
+    /// one epoch, and it is no earlier than the last ready signal.
+    #[test]
+    fn the_epoch_is_fixed_once_the_last_shard_is_ready() {
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let shards: Vec<_> = (0..3)
+            .map(|s| {
+                let ready = ready_tx.clone();
+                std::thread::spawn(move || {
+                    if s == 1 {
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                    let ready_at = Instant::now();
+                    (ready_at, await_epoch(ready))
+                })
+            })
+            .collect();
+        drop(ready_tx);
+        let epoch = fix_epoch(ready_rx);
+        for shard in shards {
+            let (ready_at, theirs) = shard.join().expect("shard thread");
+            assert_eq!(theirs, epoch);
+            assert!(ready_at <= epoch, "the epoch came before a shard was ready");
+        }
+    }
+
+    /// The retransmission pump is on the wheel only while a resident
+    /// router awaits an ack: an idle shard, and one that forwards data
+    /// only, has none; a round end's reliable summaries arm one; their
+    /// acks come back in the next pass, so the pump that fires resends
+    /// nothing and arms no other.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_pump_is_armed_only_while_a_frame_awaits_its_ack() {
+        let (mut shard, registry) = udp_shard(&builtin::line(3), &[(0, 2)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        assert_eq!(shard.pass(&poller, &events), 0);
+        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        assert_eq!(shard.pass(&poller, &events), 2);
+        assert!(shard.wheel.is_empty(), "data alone arms no pump");
+
+        let armed_by = shard.now_ns();
+        shard.for_each_node(Input::RoundEnd(0), &events);
+        assert!(shard.nodes.iter().any(Router::awaits_ack));
+        assert_eq!(shard.wheel.len(), 1, "one pump for the whole shard");
+        let deadline = shard.wheel.next_deadline().expect("a pump");
+        assert!((armed_by + PUMP_STEP_NS..=shard.now_ns() + PUMP_STEP_NS).contains(&deadline));
+
+        while shard.pass(&poller, &events) > 0 {}
+        assert!(!shard.nodes.iter().any(Router::awaits_ack), "acked");
+        // The pump's deadline passes: it fires and runs, and nothing is
+        // left to arm the next one.
+        shard.epoch -= Duration::from_nanos(PUMP_STEP_NS);
+        assert!(shard.fire_timers(&events));
+        assert!(std::mem::take(&mut shard.pump_due));
+        shard.for_each_node(Input::Pump, &events);
+        assert!(shard.wheel.is_empty(), "the ack disarmed the pump");
+        assert_eq!(registry.snapshot().counter("net.retransmits"), 0);
+    }
+
+    /// A frame nobody acks is resent by the pump in `[rto, rto +
+    /// PUMP_STEP_NS]` after its send: the pump armed by the send finds it
+    /// not yet due, re-arms, and the next one resends it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_unacked_frame_is_resent_between_rto_and_rto_plus_a_pump_step() {
+        let (mut shard, registry) = udp_shard(&builtin::line(3), &[(0, 2)]);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        let retransmits = || registry.snapshot().counter("net.retransmits");
+        assert_eq!(PUMP_STEP_NS * 2, RELIABLE.rto_ns);
+        for node in 1..3 {
+            shard.nodes[node].alive = false;
+        }
+        shard.step(0, Input::RoundEnd(0), &events);
+        assert!(shard.nodes[0].awaits_ack());
+        while shard.pass(&poller, &events) > 0 {}
+
+        let pump = |shard: &mut Shard<UdpNet>| {
+            shard.epoch -= Duration::from_nanos(PUMP_STEP_NS);
+            assert!(shard.fire_timers(&events));
+            assert!(std::mem::take(&mut shard.pump_due), "the pump fell due");
+            shard.for_each_node(Input::Pump, &events);
+        };
+        pump(&mut shard);
+        assert_eq!(retransmits(), 0, "not yet rto after the send");
+        assert_eq!(shard.wheel.len(), 1, "still awaited: re-armed");
+        pump(&mut shard);
+        assert!(retransmits() > 0, "resent by rto + PUMP_STEP_NS");
+        assert_eq!(shard.wheel.len(), 1);
     }
 
     /// A node with more than `RECV_SWEEP` frames queued takes that many in

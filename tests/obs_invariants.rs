@@ -12,10 +12,11 @@ use fatih::net::runtime::{DropperSpec, FlowSpec, LiveConfig, LiveDeployment, Liv
 use fatih::net::{ChaosTransport, UdpNet};
 use fatih::obs::{JsonValue, TraceJournal, TraceKind};
 use fatih::topology::{builtin, RouterId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// One chaos Abilene run shared by every assertion below.
-fn chaos_run() -> fatih::net::runtime::LiveOutcome {
+/// One chaos Abilene run shared by every assertion below, and its wall
+/// time.
+fn chaos_run() -> (fatih::net::runtime::LiveOutcome, Duration) {
     let topo = builtin::abilene();
     let ids: Vec<RouterId> = topo.routers().collect();
     let routes = topo.link_state_routes();
@@ -54,12 +55,14 @@ fn chaos_run() -> fatih::net::runtime::LiveOutcome {
         .enumerate()
         .map(|(i, t)| ChaosTransport::control(t, 0.05, 0.02, 9000 + i as u64))
         .collect();
-    LiveDeployment::run(&topo, &spec, &cfg, transports)
+    let start = Instant::now();
+    let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
+    (outcome, start.elapsed())
 }
 
 #[test]
 fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
-    let outcome = chaos_run();
+    let (outcome, wall) = chaos_run();
 
     // The run must have done real work and traced it.
     assert!(outcome.stats.data_delivered > 0, "no traffic delivered");
@@ -104,6 +107,13 @@ fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
     assert!(
         outcome.metrics.counter("net.shard_waits") <= outcome.metrics.counter("net.shard_passes")
     );
+    // A wait that slept is a wait that meant to; and the workers, at most
+    // one per core, were busy no longer than they ran.
+    let sleeps = outcome.metrics.counter("net.shard_sleeps");
+    assert!(sleeps > 0 && sleeps <= outcome.metrics.counter("net.shard_waits"));
+    let busy_ns = outcome.metrics.counter("net.shard_busy_ns");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u128;
+    assert!(busy_ns > 0 && u128::from(busy_ns) <= cores * wall.as_nanos());
 
     // The records are sliding windows: what was recorded and not pruned
     // since is exactly what the routers still held when they finished,
