@@ -16,9 +16,9 @@
 //! * [`monitor`] — building `info(r, π, τ)` from local observations;
 //! * [`rounds`] — the round rule: the window of observations a round
 //!   judges, holds and afterwards forgets, one definition under the
-//!   simulator-hosted detectors and the live runtime;
-//! * [`probation`] — crash-restart re-admission: restarted routers carry
-//!   no transit traffic until they survive K clean rounds;
+//!   in-memory detectors and the live runtime;
+//! * [`probation`] — crash-restart re-admission: restarted routers are
+//!   transit of last resort until they survive K clean rounds;
 //! * [`consensus`] — Dolev–Strong authenticated broadcast for Π2's
 //!   report dissemination;
 //! * [`pi2`] — **Protocol Π2**: every segment member validates every
@@ -26,8 +26,9 @@
 //! * [`pik2`] — **Protocol Πk+2**: only segment ends validate;
 //!   strong-complete, accurate, precision k+2, cheap enough to deploy
 //!   (§5.2). The exchange is the per-router, sans-I/O `Pik2Node`, hosted
-//!   by `Pik2Detector` here and by the live runtime, and what either host
-//!   puts on its wire is a `pik2::Message`, encoded here;
+//!   by the live runtime and, in memory, by the `Pik2Detector` harness
+//!   here, and what a host puts on its wire is a `pik2::Message`, encoded
+//!   here;
 //! * [`chi`] — **Protocol χ**: congestion-aware loss detection by queue
 //!   replay with statistical confidence tests, for drop-tail and RED
 //!   queues (Chapter 6);
@@ -35,18 +36,12 @@
 //!   consorting-routers flaw demonstrable (§3.1);
 //! * [`threshold`] — the static-threshold baseline χ is compared against
 //!   (§6.4.3);
-//! * [`fatih_system`] — the Fatih prototype's control loop: τ-second
-//!   rounds, alerts, OSPF-timed rerouting (§5.3);
 //! * [`zhang`], [`herzberg`], [`sectrace`] — the remaining baselines of
 //!   the Chapter 3 literature review: the per-interface rate model, the
 //!   ack/timeout per-packet protocols, and Secure Traceroute with its
 //!   framing weakness;
 //! * [`reliable`] — the sans-I/O retransmission core: backoff, retry
-//!   budget and bounded duplicate suppression, hosted by [`transport`]
-//!   and by the live runtime;
-//! * [`transport`] — reliable control-plane delivery over the lossy
-//!   simulated network: [`reliable`]'s core driven by the simulator's
-//!   clock and control packets;
+//!   budget and bounded duplicate suppression, hosted by the live router;
 //! * [`wire`] — the tagged byte layout every control message is written
 //!   in and signed over;
 //! * [`perlman`] — Byzantine-robust multipath forwarding under
@@ -90,7 +85,6 @@
 
 pub mod chi;
 pub mod consensus;
-pub mod fatih_system;
 pub mod herzberg;
 pub mod monitor;
 pub mod perlman;
@@ -103,19 +97,16 @@ pub mod rounds;
 pub mod sectrace;
 pub mod spec;
 pub mod threshold;
-pub mod transport;
 pub mod watchers;
 pub mod wire;
 pub mod zhang;
 
 pub use chi::{ChiConfig, ChiVerdict, QueueTap, QueueValidator};
-pub use fatih_system::{FatihConfig, FatihEvent, FatihSystem};
 pub use pi2::{Pi2Config, Pi2Detector};
 pub use pik2::{Pik2Config, Pik2Detector};
 pub use policy::{Policy, ReportFault, Thresholds};
 pub use probation::{ProbationStatus, ProbationTracker};
 pub use spec::{Interval, SignedAlert, SpecCheck, Suspicion};
 pub use threshold::{ThresholdDetector, ThresholdVerdict};
-pub use transport::{ReliableTransport, TransportConfig, TransportEvent, TransportMsg};
 pub use watchers::{WatchersConfig, WatchersDetector, WatchersMode};
 pub use zhang::{ZhangConfig, ZhangDetector, ZhangVerdict};

@@ -452,10 +452,12 @@ pub struct SegmentMonitorSet {
     /// by every member of a segment, but its fingerprint under that
     /// segment's key never changes. The stored invariant bytes are
     /// compared on every hit so a modified packet (same id, different
-    /// content) can never reuse a stale fingerprint.
+    /// content) can never reuse a stale fingerprint. Kept by a
+    /// network-wide set only: one router's set is one recorder of each
+    /// segment, fingerprints each packet once per segment, and would pay
+    /// an insert per observation — ≈ 8 MB per router once full (65 536
+    /// entries) — for a memo that never hits.
     fp_cache: HashMap<(PacketId, u32), ([u8; 40], Fingerprint)>,
-    /// Whether `fp_cache` is consulted and filled at all.
-    memo: bool,
     /// Route-traversal memo: whether the routed (src, dst) path contains
     /// segment `seg`. Pure function of the oracle, which is fixed at
     /// construction.
@@ -549,23 +551,10 @@ impl SegmentMonitorSet {
             slots,
             slot_of,
             fp_cache: HashMap::new(),
-            memo: true,
             traverse_cache: HashMap::new(),
             scratch: IngestScratch::default(),
             metrics: MonitorMetrics::default(),
         }
-    }
-
-    /// Turns the (packet, segment) fingerprint memo off, for a set that is
-    /// fed the observations of **one router only** (a live node, as
-    /// opposed to the simulator's network-wide set). A router is one
-    /// recorder of a segment, so it fingerprints each packet once per
-    /// segment and the memo can never hit: it would cost an insert per
-    /// observation and, once full (65 536 entries), ≈ 8 MB per router.
-    /// Reports are identical either way.
-    pub fn without_fingerprint_memo(mut self) -> Self {
-        self.memo = false;
-        self
     }
 
     /// The monitored segments.
@@ -589,61 +578,36 @@ impl SegmentMonitorSet {
     /// "monitoring follows the new routes" step — recording for the same
     /// routers, in the same mode, at the same sampling rate. The metrics
     /// handles carry over so a live deployment keeps aggregating into the
-    /// same registry cells, and so does the choice made with
-    /// [`without_fingerprint_memo`](Self::without_fingerprint_memo);
-    /// accumulated records, fingerprint memos and route memos belong to
+    /// same registry cells; accumulated records, fingerprint memos and route memos belong to
     /// the old routing epoch and are dropped wholesale (the records count
     /// as pruned).
     pub fn retarget(&self, plan: MonitorPlan) -> Self {
         let mut next = Self::build(plan, self.recorder, self.mode, self.sampling_rate);
         next.metrics = self.metrics.clone();
         next.metrics.entries_pruned.add(self.held() as u64);
-        next.memo = self.memo;
         next
     }
 
-    /// Feeds one simulator observation.
+    /// Feeds one simulator observation: a batch of one.
+    pub fn observe(&mut self, ev: &TapEvent) {
+        self.observe_batch(std::slice::from_ref(ev));
+    }
+
+    /// Feeds a batch of simulator observations at once.
     ///
     /// Control-plane packets (the protocols' own summaries, acks and
     /// alerts) are excluded from traffic validation: their loss is the
     /// transport layer's business, and counting a faulted control packet
     /// as missing *data* traffic would turn an environmental fault into a
     /// false accusation against the routers on its path.
-    pub fn observe(&mut self, ev: &TapEvent) {
-        if ev.packet().kind == fatih_sim::PacketKind::Control {
-            return;
-        }
-        match ev {
-            TapEvent::Enqueued {
-                router,
-                next_hop,
-                packet,
-                time,
-                ..
-            } => {
-                self.record((*router, *next_hop), packet, *time, true);
-            }
-            TapEvent::Arrived {
-                router,
-                from: Some(from),
-                packet,
-                time,
-            } => {
-                self.record((*router, *from), packet, *time, false);
-            }
-            _ => {}
-        }
-    }
-
-    /// Feeds a batch of simulator observations at once.
     ///
-    /// Equivalent to calling [`observe`](Self::observe) per event, but the
-    /// invariant fields of each packet are encoded once (not once per
+    /// The invariant fields of each packet are encoded once (not once per
     /// matching segment), fingerprint-memo misses are grouped per segment
     /// key and pushed through the 4-lane
     /// [`fingerprint_batch_into`](UhashKey::fingerprint_batch_into) kernel,
     /// and record pushes index the slot vector directly.
     pub fn observe_batch(&mut self, events: &[TapEvent]) {
+        let memo = self.recorder.is_none();
         // Tally locally, add once per batch: the per-packet path must not
         // pay an atomic per observation.
         let mut memo_hits = 0u64;
@@ -686,8 +650,7 @@ impl SegmentMonitorSet {
                 if !Self::traverses(&self.plan, &mut self.traverse_cache, packet, r.seg) {
                     continue;
                 }
-                let memoed = self
-                    .memo
+                let memoed = memo
                     .then(|| self.fp_cache.get(&(packet.id, r.seg)))
                     .flatten();
                 let fp = match memoed {
@@ -734,7 +697,7 @@ impl SegmentMonitorSet {
                 key.fingerprint_batch_into(msgs, fps);
                 for (&i, &fp) in miss.iter().zip(fps.iter()) {
                     pending[i].fp = Some(fp);
-                    if !self.memo {
+                    if !memo {
                         continue;
                     }
                     if self.fp_cache.len() >= FP_CACHE_MAX {
@@ -769,58 +732,6 @@ impl SegmentMonitorSet {
         self.metrics.records.add(recorded);
     }
 
-    fn record(
-        &mut self,
-        edge: (RouterId, RouterId),
-        packet: &Packet,
-        time: SimTime,
-        forward: bool,
-    ) {
-        let index = if forward {
-            &self.forward_index
-        } else {
-            &self.arrival_index
-        };
-        let Some(refs) = index.get(&edge) else {
-            return;
-        };
-        // One invariant-field encoding per packet, shared by every segment
-        // this edge feeds.
-        let inv = packet.invariant_bytes();
-        for r in refs {
-            if !Self::traverses(&self.plan, &mut self.traverse_cache, packet, r.seg) {
-                continue;
-            }
-            let (fp, memo_hit) = if self.memo {
-                Self::memo_fingerprint(
-                    &mut self.fp_cache,
-                    &self.plan.keys[r.seg as usize],
-                    packet.id,
-                    r.seg,
-                    &inv,
-                )
-            } else {
-                (self.plan.keys[r.seg as usize].fingerprint(&inv), false)
-            };
-            if memo_hit {
-                self.metrics.fp_cache_hits.inc();
-            } else {
-                self.metrics.fp_cache_misses.inc();
-            }
-            if let Some(patterns) = &self.sampling {
-                if !patterns[r.seg as usize].samples_fingerprint(fp) {
-                    continue;
-                }
-            }
-            self.slots[r.slot as usize].entries.push(ReportEntry {
-                fingerprint: fp,
-                size: packet.size,
-                time,
-            });
-            self.metrics.records.inc();
-        }
-    }
-
     /// Memoized route-traversal check: the oracle is fixed at construction,
     /// so (src, dst, segment) → bool is a pure lookup after the first miss.
     fn traverses(
@@ -832,31 +743,6 @@ impl SegmentMonitorSet {
         *cache
             .entry((packet.src, packet.dst, seg))
             .or_insert_with(|| (plan.oracle).packet_traverses(packet, &plan.segments[seg as usize]))
-    }
-
-    /// Memoized per-(packet, segment) fingerprint (plus whether the memo
-    /// hit). The cached invariant bytes are compared on every hit: a
-    /// packet that arrives modified (same id, different invariant fields)
-    /// is re-fingerprinted, so the memo can never mask a modification
-    /// attack.
-    fn memo_fingerprint(
-        cache: &mut HashMap<(PacketId, u32), ([u8; 40], Fingerprint)>,
-        key: &UhashKey,
-        id: PacketId,
-        seg: u32,
-        inv: &[u8; 40],
-    ) -> (Fingerprint, bool) {
-        if let Some((cached_inv, fp)) = cache.get(&(id, seg)) {
-            if cached_inv == inv {
-                return (*fp, true);
-            }
-        }
-        let fp = key.fingerprint(inv);
-        if cache.len() >= FP_CACHE_MAX {
-            cache.clear();
-        }
-        cache.insert((id, seg), (*inv, fp));
-        (fp, false)
     }
 
     /// Everything `router` still holds for segment index `i`: what it
@@ -1187,16 +1073,8 @@ mod tests {
             MonitorMode::AllMembers,
             None,
         );
-        let mut batch = SegmentMonitorSet::new(
-            segs.clone(),
-            oracle.clone(),
-            &ks,
-            MonitorMode::AllMembers,
-            None,
-        );
-        let mut memoless =
-            SegmentMonitorSet::new(segs.clone(), oracle, &ks, MonitorMode::AllMembers, None)
-                .without_fingerprint_memo();
+        let mut batch =
+            SegmentMonitorSet::new(segs.clone(), oracle, &ks, MonitorMode::AllMembers, None);
         net.add_cbr_flow(
             ids[0],
             ids[3],
@@ -1211,24 +1089,12 @@ mod tests {
             events.push(*ev);
         });
         // Replay the same tape in uneven chunks through the batched path.
-        // The memo is an optimisation only: without it both ingest paths
-        // record the same.
-        for (n, chunk) in events.chunks(7).enumerate() {
+        for chunk in events.chunks(7) {
             batch.observe_batch(chunk);
-            if n % 2 == 0 {
-                memoless.observe_batch(chunk);
-            } else {
-                chunk.iter().for_each(|ev| memoless.observe(ev));
-            }
         }
         for &r in &ids {
             for i in 0..segs.len() {
                 assert_eq!(one.report(r, i), batch.report(r, i), "router {r} seg {i}");
-                assert_eq!(
-                    one.report(r, i),
-                    memoless.report(r, i),
-                    "router {r} seg {i}"
-                );
             }
         }
     }

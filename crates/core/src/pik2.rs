@@ -17,22 +17,23 @@
 //! resolution and the verdicts. It owns no clock, socket, key or counter;
 //! a host closes its rounds, hands it what arrived — having authenticated
 //! the sender — and reads it the record through a `&SegmentMonitorSet`.
-//! Two hosts do: [`Pik2Detector`] here, one node per segment-ending router
-//! over the simulator's shared monitor set, adding the pairwise MAC,
-//! [`ReliableTransport`] delivery and the report faults of §2.2.1; and the
-//! live runtime's sans-I/O `Router` (`fatih-net`), stepped by a shard,
-//! adding sealed frames, retransmission, metrics, alerts and the response. What either
-//! host puts on its wire is a [`Message`], whose bytes are laid out here
-//! and nowhere else.
+//! The live runtime's sans-I/O `Router` (`fatih-net`) hosts it, stepped by
+//! a shard over sockets or by the simulator's clock, adding sealed frames,
+//! retransmission, metrics, alerts and the response. [`Pik2Detector`] here
+//! is an in-memory harness for detection experiments: one node per
+//! segment-ending router over the simulator's shared monitor set, evidence
+//! handed from end to end directly, with the order policies, sampling and
+//! report faults of §2.2.1 the live router does not judge. What a host
+//! puts on its wire is a [`Message`], whose bytes are laid out here and
+//! nowhere else.
 
 use crate::monitor::{MonitorMode, PathOracle, Report, ReportEntry, SegmentMonitorSet};
 use crate::policy::{distort, PairVerdict, Policy, ReportFault, Thresholds};
 use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
-use crate::transport::{ReliableTransport, TransportEvent, TransportMsg};
 use crate::wire::{WireEncoder, WireError, WireReader};
 use fatih_crypto::{Fingerprint, KeyStore};
-use fatih_sim::{Network, SimTime, TapEvent};
+use fatih_sim::{SimTime, TapEvent};
 use fatih_topology::{PathSegment, RouterId, Routes};
 use fatih_validation::digest::{diff_digests, ContentDigest};
 use rand::rngs::StdRng;
@@ -466,23 +467,23 @@ impl Default for Pik2Config {
     }
 }
 
-/// The Πk+2 detector over a simulated network: every segment-ending
-/// router's [`Pik2Node`], the monitor set they all record into, and the
-/// control-plane I/O between them.
+/// The Πk+2 detector over a simulated network, in memory: every
+/// segment-ending router's [`Pik2Node`] and the monitor set they all
+/// record into, each round's evidence handed from end to end with nothing
+/// lost or late. A harness for detection experiments — order policies,
+/// secret sampling and the report faults of §2.2.1 — that the live
+/// `Router` (`fatih-net`) does not judge; the response loop is the live
+/// one, on the simulator's clock too.
 #[derive(Debug)]
 pub struct Pik2Detector {
     cfg: Pik2Config,
-    keystore: KeyStore,
     monitors: SegmentMonitorSet,
     nodes: BTreeMap<RouterId, Pik2Node>,
     report_faults: BTreeMap<RouterId, ReportFault>,
-    /// Where this deployment's first round opens.
-    deployed_at: SimTime,
     /// When the previous round ended; `None` until one has.
     prev_end: Option<SimTime>,
     first_event: Option<SimTime>,
-    /// Rounds closed so far: the number the nodes know the latest by (a
-    /// caller's `round_id` need not count up).
+    /// Rounds closed so far: the number the nodes know the latest by.
     rounds: u64,
     lost_judged: u64,
 }
@@ -492,31 +493,21 @@ impl Pik2Detector {
     /// time 0.
     pub fn new(routes: &Routes, keystore: KeyStore, cfg: Pik2Config) -> Self {
         let paths: Vec<fatih_topology::Path> = routes.all_paths().collect();
-        Self::with_paths(&paths, routes.router_count(), keystore, cfg, SimTime::ZERO)
-    }
-
-    /// Deploys Πk+2 over an explicit path set — used to re-deploy
-    /// monitoring after the response changed the routing fabric, in the
-    /// middle of the round that opened at `round_start`.
-    pub fn with_paths(
-        paths: &[fatih_topology::Path],
-        router_count: usize,
-        keystore: KeyStore,
-        cfg: Pik2Config,
-        round_start: SimTime,
-    ) -> Self {
-        let segments: Vec<PathSegment> =
-            fatih_topology::pik2_segments_from_paths(paths.iter().cloned(), router_count, cfg.k)
-                .all_segments()
-                .into_iter()
-                .collect();
+        let segments: Vec<PathSegment> = fatih_topology::pik2_segments_from_paths(
+            paths.iter().cloned(),
+            routes.router_count(),
+            cfg.k,
+        )
+        .all_segments()
+        .into_iter()
+        .collect();
         let mut nodes = BTreeMap::new();
         for end in segments.iter().flat_map(|s| [s.source(), s.sink()]) {
             nodes
                 .entry(end)
                 .or_insert_with(|| Pik2Node::new(end, &segments));
         }
-        let oracle = PathOracle::from_paths(paths.iter().cloned());
+        let oracle = PathOracle::from_paths(paths);
         let monitors = SegmentMonitorSet::new(
             segments,
             oracle,
@@ -526,11 +517,9 @@ impl Pik2Detector {
         );
         Self {
             cfg,
-            keystore,
             monitors,
             nodes,
             report_faults: BTreeMap::new(),
-            deployed_at: round_start,
             prev_end: None,
             first_event: None,
             rounds: 0,
@@ -563,214 +552,68 @@ impl Pik2Detector {
         self.monitors.observe(ev);
     }
 
-    /// Ends the round at `now` and runs every segment's end-to-end MAC'd
-    /// exchange in memory — a control plane that loses and delays nothing
-    /// — returning the raised suspicions. The round rule is
-    /// [`begin_round`](Self::begin_round)'s and
-    /// [`finish_round`](Self::finish_round)'s.
-    pub fn end_round(&mut self, now: SimTime) -> Vec<Suspicion> {
-        let mut sent: Vec<TransportMsg> = Vec::new();
-        // Nothing outlives the call, so no earlier exchange's summary can
-        // turn up in this one and any round id will do.
-        let mut exch = self.summarise(now, 0, |from, to, payload| {
-            let msg = sent.len() as u64;
-            sent.push(TransportMsg {
-                msg,
-                from,
-                to,
-                payload,
-                at: now,
-            });
-            msg
-        });
-        for msg in &sent {
-            self.exchange_message(&mut exch, msg);
-        }
-        self.finish_round(exch)
-    }
-
-    // ------------------------------------------------------------------
-    // Transport-backed rounds
-    // ------------------------------------------------------------------
-
-    /// Ends the measurement round at `now` and launches the summary
-    /// exchange **over the network**: each segment end MACs its report
-    /// and sends it to the peer end via `transport`, so the exchange
-    /// rides real control packets through loss, delay, duplication and
-    /// corruption. Drive the simulation onward, feeding transport inbox
-    /// messages to [`exchange_message`](Self::exchange_message) and
-    /// events to [`exchange_event`](Self::exchange_event), then call
-    /// [`finish_round`](Self::finish_round).
+    /// Ends the round at `now`: every node says what its record holds for
+    /// it, the summary goes straight to the segment's other end, and every
+    /// node evaluates. Returns the raised suspicions.
     ///
     /// The round judges the [`Window`] between the previous round's
-    /// maturity cutoff and its own, `now − maturity_lag`; a round that is
-    /// begun and abandoned stays unjudged. `round_id` must be unique per
-    /// exchange (stale messages from an earlier, abandoned exchange are
-    /// ignored by the id check).
-    pub fn begin_round(
-        &mut self,
-        now: SimTime,
-        round_id: u64,
-        net: &mut Network,
-        transport: &mut ReliableTransport,
-    ) -> RoundExchange {
-        self.summarise(now, round_id, |from, to, payload| {
-            transport.send(net, from, to, payload)
-        })
-    }
-
-    /// Closes the measurement round at `now`: every node says what its
-    /// record holds for the round, and each summary is MAC'd and handed to
-    /// `send` (sender, receiver, payload), which returns the transport's
-    /// message id.
-    fn summarise(
-        &mut self,
-        now: SimTime,
-        round_id: u64,
-        mut send: impl FnMut(RouterId, RouterId, Vec<u8>) -> u64,
-    ) -> RoundExchange {
+    /// maturity cutoff and its own, `now − maturity_lag`. An end whose
+    /// peer said nothing — a silent end, by its report fault — holds ⊥ for
+    /// it: a *failed exchange*, which the timeout-as-accusation rule turns
+    /// into a suspicion (a router that withholds its summary is treated
+    /// exactly like one caught lying, §5.2). Each end judges for itself.
+    pub fn end_round(&mut self, now: SimTime) -> Vec<Suspicion> {
         let prev_end = self.prev_end.replace(now);
         self.rounds += 1;
+        let round = self.rounds;
+        let interval = Interval::new(prev_end.unwrap_or(SimTime::ZERO), now);
+        let window = Window::closing(prev_end, now, self.cfg.maturity_lag);
         // Packets already in flight when monitoring began must not read as
         // fabrication (see `tv_pair`).
-        let fabrication_floor = self
-            .first_event
+        let fabrication_floor = (self.first_event)
             .map(|t| t + self.cfg.maturity_lag)
             .unwrap_or(SimTime::ZERO);
-        let mut exch = RoundExchange {
-            round_id,
-            round: self.rounds,
-            interval: Interval::new(prev_end.unwrap_or(self.deployed_at), now),
-            window: Window::closing(prev_end, now, self.cfg.maturity_lag),
-            fabrication_floor,
-            pending: BTreeMap::new(),
-            failed: BTreeSet::new(),
-        };
-        let segments = self.monitors.segments();
-        let mut outgoing = Vec::new();
+        let mut said = Vec::new();
         for (&sender, node) in &mut self.nodes {
-            let said = node.close_round(exch.round, exch.window, None, &self.monitors);
-            outgoing.extend((said.into_iter()).map(|(to, seg, said)| (seg, sender, to, said)));
+            let told = node.close_round(round, window, None, &self.monitors);
+            said.extend((told.into_iter()).map(|(to, seg, evidence)| (sender, to, seg, evidence)));
         }
-        // Segment by segment, the source's summary first: the order the
-        // summaries enter the network in is part of a seeded run.
-        outgoing.sort_by_key(|&(seg, sender, ..)| (seg, sender != segments[seg].source()));
-        for (seg, sender, receiver, said) in outgoing {
-            let Evidence::Summary(report) = said else {
+        let segments = self.monitors.segments();
+        for (sender, receiver, seg, evidence) in said {
+            let Evidence::Summary(report) = evidence else {
                 unreachable!("no sketch was asked for");
             };
-            let from_a = sender == segments[seg].source();
-            let salt = if from_a { 1 } else { 2 };
             // The report fault wraps the node's outgoing summary. Ends have
             // no upstream record within the segment to copy, so HideDrops
             // degenerates to an honest report here; Silent and Inflate
             // apply as-is.
+            let salt = if sender == segments[seg].source() {
+                1
+            } else {
+                2
+            };
             let fault = self.report_faults.get(&sender).copied();
             let Some(claimed) = distort(fault, &report, None, salt) else {
-                // A silent end sends nothing; the peer's round timer
-                // expires and the exchange counts as failed.
-                exch.failed.insert((seg, from_a));
                 continue;
             };
-            let message = Message {
-                round: round_id,
-                segment: segments[seg].clone(),
-                evidence: Evidence::Summary(claimed),
-            };
-            let mut body = WireEncoder::new();
-            message.encode_into(&mut body);
-            let payload = seal(&self.keystore, sender, receiver, body.finish());
-            let msg = send(sender, receiver, payload);
-            exch.pending.insert(msg, (seg, from_a));
-        }
-        exch
-    }
-
-    /// Offers a delivered transport message to the exchange. Returns
-    /// `true` if it was a summary (consumed), `false` if it is something
-    /// else (an alert…). A summary that is authentic goes to the receiving
-    /// end's node.
-    pub fn exchange_message(&mut self, exch: &mut RoundExchange, msg: &TransportMsg) -> bool {
-        let mut rd = WireReader::new(&msg.payload);
-        if rd.u32() != Ok(SUMMARY_KIND) {
-            return false;
-        }
-        let heard = self.open(msg.to, &mut rd);
-        if matches!(&heard, Some((_, m)) if m.round != exch.round_id) {
-            // A stale summary from an abandoned exchange: consumed (it is
-            // a summary) but carries no information for this round.
-            return true;
-        }
-        let direction = exch.pending.remove(&msg.msg);
-        let stored = heard.is_some_and(|(from, m)| {
-            self.nodes.get_mut(&msg.to).is_some_and(|node| {
-                let (round, window) = (exch.round, exch.window);
-                node.receive(from, round, &m.segment, m.evidence, window, &self.monitors)
-                    == Received::Stored
-            })
-        });
-        if !stored {
-            // Unauthenticated, garbled, or not the segment's other end's to
-            // say: a failed exchange, exactly as if the summary never
-            // arrived (Figure 5.3).
-            exch.failed.extend(direction);
-        }
-        true
-    }
-
-    /// Opens the rest of a summary payload that reached `to`: the sender
-    /// and its message, if the pairwise MAC — this host's authentication
-    /// of the sending end — holds and the message under it decodes.
-    fn open(&self, to: RouterId, rd: &mut WireReader<'_>) -> Option<(RouterId, Message)> {
-        let from = rd.router().ok()?;
-        let body = rd.bytes().ok()?;
-        let sealed = rd.consumed();
-        let mac = rd.signature().ok()?;
-        rd.done().ok()?;
-        let keys = &self.keystore;
-        let (a, b) = (from.into(), to.into());
-        if !(keys.contains(a) && keys.contains(b) && keys.pairwise_verify(a, b, sealed, &mac)) {
-            return None;
-        }
-        let mut body = WireReader::new(body);
-        let message = Message::decode_from(EvidenceKind::Summary, &mut body).ok()?;
-        body.done().ok()?;
-        Some((from, message))
-    }
-
-    /// Offers a sender-side transport event to the exchange: an
-    /// [`TransportEvent::Exhausted`] for one of its summaries marks that
-    /// direction failed. Returns `true` if the event was consumed.
-    pub fn exchange_event(&self, exch: &mut RoundExchange, ev: &TransportEvent) -> bool {
-        if let TransportEvent::Exhausted { msg, .. } = ev {
-            if let Some(dir) = exch.pending.remove(msg) {
-                exch.failed.insert(dir);
-                return true;
+            if let Some(node) = self.nodes.get_mut(&receiver) {
+                let evidence = Evidence::Summary(claimed);
+                node.receive(
+                    sender,
+                    round,
+                    &segments[seg],
+                    evidence,
+                    window,
+                    &self.monitors,
+                );
             }
         }
-        false
-    }
-
-    /// Closes the exchange and returns the round's suspicions: every node
-    /// evaluates the round, and an end whose verdict fails suspects the
-    /// whole segment.
-    ///
-    /// An end whose peer's summary never arrived intact — transport
-    /// retries exhausted, authentication failed, the peer sent nothing, or
-    /// the message was still in flight when the round budget expired —
-    /// holds ⊥ for it: a *failed exchange* (the timeout-as-accusation
-    /// rule; a router that withholds its summary is treated exactly like
-    /// one caught lying, §5.2's refusal-to-cooperate semantics). Each end
-    /// judges for itself: with both directions failed both raise, with
-    /// both summaries in hand both validate with `TV` (the broadcast of
-    /// Figure 5.3 upgrades this to strong completeness).
-    pub fn finish_round(&mut self, exch: RoundExchange) -> Vec<Suspicion> {
         let mut out: BTreeSet<Suspicion> = BTreeSet::new();
         for (&router, node) in &mut self.nodes {
             let judged = node.evaluate(
-                exch.round,
-                exch.window,
-                exch.fabrication_floor,
+                round,
+                window,
+                fabrication_floor,
                 self.cfg.policy,
                 &self.cfg.thresholds,
                 &self.monitors,
@@ -783,68 +626,16 @@ impl Pik2Detector {
                 if !j.passed {
                     out.insert(Suspicion {
                         segment: segment.clone(),
-                        interval: exch.interval,
+                        interval,
                         raised_by: router,
                     });
                 }
             }
         }
-        if let Some(horizon) = exch.window.forget_horizon() {
+        if let Some(horizon) = window.forget_horizon() {
             self.monitors.prune(horizon);
         }
         out.into_iter().collect()
-    }
-}
-
-/// First field of a summary payload: what tells it from the simulator's
-/// other control payloads.
-const SUMMARY_KIND: u32 = 0xE1;
-
-/// The simulator host's envelope round an exchange message: kind, sender,
-/// the message, and the pairwise MAC of sender and receiver over all three
-/// — the message says which round and segment it is about, so a summary
-/// cannot be replayed into another round or segment, nor under another
-/// sender's name.
-fn seal(keystore: &KeyStore, from: RouterId, to: RouterId, message: &[u8]) -> Vec<u8> {
-    let mut e = WireEncoder::new();
-    e.u32(SUMMARY_KIND).router(from).bytes(message);
-    let mac = keystore.pairwise_mac(from.into(), to.into(), e.finish());
-    e.signature(&mac);
-    e.into_bytes()
-}
-
-/// A transport-backed summary exchange in progress (between
-/// [`Pik2Detector::begin_round`] and [`Pik2Detector::finish_round`]): the
-/// round's parameters and the transport's bookkeeping. What the summaries
-/// said is with the nodes.
-#[derive(Debug)]
-pub struct RoundExchange {
-    /// The caller's id, which frames the exchange's messages.
-    round_id: u64,
-    /// The round as the nodes number it.
-    round: u64,
-    interval: Interval,
-    window: Window,
-    fabrication_floor: SimTime,
-    /// Transport msg id → (segment, direction) for summaries in flight.
-    pending: BTreeMap<u64, (usize, bool)>,
-    /// Directions known failed (exhausted, unauthentic, or never sent).
-    failed: BTreeSet<(usize, bool)>,
-}
-
-impl RoundExchange {
-    /// Whether every summary has either arrived or conclusively failed —
-    /// i.e. [`Pik2Detector::finish_round`] would not learn more by
-    /// waiting (callers normally finish at the earlier of this and the
-    /// round budget).
-    pub fn is_settled(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Exchange directions known failed so far (retries exhausted, MAC
-    /// rejected, or a silent peer that sent nothing).
-    pub fn failed_count(&self) -> usize {
-        self.failed.len()
     }
 }
 
@@ -1028,272 +819,6 @@ mod tests {
         let check = SpecCheck::evaluate(&sus, &faulty);
         assert!(check.is_complete(), "sampled detector missed the attack");
         assert!(check.is_accurate(3));
-    }
-
-    /// Drives an in-flight exchange: advance the simulation in 10 ms
-    /// slices, pump the transport, and feed deliveries/events to the
-    /// exchange until it settles or the budget expires.
-    fn drive_exchange(
-        net: &mut Network,
-        det: &mut Pik2Detector,
-        transport: &mut ReliableTransport,
-        exch: &mut RoundExchange,
-        budget: SimTime,
-    ) {
-        let deadline = net.now() + budget;
-        while net.now() < deadline && !exch.is_settled() {
-            let mut t = net.now() + SimTime::from_ms(10);
-            if t > deadline {
-                t = deadline;
-            }
-            net.run_until(t, |ev| det.observe(ev));
-            transport.pump(net);
-            for msg in transport.take_inbox() {
-                det.exchange_message(exch, &msg);
-            }
-            for ev in transport.take_events() {
-                det.exchange_event(exch, &ev);
-            }
-        }
-    }
-
-    #[test]
-    fn transport_backed_round_catches_dropper() {
-        let (mut net, ids, ks) = line(6);
-        let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
-        let mut transport = ReliableTransport::new(crate::transport::TransportConfig::default());
-        let flow = net.add_cbr_flow(
-            ids[0],
-            ids[5],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.3)]);
-        let end = SimTime::from_secs(5);
-        net.run_until(end, |ev| det.observe(ev));
-        let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
-        drive_exchange(
-            &mut net,
-            &mut det,
-            &mut transport,
-            &mut exch,
-            SimTime::from_secs(2),
-        );
-        assert!(exch.is_settled(), "clean network should settle quickly");
-        let sus = det.finish_round(exch);
-        let faulty: BTreeSet<RouterId> = [ids[3]].into_iter().collect();
-        let check = SpecCheck::evaluate(&sus, &faulty);
-        assert!(check.is_complete(), "missed: {:?}", check.missed_faulty);
-        assert!(check.is_accurate(3), "{:?}", check.false_positives);
-    }
-
-    #[test]
-    fn transport_backed_round_rides_control_plane_loss() {
-        // 20% control-plane loss on every link: retransmission recovers
-        // each summary, so the attacker is still caught and no correct
-        // router is accused.
-        let (mut net, ids, ks) = line(6);
-        let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
-        let mut transport = ReliableTransport::new(crate::transport::TransportConfig {
-            max_attempts: 10,
-            ..Default::default()
-        });
-        net.set_fault_plan(Some(fatih_sim::FaultPlan::new(7).with_default_link_faults(
-            fatih_sim::LinkFaults {
-                loss: 0.2,
-                ..fatih_sim::LinkFaults::NONE
-            },
-        )));
-        let flow = net.add_cbr_flow(
-            ids[0],
-            ids[5],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.3)]);
-        let end = SimTime::from_secs(5);
-        net.run_until(end, |ev| det.observe(ev));
-        let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
-        drive_exchange(
-            &mut net,
-            &mut det,
-            &mut transport,
-            &mut exch,
-            SimTime::from_secs(4),
-        );
-        let sus = det.finish_round(exch);
-        let faulty: BTreeSet<RouterId> = [ids[3]].into_iter().collect();
-        let check = SpecCheck::evaluate(&sus, &faulty);
-        assert!(
-            check.is_complete(),
-            "missed under loss: {:?}",
-            check.missed_faulty
-        );
-        assert!(
-            check.is_accurate(3),
-            "control loss caused false accusation: {:?}",
-            check.false_positives
-        );
-    }
-
-    #[test]
-    fn silent_end_times_out_into_accusation() {
-        // A segment end that never sends its summary: the peer's exchange
-        // fails and the segment is suspected — timeout-as-accusation.
-        let (mut net, ids, ks) = line(4);
-        let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
-        let mut transport = ReliableTransport::new(crate::transport::TransportConfig::default());
-        net.add_cbr_flow(
-            ids[0],
-            ids[3],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        det.set_report_fault(ids[3], ReportFault::Silent);
-        let end = SimTime::from_secs(5);
-        net.run_until(end, |ev| det.observe(ev));
-        let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
-        assert!(
-            exch.failed_count() > 0,
-            "silent end should fail at send time"
-        );
-        drive_exchange(
-            &mut net,
-            &mut det,
-            &mut transport,
-            &mut exch,
-            SimTime::from_secs(2),
-        );
-        let sus = det.finish_round(exch);
-        let faulty: BTreeSet<RouterId> = [ids[3]].into_iter().collect();
-        let check = SpecCheck::evaluate(&sus, &faulty);
-        assert!(check.is_complete(), "silent end escaped: {sus:?}");
-        assert!(check.is_accurate(3));
-    }
-
-    /// With both directions of an exchange failed each end times out on
-    /// its own: a partition that opens as the round ends exhausts every
-    /// summary, and both ends of every segment raise — same segment, same
-    /// interval.
-    #[test]
-    fn both_directions_failed_means_both_ends_raise() {
-        let (mut net, ids, ks) = line(4);
-        let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
-        let mut transport = ReliableTransport::new(crate::transport::TransportConfig::default());
-        net.add_cbr_flow(
-            ids[0],
-            ids[3],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        let end = SimTime::from_secs(5);
-        let healed = SimTime::from_secs(60);
-        // Every 3-segment of a 4-line crosses the middle link.
-        let plan = fatih_sim::FaultPlan::new(1)
-            .with_link_flap(ids[1], ids[2], end, healed)
-            .with_link_flap(ids[2], ids[1], end, healed);
-        net.set_fault_plan(Some(plan));
-        net.run_until(end, |ev| det.observe(ev));
-        let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
-        drive_exchange(
-            &mut net,
-            &mut det,
-            &mut transport,
-            &mut exch,
-            SimTime::from_secs(10),
-        );
-        assert!(exch.is_settled(), "every summary should have exhausted");
-        assert_eq!(exch.failed_count(), 2 * det.segment_count());
-        let sus = det.finish_round(exch);
-        assert_eq!(sus.len(), 2 * det.segment_count(), "{sus:?}");
-        for pair in sus.chunks(2) {
-            assert_eq!(pair[0].segment, pair[1].segment);
-            assert_eq!(pair[0].interval, pair[1].interval);
-            let raisers = (pair[0].raised_by, pair[1].raised_by);
-            let (a, b) = pair[0].segment.ends();
-            assert!(raisers == (a, b) || raisers == (b, a), "{pair:?}");
-        }
-    }
-
-    /// A segment end holds the pairwise key, so the MAC does not vouch for
-    /// what is under it: a summary whose report claims 1 + 2^62 entries
-    /// over one entry's bytes is a failed exchange like any garbled one,
-    /// not a panic in the decoder.
-    #[test]
-    fn a_crafted_report_behind_a_valid_mac_is_a_failed_exchange() {
-        let (mut net, _, ks) = line(4);
-        let mut det = Pik2Detector::new(net.routes(), ks.clone(), Pik2Config::default());
-        let mut transport = ReliableTransport::new(crate::transport::TransportConfig::default());
-        let end = SimTime::from_secs(1);
-        net.run_until(end, |ev| det.observe(ev));
-        let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
-        let (&msg, &(seg, from_a)) = exch.pending.iter().next().expect("a summary in flight");
-        let segment = det.monitors.segments()[seg].clone();
-        let (from, to) = match (segment.ends(), from_a) {
-            ((a, b), true) => (a, b),
-            ((a, b), false) => (b, a),
-        };
-        // The count, 1 + 2^62 little-endian, then one entry's 20 bytes.
-        let mut crafted = vec![1, 0, 0, 0, 0, 0, 0, 0x40];
-        crafted.extend_from_slice(&[0; 20]);
-        let mut body = WireEncoder::new();
-        body.u64(1).segment(&segment).bytes(&crafted);
-        let delivered = TransportMsg {
-            msg,
-            from,
-            to,
-            payload: seal(&ks, from, to, body.finish()),
-            at: end,
-        };
-        assert!(det.exchange_message(&mut exch, &delivered));
-        assert_eq!(exch.failed_count(), 1);
-        // The end that was told nothing usable holds ⊥ and raises.
-        let raisers: BTreeSet<RouterId> = (det.finish_round(exch).iter())
-            .map(|s| s.raised_by)
-            .collect();
-        assert!(raisers.contains(&to), "{raisers:?}");
-    }
-
-    #[test]
-    fn stale_summary_is_consumed_but_ignored() {
-        let (mut net, ids, ks) = line(4);
-        let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
-        let mut transport = ReliableTransport::new(crate::transport::TransportConfig::default());
-        net.add_cbr_flow(
-            ids[0],
-            ids[3],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        let end = SimTime::from_secs(2);
-        net.run_until(end, |ev| det.observe(ev));
-        let old = det.begin_round(end, 1, &mut net, &mut transport);
-        // Round 1 is abandoned (e.g. a route update landed); its summaries
-        // are still in flight when round 2 begins.
-        let mut exch = det.begin_round(end, 2, &mut net, &mut transport);
-        drive_exchange(
-            &mut net,
-            &mut det,
-            &mut transport,
-            &mut exch,
-            SimTime::from_secs(2),
-        );
-        let sus = det.finish_round(exch);
-        assert!(
-            sus.is_empty(),
-            "stale round-1 summaries leaked into round 2: {sus:?}"
-        );
-        drop(old);
     }
 
     #[test]

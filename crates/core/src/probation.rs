@@ -6,8 +6,9 @@
 //! the crash. Re-admitting it straight into the transit fabric would let a
 //! compromised router launder its record by rebooting. Instead, a restarted
 //! router rejoins **on probation**: it may source and sink its own traffic
-//! (so its operators can reach it), but carries no transit traffic until it
-//! has survived `K` clean validation rounds. A conviction touching the
+//! (so its operators can reach it), but carries transit traffic only as a
+//! last resort — for pairs no route around it serves — until it has
+//! survived `K` clean validation rounds. A conviction touching the
 //! probationer resets it to the start of probation.
 //!
 //! The tracker is deliberately deterministic: admission and clearing are

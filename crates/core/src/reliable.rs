@@ -8,10 +8,10 @@
 //! calls [`poll`](Retransmitter::poll) with its clock, re-sending what
 //! that hands back and learning which frames ran out of attempts —
 //! which the protocols above turn into a timeout accusation. Time is
-//! nanoseconds on whatever axis the host keeps. Two hosts:
-//! [`crate::transport::ReliableTransport`] over the simulated network,
-//! and the live runtime's `Router` (`fatih-net`), which owns no transport
-//! and re-sends, as it first sends, through `Router::step`'s outputs.
+//! nanoseconds on whatever axis the host keeps. The live runtime's
+//! `Router` (`fatih-net`) hosts it: it owns no transport and re-sends, as
+//! it first sends, through `Router::step`'s outputs, whether a shard or
+//! the simulator carries them.
 
 use fatih_topology::RouterId;
 use std::collections::{BTreeMap, VecDeque};

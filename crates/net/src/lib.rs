@@ -67,6 +67,7 @@ mod poller;
 mod router;
 pub mod runtime;
 mod shard;
+mod sim_host;
 pub mod timer;
 pub mod transport;
 
@@ -76,4 +77,5 @@ pub use runtime::{
     ChurnAction, ChurnEvent, LiveConfig, LiveDeployment, LiveEvent, LiveOutcome, LiveSpec,
     SummaryMode,
 };
+pub use sim_host::SimHost;
 pub use transport::{ChaosTransport, FlapWindow, LoopbackHub, NetError, Transport, UdpNet};

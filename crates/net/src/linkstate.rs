@@ -187,8 +187,8 @@ fn is_pinpointed(convicted: &[PathSegment], r: RouterId) -> bool {
 #[derive(Debug, Clone)]
 pub(crate) struct View {
     /// The base graph under the churn overlay: down routers and links,
-    /// convicted segments, and no transit duty for routers on probation or
-    /// pinpointed.
+    /// convicted segments, no transit duty for pinpointed routers and
+    /// transit of last resort for routers on probation.
     pub overlay: DynamicTopology,
     /// Restarted routers still serving probation.
     pub probation: ProbationTracker,
@@ -296,11 +296,23 @@ impl Convergence {
         }
     }
 
+    /// Whether the current view routes `src` to `dst` at all.
+    pub fn reaches(&mut self, src: RouterId, dst: RouterId) -> bool {
+        self.view.overlay.path(src, dst).is_ok()
+    }
+
     /// A crash: the database and the round count are lost.
     pub fn reset(&mut self) {
         self.db.clear();
         self.closed = None;
         self.view = self.derive();
+    }
+
+    /// The current view's path from `src` to every router it reaches.
+    pub fn paths_from(&mut self, src: RouterId) -> HashMap<Pair, Path> {
+        let overlay = &mut self.view.overlay;
+        let dsts: Vec<RouterId> = overlay.base().routers().collect();
+        overlay.paths_for(dsts.into_iter().map(|dst| (src, dst)))
     }
 
     /// What the current overlay implies for forwarding and monitoring:
@@ -332,6 +344,8 @@ impl Convergence {
     fn derive(&self) -> View {
         let mut overlay = self.initial.clone();
         let mut probation = ProbationTracker::new(self.probation_rounds);
+        // Per router, the latest incarnation a `RouterUp` announced.
+        let mut incarnations: BTreeMap<RouterId, u32> = BTreeMap::new();
         let mut eval_resume = 0u64;
         // A probation that ended at `boundary` or before is over; the
         // clearing reroutes mid-round, so that round gets amnesty too.
@@ -365,10 +379,14 @@ impl Convergence {
                     incarnation,
                 } => {
                     overlay.set_router_up(*router);
-                    // Incarnation 0 is a first join; a crash-restart
-                    // re-enters under probation: it sources and sinks its
-                    // own traffic but carries no transit.
-                    if *incarnation > 0 {
+                    // Incarnation 0 is a first join, and one announced
+                    // before is a refutation of a false report of the
+                    // router down; a crash-restart re-enters under
+                    // probation: it sources and sinks its own traffic, and
+                    // carries transit only where no path around it serves.
+                    let known = incarnations.entry(*router).or_default();
+                    if *incarnation > *known {
+                        *known = *incarnation;
                         probation.admit(*router, round + 1);
                     }
                 }
@@ -389,8 +407,13 @@ impl Convergence {
             .flat_map(|s| s.routers().iter().copied())
             .filter(|&r| is_pinpointed(convicted, r))
             .collect();
-        for &r in pinpointed.iter().chain(&probation.on_probation()) {
+        for &r in &pinpointed {
             overlay.set_no_transit(r);
+        }
+        for r in probation.on_probation() {
+            if !pinpointed.contains(&r) {
+                overlay.set_last_resort(r);
+            }
         }
         View {
             epoch: overlay.digest(),
@@ -452,6 +475,7 @@ mod tests {
         probation: Vec<(RouterId, ProbationStatus)>,
         down: Vec<RouterId>,
         no_transit: Vec<RouterId>,
+        last_resort: Vec<RouterId>,
         pinpointed: Vec<RouterId>,
         links_down: Vec<(RouterId, RouterId)>,
         excluded: Vec<PathSegment>,
@@ -472,6 +496,10 @@ mod tests {
             no_transit: base
                 .routers()
                 .filter(|&x| v.overlay.is_no_transit(x))
+                .collect(),
+            last_resort: base
+                .routers()
+                .filter(|&x| v.overlay.is_last_resort(x))
                 .collect(),
             pinpointed: v.pinpointed.iter().copied().collect(),
             links_down: (base.links().map(|l| (l.from, l.to)))
@@ -607,7 +635,7 @@ mod tests {
             assert_ne!(ring.view().epoch, 0);
             let serving = round < 5;
             assert_eq!(
-                told(&ring).no_transit,
+                told(&ring).last_resort,
                 if serving { vec![r(4)] } else { vec![] }
             );
             assert_eq!(

@@ -40,8 +40,8 @@ pub(crate) const RELIABLE: RetryPolicy = RetryPolicy {
     max_attempts: 8,
 };
 
-/// Clean rounds a crash-restarted router must survive on probation (no
-/// transit duty) before it carries transit traffic again.
+/// Clean rounds a crash-restarted router must survive on probation
+/// (transit of last resort only) before it carries transit traffic again.
 const PROBATION_ROUNDS: u64 = 2;
 
 /// Buffered tap events before the router flushes them through
@@ -64,6 +64,9 @@ pub(crate) enum Input<'a> {
     FlowTick(usize),
     /// Step `s` of this router's churn script.
     Churn(usize),
+    /// A data-plane observation a host made at this router — the one the
+    /// live forward path makes itself.
+    Tap(TapEvent),
 }
 
 /// What steps said, in a buffer the host reuses from step to step.
@@ -194,8 +197,7 @@ pub(crate) fn routers(
     let monitored = MonitorPlan::new(plan.segments, plan.oracle, &keys);
     let routers = (topo.routers())
         .map(|id| {
-            let mut monitors =
-                SegmentMonitorSet::for_router(&monitored, id).without_fingerprint_memo();
+            let mut monitors = SegmentMonitorSet::for_router(&monitored, id);
             monitors.attach_metrics(metrics.monitor.clone());
             Router {
                 id,
@@ -239,6 +241,8 @@ impl Router {
             Input::Pump => self.pump(out),
             Input::FlowTick(i) => out.next_tick = self.flow_tick(i, out),
             Input::Churn(s) => self.churn_step(s, out),
+            Input::Tap(ev) if self.alive => self.tap(ev, &mut out.trace),
+            Input::Tap(_) => {}
         }
     }
 
@@ -254,6 +258,26 @@ impl Router {
     /// and a reliable frame of its awaits an ack.
     pub(crate) fn awaits_ack(&self) -> bool {
         self.alive && self.reliable.outstanding() > 0
+    }
+
+    /// The route epoch this router forwards under.
+    pub(crate) fn route_epoch(&self) -> u64 {
+        self.convergence.view().epoch
+    }
+
+    /// Where this router's view sends what it originates: its path to
+    /// every other router (`None`: unroutable).
+    pub(crate) fn routes_from_here(&mut self) -> Vec<(RouterId, Option<Path>)> {
+        let mut paths = self.convergence.paths_from(self.id);
+        (self.convergence.view().overlay.base().routers())
+            .filter(|&dst| dst != self.id)
+            .map(|dst| (dst, paths.remove(&(self.id, dst))))
+            .collect()
+    }
+
+    /// The segments this router's view has excluded.
+    pub(crate) fn excluded(&self) -> &[PathSegment] {
+        self.convergence.view().overlay.excluded()
     }
 
     /// Flushes any buffered observations and publishes what the record
@@ -288,9 +312,12 @@ impl Router {
                 attempts: ex.attempts,
             });
             // Organic crash detection: a peer that exhausts reliable
-            // delivery is reported down (unless it already is), so the
-            // fabric reroutes around it without waiting for an operator.
-            if self.cfg.response && !self.convergence.view().overlay.is_router_down(ex.dst) {
+            // delivery is reported down, so the fabric reroutes around it
+            // without waiting for an operator — unless it already is, or
+            // this router's view has no route to it: a link announced down
+            // explains the silence, and says nothing of the peer.
+            let down = self.convergence.view().overlay.is_router_down(ex.dst);
+            if self.cfg.response && !down && self.convergence.reaches(self.id, ex.dst) {
                 self.originate_ls(TopoUpdate::RouterDown(ex.dst), out);
             }
         }
@@ -309,7 +336,7 @@ impl Router {
             return Some(next);
         }
         let packet = self.traffic.inject(i, self.id, self.now);
-        if let Some(next_hop) = self.forward_hop(packet.src, packet.dst) {
+        if let Some(next_hop) = self.forward_hop(packet.src, packet.dst, None) {
             self.enqueued(next_hop, packet, &mut out.trace);
             let epoch = self.convergence.view().epoch;
             self.send_frame(next_hop, WireMessage::Data { packet, epoch }, false, out);
@@ -331,13 +358,19 @@ impl Router {
     }
 
     /// The forwarding decision for a packet of the (source, destination)
-    /// pair: the hop after this router on the pair's current path. `None`
-    /// when the pair is unroutable or this router is not on the path (a
-    /// stale transit placement mid-transition).
-    fn forward_hop(&self, src: RouterId, dst: RouterId) -> Option<RouterId> {
+    /// pair that came from `from` (`None`: injected here): the hop after
+    /// this router on the pair's current path. `None` when the pair is
+    /// unroutable or this router is not on the path (a stale transit
+    /// placement mid-transition).
+    fn forward_hop(
+        &self,
+        src: RouterId,
+        dst: RouterId,
+        from: Option<RouterId>,
+    ) -> Option<RouterId> {
         self.paths
             .get(&(src, dst))
-            .and_then(|p| p.next_after(self.id))
+            .and_then(|p| p.next_hop(self.id, from))
     }
 
     /// Queues a data-plane observation for the batched monitor ingest,
@@ -694,7 +727,7 @@ impl Router {
         // Forward along the pair's current path; packets stranded by a
         // reroute (this router is no longer on the path) fall back to the
         // static link-state tables so they drain instead of vanishing.
-        let next_hop = match self.forward_hop(packet.src, packet.dst) {
+        let next_hop = match self.forward_hop(packet.src, packet.dst, Some(from)) {
             Some(h) => h,
             None => {
                 self.metrics.transition_forward_miss.inc();
@@ -725,8 +758,8 @@ impl Router {
         self.flood_ls(&ls, &sig, None, out);
     }
 
-    /// Reliably sends `ls` to every up neighbour except `except` and the
-    /// update's origin.
+    /// Reliably sends `ls` to every neighbour this router's view has up,
+    /// over a link it has up, except `except` and the update's origin.
     fn flood_ls(
         &mut self,
         ls: &LinkStateUpdate,
@@ -738,6 +771,7 @@ impl Router {
         let targets: Vec<RouterId> = (overlay.base().neighbors(self.id).iter())
             .map(|&(n, _)| n)
             .filter(|&n| n != ls.origin && Some(n) != except && !overlay.is_router_down(n))
+            .filter(|&n| !overlay.is_link_down(self.id, n))
             .collect();
         for n in targets {
             self.send_ls(n, ls, sig, out);
@@ -789,17 +823,15 @@ impl Router {
                 self.reliable.forget_peer_history(router);
                 let base = self.convergence.view().overlay.base();
                 if base.neighbors(self.id).iter().any(|&(n, _)| n == router) {
-                    // Database resync: a restarted neighbour lost its
-                    // link-state DB with the crash; re-flood ours so it
-                    // reconverges onto the fabric's current shape.
-                    let db: Vec<_> = (self.convergence.database())
-                        .filter(|(db_ls, _)| db_ls.origin != router)
-                        .cloned()
-                        .collect();
-                    for (db_ls, db_sig) in &db {
-                        self.send_ls(router, db_ls, db_sig, out);
-                    }
+                    // A restarted neighbour lost its link-state DB with the
+                    // crash.
+                    self.resync(router, out);
                 }
+            }
+            // A link of this router's came back: what either end flooded
+            // while it was down never crossed it.
+            TopoUpdate::LinkUp(a, b) if a == self.id || b == self.id => {
+                self.resync(if a == self.id { b } else { a }, out);
             }
             _ => {}
         }
@@ -819,7 +851,32 @@ impl Router {
             update_seq: ls.update_seq,
             epoch: self.convergence.view().epoch,
         });
+        if ls.origin != self.id && self.convergence.view().overlay.is_router_down(self.id) {
+            // Reported down while up — a peer's deliveries failed over a
+            // path this router never heard was broken: it says otherwise.
+            let (router, incarnation) = (self.id, self.incarnation);
+            self.originate_ls(
+                TopoUpdate::RouterUp {
+                    router,
+                    incarnation,
+                },
+                out,
+            );
+        }
         true
+    }
+
+    /// Database resync: sends neighbour `peer` every update this router
+    /// holds that `peer` did not originate, so it reconverges onto the
+    /// fabric's current shape.
+    fn resync(&mut self, peer: RouterId, out: &mut Outputs) {
+        let db: Vec<_> = (self.convergence.database())
+            .filter(|(db_ls, _)| db_ls.origin != peer)
+            .cloned()
+            .collect();
+        for (db_ls, db_sig) in &db {
+            self.send_ls(peer, db_ls, db_sig, out);
+        }
     }
 
     /// Reconverges this router onto a changed topology overlay: recomputes
@@ -1523,6 +1580,69 @@ mod tests {
         node.step(node.now + 1_000_000_000, Input::Pump, out);
         assert_eq!(net.counter("net.purged_frames"), 1);
         assert_eq!(net.counter("net.retransmits"), 1);
+    }
+
+    /// A router told it is down while it is up says otherwise. Router 0
+    /// reports router 1 down, as an exhausted delivery would, and floods
+    /// the report to nobody (its one neighbour is the one it reports);
+    /// a link of router 0's coming back resyncs router 1's database, and
+    /// the `RouterUp` router 1 answers with puts it back in every view.
+    /// Its incarnation is one every view has seen, so the answer puts
+    /// nobody on probation: not at a first incarnation, nor one that
+    /// crashed, restarted and served its probation before the report.
+    #[test]
+    fn a_router_reported_down_while_up_refutes_it() {
+        for restarted in [false, true] {
+            let ids: Vec<RouterId> = builtin::line(3).routers().collect();
+            let spec = LiveSpec {
+                flows: vec![FlowSpec::new(ids[0], ids[2], 800, Duration::from_secs(1))],
+                churn: vec![ChurnEvent {
+                    at: Duration::ZERO,
+                    actor: ids[1],
+                    action: ChurnAction::Restart,
+                }],
+                ..LiveSpec::default()
+            };
+            let mut net = Line3::with(&spec, SummaryMode::Full, false);
+            let (r0, r1) = (net.ids[0], net.ids[1]);
+            let up = |net: &Line3| -> Vec<bool> {
+                (net.routers.iter())
+                    .map(|n| !n.convergence.view().overlay.is_router_down(r1))
+                    .collect()
+            };
+            let on_probation = |net: &Line3| -> Vec<bool> {
+                (net.routers.iter())
+                    .map(|n| n.convergence.view().probation.is_on_probation(r1))
+                    .collect()
+            };
+            if restarted {
+                net.now = 1_000_000;
+                net.step(1, Input::Churn(0));
+                assert_eq!(on_probation(&net), [true; 3]);
+                net.out.events.clear();
+            }
+            // Five rounds on, long past any probation.
+            net.now = 5 * TAU + 1_000_000;
+            let (node, out) = (&mut net.routers[0], &mut net.out);
+            node.now = net.now;
+            node.originate_ls(TopoUpdate::RouterDown(r1), out);
+            net.settle();
+            assert_eq!(up(&net), [false, true, true], "restarted: {restarted}");
+
+            net.now += 1_000_000;
+            let (node, out) = (&mut net.routers[0], &mut net.out);
+            node.now = net.now;
+            node.originate_ls(TopoUpdate::LinkUp(r0, r1), out);
+            net.settle();
+            assert_eq!(up(&net), [true; 3], "restarted: {restarted}");
+            assert_eq!(on_probation(&net), [false; 3], "restarted: {restarted}");
+            let ups = (net.out.events.iter())
+                .filter(
+                    |e| matches!(e, LiveEvent::LinkStateApplied { origin, .. } if *origin == r1),
+                )
+                .count();
+            assert_eq!(ups, 3, "router 1's RouterUp, applied by all three");
+        }
     }
 
     /// A flow that ran late by several intervals sends at once and resumes

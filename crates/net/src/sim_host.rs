@@ -1,0 +1,728 @@
+//! The live `Router` hosted by the simulator: every router of a
+//! [`Network`] stepped on the engine's virtual clock, by one thread.
+//!
+//! The engine carries the data plane and its adversary — drops,
+//! modification, delay, misrouting, queue-conditional attacks — and its
+//! taps are what the routers observe. Every frame a router says crosses
+//! the same network as an in-band control packet
+//! ([`Network::send_control`]), so summaries, acks, alerts and link-state
+//! floods meet the plan's loss, duplication, reordering, corruption, flaps
+//! and crashes, and attacks on transit traffic. The frame's bytes stay
+//! with the host, keyed by the packet; a copy the engine corrupted is
+//! handed over with a byte flipped, so the codec rejects it. Round ends,
+//! evaluations, the retransmission pump and the churn script fire at their
+//! instants, and when a router's route epoch moves its current path to
+//! every other router becomes the engine's route override for what it
+//! sources: the response reroutes the simulated traffic, control packets
+//! included.
+//!
+//! The host's axis starts at the deployment instant, [`Network::now`] when
+//! the host is built: taps are restamped onto it, and round `r` covers
+//! `[r·τ, (r+1)·τ)` after it. What is monitored is what the live runtime
+//! monitors by default, the paths of the traffic: the pairs of
+//! [`Network::traffic_pairs`] when the host is built.
+//!
+//! The plan's scheduled outages are the routers' churn script. A link's
+//! flaps — either direction, overlapping ones merged — are a
+//! [`ChurnAction::LinkDown`] and a [`ChurnAction::LinkUp`] by each of its
+//! ends, as both would see the link go. A crash window is a
+//! [`ChurnAction::Crash`], a [`ChurnAction::ReportDown`] by the first
+//! neighbour up at that instant, and a [`ChurnAction::Restart`] when it
+//! closes. What an outage costs the rounds it overlaps is the live
+//! amnesty's to forgive.
+
+use crate::codec::{peek_type, MsgType};
+use crate::router::{routers, Input, Outputs, Router, RELIABLE};
+use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, NetMetrics};
+use crate::timer::TimerWheel;
+use fatih_core::spec::Suspicion;
+use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer};
+use fatih_sim::{FaultPlan, Network, PacketKind, SimTime, TapEvent};
+use fatih_topology::{PathSegment, RouterId, Topology};
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
+
+/// How often the host looks for frames due a retransmission while any
+/// router awaits an ack: twice per initial timeout, as a shard does.
+const PUMP_STEP_NS: u64 = RELIABLE.rto_ns / 2;
+
+/// How long a control packet is on the simulated wire, whatever its frame
+/// holds. The simulated links are scaled down (100 Mb/s, 64 KiB queues by
+/// default): a round's full summaries, all sent as it ends, would fill the
+/// queues of the traffic they summarise.
+const CONTROL_BYTES: u32 = 256;
+
+/// What the host's timer queue holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Timer {
+    /// Round `r` ends at every router.
+    RoundEnd(u64),
+    /// Round `r`'s exchange budget ran out at every router.
+    RoundEval(u64),
+    /// Every router sends again what is due.
+    Pump,
+    /// Router `node` performs step `step` of its churn script.
+    Churn { node: usize, step: usize },
+}
+
+/// Every live router of a simulated network, stepped on its clock.
+///
+/// # Examples
+///
+/// A dropper on a 5-router line is convicted once its drops are judged,
+/// and the response excludes only segments that contain it:
+///
+/// ```
+/// use fatih_core::policy::Thresholds;
+/// use fatih_net::{LiveConfig, SimHost};
+/// use fatih_sim::{Attack, Network, SimTime};
+/// use fatih_topology::builtin;
+/// use std::time::Duration;
+///
+/// let mut net = Network::new(builtin::line(5), 1);
+/// let ids: Vec<_> = net.topology().routers().collect();
+/// let flow = net.add_cbr_flow(ids[0], ids[4], 1000, SimTime::from_ms(2), SimTime::ZERO, None);
+/// net.set_attacks(ids[2], vec![Attack::drop_flows([flow], 0.3)]);
+/// let cfg = LiveConfig {
+///     tau: Duration::from_secs(1),
+///     exchange_budget: Duration::from_millis(500),
+///     maturity_lag: Duration::from_millis(100),
+///     thresholds: Thresholds::default(),
+///     ..LiveConfig::default()
+/// };
+/// let mut host = SimHost::new(&net, cfg);
+/// host.run(&mut net, SimTime::from_secs(3));
+/// assert!(!host.suspicions().is_empty());
+/// assert!(host.excluded_segments().iter().all(|s| s.contains(ids[2])));
+/// ```
+pub struct SimHost {
+    /// Indexed by router id.
+    routers: Vec<Router>,
+    out: Outputs,
+    cfg: LiveConfig,
+    /// The deployment instant: time zero of the host's axis.
+    epoch: SimTime,
+    wheel: TimerWheel<Timer>,
+    /// A [`Timer::Pump`] is on the wheel.
+    pump_armed: bool,
+    /// Frames in flight by control packet id: when sent, and their bytes.
+    in_flight: BTreeMap<u64, (SimTime, Vec<u8>)>,
+    /// Where a delivered frame is handed over from.
+    rx: Vec<u8>,
+    /// Per router, the route epoch whose paths the engine follows for
+    /// what it sources.
+    installed: Vec<u64>,
+    /// Per router: its Πk+2 frames never leave it.
+    silent: Vec<bool>,
+    events: Vec<(SimTime, LiveEvent)>,
+    registry: MetricsRegistry,
+}
+
+impl std::fmt::Debug for SimHost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimHost")
+            .field("routers", &self.routers.len())
+            .field("epoch", &self.epoch)
+            .field("events", &self.events.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl SimHost {
+    /// Deploys one router per router of `net`'s topology at `net.now()`,
+    /// with `cfg`'s rounds, keys and policy, monitoring the paths of the
+    /// traffic added by then; the churn script is the installed fault
+    /// plan's outages. `cfg.rounds` is not read: rounds go
+    /// on for as long as [`run`](Self::run) is called.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < cfg.exchange_budget < cfg.tau`.
+    pub fn new(net: &Network, cfg: LiveConfig) -> Self {
+        assert!(
+            Duration::ZERO < cfg.exchange_budget && cfg.exchange_budget < cfg.tau,
+            "exchange budget must lie in (0, tau)"
+        );
+        let topo = net.topology();
+        let epoch = net.now();
+        let spec = LiveSpec {
+            monitor_pairs: net.traffic_pairs(),
+            churn: net
+                .fault_plan()
+                .map_or_else(Vec::new, |plan| outages(plan, topo, epoch)),
+            ..LiveSpec::default()
+        };
+        let registry = MetricsRegistry::new();
+        let (routers, _) = routers(topo, &spec, &cfg, &NetMetrics::registered(&registry));
+        assert!(routers.iter().enumerate().all(|(i, r)| r.id.index() == i));
+        let mut wheel = TimerWheel::new();
+        let tau = cfg.tau.as_nanos() as u64;
+        wheel.schedule(tau, Timer::RoundEnd(0));
+        wheel.schedule(
+            tau + cfg.exchange_budget.as_nanos() as u64,
+            Timer::RoundEval(0),
+        );
+        for (node, router) in routers.iter().enumerate() {
+            for (step, ev) in router.churn.iter().enumerate() {
+                wheel.schedule(ev.at.as_nanos() as u64, Timer::Churn { node, step });
+            }
+        }
+        Self {
+            installed: routers.iter().map(Router::route_epoch).collect(),
+            silent: vec![false; routers.len()],
+            routers,
+            out: Outputs::new(TraceBuffer::new(0, cfg.trace_capacity)),
+            cfg,
+            epoch,
+            wheel,
+            pump_armed: false,
+            in_flight: BTreeMap::new(),
+            rx: Vec::new(),
+            events: Vec::new(),
+            registry,
+        }
+    }
+
+    /// Makes `router` withhold what it ends: none of its summaries,
+    /// digests, pulls or replies leaves it (§2.2.1's silent protocol
+    /// fault). Everything else it says still does.
+    pub fn silence(&mut self, router: RouterId) {
+        self.silent[router.index()] = true;
+    }
+
+    /// Runs the network and the routers until `until`: every tap, control
+    /// delivery and timer up to and including that instant.
+    pub fn run(&mut self, net: &mut Network, until: SimTime) {
+        loop {
+            let next = (self.wheel.next_deadline()).map(|ns| self.epoch + SimTime::from_ns(ns));
+            let horizon = next.map_or(until, |t| t.min(until));
+            if net.run_until_control(horizon, |ev| self.observe(ev)) {
+                self.deliver(net);
+            } else if next.is_some_and(|t| t <= until) {
+                self.fire_timers(net);
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Every event a router said, with the instant it said it.
+    pub fn events(&self) -> &[(SimTime, LiveEvent)] {
+        &self.events
+    }
+
+    /// Every suspicion raised so far, in the order raised.
+    pub fn suspicions(&self) -> Vec<Suspicion> {
+        (self.events.iter())
+            .filter_map(|(_, e)| match e {
+                LiveEvent::SuspicionRaised { suspicion, .. } => Some(suspicion.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The segments some router's view has excluded.
+    pub fn excluded_segments(&self) -> BTreeSet<PathSegment> {
+        (self.routers.iter())
+            .flat_map(|r| r.excluded().iter().cloned())
+            .collect()
+    }
+
+    /// The routers' `net.*` and `monitor.*` metrics.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.registry.snapshot()
+    }
+
+    /// Hands a data-plane observation to the router that made it.
+    fn observe(&mut self, ev: &TapEvent) {
+        if ev.packet().kind == PacketKind::Control {
+            return;
+        }
+        let mut ev = *ev;
+        let (TapEvent::Enqueued { router, time, .. } | TapEvent::Arrived { router, time, .. }) =
+            &mut ev
+        else {
+            return;
+        };
+        *time = SimTime::from_ns(time.as_ns().saturating_sub(self.epoch.as_ns()));
+        let (i, now) = (router.index(), time.as_ns());
+        self.routers[i].step(now, Input::Tap(ev), &mut self.out);
+    }
+
+    /// Hands every control packet just delivered to its router.
+    fn deliver(&mut self, net: &mut Network) {
+        for d in net.take_control_deliveries() {
+            let Some((_, bytes)) = self.in_flight.get(&d.id.0) else {
+                continue;
+            };
+            let mut rx = std::mem::take(&mut self.rx);
+            rx.clear();
+            rx.extend_from_slice(bytes);
+            if !d.intact {
+                // Corrupted on the way: so is what the codec reads.
+                *rx.last_mut().expect("frames are not empty") ^= 1;
+            }
+            self.step(net, d.to.index(), Input::Frame(&rx));
+            self.rx = rx;
+        }
+    }
+
+    /// Runs every timer due by now.
+    fn fire_timers(&mut self, net: &mut Network) {
+        let tau = self.cfg.tau.as_nanos() as u64;
+        let budget = self.cfg.exchange_budget.as_nanos() as u64;
+        for t in self.wheel.pop_due(self.host_now(net)) {
+            match t {
+                Timer::RoundEnd(r) => {
+                    self.wheel.schedule((r + 2) * tau, Timer::RoundEnd(r + 1));
+                    self.wheel
+                        .schedule((r + 2) * tau + budget, Timer::RoundEval(r + 1));
+                    self.step_all(net, Input::RoundEnd(r));
+                }
+                Timer::RoundEval(r) => self.step_all(net, Input::RoundEval(r)),
+                Timer::Pump => {
+                    self.pump_armed = false;
+                    self.step_all(net, Input::Pump);
+                }
+                Timer::Churn { node, step } => self.step(net, node, Input::Churn(step)),
+            }
+        }
+    }
+
+    fn step_all(&mut self, net: &mut Network, input: Input<'_>) {
+        for i in 0..self.routers.len() {
+            self.step(net, i, input);
+        }
+    }
+
+    fn host_now(&self, net: &Network) -> u64 {
+        net.now().as_ns().saturating_sub(self.epoch.as_ns())
+    }
+
+    /// Steps router `i` with `input` now and carries out what it said:
+    /// frames into the network, events into the log, the pump onto the
+    /// wheel, and its paths into the engine if its route epoch moved.
+    fn step(&mut self, net: &mut Network, i: usize, input: Input<'_>) {
+        let (at, now) = (net.now(), self.host_now(net));
+        let router = &mut self.routers[i];
+        router.step(now, input, &mut self.out);
+        self.out.timed = false;
+        for (dst, span) in self.out.frames.drain(..) {
+            let bytes = &self.out.bytes[span];
+            let pik2 = matches!(
+                peek_type(bytes),
+                Some(MsgType::Summary | MsgType::SummaryDigest | MsgType::SummaryPull)
+            );
+            if self.silent[i] && pik2 {
+                continue;
+            }
+            let id = net.send_control(router.id, dst, CONTROL_BYTES, 0);
+            self.in_flight.insert(id.0, (at, bytes.to_vec()));
+        }
+        self.out.bytes.clear();
+        self.events
+            .extend(self.out.events.drain(..).map(|e| (at, e)));
+        if !self.pump_armed && router.awaits_ack() {
+            self.pump_armed = true;
+            self.wheel.schedule(now + PUMP_STEP_NS, Timer::Pump);
+        }
+        if router.route_epoch() != self.installed[i] {
+            self.installed[i] = router.route_epoch();
+            for (dst, path) in router.routes_from_here() {
+                match path {
+                    Some(path) => net.set_route_override(router.id, dst, path),
+                    None => net.clear_route_override(router.id, dst),
+                }
+            }
+        }
+        // A copy still travelling after a round is as good as lost.
+        while let Some(entry) = self.in_flight.first_entry() {
+            if entry.get().0 + SimTime::from_ns(self.cfg.tau.as_nanos() as u64) >= at {
+                break;
+            }
+            entry.remove();
+        }
+    }
+}
+
+/// `plan`'s flaps and crash windows as the routers' churn script, on the
+/// axis of a deployment at `epoch`; outages over by then are left out.
+fn outages(plan: &FaultPlan, topo: &Topology, epoch: SimTime) -> Vec<ChurnEvent> {
+    let at = |t: SimTime| Duration::from_nanos(t.as_ns().saturating_sub(epoch.as_ns()));
+    let event = |t, actor, action| ChurnEvent {
+        at: at(t),
+        actor,
+        action,
+    };
+    let link = |a: RouterId, b: RouterId| (a.min(b), a.max(b));
+    let mut flaps: Vec<_> = plan.flaps().iter().filter(|f| f.up_at > epoch).collect();
+    flaps.sort_by_key(|f| (link(f.from, f.to), f.down_at));
+    let mut script = Vec::new();
+    let mut rest = &flaps[..];
+    while let Some((first, more)) = rest.split_first() {
+        let (mut up, mut merged) = (first.up_at, 0);
+        for f in more {
+            if link(f.from, f.to) != link(first.from, first.to) || f.down_at > up {
+                break;
+            }
+            up = up.max(f.up_at);
+            merged += 1;
+        }
+        for (end, peer) in [(first.from, first.to), (first.to, first.from)] {
+            script.push(event(first.down_at, end, ChurnAction::LinkDown(peer)));
+            script.push(event(up, end, ChurnAction::LinkUp(peer)));
+        }
+        rest = &more[merged..];
+    }
+    for c in plan.crashes().iter().filter(|c| c.up_at > epoch) {
+        script.push(event(c.down_at, c.router, ChurnAction::Crash));
+        let witness = (topo.neighbors(c.router).iter())
+            .map(|&(n, _)| n)
+            .find(|&n| !plan.router_down(n, c.down_at));
+        if let Some(witness) = witness {
+            script.push(event(c.down_at, witness, ChurnAction::ReportDown(c.router)));
+        }
+        script.push(event(c.up_at, c.router, ChurnAction::Restart));
+    }
+    script
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fatih_core::policy::Thresholds;
+    use fatih_core::spec::SpecCheck;
+    use fatih_sim::{Attack, AttackKind, LinkFaults, VictimFilter};
+    use fatih_topology::builtin;
+
+    /// Chapter 5's deployment: τ = 5 s rounds judged 4 s after they end,
+    /// 200 ms maturity lag, zero tolerance.
+    fn chapter5(response: bool) -> LiveConfig {
+        LiveConfig {
+            tau: Duration::from_secs(5),
+            exchange_budget: Duration::from_secs(4),
+            maturity_lag: Duration::from_millis(200),
+            thresholds: Thresholds::default(),
+            response,
+            ..LiveConfig::default()
+        }
+    }
+
+    fn line(n: usize, seed: u64) -> (Network, Vec<RouterId>) {
+        let net = Network::new(builtin::line(n), seed);
+        let ids = net.topology().routers().collect();
+        (net, ids)
+    }
+
+    fn flow(net: &mut Network, src: RouterId, dst: RouterId) -> fatih_sim::FlowId {
+        net.add_cbr_flow(src, dst, 1000, SimTime::from_ms(2), SimTime::ZERO, None)
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    /// A run is a function of the topology seed and the fault seed: two
+    /// runs of one transient-chaos schedule — flaps, a crash-restart,
+    /// control faults, a dropper and the response — say the same events,
+    /// in the same order, at the same instants.
+    #[test]
+    fn one_pair_of_seeds_is_one_run() {
+        let run = || {
+            let (mut net, ids) = line(6, 101);
+            let plan = FaultPlan::random_transient(101, net.topology(), secs(10));
+            net.set_fault_plan(Some(plan));
+            let f = flow(&mut net, ids[0], ids[5]);
+            net.set_attacks(ids[3], vec![Attack::drop_flows([f], 0.35)]);
+            let mut host = SimHost::new(&net, chapter5(true));
+            host.run(&mut net, secs(30));
+            format!("{:?}", host.events())
+        };
+        let (a, b) = (run(), run());
+        for seen in ["SuspicionRaised", "DeliveryExhausted", "ProbationCleared"] {
+            assert!(a.contains(seen), "{seen}: the schedule missed it");
+        }
+        assert!(a == b, "two runs of one seed pair differ");
+    }
+
+    /// With nobody attacking, a link flap and a crash-restart on honest
+    /// elements of a 6-line raise no suspicion: both are announced, the
+    /// amnesty covers the rounds they disturb, and the restarted router's
+    /// probation does not cut the line, so the rounds after are judged.
+    #[test]
+    fn an_honest_flap_and_crash_restart_raise_nothing() {
+        let (mut net, ids) = line(6, 3);
+        let plan = FaultPlan::new(5)
+            .with_link_flap(ids[1], ids[2], secs(3), SimTime::from_ms(4_500))
+            .with_crash(ids[4], secs(12), secs(14));
+        net.set_fault_plan(Some(plan));
+        flow(&mut net, ids[0], ids[5]);
+        flow(&mut net, ids[5], ids[0]);
+        let mut host = SimHost::new(&net, chapter5(true));
+        host.run(&mut net, secs(45));
+        assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
+        let m = host.metrics();
+        assert_eq!(m.counter("net.probation_admitted"), 1);
+        assert!(m.counter("net.probation_cleared") > 0);
+        let judged_after = (host.events().iter()).any(|(_, e)| {
+            matches!(e, LiveEvent::RoundEvaluated { round, lost, .. } if *round > 5 && *lost == 0)
+        });
+        assert!(judged_after, "no round after the outages was judged");
+    }
+
+    /// 10% control-plane loss everywhere: retransmission keeps every
+    /// exchange alive, so a clean network yields a clean timeline and an
+    /// attacked one still pins only segments containing the attacker.
+    #[test]
+    fn summaries_ride_control_plane_loss_without_false_accusations() {
+        let (mut net, ids) = line(6, 11);
+        net.set_fault_plan(Some(FaultPlan::new(13).with_default_link_faults(
+            LinkFaults {
+                loss: 0.10,
+                ..LinkFaults::NONE
+            },
+        )));
+        let f = flow(&mut net, ids[0], ids[5]);
+        let mut host = SimHost::new(&net, chapter5(true));
+        host.run(&mut net, secs(15));
+        let quiet = host.suspicions();
+        assert!(quiet.is_empty(), "control loss alone accused: {quiet:?}");
+
+        net.set_attacks(ids[3], vec![Attack::drop_flows([f], 0.3)]);
+        host.run(&mut net, secs(35));
+        assert!(
+            !host.suspicions().is_empty(),
+            "attacker undetected under control loss"
+        );
+        for seg in host.excluded_segments() {
+            assert!(seg.contains(ids[3]), "false accusation: {seg}");
+        }
+        assert!(host.metrics().counter("net.retransmits") > 0);
+    }
+
+    /// 20% control-plane loss, one round, detection only: the attacker is
+    /// caught and nobody correct is accused.
+    #[test]
+    fn a_round_rides_twenty_percent_control_loss() {
+        let (mut net, ids) = line(6, 1);
+        net.set_fault_plan(Some(FaultPlan::new(7).with_default_link_faults(
+            LinkFaults {
+                loss: 0.2,
+                ..LinkFaults::NONE
+            },
+        )));
+        let f = flow(&mut net, ids[0], ids[5]);
+        net.set_attacks(ids[3], vec![Attack::drop_flows([f], 0.3)]);
+        let mut host = SimHost::new(&net, chapter5(false));
+        host.run(&mut net, secs(9));
+        let faulty = [ids[3]].into_iter().collect();
+        let check = SpecCheck::evaluate(&host.suspicions(), &faulty);
+        assert!(check.is_complete(), "missed: {:?}", check.missed_faulty);
+        assert!(check.is_accurate(3), "{:?}", check.false_positives);
+    }
+
+    /// A fifth of the control packets on every link arrive corrupted: the
+    /// codec refuses each (the host flips a byte of what the engine
+    /// marked), an intact copy follows, and a clean network stays clean.
+    #[test]
+    fn a_corrupted_frame_is_refused_and_sent_again() {
+        let (mut net, ids) = line(4, 2);
+        net.set_fault_plan(Some(FaultPlan::new(3).with_default_link_faults(
+            LinkFaults {
+                corrupt: 0.2,
+                ..LinkFaults::NONE
+            },
+        )));
+        flow(&mut net, ids[0], ids[3]);
+        let mut host = SimHost::new(&net, chapter5(false));
+        host.run(&mut net, secs(20));
+        assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
+        let m = host.metrics();
+        assert!(m.counter("net.decode_failures") > 0);
+        assert!(m.counter("net.retransmits") > 0);
+        assert!(m.counter("net.summary_timeouts") == 0);
+    }
+
+    /// A 1.5 s outage of one link, announced by both its ends, accuses
+    /// nobody, then or in the rounds after it.
+    #[test]
+    fn a_link_flap_during_a_round_accuses_nobody() {
+        let (mut net, ids) = line(5, 9);
+        net.set_fault_plan(Some(FaultPlan::new(21).with_link_flap(
+            ids[1],
+            ids[2],
+            secs(4),
+            SimTime::from_ms(5_500),
+        )));
+        flow(&mut net, ids[0], ids[4]);
+        let mut host = SimHost::new(&net, chapter5(true));
+        host.run(&mut net, secs(15));
+        assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
+        host.run(&mut net, secs(30));
+        assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
+        let judged = |e: &LiveEvent| matches!(e, LiveEvent::RoundEvaluated { round: 3, .. });
+        assert!(host.events().iter().any(|(_, e)| judged(e)));
+    }
+
+    /// A segment end that never sends its summary: its peer's exchange
+    /// fails and the segment is suspected — timeout-as-accusation.
+    #[test]
+    fn a_silent_end_times_out_into_an_accusation() {
+        let (mut net, ids) = line(4, 1);
+        flow(&mut net, ids[0], ids[3]);
+        let mut host = SimHost::new(&net, chapter5(false));
+        host.silence(ids[3]);
+        host.run(&mut net, secs(9));
+        let sus = host.suspicions();
+        let faulty = [ids[3]].into_iter().collect();
+        let check = SpecCheck::evaluate(&sus, &faulty);
+        assert!(check.is_complete(), "silent end escaped: {sus:?}");
+        assert!(check.is_accurate(3));
+        assert!(host.metrics().counter("net.summary_timeouts") > 0);
+    }
+
+    /// The middle link of a 4-line loses every control packet: each
+    /// summary across it exhausts its sender's retries, and with both
+    /// directions failed both ends of every segment raise — same segment,
+    /// same interval.
+    #[test]
+    fn a_dead_link_exhausts_delivery_and_both_ends_raise() {
+        let (mut net, ids) = line(4, 1);
+        let dead = LinkFaults {
+            loss: 1.0,
+            ..LinkFaults::NONE
+        };
+        net.set_fault_plan(Some(
+            FaultPlan::new(1)
+                .with_link_faults(ids[1], ids[2], dead)
+                .with_link_faults(ids[2], ids[1], dead),
+        ));
+        flow(&mut net, ids[0], ids[3]);
+        let mut host = SimHost::new(&net, chapter5(false));
+        host.run(&mut net, secs(9));
+        let exhausted = (host.events().iter())
+            .filter(|(_, e)| matches!(e, LiveEvent::DeliveryExhausted { .. }))
+            .count();
+        assert!(exhausted > 0, "nothing exhausted");
+        let mut raised: BTreeMap<PathSegment, Vec<Suspicion>> = BTreeMap::new();
+        for s in host.suspicions() {
+            raised.entry(s.segment.clone()).or_default().push(s);
+        }
+        // Both monitored segments, the 3-segments of the flow's path,
+        // cross the middle link.
+        let monitored = [&ids[..3], &ids[1..]].map(|s| PathSegment::new(s.to_vec()));
+        assert!(raised.keys().eq(&monitored), "{raised:?}");
+        for (seg, by) in &raised {
+            assert_eq!(by.len(), 2, "{seg}: {by:?}");
+            assert_eq!(by[0].interval, by[1].interval);
+            let (a, b) = seg.ends();
+            let raisers = (by[0].raised_by, by[1].raised_by);
+            assert!(raisers == (a, b) || raisers == (b, a), "{by:?}");
+        }
+    }
+
+    /// The Figure 5.7 scenario, compressed: traffic across Abilene, the
+    /// Kansas City router compromised mid-run; its segments are convicted
+    /// for the round the attack began in, routes move, segments on its
+    /// other interfaces are convicted under the new routes, and no packet
+    /// reaches it any more.
+    #[test]
+    fn abilene_attack_detected_and_rerouted() {
+        let topo = builtin::abilene();
+        let sun = topo.router_by_name("Sunnyvale").unwrap();
+        let ny = topo.router_by_name("NewYork").unwrap();
+        let kc = topo.router_by_name("KansasCity").unwrap();
+        let den = topo.router_by_name("Denver").unwrap();
+        let dc = topo.router_by_name("WashingtonDC").unwrap();
+        let mut net = Network::new(topo, 7);
+        net.add_cbr_flow(sun, ny, 1000, SimTime::from_ms(5), SimTime::ZERO, None);
+        net.add_cbr_flow(ny, sun, 1000, SimTime::from_ms(7), SimTime::ZERO, None);
+        // A flow that crosses Kansas City by another interface, which the
+        // first reroute leaves in place.
+        net.add_cbr_flow(den, dc, 800, SimTime::from_ms(9), SimTime::ZERO, None);
+        let mut host = SimHost::new(&net, chapter5(true));
+
+        host.run(&mut net, secs(20));
+        assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
+
+        let all = VictimFilter::all();
+        let drop = AttackKind::Drop { fraction: 0.2 };
+        net.set_attacks(
+            kc,
+            vec![Attack {
+                victims: all,
+                kind: drop,
+            }],
+        );
+        host.run(&mut net, secs(60));
+
+        let raised: Vec<(SimTime, Suspicion)> = (host.events().iter())
+            .filter_map(|(at, e)| match e {
+                LiveEvent::SuspicionRaised { suspicion, .. } => Some((*at, suspicion.clone())),
+                _ => None,
+            })
+            .collect();
+        assert!(!raised.is_empty(), "attack never detected");
+        for (_, s) in &raised {
+            assert_eq!(s.interval.end.since(s.interval.start), secs(5), "{s}");
+        }
+        let excluded = host.excluded_segments();
+        assert!(excluded.iter().all(|seg| seg.contains(kc)), "{excluded:?}");
+        let first = raised[0].0;
+        assert!(first >= secs(20));
+        let moved = (host.events().iter())
+            .find(|(at, e)| *at >= first && matches!(e, LiveEvent::LinkStateApplied { .. }))
+            .map(|&(at, _)| at)
+            .expect("routes moved");
+        assert!(
+            raised.iter().any(|(at, _)| *at > moved),
+            "nothing convicted under the new routes: {raised:?}"
+        );
+
+        // Traffic no longer transits the compromised router.
+        let mut via_kc = 0;
+        net.run_until(net.now() + secs(10), |ev| {
+            if matches!(ev, TapEvent::Arrived { router, .. } if *router == kc) {
+                via_kc += 1;
+            }
+        });
+        assert_eq!(via_kc, 0, "traffic still transits the compromised router");
+    }
+
+    /// Flaps merge per link, either direction, into one announced outage
+    /// by both ends; a crash window is a crash, a report by the first
+    /// neighbour up, and a restart; outages over before the deployment
+    /// are left out.
+    #[test]
+    fn outages_become_the_churn_script() {
+        let topo = builtin::line(4);
+        let r: Vec<RouterId> = topo.routers().collect();
+        let plan = FaultPlan::new(1)
+            .with_link_flap(r[1], r[2], secs(3), secs(5))
+            .with_link_flap(r[2], r[1], secs(4), secs(7))
+            .with_link_flap(r[1], r[2], secs(9), secs(10))
+            .with_link_flap(r[0], r[1], SimTime::ZERO, secs(1))
+            .with_crash(r[1], secs(6), secs(8));
+        let script = outages(&plan, &topo, secs(2));
+        let told: Vec<(u64, RouterId, ChurnAction)> = (script.iter())
+            .map(|e| (e.at.as_secs(), e.actor, e.action))
+            .collect();
+        use ChurnAction::*;
+        assert_eq!(
+            told,
+            [
+                (1, r[1], LinkDown(r[2])),
+                (5, r[1], LinkUp(r[2])),
+                (1, r[2], LinkDown(r[1])),
+                (5, r[2], LinkUp(r[1])),
+                (7, r[1], LinkDown(r[2])),
+                (8, r[1], LinkUp(r[2])),
+                (7, r[2], LinkDown(r[1])),
+                (8, r[2], LinkUp(r[1])),
+                (4, r[1], Crash),
+                (4, r[0], ReportDown(r[1])),
+                (6, r[1], Restart),
+            ]
+        );
+    }
+}

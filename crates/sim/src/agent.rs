@@ -186,6 +186,29 @@ impl Network {
         flow
     }
 
+    /// Every (source, destination) pair the traffic agents send on, in
+    /// the order the agents were added, each once: an echo probe and a
+    /// TCP connection send both ways.
+    pub fn traffic_pairs(&self) -> Vec<(RouterId, RouterId)> {
+        let mut pairs = Vec::new();
+        for agent in &self.agents {
+            let (src, dst, both_ways) = match agent {
+                AgentState::Detached => continue,
+                AgentState::Cbr(c) => (c.src, c.dst, false),
+                AgentState::Poisson(p) => (p.src, p.dst, false),
+                AgentState::Ping(p) => (p.src, p.dst, true),
+                AgentState::Tcp(t) => (t.src, t.dst, true),
+            };
+            let back = both_ways.then_some((dst, src));
+            for pair in std::iter::once((src, dst)).chain(back) {
+                if !pairs.contains(&pair) {
+                    pairs.push(pair);
+                }
+            }
+        }
+        pairs
+    }
+
     /// RTT samples of a ping probe: `(send time, round-trip time)` pairs.
     ///
     /// # Panics
@@ -355,6 +378,29 @@ mod tests {
             assert!(*rtt >= SimTime::from_ms(50), "rtt {rtt}");
             assert!(*rtt < SimTime::from_ms(52), "rtt {rtt}");
         }
+    }
+
+    /// One-way sources send one way, an echo probe and a TCP connection
+    /// both; a pair two agents share is named once.
+    #[test]
+    fn traffic_pairs_name_every_direction_once() {
+        let mut net = Network::new(builtin::line(4), 1);
+        let r: Vec<RouterId> = net.topology().routers().collect();
+        let (ms, zero) = (SimTime::from_ms(10), SimTime::ZERO);
+        net.add_cbr_flow(r[0], r[3], 100, ms, zero, None);
+        net.add_poisson_flow(r[1], r[2], 100, ms, zero, None);
+        net.add_ping_probe(r[3], r[0], 100, ms, zero, None);
+        net.add_tcp_flow(r[1], r[3], crate::tcp::TcpConfig::default(), zero, 1);
+        assert_eq!(
+            net.traffic_pairs(),
+            [
+                (r[0], r[3]),
+                (r[1], r[2]),
+                (r[3], r[0]),
+                (r[1], r[3]),
+                (r[3], r[1])
+            ]
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::packet::{FlowId, Packet, PacketId, PacketKind};
 use crate::queue::{Offer, OutputQueueState, QueueDiscipline};
 use crate::tap::{DropReason, GroundTruth, SimMetrics, TapEvent};
 use crate::time::SimTime;
-use fatih_topology::{Path, PathSegment, RouterId, Routes, Topology};
+use fatih_topology::{Path, RouterId, Routes, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -286,24 +286,9 @@ impl Network {
         self.overrides.insert((src, dst), path);
     }
 
-    /// Recomputes the routes of **all** pairs to avoid the given suspected
-    /// segments, installing overrides where the route changes — only for
-    /// pairs whose link-state route crosses a suspected segment, since
-    /// both come from [one rule](fatih_topology::routing#the-rule) — and
-    /// returns the new route of every routable pair, ordered as
-    /// [`Routes::all_paths`](fatih_topology::Routes::all_paths). Pairs
-    /// left with no compliant route keep no override and will drop with
-    /// [`DropReason::NoRoute`] at the point the route vanishes.
-    pub fn apply_avoidance(&mut self, excluded: &[PathSegment]) -> Vec<Path> {
-        let paths = fatih_topology::AvoidingRoutes::new(&self.topo, excluded.to_vec()).all_paths();
-        self.overrides.clear();
-        for p in &paths {
-            let pair = (p.source(), p.sink());
-            if Some(p) != self.routes.path(pair.0, pair.1).as_ref() {
-                self.overrides.insert(pair, p.clone());
-            }
-        }
-        paths
+    /// Hands the (source, destination) pair back its link-state route.
+    pub fn clear_route_override(&mut self, src: RouterId, dst: RouterId) {
+        self.overrides.remove(&(src, dst));
     }
 
     /// Installs (or clears) the environmental fault plan. Fault decisions
@@ -321,13 +306,6 @@ impl Network {
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref().map(|f| &f.plan)
-    }
-
-    /// Whether `router` is currently crashed under the fault plan.
-    pub fn router_crashed(&self, router: RouterId) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|f| f.plan.router_down(router, self.now))
     }
 
     /// Sends a protocol control message from `src` to `dst` as a
@@ -409,7 +387,25 @@ impl Network {
     /// Runs the simulation until `t_end`, feeding every observation to
     /// `tap`. May be called repeatedly with increasing horizons — the
     /// Chapter 5/6 protocols interleave validation rounds this way.
-    pub fn run_until<F: FnMut(&TapEvent)>(&mut self, t_end: SimTime, mut tap: F) {
+    pub fn run_until<F: FnMut(&TapEvent)>(&mut self, t_end: SimTime, tap: F) {
+        self.advance(t_end, false, tap);
+    }
+
+    /// [`run_until`](Self::run_until), but returning early — at the
+    /// instant of the event — once an event has handed a control message
+    /// up, so a host can answer it at that instant. Returns whether it
+    /// stopped for one; the deliveries wait in
+    /// [`take_control_deliveries`](Self::take_control_deliveries).
+    pub fn run_until_control<F: FnMut(&TapEvent)>(&mut self, t_end: SimTime, tap: F) -> bool {
+        self.advance(t_end, true, tap)
+    }
+
+    fn advance<F: FnMut(&TapEvent)>(
+        &mut self,
+        t_end: SimTime,
+        to_control: bool,
+        mut tap: F,
+    ) -> bool {
         while let Some(Reverse(top)) = self.events.peek() {
             if top.time > t_end {
                 break;
@@ -420,10 +416,14 @@ impl Network {
             for ev in std::mem::take(&mut self.pending_taps) {
                 tap(&ev);
             }
+            if to_control && !self.control_inbox.is_empty() {
+                return true;
+            }
         }
         if self.now < t_end {
             self.now = t_end;
         }
+        false
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -491,7 +491,7 @@ impl Network {
             self.deliver_to_agent(packet);
             return;
         }
-        self.forward(at, packet, from.is_none());
+        self.forward(at, packet, from);
     }
 
     /// Injects a freshly built packet at its source.
@@ -531,14 +531,19 @@ impl Network {
             });
             self.deliver_to_agent(packet);
         } else {
-            self.forward(src, packet, true);
+            self.forward(src, packet, None);
         }
         id
     }
 
-    fn next_hop_for(&self, at: RouterId, packet: &Packet) -> Option<RouterId> {
+    fn next_hop_for(
+        &self,
+        at: RouterId,
+        from: Option<RouterId>,
+        packet: &Packet,
+    ) -> Option<RouterId> {
         if let Some(p) = self.overrides.get(&(packet.src, packet.dst)) {
-            if let Some(next) = p.next_after(at) {
+            if let Some(next) = p.next_hop(at, from) {
                 return Some(next);
             }
             // Router not on the override path (e.g. packet was in flight
@@ -548,7 +553,10 @@ impl Network {
         self.routes.next_hop(at, packet.dst)
     }
 
-    fn forward(&mut self, at: RouterId, mut packet: Packet, is_source: bool) {
+    /// Forwards `packet` on from `at`, which it reached from `from` (`None`:
+    /// its source injects it).
+    fn forward(&mut self, at: RouterId, mut packet: Packet, from: Option<RouterId>) {
+        let is_source = from.is_none();
         if !is_source {
             if packet.ttl == 0 {
                 self.emit(TapEvent::Dropped {
@@ -563,7 +571,7 @@ impl Network {
             }
             packet.ttl -= 1;
         }
-        let Some(mut next) = self.next_hop_for(at, &packet) else {
+        let Some(mut next) = self.next_hop_for(at, from, &packet) else {
             self.emit(TapEvent::Dropped {
                 router: at,
                 next_hop: None,
@@ -879,7 +887,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatih_topology::builtin;
+    use fatih_topology::{builtin, PathSegment};
 
     #[test]
     fn cbr_traffic_is_delivered_end_to_end() {
@@ -1047,32 +1055,6 @@ mod tests {
         });
         assert_eq!(via_kc2, 0, "overridden traffic must avoid Kansas City");
         assert!(via_la > 0);
-    }
-
-    /// A conviction moves only the pairs it touches: on tie-rich graphs a
-    /// pair whose link-state route does not cross the suspected segment
-    /// gets no override and is handed back its link-state route.
-    #[test]
-    fn avoidance_leaves_untouched_pairs_alone() {
-        for topo in [builtin::ring(8), builtin::random_connected(40, 30, 7)] {
-            let mut net = Network::new(topo, 1);
-            let longest = net.routes.all_paths().max_by_key(Path::len).unwrap();
-            let seg = PathSegment::new(longest.routers()[1..].to_vec());
-            let installed = net.apply_avoidance(std::slice::from_ref(&seg));
-            let mut moved = 0;
-            for plain in net.routes.all_paths() {
-                let pair = (plain.source(), plain.sink());
-                if plain.contains_segment(seg.routers()) {
-                    let detour = &net.overrides[&pair];
-                    assert!(!detour.contains_segment(seg.routers()));
-                    moved += 1;
-                } else {
-                    assert!(!net.overrides.contains_key(&pair), "{plain} moved");
-                    assert!(installed.contains(&plain));
-                }
-            }
-            assert!(moved > 0, "the conviction touches some pair");
-        }
     }
 
     #[test]
@@ -1294,7 +1276,8 @@ mod tests {
         assert_eq!(t.injected, 100);
         assert!(t.fault_drops >= 49 && t.fault_drops <= 51, "{t:?}");
         assert_eq!(t.delivered + t.fault_drops, 100);
-        assert!(!net.router_crashed(b), "restarted by the end");
+        let plan = net.fault_plan().expect("installed");
+        assert!(!plan.router_down(b, net.now()), "restarted by the end");
     }
 
     #[test]

@@ -89,8 +89,8 @@ enum Phase {
 #[derive(Debug)]
 pub(crate) struct TcpState {
     cfg: TcpConfig,
-    src: RouterId,
-    dst: RouterId,
+    pub(crate) src: RouterId,
+    pub(crate) dst: RouterId,
     flow: FlowId,
     phase: Phase,
     total_segments: u64,

@@ -19,9 +19,13 @@
 //! * a **down router** loses every incident link (it can neither source,
 //!   sink nor transit traffic);
 //! * a **down link** is removed in both directions (duplex flap);
-//! * a **no-transit router** (crash-restart probation, §2.4.3 re-admission)
-//!   keeps its links only on paths where it is the source or the sink — it
-//!   may originate and terminate traffic but carries nobody else's;
+//! * a **no-transit router** (one the convictions pinpoint) keeps its links
+//!   only on paths where it is the source or the sink — it may originate
+//!   and terminate traffic but carries nobody else's;
+//! * a **last-resort router** (crash-restart probation, §2.4.3
+//!   re-admission) is avoided as transit wherever a path around it exists,
+//!   and carries the pairs no such path serves — RFC 6987's stub router,
+//!   so a probation never partitions the fabric;
 //! * an **excluded segment** is the §2.4.3 conviction response: no path may
 //!   traverse the segment as a contiguous subsequence.
 //!
@@ -57,6 +61,7 @@ pub struct DynamicTopology {
     down_routers: BTreeSet<RouterId>,
     down_links: BTreeSet<(RouterId, RouterId)>,
     no_transit: BTreeSet<RouterId>,
+    last_resort: BTreeSet<RouterId>,
     excluded: Vec<PathSegment>,
     /// Rejects `excluded`; rebuilt when a segment is added.
     automaton: SegmentAutomaton,
@@ -70,6 +75,7 @@ impl DynamicTopology {
             down_routers: BTreeSet::new(),
             down_links: BTreeSet::new(),
             no_transit: BTreeSet::new(),
+            last_resort: BTreeSet::new(),
             excluded: Vec::new(),
             automaton: SegmentAutomaton::reversed(&[]),
         }
@@ -81,8 +87,8 @@ impl DynamicTopology {
     }
 
     /// A 64-bit name for the overlay's content: FNV-1a over the down
-    /// routers, down links, no-transit set and the excluded segments in
-    /// sorted order, each list length-prefixed. Equal overlays digest
+    /// routers, down links, no-transit and last-resort sets and the
+    /// excluded segments in sorted order, each list length-prefixed. Equal overlays digest
     /// alike whatever order of mutations built them, and an empty overlay
     /// digests to 0.
     pub fn digest(&self) -> u64 {
@@ -101,10 +107,11 @@ impl DynamicTopology {
             self.down_links.iter().flat_map(|&(a, b)| [a, b]),
         );
         push_ids(&mut words, self.no_transit.iter().copied());
+        push_ids(&mut words, self.last_resort.iter().copied());
         for seg in excluded {
             push_ids(&mut words, seg.routers().iter().copied());
         }
-        if words == [0, 0, 0] {
+        if words == [0, 0, 0, 0] {
             return 0;
         }
         // Word-wise FNV-1a, as `PathSegment::stable_id`.
@@ -132,9 +139,14 @@ impl DynamicTopology {
         self.down_links.contains(&(a, b)) || self.down_links.contains(&(b, a))
     }
 
-    /// Whether `r` is in the no-transit (probation) set.
+    /// Whether `r` is in the no-transit set.
     pub fn is_no_transit(&self, r: RouterId) -> bool {
         self.no_transit.contains(&r)
+    }
+
+    /// Whether `r` is transit of last resort (on probation).
+    pub fn is_last_resort(&self, r: RouterId) -> bool {
+        self.last_resort.contains(&r)
     }
 
     /// Marks a router down. Returns whether anything changed.
@@ -142,8 +154,8 @@ impl DynamicTopology {
         self.down_routers.insert(r)
     }
 
-    /// Brings a router back up (it typically re-enters via
-    /// [`set_no_transit`](Self::set_no_transit) probation). Returns whether
+    /// Brings a router back up (it typically re-enters on probation,
+    /// [`set_last_resort`](Self::set_last_resort)). Returns whether
     /// anything changed.
     pub fn set_router_up(&mut self, r: RouterId) -> bool {
         self.down_routers.remove(&r)
@@ -160,16 +172,21 @@ impl DynamicTopology {
         self.down_links.remove(&(a, b)) | self.down_links.remove(&(b, a))
     }
 
-    /// Puts `r` in the no-transit set (probation). Returns whether anything
-    /// changed.
+    /// Puts `r` in the no-transit set. Returns whether anything changed.
     pub fn set_no_transit(&mut self, r: RouterId) -> bool {
         self.no_transit.insert(r)
     }
 
-    /// Removes `r` from the no-transit set (probation cleared). Returns
-    /// whether anything changed.
+    /// Removes `r` from the no-transit set. Returns whether anything
+    /// changed.
     pub fn clear_no_transit(&mut self, r: RouterId) -> bool {
         self.no_transit.remove(&r)
+    }
+
+    /// Makes `r` transit of last resort (probation). Returns whether
+    /// anything changed.
+    pub fn set_last_resort(&mut self, r: RouterId) -> bool {
+        self.last_resort.insert(r)
     }
 
     /// Adds a convicted segment to the exclusion set (§2.4.3 response).
@@ -191,20 +208,29 @@ impl DynamicTopology {
     ///
     /// Panics on router ids from another topology.
     pub fn path(&mut self, src: RouterId, dst: RouterId) -> Result<Path, AvoidanceError> {
-        self.route(&self.toward(dst), src, dst)
+        (self.route(&self.toward(dst, false), src, dst))
+            .or_else(|_| self.route(&self.toward(dst, true), src, dst))
     }
 
-    /// The search toward `dst` over the links the overlay leaves usable.
-    fn toward(&self, dst: RouterId) -> Toward<'_, impl Fn(RouterId, RouterId) -> bool + '_> {
+    /// The search toward `dst` over the links the overlay leaves usable,
+    /// through last-resort routers too if `last_resort`.
+    fn toward(
+        &self,
+        dst: RouterId,
+        last_resort: bool,
+    ) -> Toward<'_, impl Fn(RouterId, RouterId) -> bool + '_> {
         // A link carries traffic bound for `dst` if both its ends and the
-        // link itself are up and it does not lead into a no-transit router
-        // short of `dst`. Such a router may still be where the path
-        // starts: the search reaches it over its out-links and stops.
+        // link itself are up and it does not lead into a router barred
+        // from transit short of `dst`. Such a router may still be where
+        // the path starts: the search reaches it over its out-links and
+        // stops.
         let link_ok = move |from: RouterId, to: RouterId| {
             !self.down_routers.contains(&from)
                 && !self.down_routers.contains(&to)
                 && !self.down_links.contains(&(from, to))
-                && (to == dst || !self.no_transit.contains(&to))
+                && (to == dst
+                    || !(self.no_transit.contains(&to)
+                        || !last_resort && self.last_resort.contains(&to)))
         };
         Toward::search(&self.base, link_ok, &self.automaton, dst)
     }
@@ -234,10 +260,22 @@ impl DynamicTopology {
             sources_of.entry(dst).or_default().insert(src);
         }
         let mut paths = HashMap::new();
-        for (dst, sources) in sources_of {
-            let toward = self.toward(dst);
-            let routed = |src| Some(((src, dst), self.route(&toward, src, dst).ok()?));
-            paths.extend(sources.into_iter().filter_map(routed));
+        for (dst, mut sources) in sources_of {
+            // Around every last-resort router first, then through them
+            // for whatever that leaves unrouted.
+            for last_resort in [false, true] {
+                if sources.is_empty() || last_resort && self.last_resort.is_empty() {
+                    break;
+                }
+                let toward = self.toward(dst, last_resort);
+                sources.retain(|&src| {
+                    let Ok(path) = self.route(&toward, src, dst) else {
+                        return true;
+                    };
+                    paths.insert((src, dst), path);
+                    false
+                });
+            }
         }
         paths
     }
@@ -354,6 +392,31 @@ mod tests {
             .take(5)
             .map(|p| PathSegment::new(p.routers()[1..p.len() - 1].to_vec()))
             .collect()
+    }
+
+    /// A last-resort router is routed around wherever a path around it
+    /// exists, and carries what no such path serves; a no-transit one
+    /// carries nothing. `path` and `paths_for` agree.
+    #[test]
+    fn a_last_resort_router_carries_only_what_nothing_else_can() {
+        let (t, rs) = line_with_bypass();
+        let mut d = DynamicTopology::new(t);
+        d.set_last_resort(rs[2]);
+        let walk = |ids: &[usize]| Path::new(ids.iter().map(|&i| rs[i]).collect());
+        assert_eq!(d.path(rs[0], rs[3]), Ok(walk(&[0, 4, 5, 3])));
+        assert_eq!(d.path(rs[2], rs[3]), Ok(walk(&[2, 3])), "its own traffic");
+        d.set_router_down(rs[4]);
+        assert_eq!(d.path(rs[0], rs[3]), Ok(walk(&[0, 1, 2, 3])));
+        let pairs = [(rs[0], rs[3]), (rs[1], rs[3]), (rs[5], rs[0])];
+        let all = d.paths_for(pairs);
+        for (src, dst) in pairs {
+            assert_eq!(
+                all.get(&(src, dst)).cloned().ok_or(()),
+                d.path(src, dst).map_err(|_| ())
+            );
+        }
+        d.set_no_transit(rs[2]);
+        assert!(d.path(rs[0], rs[3]).is_err());
     }
 
     /// With exclusions the answer is the overlay's, not its history's, and
@@ -553,6 +616,9 @@ mod tests {
         a.clear_no_transit(rs[2]);
         assert_ne!(a.digest(), full);
         a.set_no_transit(rs[2]);
+        a.set_last_resort(rs[1]);
+        assert_ne!(a.digest(), full);
+        a.last_resort.clear();
         a.set_link_up(rs[5], rs[3]);
         assert_ne!(a.digest(), full);
         a.set_link_down(rs[5], rs[3]);
@@ -566,6 +632,9 @@ mod tests {
         let mut d = DynamicTopology::new(a.base().clone());
         d.set_no_transit(rs[1]);
         assert_ne!(c.digest(), d.digest());
+        let mut e = DynamicTopology::new(a.base().clone());
+        e.set_last_resort(rs[1]);
+        assert_ne!(d.digest(), e.digest());
     }
 
     #[test]

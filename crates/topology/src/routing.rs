@@ -105,10 +105,21 @@ impl Path {
         self.0.windows(segment.len()).any(|w| w == segment)
     }
 
-    /// The hop after `at` on this path, if any.
+    /// The hop after the first pass through `at`, if any: where a packet
+    /// that starts at `at` goes next.
     pub fn next_after(&self, at: RouterId) -> Option<RouterId> {
-        let pos = self.0.iter().position(|&r| r == at)?;
-        self.0.get(pos + 1).copied()
+        self.next_hop(at, None)
+    }
+
+    /// The hop after `at` for a packet that reached it from `from`
+    /// (`None`: it starts at `at`). A route may be a walk that passes a
+    /// router twice; the pass the packet entered by decides, and a packet
+    /// that entered by neither goes on as from the first.
+    pub fn next_hop(&self, at: RouterId, from: Option<RouterId>) -> Option<RouterId> {
+        let mut passes = (self.0.iter().enumerate()).filter(|&(_, &r)| r == at);
+        let first = passes.clone().next()?.0;
+        let entered = passes.find(|&(i, _)| i.checked_sub(1).map(|j| self.0[j]) == from);
+        self.0.get(entered.map_or(first, |(i, _)| i) + 1).copied()
     }
 }
 
@@ -478,6 +489,23 @@ mod tests {
         assert!(!p.contains_segment(&[]));
         assert_eq!(p.next_after(b), Some(c));
         assert_eq!(p.next_after(c), None);
+    }
+
+    /// A walk passes a router twice: each pass leaves by its own hop.
+    #[test]
+    fn a_walk_is_followed_pass_by_pass() {
+        let [d, k, h, i] = [0, 1, 2, 3].map(RouterId::from);
+        let walk = Path::new(vec![d, k, h, k, i]);
+        assert_eq!(walk.next_hop(d, None), Some(k));
+        assert_eq!(walk.next_hop(k, Some(d)), Some(h));
+        assert_eq!(walk.next_hop(h, Some(k)), Some(k));
+        assert_eq!(walk.next_hop(k, Some(h)), Some(i));
+        assert_eq!(
+            walk.next_hop(k, None),
+            Some(h),
+            "a stray goes on as from the first"
+        );
+        assert_eq!(walk.next_hop(i, Some(k)), None);
     }
 
     #[test]

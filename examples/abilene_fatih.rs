@@ -1,22 +1,20 @@
 //! The Fatih system end to end on the Abilene backbone (§5.3): detection
 //! integrated with link-state routing and automatic response. A condensed
-//! version of the Figure 5.7 experiment.
+//! version of the Figure 5.7 experiment, run by the live routers on the
+//! simulator's clock.
 //!
 //! ```sh
 //! cargo run --release --example abilene_fatih
 //! ```
 
-use fatih::crypto::KeyStore;
-use fatih::protocols::fatih_system::{FatihConfig, FatihEvent, FatihSystem};
+use fatih::net::{LiveConfig, LiveEvent, SimHost};
+use fatih::protocols::policy::Thresholds;
 use fatih::sim::{Attack, AttackKind, Network, SimTime, VictimFilter};
 use fatih::topology::builtin;
+use std::time::Duration;
 
 fn main() {
     let topo = builtin::abilene();
-    let mut ks = KeyStore::with_seed(5);
-    for r in topo.routers() {
-        ks.register(r.into());
-    }
     let sun = topo.router_by_name("Sunnyvale").unwrap();
     let ny = topo.router_by_name("NewYork").unwrap();
     let kc = topo.router_by_name("KansasCity").unwrap();
@@ -26,14 +24,18 @@ fn main() {
     net.add_cbr_flow(ny, sun, 1_000, SimTime::from_ms(7), SimTime::ZERO, None);
     let ping = net.add_ping_probe(ny, sun, 100, SimTime::from_ms(500), SimTime::ZERO, None);
 
-    let mut system = FatihSystem::new(&net, ks, FatihConfig::default());
+    let cfg = LiveConfig {
+        tau: Duration::from_secs(5),
+        exchange_budget: Duration::from_secs(4),
+        maturity_lag: Duration::from_millis(200),
+        thresholds: Thresholds::default(),
+        ..LiveConfig::default()
+    };
+    let mut host = SimHost::new(&net, cfg);
 
     // 20 clean seconds.
-    system.run(&mut net, SimTime::from_secs(20));
-    println!(
-        "t=20s: {} timeline events (expect 0)",
-        system.timeline().len()
-    );
+    host.run(&mut net, SimTime::from_secs(20));
+    println!("t=20s: {} suspicions (expect 0)", host.suspicions().len());
 
     // Compromise Kansas City.
     net.set_attacks(
@@ -44,19 +46,20 @@ fn main() {
         }],
     );
     println!("t=20s: KansasCity compromised — drops 20% of transit traffic");
-    system.run(&mut net, SimTime::from_secs(60));
+    host.run(&mut net, SimTime::from_secs(60));
 
-    for ev in system.timeline() {
+    for (at, ev) in host.events() {
         match ev {
-            FatihEvent::Detection { at, suspicion } => {
-                println!("t={:>5.1}s  detection   {suspicion}", at.as_secs_f64());
+            LiveEvent::SuspicionRaised { suspicion, .. } => {
+                println!("t={:>6.3}s  suspicion   {suspicion}", at.as_secs_f64());
             }
-            FatihEvent::RouteUpdate { at, excluded } => {
+            LiveEvent::LinkStateApplied { by, origin, .. } if by == origin => {
                 println!(
-                    "t={:>5.1}s  route update ({excluded} segments excluded)",
+                    "t={:>6.3}s  {origin} floods its exclusion",
                     at.as_secs_f64()
                 );
             }
+            _ => {}
         }
     }
 
@@ -79,11 +82,10 @@ fn main() {
         mean(&early),
         mean(&late)
     );
+    let excluded = host.excluded_segments();
+    assert!(!excluded.is_empty(), "the attack was never answered");
     assert!(
-        system
-            .excluded_segments()
-            .iter()
-            .all(|seg| seg.contains(kc)),
+        excluded.iter().all(|seg| seg.contains(kc)),
         "response must only exclude segments containing the compromised router"
     );
     println!("all excluded segments contain KansasCity ✓");

@@ -1,27 +1,25 @@
 //! The Fatih system on a lossy, flapping control plane (§2.2.1's benign
-//! fault class layered under a genuine attack): summaries ride the
-//! ack/retransmit transport, scheduled outages are exonerated, and the
-//! attacker is still caught once the faults quiesce.
+//! fault class layered under a genuine attack): summaries, alerts and
+//! link-state floods ride the network they police with acks and
+//! retransmission, scheduled outages are announced as link-state churn
+//! and forgiven by the amnesty that follows it, and the attacker is still
+//! caught once the faults quiesce.
 //!
 //! ```sh
 //! cargo run --release --example faulty_control_plane
 //! ```
 
-use fatih::crypto::KeyStore;
-use fatih::protocols::fatih_system::{FatihConfig, FatihEvent, FatihSystem};
-use fatih::protocols::transport::TransportConfig;
+use fatih::net::{LiveConfig, LiveEvent, SimHost};
+use fatih::protocols::policy::Thresholds;
 use fatih::sim::{Attack, FaultPlan, Network, SimTime};
 use fatih::topology::{builtin, RouterId};
+use std::time::Duration;
 
 fn main() {
     let topo = builtin::line(6);
     let ids: Vec<RouterId> = (0..6)
         .map(|i| topo.router_by_name(&format!("n{i}")).unwrap())
         .collect();
-    let mut ks = KeyStore::with_seed(17);
-    for r in topo.routers() {
-        ks.register(r.into());
-    }
 
     let mut net = Network::new(topo, 7);
     let plan = FaultPlan::random_transient(7, net.topology(), SimTime::from_secs(10));
@@ -44,43 +42,32 @@ fn main() {
     net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.35)]);
     println!("n3 compromised — drops 35% of the n0→n5 flow\n");
 
-    let mut system = FatihSystem::new(
-        &net,
-        ks,
-        FatihConfig {
-            transport: TransportConfig {
-                max_attempts: 10,
-                ..TransportConfig::default()
-            },
-            ..FatihConfig::default()
-        },
-    );
-    system.run(&mut net, SimTime::from_secs(30));
+    let cfg = LiveConfig {
+        tau: Duration::from_secs(5),
+        exchange_budget: Duration::from_secs(4),
+        maturity_lag: Duration::from_millis(200),
+        thresholds: Thresholds::default(),
+        ..LiveConfig::default()
+    };
+    let mut host = SimHost::new(&net, cfg);
+    host.run(&mut net, SimTime::from_secs(30));
 
-    for ev in system.timeline() {
+    let mut alerts = 0;
+    for (at, ev) in host.events() {
         match ev {
-            FatihEvent::Detection { at, suspicion } => {
-                println!("t={:>5.1}s  detection   {suspicion}", at.as_secs_f64());
+            LiveEvent::SuspicionRaised { suspicion, .. } => {
+                println!("t={:>6.3}s  suspicion   {suspicion}", at.as_secs_f64());
             }
-            FatihEvent::RouteUpdate { at, excluded } => {
-                println!(
-                    "t={:>5.1}s  route update ({excluded} segments excluded)",
-                    at.as_secs_f64()
-                );
+            LiveEvent::LinkStateApplied { by, origin, .. } if by == origin => {
+                println!("t={:>6.3}s  {origin} floods an update", at.as_secs_f64());
             }
+            LiveEvent::AlertReceived { sig_ok: true, .. } => alerts += 1,
+            _ => {}
         }
     }
-    println!(
-        "\nalerts delivered over the control plane: {}",
-        system.alerts_delivered()
-    );
-    let caught = system
-        .excluded_segments()
-        .iter()
-        .any(|seg| seg.contains(ids[3]));
-    let clean = system
-        .excluded_segments()
-        .iter()
-        .all(|seg| seg.contains(ids[3]));
+    println!("\nsigned alerts delivered over the control plane: {alerts}");
+    let excluded = host.excluded_segments();
+    let caught = excluded.iter().any(|seg| seg.contains(ids[3]));
+    let clean = excluded.iter().all(|seg| seg.contains(ids[3]));
     println!("attacker flagged: {caught} — no correct router accused: {clean}");
 }

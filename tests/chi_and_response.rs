@@ -2,13 +2,15 @@
 //! richer scenarios than the unit fixtures.
 
 use fatih::crypto::KeyStore;
+use fatih::net::{LiveConfig, SimHost};
 use fatih::protocols::chi::{ChiConfig, QueueTap, QueueValidator};
-use fatih::protocols::fatih_system::{FatihConfig, FatihSystem};
+use fatih::protocols::policy::Thresholds;
 use fatih::protocols::threshold::ThresholdDetector;
 use fatih::sim::{Attack, DropReason, Network, QueueDiscipline, RedParams, SimTime, TapEvent};
 use fatih::topology::{builtin, LinkParams, RouterId};
 use fatih_bench::{ChiExperiment, Workload};
 use std::collections::HashMap;
+use std::time::Duration;
 
 fn fan(sources: usize, q_limit: u32) -> (Network, KeyStore, RouterId, RouterId) {
     let topo = builtin::fan_in(
@@ -192,10 +194,6 @@ fn fatih_response_survives_two_compromised_routers() {
     // Two separate attackers on a richer topology: both eventually
     // excluded, traffic still delivered end to end.
     let topo = builtin::grid(3, 3);
-    let mut ks = KeyStore::with_seed(2);
-    for r in topo.routers() {
-        ks.register(r.into());
-    }
     let corner_a = topo.router_by_name("g0_0").unwrap();
     let corner_b = topo.router_by_name("g2_2").unwrap();
     // Compromise a transit router actually on the routed path.
@@ -226,14 +224,20 @@ fn fatih_response_survives_two_compromised_routers() {
             kind: fatih::sim::AttackKind::Drop { fraction: 0.4 },
         }],
     );
-    let mut system = FatihSystem::new(&net, ks, FatihConfig::default());
-    system.run(&mut net, SimTime::from_secs(60));
+    let cfg = LiveConfig {
+        tau: Duration::from_secs(5),
+        exchange_budget: Duration::from_secs(4),
+        maturity_lag: Duration::from_millis(200),
+        thresholds: Thresholds::default(),
+        key_seed: 2,
+        ..LiveConfig::default()
+    };
+    let mut host = SimHost::new(&net, cfg);
+    host.run(&mut net, SimTime::from_secs(60));
 
-    assert!(
-        !system.excluded_segments().is_empty(),
-        "no response happened"
-    );
-    for seg in system.excluded_segments() {
+    let excluded = host.excluded_segments();
+    assert!(!excluded.is_empty(), "no response happened");
+    for seg in &excluded {
         assert!(seg.contains(evil1), "excluded innocent segment {seg}");
     }
     // After the response, deliveries keep flowing without the attacker.
