@@ -356,9 +356,10 @@ pub fn encode_frame_into(
     Ok(())
 }
 
-/// Peeks a frame's message type without decoding it (used by the chaos
-/// shim to fault only control traffic). `None` if the bytes are not even
-/// a plausible frame header.
+/// Peeks a frame's message type without decoding it: how
+/// [`SimHost::silence`](crate::SimHost::silence) picks out the Πk+2
+/// frames a silenced router withholds. `None` if the bytes are not even a
+/// plausible frame header.
 pub fn peek_type(bytes: &[u8]) -> Option<MsgType> {
     if bytes.len() < HEADER_LEN || bytes[0] != MAGIC || bytes[1] != VERSION {
         return None;

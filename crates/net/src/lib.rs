@@ -1,18 +1,19 @@
 //! A real wire-protocol runtime for the fatih detection protocols.
 //!
-//! The simulator crates exercise Protocols Π2/Πk+2 and the Fatih system
-//! against a discrete-event network. This crate runs the *same protocol
-//! machinery* — segment monitors, maturity-windowed traffic validation,
-//! timeout-as-accusation, signed alerts — over real byte streams and real
-//! wall-clock time:
+//! The live Fatih router — segment monitors, maturity-windowed traffic
+//! validation, timeout-as-accusation, signed alerts, the link-state flood
+//! and the reroute — written once, as a step function with no I/O
+//! (`router`), and hosted two ways: over real byte streams and wall-clock
+//! time by a deployment's shard threads, and on the simulator's virtual
+//! clock, under its data-plane adversary and its `FaultPlan`, by
+//! [`SimHost`]:
 //!
 //! * [`codec`] — the binary wire format: length-prefixed, version-byte
 //!   framed, field-tagged messages with an HMAC-SHA256 trailer on every
 //!   control frame (summaries, acks, alerts, accusations);
 //! * [`transport`] — the [`Transport`] abstraction with an in-memory
-//!   loopback implementation ([`LoopbackHub`]), a real UDP-over-localhost
-//!   implementation ([`UdpNet`]), and a loss/duplication-injecting chaos
-//!   shim ([`ChaosTransport`]);
+//!   loopback implementation ([`LoopbackHub`]) and a real
+//!   UDP-over-localhost implementation ([`UdpNet`]);
 //! * [`linkstate`] — origin-signed topology updates (segment convictions,
 //!   join/leave, crash-restart incarnations, link flaps) flooded through
 //!   the control plane, and (crate-private) `Convergence`, the view of
@@ -27,7 +28,10 @@
 //!   reconciliation mode ([`SummaryMode::Reconcile`](runtime::SummaryMode)),
 //!   as digests. Crate-private, split at the I/O seam: `router` (a router
 //!   as a sans-I/O step function), `flows` (its traffic) and `shard` (the
-//!   worker threads that host routers over their transports).
+//!   worker threads that host routers over their transports);
+//! * [`SimHost`] — every router of a simulated `fatih_sim::Network`,
+//!   stepped by one thread on the engine's clock, its frames carried as
+//!   in-band control packets: a run is a function of its seeds.
 //!
 //! # Examples
 //!
@@ -78,4 +82,4 @@ pub use runtime::{
     SummaryMode,
 };
 pub use sim_host::SimHost;
-pub use transport::{ChaosTransport, FlapWindow, LoopbackHub, NetError, Transport, UdpNet};
+pub use transport::{LoopbackHub, NetError, Transport, UdpNet};

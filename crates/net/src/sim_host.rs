@@ -36,7 +36,7 @@ use crate::router::{routers, Input, Outputs, Router, RELIABLE};
 use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, NetMetrics};
 use crate::timer::TimerWheel;
 use fatih_core::spec::Suspicion;
-use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer};
+use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal};
 use fatih_sim::{FaultPlan, Network, PacketKind, SimTime, TapEvent};
 use fatih_topology::{PathSegment, RouterId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -231,6 +231,11 @@ impl SimHost {
     /// The routers' `net.*` and `monitor.*` metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
+    }
+
+    /// What the routers traced so far, from the host's one ring.
+    pub fn trace(&self) -> TraceJournal {
+        TraceJournal::from_buffers([self.out.trace.clone()])
     }
 
     /// Hands a data-plane observation to the router that made it.

@@ -1,24 +1,22 @@
 //! Datagram transports for the wire runtime.
 //!
-//! A [`Transport`] moves encoded frames between routers. Three
+//! A [`Transport`] moves encoded frames between routers. Two
 //! implementations:
 //!
 //! * [`LoopbackHub`] / [`LoopbackNet`] — in-memory channels, zero
 //!   configuration, used by unit tests and the in-process benchmarks;
 //! * [`UdpNet`] — real UDP sockets bound to `127.0.0.1:0`, one per
 //!   router, so the full runtime exercises the operating system's
-//!   network stack;
-//! * [`ChaosTransport`] — a shim that injects seeded, probabilistic
-//!   loss and duplication on send. By default it faults **control
-//!   frames only**, mirroring the simulator's `FaultPlan` semantics:
-//!   faulting data frames would make an honest router look like a
-//!   dropper, turning an environmental fault into a false accusation.
+//!   network stack.
+//!
+//! Neither injects faults. Seeded loss, duplication, corruption,
+//! reordering, flaps and crashes are `fatih_sim::FaultPlan`'s, met by the
+//! live routers when [`SimHost`](crate::SimHost) hosts them on the
+//! simulator's clock.
 
-use crate::codec::{peek_type, MsgType, MAX_FRAME};
+use crate::codec::MAX_FRAME;
 use crate::poller;
 use fatih_topology::RouterId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::UdpSocket;
@@ -95,10 +93,8 @@ pub trait Transport: Send {
         MAX_FRAME
     }
 
-    /// Total payload bytes successfully handed to the medium. Chaos
-    /// wrappers count what actually survived onto the wire (duplicates
-    /// included, swallowed frames excluded), so overhead claims come from
-    /// measurement rather than arithmetic.
+    /// Total payload bytes successfully handed to the medium, so overhead
+    /// claims come from measurement rather than arithmetic.
     fn bytes_sent(&self) -> u64 {
         0
     }
@@ -333,193 +329,6 @@ impl Transport for UdpNet {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chaos shim
-// ---------------------------------------------------------------------
-
-/// One scheduled outage on an endpoint's outbound links: between `from`
-/// and `until` (measured from the chaos epoch set by
-/// [`ChaosTransport::set_flap_epoch`]), sends matching the window are
-/// swallowed.
-///
-/// `peer: None` partitions the endpoint from everyone; `Some(r)` flaps a
-/// single link. With `data_only` (the constructors' default) only data
-/// frames are dropped, modelling a forwarding-plane outage whose control
-/// traffic reroutes around the dead link — the configuration churn
-/// scenarios use so a flap exercises reconvergence without faking a
-/// summary-exchange failure. [`FlapWindow::all_traffic`] drops control
-/// too, for full-partition tests.
-#[derive(Debug, Clone, Copy)]
-pub struct FlapWindow {
-    /// The affected peer; `None` hits every destination (partition).
-    pub peer: Option<RouterId>,
-    /// Outage start, measured from the chaos epoch.
-    pub from: Duration,
-    /// Outage end (exclusive).
-    pub until: Duration,
-    /// Whether only data frames are dropped.
-    pub data_only: bool,
-}
-
-impl FlapWindow {
-    /// A single-link flap dropping data frames toward `peer`.
-    pub fn link(peer: RouterId, from: Duration, until: Duration) -> Self {
-        Self {
-            peer: Some(peer),
-            from,
-            until,
-            data_only: true,
-        }
-    }
-
-    /// A partition: every outbound data frame dropped during the window.
-    pub fn partition(from: Duration, until: Duration) -> Self {
-        Self {
-            peer: None,
-            from,
-            until,
-            data_only: true,
-        }
-    }
-
-    /// Extends the outage to control frames as well.
-    pub fn all_traffic(mut self) -> Self {
-        self.data_only = false;
-        self
-    }
-}
-
-/// Wraps any transport, injecting seeded probabilistic loss and
-/// duplication on send, plus optional scheduled [`FlapWindow`] outages.
-///
-/// With `control_only` (the default via [`ChaosTransport::control`]),
-/// data frames pass through untouched and only control frames are
-/// faulted — the live mirror of the simulator's `FaultPlan`, which
-/// faults `Control` packets so that environmental faults stress the
-/// protocol's delivery machinery without framing honest forwarders.
-#[derive(Debug)]
-pub struct ChaosTransport<T: Transport> {
-    inner: T,
-    loss: f64,
-    duplicate: f64,
-    control_only: bool,
-    rng: StdRng,
-    flaps: Vec<FlapWindow>,
-    flap_epoch: Option<Instant>,
-    flap_drops: u64,
-}
-
-impl<T: Transport> ChaosTransport<T> {
-    /// Chaos over control frames only (the standard configuration).
-    pub fn control(inner: T, loss: f64, duplicate: f64, seed: u64) -> Self {
-        Self {
-            inner,
-            loss,
-            duplicate,
-            control_only: true,
-            rng: StdRng::seed_from_u64(seed),
-            flaps: Vec::new(),
-            flap_epoch: None,
-            flap_drops: 0,
-        }
-    }
-
-    /// Chaos over every frame, data included. Only meaningful for
-    /// transport-level tests: data loss is indistinguishable from a
-    /// malicious dropper by design.
-    pub fn all_frames(inner: T, loss: f64, duplicate: f64, seed: u64) -> Self {
-        Self {
-            control_only: false,
-            ..Self::control(inner, loss, duplicate, seed)
-        }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Installs a seeded per-link up/down schedule. Windows are measured
-    /// from the epoch set by [`set_flap_epoch`](Self::set_flap_epoch);
-    /// until an epoch is set the schedule is dormant.
-    pub fn with_flaps(mut self, flaps: Vec<FlapWindow>) -> Self {
-        self.flaps = flaps;
-        self
-    }
-
-    /// Anchors the flap schedule to a wall-clock instant (the deployment
-    /// start), arming it.
-    pub fn set_flap_epoch(&mut self, epoch: Instant) {
-        self.flap_epoch = Some(epoch);
-    }
-
-    /// Frames swallowed by flap/partition windows so far.
-    pub fn flap_drops(&self) -> u64 {
-        self.flap_drops
-    }
-
-    fn flap_active(&self, dst: RouterId, is_data: bool) -> bool {
-        let Some(epoch) = self.flap_epoch else {
-            return false;
-        };
-        if self.flaps.is_empty() {
-            return false;
-        }
-        let now = epoch.elapsed();
-        self.flaps.iter().any(|w| {
-            (w.peer.is_none() || w.peer == Some(dst))
-                && now >= w.from
-                && now < w.until
-                && (is_data || !w.data_only)
-        })
-    }
-}
-
-impl<T: Transport> Transport for ChaosTransport<T> {
-    fn local(&self) -> RouterId {
-        self.inner.local()
-    }
-
-    fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError> {
-        let is_data = peek_type(frame) == Some(MsgType::Data);
-        if self.flap_active(dst, is_data) {
-            self.flap_drops += 1;
-            return Ok(()); // the link is down for this frame
-        }
-        if self.control_only && is_data {
-            return self.inner.send(dst, frame);
-        }
-        if self.rng.gen_bool(self.loss) {
-            return Ok(()); // swallowed by the network
-        }
-        self.inner.send(dst, frame)?;
-        if self.rng.gen_bool(self.duplicate) {
-            self.inner.send(dst, frame)?;
-        }
-        Ok(())
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        self.inner.try_recv()
-    }
-
-    fn max_datagram(&self) -> usize {
-        self.inner.max_datagram()
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.inner.bytes_sent()
-    }
-
-    fn bytes_recv(&self) -> u64 {
-        self.inner.bytes_recv()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,132 +405,5 @@ mod tests {
         }
         assert_eq!(b.bytes_recv() as usize, drained);
         assert_eq!(drained, 7);
-
-        // Chaos: swallowed frames never reach the medium; duplicates are
-        // charged twice. loss=1.0 → zero bytes; dup=1.0 → double bytes.
-        let mut group = LoopbackHub::group(&[rid(0), rid(1)]);
-        group.pop().unwrap();
-        let a = group.pop().unwrap();
-        let mut lossy = ChaosTransport::all_frames(a, 1.0, 0.0, 1);
-        lossy.send(rid(1), b"gone").unwrap();
-        assert_eq!(lossy.bytes_sent(), 0);
-
-        let mut group = LoopbackHub::group(&[rid(0), rid(1)]);
-        group.pop().unwrap();
-        let a = group.pop().unwrap();
-        let mut dupy = ChaosTransport::all_frames(a, 0.0, 1.0, 1);
-        dupy.send(rid(1), b"twice").unwrap();
-        assert_eq!(dupy.bytes_sent(), 10);
-    }
-
-    #[test]
-    fn chaos_loss_rate_is_approximately_p() {
-        let mut group = LoopbackHub::group(&[rid(0), rid(1)]);
-        let mut b = group.pop().unwrap();
-        let a = group.pop().unwrap();
-        let mut chaotic = ChaosTransport::all_frames(a, 0.5, 0.0, 42);
-        let n = 2000;
-        for _ in 0..n {
-            chaotic.send(rid(1), b"f").unwrap();
-        }
-        let mut received = 0;
-        while b.recv_timeout(Duration::from_millis(1)).unwrap().is_some() {
-            received += 1;
-        }
-        let rate = received as f64 / n as f64;
-        assert!((rate - 0.5).abs() < 0.05, "survival rate {rate}");
-    }
-
-    #[test]
-    fn chaos_duplication_produces_extras() {
-        let mut group = LoopbackHub::group(&[rid(0), rid(1)]);
-        let mut b = group.pop().unwrap();
-        let a = group.pop().unwrap();
-        let mut chaotic = ChaosTransport::all_frames(a, 0.0, 0.5, 7);
-        let n = 1000;
-        for _ in 0..n {
-            chaotic.send(rid(1), b"f").unwrap();
-        }
-        let mut received = 0;
-        while b.recv_timeout(Duration::from_millis(1)).unwrap().is_some() {
-            received += 1;
-        }
-        assert!(received > n, "expected duplicates, got {received}");
-        let dup_rate = (received - n) as f64 / n as f64;
-        assert!((dup_rate - 0.5).abs() < 0.06, "duplication rate {dup_rate}");
-    }
-
-    /// A minimal frame whose header peeks as the given message type.
-    fn raw_frame(ty: MsgType) -> Vec<u8> {
-        let mut f = vec![0u8; crate::codec::HEADER_LEN];
-        f[0] = crate::codec::MAGIC;
-        f[1] = crate::codec::VERSION;
-        f[2] = ty.as_byte();
-        f
-    }
-
-    fn drain(t: &mut impl Transport) -> usize {
-        let mut n = 0;
-        while t.recv_timeout(Duration::from_millis(5)).unwrap().is_some() {
-            n += 1;
-        }
-        n
-    }
-
-    #[test]
-    fn flap_window_drops_data_only_on_the_flapped_link() {
-        let mut group = LoopbackHub::group(&[rid(0), rid(1), rid(2)]);
-        let mut c = group.pop().unwrap(); // rid(2)
-        let mut b = group.pop().unwrap(); // rid(1)
-        let a = group.pop().unwrap(); // rid(0)
-        let hour = Duration::from_secs(3600);
-        let mut chaos = ChaosTransport::control(a, 0.0, 0.0, 1).with_flaps(vec![FlapWindow::link(
-            rid(1),
-            Duration::ZERO,
-            hour,
-        )]);
-
-        // Dormant until the epoch is set.
-        chaos.send(rid(1), &raw_frame(MsgType::Data)).unwrap();
-        assert_eq!(drain(&mut b), 1);
-
-        chaos.set_flap_epoch(Instant::now());
-        // Data toward the flapped peer is swallowed …
-        chaos.send(rid(1), &raw_frame(MsgType::Data)).unwrap();
-        assert_eq!(drain(&mut b), 0);
-        assert_eq!(chaos.flap_drops(), 1);
-        // … control toward it still flows (forwarding-plane outage) …
-        chaos.send(rid(1), &raw_frame(MsgType::Ack)).unwrap();
-        assert_eq!(drain(&mut b), 1);
-        // … and other links are untouched.
-        chaos.send(rid(2), &raw_frame(MsgType::Data)).unwrap();
-        assert_eq!(drain(&mut c), 1);
-    }
-
-    #[test]
-    fn partition_all_traffic_blocks_everything_only_inside_the_window() {
-        let mut group = LoopbackHub::group(&[rid(0), rid(1), rid(2)]);
-        let mut c = group.pop().unwrap();
-        let mut b = group.pop().unwrap();
-        let a = group.pop().unwrap();
-        let hour = Duration::from_secs(3600);
-        let mut chaos = ChaosTransport::control(a, 0.0, 0.0, 2).with_flaps(vec![
-            FlapWindow::partition(Duration::ZERO, hour).all_traffic(),
-            // A second window far in the future must not fire now.
-            FlapWindow::partition(hour * 2, hour * 3),
-        ]);
-        chaos.set_flap_epoch(Instant::now());
-        chaos.send(rid(1), &raw_frame(MsgType::Data)).unwrap();
-        chaos.send(rid(1), &raw_frame(MsgType::Summary)).unwrap();
-        chaos.send(rid(2), &raw_frame(MsgType::Ack)).unwrap();
-        assert_eq!(drain(&mut b) + drain(&mut c), 0);
-        assert_eq!(chaos.flap_drops(), 3);
-
-        // An epoch far in the past puts "now" beyond the first window and
-        // before the second: traffic flows again.
-        let past = Instant::now() - hour - hour / 2;
-        chaos.set_flap_epoch(past);
-        chaos.send(rid(1), &raw_frame(MsgType::Data)).unwrap();
-        assert_eq!(drain(&mut b), 1);
     }
 }

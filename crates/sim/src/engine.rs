@@ -1225,6 +1225,35 @@ mod tests {
         assert_eq!(t.fault_corrupted, 1);
     }
 
+    /// At rates strictly between 0 and 1, control packets are lost and
+    /// duplicated about as often as the plan says.
+    #[test]
+    fn control_faults_happen_at_their_rates() {
+        let delivered_per_sent = |faults: crate::fault::LinkFaults| {
+            let mut net = Network::new(builtin::line(2), 1);
+            let a = net.topo.router_by_name("n0").unwrap();
+            let b = net.topo.router_by_name("n1").unwrap();
+            net.set_fault_plan(Some(FaultPlan::new(42).with_default_link_faults(faults)));
+            let n = 2000;
+            for i in 0..n {
+                net.send_control(a, b, 100, i);
+                net.run_until(net.now() + SimTime::from_ms(1), |_| {});
+            }
+            net.run_until(net.now() + SimTime::from_secs(1), |_| {});
+            net.take_control_deliveries().len() as f64 / n as f64
+        };
+        let survived = delivered_per_sent(crate::fault::LinkFaults {
+            loss: 0.5,
+            ..Default::default()
+        });
+        assert!((survived - 0.5).abs() < 0.05, "survival rate {survived}");
+        let copies = delivered_per_sent(crate::fault::LinkFaults {
+            duplicate: 0.5,
+            ..Default::default()
+        });
+        assert!((copies - 1.5).abs() < 0.06, "copies per packet {copies}");
+    }
+
     #[test]
     fn link_flap_downs_all_traffic_then_recovers() {
         let mut net = Network::new(builtin::line(2), 1);

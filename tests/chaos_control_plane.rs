@@ -1,6 +1,7 @@
 //! Chaos harness for the fault-injected control plane: sweeps of
 //! seed-driven [`FaultPlan`]s against the live routers on the simulator's
-//! clock ([`SimHost`]), detecting only and with the response on.
+//! clock ([`SimHost`]), detecting only and with the response on. A seed
+//! is a run: one that fails is its own repro.
 //!
 //! The properties under test are the failure-detector guarantees of
 //! §4.2.2 *in the presence of environmental faults* (§2.2.1's benign
@@ -38,12 +39,36 @@ fn deployment(response: bool) -> LiveConfig {
     }
 }
 
+/// The live suites' deployment over loopback: τ = 200 ms rounds judged
+/// 120 ms after they end, 50 ms maturity lag, [`LiveConfig::default`]'s
+/// loss allowance; detecting only.
+fn loopback_deployment() -> LiveConfig {
+    LiveConfig {
+        tau: Duration::from_millis(200),
+        exchange_budget: Duration::from_millis(120),
+        maturity_lag: Duration::from_millis(50),
+        response: false,
+        ..LiveConfig::default()
+    }
+}
+
+/// Rounds `0..rounds` of `cfg` judged: what the detector says of them.
+fn judged(
+    net: &mut Network,
+    cfg: LiveConfig,
+    rounds: u64,
+    host: impl FnOnce(&mut SimHost),
+) -> Vec<Suspicion> {
+    let until = cfg.tau * rounds as u32 + cfg.exchange_budget;
+    let mut sim = SimHost::new(net, cfg);
+    host(&mut sim);
+    sim.run(net, SimTime::from_ns(until.as_nanos() as u64));
+    sim.suspicions()
+}
+
 /// The first round, [0 s, 5 s), judged: what the detector alone says.
 fn first_round(net: &mut Network, host: impl FnOnce(&mut SimHost)) -> Vec<Suspicion> {
-    let mut sim = SimHost::new(net, deployment(false));
-    host(&mut sim);
-    sim.run(net, SimTime::from_secs(9));
-    sim.suspicions()
+    judged(net, deployment(false), 1, host)
 }
 
 fn line(n: usize) -> (Topology, Vec<RouterId>) {
@@ -69,38 +94,46 @@ fn probabilistic_faults(seed: u64) -> LinkFaults {
 }
 
 /// 20 fault seeds of pure message-level chaos (loss/dup/corrupt/reorder
-/// on every link): the attacker is always caught and no correct router is
-/// ever accused.
+/// on every link), each at two deployments — Chapter 5's first round and
+/// the loopback timings' first two: the attacker is always caught and no
+/// correct router is ever accused.
 #[test]
 fn twenty_seeds_of_message_chaos_keep_accuracy_and_completeness() {
     for seed in 0..20u64 {
-        let (topo, ids) = line(6);
-        let mut net = Network::new(topo, seed);
-        net.set_fault_plan(Some(
-            FaultPlan::new(seed).with_default_link_faults(probabilistic_faults(seed)),
-        ));
-        let flow = net.add_cbr_flow(
-            ids[0],
-            ids[5],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.3)]);
-        let sus = first_round(&mut net, |_| {});
+        for (cfg, rounds) in [(deployment(false), 1), (loopback_deployment(), 2)] {
+            let tau = cfg.tau;
+            let (topo, ids) = line(6);
+            let mut net = Network::new(topo, seed);
+            net.set_fault_plan(Some(
+                FaultPlan::new(seed).with_default_link_faults(probabilistic_faults(seed)),
+            ));
+            let flow = net.add_cbr_flow(
+                ids[0],
+                ids[5],
+                1000,
+                SimTime::from_ms(2),
+                SimTime::ZERO,
+                None,
+            );
+            net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.3)]);
+            let sus = judged(&mut net, cfg, rounds, |_| {});
 
-        let faulty: BTreeSet<RouterId> = [ids[3]].into_iter().collect();
-        let check = SpecCheck::evaluate(&sus, &faulty);
-        assert!(
-            check.is_complete(),
-            "seed {seed}: attacker escaped under message chaos: {sus:?}"
-        );
-        assert!(
-            check.is_accurate(3),
-            "seed {seed}: correct router accused: {:?}",
-            check.false_positives
-        );
+            assert!(
+                net.delivered_on_flow(flow) > 0,
+                "seed {seed}, τ {tau:?}: no traffic delivered"
+            );
+            let faulty: BTreeSet<RouterId> = [ids[3]].into_iter().collect();
+            let check = SpecCheck::evaluate(&sus, &faulty);
+            assert!(
+                check.is_complete(),
+                "seed {seed}, τ {tau:?}: attacker escaped under message chaos: {sus:?}"
+            );
+            assert!(
+                check.is_accurate(3),
+                "seed {seed}, τ {tau:?}: correct router accused: {:?}",
+                check.false_positives
+            );
+        }
     }
 }
 

@@ -1,18 +1,19 @@
-//! Live conviction-response and topology-churn scenarios over real UDP.
+//! Live conviction-response and topology-churn scenarios.
 //!
-//! The in-crate runtime tests cover the response loop on loopback hubs;
-//! these two runs exercise it over real sockets, and combine it with the
-//! chaos transport's scheduled flap windows — a *physical* outage paired
-//! with its routing announcement, the way a real flap presents.
+//! The in-crate runtime tests cover the response loop on loopback hubs.
+//! The first run here exercises it over real sockets. The second hosts
+//! the same routers on the simulator's clock ([`SimHost`]) under a
+//! [`FaultPlan`] link flap — a *physical* outage paired with its routing
+//! announcement by both ends, the way a real flap presents — so that its
+//! schedule is a function of its seeds.
 
-use fatih::net::runtime::{
-    ChurnAction, ChurnEvent, DropperSpec, FlowSpec, LiveConfig, LiveDeployment, LiveSpec,
-};
-use fatih::net::{ChaosTransport, FlapWindow, Transport, UdpNet};
+use fatih::net::runtime::{DropperSpec, FlowSpec, LiveConfig, LiveDeployment, LiveEvent, LiveSpec};
+use fatih::net::{SimHost, UdpNet};
 use fatih::protocols::spec::SpecCheck;
+use fatih::sim::{FaultPlan, Network, SimTime};
 use fatih::topology::{builtin, RouterId};
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn cfg(rounds: u64) -> LiveConfig {
     LiveConfig {
@@ -82,57 +83,54 @@ fn conviction_rerouting_recovers_over_udp() {
     );
 }
 
-/// A physical link outage with its routing announcement: the chaos shim
-/// swallows data frames on the flapped link over a scheduled window while
-/// the churn script announces LinkDown/LinkUp at the window's edges.
-/// Traffic reroutes away before validation resumes, so the outage never
-/// frames the (honest) routers on the flapped link: zero suspicions.
+/// A link outage with its routing announcement, on the simulator's clock:
+/// the plan takes the 1–2 link down over [400 ms, 1 000 ms), data and
+/// control alike, and both its ends announce `LinkDown`/`LinkUp` at the
+/// window's edges. Traffic reroutes away before validation resumes, so
+/// the outage never frames the (honest) routers on the flapped link: zero
+/// suspicions, and the rounds after the outage's amnesty are judged clean.
 #[test]
 fn announced_flap_window_never_accuses() {
-    let topo = builtin::ring(6);
-    let ids: Vec<RouterId> = topo.routers().collect();
+    let mut net = Network::new(builtin::ring(6), 7);
+    let ids: Vec<RouterId> = net.topology().routers().collect();
     // Lowest-id tie-break routes 0 -> 3 via 1, 2: flap the 1-2 link.
-    let ms = Duration::from_millis;
-    let spec = LiveSpec {
-        flows: vec![FlowSpec::new(ids[0], ids[3], 800, Duration::from_millis(2))],
-        churn: vec![
-            ChurnEvent {
-                at: ms(400),
-                actor: ids[1],
-                action: ChurnAction::LinkDown(ids[2]),
-            },
-            ChurnEvent {
-                at: ms(1000),
-                actor: ids[1],
-                action: ChurnAction::LinkUp(ids[2]),
-            },
-        ],
-        ..LiveSpec::default()
-    };
-    let epoch = Instant::now();
-    let transports: Vec<_> = UdpNet::bind_group(&ids)
-        .expect("bind loopback sockets")
-        .into_iter()
-        .map(|t| {
-            let local = t.local();
-            let mut chaos = ChaosTransport::control(t, 0.0, 0.0, 7);
-            if local == ids[1] {
-                chaos = chaos.with_flaps(vec![FlapWindow::link(ids[2], ms(400), ms(1000))]);
-            }
-            chaos.set_flap_epoch(epoch);
-            chaos
-        })
-        .collect();
-    let outcome = LiveDeployment::run(&topo, &spec, &cfg(7), transports);
+    let ms = SimTime::from_ms;
+    net.set_fault_plan(Some(FaultPlan::new(7).with_link_flap(
+        ids[1],
+        ids[2],
+        ms(400),
+        ms(1000),
+    )));
+    let flow = net.add_cbr_flow(ids[0], ids[3], 800, ms(2), SimTime::ZERO, None);
+    let rounds = 10;
+    let cfg = cfg(rounds);
+    let until = cfg.tau * rounds as u32 + cfg.exchange_budget;
+    let mut host = SimHost::new(&net, cfg);
+    host.run(&mut net, SimTime::from_ns(until.as_nanos() as u64));
 
     assert!(
-        outcome.suspicions.is_empty(),
+        host.suspicions().is_empty(),
         "an announced flap framed an honest router: {:?}",
-        outcome.suspicions
+        host.suspicions()
     );
-    assert!(outcome.stats.data_delivered > 0, "traffic stopped");
+    assert!(net.delivered_on_flow(flow) > 0, "traffic stopped");
     assert!(
-        outcome.metrics.counter("net.epoch_transitions") >= ids.len() as u64,
+        host.metrics().counter("net.epoch_transitions") >= ids.len() as u64,
         "the flap announcements never triggered a reconvergence"
     );
+    // The amnesty covers rounds 1–6; the three after it are judged.
+    for round in 7..rounds {
+        let verdicts: Vec<bool> = (host.events().iter())
+            .filter_map(|(_, e)| match e {
+                LiveEvent::RoundEvaluated {
+                    round: r, passed, ..
+                } if *r == round => Some(*passed),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !verdicts.is_empty() && verdicts.iter().all(|&p| p),
+            "round {round} not judged clean: {verdicts:?}"
+        );
+    }
 }

@@ -1,26 +1,50 @@
-//! Observability invariants of the live runtime under chaos.
+//! Observability invariants of the live runtime.
 //!
-//! A chaos-wrapped Abilene deployment with a mid-path dropper must leave
-//! a trace journal that is *consistent with* the metrics registry — the
-//! per-kind `recorded` totals (which survive ring overwrite) must equal
-//! the corresponding counters — and the journal's two export formats must
-//! hold up: JSONL round-trips to an identical journal, and the
-//! chrome://tracing export parses as a JSON array with one entry per
-//! event.
+//! An Abilene deployment with a mid-path dropper must leave a trace
+//! journal that is *consistent with* the metrics registry — the per-kind
+//! `recorded` totals (which survive ring overwrite) must equal the
+//! corresponding counters — over real sockets and, under control-plane
+//! loss and duplication, on the simulator's clock. Over sockets the
+//! journal's two export formats must hold up too: JSONL round-trips to an
+//! identical journal, and the chrome://tracing export parses as a JSON
+//! array with one entry per event.
 
 use fatih::net::runtime::{DropperSpec, FlowSpec, LiveConfig, LiveDeployment, LiveSpec};
-use fatih::net::{ChaosTransport, UdpNet};
-use fatih::obs::{JsonValue, TraceJournal, TraceKind};
-use fatih::topology::{builtin, RouterId};
+use fatih::net::{SimHost, UdpNet};
+use fatih::obs::{JsonValue, MetricsSnapshot, TraceJournal, TraceKind};
+use fatih::sim::{Attack, FaultPlan, LinkFaults, Network, SimTime};
+use fatih::topology::{builtin, RouterId, Topology};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-/// One chaos Abilene run shared by every assertion below, and its wall
-/// time.
-fn chaos_run() -> (fatih::net::runtime::LiveOutcome, Duration) {
-    let topo = builtin::abilene();
-    let ids: Vec<RouterId> = topo.routers().collect();
+/// The counters that the code recording a trace kind increments with it.
+const PAIRS: [(&str, TraceKind); 5] = [
+    ("net.accusations_raised", TraceKind::AccusationRaised),
+    ("net.alerts_sent", TraceKind::AlertSent),
+    ("net.summary_timeouts", TraceKind::SummaryTimeout),
+    ("net.digests_resolved", TraceKind::DigestResolved),
+    ("net.digest_fallbacks", TraceKind::DigestFallback),
+];
+
+/// Asserts that the journal records what the registry counts.
+fn assert_parity(metrics: &MetricsSnapshot, trace: &TraceJournal) {
+    assert!(
+        trace.recorded(TraceKind::AccusationRaised) > 0,
+        "dropper raised no accusations"
+    );
+    for (counter, kind) in PAIRS {
+        assert_eq!(
+            metrics.counter(counter),
+            trace.recorded(kind),
+            "counter {counter} disagrees with trace kind {kind:?}"
+        );
+    }
+}
+
+/// A long routed Abilene flow, (source, destination), and the router in
+/// the middle of its path, so that a dropper there is accused.
+fn flow_and_dropper(topo: &Topology) -> (RouterId, RouterId, RouterId) {
     let routes = topo.link_state_routes();
-    // A long routed flow with a mid-path dropper, so accusations happen.
     let (src, dst) = routes
         .all_paths()
         .filter(|p| p.routers().len() >= 4)
@@ -28,7 +52,29 @@ fn chaos_run() -> (fatih::net::runtime::LiveOutcome, Duration) {
         .next()
         .expect("abilene has a 4-router path");
     let path = routes.path(src, dst).unwrap();
-    let dropper = path.routers()[path.len() / 2];
+    (src, dst, path.routers()[path.len() / 2])
+}
+
+/// Two rounds of 200 ms, judged 120 ms after they end. Steady-state: no
+/// conviction-driven rerouting, so the counter/trace parity covers the
+/// full accusation flow.
+fn two_rounds() -> LiveConfig {
+    LiveConfig {
+        tau: Duration::from_millis(200),
+        exchange_budget: Duration::from_millis(120),
+        maturity_lag: Duration::from_millis(50),
+        rounds: 2,
+        response: false,
+        ..LiveConfig::default()
+    }
+}
+
+/// One Abilene run over UDP shared by every assertion below, and its wall
+/// time.
+fn udp_run() -> (fatih::net::runtime::LiveOutcome, Duration) {
+    let topo = builtin::abilene();
+    let ids: Vec<RouterId> = topo.routers().collect();
+    let (src, dst, dropper) = flow_and_dropper(&topo);
     let spec = LiveSpec {
         flows: vec![FlowSpec::new(src, dst, 1000, Duration::from_millis(2))],
         droppers: vec![DropperSpec {
@@ -39,30 +85,15 @@ fn chaos_run() -> (fatih::net::runtime::LiveOutcome, Duration) {
         }],
         ..LiveSpec::default()
     };
-    let cfg = LiveConfig {
-        tau: Duration::from_millis(200),
-        exchange_budget: Duration::from_millis(120),
-        maturity_lag: Duration::from_millis(50),
-        rounds: 2,
-        // Keep the run steady-state: no conviction-driven rerouting, so
-        // the counter/trace parity below covers the full accusation flow.
-        response: false,
-        ..LiveConfig::default()
-    };
-    let transports: Vec<_> = UdpNet::bind_group(&ids)
-        .expect("bind loopback sockets")
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| ChaosTransport::control(t, 0.05, 0.02, 9000 + i as u64))
-        .collect();
+    let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
     let start = Instant::now();
-    let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
+    let outcome = LiveDeployment::run(&topo, &spec, &two_rounds(), transports);
     (outcome, start.elapsed())
 }
 
 #[test]
 fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
-    let (outcome, wall) = chaos_run();
+    let (outcome, wall) = udp_run();
 
     // The run must have done real work and traced it.
     assert!(outcome.stats.data_delivered > 0, "no traffic delivered");
@@ -71,31 +102,14 @@ fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
         outcome.trace.recorded(TraceKind::PacketTap) > 0,
         "no packet taps traced"
     );
-    assert!(
-        outcome.trace.recorded(TraceKind::AccusationRaised) > 0,
-        "dropper raised no accusations"
-    );
-
     // Per-kind recorded totals survive ring overwrite, so they must equal
     // the registry counters the same code paths incremented.
-    let pairs = [
-        ("net.accusations_raised", TraceKind::AccusationRaised),
-        ("net.alerts_sent", TraceKind::AlertSent),
-        ("net.summary_timeouts", TraceKind::SummaryTimeout),
-        ("net.digests_resolved", TraceKind::DigestResolved),
-        ("net.digest_fallbacks", TraceKind::DigestFallback),
-    ];
-    for (counter, kind) in pairs {
-        assert_eq!(
-            outcome.metrics.counter(counter),
-            outcome.trace.recorded(kind),
-            "counter {counter} disagrees with trace kind {kind:?}"
-        );
-    }
+    assert_parity(&outcome.metrics, &outcome.trace);
 
     // Every receive poll that did not come back empty handed the runtime
     // exactly one frame (no router is ever down in this run), and a
-    // worker cannot have waited more often than it made a pass.
+    // worker makes a pass after every wait but its last, the one its stop
+    // timer ends.
     let polls = outcome.metrics.counter("net.recv_polls");
     let empty = outcome.metrics.counter("net.recv_polls_empty");
     assert!(empty > 0 && empty < polls, "{empty} of {polls} polls empty");
@@ -104,8 +118,15 @@ fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
         outcome.metrics.counter("net.frames_received"),
         "non-empty receive polls disagree with frames received"
     );
+    let shards = (outcome.trace.events().iter())
+        .map(|e| e.shard)
+        .collect::<BTreeSet<_>>()
+        .len() as u64;
+    let waits = outcome.metrics.counter("net.shard_waits");
+    let passes = outcome.metrics.counter("net.shard_passes");
     assert!(
-        outcome.metrics.counter("net.shard_waits") <= outcome.metrics.counter("net.shard_passes")
+        waits <= passes + shards,
+        "{waits} waits, {passes} passes on {shards} shards"
     );
     // A wait that slept is a wait that meant to; and the workers, at most
     // one per core, were busy no longer than they ran.
@@ -170,4 +191,34 @@ fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
         prev = sent;
     }
     assert!(outcome.metrics.counter("net.frames_sent") >= prev);
+}
+
+/// The same flow and dropper on the simulator's clock, under 5 % control
+/// loss and 2 % duplication on every link: the journal still records what
+/// the registry counts.
+#[test]
+fn trace_journal_agrees_with_metrics_under_control_faults() {
+    let mut net = Network::new(builtin::abilene(), 9000);
+    net.set_fault_plan(Some(FaultPlan::new(9000).with_default_link_faults(
+        LinkFaults {
+            loss: 0.05,
+            duplicate: 0.02,
+            ..LinkFaults::NONE
+        },
+    )));
+    let (src, dst, dropper) = flow_and_dropper(net.topology());
+    let flow = net.add_cbr_flow(src, dst, 1000, SimTime::from_ms(2), SimTime::ZERO, None);
+    net.set_attacks(dropper, vec![Attack::drop_flows([flow], 0.3)]);
+    let cfg = two_rounds();
+    let until = cfg.tau * 2 + cfg.exchange_budget;
+    let mut host = SimHost::new(&net, cfg);
+    host.run(&mut net, SimTime::from_ns(until.as_nanos() as u64));
+
+    assert!(net.delivered_on_flow(flow) > 0, "no traffic delivered");
+    let trace = host.trace();
+    assert!(
+        trace.recorded(TraceKind::PacketTap) > 0,
+        "no packet taps traced"
+    );
+    assert_parity(&host.metrics(), &trace);
 }
