@@ -308,11 +308,12 @@ impl Convergence {
         self.view = self.derive();
     }
 
-    /// The current view's path from `src` to every router it reaches.
-    pub fn paths_from(&mut self, src: RouterId) -> HashMap<Pair, Path> {
-        let overlay = &mut self.view.overlay;
-        let dsts: Vec<RouterId> = overlay.base().routers().collect();
-        overlay.paths_for(dsts.into_iter().map(|dst| (src, dst)))
+    /// The current view's path for every pair it routes: one search per
+    /// destination.
+    pub fn all_paths(&mut self) -> HashMap<Pair, Path> {
+        let ids: Vec<RouterId> = self.view.overlay.base().routers().collect();
+        let pairs = ids.iter().flat_map(|&s| ids.iter().map(move |&d| (s, d)));
+        self.view.overlay.paths_for(pairs)
     }
 
     /// What the current overlay implies for forwarding and monitoring:

@@ -125,17 +125,21 @@ pub(crate) struct Router {
     incarnation: u32,
     keys: Arc<KeyStore>,
     /// Static link-state routes of the base graph: the stale-packet
-    /// forwarding fallback during epoch transitions. They come from the
-    /// same route computation as `paths`, so under a clean overlay a
-    /// stranded packet drains along the route its epoch planned.
+    /// forwarding fallback during epoch transitions, shared by every
+    /// router of the deployment. A destination's column is searched when
+    /// the first packet stranded toward it asks, so a run nothing strands
+    /// in searches none. They come from the same route computation as
+    /// `paths`, so under a clean overlay a stranded packet drains along the
+    /// route its epoch planned.
     routes: Arc<Routes>,
     /// The link-state database and the view of the network it implies:
     /// overlay, probation, amnesty horizon and route epoch.
     convergence: Convergence,
     /// Current forwarding paths per (source, destination) pair, rebuilt
-    /// whenever the route epoch changes. Forwarding follows these, not
+    /// whenever the route epoch changes; until then shared with every
+    /// router that planned the same view. Forwarding follows these, not
     /// `routes`.
-    paths: HashMap<(RouterId, RouterId), Path>,
+    paths: Arc<HashMap<(RouterId, RouterId), Path>>,
     /// The (source, destination) pairs under Πk+2 monitoring.
     monitor_pairs: Vec<(RouterId, RouterId)>,
     /// The flows' own endpoint pairs (kept routable for forwarding).
@@ -192,6 +196,7 @@ pub(crate) fn routers(
         spec.monitor_pairs.clone()
     };
     let plan = convergence.plan(&monitor_pairs, &flow_pairs, cfg.k);
+    let paths = Arc::new(plan.paths);
     // One key per segment for the whole deployment; each router lays out
     // the records of the segments it ends, the only ones its taps feed.
     let monitored = MonitorPlan::new(plan.segments, plan.oracle, &keys);
@@ -208,7 +213,7 @@ pub(crate) fn routers(
                 keys: Arc::clone(&keys),
                 routes: Arc::clone(&routes),
                 convergence: convergence.clone(),
-                paths: plan.paths.clone(),
+                paths: Arc::clone(&paths),
                 monitor_pairs: monitor_pairs.clone(),
                 flow_pairs: flow_pairs.clone(),
                 monitors,
@@ -265,14 +270,11 @@ impl Router {
         self.convergence.view().epoch
     }
 
-    /// Where this router's view sends what it originates: its path to
-    /// every other router (`None`: unroutable).
-    pub(crate) fn routes_from_here(&mut self) -> Vec<(RouterId, Option<Path>)> {
-        let mut paths = self.convergence.paths_from(self.id);
-        (self.convergence.view().overlay.base().routers())
-            .filter(|&dst| dst != self.id)
-            .map(|dst| (dst, paths.remove(&(self.id, dst))))
-            .collect()
+    /// Where this router's view sends traffic: the path of every pair it
+    /// routes, one search per destination. Routers of one route epoch
+    /// hold one view, so one table serves them all.
+    pub(crate) fn route_table(&mut self) -> HashMap<(RouterId, RouterId), Path> {
+        self.convergence.all_paths()
     }
 
     /// The segments this router's view has excluded.
@@ -889,7 +891,7 @@ impl Router {
         let plan = (self.convergence).plan(&self.monitor_pairs, &self.flow_pairs, self.cfg.k);
         let monitored = MonitorPlan::new(plan.segments, plan.oracle, &self.keys);
         self.monitors = self.monitors.retarget(monitored);
-        self.paths = plan.paths;
+        self.paths = Arc::new(plan.paths);
         // Cross-epoch summary state is void: the segments it described no
         // longer exist, and the amnesty window covers the gap.
         self.pik2.replan(self.monitors.segments());
@@ -1199,7 +1201,7 @@ mod tests {
         }
 
         let transit = &mut nodes[planned.routers()[1].index()];
-        transit.paths.clear();
+        transit.paths = Arc::default();
         let id = PacketId(1);
         let packet = Packet {
             id,

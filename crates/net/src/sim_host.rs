@@ -14,7 +14,9 @@
 //! instants, and when a router's route epoch moves its current path to
 //! every other router becomes the engine's route override for what it
 //! sources: the response reroutes the simulated traffic, control packets
-//! included.
+//! included. Routers of one epoch hold one view, so the host searches each
+//! epoch's routes once, one search per destination, and every router that
+//! moves to it installs its own row.
 //!
 //! The host's axis starts at the deployment instant, [`Network::now`] when
 //! the host is built: taps are restamped onto it, and round `r` covers
@@ -38,8 +40,8 @@ use crate::timer::TimerWheel;
 use fatih_core::spec::Suspicion;
 use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal};
 use fatih_sim::{FaultPlan, Network, PacketKind, SimTime, TapEvent};
-use fatih_topology::{PathSegment, RouterId, Topology};
-use std::collections::{BTreeMap, BTreeSet};
+use fatih_topology::{Path, PathSegment, RouterId, Topology};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
 /// How often the host looks for frames due a retransmission while any
@@ -112,6 +114,9 @@ pub struct SimHost {
     /// Per router, the route epoch whose paths the engine follows for
     /// what it sources.
     installed: Vec<u64>,
+    /// The path of every pair under each epoch a router moved to and some
+    /// router still holds, searched when the first one moved to it.
+    tables: HashMap<u64, HashMap<(RouterId, RouterId), Path>>,
     /// Per router: its Πk+2 frames never leave it.
     silent: Vec<bool>,
     events: Vec<(SimTime, LiveEvent)>,
@@ -169,6 +174,7 @@ impl SimHost {
         }
         Self {
             installed: routers.iter().map(Router::route_epoch).collect(),
+            tables: HashMap::new(),
             silent: vec![false; routers.len()],
             routers,
             out: Outputs::new(TraceBuffer::new(0, cfg.trace_capacity)),
@@ -331,14 +337,18 @@ impl SimHost {
             self.pump_armed = true;
             self.wheel.schedule(now + PUMP_STEP_NS, Timer::Pump);
         }
-        if router.route_epoch() != self.installed[i] {
-            self.installed[i] = router.route_epoch();
-            for (dst, path) in router.routes_from_here() {
-                match path {
-                    Some(path) => net.set_route_override(router.id, dst, path),
+        let epoch = router.route_epoch();
+        if epoch != self.installed[i] {
+            self.installed[i] = epoch;
+            let table = (self.tables.entry(epoch)).or_insert_with(|| router.route_table());
+            for dst in (0..self.installed.len() as u32).map(RouterId::from) {
+                match table.get(&(router.id, dst)) {
+                    Some(path) => net.set_route_override(router.id, dst, path.clone()),
                     None => net.clear_route_override(router.id, dst),
                 }
             }
+            let installed = &self.installed;
+            self.tables.retain(|epoch, _| installed.contains(epoch));
         }
         // A copy still travelling after a round is as good as lost.
         while let Some(entry) = self.in_flight.first_entry() {

@@ -7,8 +7,9 @@
 //! structures Chapter 5 builds on it:
 //!
 //! * [`graph`] — [`Topology`], [`RouterId`], [`LinkParams`];
-//! * [`routing`] — the one route computation, and the all-pairs
-//!   deterministic shortest paths it gives ([`Routes`], [`Path`]);
+//! * [`routing`] — the one route computation, and the deterministic
+//!   shortest paths it gives, searched per destination on demand
+//!   ([`Routes`], [`Path`]);
 //! * [`segments`] — [`PathSegment`] and the monitored sets `P_r` for
 //!   Protocol Π2 ([`pi2_segments`]) and Protocol Πk+2 ([`pik2_segments`]);
 //! * [`avoidance`] — the §2.4.3 response: shortest paths that never
@@ -44,7 +45,7 @@ pub mod segments;
 pub use avoidance::{AvoidanceError, AvoidingRoutes};
 pub use dynamic::DynamicTopology;
 pub use graph::{Link, LinkParams, RouterId, Topology};
-pub use routing::{Path, Routes};
+pub use routing::{searches_on_this_thread, Path, Routes};
 pub use segments::{
     pi2_segment_counts, pi2_segments, pik2_segment_counts, pik2_segments, pik2_segments_from_paths,
     PathSegment, SegmentSets,

@@ -25,15 +25,29 @@
 //! excluded-segment automaton (`SegmentAutomaton`, built over the
 //! *reversed* segments because the search reads paths back to front; with
 //! nothing excluded it has one state). [`Topology::link_state_routes`]
-//! is that search with every link usable and nothing excluded, for every
-//! destination; [`AvoidingRoutes`](crate::AvoidingRoutes) adds the
-//! automaton and [`DynamicTopology`](crate::DynamicTopology) the overlay's
-//! predicate as well.
+//! is that search with every link usable and nothing excluded, run toward
+//! a destination the first time a route to it is asked for;
+//! [`AvoidingRoutes`](crate::AvoidingRoutes) adds the automaton and
+//! [`DynamicTopology`](crate::DynamicTopology) the overlay's predicate as
+//! well. Every search counts in [`searches_on_this_thread`].
 
 use crate::avoidance::{AvoidanceError, SegmentAutomaton};
 use crate::graph::{RouterId, Topology};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
+
+thread_local! {
+    static SEARCHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many route searches this thread has run, through any API: a search
+/// is one destination's column of costs. Route work is counted with it
+/// rather than timed.
+pub fn searches_on_this_thread() -> u64 {
+    SEARCHES.with(Cell::get)
+}
 
 /// A loop-free sequence of adjacent routers (dissertation §4.1: "a path
 /// defines a sequence of routers that a packet can follow"; the first
@@ -130,16 +144,24 @@ impl std::fmt::Display for Path {
     }
 }
 
-/// All-pairs link-state routes: next-hop tables plus path extraction.
+/// Link-state routes: next hops, costs and paths toward any destination.
+///
+/// A destination's column — every router's next hop and cost toward it —
+/// is one search, run the first time `next_hop`, `cost` or `path` asks
+/// for that destination and kept; a table nothing is routed through costs
+/// no search. Columns fill in behind `&self`, so one table can be shared
+/// between threads.
 #[derive(Debug, Clone)]
 pub struct Routes {
-    n: usize,
-    /// `next_hop[u][dst]`: the forwarding decision of router `u` for
-    /// destination `dst`.
-    next_hop: Vec<Vec<Option<RouterId>>>,
-    /// `dist[u][dst]`: total route cost, `u64::MAX` if unreachable.
-    dist: Vec<Vec<u64>>,
+    topo: Topology,
+    /// `columns[dst]`, once asked for.
+    columns: Vec<OnceLock<Column>>,
 }
+
+/// Every router's route toward one destination: `column[u]` is the
+/// forwarding decision of router `u` and the route's total cost
+/// (`u64::MAX` if unreachable).
+type Column = Vec<(Option<RouterId>, u64)>;
 
 /// Cheapest compliant costs toward one destination, and the paths
 /// [the rule](self#the-rule) picks among them.
@@ -171,6 +193,7 @@ impl<'a, L: Fn(RouterId, RouterId) -> bool> Toward<'a, L> {
         automaton: &'a SegmentAutomaton,
         dst: RouterId,
     ) -> Self {
+        SEARCHES.with(|n| n.set(n.get() + 1));
         let states = automaton.state_count();
         let mut dist = vec![u64::MAX; topo.router_count() * states];
         let mut heap = BinaryHeap::new();
@@ -286,8 +309,10 @@ impl<'a, L: Fn(RouterId, RouterId) -> bool> Toward<'a, L> {
 }
 
 impl Topology {
-    /// Computes all-pairs deterministic shortest-path routes: [the
-    /// rule](self#the-rule) with every link usable and nothing excluded.
+    /// Deterministic shortest-path routes: [the rule](self#the-rule) with
+    /// every link usable and nothing excluded. Building the table searches
+    /// nothing; each destination costs one search, the first time a route
+    /// toward it is asked for.
     ///
     /// Ties are broken toward the lowest next-hop id, modelling the
     /// deterministic ECMP hash of §4.1; all routers agree on the result, so
@@ -295,43 +320,48 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if any link has cost 0 (link-state metrics are ≥ 1; zero-cost
-    /// links would allow zero-length cycles in the next-hop derivation).
+    /// Panics here, not at the first query, if any link has cost 0
+    /// (link-state metrics are ≥ 1; zero-cost links would allow zero-length
+    /// cycles in the next-hop derivation).
     pub fn link_state_routes(&self) -> Routes {
-        let n = self.router_count();
-        let mut next_hop = vec![vec![None; n]; n];
-        let mut dist = vec![vec![u64::MAX; n]; n];
-        let nothing_excluded = SegmentAutomaton::reversed(&[]);
-        let mut scratch = Vec::new();
-        for dst in self.routers() {
-            let toward = Toward::search(self, |_, _| true, &nothing_excluded, dst);
-            for u in self.routers() {
-                if let Some(cost) = toward.cost(u) {
-                    dist[u.index()][dst.index()] = cost;
-                    // Nothing excluded: the automaton's one state is live
-                    // at every router.
-                    next_hop[u.index()][dst.index()] =
-                        toward.hop(u, cost, &[0], &mut scratch).map(|(v, _)| v);
-                }
-            }
+        if let Some(l) = self.links().find(|l| l.params.cost == 0) {
+            panic!("link {} -> {} has cost 0", l.from, l.to);
         }
-        Routes { n, next_hop, dist }
+        Routes {
+            topo: self.clone(),
+            columns: (0..self.router_count()).map(|_| OnceLock::new()).collect(),
+        }
     }
 }
 
 impl Routes {
+    /// The column toward `dst`, searched on first use.
+    fn column(&self, dst: RouterId) -> &Column {
+        self.columns[dst.index()].get_or_init(|| {
+            let nothing_excluded = SegmentAutomaton::reversed(&[]);
+            let toward = Toward::search(&self.topo, |_, _| true, &nothing_excluded, dst);
+            let mut scratch = Vec::new();
+            // Nothing excluded: the automaton's one state is live at every
+            // router.
+            let mut hop = |u, cost| toward.hop(u, cost, &[0], &mut scratch).map(|(v, _)| v);
+            (self.topo.routers())
+                .map(|u| toward.cost(u).map_or((None, u64::MAX), |c| (hop(u, c), c)))
+                .collect()
+        })
+    }
+
     /// The forwarding decision of `at` for destination `dst`; `None` when
     /// unreachable or already delivered.
     pub fn next_hop(&self, at: RouterId, dst: RouterId) -> Option<RouterId> {
         if at == dst {
             return None;
         }
-        self.next_hop[at.index()][dst.index()]
+        self.column(dst)[at.index()].0
     }
 
     /// Total route cost, if reachable.
     pub fn cost(&self, src: RouterId, dst: RouterId) -> Option<u64> {
-        let d = self.dist[src.index()][dst.index()];
+        let d = self.column(dst)[src.index()].1;
         (d != u64::MAX).then_some(d)
     }
 
@@ -344,7 +374,7 @@ impl Routes {
             at = self.next_hop(at, dst)?;
             routers.push(at);
             assert!(
-                routers.len() <= self.n,
+                routers.len() <= self.columns.len(),
                 "routing loop between {src} and {dst}"
             );
         }
@@ -353,9 +383,11 @@ impl Routes {
 
     /// Iterates the paths of every ordered reachable pair (excluding
     /// trivial self-paths) — the route set the Chapter 5 protocols monitor.
+    /// It searches toward every destination.
     pub fn all_paths(&self) -> impl Iterator<Item = Path> + '_ {
-        (0..self.n as u32).flat_map(move |s| {
-            (0..self.n as u32).filter_map(move |d| {
+        let n = self.columns.len() as u32;
+        (0..n).flat_map(move |s| {
+            (0..n).filter_map(move |d| {
                 if s == d {
                     None
                 } else {
@@ -367,7 +399,7 @@ impl Routes {
 
     /// Number of routers the table covers.
     pub fn router_count(&self) -> usize {
-        self.n
+        self.columns.len()
     }
 }
 
