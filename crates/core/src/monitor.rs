@@ -15,9 +15,11 @@ use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
 use fatih_obs::{Counter, Gauge, MetricsRegistry};
 use fatih_sim::{Packet, PacketId, SimTime, TapEvent};
 use fatih_topology::{Path, PathSegment, RouterId, Routes};
+use fatih_validation::digest::{part_key, ContentDigest};
 use fatih_validation::sampling::SamplingPattern;
 use fatih_validation::summary::{ContentSummary, FlowCounter, OrderedSummary};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One recorded packet observation.
@@ -188,6 +190,243 @@ impl Report {
             });
         }
         Some(Self { entries })
+    }
+}
+
+/// One router's record of one segment: a [`Report`]'s entries in
+/// columns, 12 bytes an entry while the sizes repeat.
+///
+/// Each entry's fingerprint (8 B) and the low 32 bits of its nanosecond
+/// observation time (4 B) are columns; the high 32 bits and the sizes are
+/// runs — `(first index, value)` pairs, a pair where the value changes. A
+/// round's times span a few 2³² ns (4.3 s) at most, so the time marks
+/// stay a handful and every time is exact; a run of one size is one pair,
+/// and sizes that all differ cost 8 B an entry more (20 B in all). Entries
+/// are appended in observation-time order, as a [`Report`]'s are, so each
+/// time bound is a binary search of the low words within one mark.
+///
+/// [`prune`](Self::prune) drops from the front and keeps every column's
+/// capacity, and the mark and run lists are reserved at construction: a
+/// record that has grown to a round's traffic records the next round
+/// without allocating.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    fingerprints: Vec<Fingerprint>,
+    /// The low 32 bits of each entry's observation time, in ns.
+    time_lo: Vec<u32>,
+    /// `(first index, high 32 bits)`: the time marks.
+    time_hi: Vec<(u32, u32)>,
+    /// `(first index, size)`: the size runs.
+    sizes: Vec<(u32, u32)>,
+}
+
+/// Time marks and size runs reserved per record.
+const RUNS_RESERVED: usize = 4;
+
+impl Default for Record {
+    fn default() -> Self {
+        Self {
+            fingerprints: Vec::new(),
+            time_lo: Vec::new(),
+            time_hi: Vec::with_capacity(RUNS_RESERVED),
+            sizes: Vec::with_capacity(RUNS_RESERVED),
+        }
+    }
+}
+
+impl Record {
+    /// Entries held.
+    pub fn len(&self) -> usize {
+        self.fingerprints.len()
+    }
+
+    /// Whether nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.fingerprints.is_empty()
+    }
+
+    /// Bytes the held entries take in the columns, marks and runs (not
+    /// their spare capacity).
+    pub(crate) fn held_bytes(&self) -> usize {
+        let runs = self.time_hi.len() + self.sizes.len();
+        self.len() * (size_of::<Fingerprint>() + size_of::<u32>()) + runs * size_of::<(u32, u32)>()
+    }
+
+    /// Appends one observation, no earlier than the last.
+    #[inline]
+    pub fn push(&mut self, e: ReportEntry) {
+        let ns = e.time.as_ns();
+        let hi = (ns >> 32) as u32;
+        let in_runs = |runs: &[(u32, u32)], v: u32| runs.last().is_some_and(|&(_, w)| w == v);
+        if !(in_runs(&self.time_hi, hi) && in_runs(&self.sizes, e.size)) {
+            self.open_runs(hi, e.size);
+        }
+        self.fingerprints.push(e.fingerprint);
+        self.time_lo.push(ns as u32);
+    }
+
+    /// Starts a time mark or a size run (or both) at the next entry.
+    #[cold]
+    fn open_runs(&mut self, hi: u32, size: u32) {
+        let at = u32::try_from(self.len()).expect("a record holds fewer than 2³² entries");
+        for (runs, v) in [(&mut self.time_hi, hi), (&mut self.sizes, size)] {
+            if runs.last().is_none_or(|&(_, w)| w != v) {
+                runs.push((at, v));
+            }
+        }
+    }
+
+    /// How many entries were observed at or before `t`: the slice
+    /// `partition_point` of a [`Report`]'s entries.
+    fn upto(&self, t: SimTime) -> usize {
+        let (hi, lo) = ((t.as_ns() >> 32) as u32, t.as_ns() as u32);
+        for (span, h) in runs(&self.time_hi, self.len()) {
+            if h > hi {
+                return span.start;
+            }
+            if h == hi {
+                return span.start + self.time_lo[span].partition_point(|&l| l <= lo);
+            }
+        }
+        self.len()
+    }
+
+    /// Drops every entry observed at or before `horizon`; returns how many.
+    pub fn prune(&mut self, horizon: SimTime) -> usize {
+        let n = self.upto(horizon);
+        if n == 0 {
+            return 0;
+        }
+        self.fingerprints.drain(..n);
+        self.time_lo.drain(..n);
+        let emptied = self.fingerprints.is_empty();
+        for runs in [&mut self.time_hi, &mut self.sizes] {
+            if emptied {
+                runs.clear();
+                continue;
+            }
+            // The run in force at `n` opens the record now.
+            let first = runs.partition_point(|&(at, _)| at as usize <= n) - 1;
+            runs.drain(..first);
+            runs[0].0 = n as u32;
+            runs.iter_mut().for_each(|r| r.0 -= n as u32);
+        }
+        n
+    }
+
+    /// What the record holds after `after` (everything for `None`).
+    pub fn after(&self, after: Option<SimTime>) -> Held<'_> {
+        Held {
+            record: self,
+            from: after.map_or(0, |t| self.upto(t)),
+        }
+    }
+}
+
+/// Each run's index range and value, the last run ending at `len`.
+fn runs(runs: &[(u32, u32)], len: usize) -> impl Iterator<Item = (Range<usize>, u32)> + '_ {
+    (runs.iter().enumerate()).map(move |(k, &(at, value))| {
+        (
+            at as usize..runs.get(k + 1).map_or(len, |r| r.0 as usize),
+            value,
+        )
+    })
+}
+
+/// The entries a [`Record`] holds from some instant on: what a round
+/// reads of it.
+#[derive(Debug, Clone, Copy)]
+pub struct Held<'a> {
+    record: &'a Record,
+    /// The record's index of the first entry held.
+    from: usize,
+}
+
+impl<'a> Held<'a> {
+    /// Entries held.
+    pub fn len(&self) -> usize {
+        self.record.len() - self.from
+    }
+
+    /// Whether nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The fingerprints, in observation order.
+    pub(crate) fn fingerprints(&self) -> &'a [Fingerprint] {
+        &self.record.fingerprints[self.from..]
+    }
+
+    /// How many of the entries were observed at or before `t`.
+    pub(crate) fn upto(&self, t: SimTime) -> usize {
+        self.record.upto(t).saturating_sub(self.from)
+    }
+
+    /// A copy of the entries, as the evidence a summary carries: one pass
+    /// over the columns, a stretch at a time in which neither the time
+    /// mark nor the size changes.
+    pub fn to_report(&self) -> Report {
+        let rec = self.record;
+        let (marks, sizes) = (&rec.time_hi, &rec.sizes);
+        let mut entries = Vec::with_capacity(self.len());
+        let (mut at, mut m, mut r) = (self.from, 0, 0);
+        while at < rec.len() {
+            let next = |runs: &[(u32, u32)], k: usize| runs.get(k + 1).map(|&(i, _)| i as usize);
+            while next(marks, m).is_some_and(|i| i <= at) {
+                m += 1;
+            }
+            while next(sizes, r).is_some_and(|i| i <= at) {
+                r += 1;
+            }
+            let end =
+                (next(marks, m).into_iter().chain(next(sizes, r))).fold(rec.len(), usize::min);
+            let (hi, size) = (u64::from(marks[m].1) << 32, sizes[r].1);
+            let stretch = rec.fingerprints[at..end].iter().zip(&rec.time_lo[at..end]);
+            entries.extend(stretch.map(|(&fingerprint, &lo)| ReportEntry {
+                fingerprint,
+                size,
+                time: SimTime::from_ns(hi | u64::from(lo)),
+            }));
+            at = end;
+        }
+        Report { entries }
+    }
+
+    /// The flow counters of the entries in `part` (indices into these)
+    /// and of all of them, summed over the size runs.
+    fn flows(&self, part: Range<usize>) -> (FlowCounter, FlowCounter) {
+        let rec = self.record;
+        let part = self.from + part.start..self.from + part.end;
+        let mut flows = (FlowCounter::default(), FlowCounter::default());
+        for (run, size) in runs(&rec.sizes, rec.len()) {
+            let overlap =
+                |r: Range<usize>| run.end.min(r.end).saturating_sub(run.start.max(r.start));
+            let counts = [overlap(part.clone()), overlap(self.from..rec.len())];
+            for (flow, n) in [&mut flows.0, &mut flows.1].into_iter().zip(counts) {
+                flow.packets += n as u64;
+                flow.bytes += n as u64 * u64::from(size);
+            }
+        }
+        flows
+    }
+
+    /// The digests of the entries in `part` (indices into these) and of
+    /// all of them, from sketches of `capacity`: one word per entry,
+    /// sorted in `keys`, which keeps its capacity for the next call.
+    pub fn digests(
+        &self,
+        part: Range<usize>,
+        capacity: usize,
+        keys: &mut Vec<u64>,
+    ) -> (ContentDigest, ContentDigest) {
+        let fps = self.fingerprints();
+        let key = |in_part| move |&fp| part_key(fp, in_part);
+        keys.clear();
+        keys.extend(fps[..part.start].iter().map(key(false)));
+        keys.extend(fps[part.clone()].iter().map(key(true)));
+        keys.extend(fps[part.end..].iter().map(key(false)));
+        ContentDigest::of_part_and_whole(keys, self.flows(part), capacity)
     }
 }
 
@@ -372,6 +611,10 @@ pub struct MonitorMetrics {
     /// [`SegmentMonitorSet::prune`] — for live nodes, which own one set
     /// each, the most any one router held.
     pub entries_held_max: Gauge,
+    /// The most [`held_bytes`](SegmentMonitorSet::held_bytes) any one set
+    /// held right *before* a [`SegmentMonitorSet::prune`]: a record's
+    /// peak, where `entries_held_max` is its trough.
+    pub held_bytes_max: Gauge,
     /// Entries still held by the sets whose owners called
     /// [`SegmentMonitorSet::publish_held`] when they were done.
     pub entries_held_at_finish: Counter,
@@ -387,6 +630,7 @@ impl MonitorMetrics {
             batches: reg.counter("monitor.batches"),
             entries_pruned: reg.counter("monitor.entries_pruned"),
             entries_held_max: reg.gauge("monitor.entries_held_max"),
+            held_bytes_max: reg.gauge("monitor.held_bytes_max"),
             entries_held_at_finish: reg.counter("monitor.entries_held_at_finish"),
         }
     }
@@ -424,7 +668,7 @@ impl MonitorPlan {
     }
 }
 
-/// Monitors a set of path segments, accumulating [`Report`]s per
+/// Monitors a set of path segments, accumulating a [`Record`] per
 /// (router, segment) per round.
 ///
 /// Record storage is a flat slot vector laid out at construction — one
@@ -445,7 +689,7 @@ pub struct SegmentMonitorSet {
     /// (sink, its predecessor) → slots the sink fills on arrival.
     arrival_index: HashMap<(RouterId, RouterId), Vec<SlotRef>>,
     /// All records, slot-indexed.
-    slots: Vec<Report>,
+    slots: Vec<Record>,
     /// (router, segment) → slot, for the cold read path.
     slot_of: HashMap<(RouterId, usize), usize>,
     /// (packet, segment) → fingerprint memo: the same packet is recorded
@@ -508,7 +752,7 @@ impl SegmentMonitorSet {
         });
         let mut forward_index: HashMap<(RouterId, RouterId), Vec<SlotRef>> = HashMap::new();
         let mut arrival_index: HashMap<(RouterId, RouterId), Vec<SlotRef>> = HashMap::new();
-        let mut slots: Vec<Report> = Vec::new();
+        let mut slots: Vec<Record> = Vec::new();
         let mut slot_of: HashMap<(RouterId, usize), usize> = HashMap::new();
         // Lays out a slot for `edge.0` on segment `seg` in `index`, if this
         // set records for that router.
@@ -519,7 +763,7 @@ impl SegmentMonitorSet {
                 return;
             }
             let slot = *slot_of.entry((edge.0, seg)).or_insert_with(|| {
-                slots.push(Report::default());
+                slots.push(Record::default());
                 slots.len() - 1
             });
             index.entry(edge).or_default().push(SlotRef {
@@ -718,7 +962,7 @@ impl SegmentMonitorSet {
                     continue;
                 }
             }
-            self.slots[p.slot as usize].entries.push(ReportEntry {
+            self.slots[p.slot as usize].push(ReportEntry {
                 fingerprint: fp,
                 size: p.size,
                 time: p.time,
@@ -756,19 +1000,35 @@ impl SegmentMonitorSet {
     /// `after`: the windowed read of a sliding-window record, copying the
     /// window only.
     pub fn report_after(&self, router: RouterId, i: usize, after: Option<SimTime>) -> Report {
-        let entries = self.entries(router, i, after).to_vec();
-        Report { entries }
+        self.held_after(router, i, after).to_report()
     }
 
     /// [`report_after`](Self::report_after)'s entries, borrowed.
-    pub fn entries(&self, router: RouterId, i: usize, after: Option<SimTime>) -> &[ReportEntry] {
-        let entries = (self.slot_of.get(&(router, i))).map_or(&[][..], |&s| &self.slots[s].entries);
-        &entries[after.map_or(0, |t| entries.partition_point(|e| e.time <= t))..]
+    pub(crate) fn held_after(
+        &self,
+        router: RouterId,
+        i: usize,
+        after: Option<SimTime>,
+    ) -> Held<'_> {
+        static EMPTY: Record = Record {
+            fingerprints: Vec::new(),
+            time_lo: Vec::new(),
+            time_hi: Vec::new(),
+            sizes: Vec::new(),
+        };
+        let record = (self.slot_of.get(&(router, i))).map_or(&EMPTY, |&s| &self.slots[s]);
+        record.after(after)
     }
 
     /// Entries held across all records.
     pub fn held(&self) -> usize {
-        self.slots.iter().map(Report::len).sum()
+        self.slots.iter().map(Record::len).sum()
+    }
+
+    /// Bytes the entries held across all records take: 12 an entry while
+    /// sizes repeat (see [`Record`]).
+    pub fn held_bytes(&self) -> usize {
+        self.slots.iter().map(Record::held_bytes).sum()
     }
 
     /// Drops every entry observed at or before `horizon` from every
@@ -776,12 +1036,10 @@ impl SegmentMonitorSet {
     /// themselves ([`report_after`](Self::report_after)), so this only
     /// bounds memory; when it runs never changes a verdict.
     pub fn prune(&mut self, horizon: SimTime) {
-        let mut pruned = 0;
-        for slot in &mut self.slots {
-            let n = slot.entries.partition_point(|e| e.time <= horizon);
-            slot.entries.drain(..n);
-            pruned += n;
-        }
+        self.metrics
+            .held_bytes_max
+            .set_max(self.held_bytes() as f64);
+        let pruned: usize = self.slots.iter_mut().map(|r| r.prune(horizon)).sum();
         self.metrics.entries_pruned.add(pruned as u64);
         self.metrics.entries_held_max.set_max(self.held() as f64);
     }
@@ -794,7 +1052,7 @@ impl SegmentMonitorSet {
 
     /// Whether any record exists (for tests).
     pub fn is_idle(&self) -> bool {
-        self.slots.iter().all(Report::is_empty)
+        self.slots.iter().all(Record::is_empty)
     }
 }
 

@@ -27,7 +27,7 @@
 //! puts on its wire is a [`Message`], whose bytes are laid out here and
 //! nowhere else.
 
-use crate::monitor::{MonitorMode, PathOracle, Report, ReportEntry, SegmentMonitorSet};
+use crate::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
 use crate::policy::{distort, PairVerdict, Policy, ReportFault, Thresholds};
 use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
@@ -38,6 +38,7 @@ use fatih_topology::{PathSegment, RouterId, Routes};
 use fatih_validation::digest::{diff_digests, ContentDigest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What one end of a segment tells the other about a round.
@@ -185,6 +186,12 @@ pub struct Pik2Node {
     evaluated: Option<u64>,
 }
 
+thread_local! {
+    /// The digests' sort buffer, one word per held entry: one per thread,
+    /// which every node the thread steps shares, kept from round to round.
+    static KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Pik2Node {
     /// The node of router `id` under the planned `segments`.
     pub fn new(id: RouterId, segments: &[PathSegment]) -> Self {
@@ -232,7 +239,8 @@ impl Pik2Node {
     }
 
     /// The (judged, held) digests of what this router's record of segment
-    /// `seg` holds for the round of `window`: one sort and one sketch pass.
+    /// `seg` holds for the round of `window`: one sort of a word per entry
+    /// and one sketch pass.
     fn digests(
         &self,
         seg: usize,
@@ -240,12 +248,9 @@ impl Pik2Node {
         capacity: usize,
         record: &SegmentMonitorSet,
     ) -> (ContentDigest, ContentDigest) {
-        let held = record.entries(self.id, seg, window.held_from());
-        let judged = window.judged_span(held);
-        let tag =
-            |(i, e): (usize, &ReportEntry)| (e.fingerprint, e.size.into(), judged.contains(&i));
-        let mut tagged: Vec<_> = held.iter().enumerate().map(tag).collect();
-        ContentDigest::of_part_and_whole(&mut tagged, capacity)
+        let held = record.held_after(self.id, seg, window.held_from());
+        let judged = window.judged_span(&held);
+        KEYS.with_borrow_mut(|keys| held.digests(judged, capacity, keys))
     }
 
     /// Round `round`, of `window`, closed: for every segment this router
@@ -353,12 +358,12 @@ impl Pik2Node {
         // are empty.
         let mut found = BTreeSet::new();
         if !(h_rem.is_empty() && j_add.is_empty()) {
-            let held = record.entries(self.id, role.seg, window.held_from());
-            let judged = window.judged_span(held);
-            for (i, e) in held.iter().enumerate() {
-                let wanted = |set: &[Fingerprint]| set.binary_search(&e.fingerprint).is_ok();
+            let held = record.held_after(self.id, role.seg, window.held_from());
+            let judged = window.judged_span(&held);
+            for (i, &fp) in held.fingerprints().iter().enumerate() {
+                let wanted = |set: &[Fingerprint]| set.binary_search(&fp).is_ok();
                 if wanted(&j_add) || (judged.contains(&i) && wanted(&h_rem)) {
-                    found.insert(e.fingerprint);
+                    found.insert(fp);
                 }
             }
         }

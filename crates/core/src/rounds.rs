@@ -17,7 +17,7 @@
 //! their rounds end at, the live runtime from its fixed schedule
 //! ([`Window::of_round`]); all three judge through [`Window::judge`].
 
-use crate::monitor::{Report, ReportEntry};
+use crate::monitor::{Held, Report};
 use crate::policy::{tv_pair, PairVerdict};
 use fatih_sim::SimTime;
 use std::ops::Range;
@@ -57,9 +57,9 @@ impl Window {
         self.lag_before(self.judged_from?)
     }
 
-    /// Where the entries this round judges lie in a held report's.
-    pub fn judged_span(&self, held: &[ReportEntry]) -> Range<usize> {
-        let upto = |t: SimTime| held.partition_point(|e| e.time <= t);
+    /// Where the entries this round judges lie in a held record's.
+    pub fn judged_span(&self, held: &Held<'_>) -> Range<usize> {
+        let upto = |t: SimTime| held.upto(t);
         self.judged_from.map_or(0, upto)..upto(self.cutoff)
     }
 

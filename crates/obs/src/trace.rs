@@ -112,6 +112,18 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
+/// What a [`TraceBuffer`]'s ring keeps of one event: 32 bytes, where a
+/// [`TraceEvent`] takes 48. Its `seq` is its place in the ring and its
+/// `shard` the buffer's, so neither is stored.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    t_ns: u64,
+    value: u64,
+    round: u64,
+    router: u32,
+    kind: TraceKind,
+}
+
 /// A bounded, overwrite-oldest ring of [`TraceEvent`]s owned by one
 /// shard thread.
 ///
@@ -132,7 +144,7 @@ pub struct TraceBuffer {
     shard: u32,
     capacity: usize,
     next_seq: u64,
-    ring: std::collections::VecDeque<TraceEvent>,
+    ring: std::collections::VecDeque<Slot>,
     dropped: u64,
     recorded: [u64; KINDS],
 }
@@ -159,14 +171,12 @@ impl TraceBuffer {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(TraceEvent {
-            seq: self.next_seq,
+        self.ring.push_back(Slot {
             t_ns,
-            shard: self.shard,
-            router,
-            round,
-            kind,
             value,
+            round,
+            router,
+            kind,
         });
         self.next_seq += 1;
         self.recorded[kind as usize] += 1;
@@ -213,9 +223,11 @@ pub struct TraceJournal {
 }
 
 impl TraceJournal {
-    /// Merges shard buffers into one journal.
+    /// Merges shard buffers into one journal, each buffer freed once its
+    /// events are in.
     pub fn from_buffers<I: IntoIterator<Item = TraceBuffer>>(buffers: I) -> Self {
-        let mut events = Vec::new();
+        let buffers: Vec<TraceBuffer> = buffers.into_iter().collect();
+        let mut events = Vec::with_capacity(buffers.iter().map(TraceBuffer::len).sum());
         let mut dropped = 0;
         let mut recorded = [0u64; KINDS];
         for buf in buffers {
@@ -223,9 +235,22 @@ impl TraceJournal {
             for (i, n) in buf.recorded.iter().enumerate() {
                 recorded[i] += n;
             }
-            events.extend(buf.ring);
+            // The ring holds the newest events, the last at `next_seq - 1`.
+            let first = buf.next_seq - buf.ring.len() as u64;
+            events.extend((buf.ring.iter().zip(first..)).map(|(e, seq)| TraceEvent {
+                seq,
+                t_ns: e.t_ns,
+                shard: buf.shard,
+                router: e.router,
+                round: e.round,
+                kind: e.kind,
+                value: e.value,
+            }));
         }
-        events.sort_by_key(|e| (e.t_ns, e.shard, e.seq));
+        // (shard, seq) names one event, so an in-place unstable sort gives
+        // the one order a stable sort would, without a merge buffer as
+        // large as the journal.
+        events.sort_unstable_by_key(|e| (e.t_ns, e.shard, e.seq));
         Self {
             events,
             dropped,
@@ -415,8 +440,44 @@ mod tests {
         let j = TraceJournal::from_buffers([buf]);
         assert_eq!(j.dropped(), 97);
         assert_eq!(j.recorded(TraceKind::PacketTap), 100);
-        // The newest events are the retained ones.
+        // The newest events are the retained ones, numbered as recorded.
         assert_eq!(j.events().last().unwrap().kind, TraceKind::AccusationRaised);
+        let seqs: Vec<u64> = j.events().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [97, 98, 99, 100]);
+    }
+
+    /// A ring slot is two thirds of the event it stands for; the journal
+    /// gives each event back its buffer's shard and its sequence number.
+    #[test]
+    fn a_slot_keeps_what_the_ring_cannot_derive() {
+        assert_eq!(size_of::<Slot>(), 32);
+        assert_eq!(size_of::<TraceEvent>(), 48);
+        let mut buf = TraceBuffer::new(3, 2);
+        for t in 0..5 {
+            buf.record(t, TraceKind::Retransmit, 9, 4, t * 10);
+        }
+        let j = TraceJournal::from_buffers([buf]);
+        let last = TraceEvent {
+            seq: 4,
+            t_ns: 4,
+            shard: 3,
+            router: 9,
+            round: 4,
+            kind: TraceKind::Retransmit,
+            value: 40,
+        };
+        assert_eq!(
+            j.events(),
+            [
+                TraceEvent {
+                    seq: 3,
+                    t_ns: 3,
+                    value: 30,
+                    ..last
+                },
+                last
+            ]
+        );
     }
 
     #[test]

@@ -46,6 +46,7 @@
 //! assert!(fabricated.is_empty());
 //! ```
 
+use crate::field::Fe;
 use crate::reconcile::{reconcile, SetSketch};
 use crate::summary::{ContentSummary, FlowCounter};
 use fatih_crypto::Fingerprint;
@@ -66,6 +67,14 @@ fn mix_of(summary: &ContentSummary) -> u64 {
     summary.iter().fold(0u64, |acc, (fp, count)| {
         acc.wrapping_add(mix64(fp.value()).wrapping_mul(count as u64))
     })
+}
+
+/// One element of [`ContentDigest::of_part_and_whole`]'s input in one
+/// word: the fingerprint shifted up one bit, the low bit clear if the
+/// element is in the part, so a sort puts a fingerprint's occurrences in
+/// the part first. Fingerprints lie below 2⁶¹, so nothing is shifted out.
+pub fn part_key(fp: Fingerprint, in_part: bool) -> u64 {
+    fp.value() << 1 | u64::from(!in_part)
 }
 
 /// A fixed-size stand-in for a [`ContentSummary`]: the Appendix A
@@ -95,27 +104,34 @@ impl ContentDigest {
     }
 
     /// The digests of a part of a multiset and of the multiset, from one
-    /// sort and one sketch pass over `entries` — each element's fingerprint,
-    /// size and whether it is in the part. Each is [`of`](Self::of) its
-    /// summary bit for bit: products and wrapping sums ignore order.
+    /// sort and one sketch pass over `keys` — each element's
+    /// [`part_key`] — and their `(part, whole)` flow counters. Each is
+    /// [`of`](Self::of) its summary bit for bit: products and wrapping sums
+    /// ignore order. `keys` is left sorted.
     pub fn of_part_and_whole(
-        entries: &mut [(Fingerprint, u64, bool)],
+        keys: &mut [u64],
+        (part_flow, whole_flow): (FlowCounter, FlowCounter),
         capacity: usize,
     ) -> (Self, Self) {
         // A fingerprint's occurrences in the part sort first.
-        entries.sort_unstable_by_key(|&(fp, _, in_part)| (fp, !in_part));
-        let [mut part, mut whole] = [(FlowCounter::default(), 0u64); 2];
+        keys.sort_unstable();
+        let [mut part_mix, mut whole_mix] = [0u64; 2];
         let mut last = None;
-        let distinct = entries.iter().filter_map(|&(fp, size, in_part)| {
-            for (flow, mix) in std::iter::once(&mut whole).chain(in_part.then_some(&mut part)) {
-                flow.observe(size);
-                *mix = mix.wrapping_add(mix64(fp.value()));
+        let distinct = keys.iter().filter_map(|&key| {
+            let (fp, in_part) = (key >> 1, key & 1 == 0);
+            let mix = mix64(fp);
+            whole_mix = whole_mix.wrapping_add(mix);
+            if in_part {
+                part_mix = part_mix.wrapping_add(mix);
             }
-            (last.replace(fp) != Some(fp)).then_some((fp.into(), in_part))
+            (last.replace(fp) != Some(fp)).then_some((Fe::new(fp), in_part))
         });
         let (part_sketch, whole_sketch) = SetSketch::of_part_and_whole(distinct, capacity);
-        let digest = |sketch, (flow, mix)| Self { sketch, flow, mix };
-        (digest(part_sketch, part), digest(whole_sketch, whole))
+        let digest = |sketch, flow, mix| Self { sketch, flow, mix };
+        (
+            digest(part_sketch, part_flow, part_mix),
+            digest(whole_sketch, whole_flow, whole_mix),
+        )
     }
 
     /// Reassembles a digest from wire-decoded parts.
@@ -293,21 +309,27 @@ mod tests {
         for case in 0u64..50 {
             let rng = &mut StdRng::seed_from_u64(case);
             let n = rng.gen_range(0..400usize);
-            let mut entries: Vec<(Fingerprint, u64, bool)> = (0..n)
+            let entries: Vec<(Fingerprint, u64, bool)> = (0..n)
                 .map(|_| {
                     let fp = Fingerprint::new(rng.gen_range(1..60));
                     (fp, rng.gen_range(40..1500), rng.gen_range(0..3u32) > 0)
                 })
                 .collect();
             let (mut part, mut whole) = (ContentSummary::default(), ContentSummary::default());
+            let mut flows = (FlowCounter::default(), FlowCounter::default());
             for &(fp, size, in_part) in &entries {
                 whole.observe(fp, size);
+                flows.1.observe(size);
                 if in_part {
                     part.observe(fp, size);
+                    flows.0.observe(size);
                 }
             }
             for cap in [1, 8, 33] {
-                let got = ContentDigest::of_part_and_whole(&mut entries, cap);
+                let mut keys: Vec<u64> = (entries.iter())
+                    .map(|&(fp, _, in_part)| part_key(fp, in_part))
+                    .collect();
+                let got = ContentDigest::of_part_and_whole(&mut keys, flows, cap);
                 let want = (
                     ContentDigest::of(&part, cap),
                     ContentDigest::of(&whole, cap),

@@ -4,10 +4,15 @@
 //! offline. Each case derives its inputs from a deterministic RNG keyed by
 //! the loop index, so failures reproduce exactly.
 
-use fatih::crypto::{Sha256, UhashKey};
+use fatih::crypto::{Fingerprint, Sha256, UhashKey};
+use fatih::protocols::monitor::{Record, Report, ReportEntry};
+use fatih::protocols::rounds::Window;
+use fatih::sim::SimTime;
 use fatih::stats::{erf, normal};
 use fatih::topology::{builtin, AvoidingRoutes, DynamicTopology, PathSegment, RouterId};
+use fatih::validation::digest::ContentDigest;
 use fatih::validation::field::Fe;
+use fatih::validation::summary::ContentSummary;
 use fatih::validation::{reconcile, SetSketch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -210,4 +215,117 @@ fn field_laws() {
             assert_eq!(c * c.inv(), Fe::new(1), "case {case}");
         }
     }
+}
+
+/// A segment end's record in columns reads back as the `Vec<ReportEntry>`
+/// it stands for: random monotone times over records that span more than
+/// 2³² ns and cross that boundary (and its multiples), runs of sizes of
+/// random lengths, duplicate fingerprints and times, and prunes at random
+/// horizons, entry times included. Every read a round makes — the held
+/// window, the judged span inside it and the close's two digests — is the
+/// reference's, bit for bit.
+#[test]
+fn a_compact_record_reads_as_its_entries() {
+    const WRAP: u64 = 1 << 32;
+    // Reads of a record that crosses a boundary, and of one that spans
+    // more than 2³² ns.
+    let (mut crossing, mut spanning) = (0, 0);
+    for case in 0u64..64 {
+        let rng = &mut StdRng::seed_from_u64(0xC01C_0000 + case);
+        let mut record = Record::default();
+        let mut reference: Vec<ReportEntry> = Vec::new();
+        let mut keys = Vec::new();
+        // Start just before one of the first boundaries, so the record
+        // crosses it early.
+        let mut t = WRAP * rng.gen_range(1..4u64) - rng.gen_range(0..2_000_000_000u64);
+        let mut size = 1000u32;
+        let step = rng.gen_range(1..60_000_000u64);
+        let upto = |entries: &[ReportEntry], at: SimTime| entries.partition_point(|e| e.time <= at);
+        for _ in 0..rng.gen_range(1..8u32) {
+            for _ in 0..rng.gen_range(0..300u32) {
+                t += match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => rng.gen_range(1..1_000u64),
+                    _ => rng.gen_range(1..step),
+                };
+                if rng.gen_bool(0.15) {
+                    size = [40, 1000, 1500, rng.gen()][rng.gen_range(0..4usize)];
+                }
+                let fp = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..50u64)
+                } else {
+                    rng.gen()
+                };
+                let e = ReportEntry {
+                    fingerprint: Fingerprint::new(fp),
+                    size,
+                    time: SimTime::from_ns(t),
+                };
+                record.push(e);
+                reference.push(e);
+            }
+            // Instants worth reading at: any, an entry's own and the ones
+            // about a boundary.
+            let first = reference.first().map_or(t, |e| e.time.as_ns());
+            let instant = |rng: &mut StdRng| match rng.gen_range(0..3u32) {
+                0 if !reference.is_empty() => reference[rng.gen_range(0..reference.len())].time,
+                1 => SimTime::from_ns((t / WRAP * WRAP).saturating_sub(rng.gen_range(0..2u64))),
+                _ => SimTime::from_ns(rng.gen_range(first.saturating_sub(step)..t + step)),
+            };
+            for _ in 0..8 {
+                let after = rng.gen_bool(0.8).then(|| instant(rng));
+                let held = record.after(after);
+                let want = &reference[after.map_or(0, |a| upto(&reference, a))..];
+                assert_eq!(held.len(), want.len(), "case {case}");
+                assert_eq!(
+                    held.to_report(),
+                    Report {
+                        entries: want.to_vec()
+                    },
+                    "case {case}"
+                );
+                let (a, b) = (instant(rng), instant(rng));
+                let (a, end) = (a.min(b), a.max(b));
+                let lag = SimTime::from_ns(rng.gen_range(0..step * 4));
+                let prev_end = rng.gen_bool(0.8).then_some(a);
+                let window = Window::closing(prev_end, end, lag);
+                let held = record.after(window.held_from());
+                let want = &reference[window.held_from().map_or(0, |h| upto(&reference, h))..];
+                let judged = window.judged_span(&held);
+                let judged_from = prev_end.map_or(0, |p| upto(want, p.since(lag)));
+                assert_eq!(
+                    judged,
+                    judged_from..upto(want, end.since(lag)),
+                    "case {case}"
+                );
+                let capacity = rng.gen_range(1..40usize);
+                let summary = |entries: &[ReportEntry]| {
+                    let mut s = ContentSummary::default();
+                    entries
+                        .iter()
+                        .for_each(|e| s.observe(e.fingerprint, e.size.into()));
+                    ContentDigest::of(&s, capacity)
+                };
+                assert_eq!(
+                    held.digests(judged.clone(), capacity, &mut keys),
+                    (summary(&want[judged]), summary(want)),
+                    "case {case}"
+                );
+            }
+            if let (Some(first), Some(last)) = (reference.first(), reference.last()) {
+                let (first, last) = (first.time.as_ns(), last.time.as_ns());
+                crossing += usize::from(first / WRAP != last / WRAP);
+                spanning += usize::from(last - first > WRAP);
+            }
+            let horizon = instant(rng);
+            let n = upto(&reference, horizon);
+            assert_eq!(record.prune(horizon), n, "case {case}");
+            reference.drain(..n);
+            assert_eq!(record.len(), reference.len(), "case {case}");
+        }
+    }
+    assert!(
+        crossing > 50 && spanning > 10,
+        "{crossing} crossing, {spanning} spanning"
+    );
 }
