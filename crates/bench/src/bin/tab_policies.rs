@@ -50,7 +50,6 @@ fn run(scenario: Scenario, policy: Policy) -> bool {
         Pi2Config {
             policy,
             thresholds,
-            use_consensus: false,
             ..Pi2Config::default()
         },
     );

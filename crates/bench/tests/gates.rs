@@ -4,10 +4,11 @@
 //! * **Codec** — Data frames (the forwarding fast path, no MAC) and
 //!   HMAC-sealed 16-entry summaries (the control plane) round-trip through
 //!   `encode_frame` / `decode_frame` fast enough that neither competes with
-//!   forwarding.
+//!   forwarding, measured against plain encodes of the same frames.
 //! * **Validation fast path** — the 4-lane fingerprint kernel against the
 //!   scalar Horner baseline on MTU-sized packets, and the Abilene pipeline
-//!   batched ingest → per-end reports → content summaries → `tv_content`.
+//!   batched ingest → per-end reports → content summaries → `tv_content`
+//!   against a scalar-fingerprint pass over the same tape.
 //! * **Scale** — Πk+2 over real UDP loopback sockets on Sprintlink-shaped
 //!   graphs ([`rocketfuel_like`]): no false accusation in `Full` or
 //!   `Reconcile` mode, reconciled control bytes at most half of full
@@ -18,8 +19,11 @@
 //!
 //! fatihbench (`benchmark/`) measures; these tests only assert. Run them
 //! with `cargo test --release -p fatih-bench --test gates -- --nocapture`,
-//! which prints each measured value. They are wall-clock gates that hold
-//! only in an optimised build, so a debug build skips each one, its
+//! which prints each measured value. The throughput gates are ratios of
+//! two rates measured in one process on one input, each the best of
+//! [`TRIES`] interleaved passes, so the host's speed cancels; their
+//! absolute rates are printed beside them. They are wall-clock gates that
+//! hold only in an optimised build, so a debug build skips each one, its
 //! `ignore` reason giving the debug reading where a debug run fails.
 //! Every test takes [`serial`] first: no two measure at once, whatever the
 //! harness's thread count.
@@ -30,6 +34,7 @@ use fatih_core::monitor::{
 };
 use fatih_core::pik2::{Evidence, Message};
 use fatih_core::spec::SpecCheck;
+use fatih_core::wire::WireEncoder;
 use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
 use fatih_net::codec::{decode_frame, encode_frame, Frame, WireMessage};
 use fatih_net::runtime::{
@@ -111,13 +116,18 @@ fn complete_and_accurate(outcome: &LiveOutcome, dropper: RouterId, k: usize) -> 
 
 // ---------------------------------------------------------------- codec
 
-/// Floor on Data-frame encode+decode round trips per second.
-const CODEC_FLOOR: f64 = 100_000.0;
+/// Floor on Data-frame encode+decode round trips per second, as a share
+/// of encodes alone of the same frames, in the same process: decoding a
+/// forwarded frame costs no more than encoding it again. 20 release runs
+/// read 0.536–0.648; decoding every frame twice reads 0.405–0.439.
+const CODEC_FLOOR: f64 = 0.5;
 
-/// Floor on sealed-summary round trips per second: the control plane must
-/// seal and open summaries fast enough that round bookkeeping never
-/// competes with forwarding.
-const CONTROL_FLOOR: f64 = 50_000.0;
+/// Floor on sealed-summary round trips per second, as a share of unsealed
+/// encodes of the same summaries, in the same process: the HMAC seal and
+/// its constant-time check, and the decode, stay within that cost, so
+/// round bookkeeping never competes with forwarding. 20 release runs read
+/// 0.023–0.036; sealing and decoding every frame twice reads 0.012–0.018.
+const CONTROL_FLOOR: f64 = 0.02;
 
 fn rid(v: u32) -> RouterId {
     RouterId::from(v)
@@ -167,6 +177,18 @@ fn summary_frame(i: u64) -> Frame {
     }
 }
 
+/// Timed passes of each side of a ratio gate: each side is its best pass,
+/// so a pass the host preempted does not count.
+const TRIES: usize = 5;
+
+/// The best of `tries` pairs of rates from `measure`, side by side,
+/// interleaved so that a slow spell of the host reaches both sides.
+fn best_of(tries: usize, mut measure: impl FnMut() -> (f64, f64)) -> (f64, f64) {
+    (0..tries)
+        .map(|_| measure())
+        .fold((0.0, 0.0), |(a, b), (x, y)| (a.max(x), b.max(y)))
+}
+
 /// Encode+decode round trips per second for frames from `make`.
 fn codec_rate(make: impl Fn(u64) -> Frame, iters: u64, ks: &KeyStore) -> f64 {
     // Warm up, and keep a checksum live so nothing is optimized away.
@@ -184,26 +206,60 @@ fn codec_rate(make: impl Fn(u64) -> Frame, iters: u64, ks: &KeyStore) -> f64 {
     iters as f64 / secs
 }
 
+/// Unsealed encodes per second of the frames from `make`: the frame as
+/// [`encode_frame`] writes it for a Data frame, and a summary's message as
+/// its frame carries it, with no header or MAC.
+fn encode_rate(make: impl Fn(u64) -> Frame, iters: u64, ks: &KeyStore) -> f64 {
+    let mut sink = 0u64;
+    let start = Instant::now();
+    for i in 0..iters {
+        let frame = make(i);
+        sink ^= match &frame.msg {
+            WireMessage::Pik2(message) => {
+                let mut e = WireEncoder::new();
+                message.encode_into(&mut e);
+                e.into_bytes().len() as u64
+            }
+            _ => encode_frame(&frame, ks).expect("encodable").len() as u64,
+        };
+    }
+    let secs = start.elapsed().as_secs_f64();
+    assert!(sink != u64::MAX, "keep the checksum live");
+    iters as f64 / secs
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "release-only wall-clock floor (debug: 12 k sealed summaries/s)"
+    ignore = "release-only wall-clock ratio (debug: Data frames 0.40× their encodes)"
 )]
 fn codec_round_trips_data_and_sealed_summaries_above_their_floors() {
     let _serial = serial();
     let mut ks = KeyStore::with_seed(0xBE7C);
     ks.register(0);
     ks.register(1);
-    let data = codec_rate(data_frame, 50_000, &ks);
-    let sealed = codec_rate(summary_frame, 10_000, &ks);
-    println!("codec: Data {data:.0} msgs/s, sealed 16-entry summary {sealed:.0} msgs/s");
-    assert!(
-        data >= CODEC_FLOOR,
-        "Data-frame codec {data:.0} msgs/s is below the {CODEC_FLOOR:.0} floor"
+    encode_rate(summary_frame, 1_000, &ks); // warm-up
+    let (data, data_encode) = best_of(TRIES, || {
+        let round_trips = codec_rate(data_frame, 50_000, &ks);
+        (round_trips, encode_rate(data_frame, 50_000, &ks))
+    });
+    let (sealed, unsealed) = best_of(TRIES, || {
+        let round_trips = codec_rate(summary_frame, 10_000, &ks);
+        (round_trips, encode_rate(summary_frame, 10_000, &ks))
+    });
+    let (data_ratio, sealed_ratio) = (data / data_encode, sealed / unsealed);
+    println!(
+        "codec: Data {data:.0} msgs/s ({data_ratio:.3}× {data_encode:.0} encodes/s), sealed \
+         16-entry summary {sealed:.0} msgs/s ({sealed_ratio:.3}× {unsealed:.0} unsealed encodes/s)"
     );
     assert!(
-        sealed >= CONTROL_FLOOR,
-        "sealed-summary codec {sealed:.0} msgs/s is below the {CONTROL_FLOOR:.0} floor"
+        data_ratio >= CODEC_FLOOR,
+        "Data-frame codec is {data_ratio:.3}× its encodes, below the {CODEC_FLOOR}× floor"
+    );
+    assert!(
+        sealed_ratio >= CONTROL_FLOOR,
+        "sealed-summary codec is {sealed_ratio:.3}× its unsealed encodes, below the \
+         {CONTROL_FLOOR}× floor"
     );
 }
 
@@ -213,8 +269,14 @@ fn codec_round_trips_data_and_sealed_summaries_above_their_floors() {
 /// MTU-sized packets.
 const KERNEL_FLOOR: f64 = 3.0;
 
-/// Packets/s floor for the monitor → summary → verdict pipeline.
-const PIPELINE_FLOOR: f64 = 1_000_000.0;
+/// Floor on the monitor → summary → verdict pipeline's packets/s, as a
+/// share of a scalar-fingerprint pass over the same tape in the same
+/// process. 20 release runs read 0.071–0.098. The spread is wider than
+/// what the batched fingerprint kernel is worth to the pipeline on 40-byte
+/// invariants (with the scalar kernel in its place: 0.072–0.089), so this
+/// floor catches a pipeline that got a third slower, not the kernel swap;
+/// the kernel gate above holds the kernel.
+const PIPELINE_FLOOR: f64 = 0.06;
 
 /// Fingerprint throughput in bytes/s over `iters` copies of `msg`, scalar
 /// Horner or the batched kernel in groups of 64.
@@ -327,7 +389,7 @@ fn abilene_tape(packets: usize) -> (Vec<PathSegment>, PathOracle, Vec<TapEvent>)
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "release-only wall-clock floor (debug: 0.18 M pkts/s)"
+    ignore = "release-only wall-clock ratio (debug: 0.12× a scalar pass, in 15 s)"
 )]
 fn abilene_validation_pipeline_clears_a_million_packets_per_second() {
     let _serial = serial();
@@ -337,13 +399,39 @@ fn abilene_validation_pipeline_clears_a_million_packets_per_second() {
         ks.register(u32::from(r));
     }
     let (segments, oracle, events) = abilene_tape(PACKETS);
-    let reg = MetricsRegistry::new();
-    let mut mon =
-        SegmentMonitorSet::new(segments.clone(), oracle, &ks, MonitorMode::EndsOnly, None);
-    mon.attach_metrics(MonitorMetrics::registered(&reg));
+    let (pps, scalar) = best_of(TRIES, || {
+        let pps = pipeline_rate(&segments, &oracle, &ks, &events);
+        (pps, scalar_pass_rate(&segments, &ks, &events))
+    });
+    let ratio = pps / scalar;
+    println!(
+        "validation pipeline: {:.2} M pkts/s over {} Abilene paths, {ratio:.3}× a scalar \
+         fingerprint pass ({:.2} M pkts/s)",
+        pps / 1e6,
+        segments.len(),
+        scalar / 1e6
+    );
+    assert!(
+        ratio >= PIPELINE_FLOOR,
+        "pipeline is {ratio:.3}× a scalar fingerprint pass, below the {PIPELINE_FLOOR}× floor"
+    );
+}
 
+/// Packets/s of the Abilene pipeline over `tape`: batched ingest, then
+/// per-end reports, content summaries and `tv_content`, which must find
+/// the clean tape clean.
+fn pipeline_rate(
+    segments: &[PathSegment],
+    oracle: &PathOracle,
+    ks: &KeyStore,
+    tape: &[TapEvent],
+) -> f64 {
+    let reg = MetricsRegistry::new();
+    let (plan, mode) = (segments.to_vec(), MonitorMode::EndsOnly);
+    let mut mon = SegmentMonitorSet::new(plan, oracle.clone(), ks, mode, None);
+    mon.attach_metrics(MonitorMetrics::registered(&reg));
     let start = Instant::now();
-    for chunk in events.chunks(512) {
+    for chunk in tape.chunks(512) {
         mon.observe_batch(chunk);
     }
     let (mut lost, mut fabricated) = (0, 0);
@@ -354,17 +442,28 @@ fn abilene_validation_pipeline_clears_a_million_packets_per_second() {
         lost += verdict.lost.len();
         fabricated += verdict.fabricated.len();
     }
-    let pps = PACKETS as f64 / start.elapsed().as_secs_f64();
-    println!(
-        "validation pipeline: {:.2} M pkts/s over {} Abilene paths",
-        pps / 1e6,
-        segments.len()
-    );
+    let pps = (tape.len() / 2) as f64 / start.elapsed().as_secs_f64();
     assert_eq!((lost, fabricated), (0, 0), "clean tape must validate clean");
-    assert!(
-        pps >= PIPELINE_FLOOR,
-        "pipeline {pps:.0} pkts/s is below the {PIPELINE_FLOOR:.0} floor"
-    );
+    pps
+}
+
+/// Packets/s of a scalar-fingerprint pass over `tape`: each tap's packet
+/// fingerprinted on its own, by the scalar Horner loop, under the key of
+/// the segment [`abilene_tape`] sent it along.
+fn scalar_pass_rate(segments: &[PathSegment], ks: &KeyStore, tape: &[TapEvent]) -> f64 {
+    let keys: Vec<UhashKey> = (segments.iter())
+        .map(|s| ks.segment_uhash_key(s.stable_id()))
+        .collect();
+    let mut sink = 0u64;
+    let start = Instant::now();
+    for (i, ev) in tape.iter().enumerate() {
+        let key = &keys[i / 2 % keys.len()];
+        let fingerprint = key.fingerprint_scalar(&ev.packet().invariant_bytes());
+        sink ^= fingerprint.value();
+    }
+    let secs = start.elapsed().as_secs_f64();
+    assert!(sink != u64::MAX, "keep the checksum live");
+    (tape.len() / 2) as f64 / secs
 }
 
 // ---------------------------------------------------------------- scale

@@ -80,15 +80,6 @@ impl Report {
         }
     }
 
-    /// Conservation-of-flow view.
-    pub fn to_flow(&self) -> FlowCounter {
-        let mut c = FlowCounter::default();
-        for e in &self.entries {
-            c.observe(e.size as u64);
-        }
-        c
-    }
-
     /// Conservation-of-content view.
     ///
     /// Large reports are summarized in parallel: the entry list is split

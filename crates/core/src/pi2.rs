@@ -28,10 +28,6 @@ pub struct Pi2Config {
     pub policy: Policy,
     /// Benign-anomaly allowances.
     pub thresholds: Thresholds,
-    /// Run the full Dolev–Strong dissemination (true) or assume an
-    /// abstract agreement primitive (false, much faster for large runs —
-    /// the decisions are identical when reports are authenticated).
-    pub use_consensus: bool,
     /// Maturity lag: packets younger than this at round end are deferred
     /// to the next round rather than judged while possibly in flight.
     /// Must exceed the worst segment transit time (links + queues).
@@ -44,7 +40,6 @@ impl Default for Pi2Config {
             k: 1,
             policy: Policy::Content,
             thresholds: Thresholds::default(),
-            use_consensus: true,
             maturity_lag: SimTime::from_ms(200),
         }
     }
@@ -177,11 +172,7 @@ impl Pi2Detector {
 
             // Dissemination: all correct members agree on every member's
             // report ([info(i, π, τ)]_i, Figure 5.1).
-            let decided: Vec<Option<Report>> = if self.cfg.use_consensus {
-                self.disseminate(members, &claimed)
-            } else {
-                claimed
-            };
+            let decided = self.disseminate(members, &claimed);
 
             for (w, pair) in decided.windows(2).enumerate() {
                 let verdict = window.judge(pair[0].as_ref(), pair[1].as_ref(), fabrication_floor);
@@ -472,28 +463,5 @@ mod tests {
         let check = crate::spec::SpecCheck::evaluate(&sus, &faulty);
         assert!(check.is_complete());
         assert!(check.is_accurate(2));
-    }
-
-    #[test]
-    fn consensus_and_direct_modes_agree() {
-        let build = |use_consensus| {
-            let (mut net, ids, ks) = line(5);
-            let cfg = Pi2Config {
-                use_consensus,
-                ..Pi2Config::default()
-            };
-            let mut det = Pi2Detector::new(net.routes(), ks, cfg);
-            let flow = net.add_cbr_flow(
-                ids[0],
-                ids[4],
-                1000,
-                SimTime::from_ms(2),
-                SimTime::ZERO,
-                None,
-            );
-            net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.5)]);
-            run_one_round(&mut net, &mut det, 5)
-        };
-        assert_eq!(build(true), build(false));
     }
 }

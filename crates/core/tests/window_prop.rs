@@ -205,10 +205,8 @@ fn the_simulator_hosts_judge_no_loss_twice() {
         let (from, period) = (SimTime::ZERO, SimTime::from_ms(2));
         let flow = net.add_cbr_flow(ids[0], ids[3], 1000, period, from, None);
         net.set_attacks(ids[1], vec![Attack::drop_flows([flow], 0.3)]);
-        // Abstract agreement decides what Dolev–Strong would, faster.
         let pi2_cfg = Pi2Config {
             maturity_lag: lag,
-            use_consensus: false,
             ..Pi2Config::default()
         };
         let pik2_cfg = Pik2Config {

@@ -39,9 +39,9 @@ pub(crate) struct LocalFlow {
     pub(crate) spec: FlowSpec,
     global_idx: u32,
     pub(crate) sent: u64,
-    /// The deadline the pending tick was scheduled for. The next one is
-    /// one interval after it, not after whenever the tick got to run, so
-    /// wake-up latency does not stretch the period.
+    /// The deadline of the pending tick; `u64::MAX` once the flow has
+    /// stopped. The next one is one interval after it, not after whenever
+    /// the tick got to run, so wake-up latency does not stretch the period.
     pub(crate) next_due: u64,
 }
 
@@ -81,20 +81,19 @@ impl Traffic {
         }
     }
 
-    /// Moves flow `i`, ticking at `now`, on to its next deadline and
-    /// returns it. On time, the period is exact; after a stall, one packet
+    /// Moves flow `i`, ticking at `now`, on to its next deadline. On time,
+    /// the period is exact; after a stall, one packet
     /// goes out at once and the schedule resumes at the latest tick missed
     /// rather than bursting through the backlog. The flow stays on its own
     /// phase: restarting every stalled flow from `now` would put them all
     /// on one phase, and they would tick as one burst ever after.
-    pub(crate) fn advance(&mut self, i: usize, now: u64) -> u64 {
+    pub(crate) fn advance(&mut self, i: usize, now: u64) {
         let f = &mut self.flows[i];
         let interval = (f.spec.interval.as_nanos() as u64).max(1);
         f.next_due += interval;
         if f.next_due < now {
             f.next_due += (now - f.next_due) / interval * interval;
         }
-        f.next_due
     }
 
     /// The next packet of flow `i`, injected by router `id` at `now`.

@@ -18,8 +18,8 @@
 //!   join/leave, crash-restart incarnations, link flaps) flooded through
 //!   the control plane, and (crate-private) `Convergence`, the view of
 //!   the network a router derives from the set of them it holds;
-//! * [`timer`] — a deadline-ordered timer queue (one binary heap) for
-//!   round ticks, flow ticks and retransmit timeouts;
+//! * [`timer`] — a deadline-ordered timer queue (one binary heap), on
+//!   which each host keeps its routers' deadlines;
 //! * [`mailbox`] — lock-free cross-shard frame queues that let co-resident
 //!   routers bypass the kernel when the fastpath is enabled;
 //! * [`runtime`] — the live runtime's public types and the

@@ -2,11 +2,13 @@
 //!
 //! A [`Router`] holds Πk+2 at one router — its segment monitors, its end
 //! of every exchange ([`Pik2Node`]), reliable delivery ([`Retransmitter`]),
-//! link state and the view it implies ([`Convergence`]), its [`Traffic`] —
-//! and no clock, socket or channel. The host calls [`Router::step`] with
-//! the instant, one [`Input`] and an [`Outputs`] buffer it reuses, so a
-//! router's behaviour is a function of the `(now, input)` sequence it is
-//! given, whether a shard or a test gives it.
+//! link state and the view it implies ([`Convergence`]), its [`Traffic`],
+//! its churn script and its own schedule — and no clock, socket or
+//! channel. The host calls [`Router::step`] with the instant, one
+//! [`Input`] and an [`Outputs`] buffer it reuses, and steps it with
+//! [`Input::Timeout`] once [`Router::deadline`] has come, so a router's
+//! behaviour is a function of the `(now, input)` sequence it is given,
+//! whether a shard, the simulator or a test gives it.
 
 use crate::codec::{decode_frame, encode_frame_into, Frame, WireMessage};
 use crate::flows::Traffic;
@@ -49,24 +51,47 @@ const PROBATION_ROUNDS: u64 = 2;
 /// setup, small enough that a flush never stalls the event loop.
 const OBS_BUF_FLUSH: usize = 128;
 
+/// How often a router that awaits an ack looks for frames due a
+/// retransmission: twice per initial timeout, so a frame is resent in
+/// `[rto, rto + PUMP_STEP_NS]` after its send.
+const PUMP_STEP_NS: u64 = RELIABLE.rto_ns / 2;
+
 /// What a router is stepped with.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Input<'a> {
     /// A frame for this router, as received.
     Frame(&'a [u8]),
-    /// Round `r` ended: the segment ends send what they observed in it.
-    RoundEnd(u64),
-    /// Round `r`'s exchange budget ran out: the ends judge it.
-    RoundEval(u64),
-    /// Time to send again whatever is unacknowledged and due.
-    Pump,
-    /// Local flow `i` is due to inject its next packet.
-    FlowTick(usize),
-    /// Step `s` of this router's churn script.
-    Churn(usize),
     /// A data-plane observation a host made at this router — the one the
     /// live forward path makes itself.
     Tap(TapEvent),
+    /// [`Router::deadline`] has come: the router does everything due by
+    /// `now`.
+    Timeout,
+}
+
+/// A stage of a router's work that the host times, as an index into
+/// [`Outputs::timed`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    /// A round end that did round work.
+    RoundEnd,
+    /// An evaluation that did round work.
+    RoundEval,
+    /// A frame carrying a digest that was resolved or answered with a pull.
+    DigestResolve,
+}
+
+/// A router's own work that falls due at an instant, in the order one
+/// instant runs it: a crash or restart first, then the older round's
+/// judgment, then the next round's end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Due {
+    /// The next step of the churn script.
+    Churn,
+    /// The evaluation of the oldest round that ended unjudged.
+    Eval,
+    /// The end of the current round.
+    End,
 }
 
 /// What steps said, in a buffer the host reuses from step to step.
@@ -78,16 +103,13 @@ pub(crate) struct Outputs {
     /// The frames' bytes, back to back, encoded in place: once the buffer
     /// has grown, a step that sends a frame allocates nothing for it.
     pub(crate) bytes: Vec<u8>,
-    /// A flow tick's next deadline; `None` once the flow has stopped.
-    pub(crate) next_tick: Option<u64>,
     /// Events for the run's log.
     pub(crate) events: Vec<LiveEvent>,
     /// The host's trace ring: records go straight into it.
     pub(crate) trace: TraceBuffer,
-    /// The step was a stage the host times: a round end or evaluation
-    /// that did round work, or a frame carrying a digest that was resolved
-    /// or answered with a pull.
-    pub(crate) timed: bool,
+    /// The stages the step ran, by [`Stage`]: the host charges the step's
+    /// time to each.
+    pub(crate) timed: [bool; 3],
 }
 
 impl Outputs {
@@ -96,10 +118,9 @@ impl Outputs {
         Self {
             frames: Vec::new(),
             bytes: Vec::new(),
-            next_tick: None,
             events: Vec::new(),
             trace,
-            timed: false,
+            timed: [false; 3],
         }
     }
 
@@ -150,7 +171,7 @@ pub(crate) struct Router {
     /// The router keeps the rest: frames in and out, metrics, alerts and
     /// the response.
     pik2: Pik2Node,
-    pub(crate) traffic: Traffic,
+    traffic: Traffic,
     /// Reliable control frames awaiting their ack, as encoded, and the
     /// duplicate-suppression history.
     reliable: Retransmitter<Vec<u8>>,
@@ -162,8 +183,20 @@ pub(crate) struct Router {
     obs_buf: Vec<TapEvent>,
     /// This router's next link-state origination sequence number.
     ls_seq: u64,
-    /// This router's own churn script, in schedule order.
-    pub(crate) churn: Vec<ChurnEvent>,
+    /// This router's own churn script, in time order.
+    churn: Vec<ChurnEvent>,
+    /// Churn steps done so far: the next one is `churn[churned]`.
+    churned: usize,
+    /// Rounds this router has ended: round `ended` ends at
+    /// `(ended + 1)·τ`, while `ended < rounds`.
+    ended: u64,
+    /// Rounds this router has evaluated: round `evaluated` is judged one
+    /// exchange budget after its end, once it has ended.
+    evaluated: u64,
+    /// When the retransmission pump is next due: [`PUMP_STEP_NS`] after
+    /// the router started awaiting an ack, and again after each pump while
+    /// it still does; `None` while it awaits none.
+    pump_at: Option<u64>,
 }
 
 /// One router per router of `topo`, in its order, and the segments they
@@ -224,14 +257,26 @@ pub(crate) fn routers(
                 next_seq: 0,
                 obs_buf: Vec::with_capacity(OBS_BUF_FLUSH),
                 ls_seq: 0,
-                churn: (spec.churn.iter())
-                    .filter(|e| e.actor == id)
-                    .copied()
-                    .collect(),
+                churn: script(spec, id),
+                churned: 0,
+                ended: 0,
+                evaluated: 0,
+                pump_at: None,
             }
         })
         .collect();
     (routers, monitored.segments().to_vec())
+}
+
+/// Router `id`'s part of `spec`'s churn script, in time order; steps of
+/// one instant keep the script's order.
+fn script(spec: &LiveSpec, id: RouterId) -> Vec<ChurnEvent> {
+    let mut script: Vec<ChurnEvent> = (spec.churn.iter())
+        .filter(|e| e.actor == id)
+        .copied()
+        .collect();
+    script.sort_by_key(|e| e.at);
+    script
 }
 
 impl Router {
@@ -241,13 +286,82 @@ impl Router {
         self.now = now;
         match input {
             Input::Frame(bytes) => self.handle_frame(bytes, out),
-            Input::RoundEnd(r) => self.round_end(r, out),
-            Input::RoundEval(r) => self.round_eval(r, out),
-            Input::Pump => self.pump(out),
-            Input::FlowTick(i) => out.next_tick = self.flow_tick(i, out),
-            Input::Churn(s) => self.churn_step(s, out),
             Input::Tap(ev) if self.alive => self.tap(ev, &mut out.trace),
             Input::Tap(_) => {}
+            Input::Timeout => self.timeout(out),
+        }
+        let awaits = self.alive && self.reliable.outstanding() > 0;
+        self.pump_at = awaits.then(|| self.pump_at.unwrap_or(now + PUMP_STEP_NS));
+    }
+
+    /// When this router next has something to do unprompted: the earliest
+    /// of its next churn step, its pending evaluation, its next round end,
+    /// its retransmission pump and its flows' next ticks. `None`: nothing,
+    /// ever, unless a frame says otherwise.
+    pub(crate) fn deadline(&self) -> Option<u64> {
+        let stop = self.stop_ns();
+        let ticks = (self.traffic.flows.iter())
+            .map(|f| f.next_due)
+            .filter(|&t| t < stop);
+        (self.next_stage().map(|(t, _)| t).into_iter())
+            .chain(self.pump_at)
+            .chain(ticks)
+            .min()
+    }
+
+    /// When this router stops injecting: once its final round has closed.
+    fn stop_ns(&self) -> u64 {
+        (self.cfg.rounds).saturating_mul(self.cfg.tau.as_nanos() as u64)
+    }
+
+    /// The next churn step, evaluation or round end, and when it is due:
+    /// the earliest; at one instant, in [`Due`]'s order.
+    fn next_stage(&self) -> Option<(u64, Due)> {
+        let tau = self.cfg.tau.as_nanos() as u64;
+        let budget = self.cfg.exchange_budget.as_nanos() as u64;
+        let churn = (self.churn.get(self.churned)).map(|e| (e.at.as_nanos() as u64, Due::Churn));
+        let eval =
+            (self.evaluated < self.ended).then(|| ((self.evaluated + 1) * tau + budget, Due::Eval));
+        let end = (self.ended < self.cfg.rounds).then(|| ((self.ended + 1) * tau, Due::End));
+        [churn, eval, end].into_iter().flatten().min()
+    }
+
+    /// Does everything due by now, in one fixed order: churn steps,
+    /// evaluations and round ends, earliest first; then each flow's tick,
+    /// once; then the retransmission pump.
+    fn timeout(&mut self, out: &mut Outputs) {
+        let by = u32::from(self.id);
+        (out.trace).record(self.now, TraceKind::TimerFired, by, NO_ROUND, 0);
+        while let Some((_, stage)) = self.next_stage().filter(|&(t, _)| t <= self.now) {
+            match stage {
+                Due::Churn => {
+                    self.churned += 1;
+                    self.churn_step(self.churned - 1, out);
+                }
+                Due::Eval => {
+                    self.evaluated += 1;
+                    self.round_eval(self.evaluated - 1, out);
+                }
+                Due::End => {
+                    let r = self.ended;
+                    self.ended += 1;
+                    self.round_end(r, out);
+                    // The summaries just sent belong to round r's slice;
+                    // the next round opens after them.
+                    out.trace.record(self.now, TraceKind::RoundEnd, by, r, 0);
+                    if self.ended < self.cfg.rounds {
+                        (out.trace).record(self.now, TraceKind::RoundStart, by, self.ended, 0);
+                    }
+                }
+            }
+        }
+        for i in 0..self.traffic.flows.len() {
+            if self.traffic.flows[i].next_due <= self.now {
+                self.flow_tick(i, out);
+            }
+        }
+        if self.pump_at.is_some_and(|t| t <= self.now) {
+            self.pump(out);
         }
     }
 
@@ -257,12 +371,6 @@ impl Router {
     fn window(&self, r: u64) -> Window {
         let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
         Window::of_round(r, ns(self.cfg.tau), ns(self.cfg.maturity_lag))
-    }
-
-    /// Whether a [`Input::Pump`] could resend something: the router is up
-    /// and a reliable frame of its awaits an ack.
-    pub(crate) fn awaits_ack(&self) -> bool {
-        self.alive && self.reliable.outstanding() > 0
     }
 
     /// The route epoch this router forwards under.
@@ -290,6 +398,8 @@ impl Router {
     }
 
     fn pump(&mut self, out: &mut Outputs) {
+        // Re-armed by the step if a frame still awaits its ack.
+        self.pump_at = None;
         if !self.alive {
             return;
         }
@@ -325,17 +435,17 @@ impl Router {
         }
     }
 
-    /// Injects the next packet of local flow `i`; returns the next tick
-    /// deadline, or `None` once the final round has closed.
-    fn flow_tick(&mut self, i: usize, out: &mut Outputs) -> Option<u64> {
-        // Stop injecting once the final round has closed.
-        if self.now >= self.cfg.rounds * self.cfg.tau.as_nanos() as u64 {
-            return None;
+    /// Injects the next packet of local flow `i` and moves it on to its
+    /// next tick; once the final round has closed, stops it instead.
+    fn flow_tick(&mut self, i: usize, out: &mut Outputs) {
+        if self.now >= self.stop_ns() {
+            self.traffic.flows[i].next_due = u64::MAX;
+            return;
         }
-        let next = self.traffic.advance(i, self.now);
+        self.traffic.advance(i, self.now);
         if !self.alive {
             // Keep ticking so the flow resumes after a restart.
-            return Some(next);
+            return;
         }
         let packet = self.traffic.inject(i, self.id, self.now);
         if let Some(next_hop) = self.forward_hop(packet.src, packet.dst, None) {
@@ -343,7 +453,6 @@ impl Router {
             let epoch = self.convergence.view().epoch;
             self.send_frame(next_hop, WireMessage::Data { packet, epoch }, false, out);
         }
-        Some(next)
     }
 
     /// Records the packet's hand-over to `next_hop`.
@@ -411,7 +520,7 @@ impl Router {
             // never be mistaken for an attack.
             return;
         }
-        out.timed = true;
+        out.timed[Stage::RoundEnd as usize] = true;
         let (sketch, kind) = match self.cfg.summary {
             SummaryMode::Full => (None, TraceKind::SummarySent),
             SummaryMode::Reconcile { capacity } => (Some(capacity.max(1)), TraceKind::DigestSent),
@@ -440,7 +549,8 @@ impl Router {
         let is_digest = matches!(message.evidence, Evidence::Digest { .. });
         let (said, window) = (message.evidence, self.window(round));
         let received = (self.pik2).receive(from, round, segment, said, window, &self.monitors);
-        out.timed = is_digest && matches!(received, Received::Stored | Received::Reply(_));
+        out.timed[Stage::DigestResolve as usize] =
+            is_digest && matches!(received, Received::Stored | Received::Reply(_));
         let (by, peer, now) = (u32::from(self.id), u64::from(u32::from(from)), self.now);
         let mut note = |counter: &Counter, kind| {
             counter.inc();
@@ -477,7 +587,7 @@ impl Router {
         // (the window is derived from the update's origin timestamp), so
         // nobody waits for a summary that will never come.
         if r >= self.convergence.view().eval_resume {
-            out.timed = true;
+            out.timed[Stage::RoundEval as usize] = true;
             self.judge_round(r, out);
         }
         self.probation_tick(r, out);
@@ -968,6 +1078,7 @@ mod tests {
     use super::*;
     use crate::flows::FLOW_LEAD_NS;
     use crate::runtime::{DropperSpec, FlowSpec};
+    use crate::timer::Schedule;
     use fatih_core::monitor::Report;
     use fatih_core::policy::Thresholds;
     use fatih_obs::{MetricsRegistry, TraceJournal};
@@ -980,6 +1091,8 @@ mod tests {
     /// ends. Every step reads `now`, records are written with chosen
     /// timestamps, and every frame a step sends is stepped into its
     /// destination at once, so window edges can be hit to the nanosecond.
+    /// Routers are stepped with a timeout at their own deadlines, or, off
+    /// their schedule, by calling a handler directly.
     struct Line3 {
         routers: Vec<Router>,
         out: Outputs,
@@ -1000,10 +1113,11 @@ mod tests {
     const BUDGET: u64 = 100_000_000;
 
     impl Line3 {
+        /// No traffic of its own: what the ends record is planned.
         fn new(summary: SummaryMode) -> Self {
             let ids: Vec<RouterId> = builtin::line(3).routers().collect();
             let spec = LiveSpec {
-                flows: vec![FlowSpec::new(ids[0], ids[2], 800, Duration::from_secs(1))],
+                monitor_pairs: vec![(ids[0], ids[2])],
                 ..LiveSpec::default()
             };
             Self::with(&spec, summary, false)
@@ -1015,6 +1129,7 @@ mod tests {
                 tau: Duration::from_nanos(TAU),
                 exchange_budget: Duration::from_nanos(BUDGET),
                 maturity_lag: Duration::from_nanos(LAG),
+                rounds: 10,
                 thresholds: Thresholds::default(),
                 response,
                 summary,
@@ -1092,19 +1207,36 @@ mod tests {
         }
 
         /// Steps router `node` with `input` now, and whatever that sets
-        /// off runs its course. Returns a flow tick's next deadline.
-        fn step(&mut self, node: usize, input: Input<'_>) -> Option<u64> {
+        /// off runs its course.
+        fn step(&mut self, node: usize, input: Input<'_>) {
             self.routers[node].step(self.now, input, &mut self.out);
             self.settle();
-            self.out.next_tick.take()
+        }
+
+        /// Router `node`'s deadline is `at`: the clock moves on to it,
+        /// unless it is past already, and the router is stepped with a
+        /// timeout.
+        fn timeout_at(&mut self, node: usize, at: u64) {
+            assert_eq!(self.routers[node].deadline(), Some(at), "router {node}");
+            self.advance(at.max(self.now));
+            self.step(node, Input::Timeout);
         }
 
         fn round_end(&mut self, node: usize, r: u64) {
-            self.step(node, Input::RoundEnd(r));
+            self.timeout_at(node, (r + 1) * TAU);
         }
 
         fn round_eval(&mut self, node: usize, r: u64) {
-            self.step(node, Input::RoundEval(r));
+            self.timeout_at(node, (r + 1) * TAU + BUDGET);
+        }
+
+        /// Runs `handler` on router `node` now, off its schedule, and
+        /// whatever that sets off runs its course.
+        fn by_hand(&mut self, node: usize, handler: impl FnOnce(&mut Router, &mut Outputs)) {
+            let router = &mut self.routers[node];
+            router.now = self.now;
+            handler(router, &mut self.out);
+            self.settle();
         }
 
         /// A whole round at both ends, the clock standing at the
@@ -1131,13 +1263,32 @@ mod tests {
             }
         }
 
-        /// One initial timeout later, every router sends again whatever
-        /// is still unacknowledged.
+        /// One initial timeout later, every router whose pump is due by
+        /// then sends again whatever is still unacknowledged.
         fn pump(&mut self) {
             self.now += RELIABLE.rto_ns;
             for node in 0..self.routers.len() {
-                self.step(node, Input::Pump);
+                if self.routers[node].pump_at.is_some_and(|t| t <= self.now) {
+                    self.step(node, Input::Timeout);
+                }
             }
+        }
+
+        /// Steps every router with a timeout at its deadline — the
+        /// earliest first, and at one instant in index order — until the
+        /// next one lies past `until`.
+        fn run_until(&mut self, until: u64) {
+            loop {
+                let due = (0..self.routers.len())
+                    .filter_map(|i| Some((self.routers[i].deadline()?, i)))
+                    .min();
+                let Some((at, node)) = due.filter(|&(at, _)| at <= until) else {
+                    break;
+                };
+                self.advance(at.max(self.now));
+                self.step(node, Input::Timeout);
+            }
+            self.advance(until.max(self.now));
         }
 
         fn counter(&self, name: &str) -> u64 {
@@ -1263,14 +1414,16 @@ mod tests {
     }
 
     /// A router's behaviour is a function of the `(now, input)` sequence
-    /// it is given. Two deployments built from one spec are stepped through
-    /// one schedule — a dropper's flow, a Reconcile-mode round whose
-    /// digests do not resolve, so the ends pull, judge, convict and flood
-    /// the exclusion, then a crash-restart — and say the same, byte for
+    /// it is given. Two deployments built from one spec are driven by
+    /// frames and by timeouts at each router's own deadlines — a dropper's
+    /// flow, a Reconcile-mode round whose digests do not resolve, so the
+    /// ends pull, judge, convict and flood the exclusion, then a
+    /// crash-restart and the pumps after it — and say the same, byte for
     /// byte: every frame, every event, every trace record.
     #[test]
     fn routers_stepped_alike_say_the_same() {
         let ids: Vec<RouterId> = builtin::line(3).routers().collect();
+        let restart = TAU + BUDGET + 1_000_000;
         let spec = LiveSpec {
             flows: vec![FlowSpec::new(ids[0], ids[2], 800, Duration::from_millis(1))],
             droppers: vec![DropperSpec {
@@ -1280,7 +1433,7 @@ mod tests {
                 active_from: 0,
             }],
             churn: vec![ChurnEvent {
-                at: Duration::ZERO,
+                at: Duration::from_nanos(restart),
                 actor: ids[1],
                 action: ChurnAction::Restart,
             }],
@@ -1288,22 +1441,7 @@ mod tests {
         };
         let run = || {
             let mut net = Line3::with(&spec, SummaryMode::Reconcile { capacity: 4 }, true);
-            let mut tick = Some(FLOW_LEAD_NS);
-            while let Some(t) = tick.filter(|&t| t < TAU - LAG) {
-                net.now = t;
-                tick = net.step(0, Input::FlowTick(0));
-            }
-            net.now = TAU;
-            for node in 0..3 {
-                net.step(node, Input::RoundEnd(0));
-            }
-            net.now = TAU + BUDGET;
-            for node in 0..3 {
-                net.step(node, Input::RoundEval(0));
-            }
-            net.now += 1_000_000;
-            net.step(1, Input::Churn(0));
-            net.pump();
+            net.run_until(restart + RELIABLE.rto_ns);
             let trace = TraceJournal::from_buffers([net.out.trace.clone()]);
             let events = format!("{:?}", net.out.events);
             (net, events, trace.events().to_vec())
@@ -1429,12 +1567,12 @@ mod tests {
         net.plan(&stamps);
         for r in 0..3 {
             net.advance((r + 1) * TAU);
-            net.round_end(0, r);
+            net.by_hand(0, |n, out| n.round_end(r, out));
             assert_eq!(net.counter("net.digests_resolved"), 2 * r + 1, "round {r}");
-            net.round_end(2, r);
+            net.by_hand(2, |n, out| n.round_end(r, out));
             assert_eq!(net.counter("net.digests_resolved"), 2 * r + 2, "round {r}");
-            net.round_eval(0, r);
-            net.round_eval(2, r);
+            net.by_hand(0, |n, out| n.round_eval(r, out));
+            net.by_hand(2, |n, out| n.round_eval(r, out));
         }
         assert_eq!(net.counter("net.summary_timeouts"), 0);
         assert_eq!(net.counter("net.digest_fallbacks"), 0);
@@ -1447,13 +1585,13 @@ mod tests {
     fn frames_for_an_evaluated_round_are_dropped_and_counted() {
         let mut net = Line3::new(SummaryMode::Full);
         net.plan(&[(10_000_000, Some(11_000_000))]);
-        net.advance(TAU);
         // Router 2 evaluates round 0 without having heard from router 0
         // (a timeout accusation, which is not the point here) ...
         net.round_end(2, 0);
         net.round_eval(2, 0);
         assert_eq!(net.counter("net.summary_timeouts"), 1);
-        // ... and then router 0's summary for that round turns up.
+        // ... and then router 0's round end comes, late, and its summary
+        // for that round turns up (router 0 evaluates the round at once).
         net.round_end(0, 0);
         assert_eq!(net.counter("net.stale_summaries"), 1);
 
@@ -1472,7 +1610,6 @@ mod tests {
         assert_eq!(net.counter("net.retransmits"), 0);
 
         // The round after is live again.
-        net.round_eval(0, 0);
         net.plan(&[(210_000_000, Some(211_000_000))]);
         net.verdicts();
         net.round(1);
@@ -1579,7 +1716,8 @@ mod tests {
         // Nobody has acknowledged anything yet. A second later, of the two
         // frames router 0 sent only the update it flooded to router 1 is
         // sent again.
-        node.step(node.now + 1_000_000_000, Input::Pump, out);
+        node.now += 1_000_000_000;
+        node.pump(out);
         assert_eq!(net.counter("net.purged_frames"), 1);
         assert_eq!(net.counter("net.retransmits"), 1);
     }
@@ -1599,7 +1737,7 @@ mod tests {
             let spec = LiveSpec {
                 flows: vec![FlowSpec::new(ids[0], ids[2], 800, Duration::from_secs(1))],
                 churn: vec![ChurnEvent {
-                    at: Duration::ZERO,
+                    at: Duration::from_millis(1),
                     actor: ids[1],
                     action: ChurnAction::Restart,
                 }],
@@ -1618,8 +1756,7 @@ mod tests {
                     .collect()
             };
             if restarted {
-                net.now = 1_000_000;
-                net.step(1, Input::Churn(0));
+                net.timeout_at(1, 1_000_000);
                 assert_eq!(on_probation(&net), [true; 3]);
                 net.out.events.clear();
             }
@@ -1651,7 +1788,12 @@ mod tests {
     /// on its own phase: two stalled flows must not end up ticking together.
     #[test]
     fn a_stalled_flow_resumes_on_its_own_phase() {
-        let mut line = Line3::new(SummaryMode::Full);
+        let ids: Vec<RouterId> = builtin::line(3).routers().collect();
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(ids[0], ids[2], 800, Duration::from_secs(1))],
+            ..LiveSpec::default()
+        };
+        let mut line = Line3::with(&spec, SummaryMode::Full, false);
         let node = &mut line.routers[0];
         let interval = node.traffic.flows[0].spec.interval.as_nanos() as u64;
         let phase = FLOW_LEAD_NS + 123;
@@ -1660,14 +1802,109 @@ mod tests {
         node.traffic.flows[0].next_due = phase;
 
         let before = line.now;
-        let next = line.step(0, Input::FlowTick(0)).expect("injecting");
+        let next_due = |line: &Line3| line.routers[0].traffic.flows[0].next_due;
+        line.by_hand(0, |n, out| n.flow_tick(0, out));
+        let next = next_due(&line);
         let sent = line.routers[0].traffic.flows[0].sent;
         assert_eq!(sent, 1, "the late tick itself sends");
         assert_eq!((next - phase) % interval, 0, "left its phase");
         assert!(next <= line.now, "the latest missed tick is due now");
         assert!(next + interval > before, "skipped a tick still to come");
         // Caught up, the period is exact again.
-        let after = line.step(0, Input::FlowTick(0)).expect("injecting");
-        assert_eq!(after, next + interval);
+        line.by_hand(0, |n, out| n.flow_tick(0, out));
+        assert_eq!(next_due(&line), next + interval);
+    }
+
+    /// A frame nobody acks is resent in `[rto, rto + PUMP_STEP_NS]` after
+    /// its send: the pump the send arms finds it not yet due and re-arms,
+    /// and the next one resends it.
+    #[test]
+    fn an_unacked_frame_is_resent_between_rto_and_rto_plus_a_pump_step() {
+        let mut net = Line3::new(SummaryMode::Full);
+        let retransmits = |net: &Line3| net.counter("net.retransmits");
+        assert_eq!(PUMP_STEP_NS * 2, RELIABLE.rto_ns);
+        net.routers[2].alive = false;
+        net.plan(&[(10_000_000, Some(11_000_000))]);
+        net.round_end(0, 0);
+        let sent = net.now;
+        assert_eq!(net.routers[0].deadline(), Some(sent + PUMP_STEP_NS));
+
+        net.timeout_at(0, sent + PUMP_STEP_NS);
+        assert_eq!(retransmits(&net), 0, "not yet rto after the send");
+        let next = net.routers[0].deadline();
+        assert_eq!(
+            next,
+            Some(sent + 2 * PUMP_STEP_NS),
+            "still awaited: re-armed"
+        );
+        net.timeout_at(0, sent + 2 * PUMP_STEP_NS);
+        assert!(retransmits(&net) > 0, "resent by rto + PUMP_STEP_NS");
+        assert_eq!(net.routers[0].deadline(), Some(net.now + PUMP_STEP_NS));
+    }
+
+    /// Driven as a host drives routers — one [`Schedule`] of their
+    /// deadlines, each popped entry checked against its router's — every
+    /// router is stepped exactly at its deadlines, never before, and the
+    /// stale entry of a pump whose ack came in the meantime steps nobody.
+    /// Router 2 is down when round 0 ends, so router 0's summary goes
+    /// unacked and arms its pump; router 2 comes back and the summary's
+    /// copy reaches it a millisecond later, and its ack disarms the pump.
+    #[test]
+    fn a_router_is_never_stepped_before_its_deadline_and_a_stale_entry_steps_nobody() {
+        let mut net = Line3::new(SummaryMode::Full);
+        net.plan(&[
+            (10_000_000, Some(11_000_000)),
+            (210_000_000, Some(211_000_000)),
+        ]);
+        let mut schedule = Schedule::new(3);
+        let mut steps: Vec<Vec<u64>> = vec![Vec::new(); 3];
+        let mut stale = 0;
+        let mut drive = |net: &mut Line3, until: u64| {
+            let mut fired = Vec::new();
+            loop {
+                for i in 0..3 {
+                    schedule.arm(i, net.routers[i].deadline());
+                }
+                let Some(at) = schedule.next_deadline().filter(|&t| t <= until) else {
+                    break;
+                };
+                net.advance(at);
+                schedule.pop_due(at, &mut fired);
+                for &(_, i) in &fired {
+                    match net.routers[i].deadline() {
+                        Some(d) if d <= at => {
+                            net.step(i, Input::Timeout);
+                            steps[i].push(at);
+                        }
+                        _ => stale += 1,
+                    }
+                }
+            }
+        };
+        net.routers[2].alive = false;
+        drive(&mut net, TAU);
+        let summary = (net.delivered.iter().rev())
+            .find(|(dst, _)| *dst == net.ids[2])
+            .map(|(_, bytes)| bytes.clone())
+            .expect("router 0's summary");
+        assert!(
+            net.routers[0].deadline() < Some(TAU + BUDGET),
+            "a pump is armed"
+        );
+
+        net.routers[2].alive = true;
+        net.now = TAU + 1_000_000;
+        net.step(2, Input::Frame(&summary));
+        assert_eq!(net.routers[0].deadline(), Some(TAU + BUDGET), "acked");
+        drive(&mut net, 3 * TAU);
+
+        assert_eq!(stale, 1, "the pump's entry");
+        let due = [TAU, TAU + BUDGET, 2 * TAU, 2 * TAU + BUDGET, 3 * TAU];
+        for (node, at) in steps.iter().enumerate() {
+            assert_eq!(at, &due, "router {node}");
+        }
+        assert_eq!(net.counter("net.retransmits"), 0);
+        let fired = net.out.trace.recorded(TraceKind::TimerFired);
+        assert_eq!(fired, 3 * due.len() as u64, "one record a step");
     }
 }

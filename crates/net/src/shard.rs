@@ -3,24 +3,22 @@
 //! what the workers report.
 //!
 //! A worker owns all of its routers' I/O: the sockets and their `epoll`
-//! set, one [`TimerWheel`] for the shard, the clock, the event channel and
-//! the mailbox fastpath. It sleeps until a socket is readable or a timer
-//! is due, steps routers with the instant and the frame or timer, and
-//! sends what they said, serving a frame's next hop on the shard at once.
-//! Round work and the retransmission pump are batched per shard: one
-//! timer fires and every resident router does its part. The pump is on
-//! the wheel only while a resident router awaits an ack.
+//! set, one [`Schedule`] of its routers' deadlines, the clock, the event
+//! channel and the mailbox fastpath. It sleeps until a socket is readable
+//! or a router's deadline is due, steps routers with the instant and the
+//! frame or the timeout, and sends what they said, serving a frame's next
+//! hop on the shard at once. Each router keeps its own schedule; the
+//! shard only asks it when it is next due.
 //!
 //! Every worker starts its rounds at one epoch, fixed when the last of
 //! them is ready to serve: [`await_epoch`] and [`fix_epoch`].
 
 use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::poller;
-use crate::router::{routers, Input, Outputs, Router, RELIABLE};
+use crate::router::{routers, Input, Outputs, Router};
 use crate::runtime::{LiveConfig, LiveEvent, LiveOutcome, LiveSpec, LiveStats, NetMetrics};
-use crate::timer::TimerWheel;
+use crate::timer::Schedule;
 use crate::transport::Transport;
-use fatih_obs::trace::{NO_ROUND, NO_ROUTER};
 use fatih_obs::{MetricsRegistry, TraceBuffer, TraceJournal, TraceKind};
 use fatih_topology::{PathSegment, RouterId, Topology};
 use std::collections::HashMap;
@@ -238,44 +236,9 @@ struct Prepared<T: Transport> {
     segments: Vec<PathSegment>,
 }
 
-/// Timer payloads of a shard's wheel. Round work and the retransmission
-/// pump are scheduled once per shard and fan out over every resident
-/// node; only flow ticks stay per-(node, flow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ShardTimer {
-    /// Inject the next packet of `node`'s local flow `flow`.
-    FlowTick {
-        /// Index into the shard's node vector.
-        node: usize,
-        /// Index into that node's local flows.
-        flow: usize,
-    },
-    /// A round boundary: every node snapshots and sends summaries.
-    RoundEnd(u64),
-    /// The exchange budget expired: every node validates the round.
-    RoundEval(u64),
-    /// Retransmission pump across the shard. Armed [`PUMP_STEP_NS`]
-    /// after a step leaves a resident router awaiting an ack, and only
-    /// then: one is on the wheel at most.
-    Pump,
-    /// `node` performs step `step` of its scripted churn.
-    Churn {
-        /// Index into the shard's node vector.
-        node: usize,
-        /// Index into that node's churn script.
-        step: usize,
-    },
-    /// The run is over: the worker leaves its loop.
-    Stop,
-}
-
 /// Per-node receive bound: how many frames one node may drain per pass
 /// before yielding to its shard-mates.
 const RECV_SWEEP: usize = 64;
-
-/// How often a shard looks for frames due a retransmission: twice per
-/// initial timeout.
-const PUMP_STEP_NS: u64 = RELIABLE.rto_ns / 2;
 
 /// Longest an idle worker waits while something it serves cannot wake it:
 /// an endpoint that is not in the poll set, or a mailbox.
@@ -321,24 +284,20 @@ struct Shard<T: Transport> {
     passes: u64,
     /// Endpoints whose transport has not errored out.
     open: usize,
-    /// A [`ShardTimer::Pump`] is on the wheel.
-    pump_armed: bool,
-    /// The retransmission pump fell due: it runs after the next pass, so
-    /// that the acks already queued are read before it resends.
-    pump_due: bool,
     /// When the last wait returned: the shard has been busy since.
     woke: u64,
     /// Scratch for the poller's answer.
     ready: Vec<RouterId>,
     /// Where every node's frames are received: one buffer for the shard.
     recv_buf: Vec<u8>,
-    /// Scratch for the timers that fall due.
-    fired: Vec<ShardTimer>,
-    wheel: TimerWheel<ShardTimer>,
+    /// Scratch for the entries that fall due.
+    fired: Vec<(u64, usize)>,
+    /// Every node's deadline by index, and the stop as index
+    /// `nodes.len()`.
+    schedule: Schedule,
     /// The fastpath: the sending half to every shard, and this one's
     /// receiving half.
     mailbox: Option<(MailboxRouter, ShardMailbox)>,
-    cfg: LiveConfig,
     /// Time zero of the shard's clock: when it was built, until the start
     /// protocol fixes the deployment's.
     epoch: Instant,
@@ -358,6 +317,10 @@ impl<T: Transport> Shard<T> {
     ) -> Self {
         let (nodes, links): (Vec<Router>, Vec<T>) = nodes.into_iter().unzip();
         let index_of = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+        let mut schedule = Schedule::new(nodes.len() + 1);
+        for (i, node) in nodes.iter().enumerate() {
+            schedule.arm(i, node.deadline());
+        }
         Self {
             swept: (0..nodes.len()).collect(),
             work: Vec::new(),
@@ -369,8 +332,6 @@ impl<T: Transport> Shard<T> {
             passes: 0,
             closed: vec![false; nodes.len()],
             open: nodes.len(),
-            pump_armed: false,
-            pump_due: false,
             woke: 0,
             ready: Vec::new(),
             recv_buf: Vec::new(),
@@ -378,9 +339,8 @@ impl<T: Transport> Shard<T> {
             nodes,
             links,
             index_of,
-            wheel: TimerWheel::new(),
+            schedule,
             mailbox,
-            cfg,
             epoch: Instant::now(),
             metrics,
             out: Outputs::new(TraceBuffer::new(shard, cfg.trace_capacity)),
@@ -401,43 +361,28 @@ impl<T: Transport> Shard<T> {
         ready: mpsc::Sender<mpsc::Sender<Instant>>,
         events: &mpsc::Sender<LiveEvent>,
     ) -> TraceBuffer {
-        let tau = self.cfg.tau.as_nanos() as u64;
-        let budget = self.cfg.exchange_budget.as_nanos() as u64;
-        for (ni, node) in self.nodes.iter().enumerate() {
-            for (fi, flow) in node.traffic.flows.iter().enumerate() {
-                self.wheel
-                    .schedule(flow.next_due, ShardTimer::FlowTick { node: ni, flow: fi });
-            }
-            for (si, ev) in node.churn.iter().enumerate() {
-                self.wheel.schedule(
-                    ev.at.as_nanos() as u64,
-                    ShardTimer::Churn { node: ni, step: si },
-                );
-            }
-        }
-        for r in 0..self.cfg.rounds {
-            self.wheel.schedule((r + 1) * tau, ShardTimer::RoundEnd(r));
-            self.wheel
-                .schedule((r + 1) * tau + budget, ShardTimer::RoundEval(r));
-        }
-        self.wheel.schedule(stop_ns, ShardTimer::Stop);
-
+        self.schedule.arm(self.nodes.len(), Some(stop_ns));
         // This worker's sockets find the poller through the thread, so
         // they register through whatever wraps them.
         let poller = poller::install();
         self.epoch = await_epoch(ready);
         let now = self.now_ns();
-        (self.out.trace).record(now, TraceKind::RoundStart, NO_ROUTER, 0, 0);
+        for node in &self.nodes {
+            let by = u32::from(node.id);
+            (self.out.trace).record(now, TraceKind::RoundStart, by, 0, 0);
+        }
         let mut handled = 0;
-        // Until every transport closed under us, or the stop.
+        // Until every transport closed under us, or the stop. Timeouts
+        // run after the pass, so a pump reads the acks already queued
+        // before it resends; what they send a shard-mate is served at once.
         while self.open > 0 {
             self.wait(&poller, handled);
-            if !self.fire_timers(events) {
+            handled = self.pass(&poller, events);
+            if !self.fire_timeouts(events) {
                 break;
             }
-            handled = self.pass(&poller, events);
-            if std::mem::take(&mut self.pump_due) {
-                self.for_each_node(Input::Pump, events);
+            if !self.work.is_empty() {
+                handled += self.pass(&poller, events);
             }
         }
 
@@ -450,26 +395,25 @@ impl<T: Transport> Shard<T> {
         self.out.trace
     }
 
-    /// Steps node `ni` with `input` at the current instant — timing the
-    /// step if it was a stage — sends the frames it produced and counts
-    /// each one due at the shard-mate it went to, in send order, so the
-    /// last one sent to is on top. Arms the pump if the node now awaits an
-    /// ack. Returns a flow tick's next deadline.
-    fn step(
-        &mut self,
-        ni: usize,
-        input: Input<'_>,
-        events: &mpsc::Sender<LiveEvent>,
-    ) -> Option<u64> {
-        let now = self.now_ns();
+    /// Steps node `ni` with `input` at `now` — timing the step against
+    /// the clock if it ran a stage — sends the frames it produced and
+    /// counts each one due at the shard-mate it went to, in send order, so
+    /// the last one sent to is on top, and re-arms the node.
+    fn step(&mut self, ni: usize, now: u64, input: Input<'_>, events: &mpsc::Sender<LiveEvent>) {
+        // A timeout steps at its batch's instant; its stage starts now.
+        let started = match input {
+            Input::Timeout => self.now_ns(),
+            _ => now,
+        };
         self.nodes[ni].step(now, input, &mut self.out);
-        if std::mem::take(&mut self.out.timed) {
-            let stage = match input {
-                Input::RoundEnd(_) => &self.metrics.round_end_ns,
-                Input::RoundEval(_) => &self.metrics.round_eval_ns,
-                _ => &self.metrics.digest_resolve_ns,
-            };
-            stage.record(self.now_ns().saturating_sub(now));
+        let timed = std::mem::take(&mut self.out.timed);
+        if timed.contains(&true) {
+            let spent = self.now_ns().saturating_sub(started);
+            let m = &self.metrics;
+            let stages = [&m.round_end_ns, &m.round_eval_ns, &m.digest_resolve_ns];
+            for (stage, _) in stages.iter().zip(timed).filter(|(_, ran)| *ran) {
+                stage.record(spent);
+            }
         }
         for (dst, at) in self.out.frames.drain(..) {
             let bytes = &self.out.bytes[at];
@@ -487,57 +431,31 @@ impl<T: Transport> Shard<T> {
         for event in self.out.events.drain(..) {
             let _ = events.send(event);
         }
-        // A frame sent at `now` or later is resent by a pump in
-        // [rto, rto + PUMP_STEP_NS] after it: pumps follow each other
-        // PUMP_STEP_NS apart while anything awaits an ack.
-        if !self.pump_armed && self.nodes[ni].awaits_ack() {
-            self.pump_armed = true;
-            self.wheel.schedule(now + PUMP_STEP_NS, ShardTimer::Pump);
-        }
-        self.out.next_tick.take()
+        self.schedule.arm(ni, self.nodes[ni].deadline());
     }
 
-    /// Runs every timer that is due. Returns false once the run is over.
-    fn fire_timers(&mut self, events: &mpsc::Sender<LiveEvent>) -> bool {
+    /// Steps every node whose deadline has come with a timeout, all at one
+    /// instant, in index order; an entry whose node is not due any more
+    /// steps nobody. Returns false once the stop is due.
+    fn fire_timeouts(&mut self, events: &mpsc::Sender<LiveEvent>) -> bool {
         let now = self.now_ns();
         let mut fired = std::mem::take(&mut self.fired);
-        self.wheel.pop_due_into(now, &mut fired);
-        for t in fired.drain(..) {
-            (self.out.trace).record(now, TraceKind::TimerFired, NO_ROUTER, NO_ROUND, 0);
-            match t {
-                ShardTimer::FlowTick { node, flow } => {
-                    if let Some(next) = self.step(node, Input::FlowTick(flow), events) {
-                        self.wheel
-                            .schedule(next, ShardTimer::FlowTick { node, flow });
-                    }
-                }
-                ShardTimer::RoundEnd(r) => {
-                    self.for_each_node(Input::RoundEnd(r), events);
-                    // The summary sends above still belong to round
-                    // r's slice; the next round opens after them.
-                    let now = self.now_ns();
-                    (self.out.trace).record(now, TraceKind::RoundEnd, NO_ROUTER, r, 0);
-                    if r + 1 < self.cfg.rounds {
-                        (self.out.trace).record(now, TraceKind::RoundStart, NO_ROUTER, r + 1, 0);
-                    }
-                }
-                ShardTimer::RoundEval(r) => self.for_each_node(Input::RoundEval(r), events),
-                ShardTimer::Pump => (self.pump_armed, self.pump_due) = (false, true),
-                ShardTimer::Churn { node, step } => {
-                    self.step(node, Input::Churn(step), events);
-                }
-                ShardTimer::Stop => return false,
+        self.schedule.pop_due(now, &mut fired);
+        let mut going = true;
+        for &(_, ni) in &fired {
+            let Some(node) = self.nodes.get(ni) else {
+                // The entry past the last node is the stop.
+                going = false;
+                break;
+            };
+            if node.deadline().is_some_and(|d| d <= now) {
+                self.step(ni, now, Input::Timeout, events);
+            } else {
+                self.schedule.arm(ni, node.deadline());
             }
         }
         self.fired = fired;
-        true
-    }
-
-    /// Steps every node of the shard with `input`, in order.
-    fn for_each_node(&mut self, input: Input<'_>, events: &mpsc::Sender<LiveEvent>) {
-        for ni in 0..self.nodes.len() {
-            self.step(ni, input, events);
-        }
+        going
     }
 
     /// Blocks until a socket of this shard is readable or the next timer
@@ -547,9 +465,9 @@ impl<T: Transport> Shard<T> {
     fn wait(&mut self, poller: &poller::Installed, handled: usize) {
         let now = self.now_ns();
         (self.metrics.shard_busy_ns).add(now.saturating_sub(self.woke));
-        // Only a shard driven by hand has an empty wheel.
+        // Only a shard driven by hand has no stop on its schedule.
         let until_timer =
-            (self.wheel.next_deadline()).map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(now));
+            (self.schedule.next_deadline()).map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(now));
         // Nothing announces a frame for a swept endpoint or the mailbox:
         // while the last pass found work there may be more, and an idle
         // wait stays short.
@@ -597,7 +515,7 @@ impl<T: Transport> Shard<T> {
         if let Some(envelopes) = self.mailbox.as_mut().map(|(_, mb)| mb.drain(512)) {
             for env in envelopes {
                 if let Some(&ni) = self.index_of.get(&env.dst) {
-                    self.step(ni, Input::Frame(&env.bytes), events);
+                    self.step(ni, self.now_ns(), Input::Frame(&env.bytes), events);
                     handled += 1;
                 }
             }
@@ -643,7 +561,7 @@ impl<T: Transport> Shard<T> {
                         self.drain.push(ni);
                     }
                     let buf = std::mem::take(&mut self.recv_buf);
-                    self.step(ni, Input::Frame(&buf[..n]), events);
+                    self.step(ni, self.now_ns(), Input::Frame(&buf[..n]), events);
                     self.recv_buf = buf;
                     handled += 1;
                 }
@@ -678,6 +596,66 @@ mod tests {
     use crate::transport::UdpNet;
     use fatih_topology::builtin;
 
+    /// Round length of a hand-driven shard: no round work falls due unless
+    /// a test moves the clock there.
+    const TAU: Duration = Duration::from_secs(3_600);
+
+    /// Every router of `topo` on one hand-driven shard over real sockets,
+    /// carrying one packet every [`INTERVAL`] on each (source,
+    /// destination) index pair of `flows`.
+    #[cfg(target_os = "linux")]
+    fn udp_shard(topo: &Topology, flows: &[(usize, usize)]) -> (Shard<UdpNet>, MetricsRegistry) {
+        udp_shard_every(topo, flows, INTERVAL)
+    }
+
+    /// Flow interval of a hand-driven shard.
+    const INTERVAL: Duration = Duration::from_millis(100);
+
+    /// [`udp_shard`], one packet every `interval`.
+    #[cfg(target_os = "linux")]
+    fn udp_shard_every(
+        topo: &Topology,
+        flows: &[(usize, usize)],
+        interval: Duration,
+    ) -> (Shard<UdpNet>, MetricsRegistry) {
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: (flows.iter())
+                .map(|&(s, d)| FlowSpec::new(ids[s], ids[d], 800, interval))
+                .collect(),
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            tau: TAU,
+            exchange_budget: Duration::from_secs(1),
+            shards: 1,
+            response: false,
+            ..LiveConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let metrics = NetMetrics::registered(&registry);
+        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
+        let mut prepared = LiveDeployment::prepare(topo, &spec, &cfg, transports, &metrics);
+        let nodes = prepared.shard_nodes.remove(0);
+        let shard = Shard::new(0, nodes, cfg, None, metrics);
+        (shard, registry)
+    }
+
+    /// The shard's clock moves on to `at`, unless it is there already.
+    #[cfg(target_os = "linux")]
+    fn clock_to(shard: &mut Shard<UdpNet>, at: u64) {
+        shard.epoch -= Duration::from_nanos(at.saturating_sub(shard.now_ns()));
+    }
+
+    /// What a flow tick does: the clock moves on to node `ni`'s deadline
+    /// and the shard fires what is due there.
+    #[cfg(target_os = "linux")]
+    fn tick(shard: &mut Shard<UdpNet>, ni: usize, events: &mpsc::Sender<LiveEvent>) {
+        let at = shard.nodes[ni].deadline().expect("a flow tick");
+        clock_to(shard, at);
+        assert!(shard.fire_timeouts(events));
+    }
+
     /// Drives one shard by hand, pass by pass, over real sockets: a packet
     /// injected at the head of a 6-line reaches its tail within *one*
     /// pass, because every hop marks the next router due before the pass
@@ -686,23 +664,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn a_forwarded_frame_is_received_within_the_same_pass() {
-        let topo = builtin::line(6);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(ids[0], ids[5], 800, Duration::from_secs(1))],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            shards: 1,
-            response: false,
-            ..LiveConfig::default()
-        };
-        let registry = MetricsRegistry::new();
-        let metrics = NetMetrics::registered(&registry);
-        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
-        let mut prepared = LiveDeployment::prepare(&topo, &spec, &cfg, transports, &metrics);
-        let nodes = prepared.shard_nodes.remove(0);
-        let mut shard = Shard::new(0, nodes, cfg, None, metrics);
+        let (mut shard, registry) = udp_shard(&builtin::line(6), &[(0, 5)]);
         let (events, _event_rx) = mpsc::channel();
         let poller = poller::install();
         let counter = |name: &str| registry.snapshot().counter(name);
@@ -713,8 +675,8 @@ mod tests {
         assert_eq!(counter("net.recv_polls"), 6);
         assert!(shard.swept.is_empty());
 
-        // What a flow tick does: router 0 injects one packet.
-        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        // Router 0's flow ticks: it injects one packet.
+        tick(&mut shard, 0, &events);
         assert_eq!(shard.due, [0, 1, 0, 0, 0, 0]);
         assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
         assert_eq!(counter("net.data_delivered"), 1);
@@ -732,39 +694,12 @@ mod tests {
         // Router 3 crashes: the next packet dies there, but its frame is
         // taken off the socket all the same and the shard goes quiet.
         shard.nodes[3].alive = false;
-        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        tick(&mut shard, 0, &events);
         assert_eq!(shard.pass(&poller, &events), 3);
         assert_eq!(counter("net.data_delivered"), 1);
         shard.wait(&poller, 3);
         assert!(shard.due.iter().all(|&d| d == 0), "{:?}", shard.due);
         assert!(shard.drain.is_empty(), "{:?}", shard.reported);
-    }
-
-    /// Every router of `topo` on one hand-driven shard over real sockets,
-    /// carrying one packet a second on each (source, destination) index
-    /// pair of `flows`.
-    #[cfg(target_os = "linux")]
-    fn udp_shard(topo: &Topology, flows: &[(usize, usize)]) -> (Shard<UdpNet>, MetricsRegistry) {
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: flows
-                .iter()
-                .map(|&(s, d)| FlowSpec::new(ids[s], ids[d], 800, Duration::from_secs(1)))
-                .collect(),
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            shards: 1,
-            response: false,
-            ..LiveConfig::default()
-        };
-        let registry = MetricsRegistry::new();
-        let metrics = NetMetrics::registered(&registry);
-        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
-        let mut prepared = LiveDeployment::prepare(topo, &spec, &cfg, transports, &metrics);
-        let nodes = prepared.shard_nodes.remove(0);
-        let shard = Shard::new(0, nodes, cfg, None, metrics);
-        (shard, registry)
     }
 
     /// The other way along the 6-line: every hop goes to a lower-indexed
@@ -780,7 +715,7 @@ mod tests {
         let counter = |name: &str| registry.snapshot().counter(name);
 
         assert_eq!(shard.pass(&poller, &events), 0);
-        assert!(shard.step(5, Input::FlowTick(0), &events).is_some());
+        tick(&mut shard, 5, &events);
         assert_eq!(shard.pass(&poller, &events), 5, "five hops, one pass");
         assert_eq!(counter("net.data_delivered"), 1);
         assert_eq!(counter("net.shard_passes"), 2);
@@ -806,14 +741,14 @@ mod tests {
         // Three of router 0's packets reach router 1's socket, and the
         // shard forgets it sent them: to it they came from outside.
         for _ in 0..3 {
-            assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+            tick(&mut shard, 0, &events);
         }
         shard.due[1] = 0;
         shard.work.clear();
         shard.wait(&poller, 0);
         assert!(shard.reported[1], "the poller reports router 1");
         // A fourth comes from a shard-mate.
-        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        tick(&mut shard, 0, &events);
         assert_eq!(
             shard.pass(&poller, &events),
             8,
@@ -834,12 +769,8 @@ mod tests {
         let (mut shard, registry) = udp_shard(&builtin::line(8), &[(3, 0), (7, 4)]);
         let (events, _event_rx) = mpsc::channel();
         let poller = poller::install();
-        for node in [3, 7] {
-            shard
-                .wheel
-                .schedule(0, ShardTimer::FlowTick { node, flow: 0 });
-        }
-        shard.fire_timers(&events);
+        assert_eq!(shard.nodes[3].deadline(), shard.nodes[7].deadline());
+        tick(&mut shard, 3, &events);
         while shard.pass(&poller, &events) > 0 {}
         assert_eq!(registry.snapshot().counter("net.data_delivered"), 2);
 
@@ -890,71 +821,58 @@ mod tests {
         }
     }
 
-    /// The retransmission pump is on the wheel only while a resident
-    /// router awaits an ack: an idle shard, and one that forwards data
-    /// only, has none; a round end's reliable summaries arm one; their
-    /// acks come back in the next pass, so the pump that fires resends
-    /// nothing and arms no other.
+    /// A router's pump is on its schedule only while it awaits an ack:
+    /// forwarding data arms none; a round end's reliable summaries arm one
+    /// at each sending end, before its evaluation; their acks come back in
+    /// the next pass, which leaves those entries stale, and when they fall
+    /// due they step nobody and resend nothing.
     #[cfg(target_os = "linux")]
     #[test]
     fn the_pump_is_armed_only_while_a_frame_awaits_its_ack() {
-        let (mut shard, registry) = udp_shard(&builtin::line(3), &[(0, 2)]);
+        // One packet: the flow's next tick comes after this test's rounds.
+        let (mut shard, registry) = udp_shard_every(&builtin::line(3), &[(0, 2)], TAU * 2);
         let (events, _event_rx) = mpsc::channel();
         let poller = poller::install();
+        let (tau, budget) = (TAU.as_nanos() as u64, 1_000_000_000);
+        let fired = |shard: &Shard<UdpNet>| shard.out.trace.recorded(TraceKind::TimerFired);
         assert_eq!(shard.pass(&poller, &events), 0);
-        assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+        tick(&mut shard, 0, &events);
         assert_eq!(shard.pass(&poller, &events), 2);
-        assert!(shard.wheel.is_empty(), "data alone arms no pump");
-
-        let armed_by = shard.now_ns();
-        shard.for_each_node(Input::RoundEnd(0), &events);
-        assert!(shard.nodes.iter().any(Router::awaits_ack));
-        assert_eq!(shard.wheel.len(), 1, "one pump for the whole shard");
-        let deadline = shard.wheel.next_deadline().expect("a pump");
-        assert!((armed_by + PUMP_STEP_NS..=shard.now_ns() + PUMP_STEP_NS).contains(&deadline));
-
-        while shard.pass(&poller, &events) > 0 {}
-        assert!(!shard.nodes.iter().any(Router::awaits_ack), "acked");
-        // The pump's deadline passes: it fires and runs, and nothing is
-        // left to arm the next one.
-        shard.epoch -= Duration::from_nanos(PUMP_STEP_NS);
-        assert!(shard.fire_timers(&events));
-        assert!(std::mem::take(&mut shard.pump_due));
-        shard.for_each_node(Input::Pump, &events);
-        assert!(shard.wheel.is_empty(), "the ack disarmed the pump");
-        assert_eq!(registry.snapshot().counter("net.retransmits"), 0);
-    }
-
-    /// A frame nobody acks is resent by the pump in `[rto, rto +
-    /// PUMP_STEP_NS]` after its send: the pump armed by the send finds it
-    /// not yet due, re-arms, and the next one resends it.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn an_unacked_frame_is_resent_between_rto_and_rto_plus_a_pump_step() {
-        let (mut shard, registry) = udp_shard(&builtin::line(3), &[(0, 2)]);
-        let (events, _event_rx) = mpsc::channel();
-        let poller = poller::install();
-        let retransmits = || registry.snapshot().counter("net.retransmits");
-        assert_eq!(PUMP_STEP_NS * 2, RELIABLE.rto_ns);
         for node in 1..3 {
-            shard.nodes[node].alive = false;
+            assert_eq!(
+                shard.nodes[node].deadline(),
+                Some(tau),
+                "data alone arms no pump"
+            );
         }
-        shard.step(0, Input::RoundEnd(0), &events);
-        assert!(shard.nodes[0].awaits_ack());
-        while shard.pass(&poller, &events) > 0 {}
 
-        let pump = |shard: &mut Shard<UdpNet>| {
-            shard.epoch -= Duration::from_nanos(PUMP_STEP_NS);
-            assert!(shard.fire_timers(&events));
-            assert!(std::mem::take(&mut shard.pump_due), "the pump fell due");
-            shard.for_each_node(Input::Pump, &events);
-        };
-        pump(&mut shard);
-        assert_eq!(retransmits(), 0, "not yet rto after the send");
-        assert_eq!(shard.wheel.len(), 1, "still awaited: re-armed");
-        pump(&mut shard);
-        assert!(retransmits() > 0, "resent by rto + PUMP_STEP_NS");
-        assert_eq!(shard.wheel.len(), 1);
+        clock_to(&mut shard, tau);
+        assert!(shard.fire_timeouts(&events));
+        let ended = fired(&shard);
+        let pumps: Vec<u64> = [0, 2]
+            .map(|n| shard.nodes[n].deadline().expect("a pump"))
+            .into();
+        assert!(
+            pumps.iter().all(|&d| tau < d && d < tau + budget),
+            "{pumps:?}"
+        );
+        assert_eq!(
+            shard.nodes[1].deadline(),
+            Some(tau + budget),
+            "router 1 sent nothing"
+        );
+
+        while shard.pass(&poller, &events) > 0 {}
+        for node in 0..3 {
+            assert_eq!(shard.nodes[node].deadline(), Some(tau + budget), "acked");
+        }
+        // The stale entries fall due: nobody is stepped, and each is
+        // replaced by its router's evaluation.
+        clock_to(&mut shard, pumps[0].max(pumps[1]));
+        assert!(shard.fire_timeouts(&events));
+        assert_eq!(fired(&shard), ended, "a stale entry steps nobody");
+        assert_eq!(registry.snapshot().counter("net.retransmits"), 0);
+        assert_eq!(shard.schedule.next_deadline(), Some(tau + budget));
     }
 
     /// A node with more than `RECV_SWEEP` frames queued takes that many in
@@ -970,7 +888,7 @@ mod tests {
         assert_eq!(shard.pass(&poller, &events), 0);
         let queued = RECV_SWEEP + 6;
         for _ in 0..queued {
-            assert!(shard.step(0, Input::FlowTick(0), &events).is_some());
+            tick(&mut shard, 0, &events);
         }
         // Router 1 takes its bound; each frame it forwards is delivered.
         assert_eq!(shard.pass(&poller, &events), 2 * RECV_SWEEP);

@@ -9,14 +9,18 @@
 //! floods meet the plan's loss, duplication, reordering, corruption, flaps
 //! and crashes, and attacks on transit traffic. The frame's bytes stay
 //! with the host, keyed by the packet; a copy the engine corrupted is
-//! handed over with a byte flipped, so the codec rejects it. Round ends,
-//! evaluations, the retransmission pump and the churn script fire at their
-//! instants, and when a router's route epoch moves its current path to
-//! every other router becomes the engine's route override for what it
-//! sources: the response reroutes the simulated traffic, control packets
-//! included. Routers of one epoch hold one view, so the host searches each
-//! epoch's routes once, one search per destination, and every router that
-//! moves to it installs its own row.
+//! handed over with a byte flipped, so the codec rejects it. Each router
+//! keeps its own schedule — round ends, evaluations, the retransmission
+//! pump, the churn script — and the host keeps one wheel of their
+//! deadlines and steps a router with a timeout when its deadline comes,
+//! the routers due at one instant in index order; rounds go on for as
+//! long as the host runs. When a
+//! router's route epoch moves its current path to every other router
+//! becomes the engine's route override for what it sources: the response
+//! reroutes the simulated traffic, control packets included. Routers of
+//! one epoch hold one view, so the host searches each epoch's routes
+//! once, one search per destination, and every router that moves to it
+//! installs its own row.
 //!
 //! The host's axis starts at the deployment instant, [`Network::now`] when
 //! the host is built: taps are restamped onto it, and round `r` covers
@@ -34,38 +38,21 @@
 //! amnesty's to forgive.
 
 use crate::codec::{peek_type, MsgType};
-use crate::router::{routers, Input, Outputs, Router, RELIABLE};
+use crate::router::{routers, Input, Outputs, Router};
 use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, NetMetrics};
-use crate::timer::TimerWheel;
+use crate::timer::Schedule;
 use fatih_core::spec::Suspicion;
-use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal};
+use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal, TraceKind};
 use fatih_sim::{FaultPlan, Network, PacketKind, SimTime, TapEvent};
 use fatih_topology::{Path, PathSegment, RouterId, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
-
-/// How often the host looks for frames due a retransmission while any
-/// router awaits an ack: twice per initial timeout, as a shard does.
-const PUMP_STEP_NS: u64 = RELIABLE.rto_ns / 2;
 
 /// How long a control packet is on the simulated wire, whatever its frame
 /// holds. The simulated links are scaled down (100 Mb/s, 64 KiB queues by
 /// default): a round's full summaries, all sent as it ends, would fill the
 /// queues of the traffic they summarise.
 const CONTROL_BYTES: u32 = 256;
-
-/// What the host's timer queue holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Timer {
-    /// Round `r` ends at every router.
-    RoundEnd(u64),
-    /// Round `r`'s exchange budget ran out at every router.
-    RoundEval(u64),
-    /// Every router sends again what is due.
-    Pump,
-    /// Router `node` performs step `step` of its churn script.
-    Churn { node: usize, step: usize },
-}
 
 /// Every live router of a simulated network, stepped on its clock.
 ///
@@ -104,9 +91,10 @@ pub struct SimHost {
     cfg: LiveConfig,
     /// The deployment instant: time zero of the host's axis.
     epoch: SimTime,
-    wheel: TimerWheel<Timer>,
-    /// A [`Timer::Pump`] is on the wheel.
-    pump_armed: bool,
+    /// Every router's deadline, by index.
+    schedule: Schedule,
+    /// Scratch for the entries that fall due.
+    fired: Vec<(u64, usize)>,
     /// Frames in flight by control packet id: when sent, and their bytes.
     in_flight: BTreeMap<u64, (SimTime, Vec<u8>)>,
     /// Where a delivered frame is handed over from.
@@ -158,30 +146,29 @@ impl SimHost {
             ..LiveSpec::default()
         };
         let registry = MetricsRegistry::new();
-        let (routers, _) = routers(topo, &spec, &cfg, &NetMetrics::registered(&registry));
+        let metrics = NetMetrics::registered(&registry);
+        let unbounded = LiveConfig {
+            rounds: u64::MAX,
+            ..cfg
+        };
+        let (routers, _) = routers(topo, &spec, &unbounded, &metrics);
         assert!(routers.iter().enumerate().all(|(i, r)| r.id.index() == i));
-        let mut wheel = TimerWheel::new();
-        let tau = cfg.tau.as_nanos() as u64;
-        wheel.schedule(tau, Timer::RoundEnd(0));
-        wheel.schedule(
-            tau + cfg.exchange_budget.as_nanos() as u64,
-            Timer::RoundEval(0),
-        );
-        for (node, router) in routers.iter().enumerate() {
-            for (step, ev) in router.churn.iter().enumerate() {
-                wheel.schedule(ev.at.as_nanos() as u64, Timer::Churn { node, step });
-            }
+        let mut schedule = Schedule::new(routers.len());
+        let mut trace = TraceBuffer::new(0, cfg.trace_capacity);
+        for (i, router) in routers.iter().enumerate() {
+            schedule.arm(i, router.deadline());
+            trace.record(0, TraceKind::RoundStart, u32::from(router.id), 0, 0);
         }
         Self {
             installed: routers.iter().map(Router::route_epoch).collect(),
             tables: HashMap::new(),
             silent: vec![false; routers.len()],
             routers,
-            out: Outputs::new(TraceBuffer::new(0, cfg.trace_capacity)),
+            out: Outputs::new(trace),
             cfg,
             epoch,
-            wheel,
-            pump_armed: false,
+            schedule,
+            fired: Vec::new(),
             in_flight: BTreeMap::new(),
             rx: Vec::new(),
             events: Vec::new(),
@@ -200,12 +187,12 @@ impl SimHost {
     /// delivery and timer up to and including that instant.
     pub fn run(&mut self, net: &mut Network, until: SimTime) {
         loop {
-            let next = (self.wheel.next_deadline()).map(|ns| self.epoch + SimTime::from_ns(ns));
+            let next = (self.schedule.next_deadline()).map(|ns| self.epoch + SimTime::from_ns(ns));
             let horizon = next.map_or(until, |t| t.min(until));
             if net.run_until_control(horizon, |ev| self.observe(ev)) {
                 self.deliver(net);
             } else if next.is_some_and(|t| t <= until) {
-                self.fire_timers(net);
+                self.fire_timeouts(net);
             } else {
                 break;
             }
@@ -278,32 +265,19 @@ impl SimHost {
         }
     }
 
-    /// Runs every timer due by now.
-    fn fire_timers(&mut self, net: &mut Network) {
-        let tau = self.cfg.tau.as_nanos() as u64;
-        let budget = self.cfg.exchange_budget.as_nanos() as u64;
-        for t in self.wheel.pop_due(self.host_now(net)) {
-            match t {
-                Timer::RoundEnd(r) => {
-                    self.wheel.schedule((r + 2) * tau, Timer::RoundEnd(r + 1));
-                    self.wheel
-                        .schedule((r + 2) * tau + budget, Timer::RoundEval(r + 1));
-                    self.step_all(net, Input::RoundEnd(r));
-                }
-                Timer::RoundEval(r) => self.step_all(net, Input::RoundEval(r)),
-                Timer::Pump => {
-                    self.pump_armed = false;
-                    self.step_all(net, Input::Pump);
-                }
-                Timer::Churn { node, step } => self.step(net, node, Input::Churn(step)),
+    /// Steps every router whose deadline has come with a timeout, in index
+    /// order; an entry whose router is not due any more steps nobody.
+    fn fire_timeouts(&mut self, net: &mut Network) {
+        let now = self.host_now(net);
+        let mut fired = std::mem::take(&mut self.fired);
+        self.schedule.pop_due(now, &mut fired);
+        for &(_, i) in &fired {
+            match self.routers[i].deadline() {
+                Some(d) if d <= now => self.step(net, i, Input::Timeout),
+                later => self.schedule.arm(i, later),
             }
         }
-    }
-
-    fn step_all(&mut self, net: &mut Network, input: Input<'_>) {
-        for i in 0..self.routers.len() {
-            self.step(net, i, input);
-        }
+        self.fired = fired;
     }
 
     fn host_now(&self, net: &Network) -> u64 {
@@ -311,13 +285,13 @@ impl SimHost {
     }
 
     /// Steps router `i` with `input` now and carries out what it said:
-    /// frames into the network, events into the log, the pump onto the
-    /// wheel, and its paths into the engine if its route epoch moved.
+    /// frames into the network, events into the log, its deadline onto the
+    /// schedule, and its paths into the engine if its route epoch moved.
     fn step(&mut self, net: &mut Network, i: usize, input: Input<'_>) {
         let (at, now) = (net.now(), self.host_now(net));
         let router = &mut self.routers[i];
         router.step(now, input, &mut self.out);
-        self.out.timed = false;
+        self.out.timed = [false; 3];
         for (dst, span) in self.out.frames.drain(..) {
             let bytes = &self.out.bytes[span];
             let pik2 = matches!(
@@ -333,10 +307,7 @@ impl SimHost {
         self.out.bytes.clear();
         self.events
             .extend(self.out.events.drain(..).map(|e| (at, e)));
-        if !self.pump_armed && router.awaits_ack() {
-            self.pump_armed = true;
-            self.wheel.schedule(now + PUMP_STEP_NS, Timer::Pump);
-        }
+        self.schedule.arm(i, router.deadline());
         let epoch = router.route_epoch();
         if epoch != self.installed[i] {
             self.installed[i] = epoch;
@@ -739,5 +710,35 @@ mod tests {
                 (6, r[1], Restart),
             ]
         );
+    }
+
+    /// Each router is stepped with a timeout exactly at its deadlines and
+    /// no more: on a clean 4-line, three rounds' ends and evaluations are
+    /// six steps a router, at those instants. The segment ends' summaries
+    /// arm their pumps, the acks come back first, and the stale entries
+    /// the pumps leave step nobody.
+    #[test]
+    fn a_router_is_stepped_at_its_deadlines_and_a_stale_entry_steps_nobody() {
+        let (mut net, ids) = line(4, 5);
+        flow(&mut net, ids[0], ids[3]);
+        let cfg = LiveConfig {
+            trace_capacity: 1 << 17, // every record of the run
+            ..chapter5(false)
+        };
+        let mut host = SimHost::new(&net, cfg);
+        host.run(&mut net, secs(19));
+        let trace = host.trace();
+        assert_eq!(trace.dropped(), 0);
+        let m = host.metrics();
+        assert!(m.counter("net.control_bytes_sent") > 0, "no summary sent");
+        assert_eq!(m.counter("net.retransmits"), 0);
+        let due = [5_000, 9_000, 10_000, 14_000, 15_000, 19_000].map(|ms| ms * 1_000_000);
+        for id in &ids {
+            let at: Vec<u64> = (trace.events().iter())
+                .filter(|e| e.kind == TraceKind::TimerFired && e.router == u32::from(*id))
+                .map(|e| e.t_ns)
+                .collect();
+            assert_eq!(at, due, "router {id}");
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! A deadline-ordered timer queue.
 //!
-//! Each shard keeps one queue for all of its routers' timers — flow ticks,
-//! round boundaries, evaluation deadlines, retransmit pumps, churn steps,
-//! its own stop — and blocks in one `epoll` wait until a socket is
-//! readable or the earliest deadline is due. The queue is one binary heap
+//! Each host keeps one queue of its routers keyed by their deadlines
+//! (`Schedule`) — a shard also keeps its own stop there — and a shard
+//! blocks in one `epoll` wait until a socket is readable or the earliest
+//! deadline is due. The queue is one binary heap
 //! ordered by (deadline, insertion order): scheduling and popping an entry
 //! cost O(log n), and asking for the earliest deadline or finding nothing
 //! due costs O(1), however many entries wait and however far ahead.
@@ -77,6 +77,63 @@ impl<T: Ord> TimerWheel<T> {
     /// The earliest scheduled deadline, if any.
     pub fn next_deadline(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse((deadline, _, _))| *deadline)
+    }
+}
+
+/// A host's routers on one [`TimerWheel`], by index, keyed by deadline.
+///
+/// The host re-arms a router after every step that may have moved its
+/// deadline. An entry is pushed only when that deadline is earlier than
+/// any the wheel already holds for the router; an entry whose router's
+/// deadline has since moved later stays behind, stale, and the host
+/// checks every popped entry against the router's current deadline. A
+/// stale pop re-arms at most the one entry it took the place of, so stale
+/// entries never grow the wheel.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    /// (deadline, index) by deadline.
+    wheel: TimerWheel<(u64, usize)>,
+    /// Per index, the earliest deadline the wheel holds for it;
+    /// `u64::MAX`: none that is known.
+    armed: Vec<u64>,
+}
+
+impl Schedule {
+    /// An empty schedule for indices `0..slots`.
+    pub(crate) fn new(slots: usize) -> Self {
+        Self {
+            wheel: TimerWheel::new(),
+            armed: vec![u64::MAX; slots],
+        }
+    }
+
+    /// Index `i` is next due at `deadline`: pushed if that is earlier than
+    /// any entry the wheel holds for it.
+    pub(crate) fn arm(&mut self, i: usize, deadline: Option<u64>) {
+        if let Some(d) = deadline.filter(|&d| d < self.armed[i]) {
+            self.armed[i] = d;
+            self.wheel.schedule(d, (d, i));
+        }
+    }
+
+    /// Replaces `due` with every entry due by `now`, in (deadline, index)
+    /// order, each once. Each is to be checked against its router's
+    /// current deadline, and re-armed.
+    pub(crate) fn pop_due(&mut self, now: u64, due: &mut Vec<(u64, usize)>) {
+        due.clear();
+        self.wheel.pop_due_into(now, due);
+        due.sort_unstable();
+        due.dedup();
+        for &(d, i) in due.iter() {
+            if self.armed[i] == d {
+                self.armed[i] = u64::MAX;
+            }
+        }
+    }
+
+    /// The earliest deadline on the wheel, stale or not.
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
+        self.wheel.next_deadline()
     }
 }
 

@@ -247,22 +247,6 @@ impl Network {
         );
     }
 
-    /// Overrides the queue byte limit of one interface (before running).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link does not exist or traffic already flowed.
-    pub fn set_queue_limit(&mut self, from: RouterId, to: RouterId, limit_bytes: u32) {
-        let link = self
-            .links
-            .get_mut(&(from, to))
-            .unwrap_or_else(|| panic!("no link {from} -> {to}"));
-        assert_eq!(link.queue.len_bytes(), 0, "queue already in use");
-        let disc = link.queue.discipline();
-        link.params.queue_limit_bytes = limit_bytes;
-        link.queue = OutputQueueState::new(disc, limit_bytes, link.params.bandwidth_bps);
-    }
-
     /// Installs the attack set of a compromised router (replacing any
     /// previous set). An empty vector restores correct behaviour.
     pub fn set_attacks(&mut self, router: RouterId, attacks: Vec<Attack>) {
@@ -1023,14 +1007,12 @@ mod tests {
         assert!(via_kc > 0);
 
         // Override to the southern route.
-        let av = fatih_topology::AvoidingRoutes::new(
-            net.topology(),
-            vec![PathSegment::new(vec![
-                net.topology().router_by_name("Denver").unwrap(),
-                kc,
-                net.topology().router_by_name("Indianapolis").unwrap(),
-            ])],
-        );
+        let mut av = fatih_topology::DynamicTopology::new(net.topology().clone());
+        av.exclude_segment(PathSegment::new(vec![
+            net.topology().router_by_name("Denver").unwrap(),
+            kc,
+            net.topology().router_by_name("Indianapolis").unwrap(),
+        ]));
         let detour = av.path(sun, ny).unwrap();
         net.set_route_override(sun, ny, detour);
         net.add_cbr_flow(

@@ -16,10 +16,12 @@
 //! over (router, automaton state), and the tie-break that makes the
 //! answer least disruptive — a pair whose link-state route crosses no
 //! suspected segment keeps it — are [the one route
-//! computation](crate::routing#the-rule).
+//! computation](crate::routing#the-rule); a
+//! [`DynamicTopology`](crate::DynamicTopology) with segments excluded
+//! ([`exclude_segment`](crate::DynamicTopology::exclude_segment)) routes
+//! around them.
 
-use crate::graph::{RouterId, Topology};
-use crate::routing::{Path, Toward};
+use crate::graph::RouterId;
 use crate::segments::PathSegment;
 use std::collections::HashMap;
 
@@ -152,83 +154,20 @@ impl SegmentAutomaton {
     }
 }
 
-/// A routing fabric with a set of suspected path segments excluded
-/// (§2.4.3). Paths produced by [`path`](Self::path) never traverse any
-/// excluded segment; routers only appearing *inside* excluded segments
-/// remain usable on other routes, exactly like Fatih's policy routing.
-///
-/// # Examples
-///
-/// ```
-/// use fatih_topology::{builtin, AvoidingRoutes, PathSegment};
-///
-/// let t = builtin::abilene();
-/// let sun = t.router_by_name("Sunnyvale").unwrap();
-/// let ny = t.router_by_name("NewYork").unwrap();
-/// let den = t.router_by_name("Denver").unwrap();
-/// let kc = t.router_by_name("KansasCity").unwrap();
-/// let ind = t.router_by_name("Indianapolis").unwrap();
-///
-/// let direct = t.link_state_routes().path(sun, ny).unwrap();
-/// assert!(direct.routers().contains(&kc)); // primary route via Kansas City
-///
-/// let avoiding = AvoidingRoutes::new(&t, vec![
-///     PathSegment::new(vec![den, kc, ind]),
-///     PathSegment::new(vec![ind, kc, den]),
-/// ]);
-/// let rerouted = avoiding.path(sun, ny).unwrap();
-/// assert!(!rerouted.contains_segment(&[den, kc, ind]));
-/// ```
-#[derive(Debug, Clone)]
-pub struct AvoidingRoutes<'a> {
-    topo: &'a Topology,
-    automaton: SegmentAutomaton,
-}
-
-impl<'a> AvoidingRoutes<'a> {
-    /// Builds the avoidance fabric for a set of suspected segments.
-    pub fn new(topo: &'a Topology, excluded: Vec<PathSegment>) -> Self {
-        let automaton = SegmentAutomaton::reversed(&excluded);
-        Self { topo, automaton }
-    }
-
-    fn toward(&self, dst: RouterId) -> Toward<'_, impl Fn(RouterId, RouterId) -> bool> {
-        Toward::search(self.topo, |_, _| true, &self.automaton, dst)
-    }
-
-    /// Cheapest path from `src` to `dst` that contains no excluded segment,
-    /// or `None` if every path is forbidden (or `dst` is unreachable).
-    pub fn path(&self, src: RouterId, dst: RouterId) -> Option<Path> {
-        self.toward(dst).path(src)
-    }
-
-    /// The [`path`](Self::path) of every ordered pair that has one
-    /// (trivial self-paths excluded), in the order of
-    /// [`Routes::all_paths`](crate::Routes::all_paths) — one search per
-    /// destination.
-    pub fn all_paths(&self) -> Vec<Path> {
-        let routers = || self.topo.routers();
-        let toward: Vec<_> = routers().map(|dst| self.toward(dst)).collect();
-        let pairs = routers().flat_map(|src| routers().map(move |dst| (src, dst)));
-        pairs
-            .filter(|(src, dst)| src != dst)
-            .filter_map(|(src, dst)| toward[dst.index()].path(src))
-            .collect()
-    }
-
-    /// Like [`path`](Self::path), but a failure is typed: the caller
-    /// learns whether the destination was unreachable to begin with
-    /// ([`AvoidanceError::Disconnected`]) or only became so under the
-    /// current exclusions ([`AvoidanceError::AllPathsExcluded`]).
-    pub fn route(&self, src: RouterId, dst: RouterId) -> Result<Path, AvoidanceError> {
-        self.toward(dst).route(src)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::LinkParams;
+    use crate::dynamic::DynamicTopology;
+    use crate::graph::{LinkParams, Topology};
+
+    /// `t` with `excluded` routed around.
+    fn avoiding(t: &Topology, excluded: Vec<PathSegment>) -> DynamicTopology {
+        let mut overlay = DynamicTopology::new(t.clone());
+        for seg in excluded {
+            overlay.exclude_segment(seg);
+        }
+        overlay
+    }
 
     /// r0 - r1 - r2 - r3 line plus a bypass r0 - r4 - r5 - r3.
     fn line_with_bypass() -> (Topology, Vec<RouterId>) {
@@ -250,18 +189,20 @@ mod tests {
 
     #[test]
     fn no_exclusions_matches_link_state_route() {
-        let (t, rs) = line_with_bypass();
-        let av = AvoidingRoutes::new(&t, vec![]);
+        let (t, _) = line_with_bypass();
+        let mut av = avoiding(&t, vec![]);
         let routes = t.link_state_routes();
-        assert_eq!(av.path(rs[0], rs[3]), routes.path(rs[0], rs[3]));
-        assert_eq!(av.all_paths(), routes.all_paths().collect::<Vec<_>>());
+        for plain in routes.all_paths() {
+            let (src, dst) = (plain.source(), plain.sink());
+            assert_eq!(av.path(src, dst), Ok(plain));
+        }
     }
 
     #[test]
     fn excluded_segment_forces_detour() {
         let (t, rs) = line_with_bypass();
         let seg = PathSegment::new(vec![rs[1], rs[2]]);
-        let av = AvoidingRoutes::new(&t, vec![seg]);
+        let mut av = avoiding(&t, vec![seg]);
         let p = av.path(rs[0], rs[3]).unwrap();
         assert_eq!(p.routers(), &[rs[0], rs[4], rs[5], rs[3]]);
     }
@@ -271,7 +212,7 @@ mod tests {
         // Excluding ⟨r1, r2⟩ must not stop r0 -> r1 or r2 -> r3 traffic.
         let (t, rs) = line_with_bypass();
         let seg = PathSegment::new(vec![rs[1], rs[2]]);
-        let av = AvoidingRoutes::new(&t, vec![seg]);
+        let mut av = avoiding(&t, vec![seg]);
         assert_eq!(av.path(rs[0], rs[1]).unwrap().routers(), &[rs[0], rs[1]]);
         assert_eq!(av.path(rs[2], rs[3]).unwrap().routers(), &[rs[2], rs[3]]);
     }
@@ -281,7 +222,7 @@ mod tests {
         let (t, rs) = line_with_bypass();
         // Exclude ⟨r0, r1, r2⟩ but not ⟨r1, r2⟩ itself.
         let seg = PathSegment::new(vec![rs[0], rs[1], rs[2]]);
-        let av = AvoidingRoutes::new(&t, vec![seg]);
+        let mut av = avoiding(&t, vec![seg]);
         // r0 -> r3 must detour…
         let p = av.path(rs[0], rs[3]).unwrap();
         assert!(!p.contains_segment(&[rs[0], rs[1], rs[2]]));
@@ -300,16 +241,16 @@ mod tests {
         let c = t.add_router("c");
         t.add_duplex_link(a, b, LinkParams::default());
         t.add_duplex_link(b, c, LinkParams::default());
-        let av = AvoidingRoutes::new(&t, vec![PathSegment::new(vec![a, b])]);
-        assert_eq!(av.path(a, c), None);
+        let mut av = avoiding(&t, vec![PathSegment::new(vec![a, b])]);
+        assert!(av.path(a, c).is_err());
         // Reverse direction unaffected (segments are directional).
-        assert!(av.path(c, a).is_some());
+        assert!(av.path(c, a).is_ok());
     }
 
     #[test]
     fn overlapping_segments_all_respected() {
         let (t, rs) = line_with_bypass();
-        let av = AvoidingRoutes::new(
+        let mut av = avoiding(
             &t,
             vec![
                 PathSegment::new(vec![rs[1], rs[2]]),
@@ -318,7 +259,7 @@ mod tests {
         );
         // Both the primary and the bypass are now cut in the forward
         // direction.
-        assert_eq!(av.path(rs[0], rs[3]), None);
+        assert!(av.path(rs[0], rs[3]).is_err());
     }
 
     #[test]
@@ -326,7 +267,7 @@ mod tests {
         // Pattern ⟨r2, r3⟩ must be caught even after a longer non-matching
         // prefix (exercises the failure links).
         let (t, rs) = line_with_bypass();
-        let av = AvoidingRoutes::new(&t, vec![PathSegment::new(vec![rs[2], rs[3]])]);
+        let mut av = avoiding(&t, vec![PathSegment::new(vec![rs[2], rs[3]])]);
         let p = av.path(rs[0], rs[3]).unwrap();
         assert_eq!(p.routers(), &[rs[0], rs[4], rs[5], rs[3]]);
         // r0 -> r2 is fine.
@@ -339,17 +280,8 @@ mod tests {
     #[test]
     fn trivial_path_allowed() {
         let (t, rs) = line_with_bypass();
-        let av = AvoidingRoutes::new(&t, vec![PathSegment::new(vec![rs[0], rs[1]])]);
+        let mut av = avoiding(&t, vec![PathSegment::new(vec![rs[0], rs[1]])]);
         assert!(av.path(rs[0], rs[0]).unwrap().is_trivial());
-    }
-
-    #[test]
-    fn route_ok_matches_path() {
-        let (t, rs) = line_with_bypass();
-        let seg = PathSegment::new(vec![rs[1], rs[2]]);
-        let av = AvoidingRoutes::new(&t, vec![seg]);
-        let p = av.route(rs[0], rs[3]).unwrap();
-        assert_eq!(Some(p), av.path(rs[0], rs[3]));
     }
 
     #[test]
@@ -359,7 +291,7 @@ mod tests {
         // connected — so the typed error must say *excluded*, not
         // *disconnected*.
         let (t, rs) = line_with_bypass();
-        let av = AvoidingRoutes::new(
+        let mut av = avoiding(
             &t,
             vec![
                 PathSegment::new(vec![rs[0], rs[1], rs[2]]),
@@ -368,7 +300,7 @@ mod tests {
             ],
         );
         assert_eq!(
-            av.route(rs[0], rs[3]),
+            av.path(rs[0], rs[3]),
             Err(AvoidanceError::AllPathsExcluded {
                 src: rs[0],
                 dst: rs[3],
@@ -378,7 +310,7 @@ mod tests {
         // still work: r1 -> r3 avoids ⟨r1, r2, r3⟩ by detouring is
         // impossible on the line, so it is excluded too…
         assert_eq!(
-            av.route(rs[1], rs[3]),
+            av.path(rs[1], rs[3]),
             Err(AvoidanceError::AllPathsExcluded {
                 src: rs[1],
                 dst: rs[3],
@@ -386,7 +318,7 @@ mod tests {
         );
         // …while r2 -> r3 (a strict suffix of an excluded pattern, not a
         // match) is unaffected.
-        assert_eq!(av.route(rs[2], rs[3]).unwrap().routers(), &[rs[2], rs[3]]);
+        assert_eq!(av.path(rs[2], rs[3]).unwrap().routers(), &[rs[2], rs[3]]);
     }
 
     #[test]
@@ -396,9 +328,9 @@ mod tests {
         let b = t.add_router("b");
         let island = t.add_router("island");
         t.add_duplex_link(a, b, LinkParams::default());
-        let av = AvoidingRoutes::new(&t, vec![PathSegment::new(vec![a, b])]);
+        let mut av = avoiding(&t, vec![PathSegment::new(vec![a, b])]);
         assert_eq!(
-            av.route(a, island),
+            av.path(a, island),
             Err(AvoidanceError::Disconnected {
                 src: a,
                 dst: island
@@ -407,7 +339,7 @@ mod tests {
         // Reachable but fully excluded on the same instance still reports
         // the exclusion variant.
         assert_eq!(
-            av.route(a, b),
+            av.path(a, b),
             Err(AvoidanceError::AllPathsExcluded { src: a, dst: b })
         );
     }

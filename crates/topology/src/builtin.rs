@@ -330,18 +330,16 @@ mod tests {
 
     #[test]
     fn abilene_detour_costs_28() {
-        use crate::avoidance::AvoidingRoutes;
+        use crate::dynamic::DynamicTopology;
         use crate::segments::PathSegment;
         let t = abilene();
         let by = |n: &str| t.router_by_name(n).unwrap();
-        let av = AvoidingRoutes::new(
-            &t,
-            vec![PathSegment::new(vec![
-                by("Denver"),
-                by("KansasCity"),
-                by("Indianapolis"),
-            ])],
-        );
+        let mut av = DynamicTopology::new(t.clone());
+        av.exclude_segment(PathSegment::new(vec![
+            by("Denver"),
+            by("KansasCity"),
+            by("Indianapolis"),
+        ]));
         let p = av.path(by("Sunnyvale"), by("NewYork")).unwrap();
         let names: Vec<&str> = p.routers().iter().map(|&id| t.name(id)).collect();
         assert_eq!(

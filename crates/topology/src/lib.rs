@@ -12,8 +12,9 @@
 //!   ([`Routes`], [`Path`]);
 //! * [`segments`] — [`PathSegment`] and the monitored sets `P_r` for
 //!   Protocol Π2 ([`pi2_segments`]) and Protocol Πk+2 ([`pik2_segments`]);
-//! * [`avoidance`] — the §2.4.3 response: shortest paths that never
-//!   traverse a suspected segment ([`AvoidingRoutes`]);
+//! * [`avoidance`] — the §2.4.3 response: the automaton that keeps a
+//!   search from completing a suspected segment, which
+//!   [`DynamicTopology::exclude_segment`] routes around;
 //! * [`builtin`] — Abilene (Fig 5.6), synthetic Sprintlink/EBONE stand-ins
 //!   (Figs 5.2/5.4), and test fixtures.
 //!
@@ -42,7 +43,7 @@ pub mod graph;
 pub mod routing;
 pub mod segments;
 
-pub use avoidance::{AvoidanceError, AvoidingRoutes};
+pub use avoidance::AvoidanceError;
 pub use dynamic::DynamicTopology;
 pub use graph::{Link, LinkParams, RouterId, Topology};
 pub use routing::{searches_on_this_thread, Path, Routes};

@@ -27,9 +27,8 @@
 //! nothing excluded it has one state). [`Topology::link_state_routes`]
 //! is that search with every link usable and nothing excluded, run toward
 //! a destination the first time a route to it is asked for;
-//! [`AvoidingRoutes`](crate::AvoidingRoutes) adds the automaton and
-//! [`DynamicTopology`](crate::DynamicTopology) the overlay's predicate as
-//! well. Every search counts in [`searches_on_this_thread`].
+//! [`DynamicTopology`](crate::DynamicTopology) adds the automaton and the
+//! overlay's predicate. Every search counts in [`searches_on_this_thread`].
 
 use crate::avoidance::{AvoidanceError, SegmentAutomaton};
 use crate::graph::{RouterId, Topology};

@@ -40,14 +40,7 @@ fn both_protocols_catch_a_dropper_on_random_topologies() {
         };
         let ks = keystore_for(&topo);
         let mut net = Network::new(topo, seed);
-        let mut pi2 = Pi2Detector::new(
-            net.routes(),
-            ks.clone(),
-            Pi2Config {
-                use_consensus: false, // identical decisions, much faster
-                ..Pi2Config::default()
-            },
-        );
+        let mut pi2 = Pi2Detector::new(net.routes(), ks.clone(), Pi2Config::default());
         let mut pik2 = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
         let flow = net.add_cbr_flow(src, dst, 1000, SimTime::from_ms(2), SimTime::ZERO, None);
         net.set_attacks(evil, vec![Attack::drop_flows([flow], 0.4)]);

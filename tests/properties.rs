@@ -9,7 +9,7 @@ use fatih::protocols::monitor::{Record, Report, ReportEntry};
 use fatih::protocols::rounds::Window;
 use fatih::sim::SimTime;
 use fatih::stats::{erf, normal};
-use fatih::topology::{builtin, AvoidingRoutes, DynamicTopology, PathSegment, RouterId};
+use fatih::topology::{builtin, DynamicTopology, PathSegment, RouterId};
 use fatih::validation::digest::ContentDigest;
 use fatih::validation::field::Fe;
 use fatih::validation::summary::ContentSummary;
@@ -173,14 +173,15 @@ fn avoidance_respects_exclusions() {
         }
         let mid = longest.len() / 2;
         let seg = PathSegment::new(longest.routers()[mid - 1..=mid].to_vec());
-        let av = AvoidingRoutes::new(&topo, vec![seg.clone()]);
+        let mut av = DynamicTopology::new(topo.clone());
+        av.exclude_segment(seg.clone());
         let ids: Vec<RouterId> = topo.routers().collect();
         for &s in &ids {
             for &d in &ids {
                 if s == d {
                     continue;
                 }
-                match av.path(s, d) {
+                match av.path(s, d).ok() {
                     Some(p) => {
                         assert!(!p.contains_segment(seg.routers()), "case {case}");
                         let plain = routes.path(s, d).unwrap();
