@@ -315,8 +315,10 @@ fn batched_fingerprint_kernel_is_three_times_scalar_on_1500_bytes() {
     // Warm up both paths before timing.
     fingerprint_rate(&key, &msg, 1_000, false);
     fingerprint_rate(&key, &msg, 1_000, true);
-    let scalar = fingerprint_rate(&key, &msg, 200_000, false);
-    let batch = fingerprint_rate(&key, &msg, 200_000, true);
+    let (batch, scalar) = best_of(TRIES, || {
+        let batch = fingerprint_rate(&key, &msg, 200_000, true);
+        (batch, fingerprint_rate(&key, &msg, 200_000, false))
+    });
     let speedup = batch / scalar;
     println!(
         "fingerprint kernel: scalar {:.0} MB/s, batched {:.0} MB/s ({speedup:.2}× scalar)",
@@ -329,11 +331,17 @@ fn batched_fingerprint_kernel_is_three_times_scalar_on_1500_bytes() {
     );
 }
 
-/// The Abilene tap tape: one source enqueue and one sink arrival per
-/// packet, 1 500 B each, spread round-robin over the maximal routed paths
-/// of three or more routers. Only *maximal* paths are kept: a shortest
-/// path's subpath is itself a routed path, and a nested segment would be
-/// fed the tape's source events but not its sink events.
+/// How many packets later a packet's sink arrival comes in
+/// [`abilene_tape`] than its source enqueue: two of the pipeline's
+/// 512-event batches, as a path's latency puts them in a simulator run.
+const TRAIL: usize = 512;
+
+/// The Abilene tap tape, in time order: one source enqueue and one sink
+/// arrival per packet, 1 500 B each, spread round-robin over the maximal
+/// routed paths of three or more routers, each arrival [`TRAIL`] packets
+/// after its enqueue. Only *maximal* paths are kept: a shortest path's
+/// subpath is itself a routed path, and a nested segment would be fed the
+/// tape's source events but not its sink events.
 fn abilene_tape(packets: usize) -> (Vec<PathSegment>, PathOracle, Vec<TapEvent>) {
     let routes = builtin::abilene().link_state_routes();
     let all: Vec<Path> = routes
@@ -351,37 +359,46 @@ fn abilene_tape(packets: usize) -> (Vec<PathSegment>, PathOracle, Vec<TapEvent>)
         .iter()
         .map(|p| PathSegment::new(p.routers().to_vec()))
         .collect();
-    let mut events = Vec::with_capacity(packets * 2);
-    for i in 0..packets {
+    // Packet i is sent at 100·i ns and arrives 50 ns after packet
+    // i + TRAIL is sent.
+    let packet = |i: usize| {
         let routers = paths[i % paths.len()].routers();
-        let (src, dst) = (routers[0], routers[routers.len() - 1]);
         let id = PacketId(i as u64 + 1);
-        let time = SimTime::from_ns(i as u64 * 100);
         let packet = Packet {
             id,
-            src,
-            dst,
+            src: routers[0],
+            dst: routers[routers.len() - 1],
             flow: FlowId((i % paths.len()) as u32),
             kind: PacketKind::Data,
             size: 1500,
             seq: i as u64,
             payload_tag: Packet::expected_tag(id),
             ttl: Packet::DEFAULT_TTL,
-            created_at: time,
+            created_at: SimTime::from_ns(i as u64 * 100),
         };
-        events.push(TapEvent::Enqueued {
-            router: src,
-            next_hop: routers[1],
-            packet,
-            time,
-            queue_len_after: 0,
-        });
-        events.push(TapEvent::Arrived {
-            router: dst,
-            from: Some(routers[routers.len() - 2]),
-            packet,
-            time: SimTime::from_ns(i as u64 * 100 + 50),
-        });
+        (packet, routers)
+    };
+    let mut events = Vec::with_capacity(packets * 2);
+    for i in 0..packets + TRAIL {
+        if i < packets {
+            let (packet, routers) = packet(i);
+            events.push(TapEvent::Enqueued {
+                router: packet.src,
+                next_hop: routers[1],
+                packet,
+                time: packet.created_at,
+                queue_len_after: 0,
+            });
+        }
+        if let Some(i) = i.checked_sub(TRAIL) {
+            let (packet, routers) = packet(i);
+            events.push(TapEvent::Arrived {
+                router: packet.dst,
+                from: Some(routers[routers.len() - 2]),
+                packet,
+                time: SimTime::from_ns((i + TRAIL) as u64 * 100 + 50),
+            });
+        }
     }
     (segments, PathOracle::from_routes(&routes), events)
 }
@@ -399,8 +416,10 @@ fn abilene_validation_pipeline_clears_a_million_packets_per_second() {
         ks.register(u32::from(r));
     }
     let (segments, oracle, events) = abilene_tape(PACKETS);
+    let mut memo = (0, 0);
     let (pps, scalar) = best_of(TRIES, || {
-        let pps = pipeline_rate(&segments, &oracle, &ks, &events);
+        let pps;
+        (pps, memo) = pipeline_rate(&segments, &oracle, &ks, &events);
         (pps, scalar_pass_rate(&segments, &ks, &events))
     });
     let ratio = pps / scalar;
@@ -415,17 +434,32 @@ fn abilene_validation_pipeline_clears_a_million_packets_per_second() {
         ratio >= PIPELINE_FLOOR,
         "pipeline is {ratio:.3}× a scalar fingerprint pass, below the {PIPELINE_FLOOR}× floor"
     );
+    // Each packet is tapped twice on its one segment. Its enqueue is its
+    // first sight and misses the fingerprint memo; its arrival, two
+    // batches later, hits the entry that miss left, unless the memo was
+    // cleared in between. A miss that finds the memo at 2¹⁶ entries clears
+    // it; batch 0 leaves 512 entries and each batch after it 256 (512 in
+    // the batch after a clear), so clears fall in batches 255, 510 and
+    // 765, each dropping the 256 entries of the batch before, whose
+    // arrivals then miss.
+    let cleared = 3 * 256;
+    assert_eq!(
+        memo,
+        (PACKETS as u64 - cleared, PACKETS as u64 + cleared),
+        "fingerprint memo (hits, misses) over the tape"
+    );
 }
 
 /// Packets/s of the Abilene pipeline over `tape`: batched ingest, then
 /// per-end reports, content summaries and `tv_content`, which must find
-/// the clean tape clean.
+/// the clean tape clean. Also returns the fingerprint memo's hits and
+/// misses.
 fn pipeline_rate(
     segments: &[PathSegment],
     oracle: &PathOracle,
     ks: &KeyStore,
     tape: &[TapEvent],
-) -> f64 {
+) -> (f64, (u64, u64)) {
     let reg = MetricsRegistry::new();
     let (plan, mode) = (segments.to_vec(), MonitorMode::EndsOnly);
     let mut mon = SegmentMonitorSet::new(plan, oracle.clone(), ks, mode, None);
@@ -444,20 +478,22 @@ fn pipeline_rate(
     }
     let pps = (tape.len() / 2) as f64 / start.elapsed().as_secs_f64();
     assert_eq!((lost, fabricated), (0, 0), "clean tape must validate clean");
-    pps
+    let snap = reg.snapshot();
+    let memo = ["hits", "misses"].map(|c| snap.counter(&format!("monitor.fp_cache_{c}")));
+    (pps, memo.into())
 }
 
 /// Packets/s of a scalar-fingerprint pass over `tape`: each tap's packet
 /// fingerprinted on its own, by the scalar Horner loop, under the key of
-/// the segment [`abilene_tape`] sent it along.
+/// the segment [`abilene_tape`] sent it along (its flow's).
 fn scalar_pass_rate(segments: &[PathSegment], ks: &KeyStore, tape: &[TapEvent]) -> f64 {
     let keys: Vec<UhashKey> = (segments.iter())
         .map(|s| ks.segment_uhash_key(s.stable_id()))
         .collect();
     let mut sink = 0u64;
     let start = Instant::now();
-    for (i, ev) in tape.iter().enumerate() {
-        let key = &keys[i / 2 % keys.len()];
+    for ev in tape {
+        let key = &keys[ev.packet().flow.0 as usize];
         let fingerprint = key.fingerprint_scalar(&ev.packet().invariant_bytes());
         sink ^= fingerprint.value();
     }

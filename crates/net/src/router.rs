@@ -1444,7 +1444,7 @@ mod tests {
             net.run_until(restart + RELIABLE.rto_ns);
             let trace = TraceJournal::from_buffers([net.out.trace.clone()]);
             let events = format!("{:?}", net.out.events);
-            (net, events, trace.events().to_vec())
+            (net, events, trace.events().iter().collect::<Vec<_>>())
         };
         let (a, a_events, a_trace) = run();
         let (b, b_events, b_trace) = run();

@@ -18,9 +18,10 @@
 //!   runtime owns a [`TraceBuffer`] (a bounded ring it alone writes to —
 //!   no locks anywhere on the hot path) of typed [`TraceEvent`]s with
 //!   per-shard sequence numbers and monotonic timestamps. After a run the
-//!   buffers merge into a [`TraceJournal`] that drains to JSONL and to
-//!   the `chrome://tracing` trace-event format for flamegraph-style
-//!   inspection.
+//!   buffers merge into a [`TraceJournal`] that keeps their 32-byte slots
+//!   in place, yields events by value as it is read, and drains to JSONL
+//!   and to the `chrome://tracing` trace-event format for
+//!   flamegraph-style inspection.
 //! * [`json`] — the minimal JSON writer/parser the exports are built on
 //!   (and round-trip tested against), so nothing here needs serde.
 //!
@@ -71,4 +72,4 @@ pub mod trace;
 
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use trace::{TraceBuffer, TraceEvent, TraceJournal, TraceKind};
+pub use trace::{TraceBuffer, TraceEvent, TraceEvents, TraceEventsIter, TraceJournal, TraceKind};

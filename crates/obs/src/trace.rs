@@ -14,6 +14,13 @@
 //!   raised once in a million packets — stay countable exactly even when
 //!   their payload was pushed out by chatter. [`TraceBuffer::dropped`]
 //!   says how many events were overwritten.
+//! * **Slots kept in place.** A ring keeps 32 bytes an event (its shard
+//!   and sequence number follow from where the slot sits), and the merged
+//!   journal keeps those slots in the rings' own allocations, adding a
+//!   4-byte position an event that puts each ring in time order: 36 bytes
+//!   an event, of which the 32 were resident before the merge.
+//!   [`TraceJournal::events`] merges the rings as it is read and yields
+//!   each 48-byte [`TraceEvent`] by value; none is stored.
 //!
 //! Exports: [`TraceJournal::to_jsonl`] (one JSON object per line, exact
 //! round trip via [`TraceJournal::from_jsonl`]) and
@@ -22,6 +29,8 @@
 //! duration slices and everything else as instant events).
 
 use crate::json::{self, JsonError, JsonValue};
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Placeholder router id for events not tied to a router.
 pub const NO_ROUTER: u32 = u32::MAX;
@@ -212,65 +221,103 @@ impl TraceBuffer {
 
 /// The merged, time-ordered journal of a whole run.
 ///
-/// Built from the per-shard buffers after their threads join; events are
-/// ordered by `(t_ns, shard, seq)` so interleavings read causally per
-/// shard.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Built from the per-shard buffers after their threads join, it keeps
+/// each ring's 32-byte slots in place, with a 4-byte time-order position
+/// an event beside them: 36 bytes an event (module docs).
+/// [`TraceJournal::events`] yields each [`TraceEvent`] by value, ordered
+/// by `(t_ns, shard, seq)` so interleavings read causally per shard.
+#[derive(Clone, Default)]
 pub struct TraceJournal {
-    events: Vec<TraceEvent>,
+    runs: Vec<Run>,
     dropped: u64,
     recorded: [u64; KINDS],
 }
 
+/// Consecutive events of one shard: `slots[i]` is the event numbered
+/// `first + i`.
+#[derive(Debug, Clone)]
+struct Run {
+    shard: u32,
+    first: u64,
+    slots: Vec<Slot>,
+    /// Positions in `slots`, sorted by `(t_ns, position)`, which within
+    /// one run is the journal's `(t_ns, shard, seq)`. A tap carries its
+    /// packet's own time, so a shard's record order need not be time
+    /// order.
+    order: Vec<u32>,
+}
+
+impl Run {
+    fn new(shard: u32, first: u64, slots: Vec<Slot>) -> Self {
+        let n = u32::try_from(slots.len()).expect("a run holds fewer than 2^32 events");
+        let mut order: Vec<u32> = (0..n).collect();
+        // The key reads this run's own slice, and a run already in time
+        // order is sorted in one scan.
+        let at = &slots[..];
+        order.sort_unstable_by_key(|&i| (at[i as usize].t_ns, i));
+        Self {
+            shard,
+            first,
+            slots,
+            order,
+        }
+    }
+
+    /// This run's `k`-th event in time order.
+    fn event(&self, k: usize) -> TraceEvent {
+        let i = self.order[k];
+        let s = self.slots[i as usize];
+        TraceEvent {
+            seq: self.first + u64::from(i),
+            t_ns: s.t_ns,
+            shard: self.shard,
+            router: s.router,
+            round: s.round,
+            kind: s.kind,
+            value: s.value,
+        }
+    }
+}
+
 impl TraceJournal {
-    /// Merges shard buffers into one journal, each buffer freed once its
-    /// events are in.
+    /// Merges shard buffers into one journal. Each buffer's ring becomes
+    /// the journal's storage as it is: no slot is copied out of it.
     pub fn from_buffers<I: IntoIterator<Item = TraceBuffer>>(buffers: I) -> Self {
-        let buffers: Vec<TraceBuffer> = buffers.into_iter().collect();
-        let mut events = Vec::with_capacity(buffers.iter().map(TraceBuffer::len).sum());
+        let buffers = buffers.into_iter();
+        let mut runs = Vec::with_capacity(buffers.size_hint().0);
         let mut dropped = 0;
         let mut recorded = [0u64; KINDS];
         for buf in buffers {
             dropped += buf.dropped;
-            for (i, n) in buf.recorded.iter().enumerate() {
-                recorded[i] += n;
+            for (total, n) in recorded.iter_mut().zip(buf.recorded) {
+                *total += n;
             }
             // The ring holds the newest events, the last at `next_seq - 1`.
             let first = buf.next_seq - buf.ring.len() as u64;
-            events.extend((buf.ring.iter().zip(first..)).map(|(e, seq)| TraceEvent {
-                seq,
-                t_ns: e.t_ns,
-                shard: buf.shard,
-                router: e.router,
-                round: e.round,
-                kind: e.kind,
-                value: e.value,
-            }));
+            // `Vec::from` keeps the ring's allocation (a wrapped ring is
+            // rotated in place).
+            runs.push(Run::new(buf.shard, first, Vec::from(buf.ring)));
         }
-        // (shard, seq) names one event, so an in-place unstable sort gives
-        // the one order a stable sort would, without a merge buffer as
-        // large as the journal.
-        events.sort_unstable_by_key(|e| (e.t_ns, e.shard, e.seq));
         Self {
-            events,
+            runs,
             dropped,
             recorded,
         }
     }
 
-    /// All retained events, time-ordered.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// All retained events, time-ordered, each built as it is read.
+    pub fn events(&self) -> TraceEvents<'_> {
+        TraceEvents { runs: &self.runs }
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events().len()
     }
 
     /// True when no events were retained.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events().is_empty()
     }
 
     /// Events overwritten across all source buffers (0 means
@@ -290,8 +337,8 @@ impl TraceJournal {
     /// line. [`TraceJournal::from_jsonl`] parses it back to an equal
     /// event list.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for e in &self.events {
+        let mut out = String::with_capacity(self.len() * 96);
+        for e in self.events() {
             out.push_str(&format!(
                 "{{\"seq\": {}, \"t_ns\": {}, \"shard\": {}, \"router\": {}, \
                  \"round\": {}, \"kind\": ",
@@ -303,11 +350,12 @@ impl TraceJournal {
         out
     }
 
-    /// Parses a journal back from its JSONL form. Per-kind totals are
-    /// recomputed from the retained events (overwrite counts are not part
-    /// of the wire form, so `dropped` reads 0).
+    /// Parses a journal back from its JSONL form, in any line order. Per-kind
+    /// totals are recomputed from the retained events (overwrite counts
+    /// are not part of the wire form, so `dropped` reads 0).
     pub fn from_jsonl(s: &str) -> Result<TraceJournal, JsonError> {
-        let mut events = Vec::new();
+        // Each shard's numbered slots, in line order.
+        let mut shards: BTreeMap<u32, Vec<(u64, Slot)>> = BTreeMap::new();
         let mut recorded = [0u64; KINDS];
         for line in s.lines() {
             if line.trim().is_empty() {
@@ -329,19 +377,29 @@ impl TraceJournal {
                     msg: "missing or unknown event kind",
                 })?;
             recorded[kind as usize] += 1;
-            events.push(TraceEvent {
-                seq: field("seq")?,
+            let seq = field("seq")?;
+            let slot = Slot {
                 t_ns: field("t_ns")?,
-                shard: field("shard")? as u32,
-                router: field("router")? as u32,
-                round: field("round")?,
-                kind,
                 value: field("value")?,
-            });
+                round: field("round")?,
+                router: field("router")? as u32,
+                kind,
+            };
+            let shard = field("shard")? as u32;
+            shards.entry(shard).or_default().push((seq, slot));
         }
-        events.sort_by_key(|e| (e.t_ns, e.shard, e.seq));
+        let mut runs = Vec::with_capacity(shards.len());
+        for (shard, mut slots) in shards {
+            // Stable: slots that share a number keep their line order.
+            slots.sort_by_key(|&(seq, _)| seq);
+            // A run is a stretch of consecutive numbers.
+            for stretch in slots.chunk_by(|a, b| a.0.checked_add(1) == Some(b.0)) {
+                let kept = stretch.iter().map(|&(_, slot)| slot).collect();
+                runs.push(Run::new(shard, stretch[0].0, kept));
+            }
+        }
         Ok(TraceJournal {
-            events,
+            runs,
             dropped: 0,
             recorded,
         })
@@ -356,9 +414,9 @@ impl TraceJournal {
     /// format requires; sub-microsecond ordering is preserved by the
     /// fractional part.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 128 + 64);
+        let mut out = String::with_capacity(self.len() * 128 + 64);
         out.push_str("{\"traceEvents\": [");
-        for (i, e) in self.events.iter().enumerate() {
+        for (i, e) in self.events().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -390,6 +448,139 @@ impl TraceJournal {
         out
     }
 }
+
+/// Journals are equal when they read the same events and totals, however
+/// their slots are laid out.
+impl PartialEq for TraceJournal {
+    fn eq(&self, other: &Self) -> bool {
+        self.dropped == other.dropped
+            && self.recorded == other.recorded
+            && self.events() == other.events()
+    }
+}
+
+impl Eq for TraceJournal {}
+
+impl fmt::Debug for TraceJournal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceJournal")
+            .field("events", &self.events())
+            .field("dropped", &self.dropped)
+            .field("recorded", &self.recorded)
+            .finish()
+    }
+}
+
+/// A [`TraceJournal`]'s events in `(t_ns, shard, seq)` order: a view that
+/// merges the journal's runs as it is iterated and yields each
+/// [`TraceEvent`] by value.
+#[derive(Clone, Copy)]
+pub struct TraceEvents<'a> {
+    runs: &'a [Run],
+}
+
+impl<'a> TraceEvents<'a> {
+    /// The events, time-ordered. Allocates nothing for a journal of up to
+    /// 64 runs (one a buffer merged; [`TraceJournal::from_jsonl`] starts
+    /// one wherever a shard's `seq` skips).
+    pub fn iter(&self) -> TraceEventsIter<'a> {
+        let n = self.runs.len();
+        TraceEventsIter {
+            runs: self.runs,
+            inline: [0; INLINE_RUNS],
+            heap: if n > INLINE_RUNS {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
+            left: self.len(),
+        }
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|r| r.slots.len()).sum()
+    }
+
+    /// True when there are no events.
+    pub fn is_empty(&self) -> bool {
+        self.runs.iter().all(|r| r.slots.is_empty())
+    }
+}
+
+impl<'a> IntoIterator for TraceEvents<'a> {
+    type Item = TraceEvent;
+    type IntoIter = TraceEventsIter<'a>;
+
+    fn into_iter(self) -> TraceEventsIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for TraceEvents<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for TraceEvents<'_> {}
+
+impl fmt::Debug for TraceEvents<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Runs whose cursors a [`TraceEventsIter`] keeps inline.
+const INLINE_RUNS: usize = 64;
+
+/// Iterator over [`TraceEvents`]: the smallest `(t_ns, shard, seq)` among
+/// the runs' next events, one at a time.
+#[derive(Debug, Clone)]
+pub struct TraceEventsIter<'a> {
+    runs: &'a [Run],
+    /// Each run's next place in its time order: in `inline` for up to
+    /// [`INLINE_RUNS`] runs, in `heap` (empty otherwise) beyond.
+    inline: [u32; INLINE_RUNS],
+    heap: Vec<u32>,
+    left: usize,
+}
+
+impl Iterator for TraceEventsIter<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        let at = if self.heap.is_empty() {
+            &mut self.inline[..self.runs.len()]
+        } else {
+            &mut self.heap[..]
+        };
+        let key = |e: &TraceEvent| (e.t_ns, e.shard, e.seq);
+        let mut next: Option<(usize, TraceEvent)> = None;
+        for (r, (run, &k)) in self.runs.iter().zip(at.iter()).enumerate() {
+            if (k as usize) < run.order.len() {
+                let e = run.event(k as usize);
+                // Strict: a tie (a number a JSONL input repeats) goes to
+                // the earlier run.
+                if next.is_none_or(|(_, least)| key(&e) < key(&least)) {
+                    next = Some((r, e));
+                }
+            }
+        }
+        let (r, e) = next?;
+        at[r] += 1;
+        self.left -= 1;
+        Some(e)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for TraceEventsIter<'_> {}
+
+impl std::iter::FusedIterator for TraceEventsIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -441,7 +632,10 @@ mod tests {
         assert_eq!(j.dropped(), 97);
         assert_eq!(j.recorded(TraceKind::PacketTap), 100);
         // The newest events are the retained ones, numbered as recorded.
-        assert_eq!(j.events().last().unwrap().kind, TraceKind::AccusationRaised);
+        assert_eq!(
+            j.events().iter().last().unwrap().kind,
+            TraceKind::AccusationRaised
+        );
         let seqs: Vec<u64> = j.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [97, 98, 99, 100]);
     }
@@ -467,7 +661,7 @@ mod tests {
             value: 40,
         };
         assert_eq!(
-            j.events(),
+            j.events().iter().collect::<Vec<_>>(),
             [
                 TraceEvent {
                     seq: 3,

@@ -5,6 +5,7 @@
 //! the loop index, so failures reproduce exactly.
 
 use fatih::crypto::{Fingerprint, Sha256, UhashKey};
+use fatih::obs::{TraceBuffer, TraceEvent, TraceJournal, TraceKind};
 use fatih::protocols::monitor::{Record, Report, ReportEntry};
 use fatih::protocols::rounds::Window;
 use fatih::sim::SimTime;
@@ -17,6 +18,13 @@ use fatih::validation::{reconcile, SetSketch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+
+/// Fisher–Yates, on the seeded generator.
+fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..i + 1));
+    }
+}
 
 fn random_set(rng: &mut StdRng, range: std::ops::Range<u64>, max_len: usize) -> BTreeSet<u64> {
     let len = rng.gen_range(0..max_len.max(1));
@@ -328,5 +336,120 @@ fn a_compact_record_reads_as_its_entries() {
     assert!(
         crossing > 50 && spanning > 10,
         "{crossing} crossing, {spanning} spanning"
+    );
+}
+
+/// A merged trace journal keeps each ring's slots where they are and reads
+/// them back as the `Vec<TraceEvent>` they stand for: 1–4 buffers of
+/// distinct shards, rings that wrapped and overwrote their oldest events,
+/// times out of order inside one buffer (a tap carries its packet's own
+/// time) and equal times across buffers. `events()` is the reference
+/// sorted by `(t_ns, shard, seq)`, bit for bit; so is the journal parsed
+/// back from its JSONL, and from hand-written JSONL with `seq` gaps and its
+/// lines, shards included, out of order.
+#[test]
+fn a_slot_journal_reads_as_its_sorted_events() {
+    let key = |e: &TraceEvent| (e.t_ns, e.shard, e.seq);
+    let (mut wrapped, mut unordered, mut tied) = (0, 0, 0);
+    for case in 0u64..64 {
+        let rng = &mut StdRng::seed_from_u64(0x5107_0000 + case);
+        let mut shards: Vec<u32> = (0..8).collect();
+        shuffle(rng, &mut shards);
+        shards.truncate(rng.gen_range(1..5));
+        let mut buffers = Vec::new();
+        let mut reference: Vec<TraceEvent> = Vec::new();
+        let mut dropped = 0;
+        for &shard in &shards {
+            let capacity = rng.gen_range(1..96usize);
+            let mut buf = TraceBuffer::new(shard, capacity);
+            let mut kept = std::collections::VecDeque::new();
+            let mut t = rng.gen_range(0..20u64);
+            for seq in 0..rng.gen_range(0..240u64) {
+                // Mostly forward, in coarse steps so that times repeat
+                // within and across buffers; now and then a step back.
+                t = match rng.gen_range(0..8u32) {
+                    0 => t.saturating_sub(rng.gen_range(1..30u64)),
+                    1..=3 => t,
+                    _ => t + rng.gen_range(1..4u64),
+                };
+                let e = TraceEvent {
+                    seq,
+                    t_ns: t,
+                    shard,
+                    router: rng.gen_range(0..5),
+                    round: rng.gen_range(0..3),
+                    kind: TraceKind::ALL[rng.gen_range(0..TraceKind::ALL.len())],
+                    value: rng.gen(),
+                };
+                buf.record(e.t_ns, e.kind, e.router, e.round, e.value);
+                if kept.len() == capacity {
+                    kept.pop_front();
+                    dropped += 1;
+                }
+                kept.push_back(e);
+            }
+            wrapped += usize::from(buf.dropped() > 0);
+            unordered += usize::from(
+                kept.iter()
+                    .zip(kept.iter().skip(1))
+                    .any(|(a, b)| b.t_ns < a.t_ns),
+            );
+            reference.extend(kept);
+            buffers.push(buf);
+        }
+        reference.sort_by_key(key);
+        tied += usize::from(
+            (reference.iter().zip(reference.iter().skip(1)))
+                .any(|(a, b)| a.t_ns == b.t_ns && a.shard != b.shard),
+        );
+
+        let journal = TraceJournal::from_buffers(buffers);
+        let read: Vec<TraceEvent> = journal.events().into_iter().collect();
+        assert_eq!(read, reference, "case {case}");
+        assert_eq!(journal.len(), reference.len(), "case {case}");
+        assert_eq!(
+            journal.events().iter().len(),
+            reference.len(),
+            "case {case}"
+        );
+        assert_eq!(journal.dropped(), dropped, "case {case}");
+
+        let back = TraceJournal::from_jsonl(&journal.to_jsonl()).expect("JSONL parses");
+        assert_eq!(back.events(), journal.events(), "case {case}");
+        for &kind in TraceKind::ALL {
+            let n = reference.iter().filter(|e| e.kind == kind).count() as u64;
+            assert_eq!(back.recorded(kind), n, "case {case}: {kind:?}");
+        }
+
+        // Drop some events (gaps in `seq`), shuffle the rest and write
+        // each line by hand, its fields in another order.
+        let mut lines: Vec<&TraceEvent> = reference.iter().filter(|_| rng.gen_bool(0.8)).collect();
+        shuffle(rng, &mut lines);
+        let jsonl: String = lines
+            .iter()
+            .map(|e| {
+                format!(
+                    "{{\"kind\": \"{}\", \"value\": {}, \"shard\": {}, \"seq\": {}, \
+                     \"round\": {}, \"router\": {}, \"t_ns\": {}}}\n",
+                    e.kind.as_str(),
+                    e.value,
+                    e.shard,
+                    e.seq,
+                    e.round,
+                    e.router,
+                    e.t_ns
+                )
+            })
+            .collect();
+        let mut want: Vec<TraceEvent> = lines.into_iter().copied().collect();
+        want.sort_by_key(key);
+        let parsed = TraceJournal::from_jsonl(&jsonl).expect("hand-written JSONL parses");
+        let read: Vec<TraceEvent> = parsed.events().iter().collect();
+        assert_eq!(read, want, "case {case}: hand-written JSONL");
+        assert_eq!(parsed.dropped(), 0);
+    }
+    assert!(
+        wrapped > 20 && unordered > 20 && tied > 20,
+        "{wrapped} wrapped, {unordered} out of order, {tied} tied across buffers"
     );
 }
