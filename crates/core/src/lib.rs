@@ -16,7 +16,7 @@
 //! * [`monitor`] — building `info(r, π, τ)` from local observations;
 //! * [`rounds`] — the round rule: the window of observations a round
 //!   judges, holds and afterwards forgets, one definition under the
-//!   in-memory detectors and the live runtime;
+//!   in-memory Π2 detector and the live runtime;
 //! * [`probation`] — crash-restart re-admission: restarted routers are
 //!   transit of last resort until they survive K clean rounds;
 //! * [`consensus`] — Dolev–Strong authenticated broadcast for Π2's
@@ -26,9 +26,9 @@
 //! * [`pik2`] — **Protocol Πk+2**: only segment ends validate;
 //!   strong-complete, accurate, precision k+2, cheap enough to deploy
 //!   (§5.2). The exchange is the per-router, sans-I/O `Pik2Node`, hosted
-//!   by the live runtime and, in memory, by the `Pik2Detector` harness
-//!   here, and what a host puts on its wire is a `pik2::Message`, encoded
-//!   here;
+//!   by the live runtime's `Router` (over sockets, or on the simulator's
+//!   clock), and what a host puts on its wire is a `pik2::Message`,
+//!   encoded here;
 //! * [`chi`] — **Protocol χ**: congestion-aware loss detection by queue
 //!   replay with statistical confidence tests, for drop-tail and RED
 //!   queues (Chapter 6);
@@ -49,10 +49,12 @@
 //!
 //! # Examples
 //!
-//! Deploy Protocol Πk+2 on a simulated line network and catch a dropper:
+//! Deploy Protocol Π2 on a simulated line network and catch a dropper
+//! (Πk+2 runs in the live `Router` of `fatih-net`, which its `SimHost`
+//! steps on the simulator's clock):
 //!
 //! ```
-//! use fatih_core::pik2::{Pik2Config, Pik2Detector};
+//! use fatih_core::pi2::{Pi2Config, Pi2Detector};
 //! use fatih_core::spec::SpecCheck;
 //! use fatih_crypto::KeyStore;
 //! use fatih_sim::{Attack, Network, SimTime};
@@ -65,7 +67,7 @@
 //! }
 //! let mut net = Network::new(topo, 1);
 //! let ids: Vec<_> = net.topology().routers().collect();
-//! let mut detector = Pik2Detector::new(net.routes(), keystore, Pik2Config::default());
+//! let mut detector = Pi2Detector::new(net.routes(), keystore, Pi2Config::default());
 //!
 //! let flow = net.add_cbr_flow(ids[0], ids[4], 1000, SimTime::from_ms(2),
 //!                             SimTime::ZERO, None);
@@ -77,7 +79,7 @@
 //!
 //! let faulty = [ids[2]].into_iter().collect();
 //! let check = SpecCheck::evaluate(&suspicions, &faulty);
-//! assert!(check.is_complete() && check.is_accurate(3));
+//! assert!(check.is_complete() && check.is_accurate(2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -103,7 +105,6 @@ pub mod zhang;
 
 pub use chi::{ChiConfig, ChiVerdict, QueueTap, QueueValidator};
 pub use pi2::{Pi2Config, Pi2Detector};
-pub use pik2::{Pik2Config, Pik2Detector};
 pub use policy::{Policy, ReportFault, Thresholds};
 pub use probation::{ProbationStatus, ProbationTracker};
 pub use spec::{Interval, SignedAlert, SpecCheck, Suspicion};

@@ -53,7 +53,6 @@ pub struct Pi2Detector {
     keystore: KeyStore,
     monitors: SegmentMonitorSet,
     report_faults: BTreeMap<RouterId, ReportFault>,
-    withheld: BTreeSet<RouterId>,
     /// When the previous round ended; `None` until one has.
     prev_end: Option<SimTime>,
     first_event: Option<SimTime>,
@@ -77,7 +76,6 @@ impl Pi2Detector {
             keystore,
             monitors,
             report_faults: BTreeMap::new(),
-            withheld: BTreeSet::new(),
             prev_end: None,
             first_event: None,
             lost_judged: 0,
@@ -87,17 +85,6 @@ impl Pi2Detector {
     /// Marks a router protocol-faulty with the given report behaviour.
     pub fn set_report_fault(&mut self, router: RouterId, fault: ReportFault) {
         self.report_faults.insert(router, fault);
-    }
-
-    /// Records that `router`'s summary for the current round never
-    /// arrived despite the transport's retry budget (timeout-as-accusation,
-    /// §5.1's refusal-to-cooperate semantics): at the next
-    /// [`end_round`](Self::end_round) its report is treated as ⊥ exactly
-    /// like a protocol-silent router's, so every adjacent pair it belongs
-    /// to fails validation and it is suspected. Cleared when the round
-    /// ends.
-    pub fn note_withheld_summary(&mut self, router: RouterId) {
-        self.withheld.insert(router);
     }
 
     /// Number of monitored segments (the global `Σ|P_r|` dedup — Fig 5.2's
@@ -148,12 +135,6 @@ impl Pi2Detector {
                 .iter()
                 .enumerate()
                 .map(|(pos, &r)| {
-                    if self.withheld.contains(&r) {
-                        // The transport exhausted its retry budget without
-                        // this router's summary arriving: same ⊥ treatment
-                        // as a protocol-silent member.
-                        return None;
-                    }
                     let held = |r| self.monitors.report_after(r, i, window.held_from());
                     let own = held(r);
                     let received = if pos == 0 {
@@ -195,7 +176,6 @@ impl Pi2Detector {
         if let Some(horizon) = window.forget_horizon() {
             self.monitors.prune(horizon);
         }
-        self.withheld.clear();
         out.into_iter().collect()
     }
 
@@ -416,33 +396,6 @@ mod tests {
         let check = crate::spec::SpecCheck::evaluate(&sus, &faulty);
         assert!(check.is_complete(), "silent router escaped");
         assert!(check.is_accurate(2));
-    }
-
-    #[test]
-    fn withheld_summary_is_an_accusation() {
-        // n1 is not protocol-silent in the abstract model, but its summary
-        // never survived the transport's retry budget. Timeout-as-accusation:
-        // it is treated as ⊥ and suspected, and the flag does not leak into
-        // the next round.
-        let (mut net, ids, ks) = line(4);
-        let mut det = Pi2Detector::new(net.routes(), ks, Pi2Config::default());
-        net.add_cbr_flow(
-            ids[0],
-            ids[3],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        det.note_withheld_summary(ids[1]);
-        let sus = run_one_round(&mut net, &mut det, 5);
-        let faulty: BTreeSet<RouterId> = [ids[1]].into_iter().collect();
-        let check = crate::spec::SpecCheck::evaluate(&sus, &faulty);
-        assert!(check.is_complete(), "withheld summary escaped accusation");
-        assert!(check.is_accurate(2));
-        // Next round, with the summary delivered again, no suspicion.
-        let sus2 = run_one_round(&mut net, &mut det, 5);
-        assert!(sus2.is_empty(), "withheld flag leaked: {sus2:?}");
     }
 
     #[test]

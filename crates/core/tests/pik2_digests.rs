@@ -10,7 +10,7 @@
 
 use fatih_core::monitor::{MonitorMode, PathOracle, Report, ReportEntry, SegmentMonitorSet};
 use fatih_core::pik2::{Evidence, Pik2Node, Received};
-use fatih_core::policy::{Policy, Thresholds};
+use fatih_core::policy::Thresholds;
 use fatih_core::rounds::Window;
 use fatih_crypto::KeyStore;
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime, TapEvent};
@@ -186,14 +186,7 @@ fn a_digest_after_the_own_close_is_resolved_without_the_record() {
         let got = ends[to].receive(ids[2 * from], 0, &segments[0], evidence, window(0), &empty);
         assert_eq!(got, Received::Stored, "end {to}");
         let thresholds = Thresholds::default();
-        let judged = ends[to].evaluate(
-            0,
-            window(0),
-            SimTime::ZERO,
-            Policy::Content,
-            &thresholds,
-            &empty,
-        );
+        let judged = ends[to].evaluate(0, window(0), &thresholds, &empty);
         let verdict = &judged[0].verdict;
         assert!(judged[0].passed && verdict.lost.is_empty() && verdict.fabricated.is_empty());
     }

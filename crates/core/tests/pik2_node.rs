@@ -11,7 +11,7 @@
 
 use fatih_core::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
 use fatih_core::pik2::{Evidence, Judged, Pik2Node, Received};
-use fatih_core::policy::{Policy, Thresholds};
+use fatih_core::policy::Thresholds;
 use fatih_core::rounds::Window;
 use fatih_crypto::KeyStore;
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime, TapEvent};
@@ -118,14 +118,7 @@ impl Line3 {
 
     fn evaluate(&self, node: &mut Pik2Node, r: u64) -> Judged {
         let thresholds = Thresholds::default();
-        let mut judged = node.evaluate(
-            r,
-            window(r),
-            SimTime::ZERO,
-            Policy::Content,
-            &thresholds,
-            &self.record,
-        );
+        let mut judged = node.evaluate(r, window(r), &thresholds, &self.record);
         assert_eq!(judged.len(), 1, "each end ends the one segment");
         judged.remove(0)
     }

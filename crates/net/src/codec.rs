@@ -31,8 +31,7 @@
 //!
 //! The eight message types, and where each body's fields are laid out —
 //! this module frames, seals and dispatches on the type byte; a Πk+2
-//! control message has its one encoding beside its type in `fatih-core`,
-//! shared with the simulator hosts:
+//! control message has its one encoding beside its type in `fatih-core`:
 //!
 //! ```text
 //! byte  type           body

@@ -19,7 +19,6 @@ use crate::runtime::SummaryMode;
 use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, NetMetrics};
 use fatih_core::monitor::{MonitorPlan, SegmentMonitorSet};
 use fatih_core::pik2::{Evidence, Message, Pik2Node, Received};
-use fatih_core::policy::Policy;
 use fatih_core::reliable::{Retransmitter, RetryPolicy};
 use fatih_core::rounds::Window;
 use fatih_core::spec::{Interval, SignedAlert, Suspicion};
@@ -610,14 +609,7 @@ impl Router {
         let tau = self.cfg.tau.as_nanos() as u64;
         let round_start = SimTime::from_ns(r * tau);
         let round_end = SimTime::from_ns((r + 1) * tau);
-        let judged = self.pik2.evaluate(
-            r,
-            self.window(r),
-            SimTime::ZERO,
-            Policy::Content,
-            &self.cfg.thresholds,
-            &self.monitors,
-        );
+        let judged = (self.pik2).evaluate(r, self.window(r), &self.cfg.thresholds, &self.monitors);
         // Convictions are originated after the loop: applying one rebuilds
         // the segment set, which would invalidate the indices still in use.
         let mut convictions: Vec<PathSegment> = Vec::new();

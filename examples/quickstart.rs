@@ -1,16 +1,17 @@
 //! Quickstart: deploy Protocol Πk+2 on a small simulated network, let a
-//! compromised router drop packets, and watch the detector pin it down.
+//! compromised router drop packets, and watch the routers pin it down.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
-use fatih::crypto::KeyStore;
-use fatih::protocols::pik2::{Pik2Config, Pik2Detector};
+use fatih::net::{LiveConfig, SimHost};
 use fatih::protocols::spec::SpecCheck;
+use fatih::protocols::Thresholds;
 use fatih::sim::{Attack, Network, SimTime};
 use fatih::topology::builtin;
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 fn main() {
     // 1. A five-router line: n0 — n1 — n2 — n3 — n4.
@@ -21,21 +22,9 @@ fn main() {
         topo.duplex_link_count()
     );
 
-    // 2. The key infrastructure of §2.1.5: every router gets signing and
-    //    pairwise keys.
-    let mut keystore = KeyStore::with_seed(2024);
-    for r in topo.routers() {
-        keystore.register(r.into());
-    }
-
-    // 3. Simulated network + the Πk+2 failure detector (AdjacentFault(1),
-    //    conservation of content).
+    // 2. Simulated network. Traffic: a steady flow end to end…
     let mut net = Network::new(topo, 42);
     let ids: Vec<_> = net.topology().routers().collect();
-    let mut detector = Pik2Detector::new(net.routes(), keystore, Pik2Config::default());
-    println!("monitored path segments: {}", detector.segment_count());
-
-    // 4. Traffic: a steady flow end to end…
     let flow = net.add_cbr_flow(
         ids[0],
         ids[4],
@@ -49,17 +38,31 @@ fn main() {
     net.set_attacks(evil, vec![Attack::drop_flows([flow], 0.3)]);
     println!("compromised router: {evil} (drops 30% of the flow)\n");
 
-    // 5. Run one 5-second validation round.
-    let round_end = SimTime::from_secs(5);
-    net.run_until(round_end, |ev| detector.observe(ev));
-    let suspicions = detector.end_round(round_end);
+    // 3. Every router runs Πk+2 (AdjacentFault(1), conservation of
+    //    content, keys from the §2.1.5 key infrastructure) on the
+    //    simulator's clock, monitoring the paths of the traffic above:
+    //    5-second rounds, each judged 4 s after it ends, packets younger
+    //    than 200 ms left to the next round. Detection only: no rerouting.
+    let cfg = LiveConfig {
+        tau: Duration::from_secs(5),
+        exchange_budget: Duration::from_secs(4),
+        maturity_lag: Duration::from_millis(200),
+        thresholds: Thresholds::default(),
+        response: false,
+        ..LiveConfig::default()
+    };
+    let mut host = SimHost::new(&net, cfg);
+
+    // 4. Run the first round, [0 s, 5 s), to its verdicts at 9 s.
+    host.run(&mut net, SimTime::from_secs(9));
+    let suspicions = host.suspicions();
 
     println!("suspicions after one round:");
     for s in &suspicions {
         println!("  {s}");
     }
 
-    // 6. Judge against ground truth: the detector must be complete (the
+    // 5. Judge against ground truth: the detector must be complete (the
     //    dropper is inside some suspected segment) and accurate (every
     //    suspected segment contains a faulty router), with precision k+2.
     let faulty: BTreeSet<_> = [evil].into_iter().collect();
@@ -70,10 +73,10 @@ fn main() {
         check.is_accurate(3),
         check.max_precision
     );
-    let truth = net.ground_truth();
     println!(
-        "ground truth: {} injected, {} delivered, {} maliciously dropped",
-        truth.injected, truth.delivered, truth.malicious_drops
+        "ground truth: {} of the flow's packets delivered, {} maliciously dropped",
+        net.delivered_on_flow(flow),
+        net.ground_truth().malicious_drops
     );
     assert!(check.is_complete() && check.is_accurate(3));
 }

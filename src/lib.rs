@@ -18,12 +18,13 @@
 //!   the response mechanism;
 //! * [`sim`] — a discrete-event packet network simulator with DropTail and
 //!   RED queues, TCP, and attack injection;
-//! * [`protocols`] — the detectors themselves: Protocol Π2, Protocol Πk+2,
-//!   Protocol χ, the WATCHERS and static-threshold baselines, and the Fatih
-//!   system orchestration;
-//! * [`net`] — a real wire-protocol runtime: binary codec, UDP/loopback
-//!   transports, per-router event loops running the protocol against
-//!   wall-clock time;
+//! * [`protocols`] — the detectors themselves: Protocol Π2, Protocol Πk+2's
+//!   per-router exchange, Protocol χ, and the WATCHERS, static-threshold
+//!   and other Chapter 3 baselines;
+//! * [`net`] — the runtime that runs Πk+2 and the response: a sans-I/O
+//!   router and its binary wire codec, stepped by sharded event loops over
+//!   UDP or loopback sockets on the wall clock, or by `SimHost` on the
+//!   simulator's virtual clock;
 //! * [`obs`] — zero-dependency observability: a metrics registry (atomic
 //!   counters, gauges, log-bucketed histograms) and a structured trace
 //!   journal with JSONL and chrome://tracing export.
