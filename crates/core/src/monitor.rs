@@ -11,14 +11,15 @@
 //! Protocol Πk+2 (only the two ends record, optionally subsampling with a
 //! secret trajectory-sampling pattern, §5.2.1).
 
+use crate::rounds::Window;
 use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
 use fatih_obs::{Counter, Gauge, MetricsRegistry};
 use fatih_sim::{Packet, PacketId, SimTime, TapEvent};
 use fatih_topology::{Path, PathSegment, RouterId, Routes};
-use fatih_validation::digest::{part_key, ContentDigest};
+use fatih_validation::digest::ContentDigest;
 use fatih_validation::sampling::SamplingPattern;
 use fatih_validation::summary::{ContentSummary, FlowCounter, OrderedSummary};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -284,24 +285,35 @@ impl Record {
 
     /// Drops every entry observed at or before `horizon`; returns how many.
     pub fn prune(&mut self, horizon: SimTime) -> usize {
-        let n = self.upto(horizon);
+        self.cut(0..self.upto(horizon))
+    }
+
+    /// Drops every entry observed in `(after, until]`; returns how many.
+    pub fn prune_between(&mut self, after: SimTime, until: SimTime) -> usize {
+        self.cut(self.upto(after)..self.upto(until))
+    }
+
+    /// Drops the entries in `cut`, keeping every column's capacity.
+    fn cut(&mut self, cut: Range<usize>) -> usize {
+        let (a, n) = (cut.start, cut.len());
         if n == 0 {
             return 0;
         }
-        self.fingerprints.drain(..n);
-        self.time_lo.drain(..n);
-        let emptied = self.fingerprints.is_empty();
         for runs in [&mut self.time_hi, &mut self.sizes] {
-            if emptied {
-                runs.clear();
-                continue;
-            }
-            // The run in force at `n` opens the record now.
-            let first = runs.partition_point(|&(at, _)| at as usize <= n) - 1;
-            runs.drain(..first);
-            runs[0].0 = n as u32;
-            runs.iter_mut().for_each(|r| r.0 -= n as u32);
+            // The run in force after the cut opens at its start, unless the
+            // run in force before it holds the same value.
+            let after = (cut.end < self.fingerprints.len())
+                .then(|| runs[runs.partition_point(|&(at, _)| at as usize <= cut.end) - 1].1);
+            let lo = runs.partition_point(|&(at, _)| (at as usize) < a);
+            let hi = runs.partition_point(|&(at, _)| at as usize <= cut.end);
+            let before = lo.checked_sub(1).map(|k| runs[k].1);
+            let opens = after.filter(|&v| before != Some(v)).map(|v| (a as u32, v));
+            runs.splice(lo..hi, opens);
+            let shifted = lo + usize::from(opens.is_some());
+            runs[shifted..].iter_mut().for_each(|r| r.0 -= n as u32);
         }
+        self.fingerprints.drain(cut.clone());
+        self.time_lo.drain(cut);
         n
     }
 
@@ -383,41 +395,103 @@ impl<'a> Held<'a> {
         }
         Report { entries }
     }
+}
 
-    /// The flow counters of the entries in `part` (indices into these)
-    /// and of all of them, summed over the size runs.
-    fn flows(&self, part: Range<usize>) -> (FlowCounter, FlowCounter) {
-        let rec = self.record;
-        let part = self.from + part.start..self.from + part.end;
-        let mut flows = (FlowCounter::default(), FlowCounter::default());
-        for (run, size) in runs(&rec.sizes, rec.len()) {
-            let overlap =
-                |r: Range<usize>| run.end.min(r.end).saturating_sub(run.start.max(r.start));
-            let counts = [overlap(part.clone()), overlap(self.from..rec.len())];
-            for (flow, n) in [&mut flows.0, &mut flows.1].into_iter().zip(counts) {
-                flow.packets += n as u64;
-                flow.bytes += n as u64 * u64::from(size);
-            }
+/// The live schedule a streamed set digests on ([`Window::of_round`]):
+/// the round length, the lag and the sketch capacity.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    tau: SimTime,
+    lag: SimTime,
+    capacity: usize,
+}
+
+impl Schedule {
+    fn window(&self, r: u64) -> Window {
+        Window::of_round(r, self.tau, self.lag)
+    }
+}
+
+/// One segment end's running digests: for each round still read, the
+/// digest of its judged window `(c_{r−1}, c_r]` and of its look-back strip
+/// `(c_r − lag, c_r]`, which the next round's held window reads too. Round
+/// `r`'s held window is the strip of round `r − 1`, its judged window and
+/// what came after, so the close reads its (judged, held) pair off at
+/// most three running digests.
+#[derive(Debug, Clone, Default)]
+struct Stream {
+    /// The round of `rounds[0]`.
+    first: u64,
+    /// The (judged, strip) digests of rounds `first..`, as far as observed.
+    rounds: VecDeque<(ContentDigest, ContentDigest)>,
+    /// Pairs of retired rounds, emptied for the rounds to come: once the
+    /// first rounds have run, opening a round allocates nothing.
+    spare: Vec<(ContentDigest, ContentDigest)>,
+    /// Everything observed after this instant is held whole: the segment
+    /// is in dispute. `None`: the strips and the tails only.
+    whole_after: Option<SimTime>,
+}
+
+impl Stream {
+    /// Digests `e`; returns whether the record must hold it exactly: in a
+    /// look-back strip, in the tail `(c_{r−1}, close]` of a round not yet
+    /// closed, or in dispute. A round retired already takes nothing.
+    fn observe(&mut self, s: &Schedule, closed: Option<u64>, e: &ReportEntry) -> bool {
+        let r = Window::round_of(e.time, s.tau, s.lag);
+        let strip = s.window(r + 1).held_from().is_none_or(|h| e.time > h);
+        if r < self.first {
+            return false;
         }
-        flows
+        if self.rounds.is_empty() {
+            self.first = r;
+        }
+        while self.first + self.rounds.len() as u64 <= r {
+            let empty = || ContentDigest::empty(s.capacity);
+            let pair = (self.spare.pop()).unwrap_or_else(|| (empty(), empty()));
+            self.rounds.push_back(pair);
+        }
+        let (judged, strip_digest) = &mut self.rounds[(r - self.first) as usize];
+        judged.observe(e.fingerprint, e.size.into());
+        if strip {
+            strip_digest.observe(e.fingerprint, e.size.into());
+        }
+        let tail = closed.map_or(0, |c| c + 1) < r;
+        strip || tail || self.whole_after.is_some_and(|w| e.time > w)
     }
 
-    /// The digests of the entries in `part` (indices into these) and of
-    /// all of them, from sketches of `capacity`: one word per entry,
-    /// sorted in `keys`, which keeps its capacity for the next call.
-    pub fn digests(
-        &self,
-        part: Range<usize>,
-        capacity: usize,
-        keys: &mut Vec<u64>,
-    ) -> (ContentDigest, ContentDigest) {
-        let fps = self.fingerprints();
-        let key = |in_part| move |&fp| part_key(fp, in_part);
-        keys.clear();
-        keys.extend(fps[..part.start].iter().map(key(false)));
-        keys.extend(fps[part.clone()].iter().map(key(true)));
-        keys.extend(fps[part.end..].iter().map(key(false)));
-        ContentDigest::of_part_and_whole(keys, self.flows(part), capacity)
+    /// Round `r`'s (judged, held) digests as observed so far.
+    fn digests(&self, r: u64, capacity: usize) -> (ContentDigest, ContentDigest) {
+        let at = |k: u64| (k.checked_sub(self.first)).and_then(|i| self.rounds.get(i as usize));
+        let empty = || ContentDigest::empty(capacity);
+        let judged = at(r).map_or_else(empty, |p| p.0.clone());
+        let mut held = (r.checked_sub(1).and_then(at)).map_or_else(empty, |p| p.1.clone());
+        for (judged, _) in self
+            .rounds
+            .iter()
+            .skip(r.saturating_sub(self.first) as usize)
+        {
+            held.merge(judged);
+        }
+        (judged, held)
+    }
+
+    /// Round `r` is evaluated: the rounds before it are read no more, and
+    /// its own strip only by the next.
+    fn retire(&mut self, r: u64) {
+        while self.first < r && !self.rounds.is_empty() {
+            let (mut judged, mut strip) = self.rounds.pop_front().expect("not empty");
+            judged.clear();
+            strip.clear();
+            self.spare.push((judged, strip));
+            self.first += 1;
+        }
+        self.first = self.first.max(r);
+    }
+
+    /// Bytes the running digests take.
+    fn bytes(&self) -> usize {
+        let digest = |d: &ContentDigest| d.sketch().evals().len() * 8 + 32;
+        self.rounds.iter().map(|(j, s)| digest(j) + digest(s)).sum()
     }
 }
 
@@ -565,9 +639,11 @@ struct PendingObs {
 #[derive(Debug, Default)]
 struct IngestScratch {
     pending: Vec<PendingObs>,
-    /// One segment's memo misses: their places in `pending`, and their
-    /// invariant bytes, the kernel's input.
+    /// One segment's memo misses: their places in `pending`, the first
+    /// miss of each (packet, invariant bytes), and those firsts' invariant
+    /// bytes, the kernel's input.
     miss: Vec<usize>,
+    firsts: Vec<usize>,
     msgs: Vec<[u8; 40]>,
     fps: Vec<Fingerprint>,
 }
@@ -681,6 +757,13 @@ pub struct SegmentMonitorSet {
     arrival_index: HashMap<(RouterId, RouterId), Vec<SlotRef>>,
     /// All records, slot-indexed.
     slots: Vec<Record>,
+    /// The schedule of a set that keeps running digests
+    /// ([`stream`](Self::stream)), and each slot's digests; `None` and
+    /// empty for a set of whole records.
+    schedule: Option<Schedule>,
+    streams: Vec<Stream>,
+    /// The last round its owner closed ([`closed`](Self::closed)).
+    closed: Option<u64>,
     /// (router, segment) → slot, for the cold read path.
     slot_of: HashMap<(RouterId, usize), usize>,
     /// (packet, segment) → fingerprint memo: the same packet is recorded
@@ -784,6 +867,9 @@ impl SegmentMonitorSet {
             forward_index,
             arrival_index,
             slots,
+            schedule: None,
+            streams: Vec::new(),
+            closed: None,
             slot_of,
             fp_cache: HashMap::new(),
             traverse_cache: HashMap::new(),
@@ -809,6 +895,25 @@ impl SegmentMonitorSet {
         self.metrics = metrics;
     }
 
+    /// Keeps running digests, with sketches of `capacity`, on the schedule
+    /// of `tau`-long rounds from time 0 with maturity lag `lag`
+    /// ([`Window::of_round`]), and holds exactly only what a round's digest
+    /// resolution reads of the record: the look-back strips, and each
+    /// round's tail `(c_r, close]` until it is retired. Every other
+    /// observation is digested and counted as pruned at once. A segment
+    /// [`dispute`](Self::dispute)d is held whole from then on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 ≤ lag < tau` and `capacity > 0`, or if the set
+    /// has recorded anything.
+    pub fn stream(&mut self, tau: SimTime, lag: SimTime, capacity: usize) {
+        assert!(lag < tau && capacity > 0, "a strip lies within its round");
+        assert!(self.is_idle(), "a set streams from its start");
+        self.schedule = Some(Schedule { tau, lag, capacity });
+        self.streams = vec![Stream::default(); self.slots.len()];
+    }
+
     /// Rebuilds the monitor set for a new plan — the §2.4.3 response's
     /// "monitoring follows the new routes" step — recording for the same
     /// routers, in the same mode, at the same sampling rate. The metrics
@@ -818,6 +923,10 @@ impl SegmentMonitorSet {
     /// as pruned).
     pub fn retarget(&self, plan: MonitorPlan) -> Self {
         let mut next = Self::build(plan, self.recorder, self.mode, self.sampling_rate);
+        if let Some(s) = self.schedule {
+            next.stream(s.tau, s.lag, s.capacity);
+        }
+        next.closed = self.closed;
         next.metrics = self.metrics.clone();
         next.metrics.entries_pruned.add(self.held() as u64);
         next
@@ -920,17 +1029,35 @@ impl SegmentMonitorSet {
                 end += 1;
             }
             let IngestScratch {
-                miss, msgs, fps, ..
+                miss,
+                firsts,
+                msgs,
+                fps,
+                ..
             } = &mut self.scratch;
             miss.clear();
             miss.extend((start..end).filter(|&i| pending[i].fp.is_none()));
-            memo_misses += miss.len() as u64;
+            // Both taps of a packet in one batch miss the memo alike: with
+            // the memo on, each (packet, invariant bytes) is fingerprinted
+            // once, its first miss standing for the rest.
+            let key = |i: usize| (pending[i].id, pending[i].inv);
+            if memo {
+                miss.sort_unstable_by_key(|&i| key(i));
+            }
+            firsts.clear();
+            for (k, &i) in miss.iter().enumerate() {
+                if !(memo && k > 0 && key(miss[k - 1]) == key(i)) {
+                    firsts.push(i);
+                }
+            }
+            memo_misses += firsts.len() as u64;
+            memo_hits += (miss.len() - firsts.len()) as u64;
             if !miss.is_empty() {
                 let key = self.plan.keys[seg as usize];
                 msgs.clear();
-                msgs.extend(miss.iter().map(|&i| pending[i].inv));
+                msgs.extend(firsts.iter().map(|&i| pending[i].inv));
                 key.fingerprint_batch_into(msgs, fps);
-                for (&i, &fp) in miss.iter().zip(fps.iter()) {
+                for (&i, &fp) in firsts.iter().zip(fps.iter()) {
                     pending[i].fp = Some(fp);
                     if !memo {
                         continue;
@@ -941,10 +1068,19 @@ impl SegmentMonitorSet {
                     self.fp_cache
                         .insert((pending[i].id, seg), (pending[i].inv, fp));
                 }
+                let mut fp = None;
+                for &i in miss.iter() {
+                    match pending[i].fp {
+                        Some(first) => fp = Some(first),
+                        None => pending[i].fp = fp,
+                    }
+                }
             }
             start = end;
         }
-        // Phase 4: sampling filter and slot-indexed record pushes.
+        // Phase 4: sampling filter, running digests and slot-indexed
+        // record pushes.
+        let mut digested_only = 0u64;
         for p in &pending {
             let fp =
                 p.fp.expect("phase 3 fingerprints every pending observation");
@@ -953,18 +1089,28 @@ impl SegmentMonitorSet {
                     continue;
                 }
             }
-            self.slots[p.slot as usize].push(ReportEntry {
+            let entry = ReportEntry {
                 fingerprint: fp,
                 size: p.size,
                 time: p.time,
-            });
+            };
             recorded += 1;
+            let held = match (&self.schedule, self.streams.get_mut(p.slot as usize)) {
+                (Some(s), Some(stream)) => stream.observe(s, self.closed, &entry),
+                _ => true,
+            };
+            if held {
+                self.slots[p.slot as usize].push(entry);
+            } else {
+                digested_only += 1;
+            }
         }
         self.scratch.pending = pending;
         self.metrics.batches.inc();
         self.metrics.fp_cache_hits.add(memo_hits);
         self.metrics.fp_cache_misses.add(memo_misses);
         self.metrics.records.add(recorded);
+        self.metrics.entries_pruned.add(digested_only);
     }
 
     /// Memoized route-traversal check: the oracle is fixed at construction,
@@ -1011,15 +1157,114 @@ impl SegmentMonitorSet {
         record.after(after)
     }
 
+    /// The (judged, held) digests of round `round` — `window` is its — of
+    /// what `router` recorded of segment `i`, with sketches of `capacity`:
+    /// the running digests of a set that [`stream`](Self::stream)s at that
+    /// capacity, or else one pass over the record, if it holds the round
+    /// whole. `None` if neither can say.
+    pub fn digests(
+        &self,
+        router: RouterId,
+        i: usize,
+        round: u64,
+        window: Window,
+        capacity: usize,
+    ) -> Option<(ContentDigest, ContentDigest)> {
+        let slot = self.slot_of.get(&(router, i)).copied();
+        match (self.schedule, slot.and_then(|s| self.streams.get(s))) {
+            (Some(s), Some(stream)) if s.capacity == capacity => {
+                debug_assert_eq!(window, s.window(round), "the stream's own schedule");
+                return Some(stream.digests(round, capacity));
+            }
+            _ if !self.holds_whole(router, i, window) => return None,
+            _ => {}
+        }
+        let held = self.held_after(router, i, window.held_from());
+        let judged = window.judged_span(&held);
+        let mut digests = [
+            ContentDigest::empty(capacity),
+            ContentDigest::empty(capacity),
+        ];
+        for (k, e) in held.to_report().entries.iter().enumerate() {
+            digests[usize::from(judged.contains(&k))].observe(e.fingerprint, e.size.into());
+        }
+        let [mut whole, judged] = digests;
+        whole.merge(&judged);
+        Some((judged, whole))
+    }
+
+    /// Whether `router`'s record of segment `i` holds the round of
+    /// `window` whole — every observation of its held window — as a set
+    /// of whole records does, and a streamed one from the first round
+    /// whose held window opens after the segment's
+    /// [`dispute`](Self::dispute).
+    pub fn holds_whole(&self, router: RouterId, i: usize, window: Window) -> bool {
+        let slot = self.slot_of.get(&(router, i));
+        slot.and_then(|&s| self.streams.get(s))
+            .is_none_or(|stream| {
+                (stream.whole_after).is_some_and(|w| window.held_from().is_some_and(|h| h >= w))
+            })
+    }
+
+    /// Segment `i` is in dispute from `at`: a streamed set holds every
+    /// observation of it made after `at` from now on (a set of whole
+    /// records does anyway).
+    pub fn dispute(&mut self, i: usize, at: SimTime) {
+        for (&(_, seg), &slot) in &self.slot_of {
+            if let Some(stream) = self.streams.get_mut(slot).filter(|_| seg == i) {
+                stream.whole_after = Some(stream.whole_after.map_or(at, |w| w.min(at)));
+            }
+        }
+    }
+
+    /// Round `r` is closed: what is observed from now on lies in the tail
+    /// of no round up to `r`.
+    pub fn closed(&mut self, r: u64) {
+        self.closed = Some(self.closed.map_or(r, |c| c.max(r)));
+    }
+
+    /// Round `r`, of `window`, is evaluated: drops what no later round
+    /// reads — everything at or before [`Window::forget_horizon`] and, in
+    /// a streamed set, the tail of `r` outside the next strip and any
+    /// dispute, and the running digests of the rounds before `r`.
+    pub fn retire(&mut self, r: u64, window: Window) {
+        self.metrics
+            .held_bytes_max
+            .set_max(self.held_bytes() as f64);
+        let horizon = window.forget_horizon();
+        let mut pruned: usize = (self.slots.iter_mut())
+            .map(|rec| horizon.map_or(0, |h| rec.prune(h)))
+            .sum();
+        if let Some(s) = self.schedule {
+            debug_assert_eq!(window, s.window(r), "the stream's own schedule");
+            // The next strip opens where round r + 1 forgets up to.
+            let strip = s.window(r + 1).forget_horizon();
+            for (rec, stream) in self.slots.iter_mut().zip(&mut self.streams) {
+                let until = match (strip, stream.whole_after) {
+                    (Some(strip), Some(w)) => strip.min(w),
+                    (strip, _) => strip.unwrap_or(SimTime::ZERO),
+                };
+                if until > window.cutoff() {
+                    pruned += rec.prune_between(window.cutoff(), until);
+                }
+                stream.retire(r);
+            }
+        }
+        self.metrics.entries_pruned.add(pruned as u64);
+        self.metrics.entries_held_max.set_max(self.held() as f64);
+    }
+
     /// Entries held across all records.
     pub fn held(&self) -> usize {
         self.slots.iter().map(Record::len).sum()
     }
 
-    /// Bytes the entries held across all records take: 12 an entry while
-    /// sizes repeat (see [`Record`]).
+    /// Bytes the entries held across all records take — 12 an entry while
+    /// sizes repeat (see [`Record`]) — and the running digests of a
+    /// streamed set.
     pub fn held_bytes(&self) -> usize {
-        self.slots.iter().map(Record::held_bytes).sum()
+        let records: usize = self.slots.iter().map(Record::held_bytes).sum();
+        records + self.streams.iter().map(Stream::bytes).sum::<usize>()
     }
 
     /// Drops every entry observed at or before `horizon` from every
@@ -1372,6 +1617,129 @@ mod tests {
             a.len() > 50 && a.len() < 150,
             "≈50% of 200, got {}",
             a.len()
+        );
+    }
+
+    /// Both taps of one packet on one segment in one batch: the second
+    /// takes the first's fingerprint, a memo hit, so the batch reads
+    /// (1 hit, 1 miss), and both ends record the one fingerprint.
+    #[test]
+    fn both_taps_of_a_packet_in_one_batch_are_fingerprinted_once() {
+        let (mut net, ids) = setup_line4();
+        let seg = PathSegment::new(vec![ids[0], ids[1], ids[2], ids[3]]);
+        let oracle = PathOracle::from_routes(net.routes());
+        let ks = keystore(4);
+        let mut mon = SegmentMonitorSet::new(vec![seg], oracle, &ks, MonitorMode::EndsOnly, None);
+        let reg = fatih_obs::MetricsRegistry::new();
+        mon.attach_metrics(MonitorMetrics::registered(&reg));
+        net.add_cbr_flow(
+            ids[0],
+            ids[3],
+            1000,
+            SimTime::from_ms(1),
+            SimTime::ZERO,
+            Some(SimTime::from_ms(1)),
+        );
+        let mut events: Vec<TapEvent> = Vec::new();
+        net.run_until(SimTime::from_secs(1), |ev| events.push(*ev));
+        mon.observe_batch(&events);
+        let snap = reg.snapshot();
+        let memo = (
+            snap.counter("monitor.fp_cache_hits"),
+            snap.counter("monitor.fp_cache_misses"),
+        );
+        assert_eq!(memo, (1, 1));
+        let (up, down) = (mon.report(ids[0], 0), mon.report(ids[3], 0));
+        assert_eq!((up.len(), down.len()), (1, 1));
+        assert_eq!(up.entries[0].fingerprint, down.entries[0].fingerprint);
+    }
+
+    /// Router `at`'s own set over `⟨0, 1, 2, 3⟩` on a 4-line, and the
+    /// network taps of a flow `0 → 3` one packet a millisecond for
+    /// `packets` ms.
+    fn own_set_and_taps(
+        at: usize,
+        packets: u64,
+    ) -> (Vec<RouterId>, SegmentMonitorSet, Vec<TapEvent>) {
+        let (mut net, ids) = setup_line4();
+        let seg = PathSegment::new(vec![ids[0], ids[1], ids[2], ids[3]]);
+        let plan = MonitorPlan::new(
+            vec![seg],
+            PathOracle::from_routes(net.routes()),
+            &keystore(4),
+        );
+        let set = SegmentMonitorSet::for_router(&plan, ids[at]);
+        let stop = SimTime::from_ms(packets);
+        net.add_cbr_flow(
+            ids[0],
+            ids[3],
+            1000,
+            SimTime::from_ms(1),
+            SimTime::ZERO,
+            Some(stop),
+        );
+        let mut events: Vec<TapEvent> = Vec::new();
+        net.run_until(SimTime::from_secs(2), |ev| events.push(*ev));
+        (ids, set, events)
+    }
+
+    /// A streamed set digests every round as the whole record does, bit
+    /// for bit, while holding only the look-back strips and the tails of
+    /// rounds not yet closed; each round's retirement drops its tail, and
+    /// a dispute keeps what follows it whole.
+    #[test]
+    fn a_streamed_set_digests_as_the_whole_record_and_holds_its_strips() {
+        const CAP: usize = 8;
+        let (tau, lag) = (SimTime::from_ms(200), SimTime::from_ms(20));
+        let window = |r| Window::of_round(r, tau, lag);
+        let (ids, mut whole, events) = own_set_and_taps(0, 900);
+        let (_, mut strips, _) = own_set_and_taps(0, 0);
+        strips.stream(tau, lag, CAP);
+        let reg = fatih_obs::MetricsRegistry::new();
+        strips.attach_metrics(MonitorMetrics::registered(&reg));
+        let at = |ms: u64| events.partition_point(|e| e.time() <= SimTime::from_ms(ms));
+        let mut fed = 0;
+        for r in 0..4u64 {
+            // Observed up to the close, closed, digested, then observed up
+            // to the evaluation and retired.
+            let close = (r + 1) * 200;
+            for set in [&mut whole, &mut strips] {
+                set.observe_batch(&events[fed..at(close)]);
+                set.closed(r);
+            }
+            fed = at(close);
+            let digests = |set: &SegmentMonitorSet| set.digests(ids[0], 0, r, window(r), CAP);
+            assert_eq!(digests(&strips), digests(&whole), "round {r}");
+            assert!(digests(&strips).is_some());
+            // The strips of rounds r − 1 and r and the tail of round r:
+            // three lags of traffic, until the dispute keeps all of it.
+            let held = if r < 3 { 3 * 20 } else { 20 + 200 };
+            assert!(
+                strips.held() <= held + 1,
+                "round {r}: {} held",
+                strips.held()
+            );
+            if r == 2 {
+                strips.dispute(0, SimTime::from_ms(close));
+            }
+            for set in [&mut whole, &mut strips] {
+                set.observe_batch(&events[fed..at(close + 50)]);
+                set.retire(r, window(r));
+            }
+            fed = at(close + 50);
+            // Disputed at 600 ms: round 3's held window opens at 560 ms,
+            // round 4's at 760 ms, the first whole one.
+            let whole_round = |r| strips.holds_whole(ids[0], 0, window(r));
+            assert_eq!((whole_round(r + 1), whole_round(4)), (r >= 3, r >= 2));
+        }
+        assert_eq!(
+            strips.report_after(ids[0], 0, window(4).held_from()),
+            whole.report_after(ids[0], 0, window(4).held_from())
+        );
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.counter("monitor.records") - snap.counter("monitor.entries_pruned"),
+            strips.held() as u64
         );
     }
 }

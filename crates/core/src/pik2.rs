@@ -17,7 +17,9 @@
 //! resolution and the verdicts, judged on conservation of content. It
 //! owns no clock, socket, key or counter; a host closes its rounds, hands
 //! it what arrived — having authenticated the sender — and reads it the
-//! record through a `&SegmentMonitorSet`. Its one host is the live
+//! record through a `&SegmentMonitorSet` — the running digests of a
+//! streamed record, which holds whole only what a segment in dispute
+//! needs, or a record of whole windows. Its one host is the live
 //! runtime's sans-I/O `Router` (`fatih-net`), stepped by a shard over
 //! sockets or by the simulator's clock (`SimHost`), which adds sealed
 //! frames, retransmission, metrics, alerts and the response. What a host
@@ -34,7 +36,6 @@ use fatih_topology::{PathSegment, RouterId};
 use fatih_validation::digest::{diff_digests, ContentDigest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What one end of a segment tells the other about a round.
@@ -135,6 +136,11 @@ pub enum Received {
     /// Dropped: the round is evaluated already — the verdict is out and
     /// the record it would be read against is pruned.
     Stale,
+    /// Taken as notice that the segment is in dispute, and nothing more:
+    /// this end's record does not hold the round whole, so it can neither
+    /// answer a pull for it nor judge a summary against it. The round is
+    /// judged on what its digests certified.
+    Disputed,
 }
 
 /// One end's verdict on one segment for one round.
@@ -145,9 +151,26 @@ pub struct Judged {
     /// The segment's other end.
     pub peer: RouterId,
     /// `TV` over the round's window; ⊥ if the peer was not heard from.
+    /// Empty when the round was judged on counts.
     pub verdict: PairVerdict,
+    /// Lower bounds on the round's (lost, fabricated) counts when it was
+    /// judged on them alone: its digests certified no difference and no
+    /// summary could be judged against this end's record.
+    pub bound: Option<(usize, usize)>,
     /// Whether the verdict conserves content within the thresholds.
     pub passed: bool,
+}
+
+impl Judged {
+    /// Packets judged lost: the verdict's, or the bound's.
+    pub fn lost(&self) -> usize {
+        self.bound.map_or(self.verdict.lost.len(), |b| b.0)
+    }
+
+    /// Packets judged fabricated: the verdict's, or the bound's.
+    pub fn fabricated(&self) -> usize {
+        self.bound.map_or(self.verdict.fabricated.len(), |b| b.1)
+    }
 }
 
 /// One segment this router is an end of.
@@ -160,12 +183,14 @@ struct EndRole {
 }
 
 /// What the peer's evidence for a (round, segment) came to: its report,
-/// or the verdict decoded from its digests, certified equal to what the
-/// report would have given.
+/// the verdict decoded from its digests, certified equal to what the
+/// report would have given, or — digests that certified nothing — the
+/// (lost, fabricated) bounds their counts give.
 #[derive(Debug, Clone)]
 enum Heard {
     Report(Report),
     Verdict(PairVerdict),
+    Bound(usize, usize),
 }
 
 /// One router's part in Πk+2: see the module documentation.
@@ -180,12 +205,6 @@ pub struct Pik2Node {
     /// The last round evaluated; evidence for it or an earlier one is
     /// stale.
     evaluated: Option<u64>,
-}
-
-thread_local! {
-    /// The digests' sort buffer, one word per held entry: one per thread,
-    /// which every node the thread steps shares, kept from round to round.
-    static KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Pik2Node {
@@ -234,21 +253,6 @@ impl Pik2Node {
         record.report_after(self.id, seg, window.held_from())
     }
 
-    /// The (judged, held) digests of what this router's record of segment
-    /// `seg` holds for the round of `window`: one sort of a word per entry
-    /// and one sketch pass.
-    fn digests(
-        &self,
-        seg: usize,
-        window: Window,
-        capacity: usize,
-        record: &SegmentMonitorSet,
-    ) -> (ContentDigest, ContentDigest) {
-        let held = record.held_after(self.id, seg, window.held_from());
-        let judged = window.judged_span(&held);
-        KEYS.with_borrow_mut(|keys| held.digests(judged, capacity, keys))
-    }
-
     /// Round `round`, of `window`, closed: for every segment this router
     /// ends, (the other end, the segment's index in the planned list, what
     /// to tell it) — summaries, or digests from sketches of `sketch`
@@ -267,7 +271,8 @@ impl Pik2Node {
                 out.push((role.peer, role.seg, Evidence::Summary(held)));
                 continue;
             };
-            let (judged, held) = self.digests(role.seg, window, capacity, record);
+            let (judged, held) = (record.digests(self.id, role.seg, round, window, capacity))
+                .expect("a segment end digests its own rounds at its own capacity");
             if self.evaluated.is_none_or(|done| round > done) {
                 (self.said).insert((round, role.seg), (judged.clone(), held.clone()));
             }
@@ -298,20 +303,31 @@ impl Pik2Node {
         if self.evaluated.is_some_and(|done| round <= done) {
             return Received::Stale;
         }
+        let key = (round, role.seg);
+        let whole = record.holds_whole(self.id, role.seg, window);
         let heard = match evidence {
+            Evidence::Summary(_) if !whole => return Received::Disputed,
             Evidence::Summary(report) => Heard::Report(report),
             Evidence::Digest { judged, held } => {
                 match self.resolve_digest(role, round, window, &judged, &held, record) {
-                    Some(verdict) => Heard::Verdict(verdict),
-                    None => return Received::Reply(Evidence::Pull),
+                    Ok(verdict) => Heard::Verdict(verdict),
+                    Err(bound) => {
+                        // Judged on the counts unless something better
+                        // comes: a summary, or a digest that resolves.
+                        if let (Some((lost, fabricated)), None) = (bound, self.heard.get(&key)) {
+                            self.heard.insert(key, Heard::Bound(lost, fabricated));
+                        }
+                        return Received::Reply(Evidence::Pull);
+                    }
                 }
             }
+            Evidence::Pull if !whole => return Received::Disputed,
             Evidence::Pull => {
                 let held = self.held(role.seg, window, record);
                 return Received::Reply(Evidence::Summary(held));
             }
         };
-        self.heard.insert((round, role.seg), heard);
+        self.heard.insert(key, heard);
         Received::Stored
     }
 
@@ -325,11 +341,19 @@ impl Pik2Node {
     /// upstream end needs the look-back. This end's side is what it said
     /// for the round, or digests of its record if the peer closed first.
     /// The verdict is `tv_pair`'s, `lost = judged(up) ∖ held(down)`,
-    /// `fabricated = judged(down) ∖ held(up)`: with judged ⊆ held and
-    /// certified differences of multiplicity 1, `J_mine ∖ H_peer` is what
-    /// this end judged of `H_mine ∖ H_peer`, and `J_peer ∖ H_mine` what its
-    /// record lacks of `J_peer ∖ J_mine`. Returns `None` (forcing a full
-    /// pull) whenever either digest fails certification.
+    /// `fabricated = judged(down) ∖ held(up)`, over multisets. A certified
+    /// difference holds each fingerprint once, so per fingerprint `x` (with
+    /// `J ⊆ H` at both ends): `x` of `H_mine ∖ H_peer` is in
+    /// `J_mine ∖ H_peer` iff every copy of `x` this end holds is judged,
+    /// and `x` of `J_peer ∖ J_mine` is in `J_peer ∖ H_mine` iff the same
+    /// holds. So the one scan reads `H_mine ∖ J_mine` only — the look-back
+    /// strip and the tail, all a streamed record holds exactly.
+    ///
+    /// `Err` whenever either digest fails certification: with the
+    /// (lost, fabricated) lower bounds `|J_up| − |H_down|` and
+    /// `|J_down| − |H_up|` (a multiset difference is never smaller than
+    /// the difference of the sizes), unless this end cannot digest the
+    /// round at the peer's capacity.
     fn resolve_digest(
         &self,
         role: EndRole,
@@ -338,39 +362,52 @@ impl Pik2Node {
         judged_d: &ContentDigest,
         held_d: &ContentDigest,
         record: &SegmentMonitorSet,
-    ) -> Option<PairVerdict> {
+    ) -> Result<PairVerdict, Option<(usize, usize)>> {
         let capacity = held_d.sketch().capacity();
         let (my_judged, my_held) = match self.said.get(&(round, role.seg)) {
             Some(said) if said.1.sketch().capacity() == capacity => said.clone(),
-            _ => self.digests(role.seg, window, capacity, record),
+            _ => (record.digests(self.id, role.seg, round, window, capacity)).ok_or(None)?,
         };
         // The polynomial splitting wants random points, not secret ones: a
         // function of the input keeps the verdict one too.
         let mut rng = StdRng::seed_from_u64(held_d.mix_sum());
-        let (j_add, _) = diff_digests(judged_d, &my_judged, &mut rng)?;
-        let (_, h_rem) = diff_digests(held_d, &my_held, &mut rng)?;
-        // One scan marks what of `j_add` the record holds and of `h_rem` the
-        // judged slice does (disjoint sets: `J_peer ⊆ H_peer`); none if both
-        // are empty.
-        let mut found = BTreeSet::new();
+        let certified = diff_digests(judged_d, &my_judged, &mut rng)
+            .zip(diff_digests(held_d, &my_held, &mut rng));
+        let Some(((j_add, _), (_, h_rem))) = certified else {
+            let gap = |judged: &ContentDigest, held: &ContentDigest| {
+                judged.flow().packets.saturating_sub(held.flow().packets) as usize
+            };
+            let (mine, theirs) = (gap(&my_judged, held_d), gap(judged_d, &my_held));
+            return Err(Some(if role.upstream {
+                (mine, theirs)
+            } else {
+                (theirs, mine)
+            }));
+        };
+        // One scan of the record outside the judged slice marks what of
+        // `j_add` and `h_rem` this end holds unjudged; none if both are
+        // empty.
+        let mut unjudged = BTreeSet::new();
         if !(h_rem.is_empty() && j_add.is_empty()) {
             let held = record.held_after(self.id, role.seg, window.held_from());
             let judged = window.judged_span(&held);
-            for (i, &fp) in held.fingerprints().iter().enumerate() {
+            let fps = held.fingerprints();
+            for &fp in fps[..judged.start].iter().chain(&fps[judged.end..]) {
                 let wanted = |set: &[Fingerprint]| set.binary_search(&fp).is_ok();
-                if wanted(&j_add) || (judged.contains(&i) && wanted(&h_rem)) {
-                    found.insert(fp);
+                if wanted(&j_add) || wanted(&h_rem) {
+                    unjudged.insert(fp);
                 }
             }
         }
-        let mine: Vec<_> = h_rem.into_iter().filter(|fp| found.contains(fp)).collect();
-        let theirs: Vec<_> = j_add.into_iter().filter(|fp| !found.contains(fp)).collect();
+        let judged_only = |fp: &Fingerprint| !unjudged.contains(fp);
+        let mine: Vec<_> = h_rem.into_iter().filter(judged_only).collect();
+        let theirs: Vec<_> = j_add.into_iter().filter(judged_only).collect();
         let (lost, fabricated) = if role.upstream {
             (mine, theirs)
         } else {
             (theirs, mine)
         };
-        Some(PairVerdict {
+        Ok(PairVerdict {
             lost,
             fabricated,
             reordered: 0,
@@ -392,26 +429,35 @@ impl Pik2Node {
         let mut out = Vec::with_capacity(self.roles.len());
         for role in self.roles.values() {
             let heard = self.heard.remove(&(round, role.seg));
-            let verdict = if let Some(Heard::Verdict(decoded)) = heard {
-                decoded
-            } else {
-                let peer = match &heard {
-                    Some(Heard::Report(report)) => Some(report),
-                    _ => None,
-                };
-                let mine = self.held(role.seg, window, record);
-                let (up, down) = if role.upstream {
-                    (Some(&mine), peer)
-                } else {
-                    (peer, Some(&mine))
-                };
-                window.judge(up, down, SimTime::ZERO)
+            let (verdict, bound) = match heard {
+                Some(Heard::Verdict(decoded)) => (decoded, None),
+                Some(Heard::Bound(lost, fabricated)) => {
+                    (PairVerdict::default(), Some((lost, fabricated)))
+                }
+                heard => {
+                    let peer = match &heard {
+                        Some(Heard::Report(report)) => Some(report),
+                        _ => None,
+                    };
+                    let mine = self.held(role.seg, window, record);
+                    let (up, down) = if role.upstream {
+                        (Some(&mine), peer)
+                    } else {
+                        (peer, Some(&mine))
+                    };
+                    (window.judge(up, down, SimTime::ZERO), None)
+                }
+            };
+            let passed = match bound {
+                Some((lost, fabricated)) => fabricated == 0 && lost <= thresholds.loss,
+                None => verdict.passes(Policy::Content, thresholds),
             };
             out.push(Judged {
                 segment: role.seg,
                 peer: role.peer,
-                passed: verdict.passes(Policy::Content, thresholds),
                 verdict,
+                bound,
+                passed,
             });
         }
         self.retire(round);

@@ -50,6 +50,21 @@ impl Window {
         Self::closing((r > 0).then(|| tau * r), tau * (r + 1), lag)
     }
 
+    /// The round of a schedule of `tau`-long rounds from time 0 whose
+    /// judged window holds an observation at `t`: the one
+    /// [`of_round`](Self::of_round) window that does.
+    pub fn round_of(t: SimTime, tau: SimTime, lag: SimTime) -> u64 {
+        match t.as_ns() {
+            0 => 0,
+            ns => (ns + lag.as_ns()).div_ceil(tau.as_ns()) - 1,
+        }
+    }
+
+    /// `c_r`, where the judged window closes, inclusive.
+    pub fn cutoff(&self) -> SimTime {
+        self.cutoff
+    }
+
     /// Where the reports this round compares open, exclusive: one lag
     /// before the judged window. `None` while that reaches back past time
     /// 0 — the report is everything recorded.
@@ -117,6 +132,28 @@ mod tests {
         // Built from round-end instants, the same windows.
         assert_eq!(Window::closing(None, MS(200), lag), w0);
         assert_eq!(Window::closing(Some(MS(200)), MS(400), lag), w1);
+    }
+
+    /// Every instant, edges and time 0 included, lies in the judged window
+    /// of the round `round_of` names, and in no other.
+    #[test]
+    fn round_of_names_the_one_window_that_judges_an_instant() {
+        for (tau, lag) in [(200, 50), (100, 150), (100, 99), (300, 0)] {
+            let (tau, lag) = (SimTime::from_ns(tau), SimTime::from_ns(lag));
+            for ns in 0..1_000 {
+                let t = SimTime::from_ns(ns);
+                let judges = |r: u64| {
+                    let w = Window::of_round(r, tau, lag);
+                    w.judged_from.is_none_or(|from| t > from) && t <= w.cutoff
+                };
+                let r = Window::round_of(t, tau, lag);
+                assert!(judges(r), "{t:?} not in round {r}'s window");
+                assert!(
+                    (0..r + 3).all(|k| k == r || !judges(k)),
+                    "{t:?} judged twice"
+                );
+            }
+        }
     }
 
     #[test]

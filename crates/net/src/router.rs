@@ -236,6 +236,14 @@ pub(crate) fn routers(
         .map(|id| {
             let mut monitors = SegmentMonitorSet::for_router(&monitored, id);
             monitors.attach_metrics(metrics.monitor.clone());
+            // Reconcile mode keeps running digests and the strips; Full
+            // mode, every segment in dispute, keeps whole records, and so
+            // does a lag that reaches past a round.
+            let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
+            let (tau, lag) = (ns(cfg.tau), ns(cfg.maturity_lag));
+            if let (SummaryMode::Reconcile { capacity }, true) = (cfg.summary, lag < tau) {
+                monitors.stream(tau, lag, capacity.max(1));
+            }
             Router {
                 id,
                 cfg: *cfg,
@@ -509,10 +517,11 @@ impl Router {
     }
 
     fn round_end(&mut self, r: u64, out: &mut Outputs) {
+        self.flush_observations();
+        self.monitors.closed(r);
         if !self.alive {
             return;
         }
-        self.flush_observations();
         if r < self.convergence.view().eval_resume {
             // Reconvergence amnesty: this round straddles a topology
             // change, so neither end summarizes it — the transition can
@@ -555,11 +564,18 @@ impl Router {
             counter.inc();
             out.trace.record(now, kind, by, round, peer);
         };
+        // A pull, sent or taken, puts the segment in dispute at both ends.
+        if matches!(received, Received::Reply(_) | Received::Disputed) {
+            let segments = self.monitors.segments();
+            if let Some(seg) = segments.iter().position(|s| *s == message.segment) {
+                self.monitors.dispute(seg, SimTime::from_ns(self.now));
+            }
+        }
         match received {
             Received::Stored if is_digest => {
                 note(&self.metrics.digests_resolved, TraceKind::DigestResolved)
             }
-            Received::Stored => {}
+            Received::Stored | Received::Disputed => {}
             Received::Reply(reply) => {
                 if matches!(reply, Evidence::Pull) {
                     note(&self.metrics.digest_fallbacks, TraceKind::DigestFallback);
@@ -597,9 +613,7 @@ impl Router {
         // window, so the pruning is a memory matter only.
         self.pik2.retire(r);
         self.flush_observations();
-        if let Some(horizon) = self.window(r).forget_horizon() {
-            self.monitors.prune(horizon);
-        }
+        self.monitors.retire(r, self.window(r));
     }
 
     /// Has the router judge round `r` and acts on each verdict: events,
@@ -615,10 +629,10 @@ impl Router {
         let mut convictions: Vec<PathSegment> = Vec::new();
         let by = u32::from(self.id);
         for j in judged {
-            let (peer, verdict, passed) = (j.peer, j.verdict, j.passed);
+            let (peer, bottom, passed) = (j.peer, j.verdict.bottom, j.passed);
             let segment = self.monitors.segments()[j.segment].clone();
             let peer_id = u64::from(u32::from(peer));
-            if verdict.bottom {
+            if bottom {
                 self.metrics.summary_timeouts.inc();
                 (out.trace).record(self.now, TraceKind::SummaryTimeout, by, r, peer_id);
                 out.events.push(LiveEvent::SummaryTimeout {
@@ -627,14 +641,17 @@ impl Router {
                     round: r,
                 });
             }
+            if j.bound.is_some() {
+                self.metrics.rounds_bounded.inc();
+            }
             out.events.push(LiveEvent::RoundEvaluated {
                 router: self.id,
                 round: r,
                 segment: segment.clone(),
                 passed,
-                bottom: verdict.bottom,
-                lost: verdict.lost.len(),
-                fabricated: verdict.fabricated.len(),
+                bottom,
+                lost: j.lost(),
+                fabricated: j.fabricated(),
             });
             if passed {
                 continue;
@@ -651,7 +668,7 @@ impl Router {
                 suspicion: suspicion.clone(),
                 round: r,
             });
-            if verdict.bottom {
+            if bottom {
                 // Timeout-as-accusation: the peer (or the path to it)
                 // failed the exchange itself.
                 let segment = segment.clone();
@@ -1185,6 +1202,36 @@ mod tests {
             for end in &mut self.pending {
                 end.sort_by_key(|&(t, _)| t);
             }
+        }
+
+        /// Plans packets router 2 receives at each of `times`, in
+        /// nanoseconds, that router 0 never forwarded: fabrications.
+        fn fabricate(&mut self, times: &[u64]) {
+            for &t in times {
+                self.packets += 1;
+                let id = PacketId(self.packets);
+                let packet = Packet {
+                    id,
+                    src: self.ids[0],
+                    dst: self.ids[2],
+                    flow: FlowId(0),
+                    kind: PacketKind::Data,
+                    size: 800,
+                    seq: self.packets,
+                    payload_tag: Packet::expected_tag(id),
+                    ttl: Packet::DEFAULT_TTL,
+                    created_at: SimTime::from_ns(t),
+                };
+                let (router, from, time) = (self.ids[2], Some(self.ids[1]), SimTime::from_ns(t));
+                let arrived = TapEvent::Arrived {
+                    router,
+                    from,
+                    packet,
+                    time,
+                };
+                self.pending[1].push((t, arrived));
+            }
+            self.pending[1].sort_by_key(|&(t, _)| t);
         }
 
         /// The clock reaches `now`: both ends record what was planned up
@@ -1898,5 +1945,84 @@ mod tests {
         assert_eq!(net.counter("net.retransmits"), 0);
         let fired = net.out.trace.recorded(TraceKind::TimerFired);
         assert_eq!(fired, 3 * due.len() as u64, "one record a step");
+    }
+
+    /// A packet sent every 5 ms from 5 ms to `until_ms`, with a 1 ms
+    /// transit, lost where `lost(sent_ms)` says so: Line3 stamps.
+    fn steady(until_ms: u64, lost: impl Fn(u64) -> bool) -> Vec<(u64, Option<u64>)> {
+        (1..=until_ms / 5)
+            .map(|k| {
+                let t = k * 5 * MS;
+                (t, (!lost(k * 5)).then_some(t + MS))
+            })
+            .collect()
+    }
+
+    const MS: u64 = 1_000_000;
+
+    /// A dropper that loses more than a sketch resolves, from 200 ms on
+    /// (in round 1, after round 0's held window): the digests do not
+    /// certify and neither end holds a whole record, so each judges the
+    /// onset round on its certified counts — a lost bound
+    /// `|J_up| − |H_down|` that breaks the zero tolerance and never
+    /// exceeds the 23 packets really lost — and convicts in that round.
+    /// The pulls are notices, acknowledged and never read as ⊥.
+    #[test]
+    fn a_dropper_above_capacity_is_convicted_on_the_count_bound_in_its_onset_round() {
+        let mut net = Line3::new(SummaryMode::Reconcile { capacity: 4 });
+        // Round 1 judges (150 ms, 350 ms]: three packets in four sent
+        // after 200 ms are lost.
+        let onset = |t: u64| t > 200 && t <= 350 && !t.is_multiple_of(20);
+        net.plan(&steady(1000, onset));
+        net.round(0);
+        assert_eq!(net.verdicts(), CLEAN);
+        net.round(1);
+        let verdicts = net.verdicts();
+        assert_eq!(verdicts.len(), 2);
+        for (passed, lost, fabricated) in verdicts {
+            assert!(!passed && lost > 0 && lost <= 23 && fabricated == 0);
+        }
+        assert_eq!(net.counter("net.rounds_bounded"), 2);
+        assert_eq!(net.counter("net.digest_fallbacks"), 2);
+        for r in 2..4 {
+            net.round(r);
+            assert!(net.verdicts().iter().all(|v| v.0), "round {r}");
+        }
+        assert_eq!(net.counter("net.summary_timeouts"), 0);
+    }
+
+    /// A round whose losses and fabrications cancel in the counts, six of
+    /// each, beyond what a sketch of 4 resolves: it passes on the bounds,
+    /// and its pulls put the segment in dispute at both ends. The first
+    /// round whose held window opens after the notice (round 3: 500 ms >
+    /// 400 ms) is held whole; the same attack there is pulled and judged
+    /// exactly, and convicted.
+    #[test]
+    fn cancelling_differences_pass_on_the_bounds_and_the_next_whole_round_convicts() {
+        let mut net = Line3::new(SummaryMode::Reconcile { capacity: 4 });
+        // Six losses and six fabrications mid-window in rounds 1 and 3.
+        let lossy = |t: u64| (211..=270).contains(&(t % 400)) && t.is_multiple_of(10) && t < 800;
+        net.plan(&steady(1000, lossy));
+        let forged: Vec<u64> = [222, 232, 242, 252, 262, 267]
+            .into_iter()
+            .flat_map(|t| [t * MS, (t + 400) * MS])
+            .collect();
+        net.fabricate(&forged);
+        let whole = |net: &Line3, r| {
+            let window = net.routers[0].window(r);
+            [0, 2].map(|i| net.routers[i].monitors.holds_whole(net.ids[i], 0, window))
+        };
+        net.round(0);
+        assert_eq!(net.verdicts(), CLEAN);
+        net.round(1);
+        assert_eq!(net.verdicts(), CLEAN, "passes on the bounds");
+        assert_eq!(net.counter("net.rounds_bounded"), 2);
+        assert_eq!((whole(&net, 2), whole(&net, 3)), ([false; 2], [true; 2]));
+        net.round(2);
+        assert_eq!(net.verdicts(), CLEAN);
+        net.round(3);
+        assert_eq!(net.verdicts(), [(false, 6, 6); 2], "judged exactly");
+        assert_eq!(net.counter("net.rounds_bounded"), 2);
+        assert_eq!(net.counter("net.summary_timeouts"), 0);
     }
 }

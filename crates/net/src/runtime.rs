@@ -29,9 +29,13 @@
 //! bytes proportional to one window's traffic. In `Reconcile` mode they ship
 //! fixed-size [`ContentDigest`]s (the Appendix A characteristic-polynomial
 //! sketch plus certifying checksums) and each end *decodes* the peer's
-//! summary from its own records plus the recovered difference; only when
-//! the difference exceeds the sketch capacity does it pull the full
-//! summary, and a counter records every fallback.
+//! summary from its own records plus the recovered difference. The
+//! digests are kept running as observations arrive, and a segment end
+//! holds exactly only the look-back strips its decoding reads. When the
+//! difference exceeds the sketch capacity, the round is judged on the
+//! digests' certified counts and the end's pull, counted as a fallback,
+//! puts the segment in dispute: both ends hold it whole from then on, and
+//! the pull of a later round is answered with the full summary.
 //!
 //! Time axis: one epoch `Instant` for the whole run, read by the workers
 //! only. A worker steps a router with the nanoseconds since the epoch as
@@ -152,16 +156,22 @@ pub struct LiveSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SummaryMode {
     /// Ship the complete report: control bytes grow with traffic volume.
+    /// Every segment is in dispute: its ends hold whole records.
     #[default]
     Full,
-    /// Ship fixed-size [`ContentDigest`]s and decode the difference
-    /// against local records; pull the full summary only when the
-    /// difference exceeds the sketch `capacity` (Appendix A).
+    /// Ship fixed-size [`ContentDigest`]s, kept running as observations
+    /// arrive, and decode the difference against local records; a
+    /// difference beyond the sketch `capacity` (Appendix A) is judged on
+    /// certified counts and puts the segment in dispute, whose later
+    /// rounds are pulled whole. A segment end holds exactly only its
+    /// look-back strips, unless the lag reaches a round (`maturity_lag ≥
+    /// tau`), when it holds whole records as `Full` mode does.
     ///
     /// [`ContentDigest`]: fatih_validation::digest::ContentDigest
     Reconcile {
-        /// Sketch capacity: the largest distinct-fingerprint difference
-        /// the digest can resolve without falling back.
+        /// Sketch capacity: the largest multiset difference the digest can
+        /// resolve without falling back, as long as it holds no
+        /// fingerprint twice (a repeated root does not decode).
         capacity: usize,
     },
 }
@@ -397,6 +407,8 @@ pub(crate) struct NetMetrics {
     pub(crate) accusations_raised: Counter,
     pub(crate) alerts_sent: Counter,
     pub(crate) summary_timeouts: Counter,
+    /// Rounds a segment end judged on certified counts alone.
+    pub(crate) rounds_bounded: Counter,
     pub(crate) mailbox_frames: Counter,
     pub(crate) epoch_transitions: Counter,
     pub(crate) ls_updates_sent: Counter,
@@ -444,6 +456,7 @@ impl NetMetrics {
             accusations_raised: reg.counter("net.accusations_raised"),
             alerts_sent: reg.counter("net.alerts_sent"),
             summary_timeouts: reg.counter("net.summary_timeouts"),
+            rounds_bounded: reg.counter("net.rounds_bounded"),
             mailbox_frames: reg.counter("net.mailbox_frames"),
             epoch_transitions: reg.counter("net.epoch_transitions"),
             ls_updates_sent: reg.counter("net.ls_updates_sent"),

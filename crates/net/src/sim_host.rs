@@ -741,4 +741,51 @@ mod tests {
             assert_eq!(at, due, "router {id}");
         }
     }
+
+    /// Reconcile mode with a sketch far smaller than a dropper's round of
+    /// losses, over links that lose, duplicate and reorder control packets:
+    /// the dropper's onset rounds are judged on their certified counts,
+    /// their pulls are notices nobody can answer, and none reads as ⊥ —
+    /// no summary times out — while the dropper is convicted, every later
+    /// round is pulled whole, and no honest segment is accused.
+    #[test]
+    fn pulls_in_strip_mode_never_time_out() {
+        let (mut net, ids) = line(5, 3);
+        let shaky = LinkFaults {
+            loss: 0.2,
+            duplicate: 0.2,
+            reorder: 0.2,
+            reorder_delay: SimTime::from_ms(30),
+            ..LinkFaults::NONE
+        };
+        let mut plan = FaultPlan::new(3);
+        for w in ids.windows(2) {
+            plan = plan
+                .with_link_faults(w[0], w[1], shaky)
+                .with_link_faults(w[1], w[0], shaky);
+        }
+        net.set_fault_plan(Some(plan));
+        let f = flow(&mut net, ids[0], ids[4]);
+        net.set_attacks(ids[2], vec![Attack::drop_flows([f], 0.3)]);
+        let cfg = LiveConfig {
+            summary: crate::runtime::SummaryMode::Reconcile { capacity: 4 },
+            ..chapter5(false)
+        };
+        let mut host = SimHost::new(&net, cfg);
+        host.run(&mut net, secs(4 * 5 + 4));
+        let m = host.metrics();
+        assert!(
+            m.counter("net.rounds_bounded") > 0,
+            "no round judged on counts"
+        );
+        assert!(m.counter("net.digest_fallbacks") > m.counter("net.rounds_bounded"));
+        assert_eq!(m.counter("net.summary_timeouts"), 0);
+        let faulty = [ids[2]].into_iter().collect();
+        let check = SpecCheck::evaluate(&host.suspicions(), &faulty);
+        assert!(
+            check.is_complete() && check.is_accurate(3),
+            "{:?}",
+            host.suspicions()
+        );
+    }
 }

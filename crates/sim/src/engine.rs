@@ -424,6 +424,9 @@ impl Network {
             TapEvent::Injected { .. } => self.metrics.injected.inc(),
             TapEvent::Delivered { packet, .. } => {
                 self.metrics.delivered.inc();
+                if packet.kind != PacketKind::Control {
+                    self.metrics.data_delivered.inc();
+                }
                 *self.delivered_per_flow.entry(packet.flow).or_insert(0) += 1;
             }
             TapEvent::Dropped { reason, .. } => match reason {
@@ -1148,6 +1151,12 @@ mod tests {
         assert!(m.intact);
         assert!(m.at > SimTime::ZERO, "control crosses real links");
         assert!(net.take_control_deliveries().is_empty(), "drained");
+        let t = net.ground_truth();
+        assert_eq!(
+            (t.delivered, t.data_delivered),
+            (1, 0),
+            "control is no data"
+        );
     }
 
     #[test]

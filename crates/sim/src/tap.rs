@@ -150,8 +150,11 @@ impl TapEvent {
 pub struct GroundTruth {
     /// Packets injected by sources.
     pub injected: u64,
-    /// Packets delivered to destinations.
+    /// Packets delivered to destinations, control packets included.
     pub delivered: u64,
+    /// Data-plane packets delivered to destinations: `delivered` without
+    /// the protocols' own control packets.
+    pub data_delivered: u64,
     /// Congestive losses (drop-tail overflow + RED early drops).
     pub congestive_drops: u64,
     /// Malicious losses.
@@ -188,6 +191,9 @@ pub struct SimMetrics {
     pub injected: Counter,
     /// Packets delivered to destinations (`sim.delivered`).
     pub delivered: Counter,
+    /// Data-plane packets delivered to destinations
+    /// (`sim.data_delivered`).
+    pub data_delivered: Counter,
     /// Congestive losses (`sim.congestive_drops`).
     pub congestive_drops: Counter,
     /// Malicious losses (`sim.malicious_drops`).
@@ -215,6 +221,7 @@ impl SimMetrics {
         Self {
             injected: reg.counter("sim.injected"),
             delivered: reg.counter("sim.delivered"),
+            data_delivered: reg.counter("sim.data_delivered"),
             congestive_drops: reg.counter("sim.congestive_drops"),
             malicious_drops: reg.counter("sim.malicious_drops"),
             ttl_drops: reg.counter("sim.ttl_drops"),
@@ -232,6 +239,7 @@ impl SimMetrics {
         GroundTruth {
             injected: self.injected.get(),
             delivered: self.delivered.get(),
+            data_delivered: self.data_delivered.get(),
             congestive_drops: self.congestive_drops.get(),
             malicious_drops: self.malicious_drops.get(),
             ttl_drops: self.ttl_drops.get(),
@@ -249,6 +257,7 @@ impl SimMetrics {
     fn absorb(&self, other: &SimMetrics) {
         self.injected.add(other.injected.get());
         self.delivered.add(other.delivered.get());
+        self.data_delivered.add(other.data_delivered.get());
         self.congestive_drops.add(other.congestive_drops.get());
         self.malicious_drops.add(other.malicious_drops.get());
         self.ttl_drops.add(other.ttl_drops.get());

@@ -13,14 +13,19 @@
 //! > [`ContentSummary::difference_pair`] would have produced from the two
 //! > full summaries (up to the 2⁻⁶⁴ checksum collision bound).
 //!
-//! The subtlety is multiplicity: the characteristic-polynomial sketch
-//! requires distinct roots, so [`ContentSummary::to_sketch`] collapses
-//! duplicate fingerprints. Two summaries that differ only in a duplicate
-//! (a retransmitted payload counted twice on one side) reconcile to an
-//! *empty* sketch delta. The mixing checksum closes that blind spot: it is
-//! the wrapping sum of a 64-bit finalizer over the multiset, so any
-//! multiplicity discrepancy the sketch cannot see shifts the checksum and
-//! forces the fallback path instead of a silently wrong verdict.
+//! The sketch is of the *multiset*: a fingerprint seen twice is a repeated
+//! root of the characteristic polynomial, so a digest is a product over
+//! observations and can be kept running, one observation at a time
+//! ([`ContentDigest::observe`]), and the digest of a multiset sum is a
+//! product of digests ([`ContentDigest::merge`]). Multiplicity still has a
+//! limit: root finding ([`crate::poly::Poly::roots`]) refuses a repeated
+//! root, so a difference holding two or more copies of one fingerprint
+//! does not decode and forces the fallback. A difference of one copy (a
+//! retransmitted payload counted twice on one side) decodes as that one
+//! fingerprint, exactly as [`ContentSummary::difference_pair`] counts it.
+//! The mixing checksum — the wrapping sum of a 64-bit finalizer over the
+//! multiset — and the packet count then certify the decoded difference
+//! independently of the sketch.
 //!
 //! # Examples
 //!
@@ -46,7 +51,6 @@
 //! assert!(fabricated.is_empty());
 //! ```
 
-use crate::field::Fe;
 use crate::reconcile::{reconcile, SetSketch};
 use crate::summary::{ContentSummary, FlowCounter};
 use fatih_crypto::Fingerprint;
@@ -69,17 +73,9 @@ fn mix_of(summary: &ContentSummary) -> u64 {
     })
 }
 
-/// One element of [`ContentDigest::of_part_and_whole`]'s input in one
-/// word: the fingerprint shifted up one bit, the low bit clear if the
-/// element is in the part, so a sort puts a fingerprint's occurrences in
-/// the part first. Fingerprints lie below 2⁶¹, so nothing is shifted out.
-pub fn part_key(fp: Fingerprint, in_part: bool) -> u64 {
-    fp.value() << 1 | u64::from(!in_part)
-}
-
 /// A fixed-size stand-in for a [`ContentSummary`]: the Appendix A
-/// characteristic-polynomial sketch over the *distinct* fingerprints, plus
-/// the flow counter and the multiset mixing checksum that together let
+/// characteristic-polynomial sketch of its fingerprint multiset, plus the
+/// flow counter and the multiset mixing checksum that together let
 /// [`diff_via_digest`] certify a recovered difference as exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentDigest {
@@ -89,8 +85,23 @@ pub struct ContentDigest {
 }
 
 impl ContentDigest {
+    /// The digest of nothing, with a sketch able to resolve up to
+    /// `capacity` differing fingerprints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` (propagated from [`SetSketch`]).
+    pub fn empty(capacity: usize) -> Self {
+        Self {
+            sketch: SetSketch::empty(capacity),
+            flow: FlowCounter::default(),
+            mix: 0,
+        }
+    }
+
     /// Digests a summary with a sketch able to resolve up to `capacity`
-    /// differing distinct fingerprints.
+    /// differing fingerprints: [`empty`](Self::empty) with every
+    /// observation of the summary [`observe`](Self::observe)d, bit for bit.
     ///
     /// # Panics
     ///
@@ -103,35 +114,32 @@ impl ContentDigest {
         }
     }
 
-    /// The digests of a part of a multiset and of the multiset, from one
-    /// sort and one sketch pass over `keys` — each element's
-    /// [`part_key`] — and their `(part, whole)` flow counters. Each is
-    /// [`of`](Self::of) its summary bit for bit: products and wrapping sums
-    /// ignore order. `keys` is left sorted.
-    pub fn of_part_and_whole(
-        keys: &mut [u64],
-        (part_flow, whole_flow): (FlowCounter, FlowCounter),
-        capacity: usize,
-    ) -> (Self, Self) {
-        // A fingerprint's occurrences in the part sort first.
-        keys.sort_unstable();
-        let [mut part_mix, mut whole_mix] = [0u64; 2];
-        let mut last = None;
-        let distinct = keys.iter().filter_map(|&key| {
-            let (fp, in_part) = (key >> 1, key & 1 == 0);
-            let mix = mix64(fp);
-            whole_mix = whole_mix.wrapping_add(mix);
-            if in_part {
-                part_mix = part_mix.wrapping_add(mix);
-            }
-            (last.replace(fp) != Some(fp)).then_some((Fe::new(fp), in_part))
-        });
-        let (part_sketch, whole_sketch) = SetSketch::of_part_and_whole(distinct, capacity);
-        let digest = |sketch, flow, mix| Self { sketch, flow, mix };
-        (
-            digest(part_sketch, part_flow, part_mix),
-            digest(whole_sketch, whole_flow, whole_mix),
-        )
+    /// Adds one observation of `fp`, `size` bytes long.
+    #[inline]
+    pub fn observe(&mut self, fp: Fingerprint, size: u64) {
+        self.sketch.insert(fp.into());
+        self.flow.observe(size);
+        self.mix = self.mix.wrapping_add(mix64(fp.value()));
+    }
+
+    /// Empties the digest, keeping its capacity and its allocation.
+    pub fn clear(&mut self) {
+        self.sketch.clear();
+        self.flow = FlowCounter::default();
+        self.mix = 0;
+    }
+
+    /// Adds every observation `other` digests: the digest of the multiset
+    /// sum. Products and wrapping sums ignore order, so digests kept apart
+    /// and merged equal one digest of everything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn merge(&mut self, other: &ContentDigest) {
+        self.sketch.merge(&other.sketch);
+        self.flow.merge(&other.flow);
+        self.mix = self.mix.wrapping_add(other.mix);
     }
 
     /// Reassembles a digest from wire-decoded parts.
@@ -139,7 +147,7 @@ impl ContentDigest {
         Self { sketch, flow, mix }
     }
 
-    /// The characteristic-polynomial sketch over distinct fingerprints.
+    /// The characteristic-polynomial sketch of the fingerprint multiset.
     pub fn sketch(&self) -> &SetSketch {
         &self.sketch
     }
@@ -169,11 +177,10 @@ impl ContentDigest {
 /// ascending with multiplicities, exactly as
 /// [`ContentSummary::difference_pair`] orders them — only when the result
 /// is certified: the sketch delta must decode, and the mixing checksum and
-/// packet counts must corroborate that the multiset difference equals the
-/// decoded distinct-set delta. Any decode failure (difference over
-/// capacity, eval-point collision) or checksum mismatch (a duplicate the
-/// collapsed sketch is blind to) yields `None`, signalling the caller to
-/// fall back to a full summary transfer.
+/// packet counts must corroborate it. Any decode failure (difference over
+/// capacity, eval-point collision, two or more copies of one fingerprint
+/// in the difference) or checksum mismatch yields `None`, signalling the
+/// caller to fall back to a full summary transfer.
 pub fn diff_via_digest<R: Rng>(
     remote: &ContentDigest,
     local: &ContentSummary,
@@ -193,10 +200,8 @@ pub fn diff_digests<R: Rng>(
 ) -> Option<(Vec<Fingerprint>, Vec<Fingerprint>)> {
     let delta = reconcile(&remote.sketch, &local.sketch, rng).ok()?;
 
-    // The decoded delta is over distinct fingerprints. It equals the true
-    // multiset difference iff no shared fingerprint has differing
-    // multiplicities and no differing fingerprint appears more than once —
-    // exactly what the checksum equation verifies:
+    // The decoded delta has distinct roots, each of multiplicity one. The
+    // checksum equation corroborates it as the multiset difference:
     //   mix(remote) − mix(local) == Σ mix(only_in_remote) − Σ mix(only_in_local)
     let mut implied = local.mix;
     for x in &delta.only_in_a {
@@ -266,22 +271,30 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_only_discrepancy_is_caught_not_missed() {
-        // Same distinct sets, but `a` saw fingerprint 9 twice. The collapsed
-        // sketch reconciles to an empty delta; the checksum must veto it.
+    fn a_skew_of_one_copy_resolves_and_of_two_is_vetoed() {
+        // Same distinct sets, but `a` saw fingerprint 9 twice: the multiset
+        // sketch sees the extra copy as one root, in either direction.
         let a = summary_of(&[1, 5, 9, 9]);
         let b = summary_of(&[1, 5, 9]);
-        assert!(diff_via_digest(&ContentDigest::of(&a, 4), &b, &mut rng()).is_none());
-        // And symmetrically when the receiver holds the duplicate.
-        assert!(diff_via_digest(&ContentDigest::of(&b, 4), &a, &mut rng()).is_none());
+        let got = diff_via_digest(&ContentDigest::of(&a, 4), &b, &mut rng());
+        assert_eq!(got, Some(a.difference_pair(&b)));
+        let got = diff_via_digest(&ContentDigest::of(&b, 4), &a, &mut rng());
+        assert_eq!(got, Some(b.difference_pair(&a)));
+        // Two extra copies are a repeated root, which does not decode.
+        let c = summary_of(&[1, 5, 9, 9, 9]);
+        assert!(diff_via_digest(&ContentDigest::of(&c, 4), &b, &mut rng()).is_none());
+        assert!(diff_via_digest(&ContentDigest::of(&b, 4), &c, &mut rng()).is_none());
     }
 
     #[test]
-    fn duplicate_alongside_real_diff_is_caught() {
+    fn a_duplicate_alongside_a_real_diff_resolves() {
         let a = summary_of(&[1, 2, 2, 3, 7]);
         let b = summary_of(&[1, 2, 3]);
-        // Distinct delta {7} decodes fine, but the multiset delta is {2, 7}.
-        assert!(diff_via_digest(&ContentDigest::of(&a, 4), &b, &mut rng()).is_none());
+        let got = diff_via_digest(&ContentDigest::of(&a, 4), &b, &mut rng());
+        assert_eq!(
+            got,
+            Some((vec![Fingerprint::new(2), Fingerprint::new(7)], vec![]))
+        );
     }
 
     #[test]
@@ -301,10 +314,11 @@ mod tests {
         assert_eq!(small.wire_bytes(), big.wire_bytes());
     }
 
-    /// Random multisets with repeated fingerprints, some in and some out
-    /// of the part at once: each one-pass digest is `of` its summary.
+    /// Random multisets with repeated fingerprints, split in two parts:
+    /// observing each element into its part's digest and merging the parts
+    /// is `of` the whole summary, and each part is `of` its own.
     #[test]
-    fn one_pass_digests_equal_the_summaries_digests() {
+    fn running_digests_equal_the_summaries_digests() {
         use rand::Rng;
         for case in 0u64..50 {
             let rng = &mut StdRng::seed_from_u64(case);
@@ -315,26 +329,25 @@ mod tests {
                     (fp, rng.gen_range(40..1500), rng.gen_range(0..3u32) > 0)
                 })
                 .collect();
-            let (mut part, mut whole) = (ContentSummary::default(), ContentSummary::default());
-            let mut flows = (FlowCounter::default(), FlowCounter::default());
-            for &(fp, size, in_part) in &entries {
-                whole.observe(fp, size);
-                flows.1.observe(size);
-                if in_part {
-                    part.observe(fp, size);
-                    flows.0.observe(size);
-                }
-            }
             for cap in [1, 8, 33] {
-                let mut keys: Vec<u64> = (entries.iter())
-                    .map(|&(fp, _, in_part)| part_key(fp, in_part))
-                    .collect();
-                let got = ContentDigest::of_part_and_whole(&mut keys, flows, cap);
-                let want = (
-                    ContentDigest::of(&part, cap),
+                let mut parts = [ContentSummary::default(), ContentSummary::default()];
+                let mut running = [ContentDigest::empty(cap), ContentDigest::empty(cap)];
+                let mut whole = ContentSummary::default();
+                for &(fp, size, in_part) in &entries {
+                    parts[in_part as usize].observe(fp, size);
+                    running[in_part as usize].observe(fp, size);
+                    whole.observe(fp, size);
+                }
+                for (part, digest) in parts.iter().zip(&running) {
+                    assert_eq!(*digest, ContentDigest::of(part, cap), "case {case}");
+                }
+                let [mut merged, other] = running;
+                merged.merge(&other);
+                assert_eq!(
+                    merged,
                     ContentDigest::of(&whole, cap),
+                    "case {case} capacity {cap}"
                 );
-                assert_eq!(got, want, "case {case} capacity {cap}");
             }
         }
     }

@@ -56,8 +56,11 @@ use rand::Rng;
 /// Extra sample points used to verify the interpolated rational function.
 const CHECK_POINTS: usize = 2;
 
-/// A compact sketch of a fingerprint set: `capacity + 2` evaluations of its
-/// characteristic polynomial at fixed points, plus the set size.
+/// A compact sketch of a fingerprint multiset: `capacity + 2` evaluations
+/// of its characteristic polynomial at fixed points, plus the multiset
+/// size. The polynomial is a product over the elements, so a sketch is
+/// built one element at a time ([`insert`](Self::insert)) and the sketch
+/// of a multiset sum is a product of sketches ([`merge`](Self::merge)).
 ///
 /// Two sketches can be reconciled iff they were built with the same
 /// `capacity` (they then share sample points) and the true symmetric
@@ -126,46 +129,63 @@ fn sample_point(i: usize) -> Fe {
 }
 
 impl SetSketch {
-    /// Builds a sketch able to reconcile up to `capacity` differing
-    /// elements.
+    /// The sketch of the empty multiset, able to reconcile up to
+    /// `capacity` differing elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub fn empty(capacity: usize) -> Self {
+        assert!(capacity > 0, "sketch capacity must be positive");
+        Self {
+            capacity,
+            size: 0,
+            evals: vec![Fe::ONE; capacity + CHECK_POINTS],
+        }
+    }
+
+    /// Builds a sketch of the multiset `elements` able to reconcile up to
+    /// `capacity` differing elements: an element that repeats is a
+    /// repeated root.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn from_elements<I: IntoIterator<Item = Fe>>(elements: I, capacity: usize) -> Self {
-        Self::of_part_and_whole(elements.into_iter().map(|x| (x, true)), capacity).0
+        let mut sketch = Self::empty(capacity);
+        elements.into_iter().for_each(|x| sketch.insert(x));
+        sketch
     }
 
-    /// The sketches of a part of a set and of the set, in one pass:
-    /// `elements` yields each element once, with whether it is in the part.
+    /// Multiplies one more element into the sketch: `z − x` at every
+    /// sample point, which descend one by one from the field's top.
+    #[inline]
+    pub fn insert(&mut self, x: Fe) {
+        self.size += 1;
+        let mut d = sample_point(0) - x;
+        for e in &mut self.evals {
+            *e *= d;
+            d -= Fe::ONE;
+        }
+    }
+
+    /// Empties the sketch, keeping its capacity and its allocation.
+    pub fn clear(&mut self) {
+        self.size = 0;
+        self.evals.fill(Fe::ONE);
+    }
+
+    /// The sketch of the multiset sum: `other`'s elements multiplied in.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
-    pub(crate) fn of_part_and_whole<I: IntoIterator<Item = (Fe, bool)>>(
-        elements: I,
-        capacity: usize,
-    ) -> (Self, Self) {
-        assert!(capacity > 0, "sketch capacity must be positive");
-        let empty = Self {
-            capacity,
-            size: 0,
-            evals: vec![Fe::ONE; capacity + CHECK_POINTS],
-        };
-        let (mut part, mut whole) = (empty.clone(), empty);
-        let points: Vec<Fe> = (0..capacity + CHECK_POINTS).map(sample_point).collect();
-        for (x, in_part) in elements {
-            let s = if in_part { &mut part } else { &mut whole };
-            s.size += 1;
-            for (e, &z) in s.evals.iter_mut().zip(&points) {
-                *e *= z - x;
-            }
+    /// Panics if the capacities differ.
+    pub fn merge(&mut self, other: &SetSketch) {
+        assert_eq!(self.capacity, other.capacity, "sketch capacities differ");
+        self.size += other.size;
+        for (e, &o) in self.evals.iter_mut().zip(&other.evals) {
+            *e *= o;
         }
-        whole.size += part.size;
-        for (w, &p) in whole.evals.iter_mut().zip(&part.evals) {
-            *w *= p;
-        }
-        (part, whole)
     }
 
     /// Maximum symmetric difference this sketch can resolve.
@@ -173,7 +193,7 @@ impl SetSketch {
         self.capacity
     }
 
-    /// Number of elements in the summarized set.
+    /// Number of elements in the summarized multiset.
     pub fn len(&self) -> u64 {
         self.size
     }

@@ -195,11 +195,11 @@ impl ContentSummary {
     }
 
     /// Builds the compact polynomial sketch for bandwidth-efficient
-    /// exchange (Appendix A). Duplicate fingerprints are collapsed — the
-    /// characteristic-polynomial scheme requires distinct roots, and
-    /// colliding retransmissions are resolved by the flow counters.
+    /// exchange (Appendix A) of the fingerprint multiset: a fingerprint
+    /// seen `c` times is a root of multiplicity `c`.
     pub fn to_sketch(&self, capacity: usize) -> SetSketch {
-        SetSketch::from_elements(self.counts.keys().map(|fp| (*fp).into()), capacity)
+        let each = |(&fp, &c): (&Fingerprint, &u32)| std::iter::repeat_n(fp.into(), c as usize);
+        SetSketch::from_elements(self.counts.iter().flat_map(each), capacity)
     }
 }
 

@@ -5,8 +5,10 @@
 //! result must equal what shipping the complete `ContentSummary` and
 //! running `difference_pair` would have produced — same fingerprints, same
 //! multiplicities, same order. When it cannot certify that (difference
-//! over sketch capacity, or a duplicate the collapsed sketch is blind to),
-//! it must return `None` and force the fallback, never a plausible guess.
+//! over sketch capacity, or two copies of one fingerprint in the
+//! difference, a repeated root), it must return `None` and force the
+//! fallback, never a plausible guess. And a digest kept running over a
+//! stream of observations is the digest of the summary of what it saw.
 //!
 //! Plain seeded loops (same idiom as `prop.rs`): each case derives its
 //! inputs from a deterministic RNG keyed by the loop index.
@@ -185,28 +187,131 @@ fn duplicates_never_yield_wrong_verdicts() {
     }
 }
 
-/// The canonical blind spot: same distinct sets, multiplicities differ.
-/// The sketch alone would report "no difference"; the digest must veto.
+/// Same distinct sets, multiplicities differ. A skew of one copy of each
+/// of some fingerprints is a difference of distinct roots: it resolves,
+/// to exactly `difference_pair`'s answer. Two or more extra copies of one
+/// fingerprint are a repeated root, which root finding refuses: vetoed.
 #[test]
-fn pure_multiplicity_skew_always_vetoed() {
+fn multiplicity_skew_resolves_one_copy_and_vetoes_a_repeat() {
     for case in 0u64..100 {
         let mut rng = StdRng::seed_from_u64(0x5E3_0000 + case);
         let n_base = rng.gen_range(1..100usize);
         let base = distinct(&mut rng, n_base, &BTreeSet::new());
+        // One extra copy each of 1..=3 distinct elements: resolves.
         let mut av = base.clone();
-        // a gets 1..3 extra copies of existing elements; distinct sets equal.
-        for _ in 0..rng.gen_range(1..4usize) {
-            av.push(base[rng.gen_range(0..base.len())]);
-        }
+        let skewed = rng.gen_range(1..4usize).min(base.len());
+        av.extend_from_slice(&base[..skewed]);
         let (a, b) = (summary_of(&av), summary_of(&base));
-        let got = diff_via_digest(
-            &ContentDigest::of(&a, 8),
-            &b,
-            &mut StdRng::seed_from_u64(case),
-        );
-        assert!(
-            got.is_none(),
-            "case {case}: multiplicity-only skew must force fallback"
-        );
+        for (remote, local) in [(&a, &b), (&b, &a)] {
+            let got = diff_via_digest(
+                &ContentDigest::of(remote, 8),
+                local,
+                &mut StdRng::seed_from_u64(case),
+            );
+            assert_eq!(
+                got,
+                Some(remote.difference_pair(local)),
+                "case {case}: a one-copy skew resolves exactly"
+            );
+        }
+        // Two or three extra copies of one element: vetoed.
+        let mut av = base.clone();
+        let v = base[rng.gen_range(0..base.len())];
+        av.extend(std::iter::repeat_n(v, rng.gen_range(2..4usize)));
+        let (a, b) = (summary_of(&av), summary_of(&base));
+        for (remote, local) in [(&a, &b), (&b, &a)] {
+            let got = diff_via_digest(
+                &ContentDigest::of(remote, 8),
+                local,
+                &mut StdRng::seed_from_u64(case),
+            );
+            assert!(
+                got.is_none(),
+                "case {case}: a repeated root must force fallback"
+            );
+        }
+    }
+}
+
+/// A segment end's running digests on a schedule of rounds: each timed
+/// observation of a random multiset goes into its round's judged digest
+/// and, within a lag of that round's cutoff, into its strip digest too.
+/// Round `r`'s held window is the strip of round `r − 1`, its judged
+/// window and everything after it: the product of at most three running
+/// digests. Both are `ContentDigest::of` the windows' summaries, bit for
+/// bit, duplicates and observations stamped on a window edge included.
+#[test]
+fn streamed_window_digests_equal_the_windows_summaries_digests() {
+    const ROUNDS: u64 = 4;
+    for case in 0u64..40 {
+        let mut rng = StdRng::seed_from_u64(0x57E_0000 + case);
+        let cap = rng.gen_range(1usize..24);
+        let tau = rng.gen_range(20..100u64);
+        let lag = rng.gen_range(1..tau);
+        let cutoff = |r: u64| (r + 1) * tau - lag;
+        let round_of = |t: u64| (0..ROUNDS).find(|&r| t <= cutoff(r)).unwrap_or(ROUNDS);
+        // Times on and around every edge, fingerprints from a small pool.
+        let mut obs: Vec<(u64, Fingerprint, u64)> = (0..rng.gen_range(0..300usize))
+            .map(|_| {
+                let t = match rng.gen_range(0..4u32) {
+                    0 => cutoff(rng.gen_range(0..ROUNDS)),
+                    1 => cutoff(rng.gen_range(0..ROUNDS)).saturating_sub(lag),
+                    _ => rng.gen_range(0..ROUNDS * tau),
+                };
+                (
+                    t,
+                    Fingerprint::new(rng.gen_range(1..50)),
+                    rng.gen_range(40..1500),
+                )
+            })
+            .collect();
+        obs.sort_by_key(|o| o.0);
+        let empty = || ContentDigest::empty(cap);
+        let mut judged: Vec<ContentDigest> = (0..=ROUNDS).map(|_| empty()).collect();
+        let mut strip = judged.clone();
+        for &(t, fp, size) in &obs {
+            let r = round_of(t) as usize;
+            judged[r].observe(fp, size);
+            if t + lag > cutoff(r as u64) {
+                strip[r].observe(fp, size);
+            }
+        }
+        for r in 0..ROUNDS {
+            let (from, until) = (r.checked_sub(1).map(cutoff), cutoff(r));
+            let held_from = from.and_then(|c| c.checked_sub(lag));
+            let summary = |after: Option<u64>, until: u64| {
+                let mut s = ContentSummary::default();
+                for &(t, fp, size) in &obs {
+                    if after.is_none_or(|a| t > a) && t <= until {
+                        s.observe(fp, size);
+                    }
+                }
+                s
+            };
+            assert_eq!(
+                judged[r as usize],
+                ContentDigest::of(&summary(from, until), cap),
+                "case {case} round {r}: judged"
+            );
+            // Everything recorded before the held window opens is in no
+            // strip a held window reads: round 0 and a look-back that
+            // reaches past time 0 read everything.
+            let mut held = match (r, held_from) {
+                (0, _) => empty(),
+                (_, Some(_)) => strip[r as usize - 1].clone(),
+                (_, None) => judged[..r as usize].iter().fold(empty(), |mut d, j| {
+                    d.merge(j);
+                    d
+                }),
+            };
+            for later in &judged[r as usize..] {
+                held.merge(later);
+            }
+            assert_eq!(
+                held,
+                ContentDigest::of(&summary(held_from, u64::MAX), cap),
+                "case {case} round {r}: held"
+            );
+        }
     }
 }

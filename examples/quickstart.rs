@@ -73,10 +73,13 @@ fn main() {
         check.is_accurate(3),
         check.max_precision
     );
+    let truth = net.ground_truth();
     println!(
         "ground truth: {} of the flow's packets delivered, {} maliciously dropped",
-        net.delivered_on_flow(flow),
-        net.ground_truth().malicious_drops
+        truth.data_delivered, truth.malicious_drops
     );
+    // The one flow is all the data: the detectors' own control packets
+    // are delivered too, and counted apart.
+    assert_eq!(truth.data_delivered, net.delivered_on_flow(flow));
     assert!(check.is_complete() && check.is_accurate(3));
 }
