@@ -5,9 +5,13 @@
 //! library holds what they share: aligned table printing, CSV output under
 //! `results/` ([`publish`]), and the Protocol χ round-by-round experiment harness used
 //! by Figures 6.3, 6.5–6.9, 6.11–6.16 and the §6.4.3 comparison. The
-//! live-deployment inputs of `tests/gates.rs` ([`rocketfuel_like`],
-//! [`pick_flows`]) live here too, and so do the operation counts behind
-//! Chapter 7's overhead table, which `tab_state` renders.
+//! scenarios of the live verdict gates live here too, one copy for both
+//! hosts ([`scenario`], [`add_dropper`], [`churn_scenario`] and their
+//! configurations, over [`rocketfuel_like`] and [`pick_flows`]):
+//! `tests/gates.rs` deploys them over UDP, the workspace root's
+//! `tests/conviction_recovery.rs` and `tests/verdict_gates.rs` on
+//! `SimHost`. So do the operation counts behind Chapter 7's overhead
+//! table, which `tab_state` renders.
 
 use fatih_core::chi::{ChiConfig, QueueValidator};
 use fatih_core::monitor::{Report, ReportEntry};
@@ -15,7 +19,9 @@ use fatih_core::pik2::{Evidence, Message};
 use fatih_core::threshold::ThresholdDetector;
 use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_net::codec::{encode_frame, Frame, WireMessage};
-use fatih_net::runtime::FlowSpec;
+use fatih_net::runtime::{
+    ChurnAction, ChurnEvent, DropperSpec, FlowSpec, LiveConfig, LiveSpec, SummaryMode,
+};
 use fatih_sim::{
     Attack, AttackKind, Network, Packet, QueueDiscipline, SimTime, TcpConfig, VictimFilter,
 };
@@ -142,6 +148,108 @@ pub fn pick_flows(
         }
     }
     flows
+}
+
+/// The router count the live verdict gates are enforced at.
+pub const GATE_ROUTERS: usize = 128;
+
+/// `Reconcile` mode with a sketch capacity that spans clean-run
+/// differences (boundary crossers + in-flight packets) with generous
+/// headroom.
+pub const RECONCILE: SummaryMode = SummaryMode::Reconcile { capacity: 32 };
+
+/// Seeds which routers carry the scale scenarios' flows.
+pub const SCALE_FLOW_SEED: u64 = 0x5CA1E;
+
+/// Seeds which routers carry the response and churn scenarios' flows.
+pub const CHURN_FLOW_SEED: u64 = 0xC0FFEE;
+
+/// The round the conviction scenario's dropper starts in; the rounds
+/// before it are the pre-attack baseline.
+pub const ATTACK_ROUND: usize = 2;
+
+/// `n` Sprintlink-shaped routers carrying `n / 16` (at least 4) flows
+/// every 4 ms, each routed over `min_len` or more routers, picked by `seed`.
+pub fn scenario(n: usize, min_len: usize, seed: u64) -> (Topology, LiveSpec) {
+    let topo = rocketfuel_like(n);
+    let flows = pick_flows(
+        &topo,
+        (n / 16).max(4),
+        min_len,
+        Duration::from_millis(4),
+        seed,
+    );
+    let spec = LiveSpec {
+        flows,
+        ..LiveSpec::default()
+    };
+    (topo, spec)
+}
+
+/// Makes the middle router of flow 0's routed path drop 30 % of its
+/// transit from round `from` on; returns that router.
+pub fn add_dropper(topo: &Topology, spec: &mut LiveSpec, from: u64) -> RouterId {
+    let flow = spec.flows[0];
+    let routes = topo.link_state_routes();
+    let path = routes.path(flow.src, flow.dst).expect("routed flow");
+    let router = path.routers()[path.len() / 2];
+    spec.droppers = vec![DropperSpec {
+        router,
+        rate: 0.3,
+        seed: 77,
+        active_from: from,
+    }];
+    router
+}
+
+/// Two default-timed rounds in `summary` mode, detection only: a reroute
+/// around the dropper mid-measurement would skew the control-byte
+/// comparison, and the response path has its own gate.
+pub fn detect_only(summary: SummaryMode) -> LiveConfig {
+    LiveConfig {
+        rounds: 2,
+        summary,
+        response: false,
+        ..LiveConfig::default()
+    }
+}
+
+/// 200 ms rounds, so each scenario takes seconds; response on.
+pub fn churn_cfg(rounds: u64) -> LiveConfig {
+    LiveConfig {
+        tau: Duration::from_millis(200),
+        exchange_budget: Duration::from_millis(120),
+        maturity_lag: Duration::from_millis(50),
+        rounds,
+        ..LiveConfig::default()
+    }
+}
+
+/// `actor` performs `action` `ms` milliseconds into the run.
+pub fn churn(ms: u64, actor: RouterId, action: ChurnAction) -> ChurnEvent {
+    ChurnEvent {
+        at: Duration::from_millis(ms),
+        actor,
+        action,
+    }
+}
+
+/// [`scenario`] with flows of 4 or more routers, plus a router no flow's
+/// path touches (so churning it never frames honest traffic) with at least
+/// two links, and its first neighbour.
+pub fn churn_scenario(n: usize) -> (Topology, LiveSpec, RouterId, RouterId) {
+    let (topo, spec) = scenario(n, 4, CHURN_FLOW_SEED);
+    let routes = topo.link_state_routes();
+    let on_path: BTreeSet<RouterId> = (spec.flows.iter())
+        .filter_map(|f| routes.path(f.src, f.dst))
+        .flat_map(|p| p.routers().to_vec())
+        .collect();
+    let actor = topo
+        .routers()
+        .find(|&r| !on_path.contains(&r) && topo.neighbors(r).len() >= 2)
+        .expect("an off-path router with degree >= 2");
+    let peer = topo.neighbors(actor)[0].0;
+    (topo, spec, actor, peer)
 }
 
 /// Figures 5.2 and 5.4: the maximum, mean and median number of segments

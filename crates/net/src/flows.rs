@@ -30,7 +30,7 @@ const FLOWS_PER_TICK: usize = 4;
 /// interval and the flows of a group tick together. The phase depends on
 /// the flow list alone — not on which router or shard carries the flow,
 /// and (see [`Traffic::advance`]) not on what happened since.
-fn flow_phase_ns(i: usize, n: usize, interval: Duration) -> u64 {
+pub(crate) fn flow_phase_ns(i: usize, n: usize, interval: Duration) -> u64 {
     let groups = n.div_ceil(FLOWS_PER_TICK);
     interval.as_nanos() as u64 * (i % groups) as u64 / groups as u64
 }

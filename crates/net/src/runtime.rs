@@ -87,10 +87,10 @@ impl FlowSpec {
 pub struct DropperSpec {
     /// The compromised router.
     pub router: RouterId,
-    /// Probability it silently drops each transit packet it should
-    /// forward.
+    /// Probability it silently drops each transit data packet it should
+    /// forward: never a control frame, nor a packet addressed to it.
     pub rate: f64,
-    /// Seed for its drop decisions.
+    /// Seed for its live drop decisions (`SimHost` draws from its engine).
     pub seed: u64,
     /// First round in which it misbehaves; earlier rounds it forwards
     /// faithfully. `0` drops from the start.

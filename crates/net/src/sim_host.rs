@@ -24,27 +24,50 @@
 //!
 //! The host's axis starts at the deployment instant, [`Network::now`] when
 //! the host is built: taps are restamped onto it, and round `r` covers
-//! `[r·τ, (r+1)·τ)` after it. What is monitored is what the live runtime
-//! monitors by default, the paths of the traffic: the pairs of
-//! [`Network::traffic_pairs`] when the host is built.
+//! `[r·τ, (r+1)·τ)` after it. What is monitored follows the live
+//! runtime's rule: the spec's monitor pairs, or with none the paths of the
+//! traffic, the pairs of [`Network::traffic_pairs`] when the host is built.
 //!
-//! The plan's scheduled outages are the routers' churn script. A link's
-//! flaps — either direction, overlapping ones merged — are a
-//! [`ChurnAction::LinkDown`] and a [`ChurnAction::LinkUp`] by each of its
-//! ends, as both would see the link go. A crash window is a
-//! [`ChurnAction::Crash`], a [`ChurnAction::ReportDown`] by the first
-//! neighbour up at that instant, and a [`ChurnAction::Restart`] when it
-//! closes. What an outage costs the rounds it overlaps is the live
-//! amnesty's to forgive.
+//! A run comes from one of two constructors:
+//!
+//! * [`SimHost::deploy`] runs what
+//!   [`LiveDeployment::run`](crate::LiveDeployment::run) takes — a
+//!   topology, a [`LiveSpec`] and a [`LiveConfig`] — on a fresh network,
+//!   so one scenario runs on either host. Each flow is an engine CBR flow
+//!   on the live flow's phase, stopping at `rounds·τ` as the live one
+//!   does. Each dropper drops every flow's data packets in transit at its
+//!   rate from the start of its `active_from` round, drawing from the
+//!   engine's one random stream rather than its own seed (DESIGN.md,
+//!   "One scenario, two hosts"). The churn script and the initially-down
+//!   routers go to the routers as written, and the engine's data plane
+//!   follows them: a router is down from its `Crash` — from just after its
+//!   `Leave`, whose announcement still leaves, and from the start if it is
+//!   initially down — until its `Restart` or `Join`, and a link, both ways,
+//!   from a `LinkDown` by either end until a `LinkUp`. The engine routes
+//!   from the routers' initial view, which avoids the initially-down
+//!   routers.
+//! * [`SimHost::new`] hosts a network built by hand — flows, engine
+//!   attacks, a fault plan — and takes the routers' churn script from the
+//!   plan's scheduled outages. A link's flaps — either direction,
+//!   overlapping ones merged — are a [`ChurnAction::LinkDown`] and a
+//!   [`ChurnAction::LinkUp`] by each of its ends, as both would see the
+//!   link go. A crash window is a [`ChurnAction::Crash`], a
+//!   [`ChurnAction::ReportDown`] by the first neighbour up at that instant,
+//!   and a [`ChurnAction::Restart`] when it closes.
+//!
+//! What an outage costs the rounds it overlaps is the live amnesty's to
+//! forgive.
 
 use crate::codec::{peek_type, MsgType};
+use crate::flows::{flow_phase_ns, FLOW_LEAD_NS};
 use crate::router::{routers, Input, Outputs, Router};
 use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, NetMetrics};
 use crate::timer::Schedule;
 use fatih_core::spec::Suspicion;
 use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal, TraceKind};
-use fatih_sim::{FaultPlan, Network, PacketKind, SimTime, TapEvent};
+use fatih_sim::{Attack, FaultPlan, FlowId, Network, PacketKind, SimTime, TapEvent};
 use fatih_topology::{Path, PathSegment, RouterId, Topology};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
@@ -109,6 +132,9 @@ pub struct SimHost {
     silent: Vec<bool>,
     events: Vec<(SimTime, LiveEvent)>,
     registry: MetricsRegistry,
+    /// Droppers not started yet, latest onset first: when each starts on
+    /// the engine's axis, where, and its attack.
+    onsets: Vec<(SimTime, RouterId, Attack)>,
 }
 
 impl std::fmt::Debug for SimHost {
@@ -132,19 +158,104 @@ impl SimHost {
     ///
     /// Panics unless `0 < cfg.exchange_budget < cfg.tau`.
     pub fn new(net: &Network, cfg: LiveConfig) -> Self {
+        let churn = (net.fault_plan())
+            .map_or_else(Vec::new, |plan| outages(plan, net.topology(), net.now()));
+        let spec = LiveSpec {
+            churn,
+            ..LiveSpec::default()
+        };
+        Self::hosting(net, cfg, spec)
+    }
+
+    /// Deploys what [`LiveDeployment::run`](crate::LiveDeployment::run)
+    /// takes on a fresh network over `topo`, whose engine draws from
+    /// `seed`: `spec`'s flows, droppers and churn (see the module doc) and
+    /// `cfg`'s rounds, keys and policy. Flows stop at `cfg.rounds`·τ;
+    /// rounds go on for as long as [`run`](Self::run) is called. Returns
+    /// the network at time zero and its host.
+    ///
+    /// # Examples
+    ///
+    /// A dropper on a 5-router line from round 1 (300 ms rounds, judged
+    /// 150 ms after they end) drops nothing before it, and is convicted
+    /// once that round is judged:
+    ///
+    /// ```
+    /// use fatih_net::runtime::{DropperSpec, FlowSpec};
+    /// use fatih_net::{LiveConfig, LiveSpec, SimHost};
+    /// use fatih_sim::SimTime;
+    /// use fatih_topology::builtin;
+    /// use std::time::Duration;
+    ///
+    /// let topo = builtin::line(5);
+    /// let ids: Vec<_> = topo.routers().collect();
+    /// let spec = LiveSpec {
+    ///     flows: vec![FlowSpec::new(ids[0], ids[4], 1000, Duration::from_millis(2))],
+    ///     droppers: vec![DropperSpec { router: ids[2], rate: 0.3, seed: 1, active_from: 1 }],
+    ///     ..LiveSpec::default()
+    /// };
+    /// let (mut net, mut host) = SimHost::deploy(&topo, &spec, LiveConfig::default(), 1);
+    /// host.run(&mut net, SimTime::from_ms(300));
+    /// assert_eq!(net.ground_truth().malicious_drops, 0);
+    /// host.run(&mut net, SimTime::from_ms(750));
+    /// assert!(!host.suspicions().is_empty());
+    /// assert!(host.suspicions().iter().all(|s| s.segment.contains(ids[2])));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < cfg.exchange_budget < cfg.tau`.
+    pub fn deploy(topo: &Topology, spec: &LiveSpec, cfg: LiveConfig, seed: u64) -> (Network, Self) {
+        let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
+        let mut net = Network::new(topo.clone(), seed);
+        let stop = ns(cfg.tau).saturating_mul(cfg.rounds);
+        for (i, f) in spec.flows.iter().enumerate() {
+            let start = FLOW_LEAD_NS + flow_phase_ns(i, spec.flows.len(), f.interval);
+            let (start, interval) = (SimTime::from_ns(start), ns(f.interval));
+            let id = net.add_cbr_flow(f.src, f.dst, f.size, interval, start, Some(stop));
+            assert_eq!(id, FlowId(i as u32), "a fresh network numbers flows from 0");
+        }
+        net.set_fault_plan(Some(physical(spec, seed)));
+        let script = LiveSpec {
+            flows: Vec::new(),
+            droppers: Vec::new(),
+            ..spec.clone()
+        };
+        let mut host = Self::hosting(&net, cfg, script);
+        // A router drops as its first dropper says, as a live one does.
+        let mut seen = BTreeSet::new();
+        let victims = || (0..spec.flows.len() as u32).map(FlowId);
+        host.onsets = (spec.droppers.iter())
+            .filter(|d| seen.insert(d.router))
+            .map(|d| {
+                let at = ns(cfg.tau).saturating_mul(d.active_from);
+                (at, d.router, Attack::drop_flows(victims(), d.rate))
+            })
+            .collect();
+        host.onsets.sort_by_key(|&(at, ..)| Reverse(at));
+        if !spec.initially_down.is_empty() {
+            for i in 0..host.routers.len() {
+                host.install_routes(&mut net, i);
+            }
+        }
+        (net, host)
+    }
+
+    /// The routers of `net`'s topology, deployed at `net.now()` with
+    /// `spec`'s churn script and initially-down routers, monitoring
+    /// `spec`'s pairs or, with none, the traffic's: the rule
+    /// [`routers`] applies to a spec's flows, which the engine carries
+    /// here.
+    fn hosting(net: &Network, cfg: LiveConfig, mut spec: LiveSpec) -> Self {
         assert!(
             Duration::ZERO < cfg.exchange_budget && cfg.exchange_budget < cfg.tau,
             "exchange budget must lie in (0, tau)"
         );
         let topo = net.topology();
         let epoch = net.now();
-        let spec = LiveSpec {
-            monitor_pairs: net.traffic_pairs(),
-            churn: net
-                .fault_plan()
-                .map_or_else(Vec::new, |plan| outages(plan, topo, epoch)),
-            ..LiveSpec::default()
-        };
+        if spec.monitor_pairs.is_empty() {
+            spec.monitor_pairs = net.traffic_pairs();
+        }
         let registry = MetricsRegistry::new();
         let metrics = NetMetrics::registered(&registry);
         let unbounded = LiveConfig {
@@ -173,6 +284,7 @@ impl SimHost {
             rx: Vec::new(),
             events: Vec::new(),
             registry,
+            onsets: Vec::new(),
         }
     }
 
@@ -187,15 +299,30 @@ impl SimHost {
     /// delivery and timer up to and including that instant.
     pub fn run(&mut self, net: &mut Network, until: SimTime) {
         loop {
+            self.start_droppers(net);
             let next = (self.schedule.next_deadline()).map(|ns| self.epoch + SimTime::from_ns(ns));
-            let horizon = next.map_or(until, |t| t.min(until));
+            // A dropper starts before anything at its onset happens.
+            let onset = (self.onsets.last())
+                .map(|&(at, ..)| SimTime::from_ns(at.as_ns().saturating_sub(1)));
+            let horizon = [next, onset]
+                .into_iter()
+                .flatten()
+                .fold(until, SimTime::min);
             if net.run_until_control(horizon, |ev| self.observe(ev)) {
                 self.deliver(net);
-            } else if next.is_some_and(|t| t <= until) {
+            } else if next == Some(horizon) {
                 self.fire_timeouts(net);
-            } else {
+            } else if horizon == until {
                 break;
             }
+        }
+    }
+
+    /// Installs every dropper whose onset is at most one nanosecond away.
+    fn start_droppers(&mut self, net: &mut Network) {
+        while (self.onsets.last()).is_some_and(|&(at, ..)| at.as_ns() <= net.now().as_ns() + 1) {
+            let (_, router, attack) = self.onsets.pop().expect("an onset is due");
+            net.set_attacks(router, vec![attack]);
         }
     }
 
@@ -308,18 +435,8 @@ impl SimHost {
         self.events
             .extend(self.out.events.drain(..).map(|e| (at, e)));
         self.schedule.arm(i, router.deadline());
-        let epoch = router.route_epoch();
-        if epoch != self.installed[i] {
-            self.installed[i] = epoch;
-            let table = (self.tables.entry(epoch)).or_insert_with(|| router.route_table());
-            for dst in (0..self.installed.len() as u32).map(RouterId::from) {
-                match table.get(&(router.id, dst)) {
-                    Some(path) => net.set_route_override(router.id, dst, path.clone()),
-                    None => net.clear_route_override(router.id, dst),
-                }
-            }
-            let installed = &self.installed;
-            self.tables.retain(|epoch, _| installed.contains(epoch));
+        if router.route_epoch() != self.installed[i] {
+            self.install_routes(net, i);
         }
         // A copy still travelling after a round is as good as lost.
         while let Some(entry) = self.in_flight.first_entry() {
@@ -329,6 +446,75 @@ impl SimHost {
             entry.remove();
         }
     }
+
+    /// Makes router `i`'s current path to every other router the engine's
+    /// route for what it sources.
+    fn install_routes(&mut self, net: &mut Network, i: usize) {
+        let router = &mut self.routers[i];
+        let epoch = router.route_epoch();
+        self.installed[i] = epoch;
+        let table = (self.tables.entry(epoch)).or_insert_with(|| router.route_table());
+        for dst in (0..self.installed.len() as u32).map(RouterId::from) {
+            match table.get(&(router.id, dst)) {
+                Some(path) => net.set_route_override(router.id, dst, path.clone()),
+                None => net.clear_route_override(router.id, dst),
+            }
+        }
+        let installed = &self.installed;
+        self.tables.retain(|epoch, _| installed.contains(epoch));
+    }
+}
+
+/// The engine's side of `spec`'s churn: a router's data plane is down from
+/// its `Crash` — one nanosecond after its `Leave`, whose announcement
+/// leaves first, and from the start if it is initially down — until its
+/// `Restart` or `Join`; a link, both ways, from a `LinkDown` by either end
+/// until a `LinkUp` by either. An outage nothing ends lasts the run.
+fn physical(spec: &LiveSpec, seed: u64) -> FaultPlan {
+    let mut script: Vec<&ChurnEvent> = spec.churn.iter().collect();
+    script.sort_by_key(|e| e.at);
+    let mut routers: BTreeMap<RouterId, SimTime> = (spec.initially_down.iter())
+        .map(|&r| (r, SimTime::ZERO))
+        .collect();
+    let mut links: BTreeMap<(RouterId, RouterId), SimTime> = BTreeMap::new();
+    let flap = |plan: FaultPlan, (a, b), down, up| {
+        (plan.with_link_flap(a, b, down, up)).with_link_flap(b, a, down, up)
+    };
+    let mut plan = FaultPlan::new(seed);
+    for e in script {
+        let at = SimTime::from_ns(e.at.as_nanos() as u64);
+        let link = |peer: RouterId| (e.actor.min(peer), e.actor.max(peer));
+        match e.action {
+            ChurnAction::Crash => {
+                routers.entry(e.actor).or_insert(at);
+            }
+            ChurnAction::Leave => {
+                routers.entry(e.actor).or_insert(at + SimTime::from_ns(1));
+            }
+            ChurnAction::Join | ChurnAction::Restart => {
+                if let Some(down) = routers.remove(&e.actor) {
+                    plan = plan.with_crash(e.actor, down, at);
+                }
+            }
+            ChurnAction::LinkDown(peer) => {
+                links.entry(link(peer)).or_insert(at);
+            }
+            ChurnAction::LinkUp(peer) => {
+                if let Some(down) = links.remove(&link(peer)) {
+                    plan = flap(plan, link(peer), down, at);
+                }
+            }
+            ChurnAction::ReportDown(_) => {}
+        }
+    }
+    let end = SimTime::from_ns(u64::MAX);
+    for (router, down) in routers {
+        plan = plan.with_crash(router, down, end);
+    }
+    for (link, down) in links {
+        plan = flap(plan, link, down, end);
+    }
+    plan
 }
 
 /// `plan`'s flaps and crash windows as the routers' churn script, on the
@@ -376,6 +562,7 @@ fn outages(plan: &FaultPlan, topo: &Topology, epoch: SimTime) -> Vec<ChurnEvent>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{DropperSpec, FlowSpec};
     use fatih_core::policy::Thresholds;
     use fatih_core::spec::SpecCheck;
     use fatih_sim::{Attack, AttackKind, LinkFaults, VictimFilter};
@@ -787,5 +974,195 @@ mod tests {
             "{:?}",
             host.suspicions()
         );
+    }
+
+    /// One-second rounds judged half a second after they end.
+    fn quick(response: bool) -> LiveConfig {
+        LiveConfig {
+            tau: Duration::from_secs(1),
+            exchange_budget: Duration::from_millis(500),
+            maturity_lag: Duration::from_millis(100),
+            thresholds: Thresholds::default(),
+            response,
+            ..LiveConfig::default()
+        }
+    }
+
+    fn step(ms: u64, actor: RouterId, action: ChurnAction) -> ChurnEvent {
+        ChurnEvent {
+            at: Duration::from_millis(ms),
+            actor,
+            action,
+        }
+    }
+
+    /// A deployed spec's script is what its routers run, step for step,
+    /// at its instants: a crash nobody reports stays unreported, a report
+    /// one round after the crash comes then, and a link one end announces
+    /// down is announced by that end alone.
+    #[test]
+    fn a_specs_script_reaches_the_routers_as_written() {
+        let topo = builtin::ring(6);
+        let r: Vec<RouterId> = topo.routers().collect();
+        use ChurnAction::*;
+        let spec = LiveSpec {
+            churn: vec![
+                step(1_500, r[1], Crash),
+                step(4_500, r[1], Restart),
+                step(2_200, r[4], Crash),
+                step(3_200, r[3], ReportDown(r[4])),
+                step(5_000, r[4], Restart),
+                step(1_200, r[0], LinkDown(r[5])),
+                step(3_700, r[0], LinkUp(r[5])),
+            ],
+            ..LiveSpec::default()
+        };
+        let (mut net, mut host) = SimHost::deploy(&topo, &spec, quick(true), 1);
+        host.run(&mut net, secs(6));
+        let mut ran: Vec<(u64, u32, u64)> = (host.trace().events().iter())
+            .filter(|e| e.kind == TraceKind::ChurnEvent)
+            .map(|e| (e.t_ns, e.router, e.value))
+            .collect();
+        ran.sort_unstable();
+        // (when, by whom, which of its own steps): nothing else.
+        let (ms, id) = (|t: u64| t * 1_000_000, |i: usize| u32::from(r[i]));
+        let mut written = vec![
+            (ms(1_500), id(1), 0),
+            (ms(4_500), id(1), 1),
+            (ms(2_200), id(4), 0),
+            (ms(3_200), id(3), 0),
+            (ms(5_000), id(4), 1),
+            (ms(1_200), id(0), 0),
+            (ms(3_700), id(0), 1),
+        ];
+        written.sort_unstable();
+        assert_eq!(ran, written);
+        let reports = (host.events().iter())
+            .filter(|(_, e)| matches!(e, LiveEvent::LinkStateApplied { .. }))
+            .count();
+        assert!(reports > 0, "no announcement was flooded");
+    }
+
+    /// The engine's data plane is down exactly over the outages the script
+    /// implies: a crash until its restart, a departure from just after its
+    /// announcement until its join, an initially-down router until its
+    /// join, a link both ways from one end's `LinkDown` until the other
+    /// end's `LinkUp`, and a crash nothing ends for the rest of the run.
+    #[test]
+    fn the_engine_is_down_exactly_over_the_scripts_outages() {
+        let topo = builtin::ring(6);
+        let r: Vec<RouterId> = topo.routers().collect();
+        use ChurnAction::*;
+        let spec = LiveSpec {
+            initially_down: vec![r[5]],
+            churn: vec![
+                step(1_000, r[1], Crash),
+                step(2_000, r[1], Restart),
+                step(3_000, r[2], Leave),
+                step(4_000, r[2], Join),
+                step(2_500, r[5], Join),
+                step(1_500, r[3], LinkDown(r[4])),
+                step(3_500, r[4], LinkUp(r[3])),
+                step(4_200, r[3], ReportDown(r[0])),
+                step(5_000, r[0], Crash),
+            ],
+            ..LiveSpec::default()
+        };
+        let (net, _) = SimHost::deploy(&topo, &spec, quick(true), 1);
+        let plan = net.fault_plan().expect("the script's outages");
+        let ms = SimTime::from_ms;
+        let mut crashes: Vec<_> = (plan.crashes().iter())
+            .map(|c| (c.router, c.down_at, c.up_at))
+            .collect();
+        crashes.sort_unstable();
+        let end = SimTime::from_ns(u64::MAX);
+        let left = ms(3_000) + SimTime::from_ns(1);
+        assert_eq!(
+            crashes,
+            [
+                (r[0], ms(5_000), end),
+                (r[1], ms(1_000), ms(2_000)),
+                (r[2], left, ms(4_000)),
+                (r[5], SimTime::ZERO, ms(2_500)),
+            ]
+        );
+        let mut flaps: Vec<_> = (plan.flaps().iter())
+            .map(|f| (f.from, f.to, f.down_at, f.up_at))
+            .collect();
+        flaps.sort_unstable();
+        assert_eq!(
+            flaps,
+            [
+                (r[3], r[4], ms(1_500), ms(3_500)),
+                (r[4], r[3], ms(1_500), ms(3_500)),
+            ]
+        );
+        // The departure's announcement still leaves at its instant.
+        assert!(!plan.router_down(r[2], ms(3_000)) && plan.router_down(r[2], left));
+        assert!(plan.router_down(r[1], ms(1_000)) && !plan.router_down(r[1], ms(2_000)));
+    }
+
+    /// An initially-down router carries no data before it joins: the
+    /// engine routes from the routers' initial view, which avoids it, not
+    /// from the base graph, whose route crosses it.
+    #[test]
+    fn an_initially_down_router_carries_nothing_before_it_joins() {
+        let topo = builtin::ring(4);
+        let r: Vec<RouterId> = topo.routers().collect();
+        let base = (topo.link_state_routes().path(r[0], r[2])).expect("routed");
+        assert!(base.routers().contains(&r[1]), "{base:?}");
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(r[0], r[2], 1000, Duration::from_millis(2))],
+            initially_down: vec![r[1]],
+            churn: vec![step(1_500, r[1], ChurnAction::Join)],
+            ..LiveSpec::default()
+        };
+        let (mut net, _host) = SimHost::deploy(&topo, &spec, quick(true), 1);
+        let mut at_down = 0;
+        net.run_until(SimTime::from_ns(1_500_000_000 - 1), |ev| {
+            let data = ev.packet().kind == PacketKind::Data;
+            if data && matches!(ev, TapEvent::Arrived { router, .. } if *router == r[1]) {
+                at_down += 1;
+            }
+        });
+        assert_eq!(at_down, 0, "data reached the router before it joined");
+        assert!(net.delivered_on_flow(FlowId(0)) > 500);
+        assert_eq!(net.ground_truth().fault_drops, 0);
+    }
+
+    /// A dropper drops nothing before its onset round and only data after
+    /// it: at rate 1 from round 2 it stops every packet of the flow, while
+    /// the summaries that cross it all arrive, none sent twice.
+    #[test]
+    fn a_dropper_starts_at_its_round_and_drops_only_data() {
+        let topo = builtin::line(5);
+        let r: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(r[0], r[4], 1000, Duration::from_millis(2))],
+            droppers: vec![DropperSpec {
+                router: r[2],
+                rate: 1.0,
+                seed: 3,
+                active_from: 2,
+            }],
+            ..LiveSpec::default()
+        };
+        let (mut net, mut host) = SimHost::deploy(&topo, &spec, quick(false), 1);
+        host.run(&mut net, secs(2));
+        assert_eq!(net.ground_truth().malicious_drops, 0);
+        let before = net.delivered_on_flow(FlowId(0));
+        assert!(before > 0);
+        host.run(&mut net, SimTime::from_ms(3_500));
+        let truth = net.ground_truth();
+        assert!(truth.malicious_drops > 400, "{truth:?}");
+        // What was past the dropper at its onset still arrives; no more.
+        assert!(net.delivered_on_flow(FlowId(0)) < before + 10);
+        let m = host.metrics();
+        assert!(m.counter("net.control_bytes_sent") > 0);
+        assert_eq!(m.counter("net.retransmits"), 0);
+        assert_eq!(m.counter("net.summary_timeouts"), 0);
+        let faulty = [r[2]].into_iter().collect();
+        let check = SpecCheck::evaluate(&host.suspicions(), &faulty);
+        assert!(check.is_complete() && check.is_accurate(3));
     }
 }
