@@ -15,7 +15,7 @@
 
 use fatih_bench::{render_table, write_csv};
 use fatih_core::policy::Thresholds;
-use fatih_net::{LiveConfig, LiveEvent, SimHost};
+use fatih_net::{LiveConfig, LiveEvent, LiveSpec, SimHost};
 use fatih_sim::{Attack, AttackKind, Network, SimTime, TapEvent, VictimFilter};
 use fatih_topology::{builtin, RouterId};
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ fn main() {
         thresholds: Thresholds::default(),
         ..LiveConfig::default()
     };
-    let mut host = SimHost::new(&net, cfg);
+    let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
 
     // Clean period until the attack.
     host.run(&mut net, SimTime::from_secs(ATTACK_AT));

@@ -10,8 +10,9 @@
 //! configurations, over [`rocketfuel_like`] and [`pick_flows`]):
 //! `tests/gates.rs` deploys them over UDP, the workspace root's
 //! `tests/conviction_recovery.rs` and `tests/verdict_gates.rs` on
-//! `SimHost`. So do the operation counts behind Chapter 7's overhead
-//! table, which `tab_state` renders.
+//! `SimHost`. So do the chaos sweep's draw of link faults and churn
+//! ([`transient_chaos`]) and the operation counts behind Chapter 7's
+//! overhead table, which `tab_state` renders.
 
 use fatih_core::chi::{ChiConfig, QueueValidator};
 use fatih_core::monitor::{Report, ReportEntry};
@@ -23,7 +24,8 @@ use fatih_net::runtime::{
     ChurnAction, ChurnEvent, DropperSpec, FlowSpec, LiveConfig, LiveSpec, SummaryMode,
 };
 use fatih_sim::{
-    Attack, AttackKind, Network, Packet, QueueDiscipline, SimTime, TcpConfig, VictimFilter,
+    Attack, AttackKind, FaultPlan, LinkFaults, Network, Packet, QueueDiscipline, SimTime,
+    TcpConfig, VictimFilter,
 };
 use fatih_stats::Summary;
 use fatih_topology::{builtin, LinkParams, PathSegment, RouterId, Routes, Topology};
@@ -250,6 +252,67 @@ pub fn churn_scenario(n: usize) -> (Topology, LiveSpec, RouterId, RouterId) {
         .expect("an off-path router with degree >= 2");
     let peer = topo.neighbors(actor)[0].0;
     (topo, spec, actor, peer)
+}
+
+/// Transient chaos over `topo`, drawn from `seed` and over by `horizon`:
+/// the plan gives every link moderate control-fault probabilities (loss
+/// below 0.15, duplication and reordering below 0.10, corruption below
+/// 0.05) until `horizon`, and the churn script takes one to three link
+/// flaps, each a `LinkDown` and a `LinkUp` by both ends, and with even odds
+/// a crash-restart: a `Crash`, a `ReportDown` by the router's first
+/// neighbour at that instant and a `Restart`. Every outage starts in the
+/// first half of the horizon and is over by its end. Identical `(seed,
+/// topo, horizon)` draw identical plans and scripts.
+///
+/// The loss bound is chosen so that a retry budget of six or more attempts
+/// exhausts with probability ≤ 0.15⁶ ≈ 1.1 × 10⁻⁵ per message.
+pub fn transient_chaos(
+    seed: u64,
+    topo: &Topology,
+    horizon: SimTime,
+) -> (FaultPlan, Vec<ChurnEvent>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17_F1A6);
+    let mut plan = FaultPlan::new(seed);
+    for link in topo.links() {
+        plan = plan.with_link_faults(
+            link.from,
+            link.to,
+            LinkFaults {
+                loss: rng.gen_range(0.0..0.15),
+                duplicate: rng.gen_range(0.0..0.10),
+                corrupt: rng.gen_range(0.0..0.05),
+                reorder: rng.gen_range(0.0..0.10),
+                reorder_delay: SimTime::from_ms(rng.gen_range(1u64..20)),
+            },
+        );
+    }
+    let half = horizon.as_ns() / 2;
+    let outage = |rng: &mut StdRng| {
+        let down = rng.gen_range(0..half.max(1));
+        let up = (down + rng.gen_range(1..half.max(2))).min(horizon.as_ns());
+        (Duration::from_nanos(down), Duration::from_nanos(up))
+    };
+    let step = |at, actor, action| ChurnEvent { at, actor, action };
+    let links: Vec<_> = topo.links().map(|l| (l.from, l.to)).collect();
+    let mut script = Vec::new();
+    for _ in 0..rng.gen_range(1usize..4) {
+        let (a, b) = links[rng.gen_range(0..links.len())];
+        let (down, up) = outage(&mut rng);
+        for (end, peer) in [(a, b), (b, a)] {
+            script.push(step(down, end, ChurnAction::LinkDown(peer)));
+            script.push(step(up, end, ChurnAction::LinkUp(peer)));
+        }
+    }
+    if rng.gen_bool(0.5) && topo.router_count() > 2 {
+        let router = RouterId::from(rng.gen_range(0u32..topo.router_count() as u32));
+        let (down, up) = outage(&mut rng);
+        script.push(step(down, router, ChurnAction::Crash));
+        if let Some(&(witness, _)) = topo.neighbors(router).first() {
+            script.push(step(down, witness, ChurnAction::ReportDown(router)));
+        }
+        script.push(step(up, router, ChurnAction::Restart));
+    }
+    (plan.with_probabilistic_until(horizon), script)
 }
 
 /// Figures 5.2 and 5.4: the maximum, mean and median number of segments

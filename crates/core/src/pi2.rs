@@ -17,6 +17,7 @@ use crate::spec::{Interval, Suspicion};
 use fatih_crypto::KeyStore;
 use fatih_sim::{SimTime, TapEvent};
 use fatih_topology::{pi2_segments, PathSegment, RouterId, Routes};
+use fatih_validation::tv_order;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a Π2 deployment.
@@ -156,7 +157,11 @@ impl Pi2Detector {
             let decided = self.disseminate(members, &claimed);
 
             for (w, pair) in decided.windows(2).enumerate() {
-                let verdict = window.judge(pair[0].as_ref(), pair[1].as_ref(), fabrication_floor);
+                let (up, down) = (pair[0].as_ref(), pair[1].as_ref());
+                let mut verdict = window.judge(up, down, fabrication_floor);
+                if self.cfg.policy == Policy::Order {
+                    verdict.reordered = reordered(&window, up, down);
+                }
                 self.lost_judged += verdict.lost.len() as u64;
                 if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
                     let pair_seg = PathSegment::new(vec![members[w], members[w + 1]]);
@@ -216,6 +221,17 @@ impl Pi2Detector {
             })
             .collect()
     }
+}
+
+/// Reordering among the packets a pair matched (§2.2.1's order metric):
+/// the judged upstream sequence against the downstream one, the LCS metric
+/// leaving lost and fabricated packets out. Only [`Policy::Order`] reads
+/// it; ⊥ has none.
+fn reordered(window: &Window, up: Option<&Report>, down: Option<&Report>) -> usize {
+    let (Some(up), Some(down)) = (up, down) else {
+        return 0;
+    };
+    tv_order(&window.judged(up).to_ordered(), &down.to_ordered()).reordered
 }
 
 #[cfg(test)]
@@ -311,6 +327,29 @@ mod tests {
         let faulty: BTreeSet<RouterId> = [ids[1]].into_iter().collect();
         let check = crate::spec::SpecCheck::evaluate(&sus, &faulty);
         assert!(check.is_accurate(2) && check.is_complete(), "{sus:?}");
+    }
+
+    /// A swapped pair is one reordered packet: it fails the order policy,
+    /// which only Π2 judges, and passes the others.
+    #[test]
+    fn only_order_catches_reordering() {
+        let report = |fps: [u64; 3]| Report {
+            entries: (fps.iter().enumerate())
+                .map(|(i, &v)| crate::monitor::ReportEntry {
+                    fingerprint: fatih_crypto::Fingerprint::new(v),
+                    size: 100,
+                    time: SimTime::from_ms(i as u64),
+                })
+                .collect(),
+        };
+        let (up, down) = (report([1, 2, 3]), report([2, 1, 3]));
+        let window = Window::closing(None, SimTime::from_secs(100), SimTime::ZERO);
+        let mut v = window.judge(Some(&up), Some(&down), SimTime::ZERO);
+        v.reordered = reordered(&window, Some(&up), Some(&down));
+        assert_eq!(v.reordered, 1);
+        let th = Thresholds::default();
+        assert!(!v.passes(Policy::Order, &th));
+        assert!(v.passes(Policy::Flow, &th) && v.passes(Policy::Content, &th));
     }
 
     #[test]

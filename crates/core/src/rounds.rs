@@ -90,6 +90,11 @@ impl Window {
         Some(SimTime::from_ns(ns))
     }
 
+    /// What of `report` this round judges.
+    pub fn judged(&self, report: &Report) -> Report {
+        report.window(self.judged_from, Some(self.cutoff))
+    }
+
     /// `TV(π, info(up), info(down))` over this round's judged window: see
     /// [`tv_pair`].
     pub fn judge(

@@ -6,8 +6,8 @@
 //! taps are what the routers observe. Every frame a router says crosses
 //! the same network as an in-band control packet
 //! ([`Network::send_control`]), so summaries, acks, alerts and link-state
-//! floods meet the plan's loss, duplication, reordering, corruption, flaps
-//! and crashes, and attacks on transit traffic. The frame's bytes stay
+//! floods meet the plan's loss, duplication, reordering, corruption and
+//! outages, and attacks on transit traffic. The frame's bytes stay
 //! with the host, keyed by the packet; a copy the engine corrupted is
 //! handed over with a byte flipped, so the codec rejects it. Each router
 //! keeps its own schedule — round ends, evaluations, the retransmission
@@ -26,34 +26,28 @@
 //! the host is built: taps are restamped onto it, and round `r` covers
 //! `[r·τ, (r+1)·τ)` after it. What is monitored follows the live
 //! runtime's rule: the spec's monitor pairs, or with none the paths of the
-//! traffic, the pairs of [`Network::traffic_pairs`] when the host is built.
+//! traffic, the pairs of [`Network::traffic_pairs`] once the spec's flows
+//! are added.
 //!
-//! A run comes from one of two constructors:
-//!
-//! * [`SimHost::deploy`] runs what
-//!   [`LiveDeployment::run`](crate::LiveDeployment::run) takes — a
-//!   topology, a [`LiveSpec`] and a [`LiveConfig`] — on a fresh network,
-//!   so one scenario runs on either host. Each flow is an engine CBR flow
-//!   on the live flow's phase, stopping at `rounds·τ` as the live one
-//!   does. Each dropper drops every flow's data packets in transit at its
-//!   rate from the start of its `active_from` round, drawing from the
-//!   engine's one random stream rather than its own seed (DESIGN.md,
-//!   "One scenario, two hosts"). The churn script and the initially-down
-//!   routers go to the routers as written, and the engine's data plane
-//!   follows them: a router is down from its `Crash` — from just after its
-//!   `Leave`, whose announcement still leaves, and from the start if it is
-//!   initially down — until its `Restart` or `Join`, and a link, both ways,
-//!   from a `LinkDown` by either end until a `LinkUp`. The engine routes
-//!   from the routers' initial view, which avoids the initially-down
-//!   routers.
-//! * [`SimHost::new`] hosts a network built by hand — flows, engine
-//!   attacks, a fault plan — and takes the routers' churn script from the
-//!   plan's scheduled outages. A link's flaps — either direction,
-//!   overlapping ones merged — are a [`ChurnAction::LinkDown`] and a
-//!   [`ChurnAction::LinkUp`] by each of its ends, as both would see the
-//!   link go. A crash window is a [`ChurnAction::Crash`], a
-//!   [`ChurnAction::ReportDown`] by the first neighbour up at that instant,
-//!   and a [`ChurnAction::Restart`] when it closes.
+//! One constructor, [`SimHost::new`], deploys what
+//! [`LiveDeployment::run`](crate::LiveDeployment::run) takes — a
+//! [`LiveSpec`] and a [`LiveConfig`] — on a network the caller built, so
+//! one scenario runs on either host, and what only the engine has
+//! (modification, delay and misrouting attacks, TCP flows, hand-placed
+//! flows, per-link control faults) is added to the network first. Each
+//! spec flow is an engine CBR flow on the live flow's phase, stopping at
+//! `rounds·τ` as the live one does. Each dropper drops the spec flows'
+//! data packets in transit at its rate from the start of its
+//! `active_from` round, drawing from the engine's one random stream
+//! rather than its own seed (DESIGN.md, "One scenario, two hosts"). The
+//! churn script and the initially-down routers go to the routers as
+//! written, and it is the only description of outages the host reads: the
+//! network's fault plan gains its physical side. A router is down from
+//! its `Crash` — from just after its `Leave`, whose announcement still
+//! leaves, and from the start if it is initially down — until its
+//! `Restart` or `Join`, and a link, both ways, from a `LinkDown` by either
+//! end until a `LinkUp`. The engine routes from the routers' initial
+//! view, which avoids the initially-down routers.
 //!
 //! What an outage costs the rounds it overlaps is the live amnesty's to
 //! forgive.
@@ -65,8 +59,8 @@ use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, N
 use crate::timer::Schedule;
 use fatih_core::spec::Suspicion;
 use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal, TraceKind};
-use fatih_sim::{Attack, FaultPlan, FlowId, Network, PacketKind, SimTime, TapEvent};
-use fatih_topology::{Path, PathSegment, RouterId, Topology};
+use fatih_sim::{Attack, FaultPlan, Network, PacketKind, SimTime, TapEvent};
+use fatih_topology::{Path, PathSegment, RouterId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
@@ -81,30 +75,31 @@ const CONTROL_BYTES: u32 = 256;
 ///
 /// # Examples
 ///
-/// A dropper on a 5-router line is convicted once its drops are judged,
-/// and the response excludes only segments that contain it:
+/// A dropper on a 5-router line from round 1 (300 ms rounds, judged
+/// 150 ms after they end) drops nothing before it, and is convicted once
+/// that round is judged; the response excludes only segments that contain
+/// it:
 ///
 /// ```
-/// use fatih_core::policy::Thresholds;
-/// use fatih_net::{LiveConfig, SimHost};
-/// use fatih_sim::{Attack, Network, SimTime};
+/// use fatih_net::runtime::{DropperSpec, FlowSpec};
+/// use fatih_net::{LiveConfig, LiveSpec, SimHost};
+/// use fatih_sim::{Network, SimTime};
 /// use fatih_topology::builtin;
 /// use std::time::Duration;
 ///
 /// let mut net = Network::new(builtin::line(5), 1);
 /// let ids: Vec<_> = net.topology().routers().collect();
-/// let flow = net.add_cbr_flow(ids[0], ids[4], 1000, SimTime::from_ms(2), SimTime::ZERO, None);
-/// net.set_attacks(ids[2], vec![Attack::drop_flows([flow], 0.3)]);
-/// let cfg = LiveConfig {
-///     tau: Duration::from_secs(1),
-///     exchange_budget: Duration::from_millis(500),
-///     maturity_lag: Duration::from_millis(100),
-///     thresholds: Thresholds::default(),
-///     ..LiveConfig::default()
+/// let spec = LiveSpec {
+///     flows: vec![FlowSpec::new(ids[0], ids[4], 1000, Duration::from_millis(2))],
+///     droppers: vec![DropperSpec { router: ids[2], rate: 0.3, seed: 1, active_from: 1 }],
+///     ..LiveSpec::default()
 /// };
-/// let mut host = SimHost::new(&net, cfg);
-/// host.run(&mut net, SimTime::from_secs(3));
+/// let mut host = SimHost::new(&mut net, &spec, LiveConfig::default());
+/// host.run(&mut net, SimTime::from_ms(300));
+/// assert_eq!(net.ground_truth().malicious_drops, 0);
+/// host.run(&mut net, SimTime::from_ms(750));
 /// assert!(!host.suspicions().is_empty());
+/// assert!(host.suspicions().iter().all(|s| s.segment.contains(ids[2])));
 /// assert!(host.excluded_segments().iter().all(|s| s.contains(ids[2])));
 /// ```
 pub struct SimHost {
@@ -149,112 +144,43 @@ impl std::fmt::Debug for SimHost {
 
 impl SimHost {
     /// Deploys one router per router of `net`'s topology at `net.now()`,
-    /// with `cfg`'s rounds, keys and policy, monitoring the paths of the
-    /// traffic added by then; the churn script is the installed fault
-    /// plan's outages. `cfg.rounds` is not read: rounds go
-    /// on for as long as [`run`](Self::run) is called.
+    /// running `spec` — its flows, droppers and churn, see the module doc —
+    /// with `cfg`'s rounds, keys and policy. The spec's flows stop at
+    /// `cfg.rounds`·τ; rounds go on for as long as [`run`](Self::run) is
+    /// called.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < cfg.exchange_budget < cfg.tau`.
-    pub fn new(net: &Network, cfg: LiveConfig) -> Self {
-        let churn = (net.fault_plan())
-            .map_or_else(Vec::new, |plan| outages(plan, net.topology(), net.now()));
-        let spec = LiveSpec {
-            churn,
-            ..LiveSpec::default()
-        };
-        Self::hosting(net, cfg, spec)
-    }
-
-    /// Deploys what [`LiveDeployment::run`](crate::LiveDeployment::run)
-    /// takes on a fresh network over `topo`, whose engine draws from
-    /// `seed`: `spec`'s flows, droppers and churn (see the module doc) and
-    /// `cfg`'s rounds, keys and policy. Flows stop at `cfg.rounds`·τ;
-    /// rounds go on for as long as [`run`](Self::run) is called. Returns
-    /// the network at time zero and its host.
-    ///
-    /// # Examples
-    ///
-    /// A dropper on a 5-router line from round 1 (300 ms rounds, judged
-    /// 150 ms after they end) drops nothing before it, and is convicted
-    /// once that round is judged:
-    ///
-    /// ```
-    /// use fatih_net::runtime::{DropperSpec, FlowSpec};
-    /// use fatih_net::{LiveConfig, LiveSpec, SimHost};
-    /// use fatih_sim::SimTime;
-    /// use fatih_topology::builtin;
-    /// use std::time::Duration;
-    ///
-    /// let topo = builtin::line(5);
-    /// let ids: Vec<_> = topo.routers().collect();
-    /// let spec = LiveSpec {
-    ///     flows: vec![FlowSpec::new(ids[0], ids[4], 1000, Duration::from_millis(2))],
-    ///     droppers: vec![DropperSpec { router: ids[2], rate: 0.3, seed: 1, active_from: 1 }],
-    ///     ..LiveSpec::default()
-    /// };
-    /// let (mut net, mut host) = SimHost::deploy(&topo, &spec, LiveConfig::default(), 1);
-    /// host.run(&mut net, SimTime::from_ms(300));
-    /// assert_eq!(net.ground_truth().malicious_drops, 0);
-    /// host.run(&mut net, SimTime::from_ms(750));
-    /// assert!(!host.suspicions().is_empty());
-    /// assert!(host.suspicions().iter().all(|s| s.segment.contains(ids[2])));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < cfg.exchange_budget < cfg.tau`.
-    pub fn deploy(topo: &Topology, spec: &LiveSpec, cfg: LiveConfig, seed: u64) -> (Network, Self) {
-        let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
-        let mut net = Network::new(topo.clone(), seed);
-        let stop = ns(cfg.tau).saturating_mul(cfg.rounds);
-        for (i, f) in spec.flows.iter().enumerate() {
-            let start = FLOW_LEAD_NS + flow_phase_ns(i, spec.flows.len(), f.interval);
-            let (start, interval) = (SimTime::from_ns(start), ns(f.interval));
-            let id = net.add_cbr_flow(f.src, f.dst, f.size, interval, start, Some(stop));
-            assert_eq!(id, FlowId(i as u32), "a fresh network numbers flows from 0");
-        }
-        net.set_fault_plan(Some(physical(spec, seed)));
-        let script = LiveSpec {
-            flows: Vec::new(),
-            droppers: Vec::new(),
-            ..spec.clone()
-        };
-        let mut host = Self::hosting(&net, cfg, script);
-        // A router drops as its first dropper says, as a live one does.
-        let mut seen = BTreeSet::new();
-        let victims = || (0..spec.flows.len() as u32).map(FlowId);
-        host.onsets = (spec.droppers.iter())
-            .filter(|d| seen.insert(d.router))
-            .map(|d| {
-                let at = ns(cfg.tau).saturating_mul(d.active_from);
-                (at, d.router, Attack::drop_flows(victims(), d.rate))
-            })
-            .collect();
-        host.onsets.sort_by_key(|&(at, ..)| Reverse(at));
-        if !spec.initially_down.is_empty() {
-            for i in 0..host.routers.len() {
-                host.install_routes(&mut net, i);
-            }
-        }
-        (net, host)
-    }
-
-    /// The routers of `net`'s topology, deployed at `net.now()` with
-    /// `spec`'s churn script and initially-down routers, monitoring
-    /// `spec`'s pairs or, with none, the traffic's: the rule
-    /// [`routers`] applies to a spec's flows, which the engine carries
-    /// here.
-    fn hosting(net: &Network, cfg: LiveConfig, mut spec: LiveSpec) -> Self {
+    pub fn new(net: &mut Network, spec: &LiveSpec, cfg: LiveConfig) -> Self {
         assert!(
             Duration::ZERO < cfg.exchange_budget && cfg.exchange_budget < cfg.tau,
             "exchange budget must lie in (0, tau)"
         );
-        let topo = net.topology();
         let epoch = net.now();
-        if spec.monitor_pairs.is_empty() {
-            spec.monitor_pairs = net.traffic_pairs();
+        let after = |d: SimTime| epoch.saturating_add(d);
+        let tau = SimTime::from_ns(cfg.tau.as_nanos() as u64);
+        let stop = after(tau.saturating_mul(cfg.rounds));
+        let victims: Vec<_> = (spec.flows.iter().enumerate())
+            .map(|(i, f)| {
+                let start = FLOW_LEAD_NS + flow_phase_ns(i, spec.flows.len(), f.interval);
+                let interval = SimTime::from_ns(f.interval.as_nanos() as u64);
+                let start = after(SimTime::from_ns(start));
+                net.add_cbr_flow(f.src, f.dst, f.size, interval, start, Some(stop))
+            })
+            .collect();
+        // Installed again, the plan's fault stream restarts from its seed.
+        // Only control packets draw from it, so on a network no host has
+        // run on it has lost no draw.
+        let plan = net.fault_plan().cloned().unwrap_or_default();
+        net.set_fault_plan(Some(physical(spec, epoch, plan)));
+        let mut script = LiveSpec {
+            flows: Vec::new(),
+            droppers: Vec::new(),
+            ..spec.clone()
+        };
+        if script.monitor_pairs.is_empty() {
+            script.monitor_pairs = net.traffic_pairs();
         }
         let registry = MetricsRegistry::new();
         let metrics = NetMetrics::registered(&registry);
@@ -262,7 +188,7 @@ impl SimHost {
             rounds: u64::MAX,
             ..cfg
         };
-        let (routers, _) = routers(topo, &spec, &unbounded, &metrics);
+        let (routers, _) = routers(net.topology(), &script, &unbounded, &metrics);
         assert!(routers.iter().enumerate().all(|(i, r)| r.id.index() == i));
         let mut schedule = Schedule::new(routers.len());
         let mut trace = TraceBuffer::new(0, cfg.trace_capacity);
@@ -270,7 +196,17 @@ impl SimHost {
             schedule.arm(i, router.deadline());
             trace.record(0, TraceKind::RoundStart, u32::from(router.id), 0, 0);
         }
-        Self {
+        // A router drops as its first dropper says, as a live one does.
+        let mut seen = BTreeSet::new();
+        let mut onsets: Vec<_> = (spec.droppers.iter())
+            .filter(|d| seen.insert(d.router))
+            .map(|d| {
+                let attack = Attack::drop_flows(victims.iter().copied(), d.rate);
+                (after(tau.saturating_mul(d.active_from)), d.router, attack)
+            })
+            .collect();
+        onsets.sort_by_key(|&(at, ..)| Reverse(at));
+        let mut host = Self {
             installed: routers.iter().map(Router::route_epoch).collect(),
             tables: HashMap::new(),
             silent: vec![false; routers.len()],
@@ -284,8 +220,14 @@ impl SimHost {
             rx: Vec::new(),
             events: Vec::new(),
             registry,
-            onsets: Vec::new(),
+            onsets,
+        };
+        if !spec.initially_down.is_empty() {
+            for i in 0..host.routers.len() {
+                host.install_routes(net, i);
+            }
         }
+        host
     }
 
     /// Makes `router` withhold what it ends: none of its summaries,
@@ -465,24 +407,23 @@ impl SimHost {
     }
 }
 
-/// The engine's side of `spec`'s churn: a router's data plane is down from
-/// its `Crash` — one nanosecond after its `Leave`, whose announcement
-/// leaves first, and from the start if it is initially down — until its
-/// `Restart` or `Join`; a link, both ways, from a `LinkDown` by either end
-/// until a `LinkUp` by either. An outage nothing ends lasts the run.
-fn physical(spec: &LiveSpec, seed: u64) -> FaultPlan {
+/// `plan` with the engine's side of `spec`'s churn added, on the axis of a
+/// deployment at `epoch`: a router's data plane is down from its `Crash` —
+/// one nanosecond after its `Leave`, whose announcement leaves first, and
+/// from the start if it is initially down — until its `Restart` or `Join`;
+/// a link, both ways, from a `LinkDown` by either end until a `LinkUp` by
+/// either. An outage nothing ends lasts the run.
+fn physical(spec: &LiveSpec, epoch: SimTime, mut plan: FaultPlan) -> FaultPlan {
     let mut script: Vec<&ChurnEvent> = spec.churn.iter().collect();
     script.sort_by_key(|e| e.at);
-    let mut routers: BTreeMap<RouterId, SimTime> = (spec.initially_down.iter())
-        .map(|&r| (r, SimTime::ZERO))
-        .collect();
+    let mut routers: BTreeMap<RouterId, SimTime> =
+        (spec.initially_down.iter()).map(|&r| (r, epoch)).collect();
     let mut links: BTreeMap<(RouterId, RouterId), SimTime> = BTreeMap::new();
     let flap = |plan: FaultPlan, (a, b), down, up| {
         (plan.with_link_flap(a, b, down, up)).with_link_flap(b, a, down, up)
     };
-    let mut plan = FaultPlan::new(seed);
     for e in script {
-        let at = SimTime::from_ns(e.at.as_nanos() as u64);
+        let at = epoch.saturating_add(SimTime::from_ns(e.at.as_nanos() as u64));
         let link = |peer: RouterId| (e.actor.min(peer), e.actor.max(peer));
         match e.action {
             ChurnAction::Crash => {
@@ -517,55 +458,13 @@ fn physical(spec: &LiveSpec, seed: u64) -> FaultPlan {
     plan
 }
 
-/// `plan`'s flaps and crash windows as the routers' churn script, on the
-/// axis of a deployment at `epoch`; outages over by then are left out.
-fn outages(plan: &FaultPlan, topo: &Topology, epoch: SimTime) -> Vec<ChurnEvent> {
-    let at = |t: SimTime| Duration::from_nanos(t.as_ns().saturating_sub(epoch.as_ns()));
-    let event = |t, actor, action| ChurnEvent {
-        at: at(t),
-        actor,
-        action,
-    };
-    let link = |a: RouterId, b: RouterId| (a.min(b), a.max(b));
-    let mut flaps: Vec<_> = plan.flaps().iter().filter(|f| f.up_at > epoch).collect();
-    flaps.sort_by_key(|f| (link(f.from, f.to), f.down_at));
-    let mut script = Vec::new();
-    let mut rest = &flaps[..];
-    while let Some((first, more)) = rest.split_first() {
-        let (mut up, mut merged) = (first.up_at, 0);
-        for f in more {
-            if link(f.from, f.to) != link(first.from, first.to) || f.down_at > up {
-                break;
-            }
-            up = up.max(f.up_at);
-            merged += 1;
-        }
-        for (end, peer) in [(first.from, first.to), (first.to, first.from)] {
-            script.push(event(first.down_at, end, ChurnAction::LinkDown(peer)));
-            script.push(event(up, end, ChurnAction::LinkUp(peer)));
-        }
-        rest = &more[merged..];
-    }
-    for c in plan.crashes().iter().filter(|c| c.up_at > epoch) {
-        script.push(event(c.down_at, c.router, ChurnAction::Crash));
-        let witness = (topo.neighbors(c.router).iter())
-            .map(|&(n, _)| n)
-            .find(|&n| !plan.router_down(n, c.down_at));
-        if let Some(witness) = witness {
-            script.push(event(c.down_at, witness, ChurnAction::ReportDown(c.router)));
-        }
-        script.push(event(c.up_at, c.router, ChurnAction::Restart));
-    }
-    script
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::{DropperSpec, FlowSpec};
     use fatih_core::policy::Thresholds;
     use fatih_core::spec::SpecCheck;
-    use fatih_sim::{Attack, AttackKind, LinkFaults, VictimFilter};
+    use fatih_sim::{AttackKind, FlowId, LinkFaults, VictimFilter};
     use fatih_topology::builtin;
 
     /// Chapter 5's deployment: τ = 5 s rounds judged 4 s after they end,
@@ -595,29 +494,6 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// A run is a function of the topology seed and the fault seed: two
-    /// runs of one transient-chaos schedule — flaps, a crash-restart,
-    /// control faults, a dropper and the response — say the same events,
-    /// in the same order, at the same instants.
-    #[test]
-    fn one_pair_of_seeds_is_one_run() {
-        let run = || {
-            let (mut net, ids) = line(6, 101);
-            let plan = FaultPlan::random_transient(101, net.topology(), secs(10));
-            net.set_fault_plan(Some(plan));
-            let f = flow(&mut net, ids[0], ids[5]);
-            net.set_attacks(ids[3], vec![Attack::drop_flows([f], 0.35)]);
-            let mut host = SimHost::new(&net, chapter5(true));
-            host.run(&mut net, secs(30));
-            format!("{:?}", host.events())
-        };
-        let (a, b) = (run(), run());
-        for seen in ["SuspicionRaised", "DeliveryExhausted", "ProbationCleared"] {
-            assert!(a.contains(seen), "{seen}: the schedule missed it");
-        }
-        assert!(a == b, "two runs of one seed pair differ");
-    }
-
     /// With nobody attacking, a link flap and a crash-restart on honest
     /// elements of a 6-line raise no suspicion: both are announced, the
     /// amnesty covers the rounds they disturb, and the restarted router's
@@ -625,13 +501,20 @@ mod tests {
     #[test]
     fn an_honest_flap_and_crash_restart_raise_nothing() {
         let (mut net, ids) = line(6, 3);
-        let plan = FaultPlan::new(5)
-            .with_link_flap(ids[1], ids[2], secs(3), SimTime::from_ms(4_500))
-            .with_crash(ids[4], secs(12), secs(14));
-        net.set_fault_plan(Some(plan));
         flow(&mut net, ids[0], ids[5]);
         flow(&mut net, ids[5], ids[0]);
-        let mut host = SimHost::new(&net, chapter5(true));
+        use ChurnAction::*;
+        let mut churn = flap(ids[1], ids[2], 3_000, 4_500).to_vec();
+        churn.extend([
+            step(12_000, ids[4], Crash),
+            step(12_000, ids[3], ReportDown(ids[4])),
+            step(14_000, ids[4], Restart),
+        ]);
+        let spec = LiveSpec {
+            churn,
+            ..LiveSpec::default()
+        };
+        let mut host = SimHost::new(&mut net, &spec, chapter5(true));
         host.run(&mut net, secs(45));
         assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
         let m = host.metrics();
@@ -656,7 +539,7 @@ mod tests {
             },
         )));
         let f = flow(&mut net, ids[0], ids[5]);
-        let mut host = SimHost::new(&net, chapter5(true));
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), chapter5(true));
         host.run(&mut net, secs(15));
         let quiet = host.suspicions();
         assert!(quiet.is_empty(), "control loss alone accused: {quiet:?}");
@@ -686,7 +569,7 @@ mod tests {
         )));
         let f = flow(&mut net, ids[0], ids[5]);
         net.set_attacks(ids[3], vec![Attack::drop_flows([f], 0.3)]);
-        let mut host = SimHost::new(&net, chapter5(false));
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), chapter5(false));
         host.run(&mut net, secs(9));
         let faulty = [ids[3]].into_iter().collect();
         let check = SpecCheck::evaluate(&host.suspicions(), &faulty);
@@ -707,7 +590,7 @@ mod tests {
             },
         )));
         flow(&mut net, ids[0], ids[3]);
-        let mut host = SimHost::new(&net, chapter5(false));
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), chapter5(false));
         host.run(&mut net, secs(20));
         assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
         let m = host.metrics();
@@ -721,14 +604,12 @@ mod tests {
     #[test]
     fn a_link_flap_during_a_round_accuses_nobody() {
         let (mut net, ids) = line(5, 9);
-        net.set_fault_plan(Some(FaultPlan::new(21).with_link_flap(
-            ids[1],
-            ids[2],
-            secs(4),
-            SimTime::from_ms(5_500),
-        )));
         flow(&mut net, ids[0], ids[4]);
-        let mut host = SimHost::new(&net, chapter5(true));
+        let spec = LiveSpec {
+            churn: flap(ids[1], ids[2], 4_000, 5_500).to_vec(),
+            ..LiveSpec::default()
+        };
+        let mut host = SimHost::new(&mut net, &spec, chapter5(true));
         host.run(&mut net, secs(15));
         assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
         host.run(&mut net, secs(30));
@@ -743,7 +624,7 @@ mod tests {
     fn a_silent_end_times_out_into_an_accusation() {
         let (mut net, ids) = line(4, 1);
         flow(&mut net, ids[0], ids[3]);
-        let mut host = SimHost::new(&net, chapter5(false));
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), chapter5(false));
         host.silence(ids[3]);
         host.run(&mut net, secs(9));
         let sus = host.suspicions();
@@ -771,7 +652,7 @@ mod tests {
                 .with_link_faults(ids[2], ids[1], dead),
         ));
         flow(&mut net, ids[0], ids[3]);
-        let mut host = SimHost::new(&net, chapter5(false));
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), chapter5(false));
         host.run(&mut net, secs(9));
         let exhausted = (host.events().iter())
             .filter(|(_, e)| matches!(e, LiveEvent::DeliveryExhausted { .. }))
@@ -813,7 +694,7 @@ mod tests {
         // A flow that crosses Kansas City by another interface, which the
         // first reroute leaves in place.
         net.add_cbr_flow(den, dc, 800, SimTime::from_ms(9), SimTime::ZERO, None);
-        let mut host = SimHost::new(&net, chapter5(true));
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), chapter5(true));
 
         host.run(&mut net, secs(20));
         assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
@@ -862,43 +743,6 @@ mod tests {
         assert_eq!(via_kc, 0, "traffic still transits the compromised router");
     }
 
-    /// Flaps merge per link, either direction, into one announced outage
-    /// by both ends; a crash window is a crash, a report by the first
-    /// neighbour up, and a restart; outages over before the deployment
-    /// are left out.
-    #[test]
-    fn outages_become_the_churn_script() {
-        let topo = builtin::line(4);
-        let r: Vec<RouterId> = topo.routers().collect();
-        let plan = FaultPlan::new(1)
-            .with_link_flap(r[1], r[2], secs(3), secs(5))
-            .with_link_flap(r[2], r[1], secs(4), secs(7))
-            .with_link_flap(r[1], r[2], secs(9), secs(10))
-            .with_link_flap(r[0], r[1], SimTime::ZERO, secs(1))
-            .with_crash(r[1], secs(6), secs(8));
-        let script = outages(&plan, &topo, secs(2));
-        let told: Vec<(u64, RouterId, ChurnAction)> = (script.iter())
-            .map(|e| (e.at.as_secs(), e.actor, e.action))
-            .collect();
-        use ChurnAction::*;
-        assert_eq!(
-            told,
-            [
-                (1, r[1], LinkDown(r[2])),
-                (5, r[1], LinkUp(r[2])),
-                (1, r[2], LinkDown(r[1])),
-                (5, r[2], LinkUp(r[1])),
-                (7, r[1], LinkDown(r[2])),
-                (8, r[1], LinkUp(r[2])),
-                (7, r[2], LinkDown(r[1])),
-                (8, r[2], LinkUp(r[1])),
-                (4, r[1], Crash),
-                (4, r[0], ReportDown(r[1])),
-                (6, r[1], Restart),
-            ]
-        );
-    }
-
     /// Each router is stepped with a timeout exactly at its deadlines and
     /// no more: on a clean 4-line, three rounds' ends and evaluations are
     /// six steps a router, at those instants. The segment ends' summaries
@@ -912,7 +756,7 @@ mod tests {
             trace_capacity: 1 << 17, // every record of the run
             ..chapter5(false)
         };
-        let mut host = SimHost::new(&net, cfg);
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
         host.run(&mut net, secs(19));
         let trace = host.trace();
         assert_eq!(trace.dropped(), 0);
@@ -958,7 +802,7 @@ mod tests {
             summary: crate::runtime::SummaryMode::Reconcile { capacity: 4 },
             ..chapter5(false)
         };
-        let mut host = SimHost::new(&net, cfg);
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
         host.run(&mut net, secs(4 * 5 + 4));
         let m = host.metrics();
         assert!(
@@ -996,6 +840,17 @@ mod tests {
         }
     }
 
+    /// The link `a`–`b` down from `down` to `up` ms, announced by both ends.
+    fn flap(a: RouterId, b: RouterId, down: u64, up: u64) -> [ChurnEvent; 4] {
+        use ChurnAction::*;
+        [
+            step(down, a, LinkDown(b)),
+            step(down, b, LinkDown(a)),
+            step(up, a, LinkUp(b)),
+            step(up, b, LinkUp(a)),
+        ]
+    }
+
     /// A deployed spec's script is what its routers run, step for step,
     /// at its instants: a crash nobody reports stays unreported, a report
     /// one round after the crash comes then, and a link one end announces
@@ -1017,7 +872,8 @@ mod tests {
             ],
             ..LiveSpec::default()
         };
-        let (mut net, mut host) = SimHost::deploy(&topo, &spec, quick(true), 1);
+        let mut net = Network::new(topo, 1);
+        let mut host = SimHost::new(&mut net, &spec, quick(true));
         host.run(&mut net, secs(6));
         let mut ran: Vec<(u64, u32, u64)> = (host.trace().events().iter())
             .filter(|e| e.kind == TraceKind::ChurnEvent)
@@ -1068,38 +924,79 @@ mod tests {
             ],
             ..LiveSpec::default()
         };
-        let (net, _) = SimHost::deploy(&topo, &spec, quick(true), 1);
+        let mut net = Network::new(topo.clone(), 1);
+        let _host = SimHost::new(&mut net, &spec, quick(true));
         let plan = net.fault_plan().expect("the script's outages");
+        // Which routers, and which links of each direction, are down at `t`.
+        let down = |t: SimTime| {
+            let routers: Vec<usize> = (0..6).filter(|&i| plan.router_down(r[i], t)).collect();
+            let mut links: Vec<(usize, usize)> = (topo.links())
+                .filter(|l| plan.link_down(l.from, l.to, t))
+                .map(|l| (l.from.index(), l.to.index()))
+                .collect();
+            links.sort_unstable();
+            (routers, links)
+        };
+        let (ms, ns) = (SimTime::from_ms, SimTime::from_ns);
+        let before = |t: SimTime| ns(t.as_ns() - 1);
+        let link = vec![(3, 4), (4, 3)];
+        let expected = [
+            (SimTime::ZERO, vec![5], vec![]),
+            (before(ms(1_000)), vec![5], vec![]),
+            (ms(1_000), vec![1, 5], vec![]),
+            (ms(1_500), vec![1, 5], link.clone()),
+            (ms(2_000), vec![5], link.clone()),
+            (ms(2_500), vec![], link.clone()),
+            // The departure's announcement still leaves at its instant.
+            (ms(3_000), vec![], link.clone()),
+            (ms(3_000) + ns(1), vec![2], link.clone()),
+            (ms(3_500), vec![2], vec![]),
+            (ms(4_000), vec![], vec![]),
+            (before(ms(5_000)), vec![], vec![]),
+            (ms(5_000), vec![0], vec![]),
+            (ns(u64::MAX - 1), vec![0], vec![]),
+        ];
+        for (t, routers, links) in expected {
+            assert_eq!(down(t), (routers, links), "at {t:?}");
+        }
+    }
+
+    /// A network's own fault plan survives the constructor — its seed and
+    /// its link faults — and gains the script's outages on the host's
+    /// axis, which starts when the host is built.
+    #[test]
+    fn the_networks_own_faults_survive_alongside_the_scripts_outages() {
+        let topo = builtin::line(4);
+        let r: Vec<RouterId> = topo.routers().collect();
+        let lossy = LinkFaults {
+            loss: 0.25,
+            ..LinkFaults::NONE
+        };
+        let mut net = Network::new(topo, 1);
+        net.set_fault_plan(Some(FaultPlan::new(9).with_link_faults(r[0], r[1], lossy)));
+        net.run_until(secs(1), |_| {});
+        assert_eq!(net.now(), secs(1));
+        use ChurnAction::*;
+        let mut churn = flap(r[1], r[2], 500, 1_500).to_vec();
+        churn.extend([step(2_000, r[3], Crash), step(2_500, r[3], Restart)]);
+        let spec = LiveSpec {
+            churn,
+            ..LiveSpec::default()
+        };
+        let _host = SimHost::new(&mut net, &spec, quick(true));
+        let plan = net.fault_plan().expect("the network's plan");
+        assert_eq!(plan.seed(), 9);
+        assert_eq!(plan.link_faults(r[0], r[1], secs(2)), lossy);
+        assert!(plan.link_faults(r[1], r[0], secs(2)).is_none());
         let ms = SimTime::from_ms;
-        let mut crashes: Vec<_> = (plan.crashes().iter())
-            .map(|c| (c.router, c.down_at, c.up_at))
-            .collect();
-        crashes.sort_unstable();
-        let end = SimTime::from_ns(u64::MAX);
-        let left = ms(3_000) + SimTime::from_ns(1);
-        assert_eq!(
-            crashes,
-            [
-                (r[0], ms(5_000), end),
-                (r[1], ms(1_000), ms(2_000)),
-                (r[2], left, ms(4_000)),
-                (r[5], SimTime::ZERO, ms(2_500)),
-            ]
-        );
-        let mut flaps: Vec<_> = (plan.flaps().iter())
-            .map(|f| (f.from, f.to, f.down_at, f.up_at))
-            .collect();
-        flaps.sort_unstable();
-        assert_eq!(
-            flaps,
-            [
-                (r[3], r[4], ms(1_500), ms(3_500)),
-                (r[4], r[3], ms(1_500), ms(3_500)),
-            ]
-        );
-        // The departure's announcement still leaves at its instant.
-        assert!(!plan.router_down(r[2], ms(3_000)) && plan.router_down(r[2], left));
-        assert!(plan.router_down(r[1], ms(1_000)) && !plan.router_down(r[1], ms(2_000)));
+        let before = |t: SimTime| SimTime::from_ns(t.as_ns() - 1);
+        for (a, b) in [(r[1], r[2]), (r[2], r[1])] {
+            assert!(!plan.link_down(a, b, before(ms(1_500))));
+            assert!(plan.link_down(a, b, ms(1_500)) && plan.link_down(a, b, before(ms(2_500))));
+            assert!(!plan.link_down(a, b, ms(2_500)));
+        }
+        assert!(!plan.router_down(r[3], before(ms(3_000))));
+        assert!(plan.router_down(r[3], ms(3_000)) && !plan.router_down(r[3], ms(3_500)));
     }
 
     /// An initially-down router carries no data before it joins: the
@@ -1117,7 +1014,8 @@ mod tests {
             churn: vec![step(1_500, r[1], ChurnAction::Join)],
             ..LiveSpec::default()
         };
-        let (mut net, _host) = SimHost::deploy(&topo, &spec, quick(true), 1);
+        let mut net = Network::new(topo, 1);
+        let _host = SimHost::new(&mut net, &spec, quick(true));
         let mut at_down = 0;
         net.run_until(SimTime::from_ns(1_500_000_000 - 1), |ev| {
             let data = ev.packet().kind == PacketKind::Data;
@@ -1147,7 +1045,8 @@ mod tests {
             }],
             ..LiveSpec::default()
         };
-        let (mut net, mut host) = SimHost::deploy(&topo, &spec, quick(false), 1);
+        let mut net = Network::new(topo, 1);
+        let mut host = SimHost::new(&mut net, &spec, quick(false));
         host.run(&mut net, secs(2));
         assert_eq!(net.ground_truth().malicious_drops, 0);
         let before = net.delivered_on_flow(FlowId(0));

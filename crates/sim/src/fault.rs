@@ -21,9 +21,7 @@
 //! fault seed)` alone.
 
 use crate::time::SimTime;
-use fatih_topology::{RouterId, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use fatih_topology::RouterId;
 use std::collections::BTreeMap;
 
 /// Per-link control-message fault probabilities.
@@ -73,27 +71,27 @@ impl LinkFaults {
 
 /// A scheduled full outage of one directional link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFlap {
+struct LinkFlap {
     /// Link tail.
-    pub from: RouterId,
+    from: RouterId,
     /// Link head.
-    pub to: RouterId,
+    to: RouterId,
     /// Outage start (inclusive).
-    pub down_at: SimTime,
+    down_at: SimTime,
     /// Outage end (exclusive).
-    pub up_at: SimTime,
+    up_at: SimTime,
 }
 
 /// A scheduled crash–restart window of one router. While down, the router
 /// forwards nothing and loses everything addressed to or through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashWindow {
+struct CrashWindow {
     /// The crashing router.
-    pub router: RouterId,
+    router: RouterId,
     /// Crash time (inclusive).
-    pub down_at: SimTime,
+    down_at: SimTime,
     /// Restart time (exclusive).
-    pub up_at: SimTime,
+    up_at: SimTime,
 }
 
 /// A deterministic, seed-driven fault schedule for one simulation run.
@@ -222,64 +220,11 @@ impl FaultPlan {
             .max(self.probabilistic_until)
             .unwrap_or(SimTime::ZERO)
     }
-
-    /// Scheduled link flaps.
-    pub fn flaps(&self) -> &[LinkFlap] {
-        &self.flaps
-    }
-
-    /// Scheduled crash windows.
-    pub fn crashes(&self) -> &[CrashWindow] {
-        &self.crashes
-    }
-
-    /// Draws a randomized *transient* plan over `topo`: every link gets
-    /// moderate control-fault probabilities (loss ≤ 0.15, duplication and
-    /// reordering ≤ 0.10, corruption ≤ 0.05), a few links flap and at most
-    /// one non-terminal router crash–restarts, all strictly before
-    /// `horizon`. Identical `(seed, topo, horizon)` yield identical plans.
-    ///
-    /// The loss bound is chosen so a transport with a ≥ 6-attempt retry
-    /// budget exhausts with probability ≤ 0.15⁶ ≈ 1.1 × 10⁻⁵ per message,
-    /// preserving the accuracy guarantee the chaos harness asserts.
-    pub fn random_transient(seed: u64, topo: &Topology, horizon: SimTime) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17_F1A6);
-        let mut plan = FaultPlan::new(seed);
-        for link in topo.links() {
-            plan = plan.with_link_faults(
-                link.from,
-                link.to,
-                LinkFaults {
-                    loss: rng.gen_range(0.0..0.15),
-                    duplicate: rng.gen_range(0.0..0.10),
-                    corrupt: rng.gen_range(0.0..0.05),
-                    reorder: rng.gen_range(0.0..0.10),
-                    reorder_delay: SimTime::from_ms(rng.gen_range(1u64..20)),
-                },
-            );
-        }
-        let links: Vec<_> = topo.links().map(|l| (l.from, l.to)).collect();
-        let half = horizon.as_ns() / 2;
-        for _ in 0..rng.gen_range(1usize..4) {
-            let (from, to) = links[rng.gen_range(0..links.len())];
-            let down = SimTime::from_ns(rng.gen_range(0..half.max(1)));
-            let up = down + SimTime::from_ns(rng.gen_range(1..half.max(2)));
-            plan = plan.with_link_flap(from, to, down, up.min(horizon));
-        }
-        if rng.gen_bool(0.5) && topo.router_count() > 2 {
-            let router = RouterId::from(rng.gen_range(0u32..topo.router_count() as u32));
-            let down = SimTime::from_ns(rng.gen_range(0..half.max(1)));
-            let up = down + SimTime::from_ns(rng.gen_range(1..half.max(2)));
-            plan = plan.with_crash(router, down, up.min(horizon));
-        }
-        plan.with_probabilistic_until(horizon)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatih_topology::builtin;
 
     #[test]
     fn per_link_overrides_default() {
@@ -321,23 +266,5 @@ mod tests {
         assert!(!plan.router_down(b, SimTime::from_ms(15)));
         assert!(!plan.router_down(a, SimTime::from_ms(10)));
         assert_eq!(plan.quiesced_after(), SimTime::from_ms(20));
-    }
-
-    #[test]
-    fn random_transient_is_deterministic_and_bounded() {
-        let topo = builtin::abilene();
-        let horizon = SimTime::from_secs(20);
-        let p1 = FaultPlan::random_transient(42, &topo, horizon);
-        let p2 = FaultPlan::random_transient(42, &topo, horizon);
-        assert_eq!(p1, p2);
-        let p3 = FaultPlan::random_transient(43, &topo, horizon);
-        assert_ne!(p1, p3);
-        for link in topo.links() {
-            let f = p1.link_faults(link.from, link.to, SimTime::ZERO);
-            assert!(f.loss < 0.15 && f.duplicate < 0.10 && f.corrupt < 0.05);
-            assert!(p1.link_faults(link.from, link.to, horizon).is_none());
-        }
-        assert!(p1.quiesced_after() <= horizon);
-        assert!(!p1.flaps().is_empty());
     }
 }

@@ -60,7 +60,7 @@ pub mod time;
 
 pub use attack::{Attack, AttackKind, VictimFilter};
 pub use engine::{ControlDelivery, Network};
-pub use fault::{CrashWindow, FaultPlan, LinkFaults, LinkFlap};
+pub use fault::{FaultPlan, LinkFaults};
 pub use packet::{FlowId, Packet, PacketId, PacketKind};
 pub use queue::{QueueDiscipline, RedParams};
 pub use tap::{DropReason, GroundTruth, SimMetrics, TapEvent};

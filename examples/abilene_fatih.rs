@@ -7,7 +7,7 @@
 //! cargo run --release --example abilene_fatih
 //! ```
 
-use fatih::net::{LiveConfig, LiveEvent, SimHost};
+use fatih::net::{LiveConfig, LiveEvent, LiveSpec, SimHost};
 use fatih::protocols::policy::Thresholds;
 use fatih::sim::{Attack, AttackKind, Network, SimTime, VictimFilter};
 use fatih::topology::builtin;
@@ -31,7 +31,7 @@ fn main() {
         thresholds: Thresholds::default(),
         ..LiveConfig::default()
     };
-    let mut host = SimHost::new(&net, cfg);
+    let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
 
     // 20 clean seconds.
     host.run(&mut net, SimTime::from_secs(20));

@@ -1,18 +1,20 @@
 //! The Fatih system on a lossy, flapping control plane (§2.2.1's benign
 //! fault class layered under a genuine attack): summaries, alerts and
 //! link-state floods ride the network they police with acks and
-//! retransmission, scheduled outages are announced as link-state churn
-//! and forgiven by the amnesty that follows it, and the attacker is still
+//! retransmission, the churn script's outages (drawn with the faults by
+//! `fatih_bench::transient_chaos`) are announced as link-state churn and
+//! forgiven by the amnesty that follows it, and the attacker is still
 //! caught once the faults quiesce.
 //!
 //! ```sh
 //! cargo run --release --example faulty_control_plane
 //! ```
 
-use fatih::net::{LiveConfig, LiveEvent, SimHost};
+use fatih::net::{ChurnAction, LiveConfig, LiveEvent, LiveSpec, SimHost};
 use fatih::protocols::policy::Thresholds;
-use fatih::sim::{Attack, FaultPlan, Network, SimTime};
+use fatih::sim::{Attack, Network, SimTime};
 use fatih::topology::{builtin, RouterId};
+use fatih_bench::transient_chaos;
 use std::time::Duration;
 
 fn main() {
@@ -21,14 +23,21 @@ fn main() {
         .map(|i| topo.router_by_name(&format!("n{i}")).unwrap())
         .collect();
 
-    let mut net = Network::new(topo, 7);
-    let plan = FaultPlan::random_transient(7, net.topology(), SimTime::from_secs(10));
+    let (plan, churn) = transient_chaos(7, &topo, SimTime::from_secs(10));
+    let count = |action: fn(ChurnAction) -> bool| churn.iter().filter(|e| action(e.action)).count();
     println!(
-        "fault plan: {} flap(s), {} crash window(s), quiesced after {:.1}s",
-        plan.flaps().len(),
-        plan.crashes().len(),
+        "churn script: {} link flap(s), {} crash(es), over by {:.1}s; control faults until {:.1}s",
+        count(|a| matches!(a, ChurnAction::LinkDown(_))) / 2,
+        count(|a| a == ChurnAction::Crash),
+        churn
+            .iter()
+            .map(|e| e.at)
+            .max()
+            .unwrap_or_default()
+            .as_secs_f64(),
         plan.quiesced_after().as_secs_f64()
     );
+    let mut net = Network::new(topo, 7);
     net.set_fault_plan(Some(plan));
 
     let flow = net.add_cbr_flow(
@@ -49,7 +58,11 @@ fn main() {
         thresholds: Thresholds::default(),
         ..LiveConfig::default()
     };
-    let mut host = SimHost::new(&net, cfg);
+    let spec = LiveSpec {
+        churn,
+        ..LiveSpec::default()
+    };
+    let mut host = SimHost::new(&mut net, &spec, cfg);
     host.run(&mut net, SimTime::from_secs(30));
 
     let mut alerts = 0;

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use fatih::net::{LiveConfig, SimHost};
+use fatih::net::{LiveConfig, LiveSpec, SimHost};
 use fatih::protocols::spec::SpecCheck;
 use fatih::protocols::Thresholds;
 use fatih::sim::{Attack, Network, SimTime};
@@ -51,7 +51,7 @@ fn main() {
         response: false,
         ..LiveConfig::default()
     };
-    let mut host = SimHost::new(&net, cfg);
+    let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
 
     // 4. Run the first round, [0 s, 5 s), to its verdicts at 9 s.
     host.run(&mut net, SimTime::from_secs(9));

@@ -1,5 +1,6 @@
 //! Chaos harness for the fault-injected control plane: sweeps of
-//! seed-driven [`FaultPlan`]s against the live routers on the simulator's
+//! seed-driven [`FaultPlan`]s, and of churn scripts drawn with them
+//! ([`transient_chaos`]), against the live routers on the simulator's
 //! clock ([`SimHost`]), detecting only and with the response on. A seed
 //! is a run: one that fails is its own repro.
 //!
@@ -9,18 +10,19 @@
 //!
 //! * **Accuracy** — control-plane loss, duplication, reordering and
 //!   corruption must never cause a correct router to be accused: acks and
-//!   retransmission absorb them, and scheduled outages (link flaps,
+//!   retransmission absorb them, and the script's outages (link flaps,
 //!   crash–restarts) are announced as link-state churn whose amnesty
 //!   covers the rounds they disturb.
 //! * **Completeness** — a router that maliciously drops data traffic is
 //!   still flagged once the faults quiesce, and a router that withholds
 //!   its summaries is flagged *by that refusal* (timeout-as-accusation).
 
-use fatih::net::{LiveConfig, SimHost};
+use fatih::net::{ChurnAction, ChurnEvent, LiveConfig, LiveSpec, SimHost};
 use fatih::protocols::policy::Thresholds;
 use fatih::protocols::spec::{SpecCheck, Suspicion};
 use fatih::sim::{Attack, FaultPlan, LinkFaults, Network, SimTime};
 use fatih::topology::{builtin, RouterId, Topology};
+use fatih_bench::transient_chaos;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -60,7 +62,7 @@ fn judged(
     host: impl FnOnce(&mut SimHost),
 ) -> Vec<Suspicion> {
     let until = cfg.tau * rounds as u32 + cfg.exchange_budget;
-    let mut sim = SimHost::new(net, cfg);
+    let mut sim = SimHost::new(net, &LiveSpec::default(), cfg);
     host(&mut sim);
     sim.run(net, SimTime::from_ns(until.as_nanos() as u64));
     sim.suspicions()
@@ -139,29 +141,13 @@ fn twenty_seeds_of_message_chaos_keep_accuracy_and_completeness() {
 
 /// 20 seeds of transient chaos — randomized per-link fault rates plus
 /// link flaps and a possible crash–restart, all quiescing by t = 10 s —
-/// against the full Fatih loop. Scheduled outages are announced churn,
+/// against the full Fatih loop. The script's outages are announced churn,
 /// so the exclusion set only ever names segments containing the
 /// attacker, and the attacker is flagged once the faults die down.
 #[test]
 fn transient_chaos_quiesces_and_attacker_is_still_flagged() {
     for seed in 100..120u64 {
-        let (topo, ids) = line(6);
-        let mut net = Network::new(topo, seed);
-        let plan = FaultPlan::random_transient(seed, net.topology(), SimTime::from_secs(10));
-        assert!(plan.quiesced_after() <= SimTime::from_secs(10));
-        net.set_fault_plan(Some(plan));
-        let flow = net.add_cbr_flow(
-            ids[0],
-            ids[5],
-            1000,
-            SimTime::from_ms(2),
-            SimTime::ZERO,
-            None,
-        );
-        net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.35)]);
-        let mut host = SimHost::new(&net, deployment(true));
-        host.run(&mut net, SimTime::from_secs(30));
-
+        let (host, net, ids) = transient_chaos_run(seed);
         let excluded = host.excluded_segments();
         assert!(
             excluded.iter().any(|seg| seg.contains(ids[3])),
@@ -173,6 +159,91 @@ fn transient_chaos_quiesces_and_attacker_is_still_flagged() {
                 seg.contains(ids[3]),
                 "seed {seed}: correct routers accused: {seg}"
             );
+        }
+        assert!(net.fault_plan().unwrap().quiesced_after() <= SimTime::from_secs(10));
+    }
+}
+
+/// Seed `seed` of the transient-chaos sweep on a 6-line: the drawn plan
+/// and script, a flow end to end, a 35 % dropper on router 3 and the
+/// response on, run for 30 s.
+fn transient_chaos_run(seed: u64) -> (SimHost, Network, Vec<RouterId>) {
+    let (topo, ids) = line(6);
+    let (plan, churn) = transient_chaos(seed, &topo, SimTime::from_secs(10));
+    let mut net = Network::new(topo, seed);
+    net.set_fault_plan(Some(plan));
+    let flow = net.add_cbr_flow(
+        ids[0],
+        ids[5],
+        1000,
+        SimTime::from_ms(2),
+        SimTime::ZERO,
+        None,
+    );
+    net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.35)]);
+    let spec = LiveSpec {
+        churn,
+        ..LiveSpec::default()
+    };
+    let mut host = SimHost::new(&mut net, &spec, deployment(true));
+    host.run(&mut net, SimTime::from_secs(30));
+    (host, net, ids)
+}
+
+/// A run is a function of the topology seed and the chaos seed: two runs
+/// of one transient-chaos draw — flaps, a crash-restart, control faults, a
+/// dropper and the response — say the same events, in the same order, at
+/// the same instants.
+#[test]
+fn one_pair_of_seeds_is_one_run() {
+    let run = || format!("{:?}", transient_chaos_run(101).0.events());
+    let (a, b) = (run(), run());
+    for seen in ["SuspicionRaised", "DeliveryExhausted", "ProbationCleared"] {
+        assert!(a.contains(seen), "{seen}: the schedule missed it");
+    }
+    assert!(a == b, "two runs of one seed pair differ");
+}
+
+/// The chaos draw is a function of its seed, its link faults stay within
+/// their bounds until the horizon and none after, and every outage the
+/// script opens — a link by both its ends, a crash — is closed again by
+/// the horizon.
+#[test]
+fn a_chaos_draw_is_deterministic_bounded_and_closes_every_outage() {
+    let topo = builtin::abilene();
+    let horizon = SimTime::from_secs(20);
+    let steps = |script: &[ChurnEvent]| -> Vec<_> {
+        (script.iter()).map(|e| (e.at, e.actor, e.action)).collect()
+    };
+    let (p1, s1) = transient_chaos(42, &topo, horizon);
+    let (p2, s2) = transient_chaos(42, &topo, horizon);
+    assert_eq!((&p1, steps(&s1)), (&p2, steps(&s2)));
+    let (p3, s3) = transient_chaos(43, &topo, horizon);
+    assert!(p1 != p3 || steps(&s1) != steps(&s3));
+    for link in topo.links() {
+        let f = p1.link_faults(link.from, link.to, SimTime::ZERO);
+        assert!(f.loss < 0.15 && f.duplicate < 0.10 && f.corrupt < 0.05);
+        assert!(p1.link_faults(link.from, link.to, horizon).is_none());
+    }
+    assert!(p1.quiesced_after() <= horizon);
+    let end = Duration::from_nanos(horizon.as_ns());
+    for seed in 0..50 {
+        let (_, script) = transient_chaos(seed, &topo, horizon);
+        let downs = script
+            .iter()
+            .filter(|e| matches!(e.action, ChurnAction::LinkDown(_)));
+        assert!(downs.count() >= 2, "seed {seed}: no flap");
+        for open in &script {
+            let closes = |e: &ChurnEvent| match (open.action, e.action) {
+                (ChurnAction::LinkDown(a), ChurnAction::LinkUp(b)) => a == b,
+                (ChurnAction::Crash, ChurnAction::Restart) => true,
+                _ => false,
+            };
+            if matches!(open.action, ChurnAction::LinkDown(_) | ChurnAction::Crash) {
+                let closed = (script.iter())
+                    .any(|e| e.actor == open.actor && closes(e) && open.at < e.at && e.at <= end);
+                assert!(closed, "seed {seed}: {open:?} is never closed");
+            }
         }
     }
 }

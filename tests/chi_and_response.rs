@@ -2,7 +2,7 @@
 //! richer scenarios than the unit fixtures.
 
 use fatih::crypto::KeyStore;
-use fatih::net::{LiveConfig, SimHost};
+use fatih::net::{LiveConfig, LiveSpec, SimHost};
 use fatih::protocols::chi::{ChiConfig, QueueTap, QueueValidator};
 use fatih::protocols::policy::Thresholds;
 use fatih::protocols::threshold::ThresholdDetector;
@@ -232,7 +232,7 @@ fn fatih_response_survives_two_compromised_routers() {
         key_seed: 2,
         ..LiveConfig::default()
     };
-    let mut host = SimHost::new(&net, cfg);
+    let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
     host.run(&mut net, SimTime::from_secs(60));
 
     let excluded = host.excluded_segments();

@@ -1,7 +1,7 @@
 //! Live conviction-response and topology-churn scenarios, each one
 //! [`LiveSpec`] run on both hosts: over real UDP sockets on the wall
 //! clock ([`LiveDeployment`]), and on the simulator's clock
-//! ([`SimHost::deploy`]), where the script's outages are physical as well
+//! ([`SimHost::new`]), where the script's outages are physical as well
 //! — a link announced down carries nothing, data or control — and the
 //! schedule is a function of its seeds.
 
@@ -10,7 +10,7 @@ use fatih::net::runtime::{
 };
 use fatih::net::{SimHost, UdpNet};
 use fatih::protocols::spec::{SpecCheck, Suspicion};
-use fatih::sim::SimTime;
+use fatih::sim::{Network, SimTime};
 use fatih::topology::{builtin, RouterId, Topology};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -121,7 +121,8 @@ fn conviction_rerouting_recovers_over_udp() {
 fn conviction_rerouting_recovers_on_virtual_time() {
     let (topo, spec, dropper) = conviction();
     let cfg = cfg(7);
-    let (mut net, mut host) = SimHost::deploy(&topo, &spec, cfg, 1);
+    let mut net = Network::new(topo.clone(), 1);
+    let mut host = SimHost::new(&mut net, &spec, cfg);
     let (mut dropped, mut delivered) = (Vec::new(), Vec::new());
     for r in 0..cfg.rounds {
         host.run(&mut net, judged(&cfg, r));
@@ -206,7 +207,8 @@ fn flap_accused_nobody<'a>(
 fn announced_flap_window_never_accuses() {
     let (topo, spec) = flap();
     let cfg = cfg(10);
-    let (mut net, mut host) = SimHost::deploy(&topo, &spec, cfg, 7);
+    let mut net = Network::new(topo.clone(), 7);
+    let mut host = SimHost::new(&mut net, &spec, cfg);
     host.run(&mut net, judged(&cfg, cfg.rounds - 1));
     flap_accused_nobody(
         topo.router_count(),

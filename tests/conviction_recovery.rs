@@ -6,7 +6,7 @@
 
 use fatih::net::SimHost;
 use fatih::protocols::spec::SpecCheck;
-use fatih::sim::SimTime;
+use fatih::sim::{Network, SimTime};
 use fatih::topology::RouterId;
 use fatih_bench::{add_dropper, churn_cfg, scenario, ATTACK_ROUND, CHURN_FLOW_SEED, GATE_ROUTERS};
 use std::collections::BTreeSet;
@@ -25,7 +25,8 @@ fn convicted_dropper_is_routed_around_and_delivery_recovers() {
     let (topo, mut spec) = scenario(GATE_ROUTERS, 5, CHURN_FLOW_SEED);
     let dropper = add_dropper(&topo, &mut spec, ATTACK_ROUND as u64);
     let cfg = churn_cfg(9);
-    let (mut net, mut host) = SimHost::deploy(&topo, &spec, cfg, 1);
+    let mut net = Network::new(topo, 1);
+    let mut host = SimHost::new(&mut net, &spec, cfg);
 
     // Data packets delivered per round, over every flow.
     let tau = SimTime::from_ns(cfg.tau.as_nanos() as u64);

@@ -5,7 +5,7 @@
 //! `Pi2Detector`.
 
 use fatih::crypto::KeyStore;
-use fatih::net::{LiveConfig, LiveEvent, SimHost};
+use fatih::net::{LiveConfig, LiveEvent, LiveSpec, SimHost};
 use fatih::protocols::pi2::{Pi2Config, Pi2Detector};
 use fatih::protocols::spec::{SpecCheck, Suspicion};
 use fatih::protocols::Thresholds;
@@ -54,7 +54,7 @@ fn first_round(net: &mut Network, k: usize) -> Vec<Suspicion> {
         k,
         ..detect(Duration::from_secs(5), Duration::from_secs(4))
     };
-    let mut host = SimHost::new(net, cfg);
+    let mut host = SimHost::new(net, &LiveSpec::default(), cfg);
     host.run(net, SimTime::from_secs(9));
     host.suspicions()
 }
@@ -197,7 +197,11 @@ fn multi_round_operation_stays_clean_then_detects() {
     let ids: Vec<RouterId> = topo.routers().collect();
     let mut net = Network::new(topo, 5);
     let flow = cbr(&mut net, ids[0], ids[4]);
-    let mut host = SimHost::new(&net, detect(Duration::from_secs(3), Duration::from_secs(2)));
+    let mut host = SimHost::new(
+        &mut net,
+        &LiveSpec::default(),
+        detect(Duration::from_secs(3), Duration::from_secs(2)),
+    );
     let attack_round = 3;
     host.run(&mut net, tau * attack_round);
     net.set_attacks(ids[2], vec![Attack::drop_flows([flow], 0.5)]);
@@ -249,7 +253,7 @@ fn the_live_routers_judge_no_loss_twice() {
         let mut net = Network::new(topo, 3);
         let flow = cbr(&mut net, ids[0], ids[3]);
         net.set_attacks(ids[1], vec![Attack::drop_flows([flow], 0.3)]);
-        let mut host = SimHost::new(&net, cfg);
+        let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
         let judged = |host: &SimHost| -> u64 {
             (host.events().iter())
                 .map(|(_, e)| match e {

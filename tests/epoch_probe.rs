@@ -9,7 +9,7 @@
 //! frames an honest router.
 //!
 //! Each case is one [`LiveSpec`] run on both hosts: on a loopback hub on
-//! the wall clock, and on the simulator's clock ([`SimHost::deploy`]),
+//! the wall clock, and on the simulator's clock ([`SimHost::new`]),
 //! where the crashed router's data plane is down too. Both are judged by
 //! the suspicion rules above; only the loopback runs also check that
 //! frames of another route epoch stop draining untapped once the epochs
@@ -22,7 +22,7 @@ use fatih::net::runtime::{
 use fatih::net::transport::LoopbackHub;
 use fatih::net::SimHost;
 use fatih::protocols::spec::Suspicion;
-use fatih::sim::SimTime;
+use fatih::sim::{Network, SimTime};
 use fatih::topology::{builtin, RouterId, Topology};
 use std::time::Duration;
 
@@ -139,7 +139,8 @@ fn a_crash_restart_frames_nobody_in_any_role_on_virtual_time() {
         for reported in [true, false] {
             let case = format!("crashed router as flow {role}, reported down: {reported}");
             let (topo, spec, crashed) = crash_restart(flow, reported);
-            let (mut net, mut host) = SimHost::deploy(&topo, &spec, cfg, 1);
+            let mut net = Network::new(topo, 1);
+            let mut host = SimHost::new(&mut net, &spec, cfg);
             host.run(&mut net, SimTime::from_ns(end.as_nanos() as u64));
             println!("{case}");
             println!("  suspicions: {:?}", host.suspicions());

@@ -211,7 +211,7 @@ fn trace_journal_agrees_with_metrics_under_control_faults() {
     net.set_attacks(dropper, vec![Attack::drop_flows([flow], 0.3)]);
     let cfg = two_rounds();
     let until = cfg.tau * 2 + cfg.exchange_budget;
-    let mut host = SimHost::new(&net, cfg);
+    let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
     host.run(&mut net, SimTime::from_ns(until.as_nanos() as u64));
 
     assert!(net.delivered_on_flow(flow) > 0, "no traffic delivered");

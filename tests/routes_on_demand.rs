@@ -3,7 +3,7 @@
 //! searches each route epoch's routes once however many routers move to
 //! it. `fatih_topology::searches_on_this_thread` counts the searches.
 
-use fatih::net::{LiveConfig, SimHost};
+use fatih::net::{LiveConfig, LiveSpec, SimHost};
 use fatih::obs::TraceKind;
 use fatih::protocols::policy::Thresholds;
 use fatih::sim::{Attack, Network, SimTime};
@@ -120,7 +120,7 @@ fn a_conviction_searches_each_epochs_routes_once() {
         trace_capacity: 1 << 17,
         ..LiveConfig::default()
     };
-    let mut host = SimHost::new(&net, cfg);
+    let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
     host.run(&mut net, SimTime::from_secs(3));
     let searches = searches_on_this_thread() - before;
     let excluded = host.excluded_segments();

@@ -13,7 +13,7 @@ use fatih::net::runtime::LiveStats;
 use fatih::net::{ChurnAction, LiveConfig, LiveSpec, SimHost, SummaryMode};
 use fatih::obs::MetricsSnapshot;
 use fatih::protocols::spec::{SpecCheck, Suspicion};
-use fatih::sim::{GroundTruth, SimTime};
+use fatih::sim::{GroundTruth, Network, SimTime};
 use fatih::topology::{RouterId, Topology};
 use fatih_bench::{
     add_dropper, churn, churn_cfg, churn_scenario, detect_only, scenario, GATE_ROUTERS, RECONCILE,
@@ -36,7 +36,8 @@ struct Outcome {
 /// Runs `spec` on `SimHost` for as long as a live deployment runs it:
 /// until its last round is judged.
 fn deploy(topo: &Topology, spec: &LiveSpec, cfg: LiveConfig) -> Outcome {
-    let (mut net, mut host) = SimHost::deploy(topo, spec, cfg, 1);
+    let mut net = Network::new(topo.clone(), 1);
+    let mut host = SimHost::new(&mut net, spec, cfg);
     let end = cfg.tau * cfg.rounds as u32 + cfg.exchange_budget;
     host.run(&mut net, SimTime::from_ns(end.as_nanos() as u64));
     let metrics = host.metrics();
