@@ -258,7 +258,8 @@ pub fn churn_scenario(n: usize) -> (Topology, LiveSpec, RouterId, RouterId) {
 /// the plan gives every link moderate control-fault probabilities (loss
 /// below 0.15, duplication and reordering below 0.10, corruption below
 /// 0.05) until `horizon`, and the churn script takes one to three link
-/// flaps, each a `LinkDown` and a `LinkUp` by both ends, and with even odds
+/// flaps, each a `LinkDown` and a `LinkUp` by both ends (one link's
+/// overlapping flaps merged into one outage), and with even odds
 /// a crash-restart: a `Crash`, a `ReportDown` by the router's first
 /// neighbour at that instant and a `Restart`. Every outage starts in the
 /// first half of the horizon and is over by its end. Identical `(seed,
@@ -294,10 +295,25 @@ pub fn transient_chaos(
     };
     let step = |at, actor, action| ChurnEvent { at, actor, action };
     let links: Vec<_> = topo.links().map(|l| (l.from, l.to)).collect();
+    let mut flaps: Vec<_> = (0..rng.gen_range(1usize..4))
+        .map(|_| {
+            let (a, b) = links[rng.gen_range(0..links.len())];
+            let (down, up) = outage(&mut rng);
+            ((a.min(b), a.max(b)), down, up)
+        })
+        .collect();
+    // A link's overlapping flaps are one outage: its first `LinkUp` would
+    // end them all.
+    flaps.sort_unstable();
+    let mut outages: Vec<((RouterId, RouterId), Duration, Duration)> = Vec::new();
+    for (link, down, up) in flaps {
+        match outages.last_mut() {
+            Some((last, _, end)) if *last == link && down <= *end => *end = up.max(*end),
+            _ => outages.push((link, down, up)),
+        }
+    }
     let mut script = Vec::new();
-    for _ in 0..rng.gen_range(1usize..4) {
-        let (a, b) = links[rng.gen_range(0..links.len())];
-        let (down, up) = outage(&mut rng);
+    for ((a, b), down, up) in outages {
         for (end, peer) in [(a, b), (b, a)] {
             script.push(step(down, end, ChurnAction::LinkDown(peer)));
             script.push(step(up, end, ChurnAction::LinkUp(peer)));

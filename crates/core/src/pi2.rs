@@ -11,13 +11,12 @@
 
 use crate::consensus::{dolev_strong, FaultyBehavior};
 use crate::monitor::{MonitorMode, PathOracle, Report, SegmentMonitorSet};
-use crate::policy::{distort, Policy, ReportFault, Thresholds};
+use crate::policy::{distort, PairVerdict, Policy, ReportFault, Thresholds};
 use crate::rounds::Window;
 use crate::spec::{Interval, Suspicion};
 use fatih_crypto::KeyStore;
 use fatih_sim::{SimTime, TapEvent};
 use fatih_topology::{pi2_segments, PathSegment, RouterId, Routes};
-use fatih_validation::tv_order;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a Π2 deployment.
@@ -156,14 +155,12 @@ impl Pi2Detector {
             // report ([info(i, π, τ)]_i, Figure 5.1).
             let decided = self.disseminate(members, &claimed);
 
+            let (policy, thresholds) = (self.cfg.policy, &self.cfg.thresholds);
             for (w, pair) in decided.windows(2).enumerate() {
                 let (up, down) = (pair[0].as_ref(), pair[1].as_ref());
-                let mut verdict = window.judge(up, down, fabrication_floor);
-                if self.cfg.policy == Policy::Order {
-                    verdict.reordered = reordered(&window, up, down);
-                }
+                let verdict = window.judge(up, down, fabrication_floor);
                 self.lost_judged += verdict.lost.len() as u64;
-                if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
+                if !passes(&window, &verdict, (up, down), policy, thresholds) {
                     let pair_seg = PathSegment::new(vec![members[w], members[w + 1]]);
                     // Strong completeness: every member that is not
                     // protocol-silent raises the suspicion (the reliable
@@ -223,15 +220,22 @@ impl Pi2Detector {
     }
 }
 
-/// Reordering among the packets a pair matched (§2.2.1's order metric):
-/// the judged upstream sequence against the downstream one, the LCS metric
-/// leaving lost and fabricated packets out. Only [`Policy::Order`] reads
-/// it; ⊥ has none.
-fn reordered(window: &Window, up: Option<&Report>, down: Option<&Report>) -> usize {
-    let (Some(up), Some(down)) = (up, down) else {
-        return 0;
+/// Whether the pair `(up, down)`, whose `verdict` `window` judged,
+/// passes `policy`: conservation by the verdict, and under
+/// [`Policy::Order`] no more than `thresholds.reorder` of the packets it
+/// matched out of order, the one place the order metric is run.
+fn passes(
+    window: &Window,
+    verdict: &PairVerdict,
+    (up, down): (Option<&Report>, Option<&Report>),
+    policy: Policy,
+    thresholds: &Thresholds,
+) -> bool {
+    let in_order = || match (up, down) {
+        (Some(up), Some(down)) => window.reordered(up, down) <= thresholds.reorder,
+        _ => false,
     };
-    tv_order(&window.judged(up).to_ordered(), &down.to_ordered()).reordered
+    verdict.passes(policy, thresholds) && (policy != Policy::Order || in_order())
 }
 
 #[cfg(test)]
@@ -330,7 +334,8 @@ mod tests {
     }
 
     /// A swapped pair is one reordered packet: it fails the order policy,
-    /// which only Π2 judges, and passes the others.
+    /// which only Π2 judges, and passes the others and a reorder allowance
+    /// of one.
     #[test]
     fn only_order_catches_reordering() {
         let report = |fps: [u64; 3]| Report {
@@ -344,12 +349,15 @@ mod tests {
         };
         let (up, down) = (report([1, 2, 3]), report([2, 1, 3]));
         let window = Window::closing(None, SimTime::from_secs(100), SimTime::ZERO);
-        let mut v = window.judge(Some(&up), Some(&down), SimTime::ZERO);
-        v.reordered = reordered(&window, Some(&up), Some(&down));
-        assert_eq!(v.reordered, 1);
+        assert_eq!(window.reordered(&up, &down), 1);
+        let v = window.judge(Some(&up), Some(&down), SimTime::ZERO);
         let th = Thresholds::default();
-        assert!(!v.passes(Policy::Order, &th));
-        assert!(v.passes(Policy::Flow, &th) && v.passes(Policy::Content, &th));
+        let pair = (Some(&up), Some(&down));
+        assert!(!passes(&window, &v, pair, Policy::Order, &th));
+        assert!(passes(&window, &v, pair, Policy::Flow, &th));
+        assert!(passes(&window, &v, pair, Policy::Content, &th));
+        let th1 = Thresholds { reorder: 1, ..th };
+        assert!(passes(&window, &v, pair, Policy::Order, &th1));
     }
 
     #[test]

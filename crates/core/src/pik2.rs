@@ -410,7 +410,6 @@ impl Pik2Node {
         Ok(PairVerdict {
             lost,
             fabricated,
-            reordered: 0,
             bottom: false,
         })
     }

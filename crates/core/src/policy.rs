@@ -53,16 +53,16 @@ pub struct PairVerdict {
     pub lost: Vec<Fingerprint>,
     /// Mature downstream packets never sent upstream.
     pub fabricated: Vec<Fingerprint>,
-    /// Reordering among the matched packets (order metric of §2.2.1):
-    /// counted where [`Policy::Order`] is judged, in [`crate::pi2`], and 0
-    /// everywhere else.
-    pub reordered: usize,
     /// Whether either report was ⊥ (missing/unauthenticated).
     pub bottom: bool,
 }
 
 impl PairVerdict {
-    /// Whether the pair passes under `policy` and `thresholds`.
+    /// Whether the pair conserves traffic under `policy` and `thresholds`:
+    /// its volume under [`Policy::Flow`], its content under the other two.
+    /// [`Policy::Order`]'s bound on reordering is not a verdict's: it reads
+    /// the sequences ([`Window::reordered`](crate::rounds::Window::reordered)),
+    /// and Π2 applies it.
     pub fn passes(&self, policy: Policy, thresholds: &Thresholds) -> bool {
         if self.bottom {
             return false;
@@ -72,11 +72,8 @@ impl PairVerdict {
             // fabricated) cancels out — the documented blindness of the
             // conservation-of-flow policy.
             Policy::Flow => self.lost.len().abs_diff(self.fabricated.len()) <= thresholds.loss,
-            Policy::Content => self.fabricated.is_empty() && self.lost.len() <= thresholds.loss,
-            Policy::Order => {
-                self.fabricated.is_empty()
-                    && self.lost.len() <= thresholds.loss
-                    && self.reordered <= thresholds.reorder
+            Policy::Content | Policy::Order => {
+                self.fabricated.is_empty() && self.lost.len() <= thresholds.loss
             }
         }
     }
@@ -131,7 +128,6 @@ pub fn tv_pair(
     PairVerdict {
         lost,
         fabricated,
-        reordered: 0,
         bottom: false,
     }
 }

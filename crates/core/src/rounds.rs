@@ -20,6 +20,7 @@
 use crate::monitor::{Held, Report};
 use crate::policy::{tv_pair, PairVerdict};
 use fatih_sim::SimTime;
+use fatih_validation::tv_order;
 use std::ops::Range;
 
 /// One round's view of a sliding-window record.
@@ -90,11 +91,6 @@ impl Window {
         Some(SimTime::from_ns(ns))
     }
 
-    /// What of `report` this round judges.
-    pub fn judged(&self, report: &Report) -> Report {
-        report.window(self.judged_from, Some(self.cutoff))
-    }
-
     /// `TV(π, info(up), info(down))` over this round's judged window: see
     /// [`tv_pair`].
     pub fn judge(
@@ -110,6 +106,14 @@ impl Window {
             self.cutoff,
             fabrication_floor,
         )
+    }
+
+    /// The order metric of §2.2.1 over this round's judged window: how
+    /// many of the packets `upstream` judges and `downstream` holds arrive
+    /// out of order, lost and fabricated packets left out.
+    pub fn reordered(&self, upstream: &Report, downstream: &Report) -> usize {
+        let judged = upstream.window(self.judged_from, Some(self.cutoff));
+        tv_order(&judged.to_ordered(), &downstream.to_ordered()).reordered
     }
 }
 

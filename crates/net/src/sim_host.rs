@@ -39,11 +39,14 @@
 //! `rounds·τ` as the live one does. Each dropper drops the spec flows'
 //! data packets in transit at its rate from the start of its
 //! `active_from` round, drawing from the engine's one random stream
-//! rather than its own seed (DESIGN.md, "One scenario, two hosts"). The
-//! churn script and the initially-down routers go to the routers as
-//! written, and it is the only description of outages the host reads: the
-//! network's fault plan gains its physical side. A router is down from
-//! its `Crash` — from just after its `Leave`, whose announcement still
+//! rather than its own seed (DESIGN.md, "One scenario, two hosts"); so a
+//! spec with droppers wants a network with no flows or attacks of its
+//! own, which the droppers would ignore or replace. The churn script and
+//! the initially-down routers go to the routers as written, and it is the
+//! only description of outages the host reads: the network's fault plan
+//! gains its physical side, and brings link faults of its own, never
+//! outages, which no router would announce. A router is down from its
+//! `Crash` — from just after its `Leave`, whose announcement still
 //! leaves, and from the start if it is initially down — until its
 //! `Restart` or `Join`, and a link, both ways, from a `LinkDown` by either
 //! end until a `LinkUp`. The engine routes from the routers' initial
@@ -151,11 +154,20 @@ impl SimHost {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < cfg.exchange_budget < cfg.tau`.
+    /// Panics unless `0 < cfg.exchange_budget < cfg.tau`, and if `spec`
+    /// has droppers while `net` already carries flows or attacks: a spec
+    /// dropper drops only the spec's flows and takes its router's attack
+    /// set over, so it would ignore the one and replace the other.
     pub fn new(net: &mut Network, spec: &LiveSpec, cfg: LiveConfig) -> Self {
         assert!(
             Duration::ZERO < cfg.exchange_budget && cfg.exchange_budget < cfg.tau,
             "exchange budget must lie in (0, tau)"
+        );
+        assert!(
+            spec.droppers.is_empty()
+                || (net.traffic_pairs().is_empty()
+                    && net.topology().routers().all(|r| net.attacks(r).is_empty())),
+            "a spec's droppers need a network with no flows or attacks of its own"
         );
         let epoch = net.now();
         let after = |d: SimTime| epoch.saturating_add(d);
@@ -940,17 +952,23 @@ mod tests {
         let (ms, ns) = (SimTime::from_ms, SimTime::from_ns);
         let before = |t: SimTime| ns(t.as_ns() - 1);
         let link = vec![(3, 4), (4, 3)];
+        // Both sides of every edge of every window.
         let expected = [
             (SimTime::ZERO, vec![5], vec![]),
             (before(ms(1_000)), vec![5], vec![]),
             (ms(1_000), vec![1, 5], vec![]),
+            (before(ms(1_500)), vec![1, 5], vec![]),
             (ms(1_500), vec![1, 5], link.clone()),
+            (before(ms(2_000)), vec![1, 5], link.clone()),
             (ms(2_000), vec![5], link.clone()),
+            (before(ms(2_500)), vec![5], link.clone()),
             (ms(2_500), vec![], link.clone()),
             // The departure's announcement still leaves at its instant.
             (ms(3_000), vec![], link.clone()),
             (ms(3_000) + ns(1), vec![2], link.clone()),
+            (before(ms(3_500)), vec![2], link.clone()),
             (ms(3_500), vec![2], vec![]),
+            (before(ms(4_000)), vec![2], vec![]),
             (ms(4_000), vec![], vec![]),
             (before(ms(5_000)), vec![], vec![]),
             (ms(5_000), vec![0], vec![]),
@@ -1026,6 +1044,40 @@ mod tests {
         assert_eq!(at_down, 0, "data reached the router before it joined");
         assert!(net.delivered_on_flow(FlowId(0)) > 500);
         assert_eq!(net.ground_truth().fault_drops, 0);
+    }
+
+    /// A spec with a dropper on the second router of a 4-line.
+    fn dropper_spec(r: &[RouterId]) -> LiveSpec {
+        LiveSpec {
+            droppers: vec![DropperSpec {
+                router: r[1],
+                rate: 0.5,
+                seed: 1,
+                active_from: 0,
+            }],
+            ..LiveSpec::default()
+        }
+    }
+
+    /// A spec's dropper drops only the spec's flows, so a network that
+    /// carries flows of its own refuses it rather than have it ignore them.
+    #[test]
+    #[should_panic(expected = "no flows or attacks of its own")]
+    fn spec_droppers_refuse_a_network_with_flows_of_its_own() {
+        let (mut net, r) = line(4, 1);
+        flow(&mut net, r[0], r[3]);
+        SimHost::new(&mut net, &dropper_spec(&r), quick(false));
+    }
+
+    /// A spec's dropper takes its router's attack set over, so a network
+    /// that carries attacks of its own refuses it rather than have it
+    /// replace them.
+    #[test]
+    #[should_panic(expected = "no flows or attacks of its own")]
+    fn spec_droppers_refuse_a_network_with_attacks_of_its_own() {
+        let (mut net, r) = line(4, 1);
+        net.set_attacks(r[2], vec![Attack::drop_flows([FlowId(0)], 0.5)]);
+        SimHost::new(&mut net, &dropper_spec(&r), quick(false));
     }
 
     /// A dropper drops nothing before its onset round and only data after

@@ -257,6 +257,11 @@ impl Network {
         }
     }
 
+    /// The attack set installed on `router`; empty for a correct one.
+    pub fn attacks(&self, router: RouterId) -> &[Attack] {
+        self.attacks.get(&router).map_or(&[], Vec::as_slice)
+    }
+
     /// Installs a policy-routing override for one (source, destination)
     /// pair: packets of that pair follow `path` instead of the link-state
     /// route (§5.3.1's response mechanism).

@@ -23,7 +23,7 @@ use fatih::protocols::spec::{SpecCheck, Suspicion};
 use fatih::sim::{Attack, FaultPlan, LinkFaults, Network, SimTime};
 use fatih::topology::{builtin, RouterId, Topology};
 use fatih_bench::transient_chaos;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// The Chapter 5 deployment: τ = 5 s rounds judged 4 s after they end,
@@ -206,8 +206,8 @@ fn one_pair_of_seeds_is_one_run() {
 
 /// The chaos draw is a function of its seed, its link faults stay within
 /// their bounds until the horizon and none after, and every outage the
-/// script opens — a link by both its ends, a crash — is closed again by
-/// the horizon.
+/// script opens — a link by both its ends, a crash — is closed again,
+/// before the same outage opens anew and by the horizon.
 #[test]
 fn a_chaos_draw_is_deterministic_bounded_and_closes_every_outage() {
     let topo = builtin::abilene();
@@ -227,23 +227,39 @@ fn a_chaos_draw_is_deterministic_bounded_and_closes_every_outage() {
     }
     assert!(p1.quiesced_after() <= horizon);
     let end = Duration::from_nanos(horizon.as_ns());
-    for seed in 0..50 {
-        let (_, script) = transient_chaos(seed, &topo, horizon);
+    // On the sweep's 6-line, as on Abilene: few links, so flaps overlap.
+    for (topo, seed) in [topo, builtin::line(6)]
+        .iter()
+        .flat_map(|t| (0..50).map(move |s| (t, s)))
+    {
+        let (_, script) = transient_chaos(seed, topo, horizon);
         let downs = script
             .iter()
             .filter(|e| matches!(e.action, ChurnAction::LinkDown(_)));
         assert!(downs.count() >= 2, "seed {seed}: no flap");
-        for open in &script {
-            let closes = |e: &ChurnEvent| match (open.action, e.action) {
-                (ChurnAction::LinkDown(a), ChurnAction::LinkUp(b)) => a == b,
-                (ChurnAction::Crash, ChurnAction::Restart) => true,
-                _ => false,
+        // Per actor, a link's (or the router's own) openings and closings
+        // alternate: every outage is closed before the next opens, so a
+        // link's overlapping flaps are one, and by the horizon.
+        let mut outages: BTreeMap<_, Vec<(Duration, bool)>> = BTreeMap::new();
+        for e in &script {
+            let (of, opens) = match e.action {
+                ChurnAction::LinkDown(peer) => (Some(peer), true),
+                ChurnAction::LinkUp(peer) => (Some(peer), false),
+                ChurnAction::Crash => (None, true),
+                ChurnAction::Restart => (None, false),
+                _ => continue,
             };
-            if matches!(open.action, ChurnAction::LinkDown(_) | ChurnAction::Crash) {
-                let closed = (script.iter())
-                    .any(|e| e.actor == open.actor && closes(e) && open.at < e.at && e.at <= end);
-                assert!(closed, "seed {seed}: {open:?} is never closed");
-            }
+            outages
+                .entry((e.actor, of))
+                .or_default()
+                .push((e.at, opens));
+        }
+        for (key, mut steps) in outages {
+            steps.sort_unstable();
+            let alternate =
+                (steps.iter().enumerate()).all(|(i, &(_, opens))| opens == (i % 2 == 0));
+            let closed = steps.len() % 2 == 0 && steps.last().is_some_and(|&(at, _)| at <= end);
+            assert!(alternate && closed, "seed {seed}: {key:?} {steps:?}");
         }
     }
 }
