@@ -167,8 +167,11 @@ pub const SCALE_FLOW_SEED: u64 = 0x5CA1E;
 pub const CHURN_FLOW_SEED: u64 = 0xC0FFEE;
 
 /// The round the conviction scenario's dropper starts in; the rounds
-/// before it are the pre-attack baseline.
-pub const ATTACK_ROUND: usize = 2;
+/// before it are the pre-attack baseline. It is late enough that a
+/// baseline window of a whole round closes before it on either host: the
+/// live deployment's snapshots, taken after each round's evaluation
+/// deadline, trail the round they follow by `exchange_budget` + 50 ms.
+pub const ATTACK_ROUND: usize = 3;
 
 /// `n` Sprintlink-shaped routers carrying `n / 16` (at least 4) flows
 /// every 4 ms, each routed over `min_len` or more routers, picked by `seed`.

@@ -560,15 +560,19 @@ fn convicted_dropper_is_routed_around_and_delivery_recovers() {
     let (complete, accurate) = complete_and_accurate(&outcome, dropper, cfg.k);
     let transitions = outcome.metrics.counter("net.epoch_transitions");
 
-    // Per-round delivery: the round before the attack is the baseline, the
-    // mean of the last two complete rounds the recovered rate. The final
-    // round's snapshot races teardown (its tail is cut), so it is left out.
+    // Per-round delivery: the baseline is the last window between two
+    // snapshots that closes before the onset, the mean of the last two
+    // complete rounds the recovered rate. Snapshot r is taken at
+    // (r+1)·τ + budget + 50 ms, 370 + 200·r ms here, so the window between
+    // snapshots A−3 and A−2 (370–570 ms) is the last one that closes
+    // before the dropper starts at A·τ = 600 ms. The final round's
+    // snapshot races teardown (its tail is cut), so it is left out.
     let delivered: Vec<u64> = (outcome.round_metrics.iter())
         .map(|m| m.counter("net.data_delivered"))
         .collect();
     let n = delivered.len();
     assert!(n >= ATTACK_ROUND + 5, "too few rounds to measure recovery");
-    let baseline = (delivered[ATTACK_ROUND - 1] - delivered[ATTACK_ROUND - 2]) as f64;
+    let baseline = (delivered[ATTACK_ROUND - 2] - delivered[ATTACK_ROUND - 3]) as f64;
     let recovered = (delivered[n - 2] - delivered[n - 4]) as f64 / 2.0;
     let ratio = recovered / baseline.max(1.0);
     let per_round: Vec<u64> = (0..n)

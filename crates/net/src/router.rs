@@ -198,15 +198,17 @@ pub(crate) struct Router {
     pump_at: Option<u64>,
 }
 
-/// One router per router of `topo`, in its order, and the segments they
-/// monitor. Every router starts from the shared initial view — the base
-/// graph minus the initially-down routers — and the plan it implies, and
-/// every rebuild plans again by the same machinery, so forwarding, the
+/// One router per router of `topo`, in its order, monitoring the routed
+/// paths of the (source, destination) `monitor_pairs`, and the segments
+/// they monitor. Every router starts from the shared initial view — the
+/// base graph minus the initially-down routers — and the plan it implies,
+/// and every rebuild plans again by the same machinery, so forwarding, the
 /// path oracle and the monitored segments agree from the first packet and
 /// through every reconvergence.
 pub(crate) fn routers(
     topo: &Topology,
     spec: &LiveSpec,
+    monitor_pairs: &[(RouterId, RouterId)],
     cfg: &LiveConfig,
     metrics: &NetMetrics,
 ) -> (Vec<Router>, Vec<PathSegment>) {
@@ -221,13 +223,8 @@ pub(crate) fn routers(
         dyn0.set_router_down(r);
     }
     let mut convergence = Convergence::new(dyn0, cfg.tau.as_nanos() as u64, PROBATION_ROUNDS);
-    let flow_pairs: Vec<(RouterId, RouterId)> = spec.flows.iter().map(|f| (f.src, f.dst)).collect();
-    let monitor_pairs = if spec.monitor_pairs.is_empty() {
-        flow_pairs.clone()
-    } else {
-        spec.monitor_pairs.clone()
-    };
-    let plan = convergence.plan(&monitor_pairs, &flow_pairs, cfg.k);
+    let flow_pairs = flow_pairs(spec);
+    let plan = convergence.plan(monitor_pairs, &flow_pairs, cfg.k);
     let paths = Arc::new(plan.paths);
     // One key per segment for the whole deployment; each router lays out
     // the records of the segments it ends, the only ones its taps feed.
@@ -254,7 +251,7 @@ pub(crate) fn routers(
                 routes: Arc::clone(&routes),
                 convergence: convergence.clone(),
                 paths: Arc::clone(&paths),
-                monitor_pairs: monitor_pairs.clone(),
+                monitor_pairs: monitor_pairs.to_vec(),
                 flow_pairs: flow_pairs.clone(),
                 monitors,
                 pik2: Pik2Node::new(id, monitored.segments()),
@@ -273,6 +270,11 @@ pub(crate) fn routers(
         })
         .collect();
     (routers, monitored.segments().to_vec())
+}
+
+/// The (source, destination) pair of each of `spec`'s flows.
+pub(crate) fn flow_pairs(spec: &LiveSpec) -> Vec<(RouterId, RouterId)> {
+    spec.flows.iter().map(|f| (f.src, f.dst)).collect()
 }
 
 /// Router `id`'s part of `spec`'s churn script, in time order; steps of
@@ -1124,14 +1126,10 @@ mod tests {
     impl Line3 {
         /// No traffic of its own: what the ends record is planned.
         fn new(summary: SummaryMode) -> Self {
-            let ids: Vec<RouterId> = builtin::line(3).routers().collect();
-            let spec = LiveSpec {
-                monitor_pairs: vec![(ids[0], ids[2])],
-                ..LiveSpec::default()
-            };
-            Self::with(&spec, summary, false)
+            Self::with(&LiveSpec::default(), summary, false)
         }
 
+        /// Monitors the one pair (0, 2), whatever `spec`'s flows.
         fn with(spec: &LiveSpec, summary: SummaryMode, response: bool) -> Self {
             let topo = builtin::line(3);
             let cfg = LiveConfig {
@@ -1146,12 +1144,13 @@ mod tests {
             };
             let registry = MetricsRegistry::new();
             let metrics = NetMetrics::registered(&registry);
-            let (routers, _) = routers(&topo, spec, &cfg, &metrics);
+            let ids: Vec<RouterId> = topo.routers().collect();
+            let (routers, _) = routers(&topo, spec, &[(ids[0], ids[2])], &cfg, &metrics);
             Self {
                 routers,
                 out: Outputs::new(TraceBuffer::new(0, 1 << 16)),
                 registry,
-                ids: topo.routers().collect(),
+                ids,
                 now: 0,
                 delivered: Vec::new(),
                 pending: [Vec::new(), Vec::new()],
@@ -1384,7 +1383,7 @@ mod tests {
         let cfg = LiveConfig::default();
         let registry = MetricsRegistry::new();
         let metrics = NetMetrics::registered(&registry);
-        let (mut nodes, _) = routers(&topo, &spec, &cfg, &metrics);
+        let (mut nodes, _) = routers(&topo, &spec, &flow_pairs(&spec), &cfg, &metrics);
         let planned = topo.link_state_routes().path(s, d).unwrap();
         for node in &nodes {
             assert_eq!(node.paths[&(s, d)], planned, "at {}", node.id);
@@ -1432,7 +1431,8 @@ mod tests {
             ..LiveSpec::default()
         };
         let metrics = NetMetrics::registered(&MetricsRegistry::new());
-        let (nodes, segments) = routers(&topo, &spec, &LiveConfig::default(), &metrics);
+        let cfg = LiveConfig::default();
+        let (nodes, segments) = routers(&topo, &spec, &flow_pairs(&spec), &cfg, &metrics);
         assert!(segments.len() > 8, "{} segments", segments.len());
         let plan = nodes[0].monitors.segments();
         assert_eq!(plan, &segments[..]);
@@ -1882,7 +1882,7 @@ mod tests {
     }
 
     /// Driven as a host drives routers — one [`Schedule`] of their
-    /// deadlines, each popped entry checked against its router's — every
+    /// deadlines, each due one stepped as [`Schedule::next_due`] says — every
     /// router is stepped exactly at its deadlines, never before, and the
     /// stale entry of a pump whose ack came in the meantime steps nobody.
     /// Router 2 is down when round 0 ends, so router 0's summary goes
@@ -1897,27 +1897,22 @@ mod tests {
         ]);
         let mut schedule = Schedule::new(3);
         let mut steps: Vec<Vec<u64>> = vec![Vec::new(); 3];
-        let mut stale = 0;
-        let mut drive = |net: &mut Line3, until: u64| {
-            let mut fired = Vec::new();
-            loop {
-                for i in 0..3 {
-                    schedule.arm(i, net.routers[i].deadline());
-                }
-                let Some(at) = schedule.next_deadline().filter(|&t| t <= until) else {
-                    break;
-                };
-                net.advance(at);
-                schedule.pop_due(at, &mut fired);
-                for &(_, i) in &fired {
-                    match net.routers[i].deadline() {
-                        Some(d) if d <= at => {
-                            net.step(i, Input::Timeout);
-                            steps[i].push(at);
-                        }
-                        _ => stale += 1,
-                    }
-                }
+        // Every entry popped steps its router or is stale.
+        let mut popped = 0;
+        let mut drive = |net: &mut Line3, until: u64| loop {
+            for i in 0..3 {
+                schedule.arm(i, net.routers[i].deadline());
+            }
+            let Some(at) = schedule.next_deadline().filter(|&t| t <= until) else {
+                break;
+            };
+            net.advance(at);
+            while let Some(i) = schedule.next_due(at, |i| {
+                popped += 1;
+                net.routers[i].deadline()
+            }) {
+                net.step(i, Input::Timeout);
+                steps[i].push(at);
             }
         };
         net.routers[2].alive = false;
@@ -1937,7 +1932,8 @@ mod tests {
         assert_eq!(net.routers[0].deadline(), Some(TAU + BUDGET), "acked");
         drive(&mut net, 3 * TAU);
 
-        assert_eq!(stale, 1, "the pump's entry");
+        let stepped: usize = steps.iter().map(Vec::len).sum();
+        assert_eq!(popped - stepped, 1, "the pump's entry is the one stale");
         let due = [TAU, TAU + BUDGET, 2 * TAU, 2 * TAU + BUDGET, 3 * TAU];
         for (node, at) in steps.iter().enumerate() {
             assert_eq!(at, &due, "router {node}");

@@ -135,16 +135,14 @@ pub struct ChurnEvent {
     pub action: ChurnAction,
 }
 
-/// What to run: traffic, adversaries, and which paths to monitor.
+/// What to run: traffic, adversaries and churn. The flows' routed paths
+/// get Πk+2 segment monitoring.
 #[derive(Debug, Clone, Default)]
 pub struct LiveSpec {
     /// Traffic flows.
     pub flows: Vec<FlowSpec>,
     /// Compromised routers.
     pub droppers: Vec<DropperSpec>,
-    /// (source, destination) pairs whose routed paths get Πk+2 segment
-    /// monitoring. Empty: monitor the flows' own paths.
-    pub monitor_pairs: Vec<(RouterId, RouterId)>,
     /// Routers that start the run dead (they come alive via
     /// [`ChurnAction::Join`]). Initial routes avoid them.
     pub initially_down: Vec<RouterId>,
@@ -508,6 +506,12 @@ pub struct LiveOutcome {
 
 #[cfg(test)]
 mod tests {
+    //! What only the wall-clock host has: shards, the mailbox, sockets and
+    //! the stage timings a shard takes on its clock. Verdicts — detection,
+    //! conviction and reroute, churn, joins, crash-restart, Reconcile mode —
+    //! are pinned on the simulator's clock (`SimHost`), where they depend on
+    //! a seed and not on how loaded the machine is.
+
     use super::*;
     use crate::transport::{LoopbackHub, NetError, Transport, UdpNet};
     use fatih_core::spec::SpecCheck;
@@ -515,88 +519,6 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    /// A fast end-to-end run over in-memory transports: a 5-router line
-    /// with a 30% dropper at the middle hop must be caught, with zero
-    /// suspicions of correct-only segments.
-    #[test]
-    fn loopback_line_catches_dropper() {
-        let topo = builtin::line(5);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(
-                ids[0],
-                ids[4],
-                1000,
-                Duration::from_millis(2),
-            )],
-            droppers: vec![DropperSpec {
-                router: ids[2],
-                rate: 0.3,
-                seed: 9,
-                active_from: 0,
-            }],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            maturity_lag: Duration::from_millis(50),
-            rounds: 2,
-            ..LiveConfig::default()
-        };
-        let transports = LoopbackHub::group(&ids);
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
-
-        assert!(outcome.stats.data_delivered > 0, "traffic flowed");
-        assert!(outcome.stats.data_dropped > 0, "the dropper dropped");
-        let faulty: BTreeSet<RouterId> = [ids[2]].into_iter().collect();
-        let check = SpecCheck::evaluate(&outcome.suspicions, &faulty);
-        assert!(
-            check.is_complete(),
-            "dropper escaped: {:?}",
-            outcome.suspicions
-        );
-        assert!(
-            check.is_accurate(cfg.k + 2),
-            "false positives: {:?}",
-            check.false_positives
-        );
-    }
-
-    /// With no adversary every round of every segment must pass — the
-    /// runtime's timing (maturity lag, exchange budget) absorbs its own
-    /// scheduling jitter instead of accusing someone.
-    #[test]
-    fn loopback_clean_run_raises_nothing() {
-        let topo = builtin::line(4);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(ids[0], ids[3], 800, Duration::from_millis(2))],
-            droppers: vec![],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            rounds: 2,
-            ..LiveConfig::default()
-        };
-        let transports = LoopbackHub::group(&ids);
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
-        assert!(
-            outcome.suspicions.is_empty(),
-            "clean run accused someone: {:?}",
-            outcome.suspicions
-        );
-        assert!(outcome.stats.data_delivered > 0);
-        // No round is under amnesty: every router times each round end and
-        // each round evaluation once.
-        let timed = |name| outcome.metrics.histogram(name).map_or(0, |h| h.count);
-        let round_work = ids.len() as u64 * cfg.rounds;
-        assert_eq!(timed("net.round_end_ns"), round_work);
-        assert_eq!(timed("net.round_eval_ns"), round_work);
-    }
 
     /// Multi-router shards (2 workers for 5 routers) must reach the same
     /// verdicts as thread-per-router did: the dropper caught, nobody else.
@@ -639,98 +561,12 @@ mod tests {
         );
     }
 
-    /// Reconciliation-mode exchange: a clean run resolves every digest
-    /// without a single full-summary fallback and accuses nobody, and its
-    /// summary traffic is a fraction of full mode's.
-    #[test]
-    fn reconcile_mode_clean_run_resolves_digests() {
-        let topo = builtin::line(4);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(ids[0], ids[3], 800, Duration::from_millis(2))],
-            droppers: vec![],
-            ..LiveSpec::default()
-        };
-        let base = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            rounds: 2,
-            ..LiveConfig::default()
-        };
-        let reconcile_cfg = LiveConfig {
-            summary: SummaryMode::Reconcile { capacity: 24 },
-            ..base
-        };
-        let full = LiveDeployment::run(&topo, &spec, &base, LoopbackHub::group(&ids));
-        let rec = LiveDeployment::run(&topo, &spec, &reconcile_cfg, LoopbackHub::group(&ids));
-
-        assert!(full.suspicions.is_empty() && rec.suspicions.is_empty());
-        assert!(rec.stats.digests_resolved > 0, "no digest ever resolved");
-        assert_eq!(rec.stats.digest_fallbacks, 0, "clean run fell back");
-        assert!(
-            rec.stats.control_bytes_sent < full.stats.control_bytes_sent,
-            "reconciled control plane not cheaper: {} vs {}",
-            rec.stats.control_bytes_sent,
-            full.stats.control_bytes_sent
-        );
-    }
-
-    /// Reconciliation-mode exchange still catches the dropper: either the
-    /// decoded diff convicts directly, or the round's loss overflows the
-    /// sketch and the fallback full transfer convicts.
-    #[test]
-    fn reconcile_mode_catches_dropper() {
-        let topo = builtin::line(5);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(
-                ids[0],
-                ids[4],
-                1000,
-                Duration::from_millis(2),
-            )],
-            droppers: vec![DropperSpec {
-                router: ids[2],
-                rate: 0.3,
-                seed: 9,
-                active_from: 0,
-            }],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            maturity_lag: Duration::from_millis(50),
-            rounds: 2,
-            summary: SummaryMode::Reconcile { capacity: 128 },
-            ..LiveConfig::default()
-        };
-        let transports = LoopbackHub::group(&ids);
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
-        let faulty: BTreeSet<RouterId> = [ids[2]].into_iter().collect();
-        let check = SpecCheck::evaluate(&outcome.suspicions, &faulty);
-        assert!(check.is_complete(), "dropper escaped in reconcile mode");
-        assert!(
-            check.is_accurate(cfg.k + 2),
-            "false positives in reconcile mode: {:?}",
-            check.false_positives
-        );
-        assert!(
-            outcome.stats.digests_resolved + outcome.stats.digest_fallbacks > 0,
-            "digest path never exercised"
-        );
-        // Every digest taken in is timed once, resolved or pulled.
-        let timed = |name| outcome.metrics.histogram(name).map_or(0, |h| h.count);
-        assert_eq!(
-            timed("net.digest_resolve_ns"),
-            outcome.stats.digests_resolved + outcome.stats.digest_fallbacks
-        );
-        assert!(timed("net.round_end_ns") > 0);
-    }
-
     /// With the mailbox fastpath on, co-resident routers bypass the
     /// transport entirely: the run still validates cleanly and the wire
-    /// counters show (almost) nothing crossed a transport.
+    /// counters show (almost) nothing crossed a transport. The shards
+    /// time every stage a step ran: with no round under amnesty, each
+    /// router's round ends and evaluations once a round, and every digest
+    /// taken in once, resolved or pulled.
     #[test]
     fn mailbox_fastpath_bypasses_the_wire() {
         let topo = builtin::line(4);
@@ -745,6 +581,7 @@ mod tests {
             exchange_budget: Duration::from_millis(100),
             rounds: 2,
             shards: 2,
+            summary: SummaryMode::Reconcile { capacity: 24 },
             mailbox_fastpath: true,
             ..LiveConfig::default()
         };
@@ -760,6 +597,13 @@ mod tests {
             outcome.stats.wire_bytes_sent,
             outcome.stats.data_bytes_sent
         );
+        let timed = |name| outcome.metrics.histogram(name).map_or(0, |h| h.count);
+        let round_work = ids.len() as u64 * cfg.rounds;
+        assert_eq!(timed("net.round_end_ns"), round_work);
+        assert_eq!(timed("net.round_eval_ns"), round_work);
+        let digests = outcome.stats.digests_resolved + outcome.stats.digest_fallbacks;
+        assert!(digests > 0, "no digest taken in");
+        assert_eq!(timed("net.digest_resolve_ns"), digests);
     }
 
     /// Forwards every `Transport` method to the endpoint it wraps, as a
@@ -845,309 +689,5 @@ mod tests {
             polls - outcome.metrics.counter("net.recv_polls_empty"),
             frames
         );
-    }
-
-    /// Full mode used to ship the whole run's history and fell off the
-    /// `MAX_FRAME` cliff after ≈ 2 300 entries per record. With windowed
-    /// records a run several times that long encodes every summary,
-    /// accuses nobody, and no router ever holds more than a window.
-    #[test]
-    fn full_mode_outlives_the_frame_cliff_with_bounded_records() {
-        let topo = builtin::line(3);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let interval = Duration::from_micros(500);
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(ids[0], ids[2], 800, interval)],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            maturity_lag: Duration::from_millis(50),
-            rounds: 12,
-            summary: SummaryMode::Full,
-            ..LiveConfig::default()
-        };
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
-        assert!(
-            outcome.stats.data_delivered > 3 * 2_300 / 2,
-            "only {} packets: the run never reached the cliff",
-            outcome.stats.data_delivered
-        );
-        assert_eq!(outcome.stats.encode_failures, 0);
-        assert!(outcome.suspicions.is_empty(), "{:?}", outcome.suspicions);
-        assert_eq!(outcome.metrics.counter("net.summary_timeouts"), 0);
-
-        // Each end router keeps one record. Right before a prune it spans
-        // τ + budget + 2·lag; allow half as much again.
-        let window = cfg.tau + cfg.exchange_budget + 2 * cfg.maturity_lag;
-        let bound = 1.5 * window.as_secs_f64() / interval.as_secs_f64();
-        for (r, snap) in outcome.round_metrics.iter().enumerate() {
-            let held = snap.gauge("monitor.entries_held_max");
-            assert!(held > 0.0 && held <= bound, "round {r}: {held} > {bound}");
-        }
-        let m = &outcome.metrics;
-        assert!(m.gauge("monitor.entries_held_max") <= bound);
-        assert!(m.counter("monitor.entries_held_at_finish") as f64 <= 2.0 * bound);
-        assert_eq!(
-            m.counter("monitor.records") - m.counter("monitor.entries_pruned"),
-            m.counter("monitor.entries_held_at_finish")
-        );
-    }
-
-    /// The §2.4.3 response loop end to end: a ring carries one flow whose
-    /// shortest path transits a dropper that activates in round 1. The
-    /// segment ends convict it, flood the signed exclusion, every router
-    /// reroutes the flow the long way around the ring, and traffic
-    /// recovers — with zero false accusations through the transition.
-    #[test]
-    fn conviction_reroutes_around_the_dropper() {
-        let topo = builtin::ring(6);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        // Lowest-id tie-break routes 0 -> 3 via 1, 2.
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(
-                ids[0],
-                ids[3],
-                1000,
-                Duration::from_millis(2),
-            )],
-            droppers: vec![DropperSpec {
-                router: ids[2],
-                rate: 0.4,
-                seed: 3,
-                active_from: 1,
-            }],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            maturity_lag: Duration::from_millis(50),
-            rounds: 6,
-            ..LiveConfig::default()
-        };
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
-
-        assert!(outcome.stats.data_dropped > 0, "the dropper never fired");
-        let faulty: BTreeSet<RouterId> = [ids[2]].into_iter().collect();
-        let check = SpecCheck::evaluate(&outcome.suspicions, &faulty);
-        assert!(
-            check.is_complete(),
-            "dropper escaped: {:?}",
-            outcome.suspicions
-        );
-        assert!(
-            check.is_accurate(cfg.k + 2),
-            "false positives through the transition: {:?}",
-            check.false_positives
-        );
-        // The exclusion flooded to everyone and every router reconverged.
-        assert!(
-            outcome.metrics.counter("net.ls_updates_applied") >= ids.len() as u64,
-            "exclusion did not reach every router"
-        );
-        assert!(
-            outcome.metrics.counter("net.epoch_transitions") >= ids.len() as u64,
-            "not every router opened a new route epoch"
-        );
-        // Traffic recovered on the avoidance route: the final round still
-        // delivers, and the convicted router sees no transit any more.
-        let last = outcome.round_metrics.last().expect("round snapshots");
-        let prev = &outcome.round_metrics[outcome.round_metrics.len() - 2];
-        assert!(
-            last.counter("net.data_delivered") > prev.counter("net.data_delivered"),
-            "no traffic delivered in the final round"
-        );
-        assert_eq!(
-            last.counter("net.data_dropped"),
-            prev.counter("net.data_dropped"),
-            "the convicted router still saw transit traffic in the final round"
-        );
-    }
-
-    /// Pure churn must never accuse anyone: an off-path link flaps down
-    /// and back up, then an off-path router gracefully leaves and joins
-    /// again, while a monitored flow keeps validating. Every applier lands
-    /// inside the deterministic amnesty window, so the verdict log stays
-    /// empty.
-    #[test]
-    fn pure_churn_raises_no_suspicions() {
-        let topo = builtin::ring(6);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(ids[0], ids[3], 800, Duration::from_millis(2))],
-            churn: vec![
-                ChurnEvent {
-                    at: Duration::from_millis(150),
-                    actor: ids[4],
-                    action: ChurnAction::LinkDown(ids[5]),
-                },
-                ChurnEvent {
-                    at: Duration::from_millis(450),
-                    actor: ids[4],
-                    action: ChurnAction::LinkUp(ids[5]),
-                },
-                ChurnEvent {
-                    at: Duration::from_millis(700),
-                    actor: ids[5],
-                    action: ChurnAction::Leave,
-                },
-                ChurnEvent {
-                    at: Duration::from_millis(950),
-                    actor: ids[5],
-                    action: ChurnAction::Join,
-                },
-            ],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            maturity_lag: Duration::from_millis(50),
-            rounds: 6,
-            ..LiveConfig::default()
-        };
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
-        assert!(
-            outcome.suspicions.is_empty(),
-            "pure churn accused someone: {:?}",
-            outcome.suspicions
-        );
-        assert!(outcome.stats.data_delivered > 0, "traffic stopped");
-        assert!(
-            outcome.metrics.counter("net.epoch_transitions") > 0,
-            "churn never triggered a reconvergence"
-        );
-    }
-
-    /// A router that starts the run down (`LiveSpec::initially_down`) and
-    /// joins mid-run: its `RouterUp` carries incarnation 0, so it is not
-    /// put on probation; every router applies it and returns to the
-    /// empty-overlay route epoch, 0; the flow the join shortens and the
-    /// one it does not touch deliver in every round; nobody is accused.
-    #[test]
-    fn an_initially_down_router_joins_without_probation_or_accusation() {
-        let topo = builtin::ring(6);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let every = Duration::from_millis(2);
-        let spec = LiveSpec {
-            // 3 → 5 runs the long way round until router 4 joins.
-            flows: vec![
-                FlowSpec::new(ids[0], ids[3], 800, every),
-                FlowSpec::new(ids[3], ids[5], 800, every),
-            ],
-            initially_down: vec![ids[4]],
-            churn: vec![ChurnEvent {
-                at: Duration::from_millis(320),
-                actor: ids[4],
-                action: ChurnAction::Join,
-            }],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            maturity_lag: Duration::from_millis(50),
-            rounds: 6,
-            ..LiveConfig::default()
-        };
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
-        assert!(
-            outcome.suspicions.is_empty(),
-            "a join accused someone: {:?}",
-            outcome.suspicions
-        );
-        assert_eq!(outcome.metrics.counter("net.probation_admitted"), 0);
-        let appliers: BTreeSet<RouterId> = (outcome.events.iter())
-            .filter_map(|e| match e {
-                LiveEvent::LinkStateApplied {
-                    by, origin, epoch, ..
-                } if *origin == ids[4] => {
-                    assert_eq!(*epoch, 0, "{by} did not return to the empty overlay");
-                    Some(*by)
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            appliers.len(),
-            ids.len(),
-            "not every router applied the join"
-        );
-        assert_eq!(
-            outcome.metrics.counter("net.epoch_transitions"),
-            ids.len() as u64
-        );
-        let delivered: Vec<u64> = (outcome.round_metrics.iter())
-            .map(|m| m.counter("net.data_delivered"))
-            .collect();
-        assert!(
-            delivered.windows(2).all(|w| w[1] > w[0]) && delivered[0] > 0,
-            "a round delivered nothing: cumulative {delivered:?}"
-        );
-    }
-
-    /// Crash-restart with probation: a router silently dies, a peer
-    /// reports it, and it returns with a bumped incarnation and an empty
-    /// link-state DB. Neighbours resync the DB, the returnee sits out
-    /// transit duty on probation, and is cleared after the configured
-    /// clean rounds — all without a single accusation.
-    #[test]
-    fn crash_restart_serves_probation_then_clears() {
-        let topo = builtin::ring(6);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(ids[0], ids[3], 800, Duration::from_millis(2))],
-            churn: vec![
-                ChurnEvent {
-                    at: Duration::from_millis(120),
-                    actor: ids[4],
-                    action: ChurnAction::Crash,
-                },
-                ChurnEvent {
-                    at: Duration::from_millis(320),
-                    actor: ids[3],
-                    action: ChurnAction::ReportDown(ids[4]),
-                },
-                ChurnEvent {
-                    at: Duration::from_millis(520),
-                    actor: ids[4],
-                    action: ChurnAction::Restart,
-                },
-            ],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            maturity_lag: Duration::from_millis(50),
-            rounds: 8,
-            ..LiveConfig::default()
-        };
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
-        assert!(
-            outcome.suspicions.is_empty(),
-            "crash-restart accused someone: {:?}",
-            outcome.suspicions
-        );
-        assert_eq!(
-            outcome.metrics.counter("net.probation_admitted"),
-            1,
-            "the returnee did not admit itself to probation"
-        );
-        assert_eq!(
-            outcome.metrics.counter("net.probation_cleared"),
-            1,
-            "probation never cleared"
-        );
-        assert!(
-            outcome.events.iter().any(|e| matches!(
-                e,
-                LiveEvent::ProbationCleared { router, .. } if *router == ids[4]
-            )),
-            "no ProbationCleared event for the returnee"
-        );
-        assert!(outcome.stats.data_delivered > 0, "traffic stopped");
     }
 }

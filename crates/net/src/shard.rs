@@ -15,7 +15,7 @@
 
 use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::poller;
-use crate::router::{routers, Input, Outputs, Router};
+use crate::router::{flow_pairs, routers, Input, Outputs, Router};
 use crate::runtime::{LiveConfig, LiveEvent, LiveOutcome, LiveSpec, LiveStats, NetMetrics};
 use crate::timer::Schedule;
 use crate::transport::Transport;
@@ -165,7 +165,7 @@ impl LiveDeployment {
     ) -> Prepared<T> {
         let mut by_router: HashMap<RouterId, T> =
             transports.into_iter().map(|t| (t.local(), t)).collect();
-        let (routers, segments) = routers(topo, spec, cfg, metrics);
+        let (routers, segments) = routers(topo, spec, &flow_pairs(spec), cfg, metrics);
         assert_eq!(
             by_router.len(),
             routers.len(),
@@ -290,8 +290,6 @@ struct Shard<T: Transport> {
     ready: Vec<RouterId>,
     /// Where every node's frames are received: one buffer for the shard.
     recv_buf: Vec<u8>,
-    /// Scratch for the entries that fall due.
-    fired: Vec<(u64, usize)>,
     /// Every node's deadline by index, and the stop as index
     /// `nodes.len()`.
     schedule: Schedule,
@@ -335,7 +333,6 @@ impl<T: Transport> Shard<T> {
             woke: 0,
             ready: Vec::new(),
             recv_buf: Vec::new(),
-            fired: Vec::new(),
             nodes,
             links,
             index_of,
@@ -439,23 +436,16 @@ impl<T: Transport> Shard<T> {
     /// steps nobody. Returns false once the stop is due.
     fn fire_timeouts(&mut self, events: &mpsc::Sender<LiveEvent>) -> bool {
         let now = self.now_ns();
-        let mut fired = std::mem::take(&mut self.fired);
-        self.schedule.pop_due(now, &mut fired);
-        let mut going = true;
-        for &(_, ni) in &fired {
-            let Some(node) = self.nodes.get(ni) else {
-                // The entry past the last node is the stop.
-                going = false;
-                break;
-            };
-            if node.deadline().is_some_and(|d| d <= now) {
-                self.step(ni, now, Input::Timeout, events);
-            } else {
-                self.schedule.arm(ni, node.deadline());
+        // The index past the last node is the stop, due once it pops.
+        while let Some(ni) = (self.schedule).next_due(now, |ni| {
+            self.nodes.get(ni).map_or(Some(now), Router::deadline)
+        }) {
+            if ni == self.nodes.len() {
+                return false;
             }
+            self.step(ni, now, Input::Timeout, events);
         }
-        self.fired = fired;
-        going
+        true
     }
 
     /// Blocks until a socket of this shard is readable or the next timer

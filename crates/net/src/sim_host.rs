@@ -24,10 +24,9 @@
 //!
 //! The host's axis starts at the deployment instant, [`Network::now`] when
 //! the host is built: taps are restamped onto it, and round `r` covers
-//! `[r·τ, (r+1)·τ)` after it. What is monitored follows the live
-//! runtime's rule: the spec's monitor pairs, or with none the paths of the
-//! traffic, the pairs of [`Network::traffic_pairs`] once the spec's flows
-//! are added.
+//! `[r·τ, (r+1)·τ)` after it. What is monitored is the paths of the
+//! traffic, as on the live runtime: the pairs of
+//! [`Network::traffic_pairs`] once the spec's flows are added.
 //!
 //! One constructor, [`SimHost::new`], deploys what
 //! [`LiveDeployment::run`](crate::LiveDeployment::run) takes — a
@@ -114,8 +113,6 @@ pub struct SimHost {
     epoch: SimTime,
     /// Every router's deadline, by index.
     schedule: Schedule,
-    /// Scratch for the entries that fall due.
-    fired: Vec<(u64, usize)>,
     /// Frames in flight by control packet id: when sent, and their bytes.
     in_flight: BTreeMap<u64, (SimTime, Vec<u8>)>,
     /// Where a delivered frame is handed over from.
@@ -186,21 +183,19 @@ impl SimHost {
         // run on it has lost no draw.
         let plan = net.fault_plan().cloned().unwrap_or_default();
         net.set_fault_plan(Some(physical(spec, epoch, plan)));
-        let mut script = LiveSpec {
+        let script = LiveSpec {
             flows: Vec::new(),
             droppers: Vec::new(),
             ..spec.clone()
         };
-        if script.monitor_pairs.is_empty() {
-            script.monitor_pairs = net.traffic_pairs();
-        }
         let registry = MetricsRegistry::new();
         let metrics = NetMetrics::registered(&registry);
         let unbounded = LiveConfig {
             rounds: u64::MAX,
             ..cfg
         };
-        let (routers, _) = routers(net.topology(), &script, &unbounded, &metrics);
+        let monitored = net.traffic_pairs();
+        let (routers, _) = routers(net.topology(), &script, &monitored, &unbounded, &metrics);
         assert!(routers.iter().enumerate().all(|(i, r)| r.id.index() == i));
         let mut schedule = Schedule::new(routers.len());
         let mut trace = TraceBuffer::new(0, cfg.trace_capacity);
@@ -227,7 +222,6 @@ impl SimHost {
             cfg,
             epoch,
             schedule,
-            fired: Vec::new(),
             in_flight: BTreeMap::new(),
             rx: Vec::new(),
             events: Vec::new(),
@@ -350,15 +344,9 @@ impl SimHost {
     /// order; an entry whose router is not due any more steps nobody.
     fn fire_timeouts(&mut self, net: &mut Network) {
         let now = self.host_now(net);
-        let mut fired = std::mem::take(&mut self.fired);
-        self.schedule.pop_due(now, &mut fired);
-        for &(_, i) in &fired {
-            match self.routers[i].deadline() {
-                Some(d) if d <= now => self.step(net, i, Input::Timeout),
-                later => self.schedule.arm(i, later),
-            }
+        while let Some(i) = (self.schedule).next_due(now, |i| self.routers[i].deadline()) {
+            self.step(net, i, Input::Timeout);
         }
-        self.fired = fired;
     }
 
     fn host_now(&self, net: &Network) -> u64 {
@@ -473,7 +461,7 @@ fn physical(spec: &LiveSpec, epoch: SimTime, mut plan: FaultPlan) -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{DropperSpec, FlowSpec};
+    use crate::runtime::{DropperSpec, FlowSpec, SummaryMode};
     use fatih_core::policy::Thresholds;
     use fatih_core::spec::SpecCheck;
     use fatih_sim::{AttackKind, FlowId, LinkFaults, VictimFilter};
@@ -531,7 +519,11 @@ mod tests {
         assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
         let m = host.metrics();
         assert_eq!(m.counter("net.probation_admitted"), 1);
-        assert!(m.counter("net.probation_cleared") > 0);
+        assert_eq!(m.counter("net.probation_cleared"), 1);
+        let cleared = (host.events().iter()).any(
+            |(_, e)| matches!(e, LiveEvent::ProbationCleared { router, .. } if *router == ids[4]),
+        );
+        assert!(cleared, "no ProbationCleared event for the returnee");
         let judged_after = (host.events().iter()).any(|(_, e)| {
             matches!(e, LiveEvent::RoundEvaluated { round, lost, .. } if *round > 5 && *lost == 0)
         });
@@ -811,7 +803,7 @@ mod tests {
         let f = flow(&mut net, ids[0], ids[4]);
         net.set_attacks(ids[2], vec![Attack::drop_flows([f], 0.3)]);
         let cfg = LiveConfig {
-            summary: crate::runtime::SummaryMode::Reconcile { capacity: 4 },
+            summary: SummaryMode::Reconcile { capacity: 4 },
             ..chapter5(false)
         };
         let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
@@ -1044,6 +1036,120 @@ mod tests {
         assert_eq!(at_down, 0, "data reached the router before it joined");
         assert!(net.delivered_on_flow(FlowId(0)) > 500);
         assert_eq!(net.ground_truth().fault_drops, 0);
+    }
+
+    /// 200 ms rounds judged 100 ms after they end, with a 50 ms maturity
+    /// lag and the default loss allowance.
+    fn fast(rounds: u64) -> LiveConfig {
+        LiveConfig {
+            tau: Duration::from_millis(200),
+            exchange_budget: Duration::from_millis(100),
+            maturity_lag: Duration::from_millis(50),
+            rounds,
+            ..LiveConfig::default()
+        }
+    }
+
+    /// The instant round `r`'s verdicts are in.
+    fn judged(cfg: &LiveConfig, r: u64) -> SimTime {
+        let at = cfg.tau * (r as u32 + 1) + cfg.exchange_budget;
+        SimTime::from_ns(at.as_nanos() as u64)
+    }
+
+    /// A router that starts the run down and joins mid-run: its `RouterUp`
+    /// carries incarnation 0, so it is not put on probation; every router
+    /// applies it and returns to the empty overlay's route epoch, 0; the
+    /// flow the join shortens and the one it does not touch deliver in
+    /// every round; nobody is accused.
+    #[test]
+    fn an_initially_down_router_joins_without_probation_or_accusation() {
+        let topo = builtin::ring(6);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let every = Duration::from_millis(2);
+        let spec = LiveSpec {
+            // 3 → 5 runs the long way round until router 4 joins.
+            flows: vec![
+                FlowSpec::new(ids[0], ids[3], 800, every),
+                FlowSpec::new(ids[3], ids[5], 800, every),
+            ],
+            initially_down: vec![ids[4]],
+            churn: vec![step(320, ids[4], ChurnAction::Join)],
+            ..LiveSpec::default()
+        };
+        let cfg = fast(6);
+        let mut net = Network::new(topo, 1);
+        let mut host = SimHost::new(&mut net, &spec, cfg);
+        let mut delivered = Vec::new();
+        for r in 0..cfg.rounds {
+            host.run(&mut net, judged(&cfg, r));
+            delivered.push(net.ground_truth().data_delivered);
+        }
+        assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
+        let m = host.metrics();
+        assert_eq!(m.counter("net.probation_admitted"), 0);
+        let appliers: BTreeSet<RouterId> = (host.events().iter())
+            .filter_map(|(_, e)| match e {
+                LiveEvent::LinkStateApplied {
+                    by, origin, epoch, ..
+                } if *origin == ids[4] => {
+                    assert_eq!(*epoch, 0, "{by} did not return to the empty overlay");
+                    Some(*by)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            appliers.len(),
+            ids.len(),
+            "not every router applied the join"
+        );
+        assert_eq!(m.counter("net.epoch_transitions"), ids.len() as u64);
+        assert!(
+            delivered.windows(2).all(|w| w[1] > w[0]) && delivered[0] > 0,
+            "a round delivered nothing: cumulative {delivered:?}"
+        );
+    }
+
+    /// Full mode once shipped the whole run's history and fell off the
+    /// `MAX_FRAME` cliff after ≈ 2 300 entries a record. With windowed
+    /// records a run several times that long encodes every summary,
+    /// accuses nobody, and no router ever holds more than a window.
+    #[test]
+    fn full_mode_outlives_the_frame_cliff_with_bounded_records() {
+        let topo = builtin::line(3);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let interval = Duration::from_micros(500);
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(ids[0], ids[2], 800, interval)],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            summary: SummaryMode::Full,
+            ..fast(12)
+        };
+        let mut net = Network::new(topo, 1);
+        let mut host = SimHost::new(&mut net, &spec, cfg);
+        // Each end router keeps one record. Right before a prune it spans
+        // τ + budget + 2·lag; allow half as much again.
+        let window = cfg.tau + cfg.exchange_budget + 2 * cfg.maturity_lag;
+        let bound = 1.5 * window.as_secs_f64() / interval.as_secs_f64();
+        for r in 0..cfg.rounds {
+            host.run(&mut net, judged(&cfg, r));
+            let held = host.metrics().gauge("monitor.entries_held_max");
+            assert!(held > 0.0 && held <= bound, "round {r}: {held} > {bound}");
+        }
+        let delivered = net.ground_truth().data_delivered;
+        assert!(
+            delivered > 3 * 2_300 / 2,
+            "only {delivered} packets: the run never reached the cliff"
+        );
+        let m = host.metrics();
+        assert_eq!(m.counter("net.encode_failures"), 0);
+        assert!(host.suspicions().is_empty(), "{:?}", host.suspicions());
+        assert_eq!(m.counter("net.summary_timeouts"), 0);
+        // Recorded and not pruned since: what the ends hold at the end.
+        let held = m.counter("monitor.records") - m.counter("monitor.entries_pruned");
+        assert!(held as f64 <= 2.0 * bound, "{held} entries held at the end");
     }
 
     /// A spec with a dropper on the second router of a 4-line.

@@ -85,10 +85,10 @@ impl<T: Ord> TimerWheel<T> {
 /// The host re-arms a router after every step that may have moved its
 /// deadline. An entry is pushed only when that deadline is earlier than
 /// any the wheel already holds for the router; an entry whose router's
-/// deadline has since moved later stays behind, stale, and the host
-/// checks every popped entry against the router's current deadline. A
-/// stale pop re-arms at most the one entry it took the place of, so stale
-/// entries never grow the wheel.
+/// deadline has since moved later stays behind, stale, and
+/// [`next_due`](Self::next_due) checks every popped entry against the
+/// router's current deadline. A stale pop re-arms at most the one entry
+/// it took the place of, so stale entries never grow the wheel.
 #[derive(Debug)]
 pub(crate) struct Schedule {
     /// (deadline, index) by deadline.
@@ -96,6 +96,9 @@ pub(crate) struct Schedule {
     /// Per index, the earliest deadline the wheel holds for it;
     /// `u64::MAX`: none that is known.
     armed: Vec<u64>,
+    /// While `serving`, the rest of the batch being handed out, next last.
+    popped: Vec<(u64, usize)>,
+    serving: bool,
 }
 
 impl Schedule {
@@ -104,6 +107,8 @@ impl Schedule {
         Self {
             wheel: TimerWheel::new(),
             armed: vec![u64::MAX; slots],
+            popped: Vec::new(),
+            serving: false,
         }
     }
 
@@ -116,19 +121,35 @@ impl Schedule {
         }
     }
 
-    /// Replaces `due` with every entry due by `now`, in (deadline, index)
-    /// order, each once. Each is to be checked against its router's
-    /// current deadline, and re-armed.
-    pub(crate) fn pop_due(&mut self, now: u64, due: &mut Vec<(u64, usize)>) {
-        due.clear();
-        self.wheel.pop_due_into(now, due);
-        due.sort_unstable();
-        due.dedup();
-        for &(d, i) in due.iter() {
-            if self.armed[i] == d {
-                self.armed[i] = u64::MAX;
+    /// The next index to step with a timeout at `now`, of the entries due
+    /// by `now` when the batch began, in (deadline, index) order, each
+    /// once; an entry whose `deadline` (asked once an entry) has moved
+    /// later is re-armed and steps nobody. `None` ends the batch: what is
+    /// armed meanwhile, due or not, waits for the next.
+    pub(crate) fn next_due(
+        &mut self,
+        now: u64,
+        mut deadline: impl FnMut(usize) -> Option<u64>,
+    ) -> Option<usize> {
+        if !self.serving {
+            self.serving = true;
+            self.wheel.pop_due_into(now, &mut self.popped);
+            self.popped.sort_unstable_by(|a, b| b.cmp(a));
+            self.popped.dedup();
+            for &(d, i) in &self.popped {
+                if self.armed[i] == d {
+                    self.armed[i] = u64::MAX;
+                }
             }
         }
+        while let Some((_, i)) = self.popped.pop() {
+            match deadline(i) {
+                Some(d) if d <= now => return Some(i),
+                later => self.arm(i, later),
+            }
+        }
+        self.serving = false;
+        None
     }
 
     /// The earliest deadline on the wheel, stale or not.
@@ -208,6 +229,30 @@ mod tests {
         }
         let expect: Vec<u64> = (0..1000).collect();
         assert_eq!(got, expect);
+    }
+
+    /// A batch hands out what was due when it began, in (deadline, index)
+    /// order, each once; a stale entry is re-armed and steps nobody, and
+    /// an index armed due during the batch waits for the next one.
+    #[test]
+    fn a_batch_hands_out_what_was_due_when_it_began() {
+        let mut s = Schedule::new(4);
+        for (i, d) in [(2, 10), (0, 10), (1, 5), (3, 7)] {
+            s.arm(i, Some(d));
+        }
+        // Index 3's deadline has moved on to 30: its entry at 7 is stale.
+        let deadline = |i: usize| Some([10, 5, 10, 30][i]);
+        let mut got = Vec::new();
+        while let Some(i) = s.next_due(10, deadline) {
+            got.push(i);
+            if i == 1 {
+                s.arm(1, Some(10)); // stepped, and due again at once
+            }
+        }
+        assert_eq!(got, [1, 0, 2]);
+        assert_eq!(s.next_due(10, |_| Some(10)), Some(1));
+        assert_eq!(s.next_due(10, |_| Some(10)), None);
+        assert_eq!(s.next_deadline(), Some(30));
     }
 
     #[test]

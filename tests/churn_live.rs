@@ -64,13 +64,14 @@ fn conviction() -> (Topology, LiveSpec, RouterId) {
     (topo, spec, ids[2])
 }
 
-/// The conviction scenario's verdict, from the suspicions, the epoch
-/// transitions, and per round the drops and deliveries counted so far.
+/// The conviction scenario's verdict, from the suspicions, the
+/// link-state updates applied, the epoch transitions, and per round the
+/// drops and deliveries counted so far.
 fn convicted_and_recovered(
     routers: usize,
     suspicions: &[Suspicion],
     dropper: RouterId,
-    transitions: u64,
+    (applied, transitions): (u64, u64),
     dropped: &[u64],
     delivered: &[u64],
 ) {
@@ -83,6 +84,10 @@ fn convicted_and_recovered(
         check.is_accurate(cfg(7).k + 2),
         "false positives through the transition: {:?}",
         check.false_positives
+    );
+    assert!(
+        applied >= routers as u64,
+        "the exclusion did not reach every router"
     );
     assert!(
         transitions >= routers as u64,
@@ -111,9 +116,27 @@ fn conviction_rerouting_recovers_over_udp() {
         topo.router_count(),
         &outcome.suspicions,
         dropper,
-        outcome.metrics.counter("net.epoch_transitions"),
+        (
+            outcome.metrics.counter("net.ls_updates_applied"),
+            outcome.metrics.counter("net.epoch_transitions"),
+        ),
         &per_round("net.data_dropped"),
         &per_round("net.data_delivered"),
+    );
+    // Frames of another route epoch drain untapped while the routes
+    // reconverge and not after: a router whose epoch never realigned
+    // would go on draining through the last, long-settled rounds.
+    let drained = per_round("net.untapped_drained");
+    println!("untapped drains per round, cumulative: {drained:?}");
+    let n = drained.len();
+    assert!(
+        drained[n - 1] > 0,
+        "nothing drained while routes reconverged"
+    );
+    assert_eq!(
+        drained[n - 3..],
+        [drained[n - 1]; 3],
+        "epochs diverged: untapped drains {drained:?}"
     );
 }
 
@@ -133,7 +156,10 @@ fn conviction_rerouting_recovers_on_virtual_time() {
         topo.router_count(),
         &host.suspicions(),
         dropper,
-        host.metrics().counter("net.epoch_transitions"),
+        (
+            host.metrics().counter("net.ls_updates_applied"),
+            host.metrics().counter("net.epoch_transitions"),
+        ),
         &dropped,
         &delivered,
     );

@@ -16,7 +16,7 @@ const RECOVERY_FLOOR: f64 = 0.99;
 
 /// 128 routers, one flow per 16 routers over routes of at least 5 routers,
 /// and the middle router of flow 0's path dropping 30 % of the flows'
-/// packets from round 2 of 9; rounds of 200 ms, judged 120 ms after they
+/// packets from round 3 of 9; rounds of 200 ms, judged 120 ms after they
 /// end, with a 50 ms maturity lag and the response on. The dropper is
 /// convicted, every router moves to the excluding route epoch, and the
 /// flows' delivery per round recovers to what it was before the attack.

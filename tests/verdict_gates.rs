@@ -79,6 +79,9 @@ fn reconcile_costs_at_most_half_of_full_and_nobody_is_accused() {
             full.suspicions,
             rec.suspicions
         );
+        // A clean run's digests all resolve: nothing is pulled.
+        assert!(rec.stats.digests_resolved > 0, "no digest ever resolved");
+        assert_eq!(rec.stats.digest_fallbacks, 0, "a clean run fell back");
         gate_ratio = ratio;
     }
     assert!(
