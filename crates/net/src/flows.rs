@@ -87,6 +87,12 @@ impl Traffic {
     /// rather than bursting through the backlog. The flow stays on its own
     /// phase: restarting every stalled flow from `now` would put them all
     /// on one phase, and they would tick as one burst ever after.
+    ///
+    /// That latest missed tick is at or before `now`, so the router is due
+    /// again at once. Whether the host steps it again at this instant or in
+    /// its next batch is `timer::Schedule::next_due`'s batch rule, and it
+    /// sets how many packets a stalled closed loop keeps in flight:
+    /// `sat-line6`'s one packet depends on it.
     pub(crate) fn advance(&mut self, i: usize, now: u64) {
         let f = &mut self.flows[i];
         let interval = (f.spec.interval.as_nanos() as u64).max(1);
@@ -142,5 +148,29 @@ mod tests {
         nine.dedup();
         assert_eq!(nine.len(), 3);
         assert!(nine.windows(2).all(|w| w[1] - w[0] >= 8_000_000 / 3));
+    }
+
+    /// After a stall the next tick is the latest one missed, at or before
+    /// `now`, never a later one: the flow is due again at once. On time,
+    /// it is one interval on.
+    #[test]
+    fn after_a_stall_the_flow_resumes_at_the_latest_missed_tick() {
+        let (src, dst) = (RouterId::from(0), RouterId::from(1));
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(src, dst, 100, Duration::from_nanos(10))],
+            ..LiveSpec::default()
+        };
+        let mut traffic = Traffic::new(&spec, src);
+        let first = traffic.flows[0].next_due;
+        traffic.advance(0, first);
+        assert_eq!(traffic.flows[0].next_due, first + 10, "on time");
+        // Ticks at first + 20, + 30, + 40 and + 50 were missed.
+        let now = first + 55;
+        traffic.advance(0, now);
+        assert_eq!(traffic.flows[0].next_due, first + 50);
+        // On a tick's own instant, that tick is the latest missed.
+        let now = first + 80;
+        traffic.advance(0, now);
+        assert_eq!(traffic.flows[0].next_due, now);
     }
 }

@@ -583,8 +583,9 @@ impl<T: Transport> Shard<T> {
 mod tests {
     use super::*;
     use crate::runtime::FlowSpec;
-    use crate::transport::UdpNet;
+    use crate::transport::{NetError, UdpNet};
     use fatih_topology::builtin;
+    use std::sync::{Arc, Mutex};
 
     /// Round length of a hand-driven shard: no round work falls due unless
     /// a test moves the clock there.
@@ -609,6 +610,19 @@ mod tests {
         interval: Duration,
     ) -> (Shard<UdpNet>, MetricsRegistry) {
         let ids: Vec<RouterId> = topo.routers().collect();
+        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
+        shard_over(topo, flows, interval, transports)
+    }
+
+    /// [`udp_shard_every`] over the given endpoints, one per router.
+    #[cfg(target_os = "linux")]
+    fn shard_over<T: Transport>(
+        topo: &Topology,
+        flows: &[(usize, usize)],
+        interval: Duration,
+        transports: Vec<T>,
+    ) -> (Shard<T>, MetricsRegistry) {
+        let ids: Vec<RouterId> = topo.routers().collect();
         let spec = LiveSpec {
             flows: (flows.iter())
                 .map(|&(s, d)| FlowSpec::new(ids[s], ids[d], 800, interval))
@@ -624,7 +638,6 @@ mod tests {
         };
         let registry = MetricsRegistry::new();
         let metrics = NetMetrics::registered(&registry);
-        let transports = UdpNet::bind_group(&ids).expect("bind loopback sockets");
         let mut prepared = LiveDeployment::prepare(topo, &spec, &cfg, transports, &metrics);
         let nodes = prepared.shard_nodes.remove(0);
         let shard = Shard::new(0, nodes, cfg, None, metrics);
@@ -633,14 +646,14 @@ mod tests {
 
     /// The shard's clock moves on to `at`, unless it is there already.
     #[cfg(target_os = "linux")]
-    fn clock_to(shard: &mut Shard<UdpNet>, at: u64) {
+    fn clock_to<T: Transport>(shard: &mut Shard<T>, at: u64) {
         shard.epoch -= Duration::from_nanos(at.saturating_sub(shard.now_ns()));
     }
 
     /// What a flow tick does: the clock moves on to node `ni`'s deadline
     /// and the shard fires what is due there.
     #[cfg(target_os = "linux")]
-    fn tick(shard: &mut Shard<UdpNet>, ni: usize, events: &mpsc::Sender<LiveEvent>) {
+    fn tick<T: Transport>(shard: &mut Shard<T>, ni: usize, events: &mpsc::Sender<LiveEvent>) {
         let at = shard.nodes[ni].deadline().expect("a flow tick");
         clock_to(shard, at);
         assert!(shard.fire_timeouts(events));
@@ -749,6 +762,38 @@ mod tests {
         assert_eq!(shard.pass(&poller, &events), 0, "nothing was left");
     }
 
+    /// A [`UdpNet`] endpoint that logs its router, in one log its group
+    /// shares, each time it receives a frame: the order the shard served
+    /// the routers in.
+    #[cfg(target_os = "linux")]
+    struct Logged {
+        inner: UdpNet,
+        log: Arc<Mutex<Vec<RouterId>>>,
+    }
+
+    #[cfg(target_os = "linux")]
+    impl Transport for Logged {
+        fn local(&self) -> RouterId {
+            self.inner.local()
+        }
+
+        fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError> {
+            self.inner.send(dst, frame)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, NetError> {
+            let got = self.inner.recv_into(buf)?;
+            if got.is_some() {
+                self.log.lock().unwrap().push(self.local());
+            }
+            Ok(got)
+        }
+    }
+
     /// Two flows that tick together on one shard, 3 → 0 and 7 → 4 on an
     /// 8-line: the first packet is delivered before the second one's
     /// second hop is received. Served in index order they crossed in lock
@@ -756,7 +801,17 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn packets_that_tick_together_complete_one_after_the_other() {
-        let (mut shard, registry) = udp_shard(&builtin::line(8), &[(3, 0), (7, 4)]);
+        let topo = builtin::line(8);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let transports = (UdpNet::bind_group(&ids).expect("bind loopback sockets"))
+            .into_iter()
+            .map(|inner| Logged {
+                inner,
+                log: Arc::clone(&log),
+            })
+            .collect();
+        let (mut shard, registry) = shard_over(&topo, &[(3, 0), (7, 4)], INTERVAL, transports);
         let (events, _event_rx) = mpsc::channel();
         let poller = poller::install();
         assert_eq!(shard.nodes[3].deadline(), shard.nodes[7].deadline());
@@ -764,23 +819,16 @@ mod tests {
         while shard.pass(&poller, &events) > 0 {}
         assert_eq!(registry.snapshot().counter("net.data_delivered"), 2);
 
-        let trace = std::mem::replace(&mut shard.out.trace, TraceBuffer::new(0, 1));
-        let journal = TraceJournal::from_buffers([trace]);
-        let taps: Vec<u32> = journal
-            .events()
-            .iter()
-            .filter(|e| e.kind == TraceKind::PacketTap)
-            .map(|e| e.router)
-            .collect();
+        let received = log.lock().unwrap().clone();
         // Each router of the two paths is on one of them only.
         let at = |i: usize| {
-            let id = u32::from(shard.nodes[i].id);
-            taps.iter().position(|&r| r == id).expect("tapped")
+            let id = shard.nodes[i].id;
+            (received.iter().position(|&r| r == id)).expect("received a frame")
         };
         let (first_sink, other_second_hop) = if at(0) < at(4) { (0, 5) } else { (4, 1) };
         assert!(
             at(first_sink) < at(other_second_hop),
-            "taps in order: {taps:?}"
+            "frames received in order: {received:?}"
         );
     }
 

@@ -14,6 +14,11 @@
 //!   raised once in a million packets — stay countable exactly even when
 //!   their payload was pushed out by chatter. [`TraceBuffer::dropped`]
 //!   says how many events were overwritten.
+//! * **Counted, not kept.** An event whose readers use only its total —
+//!   a packet tap, a timer that only ticked flows — is
+//!   [counted](TraceBuffer::count): its kind's total rises and no slot is
+//!   written, so per-packet events cannot push the control plane's out of
+//!   the ring. The journal and its JSONL carry these totals.
 //! * **Slots kept in place.** A ring keeps 32 bytes an event (its shard
 //!   and sequence number follow from where the slot sits), and the merged
 //!   journal keeps those slots in the rings' own allocations, adding a
@@ -139,14 +144,18 @@ struct Slot {
 /// ```
 /// use fatih_obs::{TraceBuffer, TraceKind};
 /// let mut buf = TraceBuffer::new(0, 2);
-/// buf.record(1, TraceKind::PacketTap, 7, 0, 1);
-/// buf.record(2, TraceKind::PacketTap, 7, 0, 1);
+/// buf.record(1, TraceKind::Retransmit, 7, 0, 1);
+/// buf.record(2, TraceKind::Retransmit, 7, 0, 1);
 /// buf.record(3, TraceKind::AccusationRaised, 7, 0, 9);
-/// // Capacity 2: the first tap was overwritten, but totals survive.
+/// // Capacity 2: the first retransmit was overwritten, but totals survive.
 /// assert_eq!(buf.len(), 2);
 /// assert_eq!(buf.dropped(), 1);
-/// assert_eq!(buf.recorded(TraceKind::PacketTap), 2);
+/// assert_eq!(buf.recorded(TraceKind::Retransmit), 2);
 /// assert_eq!(buf.recorded(TraceKind::AccusationRaised), 1);
+/// // A counted event takes no slot and overwrites nothing.
+/// buf.count(TraceKind::PacketTap);
+/// assert_eq!((buf.len(), buf.dropped()), (2, 1));
+/// assert_eq!(buf.recorded(TraceKind::PacketTap), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
@@ -156,6 +165,8 @@ pub struct TraceBuffer {
     ring: std::collections::VecDeque<Slot>,
     dropped: u64,
     recorded: [u64; KINDS],
+    /// The part of `recorded` that was counted, never written to the ring.
+    counted: [u64; KINDS],
 }
 
 impl TraceBuffer {
@@ -170,6 +181,7 @@ impl TraceBuffer {
             ring: std::collections::VecDeque::with_capacity(capacity),
             dropped: 0,
             recorded: [0; KINDS],
+            counted: [0; KINDS],
         }
     }
 
@@ -189,6 +201,15 @@ impl TraceBuffer {
         });
         self.next_seq += 1;
         self.recorded[kind as usize] += 1;
+    }
+
+    /// Counts one event of `kind` without writing a slot: it raises
+    /// [`recorded`](Self::recorded) and nothing else, for events whose
+    /// readers use only their total.
+    #[inline]
+    pub fn count(&mut self, kind: TraceKind) {
+        self.recorded[kind as usize] += 1;
+        self.counted[kind as usize] += 1;
     }
 
     /// Shard this buffer belongs to.
@@ -213,7 +234,7 @@ impl TraceBuffer {
     }
 
     /// Total events of `kind` ever recorded, *including* overwritten
-    /// ones.
+    /// and [counted](Self::count) ones.
     pub fn recorded(&self, kind: TraceKind) -> u64 {
         self.recorded[kind as usize]
     }
@@ -231,6 +252,7 @@ pub struct TraceJournal {
     runs: Vec<Run>,
     dropped: u64,
     recorded: [u64; KINDS],
+    counted: [u64; KINDS],
 }
 
 /// Consecutive events of one shard: `slots[i]` is the event numbered
@@ -286,12 +308,11 @@ impl TraceJournal {
         let buffers = buffers.into_iter();
         let mut runs = Vec::with_capacity(buffers.size_hint().0);
         let mut dropped = 0;
-        let mut recorded = [0u64; KINDS];
+        let (mut recorded, mut counted) = ([0u64; KINDS], [0u64; KINDS]);
         for buf in buffers {
             dropped += buf.dropped;
-            for (total, n) in recorded.iter_mut().zip(buf.recorded) {
-                *total += n;
-            }
+            add(&mut recorded, &buf.recorded);
+            add(&mut counted, &buf.counted);
             // The ring holds the newest events, the last at `next_seq - 1`.
             let first = buf.next_seq - buf.ring.len() as u64;
             // `Vec::from` keeps the ring's allocation (a wrapped ring is
@@ -302,6 +323,7 @@ impl TraceJournal {
             runs,
             dropped,
             recorded,
+            counted,
         }
     }
 
@@ -327,15 +349,16 @@ impl TraceJournal {
     }
 
     /// Total events of `kind` ever recorded across all source buffers,
-    /// including overwritten ones — compare this against a metrics
-    /// counter when auditing.
+    /// including overwritten and counted ones — compare this against a
+    /// metrics counter when auditing.
     pub fn recorded(&self, kind: TraceKind) -> u64 {
         self.recorded[kind as usize]
     }
 
     /// Serializes the journal as JSONL: one JSON object per event per
-    /// line. [`TraceJournal::from_jsonl`] parses it back to an equal
-    /// event list.
+    /// line, then one `{"kind": …, "counted": n}` line per kind with
+    /// counted events. [`TraceJournal::from_jsonl`] parses it back to an
+    /// equal event list and equal counted totals.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.len() * 96);
         for e in self.events() {
@@ -347,16 +370,23 @@ impl TraceJournal {
             json::write_string(&mut out, e.kind.as_str());
             out.push_str(&format!(", \"value\": {}}}\n", e.value));
         }
+        for (&kind, &n) in TraceKind::ALL.iter().zip(&self.counted) {
+            if n > 0 {
+                out.push_str("{\"kind\": ");
+                json::write_string(&mut out, kind.as_str());
+                out.push_str(&format!(", \"counted\": {n}}}\n"));
+            }
+        }
         out
     }
 
     /// Parses a journal back from its JSONL form, in any line order. Per-kind
-    /// totals are recomputed from the retained events (overwrite counts
-    /// are not part of the wire form, so `dropped` reads 0).
+    /// totals are the retained events plus the counted ones (overwrite
+    /// counts are not part of the wire form, so `dropped` reads 0).
     pub fn from_jsonl(s: &str) -> Result<TraceJournal, JsonError> {
         // Each shard's numbered slots, in line order.
         let mut shards: BTreeMap<u32, Vec<(u64, Slot)>> = BTreeMap::new();
-        let mut recorded = [0u64; KINDS];
+        let (mut recorded, mut counted) = ([0u64; KINDS], [0u64; KINDS]);
         for line in s.lines() {
             if line.trim().is_empty() {
                 continue;
@@ -376,6 +406,11 @@ impl TraceJournal {
                     at: 0,
                     msg: "missing or unknown event kind",
                 })?;
+            if v.get("counted").is_some() {
+                let total = &mut counted[kind as usize];
+                *total = (total.checked_add(field("counted")?)).ok_or(OVERFLOW)?;
+                continue;
+            }
             recorded[kind as usize] += 1;
             let seq = field("seq")?;
             let slot = Slot {
@@ -398,10 +433,14 @@ impl TraceJournal {
                 runs.push(Run::new(shard, stretch[0].0, kept));
             }
         }
+        for (total, n) in recorded.iter_mut().zip(counted) {
+            *total = total.checked_add(n).ok_or(OVERFLOW)?;
+        }
         Ok(TraceJournal {
             runs,
             dropped: 0,
             recorded,
+            counted,
         })
     }
 
@@ -455,6 +494,7 @@ impl PartialEq for TraceJournal {
     fn eq(&self, other: &Self) -> bool {
         self.dropped == other.dropped
             && self.recorded == other.recorded
+            && self.counted == other.counted
             && self.events() == other.events()
     }
 }
@@ -467,7 +507,21 @@ impl fmt::Debug for TraceJournal {
             .field("events", &self.events())
             .field("dropped", &self.dropped)
             .field("recorded", &self.recorded)
+            .field("counted", &self.counted)
             .finish()
+    }
+}
+
+/// A JSONL journal whose counted lines add up past `u64::MAX`.
+const OVERFLOW: JsonError = JsonError {
+    at: 0,
+    msg: "counted total overflows",
+};
+
+/// Adds per-kind totals `n` into `total`.
+fn add(total: &mut [u64; KINDS], n: &[u64; KINDS]) {
+    for (total, n) in total.iter_mut().zip(n) {
+        *total += n;
     }
 }
 
@@ -638,6 +692,53 @@ mod tests {
         );
         let seqs: Vec<u64> = j.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [97, 98, 99, 100]);
+    }
+
+    /// A counted event raises its kind's total and nothing else: it takes
+    /// no slot and overwrites none, and the journal and its JSONL keep
+    /// the total.
+    #[test]
+    fn a_counted_event_raises_its_total_and_takes_no_slot() {
+        let mut buf = TraceBuffer::new(2, 4);
+        for r in 0..3 {
+            buf.record(r, TraceKind::RoundEnd, 1, r, 0);
+        }
+        for _ in 0..1_000 {
+            buf.count(TraceKind::PacketTap);
+        }
+        buf.record(3, TraceKind::TimerFired, 1, NO_ROUND, 0);
+        buf.count(TraceKind::TimerFired);
+        assert_eq!((buf.len(), buf.dropped()), (4, 0));
+        assert_eq!(buf.recorded(TraceKind::PacketTap), 1_000);
+        assert_eq!(buf.recorded(TraceKind::TimerFired), 2);
+        assert_eq!(buf.recorded(TraceKind::RoundEnd), 3);
+
+        let j = TraceJournal::from_buffers([buf]);
+        assert_eq!((j.len(), j.dropped()), (4, 0));
+        assert_eq!(j.recorded(TraceKind::PacketTap), 1_000);
+        assert_eq!(j.recorded(TraceKind::TimerFired), 2);
+        let jsonl = j.to_jsonl();
+        assert_eq!(
+            jsonl.lines().count(),
+            4 + 2,
+            "an event a line, a line a counted kind"
+        );
+        let back = TraceJournal::from_jsonl(&jsonl).unwrap();
+        assert_eq!(back, j);
+        for &k in TraceKind::ALL {
+            assert_eq!(back.recorded(k), j.recorded(k), "kind {k:?}");
+        }
+        // Counted lines may come in any order, and add up.
+        let mut lines: Vec<&str> = jsonl.lines().collect();
+        lines.reverse();
+        let twice = format!("{}\n{}", lines.join("\n"), lines[0]);
+        let back = TraceJournal::from_jsonl(&twice).unwrap();
+        assert_eq!(back.events(), j.events());
+        assert_eq!(back.recorded(TraceKind::PacketTap), 1_000);
+        assert_eq!(back.recorded(TraceKind::TimerFired), 3, "{twice}");
+        assert!(TraceJournal::from_jsonl("{\"kind\": \"packet_tap\", \"counted\": -1}").is_err());
+        let max = format!("{{\"kind\": \"packet_tap\", \"counted\": {}}}", u64::MAX);
+        assert!(TraceJournal::from_jsonl(&format!("{max}\n{max}")).is_err());
     }
 
     /// A ring slot is two thirds of the event it stands for; the journal

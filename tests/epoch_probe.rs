@@ -100,7 +100,6 @@ fn cfg() -> LiveConfig {
         exchange_budget: Duration::from_millis(100),
         maturity_lag: LAG,
         rounds: 10,
-        trace_capacity: 1 << 17, // every record of the run
         ..LiveConfig::default()
     }
 }

@@ -117,7 +117,6 @@ fn a_conviction_searches_each_epochs_routes_once() {
         exchange_budget: Duration::from_millis(500),
         maturity_lag: Duration::from_millis(100),
         thresholds: Thresholds::default(),
-        trace_capacity: 1 << 17,
         ..LiveConfig::default()
     };
     let mut host = SimHost::new(&mut net, &LiveSpec::default(), cfg);
