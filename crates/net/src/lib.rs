@@ -28,7 +28,8 @@
 //!   reconciliation mode ([`SummaryMode::Reconcile`](runtime::SummaryMode)),
 //!   as digests. Crate-private, split at the I/O seam: `router` (a router
 //!   as a sans-I/O step function), `flows` (its traffic) and `shard` (the
-//!   worker threads that host routers over their transports);
+//!   shards that host routers over their transports, one thread each,
+//!   the caller's serving shard 0);
 //! * [`SimHost`] — every router of a simulated `fatih_sim::Network`,
 //!   stepped by one thread on the engine's clock, its frames carried as
 //!   in-band control packets: a run is a function of its seeds.

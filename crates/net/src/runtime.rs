@@ -2,9 +2,10 @@
 //! [`LiveConfig`]), what a run reports ([`LiveOutcome`], [`LiveEvent`],
 //! [`LiveStats`]) and [`LiveDeployment`], which runs it.
 //!
-//! A run is a few worker threads, each hosting a shard of routers; every
-//! router is a sans-I/O step function fed frames and timers by its
-//! worker. The protocol machinery is the simulator's own —
+//! A run is a few shards of routers, each served by one thread: the
+//! caller's own serves shard 0, and one is spawned for each other shard.
+//! Every router is a sans-I/O step function fed frames and timers by its
+//! shard. The protocol machinery is the simulator's own —
 //! [`SegmentMonitorSet`](fatih_core::monitor::SegmentMonitorSet) builds
 //! `info(r, π, τ)` from the router's real forwarding decisions, a round's
 //! [`Window`](fatih_core::rounds::Window) says what it judges,
@@ -37,8 +38,8 @@
 //! puts the segment in dispute: both ends hold it whole from then on, and
 //! the pull of a later round is answered with the full summary.
 //!
-//! Time axis: one epoch `Instant` for the whole run, read by the workers
-//! only. A worker steps a router with the nanoseconds since the epoch as
+//! Time axis: one epoch `Instant` for the whole run, read by the shards
+//! only. A shard steps a router with the nanoseconds since the epoch as
 //! the step's `now`; routers read no clock, and stamp observations with
 //! that `now`, wrapped in [`SimTime`](fatih_sim::SimTime) so the core
 //! validation code runs unchanged. The dissertation's synchronized clocks
@@ -194,7 +195,9 @@ pub struct LiveConfig {
     pub thresholds: Thresholds,
     /// Master seed for the deployment's key infrastructure.
     pub key_seed: u64,
-    /// Worker shards multiplexing the router event loops. `0` = auto:
+    /// Shards multiplexing the router event loops, each served by one
+    /// thread: the caller's thread serves shard 0 and one thread is spawned
+    /// for each other shard, so `1` starts no thread. `0` = auto:
     /// `available_parallelism − 1`, at least 1, never more than routers.
     pub shards: usize,
     /// Summary-exchange mode (full transfer vs reconciliation).
@@ -502,9 +505,10 @@ pub struct LiveOutcome {
     pub stats: LiveStats,
     /// Final registry snapshot: every `net.*` counter and histogram.
     pub metrics: MetricsSnapshot,
-    /// Cumulative snapshot taken shortly after each round's evaluation
-    /// deadline; [`MetricsSnapshot::counter_delta`] between neighbours
-    /// gives the per-round cost.
+    /// Cumulative snapshot taken 50 ms after each round's evaluation
+    /// deadline, one a round, on shard 0's schedule;
+    /// [`MetricsSnapshot::counter_delta`] between neighbours gives the
+    /// per-round cost.
     pub round_metrics: Vec<MetricsSnapshot>,
     /// Merged trace journal from every shard's ring.
     pub trace: TraceJournal,

@@ -1,17 +1,19 @@
-//! The host of the live runtime: worker threads, each serving a shard of
-//! [`Router`]s, and [`LiveDeployment`], which sets a run up and gathers
-//! what the workers report.
+//! The host of the live runtime: shards of [`Router`]s, each served by
+//! one thread, and [`LiveDeployment`], which sets a run up, serves shard 0
+//! on the caller's thread and gathers what the other shards report.
 //!
-//! A worker owns all of its routers' I/O: the sockets and their `epoll`
+//! A shard owns all of its routers' I/O: the sockets and their `epoll`
 //! set, one [`Schedule`] of its routers' deadlines, the clock, the event
 //! channel and the mailbox fastpath. It sleeps until a socket is readable
 //! or a router's deadline is due, steps routers with the instant and the
 //! frame or the timeout, and sends what they said, serving a frame's next
 //! hop on the shard at once. Each router keeps its own schedule; the
-//! shard only asks it when it is next due.
+//! shard only asks it when it is next due. The shard's stop is one more
+//! entry on that schedule, and on shard 0 so are the round snapshots.
 //!
-//! Every worker starts its rounds at one epoch, fixed when the last of
-//! them is ready to serve: [`await_epoch`] and [`fix_epoch`].
+//! Every shard starts its rounds at one epoch, which shard 0 fixes once
+//! the last of the others is ready to serve: [`await_epoch`] and
+//! [`fix_epoch`].
 
 use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::poller;
@@ -19,13 +21,14 @@ use crate::router::{flow_pairs, routers, Input, Outputs, Router};
 use crate::runtime::{LiveConfig, LiveEvent, LiveOutcome, LiveSpec, LiveStats, NetMetrics};
 use crate::timer::Schedule;
 use crate::transport::Transport;
-use fatih_obs::{MetricsRegistry, TraceBuffer, TraceJournal, TraceKind};
+use fatih_obs::{MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal, TraceKind};
 use fatih_topology::{PathSegment, RouterId, Topology};
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Deploys the Πk+2 runtime over real transports.
+/// Deploys the Πk+2 runtime over real transports. The calling thread
+/// serves shard 0 itself, so a deployment of one shard starts no thread.
 ///
 /// # Examples
 ///
@@ -70,8 +73,10 @@ impl LiveDeployment {
     /// Runs `cfg.rounds` wall-clock rounds of Πk+2 end-to-end validation
     /// over the given transports (one per router, matched by
     /// [`Transport::local`]), injecting `spec`'s traffic and droppers.
-    /// The routers are partitioned round-robin across `cfg.shards` worker
-    /// threads.
+    /// The routers are partitioned round-robin across `cfg.shards`
+    /// shards: the calling thread serves shard 0, and one thread is
+    /// spawned for each other shard. Every transport has been dropped,
+    /// and every spawned thread joined, when this returns.
     ///
     /// # Panics
     ///
@@ -87,48 +92,42 @@ impl LiveDeployment {
         let metrics = NetMetrics::registered(&registry);
         let Prepared {
             shard_nodes,
-            mut mailboxes,
+            mailboxes,
             segments,
         } = Self::prepare(topo, spec, cfg, transports, &metrics);
-        let n_shards = shard_nodes.len();
 
         // Every round finishes before a shard stops: final evaluation
         // fires at rounds·τ + budget after the epoch, and the slack lets
         // the last alerts cross the wire.
         let stop = cfg.tau * (cfg.rounds as u32) + cfg.exchange_budget + Duration::from_millis(300);
+        let stop_ns = stop.as_nanos() as u64;
         let (event_tx, event_rx) = mpsc::channel::<LiveEvent>();
         let (ready_tx, ready_rx) = mpsc::channel();
 
-        let mut handles = Vec::with_capacity(n_shards);
-        for (s, nodes) in shard_nodes.into_iter().enumerate() {
-            let shard = Shard::new(s as u32, nodes, *cfg, mailboxes[s].take(), metrics.clone());
-            let (tx, ready) = (event_tx.clone(), ready_tx.clone());
-            handles.push(
+        let mut shards = (shard_nodes.into_iter().zip(mailboxes).enumerate())
+            .map(|(s, (nodes, mb))| (s, Shard::new(s as u32, nodes, *cfg, mb, metrics.clone())));
+        let (_, mut first) = shards.next().expect("at least one shard");
+        let workers: Vec<_> = shards
+            .map(|(s, shard)| {
+                let (tx, ready) = (event_tx.clone(), ready_tx.clone());
                 std::thread::Builder::new()
                     .name(format!("shard-{s}"))
-                    .spawn(move || shard.run(stop.as_nanos() as u64, ready, &tx))
-                    .expect("spawn shard thread"),
-            );
-        }
-        drop((event_tx, ready_tx));
-        let epoch = fix_epoch(ready_rx);
+                    .spawn(move || shard.run(stop_ns, || await_epoch(ready), &tx).0)
+                    .expect("spawn shard thread")
+            })
+            .collect();
+        drop(ready_tx);
+        // The caller serves shard 0: it fixes the epoch once the others
+        // are ready and takes the round snapshots on its schedule. Its
+        // transports are dropped when it returns, as a worker's are
+        // before its join.
+        first.snapshots = Some(RoundSnapshots::new(&registry, cfg));
+        let (first_trace, round_metrics) = first.run(stop_ns, || fix_epoch(ready_rx), &event_tx);
+        drop(event_tx);
 
-        // Snapshot the registry just after each round's evaluation
-        // deadline so callers can diff neighbouring snapshots into
-        // per-round costs.
-        let mut round_metrics = Vec::with_capacity(cfg.rounds as usize);
-        for r in 0..cfg.rounds {
-            let at =
-                epoch + cfg.tau * (r as u32 + 1) + cfg.exchange_budget + Duration::from_millis(50);
-            let now = Instant::now();
-            if at > now {
-                std::thread::sleep(at - now);
-            }
-            round_metrics.push(registry.snapshot());
-        }
-
-        let mut buffers = Vec::with_capacity(n_shards);
-        for h in handles {
+        let mut buffers = Vec::with_capacity(workers.len() + 1);
+        buffers.push(first_trace);
+        for h in workers {
             buffers.push(h.join().expect("shard thread panicked"));
         }
         let trace = TraceJournal::from_buffers(buffers);
@@ -203,20 +202,21 @@ impl LiveDeployment {
     }
 }
 
-/// A shard's half of the start protocol: it tells the deployment that it
-/// is ready to serve, through `ready`, and returns the epoch the deployment
-/// then fixes.
+/// A spawned shard's half of the start protocol: it tells shard 0 that it
+/// is ready to serve, through `ready`, and returns the epoch shard 0 then
+/// fixes.
 fn await_epoch(ready: mpsc::Sender<mpsc::Sender<Instant>>) -> Instant {
     let (go, epoch) = mpsc::channel();
-    ready.send(go).expect("the deployment awaits its shards");
-    // The deployment waits for every sender to be gone.
+    ready.send(go).expect("shard 0 awaits the other shards");
+    // Shard 0 waits for every sender to be gone.
     drop(ready);
-    epoch.recv().expect("the deployment fixes the epoch")
+    epoch.recv().expect("shard 0 fixes the epoch")
 }
 
-/// The deployment's half: once every shard holding a sender of `ready`
-/// has signalled (or died trying), reads the clock once and hands that
-/// instant to each shard as the epoch.
+/// Shard 0's half, on the caller's thread, once it is ready itself: when
+/// every shard holding a sender of `ready` has signalled (or died trying),
+/// reads the clock once and hands that instant to each of them as the
+/// epoch. With no other shard, nothing is waited for.
 fn fix_epoch(ready: mpsc::Receiver<mpsc::Sender<Instant>>) -> Instant {
     let shards: Vec<mpsc::Sender<Instant>> = ready.iter().collect();
     let epoch = Instant::now();
@@ -240,11 +240,74 @@ struct Prepared<T: Transport> {
 /// before yielding to its shard-mates.
 const RECV_SWEEP: usize = 64;
 
-/// Longest an idle worker waits while something it serves cannot wake it:
+/// Longest an idle shard waits while something it serves cannot wake it:
 /// an endpoint that is not in the poll set, or a mailbox.
 const SWEEP_WAIT_NS: u64 = 500_000;
 
-/// One worker thread's shard of routers.
+/// Longest a shard asks its poller to wait. Linux lets a poll timeout run
+/// late by the larger of the thread's timer slack (50 µs by default) and
+/// 0.1 % of the timeout (`select_estimate_accuracy`, fs/select.c). A wait
+/// of at most 1 000 × 50 µs therefore ends within 50 µs of its deadline,
+/// where the ≈ 300 ms drain before the stop, waited in one piece, ended
+/// about 0.3 ms late.
+const MAX_WAIT_NS: u64 = 50_000_000;
+
+/// How long after a round's evaluation deadline shard 0 snapshots the
+/// registry for that round.
+const SNAPSHOT_LAG: Duration = Duration::from_millis(50);
+
+/// Shard 0's round snapshots: the deployment's registry, read at
+/// `(r+1)·τ + budget + 50 ms` after the epoch for each round `r`, one
+/// more entry on the shard's schedule. Callers diff neighbouring
+/// snapshots into per-round costs.
+struct RoundSnapshots {
+    registry: MetricsRegistry,
+    /// Each round's instant, and the snapshot filled then. Every name is
+    /// in place before the epoch, so filling one allocates nothing.
+    rounds: Vec<(u64, MetricsSnapshot)>,
+    /// How many have been filled.
+    taken: usize,
+}
+
+impl RoundSnapshots {
+    fn new(registry: &MetricsRegistry, cfg: &LiveConfig) -> Self {
+        let names = registry.snapshot();
+        let tau = cfg.tau.as_nanos() as u64;
+        let after = (cfg.exchange_budget + SNAPSHOT_LAG).as_nanos() as u64;
+        let rounds = (1..=cfg.rounds)
+            .map(|r| (r * tau + after, names.clone()))
+            .collect();
+        Self {
+            registry: registry.clone(),
+            rounds,
+            taken: 0,
+        }
+    }
+
+    /// When the next snapshot is due; `None` once every one is taken.
+    fn due(&self) -> Option<u64> {
+        self.rounds.get(self.taken).map(|&(at, _)| at)
+    }
+
+    /// Fills the next snapshot.
+    fn take(&mut self) {
+        if let Some((_, snap)) = self.rounds.get_mut(self.taken) {
+            self.registry.snapshot_into(snap);
+            self.taken += 1;
+        }
+    }
+
+    /// Every round's snapshot; those whose instant the shard did not
+    /// reach — every transport closed under it first — are taken now.
+    fn into_rounds(mut self) -> Vec<MetricsSnapshot> {
+        while self.due().is_some() {
+            self.take();
+        }
+        self.rounds.into_iter().map(|(_, snap)| snap).collect()
+    }
+}
+
+/// One thread's shard of routers.
 struct Shard<T: Transport> {
     nodes: Vec<Router>,
     /// Each node's endpoint.
@@ -252,7 +315,7 @@ struct Shard<T: Transport> {
     /// Per node: its endpoint errored out, and the shard no longer polls it.
     closed: Vec<bool>,
     index_of: HashMap<RouterId, usize>,
-    /// Open endpoints that are not in this worker's poll set: nothing
+    /// Open endpoints that are not in this shard's poll set: nothing
     /// announces their frames, so every pass polls them. Whether an
     /// endpoint can be waited on is its own business — it registers on
     /// first poll or it does not — and it leaves this list once it has.
@@ -290,9 +353,11 @@ struct Shard<T: Transport> {
     ready: Vec<RouterId>,
     /// Where every node's frames are received: one buffer for the shard.
     recv_buf: Vec<u8>,
-    /// Every node's deadline by index, and the stop as index
-    /// `nodes.len()`.
+    /// Every node's deadline by index, the stop as index `nodes.len()`,
+    /// and the next round snapshot as index `nodes.len() + 1`.
     schedule: Schedule,
+    /// Shard 0's round snapshots; `None` on every other shard.
+    snapshots: Option<RoundSnapshots>,
     /// The fastpath: the sending half to every shard, and this one's
     /// receiving half.
     mailbox: Option<(MailboxRouter, ShardMailbox)>,
@@ -300,8 +365,8 @@ struct Shard<T: Transport> {
     /// protocol fixes the deployment's.
     epoch: Instant,
     metrics: NetMetrics,
-    /// What the step in progress says. Its trace ring is this worker's:
-    /// written only by this thread, handed back when it joins.
+    /// What the step in progress says. Its trace ring is this shard's:
+    /// written only by its thread, handed back when the shard stops.
     out: Outputs,
 }
 
@@ -315,7 +380,7 @@ impl<T: Transport> Shard<T> {
     ) -> Self {
         let (nodes, links): (Vec<Router>, Vec<T>) = nodes.into_iter().unzip();
         let index_of = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-        let mut schedule = Schedule::new(nodes.len() + 1);
+        let mut schedule = Schedule::new(nodes.len() + 2);
         for (i, node) in nodes.iter().enumerate() {
             schedule.arm(i, node.deadline());
         }
@@ -337,6 +402,7 @@ impl<T: Transport> Shard<T> {
             links,
             index_of,
             schedule,
+            snapshots: None,
             mailbox,
             epoch: Instant::now(),
             metrics,
@@ -350,19 +416,24 @@ impl<T: Transport> Shard<T> {
             .as_nanos() as u64
     }
 
-    /// Installs the shard's poller, signals `ready`, and serves the shard
-    /// from the epoch the deployment fixes until `stop_ns` after it.
+    /// Installs the shard's poller, learns the epoch from `start` — the
+    /// shard's half of the start protocol — and serves the shard from
+    /// there until `stop_ns` after it. Returns the shard's trace ring and,
+    /// on shard 0, the round snapshots.
     fn run(
         mut self,
         stop_ns: u64,
-        ready: mpsc::Sender<mpsc::Sender<Instant>>,
+        start: impl FnOnce() -> Instant,
         events: &mpsc::Sender<LiveEvent>,
-    ) -> TraceBuffer {
-        self.schedule.arm(self.nodes.len(), Some(stop_ns));
-        // This worker's sockets find the poller through the thread, so
+    ) -> (TraceBuffer, Vec<MetricsSnapshot>) {
+        let n = self.nodes.len();
+        self.schedule.arm(n, Some(stop_ns));
+        let first_snapshot = self.snapshots.as_ref().and_then(RoundSnapshots::due);
+        self.schedule.arm(n + 1, first_snapshot);
+        // This shard's sockets find the poller through the thread, so
         // they register through whatever wraps them.
         let poller = poller::install();
-        self.epoch = await_epoch(ready);
+        self.epoch = start();
         let now = self.now_ns();
         for node in &self.nodes {
             let by = u32::from(node.id);
@@ -389,7 +460,10 @@ impl<T: Transport> Shard<T> {
             self.metrics.wire_bytes_recv.add(link.bytes_recv());
         }
         (self.metrics.shard_busy_ns).add(self.now_ns().saturating_sub(self.woke));
-        self.out.trace
+        let rounds = self
+            .snapshots
+            .map_or_else(Vec::new, RoundSnapshots::into_rounds);
+        (self.out.trace, rounds)
     }
 
     /// Steps node `ni` with `input` at `now` — timing the step against
@@ -432,18 +506,29 @@ impl<T: Transport> Shard<T> {
     }
 
     /// Steps every node whose deadline has come with a timeout, all at one
-    /// instant, in index order; an entry whose node is not due any more
-    /// steps nobody. Returns false once the stop is due.
+    /// instant, in index order, and takes a round snapshot that has come;
+    /// an entry whose node is not due any more steps nobody. Returns false
+    /// once the stop is due.
     fn fire_timeouts(&mut self, events: &mpsc::Sender<LiveEvent>) -> bool {
         let now = self.now_ns();
-        // The index past the last node is the stop, due once it pops.
-        while let Some(ni) = (self.schedule).next_due(now, |ni| {
-            self.nodes.get(ni).map_or(Some(now), Router::deadline)
+        // The two indices past the last node are the stop, due once it
+        // pops, and the next round snapshot.
+        let (stop, snapshot) = (self.nodes.len(), self.nodes.len() + 1);
+        while let Some(i) = (self.schedule).next_due(now, |i| match self.nodes.get(i) {
+            Some(node) => node.deadline(),
+            None if i == stop => Some(now),
+            None => self.snapshots.as_ref().and_then(RoundSnapshots::due),
         }) {
-            if ni == self.nodes.len() {
+            if i == stop {
                 return false;
             }
-            self.step(ni, now, Input::Timeout, events);
+            if i == snapshot {
+                let rounds = self.snapshots.as_mut().expect("armed on shard 0 only");
+                rounds.take();
+                self.schedule.arm(snapshot, rounds.due());
+                continue;
+            }
+            self.step(i, now, Input::Timeout, events);
         }
         true
     }
@@ -455,19 +540,7 @@ impl<T: Transport> Shard<T> {
     fn wait(&mut self, poller: &poller::Installed, handled: usize) {
         let now = self.now_ns();
         (self.metrics.shard_busy_ns).add(now.saturating_sub(self.woke));
-        // Only a shard driven by hand has no stop on its schedule.
-        let until_timer =
-            (self.schedule.next_deadline()).map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(now));
-        // Nothing announces a frame for a swept endpoint or the mailbox:
-        // while the last pass found work there may be more, and an idle
-        // wait stays short.
-        let swept = self.mailbox.is_some() || !self.swept.is_empty();
-        let wait = match (swept, handled) {
-            _ if !self.work.is_empty() || !self.drain.is_empty() => 0,
-            (false, _) => until_timer,
-            (true, 0) => until_timer.min(SWEEP_WAIT_NS),
-            (true, _) => 0,
-        };
+        let wait = self.wait_ns(now, handled);
         if wait > 0 {
             self.metrics.shard_waits.inc();
         }
@@ -479,6 +552,26 @@ impl<T: Transport> Shard<T> {
         // Only this shard's endpoints are ever polled on this thread.
         for i in 0..self.ready.len() {
             self.report(self.index_of[&self.ready[i]]);
+        }
+    }
+
+    /// The timeout [`wait`](Self::wait) gives the poller at `now`: none
+    /// while work is queued, else until the next entry on the schedule, at
+    /// most [`MAX_WAIT_NS`].
+    fn wait_ns(&self, now: u64, handled: usize) -> u64 {
+        // Only a shard driven by hand has no stop on its schedule.
+        let until_timer = (self.schedule.next_deadline())
+            .map_or(SWEEP_WAIT_NS, |d| d.saturating_sub(now))
+            .min(MAX_WAIT_NS);
+        // Nothing announces a frame for a swept endpoint or the mailbox:
+        // while the last pass found work there may be more, and an idle
+        // wait stays short.
+        let swept = self.mailbox.is_some() || !self.swept.is_empty();
+        match (swept, handled) {
+            _ if !self.work.is_empty() || !self.drain.is_empty() => 0,
+            (false, _) => until_timer,
+            (true, 0) => until_timer.min(SWEEP_WAIT_NS),
+            (true, _) => 0,
         }
     }
 
@@ -583,9 +676,11 @@ impl<T: Transport> Shard<T> {
 mod tests {
     use super::*;
     use crate::runtime::FlowSpec;
-    use crate::transport::{NetError, UdpNet};
+    use crate::transport::{LoopbackHub, NetError, UdpNet};
     use fatih_topology::builtin;
+    use std::collections::HashSet;
     use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     /// Round length of a hand-driven shard: no round work falls due unless
     /// a test moves the clock there.
@@ -857,6 +952,110 @@ mod tests {
             assert_eq!(theirs, epoch);
             assert!(ready_at <= epoch, "the epoch came before a shard was ready");
         }
+    }
+
+    /// An endpoint that notes, in one set its group shares, the thread of
+    /// every send and receive.
+    struct Threaded<T> {
+        inner: T,
+        threads: Arc<Mutex<HashSet<ThreadId>>>,
+    }
+
+    impl<T: Transport> Threaded<T> {
+        fn noted(&self) {
+            self.threads
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+        }
+    }
+
+    impl<T: Transport> Transport for Threaded<T> {
+        fn local(&self) -> RouterId {
+            self.inner.local()
+        }
+
+        fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError> {
+            self.noted();
+            self.inner.send(dst, frame)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
+            self.noted();
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, NetError> {
+            self.noted();
+            self.inner.recv_into(buf)
+        }
+    }
+
+    /// The caller's thread serves shard 0: with one shard every send and
+    /// receive is made on it, so no thread was started, and with two
+    /// exactly one other thread serves. Either way the run hands back one
+    /// round snapshot a round, each holding what the one before it held
+    /// and more, and the final snapshot holds at least the last.
+    #[test]
+    fn the_caller_serves_shard_0_and_takes_a_snapshot_a_round() {
+        let topo = builtin::line(4);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(ids[0], ids[3], 500, Duration::from_millis(5))],
+            ..LiveSpec::default()
+        };
+        for shards in [1, 2] {
+            let cfg = LiveConfig {
+                tau: Duration::from_millis(100),
+                exchange_budget: Duration::from_millis(60),
+                maturity_lag: Duration::from_millis(20),
+                rounds: 3,
+                shards,
+                response: false,
+                ..LiveConfig::default()
+            };
+            let threads = Arc::new(Mutex::new(HashSet::new()));
+            let transports = (LoopbackHub::group(&ids).into_iter())
+                .map(|inner| Threaded {
+                    inner,
+                    threads: Arc::clone(&threads),
+                })
+                .collect();
+            let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
+            let threads = threads.lock().unwrap().clone();
+            assert_eq!(threads.len(), shards, "{shards} shards: {threads:?}");
+            assert!(threads.contains(&std::thread::current().id()));
+
+            assert_eq!(outcome.round_metrics.len(), cfg.rounds as usize);
+            let snapshots = (outcome.round_metrics.iter()).chain([&outcome.metrics]);
+            for (earlier, later) in snapshots.clone().zip(snapshots.skip(1)) {
+                for (name, &value) in &earlier.counters {
+                    assert!(later.counter(name) >= value, "{name} went back");
+                }
+            }
+            let delivered = |r: usize| outcome.round_metrics[r].counter("net.data_delivered");
+            assert!(0 < delivered(0) && delivered(0) < delivered(2));
+        }
+    }
+
+    /// However far off the next entry on its schedule, an idle shard asks
+    /// its poller for at most [`MAX_WAIT_NS`], so the kernel's slack on the
+    /// wait stays its 50 µs timer slack; a nearer entry is waited for to
+    /// the nanosecond.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn no_wait_is_longer_than_fifty_milliseconds() {
+        let (mut shard, _registry) = udp_shard_every(&builtin::line(3), &[], INTERVAL);
+        let (events, _event_rx) = mpsc::channel();
+        let poller = poller::install();
+        // The first pass puts every endpoint in the poll set.
+        assert_eq!(shard.pass(&poller, &events), 0);
+        let stop = shard.nodes.len();
+        shard.schedule.arm(stop, Some(10_000_000_000));
+        assert_eq!(MAX_WAIT_NS, 50_000_000);
+        assert_eq!(shard.wait_ns(0, 0), MAX_WAIT_NS);
+        assert_eq!(shard.wait_ns(9_990_000_000, 0), 10_000_000);
+        assert_eq!(shard.wait_ns(10_000_000_000, 0), 0);
     }
 
     /// A router's pump is on its schedule only while it awaits an ack:

@@ -166,14 +166,14 @@ impl Histogram {
         self.0.count.load(Ordering::Relaxed)
     }
 
-    /// An immutable summary of everything recorded so far.
+    /// An immutable summary of everything recorded so far. It allocates
+    /// nothing: the buckets are read once, into the stack.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let c = &*self.0;
-        let buckets: Vec<u64> = c
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let mut buckets = [0u64; BUCKETS];
+        for (read, b) in buckets.iter_mut().zip(c.buckets.iter()) {
+            *read = b.load(Ordering::Relaxed);
+        }
         let count: u64 = buckets.iter().sum();
         let quantile = |q: f64| -> u64 {
             if count == 0 {
@@ -284,23 +284,33 @@ impl MetricsRegistry {
 
     /// Reads every registered metric into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        self.snapshot_into(&mut snap);
+        snap
+    }
+
+    /// Reads every registered metric into `snap`, in place: a name `snap`
+    /// already holds has its value overwritten, and only a name it lacks
+    /// is inserted. Once `snap` holds every registered name, this
+    /// allocates nothing. Names the registry lacks are left as they are.
+    pub fn snapshot_into(&self, snap: &mut MetricsSnapshot) {
         let inner = self.inner.lock().expect("metrics registry poisoned");
-        MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+        fill(&mut snap.counters, &inner.counters, Counter::get);
+        fill(&mut snap.gauges, &inner.gauges, Gauge::get);
+        fill(&mut snap.histograms, &inner.histograms, Histogram::snapshot);
+    }
+}
+
+/// Writes `read` of every cell of `cells` into `into` under its name,
+/// inserting only the names `into` lacks.
+fn fill<C, V>(into: &mut BTreeMap<String, V>, cells: &BTreeMap<String, C>, read: impl Fn(&C) -> V) {
+    for (name, cell) in cells {
+        let value = read(cell);
+        match into.get_mut(name.as_str()) {
+            Some(slot) => *slot = value,
+            None => {
+                into.insert(name.clone(), value);
+            }
         }
     }
 }

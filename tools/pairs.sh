@@ -1,8 +1,8 @@
 #!/bin/sh
 # Interleaved pairs of fatihbench runs: a change's binary against its
-# parent's, on one workload.
+# parent's, on one workload, and optionally a null binary beside them.
 #
-#   tools/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD N [FIRST_SEED]
+#   [NULL_BIN=NULL_BIN] tools/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD N [FIRST_SEED]
 #
 # Pair i (0-based) runs seed FIRST_SEED + i (default FIRST_SEED: 1) on both
 # binaries, one process at a time: even pairs run the parent first, odd pairs
@@ -12,6 +12,13 @@
 #
 #   CARGO_TARGET_DIR=/tmp/parent cargo build --release --offline \
 #       --manifest-path benchmark/Cargo.toml
+#
+# Null pairs. NULL_BIN, when set, is the parent built again with an inert
+# code edit in each crate the change touches (an unused `#[inline(never)]
+# pub fn`, say; a comment moves no code generation). Each pair then also
+# runs it on the same seed, last in even pairs and first in odd ones, and
+# every metric's line ends with the null's verdict against the parent by
+# the same rule: what the instrument reads when only the code layout moved.
 #
 # For each end-to-end metric of BENCHMARK.json it prints the median and
 # quartiles of each side, change/parent of the medians, the pairs the
@@ -30,12 +37,18 @@
 #   worse       the change's median is worse than the parent's by more than
 #               the bound;
 #   held        the change is inside the bound.
+#
+# Two clusters. A side whose sorted runs split at a gap wider than the
+# range of the runs below it and the range of the runs above it, with at
+# least 3 runs on each side of the gap, is bimodal: one median describes
+# neither state. Below its runs a line names both clusters, each with its
+# share of the runs and its median (the widest such gap, if several).
 set -eu
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
-    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD N [FIRST_SEED]" >&2
+    echo "usage: [NULL_BIN=BIN] $0 PARENT_BIN CHANGE_BIN WORKLOAD N [FIRST_SEED]" >&2
     exit 2
 fi
-parent=$1 change=$2 workload=$3 n=$4 first=${5:-1}
+parent=$1 change=$2 workload=$3 n=$4 first=${5:-1} null=${NULL_BIN:-}
 cd "$(dirname "$0")/.."
 
 # "name:better:bound" for each end-to-end metric, in BENCHMARK.json order.
@@ -76,14 +89,16 @@ while [ "$i" -lt "$n" ]; do
     if [ $((i % 2)) -eq 0 ]; then
         run parent "$parent" "$seed"
         run change "$change" "$seed"
+        if [ -n "$null" ]; then run null "$null" "$seed"; fi
     else
+        if [ -n "$null" ]; then run null "$null" "$seed"; fi
         run change "$change" "$seed"
         run parent "$parent" "$seed"
     fi
     i=$((i + 1))
 done
 
-awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" '
+awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" -v null="$null" '
     { v[$1, $2, $3] = $4 }
     # The values of `name` on one side, sorted into s[1..n].
     function values(side, name,    i, j, x) {
@@ -93,10 +108,12 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" '
             s[j + 1] = x
         }
     }
-    function nearest(q,    r) {
-        r = q * n; r = (r == int(r)) ? r : int(r) + 1
-        return s[r < 1 ? 1 : r]
+    # The nearest-rank q-quantile of s[lo..hi].
+    function nearest_in(q, lo, hi,    r) {
+        r = q * (hi - lo + 1); r = (r == int(r)) ? r : int(r) + 1
+        return s[lo - 1 + (r < 1 ? 1 : r)]
     }
+    function nearest(q) { return nearest_in(q, 1, n) }
     function quartile(i,    j, d) {
         j = int(i * (n + 1) / 4); j = (j < 1) ? 1 : (j > n - 1 ? n - 1 : j)
         d = i * (n + 1) - 4 * j
@@ -110,56 +127,97 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" '
         if (n < 2) return sprintf("%s %.5g", side, med[side])
         return sprintf("%s %.5g [%.5g, %.5g]", side, med[side], quartile(1), quartile(3))
     }
-    # How far the change is better than the parent, in the direction of the
-    # metric (negative: worse).
-    function gained(better, p, c) { return (better == "lower") ? p - c : c - p }
+    # Two clusters of one side, or "": the widest gap between neighbouring
+    # sorted runs that is wider than the range below it and the range above
+    # it, with at least 3 runs on each side. A gap as wide as a range, to
+    # rounding, is not wider: printed values step by their last digit.
+    function clusters(side, name,    k, gap, best, at, eps) {
+        values(side, name)
+        best = 0
+        eps = 1e-9 * ((s[1] < 0 ? -s[1] : s[1]) + (s[n] < 0 ? -s[n] : s[n]))
+        for (k = 3; k <= n - 3; k++) {
+            gap = s[k + 1] - s[k]
+            if (gap > s[k] - s[1] + eps && gap > s[n] - s[k + 1] + eps && gap > best) { best = gap; at = k }
+        }
+        if (best == 0) return ""
+        return sprintf("    %-6s two clusters: %d/%d at median %.5g, %d/%d at median %.5g",
+            side, at, n, nearest_in(0.5, 1, at), n - at, n, nearest_in(0.5, at + 1, n))
+    }
+    # How far `b` is better than `a`, in the direction of the metric
+    # (negative: worse).
+    function gained(better, a, b) { return (better == "lower") ? a - b : b - a }
     # An inter-quartile distance as a share of its median.
     function spread(side) {
         if (med[side] != 0) return iqr[side] / (med[side] < 0 ? -med[side] : med[side])
         return (iqr[side] == 0) ? 0 : 1e9
     }
-    function verdict(better, bound, won,    apart, worse) {
-        if (10 * won >= 9 * n && gained(better, med["parent"], med["change"]) > iqr["parent"])
+    # The pairs in which side `b` beat the parent.
+    function won_by(b, name, better,    i, p, c, won) {
+        for (i = 0; i < n; i++) {
+            p = v["parent", first + i, name]; c = v[b, first + i, name]
+            if ((better == "lower" && c < p) || (better == "higher" && c > p)) won++
+        }
+        return won + 0
+    }
+    # The verdict of side `b` against the parent; summary() has run for both.
+    function verdict(b, better, bound, won,    apart, worse) {
+        if (10 * won >= 9 * n && gained(better, med["parent"], med[b]) > iqr["parent"])
             return "gain"
-        apart = (better == "lower") ? hi["change"] < lo["parent"] : lo["change"] > hi["parent"]
-        if ((spread("parent") > bound || spread("change") > bound) && !apart)
+        apart = (better == "lower") ? hi[b] < lo["parent"] : lo[b] > hi["parent"]
+        if ((spread("parent") > bound || spread(b) > bound) && !apart)
             return "unresolved"
-        worse = -gained(better, med["parent"], med["change"])
+        worse = -gained(better, med["parent"], med[b])
         if (worse > bound * (med["parent"] < 0 ? -med["parent"] : med["parent"]))
             return "worse"
         return "held"
+    }
+    function ratio(b) {
+        return (med["parent"] != 0) ? sprintf("%.3f", med[b] / med["parent"]) : "-"
     }
     function row(side, name,    i, line) {
         line = sprintf("    %-6s", side)
         for (i = 0; i < n; i++) line = line sprintf(" %.5g", v[side, first + i, name])
         print line
     }
+    # The side rows of `name`, each followed by its clusters if it has two.
+    function rows(name,    k, c) {
+        for (k = 1; k <= nsides; k++) {
+            row(sides[k], name)
+            c = clusters(sides[k], name)
+            if (c != "") print c
+        }
+    }
     function total(side, name,    i, t) {
         for (i = 0; i < n; i++) t += v[side, first + i, name]
         return t
     }
     END {
-        printf "%s: %d pairs, seeds %d-%d\n", workload, n, first, first + n - 1
+        nsides = split(null == "" ? "parent change" : "parent change null", sides, " ")
+        printf "%s: %d pairs, seeds %d-%d%s\n", workload, n, first, first + n - 1,
+            (null == "") ? "" : ", with null runs"
         k = split(list, specs, " ")
         for (m = 1; m <= k; m++) {
             split(specs[m], f, ":"); name = f[1]; better = f[2]; bound = f[3]
-            won = 0
-            for (i = 0; i < n; i++) {
-                p = v["parent", first + i, name]; c = v["change", first + i, name]
-                if ((better == "lower" && c < p) || (better == "higher" && c > p)) won++
-            }
+            won = won_by("change", name, better)
             a = summary("parent", name); b = summary("change", name)
-            ratio = (med["parent"] != 0) ? sprintf("%.3f", med["change"] / med["parent"]) : "-"
-            printf "%-20s %-6s  %s  %s  change/parent %s  won %d/%d  %s\n", name, better, a, b, ratio, won, n, verdict(better, bound, won)
-            row("parent", name); row("change", name)
+            line = sprintf("%-20s %-6s  %s  %s  change/parent %s  won %d/%d  %s", name, better, a, b, ratio("change"), won, n, verdict("change", better, bound, won))
+            if (null != "") {
+                won = won_by("null", name, better)
+                summary("null", name)
+                line = line sprintf("  | null/parent %s  won %d/%d  %s", ratio("null"), won, n, verdict("null", better, bound, won))
+            }
+            print line
+            rows(name)
         }
         name = "fwd_latency_us_p90"
         printf "%-20s %-6s  %s  %s\n", name, "diag", summary("parent", name), summary("change", name)
-        row("parent", name); row("change", name)
+        rows(name)
         name = "suspicions_raised"
         printf "%s\n", name
-        row("parent", name); row("change", name)
-        printf "ops_failed parent %d change %d; correct in parent %d/%d, change %d/%d runs\n",
-            total("parent", "ops_failed"), total("change", "ops_failed"),
-            total("parent", "correct"), n, total("change", "correct"), n
+        rows(name)
+        line = sprintf("ops_failed parent %d change %d", total("parent", "ops_failed"), total("change", "ops_failed"))
+        if (null != "") line = line sprintf(" null %d", total("null", "ops_failed"))
+        line = line sprintf("; correct in parent %d/%d, change %d/%d", total("parent", "correct"), n, total("change", "correct"), n)
+        if (null != "") line = line sprintf(", null %d/%d", total("null", "correct"), n)
+        printf "%s runs\n", line
     }' "$runs"
