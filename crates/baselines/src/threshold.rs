@@ -9,7 +9,7 @@
 //! observations and flags a round whenever the loss fraction exceeds a
 //! user-chosen constant.
 
-use crate::chi::QueueTap;
+use fatih_core::chi::QueueTap;
 use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_sim::{Packet, SimTime, TapEvent};
 use fatih_topology::{RouterId, Topology};
@@ -63,7 +63,7 @@ impl ThresholdDetector {
     }
 
     /// Feeds one simulator observation (same information set as
-    /// [`crate::chi::QueueValidator::observe`]).
+    /// [`fatih_core::chi::QueueValidator::observe`]).
     pub fn observe(&mut self, ev: &TapEvent, next_hop_of: impl Fn(&Packet) -> Option<RouterId>) {
         self.tap.observe(ev, next_hop_of);
     }

@@ -15,7 +15,7 @@
 //! can demonstrate exactly that: [`WatchersMode::Aggregate`] passes the
 //! laundering attack, [`WatchersMode::PerDestination`] catches it.
 
-use crate::spec::{Interval, Suspicion};
+use fatih_core::spec::{Interval, Suspicion};
 use fatih_sim::{SimTime, TapEvent};
 use fatih_topology::{PathSegment, RouterId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -310,7 +310,7 @@ pub fn watchers_counter_count(topo: &Topology, router: RouterId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SpecCheck;
+    use fatih_core::spec::SpecCheck;
     use fatih_sim::{Attack, Network};
     use fatih_topology::builtin;
 

@@ -10,7 +10,7 @@
 //! than Protocol χ's per-packet queue measurement: bursty arrivals break
 //! the stationarity assumption in both directions.
 
-use crate::chi::QueueTap;
+use fatih_core::chi::QueueTap;
 use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_sim::{Packet, SimTime, TapEvent};
 use fatih_stats::normal;
@@ -235,13 +235,13 @@ mod tests {
         let r = topo.router_by_name("r").unwrap();
         let rd = topo.router_by_name("rd").unwrap();
         let mut zhang = ZhangDetector::new(&topo, &ks, r, rd, ZhangConfig::default());
-        let mut chi = crate::chi::QueueValidator::new(
+        let mut chi = fatih_core::chi::QueueValidator::new(
             &topo,
             &ks,
             r,
             rd,
             QueueDiscipline::DropTail,
-            crate::chi::ChiConfig::default(),
+            fatih_core::chi::ChiConfig::default(),
         );
         let mut net = Network::new(topo, 5);
         for i in 0..10 {

@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin tab_herzberg`.
 
+use fatih_baselines::herzberg::{transmit, Variant};
 use fatih_bench::{render_table, write_csv};
-use fatih_core::herzberg::{transmit, Variant};
 use std::collections::BTreeSet;
 
 const N: usize = 16;

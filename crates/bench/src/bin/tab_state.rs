@@ -15,11 +15,11 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin tab_state`.
 
+use fatih_baselines::watchers::watchers_counter_count;
 use fatih_bench::{
     chi_replay_counts, control_frame_lens, dolev_strong_counts, fingerprints_per_packet, publish,
     rocketfuel_like, sketch_points,
 };
-use fatih_core::watchers::watchers_counter_count;
 use fatih_stats::Summary;
 use fatih_topology::{builtin, pi2_segment_counts, pik2_segment_counts, Topology};
 use std::fmt::Write as _;

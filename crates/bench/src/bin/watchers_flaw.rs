@@ -6,11 +6,11 @@
 //!
 //! Run with `cargo run --release -p fatih-bench --bin watchers_flaw`.
 
-use fatih_bench::render_table;
-use fatih_core::spec::SpecCheck;
-use fatih_core::watchers::{
+use fatih_baselines::watchers::{
     watchers_counter_count, CounterFault, WatchersConfig, WatchersDetector, WatchersMode,
 };
+use fatih_bench::render_table;
+use fatih_core::spec::SpecCheck;
 use fatih_crypto::KeyStore;
 use fatih_sim::{Attack, Network, SimTime};
 use fatih_topology::{builtin, RouterId};

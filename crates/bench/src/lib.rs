@@ -14,10 +14,10 @@
 //! ([`transient_chaos`]) and the operation counts behind Chapter 7's
 //! overhead table, which `tab_state` renders.
 
+use fatih_baselines::threshold::ThresholdDetector;
 use fatih_core::chi::{ChiConfig, QueueValidator};
 use fatih_core::monitor::{Report, ReportEntry};
 use fatih_core::pik2::{Evidence, Message};
-use fatih_core::threshold::ThresholdDetector;
 use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_net::codec::{encode_frame, Frame, WireMessage};
 use fatih_net::runtime::{

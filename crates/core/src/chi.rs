@@ -34,7 +34,8 @@
 //! plus slack), and the replay state — occupancy, RED average — carries
 //! across rounds, so round boundaries cause no false judgements. What the
 //! neighbours observe, and that window, is a [`QueueTap`], which the two
-//! Chapter 6 baselines ([`crate::threshold`], [`crate::zhang`]) share.
+//! Chapter 6 baselines (`fatih_baselines::threshold`,
+//! `fatih_baselines::zhang`) share.
 
 use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
 use fatih_sim::queue::{Offer, OutputQueueState};

@@ -17,8 +17,6 @@
 //! * [`rounds`] — the round rule: the window of observations a round
 //!   judges, holds and afterwards forgets, one definition under the
 //!   in-memory Π2 detector and the live runtime;
-//! * [`probation`] — crash-restart re-admission: restarted routers are
-//!   transit of last resort until they survive K clean rounds;
 //! * [`consensus`] — Dolev–Strong authenticated broadcast for Π2's
 //!   report dissemination;
 //! * [`pi2`] — **Protocol Π2**: every segment member validates every
@@ -32,20 +30,12 @@
 //! * [`chi`] — **Protocol χ**: congestion-aware loss detection by queue
 //!   replay with statistical confidence tests, for drop-tail and RED
 //!   queues (Chapter 6);
-//! * [`watchers`] — the WATCHERS conservation-of-flow baseline with the
-//!   consorting-routers flaw demonstrable (§3.1);
-//! * [`threshold`] — the static-threshold baseline χ is compared against
-//!   (§6.4.3);
-//! * [`zhang`], [`herzberg`], [`sectrace`] — the remaining baselines of
-//!   the Chapter 3 literature review: the per-interface rate model, the
-//!   ack/timeout per-packet protocols, and Secure Traceroute with its
-//!   framing weakness;
-//! * [`reliable`] — the sans-I/O retransmission core: backoff, retry
-//!   budget and bounded duplicate suppression, hosted by the live router;
 //! * [`wire`] — the tagged byte layout every control message is written
-//!   in and signed over;
-//! * [`perlman`] — Byzantine-robust multipath forwarding under
-//!   `TotalFault(f)` (§3.7).
+//!   in and signed over.
+//!
+//! The Chapter 3 baselines these protocols are measured against (WATCHERS,
+//! the static threshold, ZHANG, HERZBERG, Secure Traceroute, Perlman) are
+//! the `fatih-baselines` crate's.
 //!
 //! # Examples
 //!
@@ -87,27 +77,15 @@
 
 pub mod chi;
 pub mod consensus;
-pub mod herzberg;
 pub mod monitor;
-pub mod perlman;
 pub mod pi2;
 pub mod pik2;
 pub mod policy;
-pub mod probation;
-pub mod reliable;
 pub mod rounds;
-pub mod sectrace;
 pub mod spec;
-pub mod threshold;
-pub mod watchers;
 pub mod wire;
-pub mod zhang;
 
 pub use chi::{ChiConfig, ChiVerdict, QueueTap, QueueValidator};
 pub use pi2::{Pi2Config, Pi2Detector};
 pub use policy::{Policy, ReportFault, Thresholds};
-pub use probation::{ProbationStatus, ProbationTracker};
 pub use spec::{Interval, SignedAlert, SpecCheck, Suspicion};
-pub use threshold::{ThresholdDetector, ThresholdVerdict};
-pub use watchers::{WatchersConfig, WatchersDetector, WatchersMode};
-pub use zhang::{ZhangConfig, ZhangDetector, ZhangVerdict};

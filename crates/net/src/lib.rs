@@ -18,6 +18,8 @@
 //!   join/leave, crash-restart incarnations, link flaps) flooded through
 //!   the control plane, and (crate-private) `Convergence`, the view of
 //!   the network a router derives from the set of them it holds;
+//! * [`reliable`] — the sans-I/O retransmission core the router hosts:
+//!   backoff, retry budget and bounded duplicate suppression;
 //! * [`timer`] — a deadline-ordered timer queue (one binary heap), on
 //!   which each host keeps its routers' deadlines;
 //! * [`mailbox`] — lock-free cross-shard frame queues that let co-resident
@@ -69,6 +71,7 @@ pub mod linkstate;
 pub mod mailbox;
 #[allow(unsafe_code)]
 mod poller;
+pub mod reliable;
 mod router;
 pub mod runtime;
 mod shard;

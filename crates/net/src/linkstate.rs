@@ -22,9 +22,17 @@
 //! to predict the same paths (§4.1), and a crash-restarted router never
 //! sees the stream its peers saw — it gets the database back in one burst,
 //! in another order.
+//!
+//! A crash-restarted router returns with fresh keys but no behavioural
+//! history — the validation record that vouched for it died with the
+//! crash — so it rejoins **on probation**: it sources and sinks its own
+//! traffic, but carries transit only as a last resort until `K` clean
+//! rounds have passed, and a conviction that touches it starts the `K`
+//! over. Like everything else in the view, probation is a function of
+//! round numbers in the updates, so every router that holds the same set
+//! clears a probationer at the same boundary without agreement traffic.
 
 use fatih_core::monitor::PathOracle;
-use fatih_core::probation::ProbationTracker;
 use fatih_core::wire::{WireEncoder, WireError, WireReader};
 use fatih_crypto::{KeyStore, Signature};
 use fatih_topology::{pik2_segments_from_paths, DynamicTopology, Path, PathSegment, RouterId};
@@ -190,8 +198,9 @@ pub(crate) struct View {
     /// convicted segments, no transit duty for pinpointed routers and
     /// transit of last resort for routers on probation.
     pub overlay: DynamicTopology,
-    /// Restarted routers still serving probation.
-    pub probation: ProbationTracker,
+    /// Restarted routers still serving probation, each with the round
+    /// boundary it clears at.
+    pub probation: BTreeMap<RouterId, u64>,
     /// Routers the convicted segments pinpoint as faulty. They never
     /// regain transit duty: a crash-restart launders nothing.
     pub pinpointed: BTreeSet<RouterId>,
@@ -240,19 +249,19 @@ pub(crate) struct Convergence {
 impl Convergence {
     /// Nothing heard yet: the view is `initial` (the base graph minus the
     /// routers that start the run down). Rounds last `tau_ns`; a restarted
-    /// router serves `probation_rounds` clean rounds.
+    /// router serves `probation_rounds` clean rounds (at least one).
     pub fn new(initial: DynamicTopology, tau_ns: u64, probation_rounds: u64) -> Self {
         Self {
             view: View {
                 epoch: initial.digest(),
                 overlay: initial.clone(),
-                probation: ProbationTracker::new(probation_rounds),
+                probation: BTreeMap::new(),
                 pinpointed: BTreeSet::new(),
                 eval_resume: 0,
             },
             initial,
             tau_ns: tau_ns.max(1),
-            probation_rounds,
+            probation_rounds: probation_rounds.max(1),
             db: BTreeMap::new(),
             closed: None,
         }
@@ -290,7 +299,7 @@ impl Convergence {
         if self.closed.is_none_or(|done| r > done) {
             self.closed = Some(r);
             // All a boundary can do to the view is end a probation.
-            if !self.view.probation.on_probation().is_empty() {
+            if !self.view.probation.is_empty() {
                 self.view = self.derive();
             }
         }
@@ -344,16 +353,23 @@ impl Convergence {
 
     fn derive(&self) -> View {
         let mut overlay = self.initial.clone();
-        let mut probation = ProbationTracker::new(self.probation_rounds);
+        let k = self.probation_rounds;
+        // Each probationer and the round boundary it clears at.
+        let mut probation: BTreeMap<RouterId, u64> = BTreeMap::new();
         // Per router, the latest incarnation a `RouterUp` announced.
         let mut incarnations: BTreeMap<RouterId, u32> = BTreeMap::new();
         let mut eval_resume = 0u64;
         // A probation that ended at `boundary` or before is over; the
-        // clearing reroutes mid-round, so that round gets amnesty too.
-        let settle = |probation: &mut ProbationTracker, boundary: u64, resume: &mut u64| {
-            for (_, cleared_at) in probation.clear_due(boundary) {
-                *resume = (*resume).max(cleared_at + 1);
-            }
+        // clearing reroutes mid-round, so that round gets amnesty too. The
+        // boundary is the router's own, not `boundary`: a router that
+        // looks late learns the one a router that looked on time did.
+        let settle = |probation: &mut BTreeMap<RouterId, u64>, boundary: u64, resume: &mut u64| {
+            probation.retain(|_, &mut clears_at| {
+                if clears_at <= boundary {
+                    *resume = (*resume).max(clears_at + 1);
+                }
+                clears_at > boundary
+            });
         };
         for (ls, _) in self.db.values() {
             let round = ls.t_origin_ns / self.tau_ns;
@@ -368,8 +384,12 @@ impl Convergence {
             match &ls.update {
                 TopoUpdate::ExcludeSegment(seg) => {
                     overlay.exclude_segment(seg.clone());
-                    for &r in seg.routers() {
-                        probation.violation(r, round + 1);
+                    // A conviction touching a probationer starts its `K`
+                    // rounds over, and never moves its boundary back.
+                    for r in seg.routers() {
+                        if let Some(clears_at) = probation.get_mut(r) {
+                            *clears_at = (*clears_at).max(round + 1 + k);
+                        }
                     }
                 }
                 TopoUpdate::RouterDown(r) => {
@@ -385,10 +405,11 @@ impl Convergence {
                     // router down; a crash-restart re-enters under
                     // probation: it sources and sinks its own traffic, and
                     // carries transit only where no path around it serves.
+                    // A second restart during probation starts it over.
                     let known = incarnations.entry(*router).or_default();
                     if *incarnation > *known {
                         *known = *incarnation;
-                        probation.admit(*router, round + 1);
+                        probation.insert(*router, round + 1 + k);
                     }
                 }
                 TopoUpdate::LinkDown(a, b) => {
@@ -411,9 +432,9 @@ impl Convergence {
         for &r in &pinpointed {
             overlay.set_no_transit(r);
         }
-        for r in probation.on_probation() {
-            if !pinpointed.contains(&r) {
-                overlay.set_last_resort(r);
+        for r in probation.keys() {
+            if !pinpointed.contains(r) {
+                overlay.set_last_resort(*r);
             }
         }
         View {
@@ -429,7 +450,6 @@ impl Convergence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatih_core::probation::ProbationStatus;
     use fatih_crypto::Digest;
     use fatih_topology::builtin;
     use rand::rngs::StdRng;
@@ -473,7 +493,7 @@ mod tests {
     struct Told {
         epoch: u64,
         eval_resume: u64,
-        probation: Vec<(RouterId, ProbationStatus)>,
+        probation: Vec<(RouterId, u64)>,
         down: Vec<RouterId>,
         no_transit: Vec<RouterId>,
         last_resort: Vec<RouterId>,
@@ -490,9 +510,7 @@ mod tests {
         Told {
             epoch: v.epoch,
             eval_resume: v.eval_resume,
-            probation: (v.probation.on_probation().into_iter())
-                .map(|x| (x, v.probation.status(x)))
-                .collect(),
+            probation: v.probation.iter().map(|(&x, &at)| (x, at)).collect(),
             down: v.overlay.down_routers().collect(),
             no_transit: base
                 .routers()
@@ -629,7 +647,7 @@ mod tests {
         assert!(restarted.insert(&restart, &SIG));
         assert!(restarted.insert(&exclude, &SIG));
 
-        let on_probation = |c: &Convergence| c.view().probation.status(r(4));
+        let on_probation = |c: &Convergence| c.view().probation.get(&r(4)).copied();
         for round in 3..=5 {
             // What the two tell differs in nothing but the round count.
             assert_eq!(told(&ring), told(&restarted), "before round {round} closes");
@@ -639,17 +657,7 @@ mod tests {
                 told(&ring).last_resort,
                 if serving { vec![r(4)] } else { vec![] }
             );
-            assert_eq!(
-                on_probation(&ring),
-                if serving {
-                    ProbationStatus::Probation {
-                        since_round: 3,
-                        clears_at_round: 5,
-                    }
-                } else {
-                    ProbationStatus::Clear
-                }
-            );
+            assert_eq!(on_probation(&ring), if serving { Some(5) } else { None });
             // Rounds 1–3 are the updates' amnesty, round 5 the clearing's.
             assert_eq!(ring.view().eval_resume, if serving { 4 } else { 6 });
             ring.round_closed(round);
@@ -702,10 +710,10 @@ mod tests {
         assert_eq!(told(&c).pinpointed, [r(2)]);
 
         c.insert(&at_ms(700, 2, 1, up(2, 1)), &SIG);
-        assert!(c.view().probation.is_on_probation(r(2)));
+        assert!(c.view().probation.contains_key(&r(2)));
         let serving = c.view().epoch;
         c.round_closed(5);
-        assert!(!c.view().probation.is_on_probation(r(2)));
+        assert!(!c.view().probation.contains_key(&r(2)));
         assert_eq!(told(&c).no_transit, [r(2)]);
         assert_eq!(c.view().epoch, serving, "nothing to reroute");
         assert_eq!(c.view().eval_resume, 7, "the boundary is still an amnesty");
@@ -723,18 +731,76 @@ mod tests {
             let mut c = ring6();
             c.insert(conviction, &SIG);
             c.insert(&restart, &SIG);
-            c.view().probation.status(r(2))
+            c.view().probation.get(&r(2)).copied()
         };
-        assert_eq!(
-            status(&judging_3),
-            ProbationStatus::Probation {
-                since_round: 5,
-                clears_at_round: 7,
-            }
-        );
+        assert_eq!(status(&judging_3), Some(7));
         // An update from round 5 shows the boundary of round 4 has passed,
         // though this database was never told that a round closed.
-        assert_eq!(status(&judging_4), ProbationStatus::Clear);
+        assert_eq!(status(&judging_4), None);
+    }
+
+    /// A probation admitted from round `a` clears at the boundary of
+    /// `a + K`, and the round the clearing reroutes in is under amnesty.
+    #[test]
+    fn a_probation_clears_k_rounds_after_its_admission() {
+        let mut c = Convergence::new(DynamicTopology::new(builtin::ring(6)), TAU, 3);
+        c.insert(&at_ms(850, 1, 0, up(1, 1)), &SIG); // admitted from round 5
+        assert_eq!(told(&c).probation, [(r(1), 8)]);
+        assert_eq!(told(&c).last_resort, [r(1)]);
+        c.round_closed(6);
+        assert_eq!(told(&c).probation, [(r(1), 8)]);
+        c.round_closed(7);
+        assert_eq!(told(&c).probation, []);
+        assert_eq!(told(&c).last_resort, []);
+        assert_eq!(c.view().eval_resume, 9);
+    }
+
+    /// A conviction older than the admission, learnt after it — as a
+    /// restarted router learns old convictions from its resync — leaves
+    /// the boundary where the routers that saw the two in order have it.
+    #[test]
+    fn an_older_conviction_never_rewinds_a_probation() {
+        let restart = at_ms(450, 2, 0, up(2, 1)); // clears at 5
+        let older = at_ms(250, 1, 0, TopoUpdate::ExcludeSegment(seg(&[1, 2, 3])));
+        let mut c = ring6();
+        c.insert(&restart, &SIG);
+        c.insert(&older, &SIG);
+        assert_eq!(told(&c).probation, [(r(2), 5)]);
+        assert_eq!(told(&c), from_scratch(&[older, restart], None));
+    }
+
+    /// A second restart during probation starts it over, and a router that
+    /// closes rounds late learns the boundary the probation ended at, not
+    /// the one it looked at.
+    #[test]
+    fn a_readmission_restarts_a_probation() {
+        let mut c = ring6();
+        c.insert(&at_ms(450, 2, 0, up(2, 1)), &SIG); // clears at 5
+        c.insert(&at_ms(1050, 2, 1, up(2, 2)), &SIG); // crashed again
+        assert_eq!(told(&c).probation, [(r(2), 8)]);
+        c.round_closed(6);
+        assert_eq!(told(&c).probation, [(r(2), 8)]);
+        c.round_closed(8);
+        assert_eq!(told(&c).probation, []);
+        assert_eq!(c.view().eval_resume, 9, "late look, same boundary");
+    }
+
+    /// Probationers whose boundaries have come clear together, in id
+    /// order, and the rest serve on; with no clean round asked for, a
+    /// probation still lasts one.
+    #[test]
+    fn probationers_clear_at_their_own_boundaries_and_k_is_at_least_one() {
+        let mut c = Convergence::new(DynamicTopology::new(builtin::ring(6)), TAU, 0);
+        c.insert(&at_ms(10, 5, 0, up(5, 1)), &SIG);
+        c.insert(&at_ms(20, 1, 0, up(1, 1)), &SIG);
+        c.insert(&at_ms(210, 3, 0, up(3, 1)), &SIG);
+        assert_eq!(told(&c).probation, [(r(1), 2), (r(3), 3), (r(5), 2)]);
+        assert_eq!(told(&c).last_resort, [r(1), r(3), r(5)]);
+        c.round_closed(0);
+        assert_eq!(told(&c).probation.len(), 3, "K = 0 is one round");
+        c.round_closed(1);
+        assert_eq!(told(&c).probation, [(r(3), 3)]);
+        assert_eq!(told(&c).last_resort, [r(3)]);
     }
 
     fn keystore() -> KeyStore {

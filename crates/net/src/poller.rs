@@ -4,13 +4,13 @@
 //! `std` has no way to wait on several sockets at once, so this module
 //! declares `epoll(7)` itself (there is no `libc` crate offline). A worker
 //! owns one `epoll` instance: a wait costs what the *ready* sockets cost,
-//! not what the registered ones do. `ppoll` over a shard's descriptor
-//! array made the kernel walk all of them on every call: 7.5 µs per call
-//! with one of 128 UDP sockets ready, against 0.35 µs for `epoll_pwait2`
-//! (DESIGN.md, "The readiness loop", has the measurement). `epoll_pwait2`
-//! rather than `epoll_wait` for its nanosecond `timespec` timeout: a
-//! millisecond one would make 4 ms flow ticks late. It needs Linux ≥ 5.11
-//! and glibc ≥ 2.35.
+//! not what the registered ones do. A `poll(2)` over a shard's
+//! descriptor array made the kernel walk all of them on every call:
+//! 7.5 µs per call with one of 128 UDP sockets ready, against 0.35 µs for
+//! `epoll_pwait2` (DESIGN.md, "The readiness loop", has the measurement).
+//! `epoll_pwait2` rather than `epoll_wait` for its nanosecond `timespec`
+//! timeout: a millisecond one would make 4 ms flow ticks late. It needs
+//! Linux ≥ 5.11 and glibc ≥ 2.35.
 //!
 //! Registration is *ambient*, the way a tokio socket finds its reactor: a
 //! worker [`install`]s a poller as its thread's current one, and a socket
@@ -44,7 +44,6 @@ mod sys {
     const EPOLL_CTL_DEL: c_int = 2;
     const EPOLL_CTL_MOD: c_int = 3;
     const EPOLLIN: u32 = 0x001;
-    const POLLIN: i16 = 0x001;
     const EEXIST: i32 = 17;
 
     /// `struct timespec` of the 64-bit Linux ABIs.
@@ -73,14 +72,6 @@ mod sys {
         data: u64,
     }
 
-    /// `struct pollfd`.
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
     extern "C" {
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -88,12 +79,6 @@ mod sys {
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
-            timeout: *const Timespec,
-            sigmask: *const c_void,
-        ) -> c_int;
-        fn ppoll(
-            fds: *mut PollFd,
-            nfds: std::ffi::c_ulong,
             timeout: *const Timespec,
             sigmask: *const c_void,
         ) -> c_int;
@@ -181,21 +166,6 @@ mod sys {
             n
         }
     }
-
-    /// Waits up to `timeout` for `socket` alone to become readable.
-    pub(super) fn wait_readable(socket: &std::net::UdpSocket, timeout: Duration) {
-        let mut one = PollFd {
-            fd: socket.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        };
-        let ts = Timespec::of(timeout);
-        // SAFETY: `one` is a single exclusively borrowed `struct pollfd`
-        // and the count passed is 1; `ts` lives across the call and is
-        // only read; a null signal mask is allowed. No pointer outlives
-        // the call.
-        unsafe { ppoll(&mut one, 1, &ts, std::ptr::null()) };
-    }
 }
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
@@ -221,10 +191,6 @@ mod sys {
         pub(super) fn wait(&mut self, _: Duration, _: impl FnMut(u64)) -> usize {
             match *self {}
         }
-    }
-
-    pub(super) fn wait_readable(_: &std::net::UdpSocket, timeout: Duration) {
-        std::thread::sleep(timeout.min(Duration::from_micros(500)));
     }
 }
 
@@ -343,12 +309,6 @@ pub(crate) fn register(socket: &UdpSocket, key: RouterId, seen: &mut u64) {
         // the old key.
         p.keys.insert(fd, key);
     })
-}
-
-/// Waits up to `timeout` for `socket` alone to become readable. May return
-/// early or spuriously; the caller tries a receive and checks its clock.
-pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) {
-    sys::wait_readable(socket, timeout);
 }
 
 #[cfg(all(test, target_os = "linux", target_pointer_width = "64"))]
@@ -518,14 +478,5 @@ mod tests {
         assert!(!again.is_registered(rid(1)));
         register(&a, rid(1), &mut seen);
         assert!(again.is_registered(rid(1)));
-    }
-
-    #[test]
-    fn single_socket_wait_returns_when_readable() {
-        let (a, b) = pair();
-        a.send_to(b"x", b.local_addr().unwrap()).unwrap();
-        let t0 = Instant::now();
-        wait_readable(&b, Duration::from_secs(5));
-        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 }

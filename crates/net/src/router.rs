@@ -15,11 +15,11 @@ use crate::flows::Traffic;
 use crate::linkstate::{
     sign_link_state, verify_link_state, Convergence, LinkStateUpdate, TopoUpdate,
 };
+use crate::reliable::{Retransmitter, RetryPolicy};
 use crate::runtime::SummaryMode;
 use crate::runtime::{ChurnAction, ChurnEvent, LiveConfig, LiveEvent, LiveSpec, NetMetrics};
 use fatih_core::monitor::{MonitorPlan, SegmentMonitorSet};
 use fatih_core::pik2::{Evidence, Message, Pik2Node, Received};
-use fatih_core::reliable::{Retransmitter, RetryPolicy};
 use fatih_core::rounds::Window;
 use fatih_core::spec::{Interval, SignedAlert, Suspicion};
 use fatih_crypto::{KeyStore, Signature};
@@ -706,9 +706,9 @@ impl Router {
     /// router whose transit duty that restores is routed through again.
     fn probation_tick(&mut self, r: u64, out: &mut Outputs) {
         let before = self.convergence.view().epoch;
-        let serving = self.convergence.view().probation.is_on_probation(self.id);
+        let serving = self.convergence.view().probation.contains_key(&self.id);
         self.convergence.round_closed(r);
-        if serving && !self.convergence.view().probation.is_on_probation(self.id) {
+        if serving && !self.convergence.view().probation.contains_key(&self.id) {
             self.metrics.probation_cleared.inc();
             let by = u32::from(self.id);
             (out.trace).record(self.now, TraceKind::ProbationCleared, by, r + 1, 0);
@@ -1797,7 +1797,7 @@ mod tests {
             };
             let on_probation = |net: &Line3| -> Vec<bool> {
                 (net.routers.iter())
-                    .map(|n| n.convergence.view().probation.is_on_probation(r1))
+                    .map(|n| n.convergence.view().probation.contains_key(&r1))
                     .collect()
             };
             if restarted {

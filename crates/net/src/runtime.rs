@@ -9,7 +9,7 @@
 //! [`SegmentMonitorSet`](fatih_core::monitor::SegmentMonitorSet) builds
 //! `info(r, π, τ)` from the router's real forwarding decisions, a round's
 //! [`Window`](fatih_core::rounds::Window) says what it judges,
-//! [`Retransmitter`](fatih_core::reliable::Retransmitter) when a frame is
+//! [`Retransmitter`](crate::reliable::Retransmitter) when a frame is
 //! sent again, and a failed exchange becomes a timeout accusation — but
 //! round boundaries are wall-clock deadlines and every message crosses a
 //! real transport as encoded bytes.
@@ -679,9 +679,6 @@ mod tests {
         }
         fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError> {
             self.inner.send(dst, frame)
-        }
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-            self.inner.recv_timeout(timeout)
         }
         fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
             self.polls.fetch_add(1, Ordering::Relaxed);

@@ -876,8 +876,8 @@ mod tests {
             self.inner.send(dst, frame)
         }
 
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-            self.inner.recv_timeout(timeout)
+        fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+            self.inner.try_recv()
         }
 
         fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, NetError> {
@@ -980,9 +980,9 @@ mod tests {
             self.inner.send(dst, frame)
         }
 
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
+        fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
             self.noted();
-            self.inner.recv_timeout(timeout)
+            self.inner.try_recv()
         }
 
         fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, NetError> {

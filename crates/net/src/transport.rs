@@ -63,16 +63,29 @@ pub trait Transport: Send {
     /// the frame was handed to the underlying medium, not delivered.
     fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError>;
 
-    /// Receives the next frame, waiting up to `timeout`. `Ok(None)` on
-    /// timeout.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError>;
-
     /// Receives the next frame without blocking: `Ok(None)` when nothing
     /// is queued. The sharded runtime serves many endpoints per worker
     /// thread, so a blocking receive on one router would starve its
-    /// shard-mates. The default falls back to a minimal-timeout receive.
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        self.recv_timeout(Duration::from_micros(1))
+    /// shard-mates.
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError>;
+
+    /// Receives the next frame, waiting up to `timeout`: `Ok(None)` once
+    /// it has passed. The default polls [`try_recv`](Self::try_recv),
+    /// sleeping a little between empty polls. No shard waits on one
+    /// endpoint (a shard waits on its poller); this is for a caller that
+    /// holds one endpoint alone.
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(frame) = self.try_recv()? {
+                return Ok(Some(frame));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(None);
+            }
+            std::thread::sleep(left.min(Duration::from_micros(200)));
+        }
     }
 
     /// [`try_recv`](Self::try_recv) into a buffer the caller reuses:
@@ -164,17 +177,6 @@ impl Transport for LoopbackNet {
         Ok(())
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(f) => {
-                self.recv_bytes += f.len() as u64;
-                Ok(Some(f))
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Closed),
-        }
-    }
-
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         match self.rx.try_recv() {
             Ok(f) => {
@@ -227,11 +229,11 @@ pub struct UdpNet {
 
 thread_local! {
     /// Where [`UdpNet::try_recv`]'s datagrams land before an exact-size
-    /// copy leaves the call — the receive of [`UdpNet::recv_timeout`] and
-    /// of any wrapper that does not forward [`Transport::recv_into`]: one
-    /// per receiving thread, not per endpoint (65 kB × 128 routers would
-    /// show in the process's peak memory) and not per call (an empty poll
-    /// is then one `recv` and nothing else).
+    /// copy leaves the call — the receive of [`Transport::recv_timeout`]
+    /// and of any wrapper that does not forward [`Transport::recv_into`]:
+    /// one per receiving thread, not per endpoint (65 kB × 128 routers
+    /// would show in the process's peak memory) and not per call (an empty
+    /// poll is then one `recv` and nothing else).
     static RECV_BUF: RefCell<Vec<u8>> = RefCell::new(vec![0u8; MAX_FRAME]);
 }
 
@@ -277,23 +279,6 @@ impl Transport for UdpNet {
             .map_err(|e| NetError::Io(e.to_string()))?;
         self.sent_bytes += frame.len() as u64;
         Ok(())
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut left = timeout;
-        loop {
-            // May wake without a datagram to read (or, where sockets
-            // cannot be waited on, after a short sleep): hence the loop.
-            poller::wait_readable(&self.socket, left);
-            if let Some(frame) = self.try_recv()? {
-                return Ok(Some(frame));
-            }
-            left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(None);
-            }
-        }
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
@@ -361,6 +346,17 @@ mod tests {
         let got = b.recv_timeout(Duration::from_millis(500)).unwrap();
         assert_eq!(got.as_deref(), Some(&b"over the kernel"[..]));
         assert_eq!(b.recv_timeout(Duration::from_millis(1)).unwrap(), None);
+    }
+
+    #[test]
+    fn single_socket_wait_returns_when_readable() {
+        let mut group = UdpNet::bind_group(&[rid(0), rid(1)]).unwrap();
+        let mut b = group.pop().unwrap();
+        let mut a = group.pop().unwrap();
+        a.send(rid(1), b"x").unwrap();
+        let t0 = Instant::now();
+        assert!(b.recv_timeout(Duration::from_secs(5)).unwrap().is_some());
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cargo run --release --example robust_forwarding
 //! ```
 
-use fatih::protocols::perlman::RobustForwarding;
+use fatih::baselines::perlman::RobustForwarding;
 use fatih::topology::{builtin, RouterId};
 use std::collections::BTreeSet;
 

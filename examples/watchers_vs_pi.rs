@@ -7,10 +7,10 @@
 //! cargo run --release --example watchers_vs_pi
 //! ```
 
+use fatih::baselines::watchers::{WatchersConfig, WatchersDetector};
 use fatih::crypto::KeyStore;
 use fatih::protocols::pi2::{Pi2Config, Pi2Detector};
 use fatih::protocols::spec::SpecCheck;
-use fatih::protocols::watchers::{WatchersConfig, WatchersDetector};
 use fatih::sim::{Attack, AttackKind, Network, SimTime, VictimFilter};
 use fatih::topology::builtin;
 use std::collections::BTreeSet;

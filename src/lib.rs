@@ -19,8 +19,9 @@
 //! * [`sim`] — a discrete-event packet network simulator with DropTail and
 //!   RED queues, TCP, and attack injection;
 //! * [`protocols`] — the detectors themselves: Protocol Π2, Protocol Πk+2's
-//!   per-router exchange, Protocol χ, and the WATCHERS, static-threshold
-//!   and other Chapter 3 baselines;
+//!   per-router exchange and Protocol χ;
+//! * [`baselines`] — the prior work they are measured against: WATCHERS,
+//!   the static threshold and the other Chapter 3 baselines;
 //! * [`net`] — the runtime that runs Πk+2 and the response: a sans-I/O
 //!   router and its binary wire codec, stepped by sharded event loops over
 //!   UDP or loopback sockets on the wall clock, or by `SimHost` on the
@@ -49,6 +50,7 @@
 
 #![forbid(unsafe_code)]
 
+pub use fatih_baselines as baselines;
 pub use fatih_core as protocols;
 pub use fatih_crypto as crypto;
 pub use fatih_net as net;

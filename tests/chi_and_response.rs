@@ -1,11 +1,11 @@
 //! Integration tests for Protocol χ and the response machinery under
 //! richer scenarios than the unit fixtures.
 
+use fatih::baselines::threshold::ThresholdDetector;
 use fatih::crypto::KeyStore;
 use fatih::net::{LiveConfig, LiveSpec, SimHost};
 use fatih::protocols::chi::{ChiConfig, QueueTap, QueueValidator};
 use fatih::protocols::policy::Thresholds;
-use fatih::protocols::threshold::ThresholdDetector;
 use fatih::sim::{Attack, DropReason, Network, QueueDiscipline, RedParams, SimTime, TapEvent};
 use fatih::topology::{builtin, LinkParams, RouterId};
 use fatih_bench::{ChiExperiment, Workload};

@@ -12,6 +12,13 @@
 //!   nothing, since the run is clean and responds to nothing; its deadline
 //!   is the exchange budget after the round's first digest.
 //!
+//! Shard 0 also snapshots the registry once a round, 50 ms after the
+//! round's evaluation deadline reckoned from the shard's epoch: a span in
+//! which such an instant falls is a snapshot's. The epoch is read off the
+//! data frames: a packet's creation time, in the shard's clock, cannot be
+//! later than the send that carries it. A round snapshot is filled in
+//! place, its names set before the epoch, and must allocate nothing.
+//!
 //! Every other span is the datapath: a data frame received, decoded,
 //! tapped, fingerprinted, forwarded, encoded and sent, the shard's pass
 //! around it, its waits and its flow ticks.
@@ -27,9 +34,10 @@
 //! do here: its rate drifts from round to round, and a round that holds
 //! more records than any before it grows them once, between round ends.)
 
+use fatih::crypto::KeyStore;
 use fatih::net::runtime::{FlowSpec, LiveConfig, LiveDeployment, LiveSpec, SummaryMode};
 use fatih::net::transport::{NetError, Transport, UdpNet};
-use fatih::net::{codec, MsgType};
+use fatih::net::{codec, MsgType, WireMessage};
 use fatih::topology::{builtin, RouterId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,11 +92,20 @@ const WARM_ROUNDS: usize = 2;
 /// round's evaluation may start: that digest leaves after the first
 /// router's round-end work, and a busy shard fires a timer late.
 const EVAL_SLACK_NS: u64 = 50_000_000;
+/// How long after a round's evaluation deadline, on the shard's clock,
+/// shard 0 snapshots the registry.
+const SNAPSHOT_LAG_NS: u64 = 50_000_000;
+/// How far before its instant, as estimated, and after it a round
+/// snapshot may run: the epoch is read a few microseconds late, and a
+/// shard wakes for an entry on its schedule late.
+const SNAPSHOT_EARLY_NS: u64 = 1_000_000;
+const SNAPSHOT_LATE_NS: u64 = 5_000_000;
 
 /// The kinds of round work, as indices into [`Ledger::round_work`].
 const ROUND_END: usize = 0;
 const EXCHANGE: usize = 1;
 const EVALUATION: usize = 2;
+const SNAPSHOT: usize = 3;
 
 /// What a transport call was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,9 +127,14 @@ struct Ledger {
     /// Each round's end: the instant of its first digest.
     round_ends: [u64; ROUNDS],
     ended: usize,
-    /// Allocations of round work — round end, exchange, evaluation — by
-    /// the round whose end came last.
-    round_work: [[u64; 3]; ROUNDS],
+    /// The shard's epoch, or a few microseconds after it: the earliest
+    /// send of a data frame less the packet's creation time.
+    epoch: u64,
+    /// Allocations of round work — round end, exchange, evaluation, round
+    /// snapshot — by the round whose end came last.
+    round_work: [[u64; 4]; ROUNDS],
+    /// Spans booked as a round snapshot's, by the same round.
+    snapshot_spans: [u64; ROUNDS],
     /// Datapath allocations after the warm-up rounds, and the packets
     /// delivered meanwhile.
     datapath: u64,
@@ -125,15 +147,21 @@ impl Ledger {
             last: None,
             round_ends: [0; ROUNDS],
             ended: 0,
-            round_work: [[0; 3]; ROUNDS],
+            epoch: u64::MAX,
+            round_work: [[0; 4]; ROUNDS],
+            snapshot_spans: [0; ROUNDS],
             datapath: 0,
             delivered: 0,
         }
     }
 
-    /// Books the span that `call`, ending at `t`, closes.
-    fn book(&mut self, call: Call, t: u64, at_sink: bool) {
+    /// Books the span that `call`, ending at `t`, closes; a data frame
+    /// sent brings the creation time of its packet, `created_ns`.
+    fn book(&mut self, call: Call, t: u64, at_sink: bool, created_ns: Option<u64>) {
         let count = ALLOCATIONS.with(Cell::get);
+        if let Some(created) = created_ns {
+            self.epoch = self.epoch.min(t.saturating_sub(created));
+        }
         let Some((last_count, last_t, prev)) = self.last.replace((count, t, call)) else {
             return;
         };
@@ -149,11 +177,18 @@ impl Ledger {
             return; // the first round: everything is still growing
         }
         let budget = BUDGET.as_nanos() as u64;
+        let snapshots = (1..=self.ended as u64).any(|round| {
+            let at = (self.epoch).saturating_add(round * tau + budget + SNAPSHOT_LAG_NS);
+            last_t < at.saturating_add(SNAPSHOT_LATE_NS) && t + SNAPSHOT_EARLY_NS > at
+        });
         let evaluates = self.round_ends[..self.ended].iter().any(|&end| {
             let due = end + budget;
             last_t < due + EVAL_SLACK_NS && t + EVAL_SLACK_NS > due
         });
-        let kind = if evaluates {
+        let kind = if snapshots {
+            self.snapshot_spans[self.ended - 1] += 1;
+            Some(SNAPSHOT)
+        } else if evaluates {
             Some(EVALUATION)
         } else if prev == Call::RecvControl || call == Call::RecvControl {
             Some(EXCHANGE)
@@ -182,12 +217,17 @@ static BASE: OnceLock<Instant> = OnceLock::new();
 struct Booked {
     inner: UdpNet,
     at_sink: bool,
+    /// Reads data frames, which carry no seal: no key is needed.
+    keys: KeyStore,
 }
 
 impl Booked {
-    fn book(&self, call: Call) {
+    fn book(&self, call: Call, created_ns: Option<u64>) {
         let t = BASE.get().expect("base instant").elapsed().as_nanos() as u64;
-        LEDGER.lock().unwrap().book(call, t, self.at_sink);
+        LEDGER
+            .lock()
+            .unwrap()
+            .book(call, t, self.at_sink, created_ns);
     }
 }
 
@@ -205,12 +245,15 @@ impl Transport for Booked {
 
     fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError> {
         let sent = self.inner.send(dst, frame);
-        self.book(kind(frame).0);
+        let created = match codec::decode_frame(frame, &self.keys) {
+            Ok(codec::Frame {
+                msg: WireMessage::Data { packet, .. },
+                ..
+            }) => Some(packet.created_at.as_ns()),
+            _ => None,
+        };
+        self.book(kind(frame).0, created);
         sent
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        self.inner.recv_timeout(timeout)
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
@@ -223,7 +266,7 @@ impl Transport for Booked {
             Ok(Some(n)) => kind(&buf[..n]).1,
             _ => Call::RecvEmpty,
         };
-        self.book(call);
+        self.book(call, None);
         got
     }
 }
@@ -256,6 +299,7 @@ fn run(interval: Duration) -> Ledger {
         .map(|inner| Booked {
             at_sink: inner.local() == ids[5],
             inner,
+            keys: KeyStore::with_seed(0),
         })
         .collect();
     let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
@@ -279,14 +323,32 @@ fn a_forwarded_hop_allocates_nothing_between_round_ends() {
         let ledger = run(Duration::from_micros(interval));
         eprintln!(
             "a packet every {interval} µs: {} datapath allocations for {} packets; \
-             round end, exchange and evaluation by round {:?}",
-            ledger.datapath, ledger.delivered, ledger.round_work
+             round end, exchange, evaluation and snapshot by round {:?} \
+             (snapshot spans {:?})",
+            ledger.datapath, ledger.delivered, ledger.round_work, ledger.snapshot_spans
         );
         assert_eq!(ledger.ended, ROUNDS, "every round ended");
         assert_eq!(
             ledger.datapath, 0,
             "{} allocations on the datapath for {} delivered packets",
             ledger.datapath, ledger.delivered
+        );
+        // A round snapshot was found in every measured round, and filled
+        // its snapshot in place.
+        let measured = WARM_ROUNDS..ROUNDS - 1;
+        assert!(
+            ledger.snapshot_spans[measured.clone()]
+                .iter()
+                .all(|&n| n > 0),
+            "a round snapshot missed: {:?}",
+            ledger.snapshot_spans
+        );
+        let snapshot_work: Vec<u64> = (ledger.round_work[measured].iter())
+            .map(|w| w[SNAPSHOT])
+            .collect();
+        assert!(
+            snapshot_work.iter().all(|&n| n == 0),
+            "round snapshots allocated {snapshot_work:?}"
         );
         runs.push(ledger);
     }

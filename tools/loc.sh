@@ -1,8 +1,9 @@
 #!/bin/sh
 # The line ledger ROADMAP's gates are stated in: per file, the lines before
-# the test module — the first `#[cfg(test)]` that a `mod` follows; one that
-# gates an import or a helper counts like any line, and a file without a
-# test module counts whole — summed over the protocol crates and over the
+# the test module — the first `#[cfg(test)]` or `#[cfg(all(test, …))]` that
+# a `mod` follows (not `any(test, …)`, which builds outside tests too); one
+# that gates an import or a helper counts like any line, and a file without
+# a test module counts whole — summed over the protocol crates and over the
 # workspace. Informational: CI prints it and a simplicity PR quotes it in
 # CHANGES.md.
 #
@@ -23,7 +24,7 @@ count() {
             if ($0 ~ /^[ \t]*(pub(\([a-z]+\))? +)?mod[ \t]/) counting = 0
             else { n++; total++ }
         }
-        counting && /#\[cfg\(test\)\]/ { held = 1; next }
+        counting && /#\[cfg\((test|all\(test,[^]]*)\)\]/ { held = 1; next }
         counting { n++; total++ }
         END { printf "%6d  %s\n%6d  %s\n", n, file, total, label }' "$@"
 }
