@@ -494,10 +494,11 @@ fn reconcile_costs_at_most_half_of_full_and_nobody_is_accused() {
         let rec = deploy(&topo, &spec, &detect_only(RECONCILE));
         let ratio = rec.stats.control_bytes_sent as f64 / full.stats.control_bytes_sent as f64;
         println!(
-            "{n} routers: Reconcile/Full control bytes {ratio:.3} ({} resolved, {} fallbacks); \
-             suspicions Full {} / Reconcile {}",
+            "{n} routers: Reconcile/Full control bytes {ratio:.3} ({} resolved, {} fallbacks, \
+             {} escalations); suspicions Full {} / Reconcile {}",
             rec.stats.digests_resolved,
             rec.stats.digest_fallbacks,
+            rec.stats.digest_escalations,
             full.suspicions.len(),
             rec.suspicions.len(),
         );
@@ -529,8 +530,11 @@ fn mid_path_dropper_is_caught_at_128_routers_detection_only() {
     let (complete, accurate) = complete_and_accurate(&outcome, dropper, cfg.k);
     println!(
         "30 % dropper at {GATE_ROUTERS} routers: complete={complete} accurate={accurate}, \
-         {} dropped ({} resolved, {} fallbacks)",
-        outcome.stats.data_dropped, outcome.stats.digests_resolved, outcome.stats.digest_fallbacks,
+         {} dropped ({} resolved, {} fallbacks, {} escalations)",
+        outcome.stats.data_dropped,
+        outcome.stats.digests_resolved,
+        outcome.stats.digest_fallbacks,
+        outcome.stats.digest_escalations,
     );
     assert!(outcome.stats.data_dropped > 0, "the dropper never fired");
     assert!(

@@ -62,4 +62,9 @@ fn a_digest_frame_is_constant_in_set_size_and_a_full_one_grows_per_entry() {
     // be sent at all, while its digest is the same 717 bytes.
     assert_eq!(full_10k, None);
     assert_eq!((digest_10, per_entry, ack), (717, 20, 64));
+    // A round end sends that digest at a prefix of capacity 4: 28
+    // evaluations fewer in each of its two sketches. The 717 bytes go out
+    // only when the prefix cannot certify.
+    let (_, prefix_10, _) = control_frame_lens(10, 4);
+    assert_eq!((prefix_10, digest_10 - prefix_10), (269, 2 * 28 * 8));
 }

@@ -685,6 +685,15 @@ pub struct MonitorMetrics {
     /// Entries still held by the sets whose owners called
     /// [`SegmentMonitorSet::publish_held`] when they were done.
     pub entries_held_at_finish: Counter,
+    /// Segment ends a streamed set holds in dispute now, summed over the
+    /// sets: one from a segment's first [`SegmentMonitorSet::dispute`]
+    /// until the set is [`retarget`](SegmentMonitorSet::retarget)ed.
+    pub segments_in_dispute: Gauge,
+    /// The most `segments_in_dispute` read at any time.
+    pub segments_in_dispute_max: Gauge,
+    /// Segment ends in dispute in the sets whose owners called
+    /// [`SegmentMonitorSet::publish_held`] when they were done.
+    pub segments_in_dispute_at_finish: Counter,
 }
 
 impl MonitorMetrics {
@@ -699,6 +708,9 @@ impl MonitorMetrics {
             entries_held_max: reg.gauge("monitor.entries_held_max"),
             held_bytes_max: reg.gauge("monitor.held_bytes_max"),
             entries_held_at_finish: reg.counter("monitor.entries_held_at_finish"),
+            segments_in_dispute: reg.gauge("monitor.segments_in_dispute"),
+            segments_in_dispute_max: reg.gauge("monitor.segments_in_dispute_max"),
+            segments_in_dispute_at_finish: reg.counter("monitor.segments_in_dispute_at_finish"),
         }
     }
 }
@@ -929,6 +941,7 @@ impl SegmentMonitorSet {
         next.closed = self.closed;
         next.metrics = self.metrics.clone();
         next.metrics.entries_pruned.add(self.held() as u64);
+        (next.metrics.segments_in_dispute).add(-(self.in_dispute() as f64));
         next
     }
 
@@ -1210,11 +1223,24 @@ impl SegmentMonitorSet {
     /// observation of it made after `at` from now on (a set of whole
     /// records does anyway).
     pub fn dispute(&mut self, i: usize, at: SimTime) {
+        let mut opened = 0;
         for (&(_, seg), &slot) in &self.slot_of {
             if let Some(stream) = self.streams.get_mut(slot).filter(|_| seg == i) {
+                opened += usize::from(stream.whole_after.is_none());
                 stream.whole_after = Some(stream.whole_after.map_or(at, |w| w.min(at)));
             }
         }
+        if opened > 0 {
+            let now = self.metrics.segments_in_dispute.add(opened as f64);
+            self.metrics.segments_in_dispute_max.set_max(now);
+        }
+    }
+
+    /// Segment ends this set holds in dispute.
+    fn in_dispute(&self) -> usize {
+        (self.streams.iter())
+            .filter(|s| s.whole_after.is_some())
+            .count()
     }
 
     /// Round `r` is closed: what is observed from now on lies in the tail
@@ -1280,10 +1306,12 @@ impl SegmentMonitorSet {
         self.metrics.entries_held_max.set_max(self.held() as f64);
     }
 
-    /// Adds [`held`](Self::held) to `monitor.entries_held_at_finish`; the
-    /// owner calls it once, when it is done with the set.
+    /// Adds [`held`](Self::held) to `monitor.entries_held_at_finish`, and
+    /// the segment ends in dispute to `monitor.segments_in_dispute_at_finish`;
+    /// the owner calls it once, when it is done with the set.
     pub fn publish_held(&self) {
         self.metrics.entries_held_at_finish.add(self.held() as u64);
+        (self.metrics.segments_in_dispute_at_finish).add(self.in_dispute() as u64);
     }
 
     /// Whether any record exists (for tests).

@@ -38,12 +38,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The sketch capacity a round-end digest goes out at when the configured
+/// one is larger: the first `PREFIX + 2` evaluations of the full sketch.
+/// Honest rounds differ by a handful of packets at most, so the full
+/// capacity goes out only when the prefix cannot certify (DESIGN.md,
+/// "Prefix first, full capacity on demand", derives the 4).
+const PREFIX: usize = 4;
+
 /// What one end of a segment tells the other about a round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Evidence {
     /// What the sender's record holds for the round.
     Summary(Report),
-    /// Fixed-size Appendix A digests of the sender's record.
+    /// Fixed-size Appendix A digests of the sender's record: a round end
+    /// sends them at a short prefix of its capacity, and the full capacity
+    /// only when a prefix did not certify.
     Digest {
         /// Of the slice the round judges.
         judged: ContentDigest,
@@ -124,9 +133,23 @@ impl Message {
 pub enum Received {
     /// Kept for the round's evaluation.
     Stored,
-    /// Answer the sender with this: a [`Evidence::Pull`] for a digest that
-    /// did not resolve, the [`Evidence::Summary`] a pull asked for.
+    /// Answer the sender with this: a [`Evidence::Pull`] for a digest at
+    /// the full capacity that did not resolve, the [`Evidence::Summary`] a
+    /// pull asked for, or — for a prefix that did not certify — this end's
+    /// [`Evidence::Digest`] at the full capacity. Only the first two put
+    /// the segment in dispute.
     Reply(Evidence),
+    /// Kept for the round's evaluation, as [`Stored`](Self::Stored), and
+    /// answer the sender with this end's full-capacity digest: the
+    /// sender's full digest asks for it, and this end has not sent it.
+    StoredAndReply(Evidence),
+    /// Kept as the round's count bound until something better comes: a
+    /// prefix that did not certify, from a peer this end has sent its
+    /// full-capacity digest already. The full digests decide.
+    Escalated,
+    /// Dropped: a digest whose sketch is larger than this end's configured
+    /// capacity, which this end does not reconcile.
+    Refused,
     /// Dropped: this router ends no such segment (a peer on another route
     /// epoch monitors different ones).
     Unknown,
@@ -197,24 +220,39 @@ enum Heard {
 #[derive(Debug, Clone)]
 pub struct Pik2Node {
     id: RouterId,
+    /// The capacity of this node's digest sketches; `None`: it sends
+    /// summaries.
+    sketch: Option<usize>,
     roles: BTreeMap<PathSegment, EndRole>,
     heard: BTreeMap<(u64, usize), Heard>,
-    /// The (judged, held) digests this node sent per (round, segment),
-    /// which a peer's digest is resolved against.
+    /// The full-capacity (judged, held) digests this node closed each
+    /// (round, segment) with, which a peer's digest is resolved against.
     said: BTreeMap<(u64, usize), (ContentDigest, ContentDigest)>,
+    /// The (round, segment)s this node has sent its full-capacity digest
+    /// for: at most once each.
+    sent_full: BTreeSet<(u64, usize)>,
     /// The last round evaluated; evidence for it or an earlier one is
     /// stale.
     evaluated: Option<u64>,
 }
 
 impl Pik2Node {
-    /// The node of router `id` under the planned `segments`.
-    pub fn new(id: RouterId, segments: &[PathSegment]) -> Self {
+    /// The node of router `id` under the planned `segments`, telling its
+    /// peers about its rounds in summaries (`sketch` `None`) or in digests
+    /// with sketches of capacity `sketch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sketch` is `Some(0)`.
+    pub fn new(id: RouterId, segments: &[PathSegment], sketch: Option<usize>) -> Self {
+        assert!(sketch != Some(0), "sketch capacity must be positive");
         let mut node = Self {
             id,
+            sketch,
             roles: BTreeMap::new(),
             heard: BTreeMap::new(),
             said: BTreeMap::new(),
+            sent_full: BTreeSet::new(),
             evaluated: None,
         };
         node.replan(segments);
@@ -242,6 +280,7 @@ impl Pik2Node {
         }
         self.heard.clear();
         self.said.clear();
+        self.sent_full.clear();
         self.evaluated = None;
     }
 
@@ -253,30 +292,41 @@ impl Pik2Node {
         record.report_after(self.id, seg, window.held_from())
     }
 
+    /// Whether a digest goes out at a prefix first: the configured
+    /// capacity is larger than [`PREFIX`].
+    fn escalates(&self) -> bool {
+        self.sketch.is_some_and(|capacity| capacity > PREFIX)
+    }
+
     /// Round `round`, of `window`, closed: for every segment this router
     /// ends, (the other end, the segment's index in the planned list, what
-    /// to tell it) — summaries, or digests from sketches of `sketch`
-    /// capacity, which the node keeps until the round is over.
+    /// to tell it) — summaries, or digests at a prefix of the node's
+    /// capacity, 4 or less. The node keeps the full-capacity digests until
+    /// the round is over.
     pub fn close_round(
         &mut self,
         round: u64,
         window: Window,
-        sketch: Option<usize>,
         record: &SegmentMonitorSet,
     ) -> Vec<(RouterId, usize, Evidence)> {
         let mut out = Vec::with_capacity(self.roles.len());
         for role in self.roles.values() {
-            let Some(capacity) = sketch else {
+            let Some(capacity) = self.sketch else {
                 let held = self.held(role.seg, window, record);
                 out.push((role.peer, role.seg, Evidence::Summary(held)));
                 continue;
             };
             let (judged, held) = (record.digests(self.id, role.seg, round, window, capacity))
                 .expect("a segment end digests its own rounds at its own capacity");
+            let prefix = capacity.min(PREFIX);
+            let said = Evidence::Digest {
+                judged: judged.prefix(prefix),
+                held: held.prefix(prefix),
+            };
             if self.evaluated.is_none_or(|done| round > done) {
-                (self.said).insert((round, role.seg), (judged.clone(), held.clone()));
+                (self.said).insert((round, role.seg), (judged, held));
             }
-            out.push((role.peer, role.seg, Evidence::Digest { judged, held }));
+            out.push((role.peer, role.seg, said));
         }
         out
     }
@@ -309,17 +359,7 @@ impl Pik2Node {
             Evidence::Summary(_) if !whole => return Received::Disputed,
             Evidence::Summary(report) => Heard::Report(report),
             Evidence::Digest { judged, held } => {
-                match self.resolve_digest(role, round, window, &judged, &held, record) {
-                    Ok(verdict) => Heard::Verdict(verdict),
-                    Err(bound) => {
-                        // Judged on the counts unless something better
-                        // comes: a summary, or a digest that resolves.
-                        if let (Some((lost, fabricated)), None) = (bound, self.heard.get(&key)) {
-                            self.heard.insert(key, Heard::Bound(lost, fabricated));
-                        }
-                        return Received::Reply(Evidence::Pull);
-                    }
-                }
+                return self.receive_digest(role, round, window, [&judged, &held], record)
             }
             Evidence::Pull if !whole => return Received::Disputed,
             Evidence::Pull => {
@@ -329,6 +369,69 @@ impl Pik2Node {
         };
         self.heard.insert(key, heard);
         Received::Stored
+    }
+
+    /// Takes in a peer's (judged, held) digest pair for `round`: a prefix
+    /// or the full capacity. A pair that certifies is stored. One that
+    /// does not is judged on its counts unless something better comes;
+    /// a prefix whose counts lie within the configured capacity is
+    /// answered with this end's full digest (once per round and segment),
+    /// anything else with a pull. A full digest that certifies asks for
+    /// this end's in return, unless it went out already.
+    fn receive_digest(
+        &mut self,
+        role: EndRole,
+        round: u64,
+        window: Window,
+        peer: [&ContentDigest; 2],
+        record: &SegmentMonitorSet,
+    ) -> Received {
+        let key = (round, role.seg);
+        let capacities = peer.map(|d| d.sketch().capacity());
+        let largest = capacities[0].max(capacities[1]);
+        if self.sketch.is_some_and(|capacity| largest > capacity) {
+            return Received::Refused;
+        }
+        // This end's side at the full capacity: what it said for the
+        // round, or digests of its record if the peer closed first.
+        let capacity = self.sketch.unwrap_or(largest);
+        let mine = match self.said.get(&key) {
+            Some(said) => said.clone(),
+            None => match record.digests(self.id, role.seg, round, window, capacity) {
+                Some(digests) => digests,
+                None => return Received::Reply(Evidence::Pull),
+            },
+        };
+        let prefixes = [mine.0.prefix(capacities[0]), mine.1.prefix(capacities[1])];
+        let full = !self.escalates() || capacities == [capacity; 2];
+        let full_digest = |(judged, held)| Evidence::Digest { judged, held };
+        match self.resolve_digest(role, window, peer, [&prefixes[0], &prefixes[1]], record) {
+            Ok(verdict) => {
+                self.heard.insert(key, Heard::Verdict(verdict));
+                if full && self.escalates() && self.sent_full.insert(key) {
+                    return Received::StoredAndReply(full_digest(mine));
+                }
+                Received::Stored
+            }
+            Err((lost, fabricated)) => {
+                // Judged on the counts unless something better comes: a
+                // summary, or a digest that resolves.
+                self.heard
+                    .entry(key)
+                    .or_insert(Heard::Bound(lost, fabricated));
+                let apart = |d: &ContentDigest, m: &ContentDigest| {
+                    d.sketch().len().abs_diff(m.sketch().len())
+                };
+                let gap = apart(peer[0], &prefixes[0]).max(apart(peer[1], &prefixes[1]));
+                if full || gap > capacity as u64 {
+                    Received::Reply(Evidence::Pull)
+                } else if self.sent_full.insert(key) {
+                    Received::Reply(full_digest(mine))
+                } else {
+                    Received::Escalated
+                }
+            }
+        }
     }
 
     /// Attempts to decode the round verdict from a peer's digest pair.
@@ -349,40 +452,34 @@ impl Pik2Node {
     /// holds. So the one scan reads `H_mine ∖ J_mine` only — the look-back
     /// strip and the tail, all a streamed record holds exactly.
     ///
-    /// `Err` whenever either digest fails certification: with the
+    /// `Err` whenever either digest fails certification, with the
     /// (lost, fabricated) lower bounds `|J_up| − |H_down|` and
     /// `|J_down| − |H_up|` (a multiset difference is never smaller than
-    /// the difference of the sizes), unless this end cannot digest the
-    /// round at the peer's capacity.
+    /// the difference of the sizes). `mine` are this end's digests at the
+    /// peer's capacities.
     fn resolve_digest(
         &self,
         role: EndRole,
-        round: u64,
         window: Window,
-        judged_d: &ContentDigest,
-        held_d: &ContentDigest,
+        [judged_d, held_d]: [&ContentDigest; 2],
+        [my_judged, my_held]: [&ContentDigest; 2],
         record: &SegmentMonitorSet,
-    ) -> Result<PairVerdict, Option<(usize, usize)>> {
-        let capacity = held_d.sketch().capacity();
-        let (my_judged, my_held) = match self.said.get(&(round, role.seg)) {
-            Some(said) if said.1.sketch().capacity() == capacity => said.clone(),
-            _ => (record.digests(self.id, role.seg, round, window, capacity)).ok_or(None)?,
-        };
+    ) -> Result<PairVerdict, (usize, usize)> {
         // The polynomial splitting wants random points, not secret ones: a
         // function of the input keeps the verdict one too.
         let mut rng = StdRng::seed_from_u64(held_d.mix_sum());
-        let certified = diff_digests(judged_d, &my_judged, &mut rng)
-            .zip(diff_digests(held_d, &my_held, &mut rng));
+        let certified = diff_digests(judged_d, my_judged, &mut rng)
+            .zip(diff_digests(held_d, my_held, &mut rng));
         let Some(((j_add, _), (_, h_rem))) = certified else {
             let gap = |judged: &ContentDigest, held: &ContentDigest| {
                 judged.flow().packets.saturating_sub(held.flow().packets) as usize
             };
-            let (mine, theirs) = (gap(&my_judged, held_d), gap(judged_d, &my_held));
-            return Err(Some(if role.upstream {
+            let (mine, theirs) = (gap(my_judged, held_d), gap(judged_d, my_held));
+            return Err(if role.upstream {
                 (mine, theirs)
             } else {
                 (theirs, mine)
-            }));
+            });
         };
         // One scan of the record outside the judged slice marks what of
         // `j_add` and `h_rem` this end holds unjudged; none if both are
@@ -470,6 +567,7 @@ impl Pik2Node {
         self.evaluated = Some(round);
         self.heard.retain(|&(r, _), _| r > round);
         self.said.retain(|&(r, _), _| r > round);
+        self.sent_full.retain(|&(r, _)| r > round);
     }
 
     /// Whether waiting longer would tell `round`'s evaluation nothing:

@@ -4,15 +4,18 @@
 //!
 //! - A close digests its round in one pass: the (judged, held) pair equals
 //!   the digests of the two windows' summaries, bit for bit, duplicates
-//!   and entries stamped exactly on a window edge included.
+//!   and entries stamped exactly on a window edge included — at a short
+//!   prefix of the capacity, and at the full capacity when a prefix that
+//!   did not certify asks for it.
 //! - A digest that arrives after the node's own close is resolved against
 //!   what the node said, not against a fresh read of its record.
+//! - A digest larger than the node's own capacity is refused.
 
 use fatih_core::monitor::{MonitorMode, PathOracle, Report, ReportEntry, SegmentMonitorSet};
 use fatih_core::pik2::{Evidence, Pik2Node, Received};
 use fatih_core::policy::Thresholds;
 use fatih_core::rounds::Window;
-use fatih_crypto::KeyStore;
+use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime, TapEvent};
 use fatih_topology::{builtin, PathSegment, RouterId};
 use fatih_validation::digest::ContentDigest;
@@ -100,7 +103,8 @@ fn between(rec: &SegmentMonitorSet, router: RouterId, after: Option<u64>, until:
 /// Random traffic over four rounds with some packets tapped twice, plus
 /// entries stamped exactly on `c_{r−1} − lag`, `c_{r−1}` and `c_r` of each
 /// round: at every close, both ends say what `ContentDigest::of` the two
-/// windows' summaries says.
+/// windows' summaries says, at a prefix of the capacity; answering a
+/// prefix that does not certify, at the full capacity.
 #[test]
 fn a_close_digests_its_round_in_one_pass() {
     let rounds = 4;
@@ -128,29 +132,51 @@ fn a_close_digests_its_round_in_one_pass() {
             taps.extend([(edge, id, true), (edge, id, false), (edge, id + 500, true)]);
         }
         record(&ids, &mut rec, &taps);
-        let mut ends = [0, 2].map(|i| Pik2Node::new(ids[i], &segments));
+        let mut ends = [0, 2].map(|i| Pik2Node::new(ids[i], &segments, Some(CAPACITY)));
         for r in 0..rounds {
             let judged_from = (r > 0).then(|| r * TAU - LAG);
             let held_from = judged_from.and_then(|c| c.checked_sub(LAG));
             let cutoff = (r + 1) * TAU - LAG;
             for (end, node) in ends.iter_mut().enumerate() {
                 let router = ids[2 * end];
-                let said = node.close_round(r, window(r), Some(CAPACITY), &rec);
+                let said = node.close_round(r, window(r), &rec);
                 let [(_, 0, Evidence::Digest { judged, held })] = said.as_slice() else {
                     panic!("one digest pair for the one segment: {said:?}");
                 };
-                let of = |report: Report| ContentDigest::of(&report.to_content(), CAPACITY);
+                let prefix = judged.sketch().capacity();
+                assert!(prefix < CAPACITY, "a prefix of the capacity");
+                // The same digests with five packets more, each way: more
+                // than the prefix certifies, so the node answers with its
+                // full digests.
+                let [mut more_judged, mut more_held] = [judged.clone(), held.clone()];
+                for k in 0..5 {
+                    more_judged.observe(Fingerprint::new((1 << 50) + k), 100);
+                    more_held.observe(Fingerprint::new((1 << 50) + k), 100);
+                }
+                let evidence = Evidence::Digest {
+                    judged: more_judged,
+                    held: more_held,
+                };
+                let peer = ids[2 - 2 * end];
+                let got = node.receive(peer, r, &segments[0], evidence, window(r), &rec);
+                let Received::Reply(Evidence::Digest {
+                    judged: full_judged,
+                    held: full_held,
+                }) = got
+                else {
+                    panic!("{got:?} for a prefix five packets apart");
+                };
                 let ctx = format!("case {case} round {r} end {end}");
-                assert_eq!(
-                    *judged,
-                    of(between(&rec, router, judged_from, cutoff)),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    *held,
-                    of(between(&rec, router, held_from, u64::MAX)),
-                    "{ctx}"
-                );
+                for (digests, capacity) in [
+                    ([judged, held], prefix),
+                    ([&full_judged, &full_held], CAPACITY),
+                ] {
+                    let of = |report: Report| ContentDigest::of(&report.to_content(), capacity);
+                    let judged_of = of(between(&rec, router, judged_from, cutoff));
+                    assert_eq!(*digests[0], judged_of, "{ctx} capacity {capacity}");
+                    let held_of = of(between(&rec, router, held_from, u64::MAX));
+                    assert_eq!(*digests[1], held_of, "{ctx} capacity {capacity}");
+                }
             }
         }
     }
@@ -172,14 +198,10 @@ fn a_digest_after_the_own_close_is_resolved_without_the_record() {
         .collect();
     record(&ids, &mut rec, &taps);
     let (_, _, empty) = line3();
-    let mut ends = [0, 2].map(|i| Pik2Node::new(ids[i], &segments));
+    let mut ends = [0, 2].map(|i| Pik2Node::new(ids[i], &segments, Some(CAPACITY)));
     let mut said: Vec<Evidence> = ends
         .iter_mut()
-        .map(|node| {
-            node.close_round(0, window(0), Some(CAPACITY), &rec)
-                .remove(0)
-                .2
-        })
+        .map(|node| node.close_round(0, window(0), &rec).remove(0).2)
         .collect();
     for (to, from) in [(1, 0), (0, 1)] {
         let evidence = std::mem::replace(&mut said[from], Evidence::Pull);
@@ -189,5 +211,47 @@ fn a_digest_after_the_own_close_is_resolved_without_the_record() {
         let judged = ends[to].evaluate(0, window(0), &thresholds, &empty);
         let verdict = &judged[0].verdict;
         assert!(judged[0].passed && verdict.lost.is_empty() && verdict.fabricated.is_empty());
+    }
+}
+
+/// A node resolves digests at its own capacity or below: a peer's digest
+/// at a larger one is refused before anything is reconciled — whatever it
+/// would have certified — and the peer, not heard from, reads as ⊥.
+#[test]
+fn a_digest_above_the_own_capacity_is_refused() {
+    let (ids, segments, mut rec) = line3();
+    let taps: Vec<(u64, u64, bool)> = (1..60u64)
+        .flat_map(|i| [(i * 2_000_000, i, true), (i * 2_000_000 + 1, i, false)])
+        .collect();
+    record(&ids, &mut rec, &taps);
+    for (mine, theirs) in [(CAPACITY, CAPACITY + 1), (4, CAPACITY), (2, 3)] {
+        let mut ends = [0, 2].map(|i| Pik2Node::new(ids[i], &segments, Some(mine)));
+        let mut sender = Pik2Node::new(ids[0], &segments, Some(theirs));
+        let [(_, _, Evidence::Digest { judged, held })] =
+            &sender.close_round(0, window(0), &rec)[..]
+        else {
+            panic!("one digest pair");
+        };
+        // What the sender's full digests would be: they certify.
+        let digests = rec
+            .digests(ids[0], 0, 0, window(0), theirs)
+            .expect("a whole record");
+        for (judged, held) in [(judged.clone(), held.clone()), digests] {
+            if judged.sketch().capacity() <= mine {
+                continue; // a prefix the receiver takes
+            }
+            let evidence = Evidence::Digest { judged, held };
+            let got = ends[1].receive(ids[0], 0, &segments[0], evidence, window(0), &rec);
+            assert_eq!(
+                got,
+                Received::Refused,
+                "capacity {theirs} at a capacity-{mine} end"
+            );
+        }
+        let judged = ends[1].evaluate(0, window(0), &Thresholds::default(), &rec);
+        assert!(
+            judged[0].verdict.bottom,
+            "capacity {theirs} at {mine}: heard"
+        );
     }
 }

@@ -68,8 +68,10 @@ impl Line3 {
         self.ids[2 * end]
     }
 
-    fn ends(&self) -> [Pik2Node; 2] {
-        [0, 1].map(|i| Pik2Node::new(self.router(i), &self.segments))
+    /// The two ends, sending summaries (`sketch` `None`) or digests of
+    /// `sketch` capacity.
+    fn ends(&self, sketch: Option<usize>) -> [Pik2Node; 2] {
+        [0, 1].map(|i| Pik2Node::new(self.router(i), &self.segments, sketch))
     }
 
     /// Records packets by (time router 0 forwards it, time router 2
@@ -125,15 +127,10 @@ impl Line3 {
 
     /// A whole round with nothing lost on the control plane: (lost,
     /// fabricated) as each end judges it, upstream end first.
-    fn round(
-        &self,
-        ends: &mut [Pik2Node; 2],
-        r: u64,
-        sketch: Option<usize>,
-    ) -> [(usize, usize); 2] {
+    fn round(&self, ends: &mut [Pik2Node; 2], r: u64) -> [(usize, usize); 2] {
         let mut wire: Vec<Msg> = Vec::new();
         for i in [0, 1] {
-            wire.extend(self.close(&mut ends[i], i, r, sketch));
+            wire.extend(self.close(&mut ends[i], i, r));
         }
         while let Some(msg) = wire.pop() {
             wire.extend(self.deliver(ends, msg).1);
@@ -147,8 +144,8 @@ impl Line3 {
     }
 
     /// End `i` closes round `r`: what it sends.
-    fn close(&self, node: &mut Pik2Node, i: usize, r: u64, sketch: Option<usize>) -> Vec<Msg> {
-        let said = node.close_round(r, window(r), sketch, &self.record);
+    fn close(&self, node: &mut Pik2Node, i: usize, r: u64) -> Vec<Msg> {
+        let said = node.close_round(r, window(r), &self.record);
         let msg = |(to, seg, evidence): (RouterId, usize, Evidence)| {
             assert_eq!((to, seg), (self.router(1 - i), 0));
             Msg {
@@ -172,7 +169,7 @@ impl Line3 {
             &self.record,
         );
         let reply = match &received {
-            Received::Reply(evidence) => Some(Msg {
+            Received::Reply(evidence) | Received::StoredAndReply(evidence) => Some(Msg {
                 to: 1 - msg.to,
                 round: msg.round,
                 evidence: evidence.clone(),
@@ -229,49 +226,78 @@ fn every_schedule(mut run: impl FnMut(&mut dyn FnMut(usize) -> usize)) -> usize 
 /// and then judges as the full summary does.
 #[test]
 fn every_arrival_order_gives_the_same_verdict() {
+    // (sketch, what that needs, whether the upstream end's evidence is
+    // duplicated, whether round 0's turns up again): with pulls and their
+    // replies in play the extras are taken one at a time, to keep the
+    // schedules in the thousands.
+    let cases = [
+        (None, Exchange::Plain, true, true),
+        (Some(32), Exchange::Plain, true, true),
+        (Some(2), Exchange::Pulled, false, true),
+        (Some(2), Exchange::Pulled, true, false),
+    ];
+    every_order(&[35, 44, 52], 3, &cases);
+}
+
+/// Round 1 of a run that lost six packets — more than a digest prefix
+/// certifies, fewer than the capacity of 32 — under every order as above:
+/// both ends escalate to their full digests, each sends its own at most
+/// once, and the verdict is the full-summary one with no pull, whatever
+/// arrives first.
+#[test]
+fn every_arrival_order_of_an_escalation_gives_the_same_verdict() {
+    let cases = [
+        (Some(32), Exchange::Escalated, true, false),
+        (Some(32), Exchange::Escalated, false, true),
+    ];
+    every_order(&[35, 38, 41, 44, 48, 52], 6, &cases);
+}
+
+/// What a round's exchange needed beyond the round-end evidence.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Exchange {
+    Plain,
+    Pulled,
+    Escalated,
+}
+
+/// Runs round 1 of a record that loses the packets at `lost` (indices of
+/// 5 ms stamps) under every arrival order, for each case of `cases`.
+fn every_order(lost: &[usize], n: usize, cases: &[(Option<usize>, Exchange, bool, bool)]) {
     let mut net = Line3::new();
     let mut stamps: Vec<(u64, Option<u64>)> = (1..70u64)
         .map(|i| (i * 5_000_000, Some(i * 5_000_000 + 1_000_000)))
         .collect();
-    for i in [35, 44, 52] {
-        stamps[i].1 = None; // sent at 180, 225 and 265 ms: round 1's
+    for &i in lost {
+        stamps[i].1 = None; // sent in (150 ms, 350 ms]: round 1's
     }
     net.record(&stamps);
     let net = net;
 
     let reference = {
-        let mut ends = net.ends();
-        assert_eq!(net.round(&mut ends, 0, None), [(0, 0); 2]);
-        net.round(&mut ends, 1, None)
+        let mut ends = net.ends(None);
+        assert_eq!(net.round(&mut ends, 0), [(0, 0); 2]);
+        net.round(&mut ends, 1)
     };
-    assert_eq!(reference, [(3, 0); 2]);
+    assert_eq!(reference, [(n, 0); 2]);
 
-    // (sketch, whether that needs pulls, whether the upstream end's
-    // evidence is duplicated, whether round 0's turns up again): with
-    // pulls and their replies in play the extras are taken one at a time,
-    // to keep the schedules in the thousands.
-    let cases = [
-        (None, false, true, true),
-        (Some(32), false, true, true),
-        (Some(2), true, false, true),
-        (Some(2), true, true, false),
-    ];
-    for (sketch, pulls_expected, duplicate, leftover) in cases {
-        let mut pulled = false;
-        let mut after_round_0 = net.ends();
-        net.round(&mut after_round_0, 0, sketch);
+    for &(sketch, expected, duplicate, leftover) in cases {
+        let (mut pulled, mut escalated) = (false, false);
+        let mut after_round_0 = net.ends(sketch);
+        net.round(&mut after_round_0, 0);
         let schedules = every_schedule(|choose| {
             let mut ends = after_round_0.clone();
             // Round 0 is evaluated: its evidence, turning up again, is the
             // stale frame of this round.
-            let mut wire = net.close(&mut ends[0], 0, 0, sketch);
+            let mut wire = net.close(&mut ends[0], 0, 0);
             wire.truncate(leftover as usize);
             let mut closes = vec![0, 1];
+            let mut full_digests = [0, 0];
             while !(closes.is_empty() && wire.is_empty()) {
                 let pick = choose(closes.len() + wire.len());
                 if pick < closes.len() {
                     let i = closes.remove(pick);
-                    let said = net.close(&mut ends[i], i, 1, sketch);
+                    let said = net.close(&mut ends[i], i, 1);
                     if i == 0 && duplicate {
                         wire.extend(said.clone());
                     }
@@ -283,8 +309,18 @@ fn every_arrival_order_gives_the_same_verdict() {
                 let (received, reply) = net.deliver(&mut ends, msg);
                 assert_eq!(received == Received::Stale, stale);
                 pulled |= received == Received::Reply(Evidence::Pull);
+                if let Some(Msg {
+                    to,
+                    evidence: Evidence::Digest { .. },
+                    ..
+                }) = &reply
+                {
+                    escalated = true;
+                    full_digests[1 - to] += 1;
+                }
                 wire.extend(reply);
             }
+            assert!(full_digests.iter().all(|&n| n <= 1), "{full_digests:?}");
             let verdicts = [0, 1].map(|i| {
                 assert!(ends[i].is_settled(1));
                 let j = net.evaluate(&mut ends[i], 1);
@@ -294,7 +330,13 @@ fn every_arrival_order_gives_the_same_verdict() {
             assert_eq!(verdicts, reference, "sketch {sketch:?}");
         });
         assert!(schedules >= 100, "{schedules} schedules is not every order");
-        assert_eq!(pulled, pulls_expected, "sketch {sketch:?}");
+        let needed = match (pulled, escalated) {
+            (false, false) => Exchange::Plain,
+            (true, false) => Exchange::Pulled,
+            (false, true) => Exchange::Escalated,
+            (true, true) => panic!("sketch {sketch:?}: an escalation pulled"),
+        };
+        assert_eq!(needed, expected, "sketch {sketch:?}");
     }
 }
 
@@ -332,10 +374,10 @@ fn packets_at_the_window_edges_are_judged_in_exactly_one_round() {
             ]
         };
         net.record(&edges.iter().flat_map(|&b| stamps(b)).collect::<Vec<_>>());
-        let mut ends = net.ends();
+        let mut ends = net.ends(sketch);
         let mut lost = [0, 0];
         for r in 0..rounds {
-            let verdicts = net.round(&mut ends, r, sketch);
+            let verdicts = net.round(&mut ends, r);
             assert_eq!(
                 verdicts[0], verdicts[1],
                 "{sketch:?} round {r}: the ends disagree"
@@ -360,9 +402,9 @@ fn evidence_is_taken_from_the_other_end_only() {
         (10_000_000, Some(11_000_000)),
         (20_000_000, Some(21_000_000)),
     ]);
-    let (mut ends, segment) = (net.ends(), &net.segments[0]);
+    let (mut ends, segment) = (net.ends(None), &net.segments[0]);
     for i in [0, 1] {
-        for msg in net.close(&mut ends[i], i, 0, None) {
+        for msg in net.close(&mut ends[i], i, 0) {
             assert_eq!(net.deliver(&mut ends, msg).0, Received::Stored);
         }
     }
@@ -387,7 +429,7 @@ fn evidence_is_taken_from_the_other_end_only() {
         assert!(j.passed && j.verdict.lost.is_empty() && j.verdict.fabricated.is_empty());
     }
 
-    let mut middle = Pik2Node::new(net.ids[1], &net.segments);
+    let mut middle = Pik2Node::new(net.ids[1], &net.segments, None);
     let got = middle.receive(
         net.ids[0],
         0,
@@ -397,9 +439,7 @@ fn evidence_is_taken_from_the_other_end_only() {
         &net.record,
     );
     assert_eq!(got, Received::Unknown);
-    assert!(middle
-        .close_round(0, window(0), None, &net.record)
-        .is_empty());
+    assert!(middle.close_round(0, window(0), &net.record).is_empty());
     assert!(middle.is_settled(0), "nobody to wait for");
     // Nor does an end know a segment that is not in the plan.
     let reverse = PathSegment::new(segment.routers().iter().rev().copied().collect());
@@ -417,16 +457,16 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
         .map(|i| (i * 5_000_000, Some(i * 5_000_000 + 1_000_000)))
         .collect();
     net.record(&stamps);
-    let mut ends = net.ends();
-    let say = |ends: &mut [Pik2Node; 2], i: usize, r: u64, sketch| {
-        let mut said = net.close(&mut ends[i], i, r, sketch);
+    let mut ends = net.ends(None);
+    let say = |ends: &mut [Pik2Node; 2], i: usize, r: u64| {
+        let mut said = net.close(&mut ends[i], i, r);
         said.pop().expect("one segment")
     };
 
     // Round 0: the downstream end hears the upstream one and not the
     // other way round, so only the upstream end times out.
     assert!(!ends[1].is_settled(0));
-    let summary = say(&mut ends, 0, 0, None);
+    let summary = say(&mut ends, 0, 0);
     assert_eq!(net.deliver(&mut ends, summary).0, Received::Stored);
     assert!(ends[1].is_settled(0) && !ends[0].is_settled(0));
     assert!(net.evaluate(&mut ends[0], 0).verdict.bottom);
@@ -436,7 +476,8 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
     // What turns up for round 0 now is stale in every form, and a pull is
     // not answered from the pruned record; round 1 is open.
     for sketch in [None, Some(16)] {
-        let late = say(&mut ends, 1, 0, sketch);
+        let mut sender = Pik2Node::new(net.router(1), &net.segments, sketch);
+        let late = net.close(&mut sender, 1, 0).pop().expect("one segment");
         assert_eq!(net.deliver(&mut ends, late).0, Received::Stale);
     }
     let pull = Msg {
@@ -445,7 +486,7 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
         evidence: Evidence::Pull,
     };
     assert_eq!(net.deliver(&mut ends, pull), (Received::Stale, None));
-    let summary = say(&mut ends, 0, 1, None);
+    let summary = say(&mut ends, 0, 1);
     assert_eq!(net.deliver(&mut ends, summary.clone()).0, Received::Stored);
 
     // A host's amnesty round: retired unjudged, what arrived for it
@@ -456,15 +497,15 @@ fn an_evaluated_round_is_closed_and_a_replan_voids_what_was_heard() {
     // Round 2 is heard, then the plan changes: the evidence is void (the
     // peer reads as ⊥, whatever the new plan's segment is called), and
     // rounds count from the start again.
-    let summary = say(&mut ends, 0, 2, None);
+    let summary = say(&mut ends, 0, 2);
     assert_eq!(net.deliver(&mut ends, summary).0, Received::Stored);
     assert!(ends[1].is_settled(2));
     ends[1].replan(&net.segments);
     assert!(!ends[1].is_settled(2));
-    let early = say(&mut ends, 0, 0, None);
+    let early = say(&mut ends, 0, 0);
     assert_eq!(net.deliver(&mut ends, early).0, Received::Stored);
     assert!(net.evaluate(&mut ends[1], 2).verdict.bottom);
     ends[1].replan(&[]);
-    let summary = say(&mut ends, 0, 3, None);
+    let summary = say(&mut ends, 0, 3);
     assert_eq!(net.deliver(&mut ends, summary).0, Received::Unknown);
 }

@@ -123,11 +123,6 @@ impl<M> Retransmitter<M> {
         self.outstanding.remove(&id)
     }
 
-    /// What was tracked with outstanding frame `id`.
-    pub fn get(&self, id: u64) -> Option<&M> {
-        self.outstanding.get(&id).map(|frame| &frame.msg)
-    }
-
     /// Frames awaiting acknowledgment.
     pub fn outstanding(&self) -> usize {
         self.outstanding.len()
@@ -321,8 +316,10 @@ mod tests {
     fn an_ack_stops_retries_and_settles_once() {
         let mut r = Retransmitter::new(policy(25, 100, 8));
         r.track(7, rid(1), "frame", 0);
-        assert_eq!((r.outstanding(), r.get(7)), (1, Some(&"frame")));
-        r.poll(30 * MS, |_, _, _| {});
+        assert_eq!(r.outstanding(), 1);
+        let mut sent = vec![];
+        r.poll(30 * MS, |id, dst, m| sent.push((id, dst, *m)));
+        assert_eq!(sent, [(7, rid(1), "frame")], "what was tracked is re-sent");
         let settled = r.on_ack(7).expect("outstanding");
         assert_eq!(
             (settled.dst, settled.msg, settled.attempts),
@@ -330,7 +327,7 @@ mod tests {
         );
         assert!(r.on_ack(7).is_none(), "second ack is stale");
         assert!(r.on_ack(8).is_none(), "never tracked");
-        assert_eq!((r.outstanding(), r.get(7)), (0, None));
+        assert_eq!(r.outstanding(), 0);
         let exhausted = r.poll(u64::MAX, |_, _, _| panic!("re-sent an acked frame"));
         assert!(exhausted.is_empty());
     }

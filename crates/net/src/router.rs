@@ -76,7 +76,8 @@ pub(crate) enum Stage {
     RoundEnd,
     /// An evaluation that did round work.
     RoundEval,
-    /// A frame carrying a digest that was resolved or answered with a pull.
+    /// A frame carrying a digest that was resolved, answered with a pull
+    /// or escalated.
     DigestResolve,
 }
 
@@ -238,8 +239,8 @@ pub(crate) fn routers(
             // does a lag that reaches past a round.
             let ns = |d: Duration| SimTime::from_ns(d.as_nanos() as u64);
             let (tau, lag) = (ns(cfg.tau), ns(cfg.maturity_lag));
-            if let (SummaryMode::Reconcile { capacity }, true) = (cfg.summary, lag < tau) {
-                monitors.stream(tau, lag, capacity.max(1));
+            if let (Some(capacity), true) = (cfg.summary.sketch(), lag < tau) {
+                monitors.stream(tau, lag, capacity);
             }
             Router {
                 id,
@@ -254,7 +255,7 @@ pub(crate) fn routers(
                 monitor_pairs: monitor_pairs.to_vec(),
                 flow_pairs: flow_pairs.clone(),
                 monitors,
-                pik2: Pik2Node::new(id, monitored.segments()),
+                pik2: Pik2Node::new(id, monitored.segments(), cfg.summary.sketch()),
                 traffic: Traffic::new(spec, id),
                 reliable: Retransmitter::new(RELIABLE),
                 metrics: metrics.clone(),
@@ -537,12 +538,12 @@ impl Router {
             return;
         }
         out.timed[Stage::RoundEnd as usize] = true;
-        let (sketch, kind) = match self.cfg.summary {
-            SummaryMode::Full => (None, TraceKind::SummarySent),
-            SummaryMode::Reconcile { capacity } => (Some(capacity.max(1)), TraceKind::DigestSent),
+        let kind = match self.cfg.summary {
+            SummaryMode::Full => TraceKind::SummarySent,
+            SummaryMode::Reconcile { .. } => TraceKind::DigestSent,
         };
         let window = self.window(r);
-        for (to, seg, said) in (self.pik2).close_round(r, window, sketch, &self.monitors) {
+        for (to, seg, said) in (self.pik2).close_round(r, window, &self.monitors) {
             let message = Message {
                 round: r,
                 segment: self.monitors.segments()[seg].clone(),
@@ -565,39 +566,76 @@ impl Router {
         let is_digest = matches!(message.evidence, Evidence::Digest { .. });
         let (said, window) = (message.evidence, self.window(round));
         let received = (self.pik2).receive(from, round, segment, said, window, &self.monitors);
-        out.timed[Stage::DigestResolve as usize] =
-            is_digest && matches!(received, Received::Stored | Received::Reply(_));
+        // Each digest taken in is resolved, pulled or escalated, once.
+        out.timed[Stage::DigestResolve as usize] = is_digest
+            && matches!(
+                received,
+                Received::Stored
+                    | Received::StoredAndReply(_)
+                    | Received::Reply(_)
+                    | Received::Escalated
+            );
         let (by, peer, now) = (u32::from(self.id), u64::from(u32::from(from)), self.now);
         let mut note = |counter: &Counter, kind| {
             counter.inc();
             out.trace.record(now, kind, by, round, peer);
         };
-        // A pull, sent or taken, puts the segment in dispute at both ends.
-        if matches!(received, Received::Reply(_) | Received::Disputed) {
+        // A pull, sent or taken, puts the segment in dispute at both ends;
+        // a full digest sent in answer to a prefix does not.
+        let pulled = matches!(
+            received,
+            Received::Reply(Evidence::Pull | Evidence::Summary(_)) | Received::Disputed
+        );
+        if pulled {
             let segments = self.monitors.segments();
             if let Some(seg) = segments.iter().position(|s| *s == message.segment) {
                 self.monitors.dispute(seg, SimTime::from_ns(self.now));
             }
         }
-        match received {
+        let reply = match received {
             Received::Stored if is_digest => {
-                note(&self.metrics.digests_resolved, TraceKind::DigestResolved)
+                note(&self.metrics.digests_resolved, TraceKind::DigestResolved);
+                None
             }
-            Received::Stored | Received::Disputed => {}
+            Received::StoredAndReply(reply) => {
+                note(&self.metrics.digests_resolved, TraceKind::DigestResolved);
+                Some(reply)
+            }
             Received::Reply(reply) => {
-                if matches!(reply, Evidence::Pull) {
-                    note(&self.metrics.digest_fallbacks, TraceKind::DigestFallback);
+                match reply {
+                    Evidence::Pull => {
+                        note(&self.metrics.digest_fallbacks, TraceKind::DigestFallback)
+                    }
+                    Evidence::Digest { .. } => {
+                        note(&self.metrics.digest_escalations, TraceKind::DigestEscalated)
+                    }
+                    Evidence::Summary(_) => {}
                 }
-                let reply = Message {
-                    evidence: reply,
-                    ..message
-                };
-                self.send_frame(from, WireMessage::Pik2(reply), true, out);
+                Some(reply)
             }
-            Received::Stale => self.metrics.stale_summaries.inc(),
-            Received::Foreign => self.metrics.foreign_summaries.inc(),
-            // A peer on another route epoch monitors other segments.
-            Received::Unknown => {}
+            Received::Escalated => {
+                note(&self.metrics.digest_escalations, TraceKind::DigestEscalated);
+                None
+            }
+            Received::Stored | Received::Disputed => None,
+            Received::Stale => {
+                self.metrics.stale_summaries.inc();
+                None
+            }
+            Received::Foreign => {
+                self.metrics.foreign_summaries.inc();
+                None
+            }
+            // A peer on another route epoch monitors other segments; a
+            // digest larger than this end's capacity is not reconciled.
+            Received::Unknown | Received::Refused => None,
+        };
+        if let Some(evidence) = reply {
+            let reply = Message {
+                evidence,
+                ..message
+            };
+            self.send_frame(from, WireMessage::Pik2(reply), true, out);
         }
     }
 
@@ -1065,7 +1103,8 @@ impl Router {
                     self.reliable = Retransmitter::new(RELIABLE);
                     self.convergence.reset();
                     self.metrics.probation_admitted.inc();
-                    self.pik2 = Pik2Node::new(self.id, self.monitors.segments());
+                    let sketch = self.cfg.summary.sketch();
+                    self.pik2 = Pik2Node::new(self.id, self.monitors.segments(), sketch);
                     self.obs_buf.clear();
                 }
                 self.alive = true;
@@ -2026,5 +2065,117 @@ mod tests {
         assert_eq!(net.verdicts(), [(false, 6, 6); 2], "judged exactly");
         assert_eq!(net.counter("net.rounds_bounded"), 2);
         assert_eq!(net.counter("net.summary_timeouts"), 0);
+    }
+
+    /// The deployment's `monitor.segments_in_dispute` figures: now, the
+    /// most ever, and at finish.
+    fn disputes(net: &Line3) -> [f64; 2] {
+        let snap = net.registry.snapshot();
+        let at = |name| snap.gauge(name);
+        [
+            at("monitor.segments_in_dispute"),
+            at("monitor.segments_in_dispute_max"),
+        ]
+    }
+
+    /// An honest round with twelve benign drops, under a loss allowance
+    /// of 30: more than a digest prefix certifies, less than the capacity
+    /// of 32. Each end's prefix fails, each escalates once to its full
+    /// digests, and both reach the exact verdict — no pull, no bound, no
+    /// dispute, no suspicion.
+    #[test]
+    fn benign_drops_past_the_prefix_escalate_once_per_end_to_the_exact_verdict() {
+        let mut net = Line3::new(SummaryMode::Reconcile { capacity: 32 });
+        for router in &mut net.routers {
+            router.cfg.thresholds.loss = 30;
+        }
+        // Round 1 judges (150 ms, 350 ms]: the packets sent every 10 ms
+        // from 210 ms to 320 ms are lost.
+        let benign = |t: u64| t > 200 && t <= 320 && t.is_multiple_of(10);
+        net.plan(&steady(1000, benign));
+        net.round(0);
+        assert_eq!(net.verdicts(), CLEAN);
+        assert_eq!(net.counter("net.digest_escalations"), 0);
+        net.round(1);
+        assert_eq!(net.verdicts(), [(true, 12, 0); 2], "judged exactly");
+        assert_eq!(net.counter("net.digest_escalations"), 2, "once per end");
+        for r in 2..4 {
+            net.round(r);
+            assert_eq!(net.verdicts(), CLEAN, "round {r}");
+        }
+        assert_eq!(net.counter("net.digest_escalations"), 2);
+        // Three rounds' prefixes, and round 1's full digests.
+        assert_eq!(net.counter("net.digests_resolved"), 2 * 3 + 2);
+        assert_eq!(net.counter("net.digest_fallbacks"), 0);
+        assert_eq!(net.counter("net.rounds_bounded"), 0);
+        assert_eq!(net.counter("net.accusations_raised"), 0);
+        assert_eq!(disputes(&net), [0.0; 2]);
+    }
+
+    /// A dropper that loses 23 packets in its onset round against a
+    /// capacity of 8: the counts alone say the full digests cannot
+    /// certify, so each end pulls on the prefix, as a full digest would
+    /// have made it: no escalation, the count bound, both ends in
+    /// dispute, and the suspicion in the onset round.
+    #[test]
+    fn a_dropper_past_the_capacity_is_pulled_without_escalating() {
+        let mut net = Line3::new(SummaryMode::Reconcile { capacity: 8 });
+        let onset = |t: u64| t > 200 && t <= 350 && !t.is_multiple_of(20);
+        net.plan(&steady(1000, onset));
+        net.round(0);
+        assert_eq!(net.verdicts(), CLEAN);
+        net.round(1);
+        let suspected: Vec<u64> = (net.out.events.iter())
+            .filter_map(|e| match e {
+                LiveEvent::SuspicionRaised { round, .. } => Some(*round),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(suspected, [1, 1], "both ends, in the onset round");
+        for (passed, lost, fabricated) in net.verdicts() {
+            assert!(!passed && lost > 0 && lost <= 23 && fabricated == 0);
+        }
+        assert_eq!(net.counter("net.digest_escalations"), 0);
+        assert_eq!(net.counter("net.digest_fallbacks"), 2);
+        assert_eq!(net.counter("net.rounds_bounded"), 2);
+        assert_eq!(disputes(&net), [2.0; 2]);
+    }
+
+    /// A digest larger than the receiver's configured capacity is refused
+    /// before anything is reconciled — an empty one would be pulled — with
+    /// no resolution, pull or escalation, and no reply but the ack. The
+    /// genuine prefix then judges the round.
+    #[test]
+    fn a_digest_above_the_configured_capacity_is_refused() {
+        let mut net = Line3::new(SummaryMode::Reconcile { capacity: 32 });
+        let stamps: Vec<_> = (1..40u64)
+            .map(|i| (i * 3_000_000, Some(i * 3_000_000 + 1_000_000)))
+            .collect();
+        net.plan(&stamps);
+        net.advance(TAU);
+        let sent = net.counter("net.frames_sent");
+        let oversized = Evidence::Digest {
+            judged: ContentDigest::empty(33),
+            held: ContentDigest::empty(33),
+        };
+        net.send(0, 2, pik2(0, net.segment(), oversized));
+        assert_eq!(
+            net.counter("net.frames_sent"),
+            sent + 2,
+            "the digest, its ack"
+        );
+        for name in [
+            "net.digests_resolved",
+            "net.digest_fallbacks",
+            "net.digest_escalations",
+        ] {
+            assert_eq!(net.counter(name), 0, "{name}");
+        }
+        net.round_end(0, 0);
+        net.round_end(2, 0);
+        net.round_eval(0, 0);
+        net.round_eval(2, 0);
+        assert_eq!(net.verdicts(), CLEAN);
+        assert_eq!(net.counter("net.digests_resolved"), 2);
     }
 }

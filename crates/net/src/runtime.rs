@@ -159,10 +159,11 @@ pub enum SummaryMode {
     #[default]
     Full,
     /// Ship fixed-size [`ContentDigest`]s, kept running as observations
-    /// arrive, and decode the difference against local records; a
-    /// difference beyond the sketch `capacity` (Appendix A) is judged on
-    /// certified counts and puts the segment in dispute, whose later
-    /// rounds are pulled whole. A segment end holds exactly only its
+    /// arrive, and decode the difference against local records. A round
+    /// end sends a short prefix of each sketch, and the full `capacity`
+    /// goes out only when a prefix does not certify; a difference beyond
+    /// the `capacity` (Appendix A) is judged on certified counts and puts
+    /// the segment in dispute, whose later rounds are pulled whole. A segment end holds exactly only its
     /// look-back strips, unless the lag reaches a round (`maturity_lag ≥
     /// tau`), when it holds whole records as `Full` mode does.
     ///
@@ -173,6 +174,16 @@ pub enum SummaryMode {
         /// fingerprint twice (a repeated root does not decode).
         capacity: usize,
     },
+}
+
+impl SummaryMode {
+    /// The digest sketch capacity, at least 1; `None` in `Full` mode.
+    pub(crate) fn sketch(self) -> Option<usize> {
+        match self {
+            Self::Full => None,
+            Self::Reconcile { capacity } => Some(capacity.max(1)),
+        }
+    }
 }
 
 /// Deployment-wide protocol timing and policy.
@@ -368,6 +379,9 @@ pub struct LiveStats {
     /// Reconciliation-mode digest exchanges that fell back to pulling the
     /// full summary.
     pub digest_fallbacks: u64,
+    /// Reconciliation-mode digest prefixes that did not certify and
+    /// escalated to the full-capacity digests.
+    pub digest_escalations: u64,
 }
 
 impl LiveStats {
@@ -390,6 +404,7 @@ impl LiveStats {
             wire_bytes_recv: snap.counter("net.wire_bytes_recv"),
             digests_resolved: snap.counter("net.digests_resolved"),
             digest_fallbacks: snap.counter("net.digest_fallbacks"),
+            digest_escalations: snap.counter("net.digest_escalations"),
         }
     }
 }
@@ -413,6 +428,7 @@ pub(crate) struct NetMetrics {
     pub(crate) wire_bytes_recv: Counter,
     pub(crate) digests_resolved: Counter,
     pub(crate) digest_fallbacks: Counter,
+    pub(crate) digest_escalations: Counter,
     pub(crate) accusations_raised: Counter,
     pub(crate) alerts_sent: Counter,
     pub(crate) summary_timeouts: Counter,
@@ -462,6 +478,7 @@ impl NetMetrics {
             wire_bytes_recv: reg.counter("net.wire_bytes_recv"),
             digests_resolved: reg.counter("net.digests_resolved"),
             digest_fallbacks: reg.counter("net.digest_fallbacks"),
+            digest_escalations: reg.counter("net.digest_escalations"),
             accusations_raised: reg.counter("net.accusations_raised"),
             alerts_sent: reg.counter("net.alerts_sent"),
             summary_timeouts: reg.counter("net.summary_timeouts"),
@@ -580,7 +597,7 @@ mod tests {
     /// counters show (almost) nothing crossed a transport. The shards
     /// time every stage a step ran: with no round under amnesty, each
     /// router's round ends and evaluations once a round, and every digest
-    /// taken in once, resolved or pulled.
+    /// taken in once, resolved, pulled or escalated.
     #[test]
     fn mailbox_fastpath_bypasses_the_wire() {
         let topo = builtin::line(4);
@@ -615,7 +632,9 @@ mod tests {
         let round_work = ids.len() as u64 * cfg.rounds;
         assert_eq!(timed("net.round_end_ns"), round_work);
         assert_eq!(timed("net.round_eval_ns"), round_work);
-        let digests = outcome.stats.digests_resolved + outcome.stats.digest_fallbacks;
+        let digests = outcome.stats.digests_resolved
+            + outcome.stats.digest_fallbacks
+            + outcome.stats.digest_escalations;
         assert!(digests > 0, "no digest taken in");
         assert_eq!(timed("net.digest_resolve_ns"), digests);
     }

@@ -72,6 +72,17 @@ impl Gauge {
             });
     }
 
+    /// Adds `delta` (negative to lower it) and returns the new value: a
+    /// level that many writers can move.
+    #[inline]
+    pub fn add(&self, delta: f64) -> f64 {
+        let add = |cur: u64| Some((f64::from_bits(cur) + delta).to_bits());
+        let old = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        f64::from_bits(old.expect("the update always applies")) + delta
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> f64 {
@@ -455,6 +466,15 @@ mod tests {
         assert!(rel(s.p50, 5_000) < 0.07, "p50 {}", s.p50);
         assert!(rel(s.p90, 9_000) < 0.07, "p90 {}", s.p90);
         assert!(rel(s.p99, 9_900) < 0.07, "p99 {}", s.p99);
+    }
+
+    #[test]
+    fn a_gauge_moves_by_what_its_writers_add() {
+        let g = Gauge::default();
+        let g2 = g.clone();
+        assert_eq!(g.add(3.0), 3.0);
+        assert_eq!(g2.add(-1.0), 2.0);
+        assert_eq!(g.get(), 2.0);
     }
 
     #[test]

@@ -88,6 +88,7 @@ trace_kinds! {
     DigestSent => "digest_sent",
     DigestResolved => "digest_resolved",
     DigestFallback => "digest_fallback",
+    DigestEscalated => "digest_escalated",
     SummaryTimeout => "summary_timeout",
     AccusationRaised => "accusation_raised",
     AlertSent => "alert_sent",

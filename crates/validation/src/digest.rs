@@ -142,6 +142,21 @@ impl ContentDigest {
         self.mix = self.mix.wrapping_add(other.mix);
     }
 
+    /// The digest at a smaller sketch `capacity`: the sketch's
+    /// [`prefix`](SetSketch::prefix), the same counts and checksum. Equal
+    /// to [`of`](Self::of) the same summary at `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < capacity ≤` this digest's capacity.
+    pub fn prefix(&self, capacity: usize) -> Self {
+        Self {
+            sketch: self.sketch.prefix(capacity),
+            flow: self.flow,
+            mix: self.mix,
+        }
+    }
+
     /// Reassembles a digest from wire-decoded parts.
     pub fn from_parts(sketch: SetSketch, flow: FlowCounter, mix: u64) -> Self {
         Self { sketch, flow, mix }
@@ -350,6 +365,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_prefix_is_the_digest_at_the_smaller_capacity() {
+        let a = summary_of(&(1..=300).chain([7, 7]).collect::<Vec<_>>());
+        let full = ContentDigest::of(&a, 32);
+        for cap in [1, 4, 17, 32] {
+            assert_eq!(
+                full.prefix(cap),
+                ContentDigest::of(&a, cap),
+                "capacity {cap}"
+            );
+        }
+        assert_eq!(full.prefix(4).wire_bytes(), full.wire_bytes() - 28 * 8);
     }
 
     #[test]

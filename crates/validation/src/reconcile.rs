@@ -29,6 +29,13 @@
 //! checked at the two reserved points. Identical sketches cost
 //! `O(capacity)`, not a `capacity`-cubed elimination.
 //!
+//! Bytes can follow the difference too. The sample points are one fixed
+//! sequence, so the first `c + 2` evaluations of a sketch are the sketch
+//! of the same multiset at capacity `c` ([`SetSketch::prefix`]): a sender
+//! can send a short prefix first and the rest of its capacity only when
+//! the prefix does not reconcile. Prefixes that do reconcile give the
+//! difference the whole sketches give, since `d ≤ c` has one answer.
+//!
 //! # Examples
 //!
 //! ```
@@ -185,6 +192,27 @@ impl SetSketch {
         self.size += other.size;
         for (e, &o) in self.evals.iter_mut().zip(&other.evals) {
             *e *= o;
+        }
+    }
+
+    /// The sketch of the same multiset at a smaller `capacity`: the
+    /// sample points are one fixed sequence, so its `capacity + 2`
+    /// evaluations are the first of this sketch's, bit for bit what
+    /// [`from_elements`](Self::from_elements) computes at `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < capacity ≤ self.capacity()`.
+    pub fn prefix(&self, capacity: usize) -> Self {
+        assert!(
+            capacity > 0 && capacity <= self.capacity,
+            "a prefix of a capacity-{} sketch at capacity {capacity}",
+            self.capacity
+        );
+        Self {
+            capacity,
+            size: self.size,
+            evals: self.evals[..capacity + CHECK_POINTS].to_vec(),
         }
     }
 

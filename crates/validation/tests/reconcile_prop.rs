@@ -100,3 +100,42 @@ fn identical_sketches_with_an_element_on_an_interpolation_point_collide() {
         }
     }
 }
+
+/// A prefix is the sketch of the same set at the smaller capacity, and
+/// reconciling two prefixes at capacity `c` says what the full sketches
+/// say whenever the difference is at most `c`; above it, the prefixes err
+/// and never give a wrong difference.
+#[test]
+fn a_prefix_is_the_smaller_sketch_and_reconciles_alike() {
+    const FULL: usize = 32;
+    for case in 0u64..40 {
+        let rng = &mut StdRng::seed_from_u64(case * 7919 + 3);
+        let size = rng.gen_range(0..400);
+        let a = values(rng, size);
+        let removed = rng.gen_range(0..size.min(12) + 1);
+        let mut gone = BTreeSet::new();
+        while gone.len() < removed {
+            gone.extend(a.iter().nth(rng.gen_range(0..size)));
+        }
+        let added = rng.gen_range(0..12usize);
+        let mut b: BTreeSet<u64> = a.difference(&gone).copied().collect();
+        while b.len() < a.len() - removed + added {
+            b.extend(values(rng, 1).difference(&a));
+        }
+        let d = a.symmetric_difference(&b).count();
+        let (full_a, full_b) = (sketch(&a, FULL), sketch(&b, FULL));
+        let full = reconcile(&full_a, &full_b, rng).expect("within the full capacity");
+        for c in [1, 2, 3, 4, 5, 8, 16, FULL] {
+            let ctx = format!("case {case} capacity {c} difference {d}");
+            let (pa, pb) = (full_a.prefix(c), full_b.prefix(c));
+            assert_eq!(pa, sketch(&a, c), "{ctx}");
+            assert_eq!(pb, sketch(&b, c), "{ctx}");
+            let got = reconcile(&pa, &pb, rng);
+            if d <= c {
+                assert_eq!(got.as_ref(), Ok(&full), "{ctx}");
+            } else {
+                assert!(got.is_err(), "{ctx}: over capacity resolved: {got:?}");
+            }
+        }
+    }
+}

@@ -18,12 +18,13 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// The counters that the code recording a trace kind increments with it.
-const PAIRS: [(&str, TraceKind); 5] = [
+const PAIRS: [(&str, TraceKind); 6] = [
     ("net.accusations_raised", TraceKind::AccusationRaised),
     ("net.alerts_sent", TraceKind::AlertSent),
     ("net.summary_timeouts", TraceKind::SummaryTimeout),
     ("net.digests_resolved", TraceKind::DigestResolved),
     ("net.digest_fallbacks", TraceKind::DigestFallback),
+    ("net.digest_escalations", TraceKind::DigestEscalated),
 ];
 
 /// Asserts that the journal records what the registry counts.

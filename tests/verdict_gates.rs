@@ -49,6 +49,16 @@ fn deploy(topo: &Topology, spec: &LiveSpec, cfg: LiveConfig) -> Outcome {
     }
 }
 
+/// The segment ends in dispute at the end of the run and at most during
+/// it (`monitor.segments_in_dispute`, `…_max`).
+fn disputes(outcome: &Outcome) -> (f64, f64) {
+    let at = |name| outcome.metrics.gauge(name);
+    (
+        at("monitor.segments_in_dispute"),
+        at("monitor.segments_in_dispute_max"),
+    )
+}
+
 /// Whether `outcome`'s verdicts catch `dropper` (complete) without
 /// suspecting a segment of correct routers only (accurate).
 fn complete_and_accurate(outcome: &Outcome, dropper: RouterId, k: usize) -> (bool, bool) {
@@ -65,11 +75,14 @@ fn reconcile_costs_at_most_half_of_full_and_nobody_is_accused() {
         let full = deploy(&topo, &spec, detect_only(SummaryMode::Full));
         let rec = deploy(&topo, &spec, detect_only(RECONCILE));
         let ratio = rec.stats.control_bytes_sent as f64 / full.stats.control_bytes_sent as f64;
+        let (in_dispute, most) = disputes(&rec);
         println!(
-            "{n} routers: Reconcile/Full control bytes {ratio:.3} ({} resolved, {} fallbacks); \
+            "{n} routers: Reconcile/Full control bytes {ratio:.3} ({} resolved, {} fallbacks, \
+             {} escalations; {in_dispute} in dispute at finish, {most} at most); \
              suspicions Full {} / Reconcile {}",
             rec.stats.digests_resolved,
             rec.stats.digest_fallbacks,
+            rec.stats.digest_escalations,
             full.suspicions.len(),
             rec.suspicions.len(),
         );
@@ -82,6 +95,8 @@ fn reconcile_costs_at_most_half_of_full_and_nobody_is_accused() {
         // A clean run's digests all resolve: nothing is pulled.
         assert!(rec.stats.digests_resolved > 0, "no digest ever resolved");
         assert_eq!(rec.stats.digest_fallbacks, 0, "a clean run fell back");
+        // Nor, escalated or not, does it put a segment in dispute.
+        assert_eq!((in_dispute, most), (0.0, 0.0), "a clean run disputed");
         gate_ratio = ratio;
     }
     assert!(
@@ -97,12 +112,15 @@ fn mid_path_dropper_is_caught_at_128_routers_detection_only() {
     let cfg = detect_only(RECONCILE);
     let outcome = deploy(&topo, &spec, cfg);
     let (complete, accurate) = complete_and_accurate(&outcome, dropper, cfg.k);
+    let (in_dispute, most) = disputes(&outcome);
     println!(
         "30 % dropper at {GATE_ROUTERS} routers: complete={complete} accurate={accurate}, \
-         {} dropped ({} resolved, {} fallbacks)",
+         {} dropped ({} resolved, {} fallbacks, {} escalations; {in_dispute} in dispute at \
+         finish, {most} at most)",
         outcome.truth.malicious_drops,
         outcome.stats.digests_resolved,
         outcome.stats.digest_fallbacks,
+        outcome.stats.digest_escalations,
     );
     assert!(outcome.truth.malicious_drops > 0, "the dropper never fired");
     assert!(
@@ -123,8 +141,10 @@ fn pure_churn_flap_leave_and_join_accuse_nobody() {
     ];
     let outcome = deploy(&topo, &spec, churn_cfg(8));
     let transitions = outcome.metrics.counter("net.epoch_transitions");
+    let (in_dispute, most) = disputes(&outcome);
     println!(
-        "pure churn at 48 routers: {} suspicions, {transitions} epoch transitions, {} delivered",
+        "pure churn at 48 routers: {} suspicions, {transitions} epoch transitions, {} delivered, \
+         {in_dispute} in dispute at finish, {most} at most",
         outcome.suspicions.len(),
         outcome.truth.data_delivered
     );
@@ -151,9 +171,10 @@ fn crash_restart_serves_probation_and_accuses_nobody() {
     let outcome = deploy(&topo, &spec, churn_cfg(10));
     let admitted = outcome.metrics.counter("net.probation_admitted");
     let cleared = outcome.metrics.counter("net.probation_cleared");
+    let (in_dispute, most) = disputes(&outcome);
     println!(
         "crash-restart at 32 routers: {} suspicions, probation {admitted} admitted / \
-         {cleared} cleared, {} delivered",
+         {cleared} cleared, {} delivered, {in_dispute} in dispute at finish, {most} at most",
         outcome.suspicions.len(),
         outcome.truth.data_delivered
     );

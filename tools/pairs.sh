@@ -42,7 +42,12 @@
 # range of the runs below it and the range of the runs above it, with at
 # least 3 runs on each side of the gap, is bimodal: one median describes
 # neither state. Below its runs a line names both clusters, each with its
-# share of the runs and its median (the widest such gap, if several).
+# share of the runs and its median (the widest such gap, if several). The
+# first bimodal side's gap, at its midpoint, then splits every side's runs
+# into a low state (at or below it) and a high state: one line a state gives each side's share of
+# the runs in it and their median, and each other side's median against the
+# parent's in that state. A must-not-move reading compares like with like:
+# the medians of one state, and whether the shares moved.
 set -eu
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
     echo "usage: [NULL_BIN=BIN] $0 PARENT_BIN CHANGE_BIN WORKLOAD N [FIRST_SEED]" >&2
@@ -131,6 +136,7 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" -v nu
     # sorted runs that is wider than the range below it and the range above
     # it, with at least 3 runs on each side. A gap as wide as a range, to
     # rounding, is not wider: printed values step by their last digit.
+    # Sets split_at to the middle of the gap.
     function clusters(side, name,    k, gap, best, at, eps) {
         values(side, name)
         best = 0
@@ -140,6 +146,7 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" -v nu
             if (gap > s[k] - s[1] + eps && gap > s[n] - s[k + 1] + eps && gap > best) { best = gap; at = k }
         }
         if (best == 0) return ""
+        split_at = (s[at] + s[at + 1]) / 2
         return sprintf("    %-6s two clusters: %d/%d at median %.5g, %d/%d at median %.5g",
             side, at, n, nearest_in(0.5, 1, at), n - at, n, nearest_in(0.5, at + 1, n))
     }
@@ -179,13 +186,49 @@ awk -v list="$metrics" -v first="$first" -v n="$n" -v workload="$workload" -v nu
         for (i = 0; i < n; i++) line = line sprintf(" %.5g", v[side, first + i, name])
         print line
     }
-    # The side rows of `name`, each followed by its clusters if it has two.
-    function rows(name,    k, c) {
+    # The runs of `side` at or below `at` (`low`) or above it, sorted
+    # into s[1..m]; returns m.
+    function state(side, name, at, low,    i, j, x, m) {
+        for (i = 1; i <= n; i++) {
+            x = v[side, first + i - 1, name]
+            if (low ? x > at : x <= at) continue
+            for (j = m; j >= 1 && s[j] > x; j--) s[j + 1] = s[j]
+            s[j + 1] = x
+            m++
+        }
+        return m + 0
+    }
+    # One line per state of `name`, split at `at` (by the gap of side
+    # `by`): for each side, the share of the runs in the state and their
+    # median, against the median of the parent in it.
+    function states(name, at, by,    k, low, m, med_s, parent_med, line) {
+        for (low = 1; low >= 0; low--) {
+            line = sprintf("    %s state (%s %.5g, split by %s):", low ? "low " : "high", low ? "<=" : "> ", at, by)
+            parent_med = ""
+            for (k = 1; k <= nsides; k++) {
+                m = state(sides[k], name, at, low)
+                line = line sprintf("  %s %d/%d", sides[k], m, n)
+                if (m == 0) continue
+                med_s = nearest_in(0.5, 1, m)
+                line = line sprintf(" at %.5g", med_s)
+                if (k == 1) parent_med = med_s
+                else if (parent_med != "" && parent_med != 0) line = line sprintf(" (%s/parent %.3f)", sides[k], med_s / parent_med)
+            }
+            print line
+        }
+    }
+    # The side rows of `name`, each followed by its clusters if it has two,
+    # then the states of the first side that has.
+    function rows(name,    k, c, by, at) {
+        by = ""
         for (k = 1; k <= nsides; k++) {
             row(sides[k], name)
             c = clusters(sides[k], name)
-            if (c != "") print c
+            if (c == "") continue
+            print c
+            if (by == "") { by = sides[k]; at = split_at }
         }
+        if (by != "") states(name, at, by)
     }
     function total(side, name,    i, t) {
         for (i = 0; i < n; i++) t += v[side, first + i, name]

@@ -21,7 +21,9 @@
 #   setup_s             0.002 + S/1e5; change 0.001 + S/1e5  gain
 #
 # The null stub prints the parent's values, so its verdict is never gain or
-# worse.
+# worse. A second run, with STUB_STATES set, moves the change's peak_rss_mb
+# to 10 + S/100 for S <= 7, else 20.5 + S/100: its states keep their names
+# (low, high) but not their shares or the high state's median.
 set -eu
 cd "$(dirname "$0")/.."
 dir=$(mktemp -d)
@@ -32,7 +34,7 @@ stub() {
     cat >"$dir/$1" <<EOF
 #!/bin/sh
 seed=\$4
-awk -v side=$1 -v s="\$seed" 'BEGIN {
+awk -v side=$1 -v s="\$seed" -v states="\${STUB_STATES:-}" 'BEGIN {
     ch = (side == "change")
     printf "diag fwd_latency_us_p90 %g us\n", 30 + s
     printf "diag suspicions_raised 0 count\n"
@@ -41,7 +43,9 @@ awk -v side=$1 -v s="\$seed" 'BEGIN {
     printf "fwd_latency_us_p50 %g us\n", 10 + 4 * s + ch
     split("2.2 2.2 2.3 2.4 2.4 2.4 2.4 2.6 2.7 2.7", ctl, " ")
     printf "ctl_bytes_per_pkt %s B\n", ctl[s]
-    printf "peak_rss_mb %g MiB\n", (s <= 4 ? 10 : 20) + s / 100
+    if (states != "" && ch) rss = (s <= 7 ? 10 : 20.5)
+    else rss = (s <= 4 ? 10 : 20)
+    printf "peak_rss_mb %g MiB\n", rss + s / 100
     printf "setup_s %g s\n", (ch ? 0.001 : 0.002) + s / 1e5
     printf "ops_attempted 100 ops_failed 0 correct true\n"
 }'
@@ -87,6 +91,26 @@ fi
 # No unimodal side is split: only peak_rss_mb's three sides are.
 if [ "$(grep -c 'two clusters' "$dir/out")" -ne 3 ]; then
     echo "FAIL: a unimodal side was reported as two clusters" >&2
+    fail=1
+fi
+# The parent's gap splits every side into the same two states.
+low="low  state (<= 15.045, split by parent):  parent 4/10 at 10.02"
+if [ "$(grep -c "$low  change 4/10 at 10.02 (change/parent 1.000)  null 4/10 at 10.02 (null/parent 1.000)" "$dir/out")" -ne 1 ]; then
+    echo "FAIL: the low state is not read alike on every side" >&2
+    fail=1
+fi
+
+# The change's shares and high median move; the parent's states still name
+# them.
+STUB_STATES=1 tools/pairs.sh "$dir/parent" "$dir/change" stub 10 >"$dir/out"
+grep 'state (' "$dir/out"
+if [ "$(grep -c "$low  change 7/10 at 10.04 (change/parent 1.002)" "$dir/out")" -ne 1 ]; then
+    echo "FAIL: the change's low state misread" >&2
+    fail=1
+fi
+high="high state (>  15.045, split by parent):  parent 6/10 at 20.07  change 3/10 at 20.59 (change/parent 1.026)"
+if [ "$(grep -c "$high" "$dir/out")" -ne 1 ]; then
+    echo "FAIL: the change's high state misread" >&2
     fail=1
 fi
 if [ "$fail" -ne 0 ]; then exit 1; fi
