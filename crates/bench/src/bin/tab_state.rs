@@ -26,6 +26,8 @@ use std::fmt::Write as _;
 
 /// `Reconcile` mode's sketch capacity in the fatihbench workloads.
 const CAPACITY: usize = 32;
+/// The capacity of the prefix a round end sends its digests at.
+const PREFIX: usize = 4;
 
 /// A state-table row: `label`, then the mean and the maximum of `counts`.
 fn row(label: String, counts: impl IntoIterator<Item = usize>) -> Vec<String> {
@@ -62,18 +64,24 @@ fn run(name: &str, topo: &Topology) {
 /// table's topologies every routed pair is a flow. A segment end sends its
 /// `Reconcile{32}` digest or `Full` summary and acks its peer's; each of
 /// the four frames is sealed and opened once: 8 MACs per segment, so 4 per
-/// fingerprint a packet costs. Data frames carry no MAC.
+/// fingerprint a packet costs. Data frames carry no MAC. A `Full` summary
+/// is its record's columns: 12 B an entry, and 8 B for each time mark and
+/// size run, the first entry opening one of each.
 fn overhead() {
-    let (empty, digest, ack) = control_frame_lens(0, CAPACITY);
-    let empty = empty.expect("an empty summary fits a frame");
-    let entry = control_frame_lens(1, CAPACITY).0.expect("one entry fits") - empty;
+    let (_, digest, ack) = control_frame_lens(0, CAPACITY);
+    let prefix = control_frame_lens(0, PREFIX).1;
+    let [empty, one, two] = [0, 1, 2].map(|n| control_frame_lens(n, CAPACITY).0.expect("fits"));
+    let entry = two - one;
+    let list = (one - empty - entry) / 2;
     let points = sketch_points(CAPACITY);
     let (entries, exits, losses) = chi_replay_counts();
     let mut csv = format!(
         "any segment end,Reconcile{{32}} digest frame bytes,{digest}\n\
+         any segment end,Reconcile{{32}} round-end prefix digest frame bytes,{prefix}\n\
          any segment end,ack frame bytes,{ack}\n\
          any segment end,Full summary frame bytes at 0 entries,{empty}\n\
          any segment end,Full summary frame bytes per entry,{entry}\n\
+         any segment end,Full summary frame bytes per time mark or size run,{list}\n\
          any segment end,polynomial evaluation points per Reconcile{{32}} digest,{points}\n\
          any data frame,MACs,0\n\
          chi fan_in(3) congested round,queue entries replayed,{entries}\n\

@@ -44,12 +44,16 @@ fn a_lossless_line6_round_records_the_predicted_fingerprints_per_packet() {
 
 #[test]
 fn a_digest_frame_is_constant_in_set_size_and_a_full_one_grows_per_entry() {
-    let per_entry = {
-        let [(Some(empty), ..), (Some(one), ..)] = [0, 1].map(|e| control_frame_lens(e, 32)) else {
-            panic!("a summary of at most one entry fits a frame");
-        };
-        one - empty
-    };
+    // A summary is its record's columns: the first entry also opens a time
+    // mark and a size run (8 B each); the entries after it, of one size
+    // and within one 2³² ns mark, cost 12 B each.
+    let [empty, one, two] = [0, 1, 2].map(|e| {
+        control_frame_lens(e, 32)
+            .0
+            .expect("a summary of at most two entries fits a frame")
+    });
+    let per_entry = two - one;
+    assert_eq!(one - empty, per_entry + 2 * 8);
     let (full_10, digest_10, ack) = control_frame_lens(10, 32);
     let (full_1k, digest_1k, _) = control_frame_lens(1_000, 32);
     let (full_10k, digest_10k, _) = control_frame_lens(10_000, 32);
@@ -59,9 +63,12 @@ fn a_digest_frame_is_constant_in_set_size_and_a_full_one_grows_per_entry() {
         Some(990 * per_entry)
     );
     // 10 000 entries are past MAX_FRAME: a `Full` round that large cannot
-    // be sent at all, while its digest is the same 717 bytes.
+    // be sent at all, while its digest is the same 717 bytes. The cliff is
+    // at 5 407 entries.
     assert_eq!(full_10k, None);
-    assert_eq!((digest_10, per_entry, ack), (717, 20, 64));
+    let cliff = [5_406, 5_407].map(|e| control_frame_lens(e, 32).0.is_some());
+    assert_eq!(cliff, [true, false]);
+    assert_eq!((empty, digest_10, per_entry, ack), (102, 717, 12, 64));
     // A round end sends that digest at a prefix of capacity 4: 28
     // evaluations fewer in each of its two sketches. The 717 bytes go out
     // only when the prefix cannot certify.

@@ -12,6 +12,7 @@
 //! secret trajectory-sampling pattern, §5.2.1).
 
 use crate::rounds::Window;
+use fatih_crypto::uhash::FINGERPRINT_PRIME;
 use fatih_crypto::{Fingerprint, KeyStore, UhashKey};
 use fatih_obs::{Counter, Gauge, MetricsRegistry};
 use fatih_sim::{Packet, PacketId, SimTime, TapEvent};
@@ -139,49 +140,23 @@ impl Report {
         OrderedSummary::from_sequence(seq, flow)
     }
 
-    /// Canonical bytes for signing/MACing.
+    /// Canonical bytes for signing/MACing: the entries in a [`Record`]'s
+    /// columns, built by [`Record::push`]. Little-endian, the entry count
+    /// (u64), the time marks' and the size runs' counts (u32 each), the
+    /// fingerprints, the low time words, the marks, then the runs.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.entries.len() * 20);
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.fingerprint.value().to_le_bytes());
-            out.extend_from_slice(&e.size.to_le_bytes());
-            out.extend_from_slice(&e.time.as_ns().to_le_bytes());
-        }
-        out
+        self.entries.iter().copied().collect::<Record>().encode()
     }
 
     /// Decodes [`encode`](Self::encode)'s output; `None` on malformed
-    /// input (a garbled report from a protocol-faulty router). Entries out
-    /// of observation-time order are malformed too: a correct recorder
-    /// appends monotonically, and [`window`](Self::window) relies on the
-    /// ordering — an adversarial permutation could otherwise smuggle
-    /// entries past the maturity cutoff.
+    /// input (a garbled report from a protocol-faulty router), with
+    /// nothing allocated. Entries out of observation-time order are
+    /// malformed too: a correct recorder appends monotonically, and
+    /// [`window`](Self::window) relies on the ordering — an adversarial
+    /// permutation could otherwise smuggle entries past the maturity
+    /// cutoff.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let (count, body) = bytes.split_first_chunk::<8>()?;
-        // The count comes off the wire: it is held against the bytes that
-        // are there, without overflow, before anything is reserved for it.
-        let n = usize::try_from(u64::from_le_bytes(*count)).ok()?;
-        if n.checked_mul(20) != Some(body.len()) {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(n);
-        let mut prev = SimTime::ZERO;
-        for e in body.chunks_exact(20) {
-            let fp = u64::from_le_bytes(e[..8].try_into().ok()?);
-            let size = u32::from_le_bytes(e[8..12].try_into().ok()?);
-            let time = SimTime::from_ns(u64::from_le_bytes(e[12..].try_into().ok()?));
-            if time < prev {
-                return None;
-            }
-            prev = time;
-            entries.push(ReportEntry {
-                fingerprint: Fingerprint::new(fp),
-                size,
-                time,
-            });
-        }
-        Some(Self { entries })
+        Record::decode(bytes).map(|record| record.after(None).to_report())
     }
 }
 
@@ -201,6 +176,9 @@ impl Report {
 /// capacity, and the mark and run lists are reserved at construction: a
 /// record that has grown to a round's traffic records the next round
 /// without allocating.
+///
+/// A summary crosses the wire in the same columns
+/// ([`Report::encode`]), so its bytes are what it holds here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     fingerprints: Vec<Fingerprint>,
@@ -215,6 +193,10 @@ pub struct Record {
 /// Time marks and size runs reserved per record.
 const RUNS_RESERVED: usize = 4;
 
+/// Bytes ahead of a record's columns on the wire: the entry count (u64),
+/// then the time marks' and the size runs' counts (u32 each).
+const WIRE_HEADER: usize = 16;
+
 impl Default for Record {
     fn default() -> Self {
         Self {
@@ -223,6 +205,17 @@ impl Default for Record {
             time_hi: Vec::with_capacity(RUNS_RESERVED),
             sizes: Vec::with_capacity(RUNS_RESERVED),
         }
+    }
+}
+
+impl FromIterator<ReportEntry> for Record {
+    fn from_iter<I: IntoIterator<Item = ReportEntry>>(entries: I) -> Self {
+        let entries = entries.into_iter();
+        let mut record = Record::default();
+        record.fingerprints.reserve(entries.size_hint().0);
+        record.time_lo.reserve(entries.size_hint().0);
+        entries.for_each(|e| record.push(e));
+        record
     }
 }
 
@@ -324,6 +317,111 @@ impl Record {
             from: after.map_or(0, |t| self.upto(t)),
         }
     }
+
+    /// The record's wire form, as [`Report::encode`] lays it out: 16 B,
+    /// then 12 B an entry and 8 B a mark or run.
+    fn encode(&self) -> Vec<u8> {
+        let (marks, runs) = (&self.time_hi, &self.sizes);
+        let mut out = Vec::with_capacity(WIRE_HEADER + self.held_bytes());
+        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        for list in [marks, runs] {
+            out.extend_from_slice(&(list.len() as u32).to_le_bytes());
+        }
+        (self.fingerprints.iter()).for_each(|f| out.extend_from_slice(&f.value().to_le_bytes()));
+        (self.time_lo.iter()).for_each(|lo| out.extend_from_slice(&lo.to_le_bytes()));
+        for &(at, value) in marks.iter().chain(runs) {
+            out.extend_from_slice(&at.to_le_bytes());
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+        out
+    }
+
+    /// Reads [`encode`](Self::encode)'s output: `None` unless the bytes
+    /// are exactly what pushing their entries in order builds — the counts
+    /// held against the length (without overflow), every fingerprint in
+    /// its field, the first mark and run at entry 0 and each later one at a
+    /// later entry below the count with another value, the marks rising and
+    /// the low words rising within each. All of it is checked before
+    /// anything is allocated.
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        let (n, rest) = bytes.split_first_chunk::<8>()?;
+        let (marks, rest) = rest.split_first_chunk::<4>()?;
+        let (runs, body) = rest.split_first_chunk::<4>()?;
+        let n = usize::try_from(u64::from_le_bytes(*n)).ok()?;
+        let [marks, runs] = [marks, runs].map(|c| u32::from_le_bytes(*c) as usize);
+        let pair = size_of::<(u32, u32)>();
+        let len = (n.checked_mul(size_of::<Fingerprint>() + size_of::<u32>()))
+            .zip(marks.checked_add(runs).and_then(|m| m.checked_mul(pair)))
+            .and_then(|(entries, lists)| entries.checked_add(lists));
+        if len != Some(body.len()) || u32::try_from(n).is_err() {
+            return None;
+        }
+        let (fps, rest) = body.split_at(n * size_of::<Fingerprint>());
+        let (los, rest) = rest.split_at(n * size_of::<u32>());
+        let (marks, runs) = rest.split_at(marks * pair);
+        if !(opens_runs(wire_pairs(marks), n, |w, v| v > w)
+            && opens_runs(wire_pairs(runs), n, |w, v| v != w)
+            && wire_fingerprints(fps).all(|f| f < FINGERPRINT_PRIME))
+        {
+            return None;
+        }
+        let mut opens = wire_pairs(marks).skip(1).map(|(at, _)| at as usize);
+        let mut next = opens.next();
+        let mut last = 0;
+        for (i, lo) in wire_words(los).enumerate() {
+            if next == Some(i) {
+                next = opens.next();
+            } else if lo < last {
+                return None;
+            }
+            last = lo;
+        }
+        Some(Self {
+            fingerprints: wire_fingerprints(fps).map(Fingerprint::new).collect(),
+            time_lo: wire_words(los).collect(),
+            time_hi: wire_pairs(marks).collect(),
+            sizes: wire_pairs(runs).collect(),
+        })
+    }
+}
+
+/// The little-endian u64s of `bytes`: a fingerprint column's values.
+fn wire_fingerprints(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    (bytes.chunks_exact(8)).map(|f| u64::from_le_bytes(f.try_into().unwrap_or_default()))
+}
+
+/// The little-endian u32s of `bytes`.
+fn wire_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    (bytes.chunks_exact(4)).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+}
+
+/// The `(first index, value)` pairs of a mark or run list on the wire.
+fn wire_pairs(bytes: &[u8]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mut words = wire_words(bytes);
+    std::iter::from_fn(move || Some((words.next()?, words.next()?)))
+}
+
+/// Whether `pairs` is the mark or run list [`Record::push`] builds over
+/// `n` entries: empty for none, else opening at entry 0 and each pair at a
+/// later entry below `n` than the one before, its value `follows` the
+/// one before's.
+fn opens_runs(
+    pairs: impl Iterator<Item = (u32, u32)>,
+    n: usize,
+    follows: impl Fn(u32, u32) -> bool,
+) -> bool {
+    let mut last: Option<(u32, u32)> = None;
+    for (at, value) in pairs {
+        let opens = match last {
+            None => at == 0,
+            Some((a, w)) => at > a && follows(w, value),
+        };
+        if !opens || at as usize >= n {
+            return false;
+        }
+        last = Some((at, value));
+    }
+    last.is_some() == (n > 0)
 }
 
 /// Each run's index range and value, the last run ending at `len`.
@@ -1365,9 +1463,10 @@ mod tests {
         assert_eq!(Report::decode(&garbled), None);
     }
 
-    /// A count chosen so that `8 + n * 20` wraps round to the true length:
-    /// one entry's bytes under a claim of 1 + 2^62 entries. Refused, with
-    /// nothing reserved for the claim.
+    /// A count chosen so that `n * 12 + 16` (the columns, one time mark
+    /// and one size run) wraps round to the true length: one entry's bytes
+    /// under a claim of 1 + 2^62 entries. Refused, with nothing reserved
+    /// for the claim.
     #[test]
     fn a_report_whose_count_overflows_the_length_check_is_refused() {
         let one = Report {
@@ -1378,8 +1477,10 @@ mod tests {
             }],
         };
         let mut crafted = one.encode();
-        assert_eq!(crafted.len(), 28);
-        crafted[..8].copy_from_slice(&(1u64 + (1 << 62)).to_le_bytes());
+        assert_eq!(crafted.len(), 16 + 12 + 16);
+        let claim = 1u64 + (1 << 62);
+        assert_eq!(claim.wrapping_mul(12).wrapping_add(16), 12 + 16);
+        crafted[..8].copy_from_slice(&claim.to_le_bytes());
         assert_eq!(Report::decode(&crafted), None);
         assert_eq!(Report::decode(&[]), None);
         assert_eq!(Report::decode(&u64::MAX.to_le_bytes()), None);

@@ -44,6 +44,21 @@
 //! 7     SummaryPull    round, segment                         fatih_core::pik2::Message
 //! 8     LinkState      update, origin's signature             crate::linkstate::LinkStateUpdate
 //! ```
+//!
+//! A Summary's report is one length-framed field in its record's columns
+//! (`fatih_core::monitor::Report::encode`, the layout of
+//! `fatih_core::monitor::Record`), little-endian:
+//!
+//! ```text
+//! size  field
+//! 8     entry count n
+//! 4     time marks m
+//! 4     size runs s
+//! 8n    fingerprints
+//! 4n    low 32 bits of each entry's ns time
+//! 8m    marks: (first index, high 32 bits of the time)
+//! 8s    runs: (first index, size)
+//! ```
 
 use crate::linkstate::LinkStateUpdate;
 use fatih_core::pik2::{Evidence, EvidenceKind, Message};
@@ -618,8 +633,11 @@ mod tests {
         };
         let mut bytes = encode_frame(&f, &ks).unwrap();
         bytes.truncate(bytes.len() - MAC_LEN);
-        // The report is the body's last field: a count, then 20 bytes.
-        let count = bytes.len() - 28;
+        // The report is the body's last field: a 16-byte header, count
+        // first, then one entry's 12 bytes, a time mark and a size run;
+        // 12 × (1 + 2^62) + 16 wraps round to those 28 bytes.
+        let count = bytes.len() - 44;
+        assert_eq!(bytes[count..count + 8], 1u64.to_le_bytes());
         bytes[count..count + 8].copy_from_slice(&(1u64 + (1 << 62)).to_le_bytes());
         seal_frame(&ks.pairwise_key(3, 4), &mut bytes);
         assert_eq!(
@@ -663,7 +681,7 @@ mod tests {
         // The digest frame is fixed-size: far smaller than the ~300-entry
         // full summary it stands in for.
         assert!(
-            bytes.len() < 300 * 20 / 2,
+            bytes.len() < 300 * 12 / 2,
             "digest frame {} bytes",
             bytes.len()
         );

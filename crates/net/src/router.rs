@@ -1774,8 +1774,11 @@ mod tests {
         let keys = &net.routers[0].keys;
         let mut bytes = crate::codec::encode_frame(&frame, keys).unwrap();
         bytes.truncate(bytes.len() - fatih_crypto::frame::MAC_LEN);
-        // The report is the body's last field: a count, then 20 bytes.
-        let count = bytes.len() - 28;
+        // The report is the body's last field: a 16-byte header, count
+        // first, then one entry's 12 bytes, a time mark and a size run;
+        // 12 × (1 + 2^62) + 16 wraps round to those 28 bytes.
+        let count = bytes.len() - 44;
+        assert_eq!(bytes[count..count + 8], 1u64.to_le_bytes());
         bytes[count..count + 8].copy_from_slice(&(1u64 + (1 << 62)).to_le_bytes());
         fatih_crypto::frame::seal_frame(&keys.pairwise_key(0, 2), &mut bytes);
 

@@ -8,16 +8,23 @@
 //! - the round end, a span that ends with a digest sent;
 //! - the exchange, a span that begins or ends with a control frame
 //!   received (a digest, resolved against the receiver's own, or an ack);
-//! - the evaluation, a span in which a round's evaluation falls. It sends
-//!   nothing, since the run is clean and responds to nothing; its deadline
-//!   is the exchange budget after the round's first digest.
+//! - the evaluation. It sends nothing, since the run is clean and responds
+//!   to nothing. Its deadline, `r·τ` plus the exchange budget on the
+//!   shard's clock, is also a flow tick: the flow's interval divides the
+//!   flows' lead, τ and the budget. So every router evaluates in the batch
+//!   of timeouts in which the source creates and sends the first packet
+//!   created at or after the deadline — at the deadline, or as late as the
+//!   shard's timer fired. The source evaluates before that send, the other
+//!   routers after it: the evaluation is the span the send closes and the
+//!   one it opens.
 //!
 //! Shard 0 also snapshots the registry once a round, 50 ms after the
 //! round's evaluation deadline reckoned from the shard's epoch: a span in
-//! which such an instant falls is a snapshot's. The epoch is read off the
-//! data frames: a packet's creation time, in the shard's clock, cannot be
-//! later than the send that carries it. A round snapshot is filled in
-//! place, its names set before the epoch, and must allocate nothing.
+//! which such an instant falls is a snapshot's. Packets carry their
+//! creation time on the shard's clock, and the epoch is read off the data
+//! frames: a packet's creation cannot be later than the send that carries
+//! it. A round snapshot is filled in place, its names set before the
+//! epoch, and must allocate nothing.
 //!
 //! Every other span is the datapath: a data frame received, decoded,
 //! tapped, fingerprinted, forwarded, encoded and sent, the shard's pass
@@ -88,10 +95,6 @@ const BUDGET: Duration = Duration::from_millis(300);
 /// The datapath is measured once more than this many rounds have ended:
 /// the records, the trace ring and the scratch buffers have grown by then.
 const WARM_ROUNDS: usize = 2;
-/// How far from its deadline, reckoned from the round's first digest, a
-/// round's evaluation may start: that digest leaves after the first
-/// router's round-end work, and a busy shard fires a timer late.
-const EVAL_SLACK_NS: u64 = 50_000_000;
 /// How long after a round's evaluation deadline, on the shard's clock,
 /// shard 0 snapshots the registry.
 const SNAPSHOT_LAG_NS: u64 = 50_000_000;
@@ -130,6 +133,10 @@ struct Ledger {
     /// The shard's epoch, or a few microseconds after it: the earliest
     /// send of a data frame less the packet's creation time.
     epoch: u64,
+    /// Rounds whose evaluation was found, and whether the span now open
+    /// is the second of the last one's.
+    evaluated: u64,
+    evaluating: bool,
     /// Allocations of round work — round end, exchange, evaluation, round
     /// snapshot — by the round whose end came last.
     round_work: [[u64; 4]; ROUNDS],
@@ -148,6 +155,8 @@ impl Ledger {
             round_ends: [0; ROUNDS],
             ended: 0,
             epoch: u64::MAX,
+            evaluated: 0,
+            evaluating: false,
             round_work: [[0; 4]; ROUNDS],
             snapshot_spans: [0; ROUNDS],
             datapath: 0,
@@ -159,13 +168,21 @@ impl Ledger {
     /// sent brings the creation time of its packet, `created_ns`.
     fn book(&mut self, call: Call, t: u64, at_sink: bool, created_ns: Option<u64>) {
         let count = ALLOCATIONS.with(Cell::get);
+        let tau = TAU.as_nanos() as u64;
+        let budget = BUDGET.as_nanos() as u64;
+        // The span that the send of an evaluation's batch closes, and the
+        // one it opens.
+        let mut evaluates = std::mem::take(&mut self.evaluating);
         if let Some(created) = created_ns {
             self.epoch = self.epoch.min(t.saturating_sub(created));
+            if created >= (self.evaluated + 1) * tau + budget {
+                self.evaluated += 1;
+                (evaluates, self.evaluating) = (true, true);
+            }
         }
         let Some((last_count, last_t, prev)) = self.last.replace((count, t, call)) else {
             return;
         };
-        let tau = TAU.as_nanos() as u64;
         if call == Call::SendControl
             && self.ended < ROUNDS
             && (self.ended == 0 || t > self.round_ends[self.ended - 1] + tau / 2)
@@ -176,14 +193,9 @@ impl Ledger {
         if self.ended == 0 {
             return; // the first round: everything is still growing
         }
-        let budget = BUDGET.as_nanos() as u64;
         let snapshots = (1..=self.ended as u64).any(|round| {
             let at = (self.epoch).saturating_add(round * tau + budget + SNAPSHOT_LAG_NS);
             last_t < at.saturating_add(SNAPSHOT_LATE_NS) && t + SNAPSHOT_EARLY_NS > at
-        });
-        let evaluates = self.round_ends[..self.ended].iter().any(|&end| {
-            let due = end + budget;
-            last_t < due + EVAL_SLACK_NS && t + EVAL_SLACK_NS > due
         });
         let kind = if snapshots {
             self.snapshot_spans[self.ended - 1] += 1;
@@ -333,9 +345,17 @@ fn a_forwarded_hop_allocates_nothing_between_round_ends() {
             "{} allocations on the datapath for {} delivered packets",
             ledger.datapath, ledger.delivered
         );
+        // An evaluation was found in every measured round.
+        let measured = WARM_ROUNDS..ROUNDS - 1;
+        assert!(
+            ledger.round_work[measured.clone()]
+                .iter()
+                .all(|w| w[EVALUATION] > 0),
+            "an evaluation missed: {:?}",
+            ledger.round_work
+        );
         // A round snapshot was found in every measured round, and filled
         // its snapshot in place.
-        let measured = WARM_ROUNDS..ROUNDS - 1;
         assert!(
             ledger.snapshot_spans[measured.clone()]
                 .iter()
